@@ -137,11 +137,11 @@ class HotPathAllocRule(AstRule):
         }),
         "program/exec.py": frozenset({
             "_post_recvs", "_pack", "_post_sends", "_waitall",
-            "_local_spmvm", "_remote_spmvm", "_full_spmvm", "_omp_barrier",
-            "_run_ops", "_issue",
+            "_local_spmvm", "_remote_spmvm", "_full_spmvm",
+            "execute_sweep", "_issue", "_barrier_main", "_rendezvous",
         }),
         "core/spmvm.py": frozenset({
-            "sweep_buffers", "fill_send_buffers", "send_buffers",
+            "sweep_ring", "sweep_buffers", "fill_send_buffers", "send_buffers",
             "complete_halo_receives", "halo_view",
         }),
     }
@@ -330,10 +330,11 @@ class CommVocabRule(AstRule):
     })
     COMPUTE_FUNCTIONS = {
         "program/exec.py": frozenset({
-            "_pack", "_local_spmvm", "_remote_spmvm", "_full_spmvm", "_omp_barrier",
+            "_pack", "_local_spmvm", "_remote_spmvm", "_full_spmvm",
+            "_barrier_main", "_rendezvous",
         }),
         "core/spmvm.py": frozenset({
-            "sweep_buffers", "fill_send_buffers", "halo_view",
+            "sweep_ring", "sweep_buffers", "fill_send_buffers", "halo_view",
         }),
     }
 

@@ -22,7 +22,7 @@ import numpy as np
 from repro.check.driver import run_checked
 from repro.check.findings import CheckReport
 
-__all__ = ["SEED_BUGS", "run_seed_bug"]
+__all__ = ["SEED_BUGS", "SEEDED_PROGRAMS", "run_seed_bug"]
 
 
 def _deadlock_cycle() -> CheckReport:
@@ -138,36 +138,10 @@ def _plan_lint() -> CheckReport:
     return report
 
 
-def _run_seeded_program(ops: tuple, context: str) -> CheckReport:
-    """Run one hand-built (lint-bypassing) task-mode program under sanitizers."""
-    from repro.check.threads import ThreadSanitizer
-    from repro.core.halo import cached_halo_plan
-    from repro.core.spmvm import DistributedSpMVM, scatter_vector
-    from repro.matrices import get_matrix
-    from repro.mpilite.world import PerRank, run_spmd
-    from repro.program.exec import execute_sweep
-    from repro.program.ir import SweepProgram
-
-    A = get_matrix("HMeP", "tiny").build_cached()
-    nranks = 2
-    plan = cached_halo_plan(A, nranks, with_matrices=True)
-    program = SweepProgram(scheme="task_mode", ops=ops)
-    rng = np.random.default_rng(11)
-    x = rng.standard_normal(A.nrows)
-    san = ThreadSanitizer()
-
-    def fn(comm, halo) -> np.ndarray:
-        engine = DistributedSpMVM(comm, halo, sanitizer=san)
-        return execute_sweep(engine, program, scatter_vector(x, plan.partition, comm.rank))
-
-    run_spmd(nranks, fn, PerRank(plan.ranks), recv_timeout=10.0, timeout=30.0)
-    return san.finalize(context=context)
-
-
-def _thread_race_missing_barrier() -> CheckReport:
+def _missing_barrier_program():
     """Task mode whose joining OMP_BARRIER was dropped: REMOTE_SPMVM reads
     ``halo_out`` causally concurrent with the comm thread's WAITALL write."""
-    from repro.program.ir import SweepOp
+    from repro.program.ir import SweepOp, SweepProgram
 
     ops = (
         SweepOp("POST_RECVS"),
@@ -178,13 +152,13 @@ def _thread_race_missing_barrier() -> CheckReport:
         SweepOp("REMOTE_SPMVM"),  # seeded: no OMP_BARRIER joined the comm thread yet
         SweepOp("OMP_BARRIER"),
     )
-    return _run_seeded_program(ops, "seed-bug thread-race-missing-barrier")
+    return SweepProgram(scheme="task_mode", ops=ops)
 
 
-def _thread_race_main_halo() -> CheckReport:
+def _main_halo_program():
     """The unsplit FULL_SPMVM moved inside the comm-open region: its
     ``halo_out`` read races the exchange still landing the halo."""
-    from repro.program.ir import SweepOp
+    from repro.program.ir import SweepOp, SweepProgram
 
     ops = (
         SweepOp("POST_RECVS"),
@@ -194,42 +168,57 @@ def _thread_race_main_halo() -> CheckReport:
         SweepOp("FULL_SPMVM"),  # seeded: full kernel cannot overlap the exchange
         SweepOp("OMP_BARRIER"),
     )
-    return _run_seeded_program(ops, "seed-bug thread-race-main-halo")
+    return SweepProgram(scheme="task_mode", ops=ops)
 
 
-def _thread_race_sweep_overlap() -> CheckReport:
+def _sweep_overlap_program():
     """A pipelined 2-sweep program rebuilt with ``halo_depth=1``: sweep 1's
     POST_RECVS hands the single halo slot to MPI while the main thread's
     REMOTE_SPMVM of sweep 0 still reads it (the bug double-buffering
     exists to prevent)."""
-    from repro.check.threads import ThreadSanitizer
-    from repro.core.halo import cached_halo_plan
-    from repro.core.spmvm import DistributedSpMVM, scatter_vector
-    from repro.matrices import get_matrix
-    from repro.mpilite.world import PerRank, run_spmd
-    from repro.program.build import build_multi_sweep
-    from repro.program.exec import execute_multi_sweep
+    from repro.program.build import build_sweep
 
-    good = build_multi_sweep("task_mode", 2, pipeline=True)
-    # seeded: collapse the halo ring to one slot, bypassing the lint
-    # (lint_multi_sweep_program rejects this exact program)
-    program = dataclasses.replace(good, halo_depth=1)
+    # seeded: collapse the halo ring to one slot
+    return dataclasses.replace(build_sweep("task_mode", 2), halo_depth=1)
 
-    A = get_matrix("HMeP", "tiny").build_cached()
-    nranks = 2
-    plan = cached_halo_plan(A, nranks, with_matrices=True)
-    rng = np.random.default_rng(11)
-    x = rng.standard_normal(A.nrows)
-    san = ThreadSanitizer()
 
-    def fn(comm, halo) -> list[np.ndarray]:
-        engine = DistributedSpMVM(comm, halo, sanitizer=san)
-        return execute_multi_sweep(
-            engine, program, scatter_vector(x, plan.partition, comm.rank)
-        )
+#: The hand-built programs behind the thread-race fixtures.  Each one is
+#: rejected by :func:`repro.program.lint_sweep_program`; the fixtures
+#: bypass the lint to show the sanitizer catching the same bug live.
+SEEDED_PROGRAMS = {
+    "thread-race-missing-barrier": _missing_barrier_program,
+    "thread-race-main-halo": _main_halo_program,
+    "thread-race-sweep-overlap": _sweep_overlap_program,
+}
 
-    run_spmd(nranks, fn, PerRank(plan.ranks), recv_timeout=10.0, timeout=30.0)
-    return san.finalize(context="seed-bug thread-race-sweep-overlap")
+
+def _seeded_program_fixture(name: str) -> Callable[[], CheckReport]:
+    """Runner executing ``SEEDED_PROGRAMS[name]`` under the thread sanitizer."""
+
+    def run() -> CheckReport:
+        from repro.check.threads import ThreadSanitizer
+        from repro.core.halo import cached_halo_plan
+        from repro.core.spmvm import DistributedSpMVM, scatter_vector
+        from repro.matrices import get_matrix
+        from repro.mpilite.world import PerRank, run_spmd
+        from repro.program.exec import execute_sweep
+
+        program = SEEDED_PROGRAMS[name]()
+        A = get_matrix("HMeP", "tiny").build_cached()
+        nranks = 2
+        plan = cached_halo_plan(A, nranks, with_matrices=True)
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal(A.nrows)
+        san = ThreadSanitizer()
+
+        def fn(comm, halo) -> list[np.ndarray]:
+            engine = DistributedSpMVM(comm, halo, sanitizer=san)
+            return execute_sweep(engine, program, scatter_vector(x, plan.partition, comm.rank))
+
+        run_spmd(nranks, fn, PerRank(plan.ranks), recv_timeout=10.0, timeout=30.0)
+        return san.finalize(context=f"seed-bug {name}")
+
+    return run
 
 
 def _thread_race_unlocked_service() -> CheckReport:
@@ -282,9 +271,7 @@ SEED_BUGS: dict[str, tuple[str, Callable[[], CheckReport]]] = {
     "buffer-hazard": ("buffer-hazard", _buffer_hazard),
     "leaked-request": ("leaked-request", _leaked_request),
     "plan-lint": ("plan-lint", _plan_lint),
-    "thread-race-missing-barrier": ("thread-race", _thread_race_missing_barrier),
-    "thread-race-main-halo": ("thread-race", _thread_race_main_halo),
-    "thread-race-sweep-overlap": ("thread-race", _thread_race_sweep_overlap),
+    **{name: ("thread-race", _seeded_program_fixture(name)) for name in SEEDED_PROGRAMS},
     "thread-race-unlocked-service": ("thread-race", _thread_race_unlocked_service),
     "astlint-hot-alloc": ("ast-lint", _astlint_fixture("hot-path-alloc")),
     "astlint-float64": ("ast-lint", _astlint_fixture("float64-discipline")),

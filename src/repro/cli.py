@@ -281,7 +281,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     what it claims to.
 
     ``--programs`` statically lints every sweep program the builders can
-    emit (scheme x lowering x block width, :mod:`repro.program`) — the
+    emit (scheme x lowering x 1-3 chained sweeps, pipelined and
+    sequential, x block width; :mod:`repro.program`) — the
     one place the Fig. 4 phase orderings live now that both backends
     dispatch through the IR.
 
@@ -609,9 +610,9 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--async-progress", action="store_true",
                     help="model an MPI library with working progress threads")
     pt.add_argument("--sweeps", type=int, default=1,
-                    help="chain N sweeps per iteration as one multi-sweep program")
+                    help="chain N sweeps per iteration as one N-sweep program")
     pt.add_argument("--no-pipeline", action="store_true",
-                    help="sequential multi-sweep program (no cross-sweep overlap)")
+                    help="sequential N-sweep program (no cross-sweep overlap)")
     pt.add_argument("--per-op", action="store_true",
                     help="print per-op cost attribution (program/sweep/op)")
     pt.add_argument("--metrics", action="store_true", help="print the flat metrics dict")
@@ -659,7 +660,8 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--lint-only", action="store_true",
                     help="static plan lint only (no instrumented runs)")
     pk.add_argument("--programs", action="store_true",
-                    help="lint every sweep program (repro.program builders) and exit")
+                    help="lint every sweep program (repro.program builders: scheme x "
+                         "lowering x N in 1..3 x pipelining x width) and exit")
     pk.add_argument("--threads", action="store_true",
                     help="run the thread-level race sanitizer (repro.check.threads)")
     pk.add_argument("--seed-bug", metavar="NAME", default=None,

@@ -123,9 +123,9 @@ def simulate_from_plan(
     tokens in issue order, all iterations) — the simulated half of the
     golden cross-backend comparison in ``tests/test_program_golden.py``.
 
-    ``n_sweeps > 1`` replays a chained *multi-sweep* program per
-    iteration (cross-iteration pipelined unless ``pipeline`` is false):
-    each iteration then performs ``n_sweeps`` MVMs, and the reported
+    Each iteration replays the scheme's chained ``n_sweeps``-sweep
+    program (cross-iteration pipelined unless ``pipeline`` is false),
+    i.e. performs ``n_sweeps`` MVMs, and the reported
     ``iterations`` is scaled accordingly so every per-MVM figure stays
     comparable.
     """

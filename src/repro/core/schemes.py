@@ -35,8 +35,8 @@ from repro.frame.core import Simulator
 from repro.frame.resources import FlowNetwork
 from repro.frame.trace import TraceRecorder
 from repro.machine.affinity import RankPlacement
-from repro.program.build import build_multi_sweep, build_sweep
-from repro.program.sim import multi_sweep_process, sweep_process
+from repro.program.build import build_sweep
+from repro.program.sim import sweep_process
 from repro.smpi.api import SimMPI
 from repro.util import check_in
 
@@ -125,35 +125,24 @@ def rank_process(
     pipeline: bool = True,
     op_log: list[str] | None = None,
 ) -> Generator:
-    """The full life of one simulated rank: *iterations* back-to-back MVMs.
+    """The full life of one simulated rank: *iterations* back-to-back programs.
 
-    Builds the scheme's sweep program once (the same
-    :func:`repro.program.build_sweep` output the real backend executes)
-    and interprets it per iteration.  Iterations are tagged so messages
-    of successive sweeps cannot be confused; ranks drift freely (no
-    global barrier), as in the real benchmark loop.  ``op_log`` receives
-    the executed op sequence of every sweep in issue order (the
-    simulated half of the golden cross-backend comparison).
-
-    With ``n_sweeps > 1`` each iteration replays one *multi-sweep*
-    chained program (:func:`repro.program.build_multi_sweep`) instead —
-    cross-iteration pipelined when ``pipeline`` is true — so one
-    iteration then covers ``n_sweeps`` MVMs.
+    Builds the scheme's *n_sweeps*-sweep program once (the same
+    :func:`repro.program.build_sweep` output the real backend executes
+    — cross-iteration pipelined when ``pipeline`` is true) and
+    interprets it per iteration, so one iteration covers ``n_sweeps``
+    MVMs.  Sweeps are tagged so messages of successive sweeps cannot be
+    confused; ranks drift freely (no global barrier), as in the real
+    benchmark loop.  ``op_log`` receives the executed op sequence of
+    every iteration in issue order (the simulated half of the golden
+    cross-backend comparison).
     """
     check_in(scheme, SIM_SCHEMES, "scheme")
-    lowering = "plan" if ctx.comm is not None else "classic"
-    if n_sweeps > 1:
-        program = build_multi_sweep(
-            scheme, n_sweeps,
-            pipeline=pipeline, block_k=ctx.block_k, comm_plan=lowering,
-        )
-        for it in range(iterations):
-            yield from multi_sweep_process(
-                ctx, program, it * n_sweeps, op_log=op_log
-            )
-            ctx.finish_times.append(ctx.sim.now)
-        return
-    program = build_sweep(scheme, block_k=ctx.block_k, comm_plan=lowering)
+    program = build_sweep(
+        scheme, n_sweeps,
+        pipeline=pipeline, block_k=ctx.block_k,
+        comm_plan="plan" if ctx.comm is not None else "classic",
+    )
     for it in range(iterations):
-        yield from sweep_process(ctx, program, it, op_log=op_log)
+        yield from sweep_process(ctx, program, it * n_sweeps, op_log=op_log)
         ctx.finish_times.append(ctx.sim.now)

@@ -18,15 +18,17 @@ the long-lived per-rank state — communicator, halo bookkeeping,
 preallocated buffers, split sub-matrices — and hands every multiply to
 the real-execution interpreter (:func:`repro.program.execute_sweep`),
 which runs the scheme's program op by op.  spmv and batched multi-RHS
-spmm are the k = 1 / k > 1 cases of that one interpreter, and the
-classic and node-aware exchanges are two lowerings of its communication
-ops.  The numerical result is identical in every scheme and lowering:
-the local part is accumulated before the remote part, row by row.
+spmm are the k = 1 / k > 1 cases of that one interpreter, a single
+multiply and the N-sweep matrix-powers chain its ``n_sweeps`` = 1 / N
+cases, and the classic and node-aware exchanges are two lowerings of
+its communication ops.  The numerical result is identical in every
+scheme and lowering: the local part is accumulated before the remote
+part, row by row.
 
 The hot paths are allocation-free: halo and per-peer send buffers are
-preallocated once and refilled with ``np.take(..., out=...)`` — the
-router copies payloads on send, so the buffers are immediately
-reusable, exactly the ``MPI_Send`` guarantee.
+allocated once per batch width and refilled with ``np.take(...,
+out=...)`` — the router copies payloads on send, so the buffers are
+immediately reusable, exactly the ``MPI_Send`` guarantee.
 
 Note on Python: the GIL serialises the task-mode comm thread against
 numpy compute, so no wall-clock overlap materialises here — exactly the
@@ -44,9 +46,9 @@ from repro.comm.exec import RankExchange
 from repro.comm.plan import PLAN_KINDS, CommPlan, cached_comm_plan
 from repro.core.halo import RankHalo, cached_halo_plan
 from repro.mpilite.comm import Comm
-from repro.program.build import cached_multi_sweep_program, cached_sweep_program
-from repro.program.exec import execute_multi_sweep, execute_sweep
-from repro.program.ir import MultiSweepProgram, SweepProgram
+from repro.program.build import cached_sweep_program
+from repro.program.exec import execute_sweep
+from repro.program.ir import SweepProgram
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.partition import RowPartition
 from repro.sparse.registry import DEFAULT_KERNEL, KernelSpec, build_operator, get_kernel
@@ -127,20 +129,12 @@ class DistributedSpMVM:
             else None
         )
         self.sanitizer = sanitizer
-        self._halo_buf = np.empty(halo.n_halo)
         self._halo_offsets = self._build_offsets()
-        # per-peer send buffers, refilled in place every MVM (the router
-        # copies on send, so reuse across iterations is safe)
-        self._send_bufs = {
-            dst: np.empty(idx.size) for dst, idx in halo.send_indices.items()
-        }
-        # block (k-column) buffers, grown lazily per batch width
-        self._block_bufs: dict[int, tuple[np.ndarray, dict[int, np.ndarray]]] = {}
-        # multi-sweep double-buffer rings, grown lazily per (depth, k):
-        # slot s % depth holds sweep s's halo landing + send buffers
-        self._multi_bufs: dict[
-            tuple[int, int], list[tuple[np.ndarray, dict[int, np.ndarray]]]
-        ] = {}
+        # per-width rings of (halo landing buffer, per-peer send buffers)
+        # slots, grown lazily and refilled in place every MVM (the router
+        # copies on send, so reuse across iterations is safe); sweep s of
+        # a program lands in slot s % halo_depth.  Width 0 is the 1-D case.
+        self._rings: dict[int, list[tuple[np.ndarray, dict[int, np.ndarray]]]] = {}
         # degenerate halo views (n_halo == 0): A_remote was built with one
         # zero column, so the remote kernel needs a length-1 zero RHS —
         # cached here so halo_view stays allocation-free per sweep
@@ -162,30 +156,47 @@ class DistributedSpMVM:
             pos += count
         return offsets
 
-    def _block_buffers(self, k: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-        """Preallocated (halo block, per-peer send blocks) for batch width k."""
-        bufs = self._block_bufs.get(k)
-        if bufs is None:
-            bufs = (
-                np.empty((self.halo.n_halo, k)),
-                {dst: np.empty((idx.size, k)) for dst, idx in self.halo.send_indices.items()},
-            )
-            self._block_bufs[k] = bufs
-        return bufs
+    def program(
+        self, scheme: str, n_sweeps: int = 1, *, pipeline: bool = True
+    ) -> SweepProgram:
+        """The compiled *n_sweeps*-sweep program this engine runs for *scheme*.
 
-    def program(self, scheme: str) -> SweepProgram:
-        """The compiled sweep program this engine runs for *scheme*.
-
-        Compiled once per ``(scheme, lowering)`` process-wide
-        (:func:`repro.program.cached_sweep_program`) — every engine of a
-        persistent worker pool shares the same program instances.
+        Compiled once per ``(scheme, n_sweeps, pipeline, lowering)``
+        process-wide (:func:`repro.program.cached_sweep_program`) —
+        every engine of a persistent worker pool shares the same
+        program instances.
         """
         return cached_sweep_program(
             scheme,
+            n_sweeps,
+            pipeline=pipeline,
             comm_plan="plan" if self.exchange is not None else "classic",
         )
 
     # ------------------------------------------------------------------
+    def _sweep(
+        self,
+        x: np.ndarray,
+        scheme: str,
+        n_sweeps: int = 1,
+        *,
+        pipeline: bool = True,
+        op_log: list[str] | None = None,
+    ) -> list[np.ndarray]:
+        """Run *scheme*'s *n_sweeps*-sweep program on validated input *x*."""
+        check_in(scheme, SCHEMES, "scheme")
+        program = self.program(scheme, n_sweeps, pipeline=pipeline)
+        self.iterations += n_sweeps
+        return execute_sweep(self, program, x, op_log=op_log)
+
+    def _local_vector(self, x_local: np.ndarray) -> np.ndarray:
+        x_local = np.asarray(x_local, dtype=np.float64)
+        if x_local.shape != (self.halo.n_rows,):
+            raise ValueError(
+                f"x_local must have shape ({self.halo.n_rows},), got {x_local.shape}"
+            )
+        return x_local
+
     def multiply(
         self,
         x_local: np.ndarray,
@@ -198,14 +209,7 @@ class DistributedSpMVM:
         ``op_log``, when given, receives the executed op sequence (the
         program's signature tokens) — see :func:`repro.program.execute_sweep`.
         """
-        check_in(scheme, SCHEMES, "scheme")
-        x_local = np.asarray(x_local, dtype=np.float64)
-        if x_local.shape != (self.halo.n_rows,):
-            raise ValueError(
-                f"x_local must have shape ({self.halo.n_rows},), got {x_local.shape}"
-            )
-        self.iterations += 1
-        return execute_sweep(self, self.program(scheme), x_local, op_log=op_log)
+        return self._sweep(self._local_vector(x_local), scheme, op_log=op_log)[0]
 
     def multiply_block(
         self,
@@ -223,25 +227,12 @@ class DistributedSpMVM:
         per vector.  Runs the *same* sweep program as :meth:`multiply`;
         only the buffers and kernels are k-column wide.
         """
-        check_in(scheme, SCHEMES, "scheme")
         X_local = np.asarray(X_local, dtype=np.float64)
         if X_local.ndim != 2 or X_local.shape[0] != self.halo.n_rows:
             raise ValueError(
                 f"X_local must have shape ({self.halo.n_rows}, k), got {X_local.shape}"
             )
-        self.iterations += 1
-        return execute_sweep(self, self.program(scheme), X_local, op_log=op_log)
-
-    def multi_program(
-        self, scheme: str, n_sweeps: int, *, pipeline: bool = True
-    ) -> MultiSweepProgram:
-        """The compiled N-sweep program this engine runs for *scheme*."""
-        return cached_multi_sweep_program(
-            scheme,
-            n_sweeps,
-            pipeline=pipeline,
-            comm_plan="plan" if self.exchange is not None else "classic",
-        )
+        return self._sweep(X_local, scheme, op_log=op_log)[0]
 
     def multiply_chain(
         self,
@@ -254,56 +245,54 @@ class DistributedSpMVM:
     ) -> list[np.ndarray]:
         """The matrix-powers chain: this rank's slices of ``A x .. A^N x``.
 
-        Runs ONE multi-sweep program (one comm-thread spawn, pipelined
-        receives, double-buffered halo slots) instead of N independent
-        multiplies.  Each slice is bit-identical to iterating
-        :meth:`multiply`, pipelined or not — the pipelining reorders
-        communication, never kernel arithmetic.  Requires a square
-        operator (chaining feeds each sweep's result back as the next
-        input).
+        Runs ONE *n_sweeps*-sweep program (one comm-thread spawn,
+        pipelined receives, double-buffered halo slots) instead of N
+        independent multiplies.  Each slice is bit-identical to
+        iterating :meth:`multiply`, pipelined or not — the pipelining
+        reorders communication, never kernel arithmetic.  Requires a
+        square operator (chaining feeds each sweep's result back as the
+        next input).
         """
-        check_in(scheme, SCHEMES, "scheme")
-        x_local = np.asarray(x_local, dtype=np.float64)
-        if x_local.shape != (self.halo.n_rows,):
-            raise ValueError(
-                f"x_local must have shape ({self.halo.n_rows},), got {x_local.shape}"
-            )
-        program = self.multi_program(scheme, n_sweeps, pipeline=pipeline)
-        self.iterations += n_sweeps
-        return execute_multi_sweep(self, program, x_local, op_log=op_log)
+        return self._sweep(
+            self._local_vector(x_local), scheme, n_sweeps,
+            pipeline=pipeline, op_log=op_log,
+        )
 
     # -- state the interpreter's op handlers drive ---------------------
-    def sweep_buffers(self, x: np.ndarray) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-        """(halo landing buffer, per-peer send buffers) for input *x*."""
-        if x.ndim == 2:
-            return self._block_buffers(x.shape[1])
-        return self._halo_buf, self._send_bufs
-
-    def multi_sweep_buffers(
+    def sweep_ring(
         self, x: np.ndarray, depth: int
     ) -> list[tuple[np.ndarray, dict[int, np.ndarray]]]:
-        """The double-buffer ring of a multi-sweep program: *depth* slots.
+        """The buffer ring for input *x*, at least *depth* slots long.
 
         Slot ``s % depth`` is sweep ``s``'s (halo landing buffer,
-        per-peer send buffers) — preallocated once per (depth, width)
-        and reused across chains, like the single-sweep buffers.
+        per-peer send buffers) — allocated once per width and reused
+        across sweeps and programs.
         """
         k = x.shape[1] if x.ndim == 2 else 0
-        ring = self._multi_bufs.get((depth, k))
-        if ring is None:
-            shape = (self.halo.n_halo, k) if k else (self.halo.n_halo,)
-            ring = [
-                (
-                    np.empty(shape),
-                    {
-                        dst: np.empty((idx.size, k) if k else (idx.size,))
-                        for dst, idx in self.halo.send_indices.items()
-                    },
-                )
-                for _slot in range(depth)
-            ]
-            self._multi_bufs[(depth, k)] = ring
+        ring = self._rings.get(k)
+        if ring is None or len(ring) < depth:
+            ring = self._grow_ring(k, depth)
         return ring
+
+    def _grow_ring(
+        self, k: int, depth: int
+    ) -> list[tuple[np.ndarray, dict[int, np.ndarray]]]:
+        ring = self._rings.setdefault(k, [])
+        cols = (k,) if k else ()
+        while len(ring) < depth:
+            ring.append((
+                np.empty((self.halo.n_halo, *cols)),
+                {
+                    dst: np.empty((idx.size, *cols))
+                    for dst, idx in self.halo.send_indices.items()
+                },
+            ))
+        return ring
+
+    def sweep_buffers(self, x: np.ndarray) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+        """(halo landing buffer, per-peer send buffers) a single sweep of
+        *x* lands in: slot 0 of the ring."""
+        return self.sweep_ring(x, 1)[0]
 
     def post_halo_receives(self) -> list[tuple[int, object]]:
         """Classic lowering of POST_RECVS: one irecv per source rank."""

@@ -52,10 +52,9 @@ def comm_phase_messages(trace: TraceRecorder) -> dict[str, int]:
 def per_op_costs(trace: TraceRecorder) -> dict[tuple[str, int, str], dict[str, float]]:
     """Aggregate the per-op cost attribution events of one traced run.
 
-    Both interpreters (:func:`repro.program.sim.sweep_process` and
-    :func:`~repro.program.sim.multi_sweep_process`) emit one ``op_cost``
-    event per executed sweep op, keyed on the program signature id and
-    the op's sweep index.  This folds them into
+    The simulated interpreter (:func:`repro.program.sim.sweep_process`)
+    emits one ``op_cost`` event per executed sweep op, keyed on the
+    program signature id and the op's sweep index.  This folds them into
     ``(program_id, sweep, op_kind) -> {"count": n, "seconds": total}``
     — the data behind ``repro trace --per-op``: where one chained
     program actually spends its time, sweep by sweep.

@@ -2,7 +2,12 @@
 
 One :func:`build_sweep` program per scheme is the single source of truth
 for the paper's phase ordering (gather, halo exchange, local spMVM,
-waitall, remote spMVM); two interpreters execute it:
+waitall, remote spMVM).  A :class:`SweepProgram` spans ``n_sweeps``
+chained sweeps (the matrix-powers kernel ``A x .. A^N x``) with explicit
+sweep tags — a lone spMVM is the ``n_sweeps = 1`` program — so
+cross-iteration pipelining (sweep ``i+1``'s receives hoisted before
+sweep ``i``'s remote kernel, double-buffered halo slots, one long-lived
+comm thread) is emitted as data.  Two interpreters execute it:
 
 * :func:`execute_sweep` — real execution on mpilite data (the engine
   behind :class:`~repro.core.spmvm.DistributedSpMVM`),
@@ -10,71 +15,46 @@ waitall, remote spMVM); two interpreters execute it:
   :func:`~repro.core.runner.simulate_spmvm`),
 
 and :func:`lint_sweep_program` proves a program's structural invariants
-(request lifecycle, comm-thread region balance, barrier placement)
-before either backend touches it.  See DESIGN.md §10.
-
-:func:`build_multi_sweep` extends the IR to *iteration-indexed*
-programs: one :class:`MultiSweepProgram` spans N chained sweeps (the
-matrix-powers kernel ``A x .. A^N x``) with explicit sweep tags, so
-cross-iteration pipelining — sweep ``i+1``'s receives hoisted before
-sweep ``i``'s remote kernel, double-buffered halo slots, one long-lived
-comm thread — is emitted as data, executed by both backends
-(:func:`execute_multi_sweep` / :func:`multi_sweep_process`) and proved
-safe by :func:`lint_multi_sweep_program`.  See DESIGN.md §15.
+(request lifecycle, comm-thread region balance, barrier placement, the
+double-buffer contract) on a happens-before model before either backend
+touches it.  See DESIGN.md §10.
 """
 
 from repro.program.build import (
     PROGRAM_SCHEMES,
-    all_multi_sweep_programs,
     all_sweep_programs,
-    build_multi_sweep,
     build_sweep,
-    cached_multi_sweep_program,
     cached_sweep_program,
 )
-from repro.program.exec import execute_multi_sweep, execute_sweep
+from repro.program.exec import execute_sweep
 from repro.program.ir import (
     COMM_OPS,
     COMPUTE_OPS,
     LOWERINGS,
-    MULTI_BODY_OPS,
     OP_KINDS,
     SIM_PHASE_LABELS,
     WORK_OPS,
-    MultiSweepProgram,
     SweepOp,
     SweepProgram,
 )
-from repro.program.lint import (
-    lint_multi_sweep_program,
-    lint_sweep_program,
-    lint_sweep_programs,
-)
-from repro.program.sim import multi_sweep_process, sweep_process
+from repro.program.lint import lint_sweep_program, lint_sweep_programs
+from repro.program.sim import sweep_process
 
 __all__ = [
     "OP_KINDS",
     "COMPUTE_OPS",
     "COMM_OPS",
-    "MULTI_BODY_OPS",
     "WORK_OPS",
     "LOWERINGS",
     "SIM_PHASE_LABELS",
     "SweepOp",
     "SweepProgram",
-    "MultiSweepProgram",
     "PROGRAM_SCHEMES",
     "build_sweep",
     "cached_sweep_program",
     "all_sweep_programs",
-    "build_multi_sweep",
-    "cached_multi_sweep_program",
-    "all_multi_sweep_programs",
     "execute_sweep",
-    "execute_multi_sweep",
     "sweep_process",
-    "multi_sweep_process",
     "lint_sweep_program",
-    "lint_multi_sweep_program",
     "lint_sweep_programs",
 ]

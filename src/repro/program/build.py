@@ -1,10 +1,10 @@
 """The scheme builders: the single source of truth for Fig. 4 semantics.
 
 :func:`build_sweep` emits the one :class:`~repro.program.ir.SweepProgram`
-per scheme that *both* backends execute.  Nothing else in the repository
-is allowed to hard-code the phase ordering of a scheme — a new scheme is
-a new builder here, and immediately runs on mpilite, in the simulator,
-and under the program lint.
+per scheme and sweep count that *both* backends execute.  Nothing else
+in the repository is allowed to hard-code the phase ordering of a
+scheme — a new scheme is a new builder here, and immediately runs on
+mpilite, in the simulator, and under the program lint.
 
 * **no_overlap** (Fig. 4a) — gather, exchange, then one full-kernel
   spMVM::
@@ -26,13 +26,20 @@ and under the program lint.
       POST_RECVS -> PACK -> OMP_BARRIER
                  -> COMM_THREAD(POST_SENDS, WAITALL)
                  -> LOCAL_SPMVM -> OMP_BARRIER -> REMOTE_SPMVM
+
+Those are the ``n_sweeps = 1`` programs.  For N chained sweeps the same
+builder either concatenates N sweep-tagged copies (``pipeline=False``)
+or *pipelines* across the sweep boundaries: sweep ``s+1``'s receives
+hoisted before sweep ``s``'s halo-consuming kernel, double-buffered
+halo slots, and in task mode one long-lived communication thread paced
+by barrier rendezvous.
 """
 
 from __future__ import annotations
 
 import functools
 
-from repro.program.ir import MultiSweepProgram, SweepOp, SweepProgram
+from repro.program.ir import SweepOp, SweepProgram
 from repro.util import check_in, check_positive_int
 
 __all__ = [
@@ -40,9 +47,6 @@ __all__ = [
     "build_sweep",
     "cached_sweep_program",
     "all_sweep_programs",
-    "build_multi_sweep",
-    "cached_multi_sweep_program",
-    "all_multi_sweep_programs",
 ]
 
 #: The Fig. 4 schemes, in paper order.  (Kept equal to
@@ -51,117 +55,31 @@ __all__ = [
 PROGRAM_SCHEMES = ("no_overlap", "naive_overlap", "task_mode")
 
 
-def _op(kind: str) -> SweepOp:
-    return SweepOp(kind)
-
-
-def build_sweep(
-    scheme: str,
-    *,
-    block_k: int = 1,
-    comm_plan: str = "classic",
-) -> SweepProgram:
-    """Build the sweep program of one Fig. 4 *scheme*.
-
-    ``block_k`` is the number of right-hand sides per sweep (the op
-    sequence is identical for every k; the simulator prices compute ops
-    with it).  ``comm_plan`` selects the lowering of the communication
-    ops: ``"classic"`` sends one message per peer straight off the halo
-    lists, ``"plan"`` replays a compiled :class:`~repro.comm.plan.CommPlan`
-    (direct or node-aware).
-    """
-    check_in(scheme, PROGRAM_SCHEMES, "scheme")
-    if scheme == "no_overlap":
-        ops = (
-            _op("POST_RECVS"),
-            _op("PACK"),
-            _op("POST_SENDS"),
-            _op("WAITALL"),
-            _op("FULL_SPMVM"),
-        )
-    elif scheme == "naive_overlap":
-        ops = (
-            _op("POST_RECVS"),
-            _op("PACK"),
-            _op("POST_SENDS"),
-            _op("LOCAL_SPMVM"),
-            _op("WAITALL"),
-            _op("REMOTE_SPMVM"),
-        )
-    else:  # task_mode
-        ops = (
-            _op("POST_RECVS"),
-            _op("PACK"),
-            _op("OMP_BARRIER"),
-            SweepOp("COMM_THREAD", body=(_op("POST_SENDS"), _op("WAITALL"))),
-            _op("LOCAL_SPMVM"),
-            _op("OMP_BARRIER"),
-            _op("REMOTE_SPMVM"),
-        )
-    return SweepProgram(
-        scheme=scheme,
-        ops=ops,
-        block_k=block_k,
-        lowering=comm_plan,
-        meta={"builder": "build_sweep"},
-    )
-
-
-@functools.lru_cache(maxsize=None)
-def cached_sweep_program(
-    scheme: str,
-    *,
-    block_k: int = 1,
-    comm_plan: str = "classic",
-) -> SweepProgram:
-    """The compile-once twin of :func:`build_sweep`.
-
-    Programs are immutable data, so every engine and every
-    :class:`~repro.serve.BuiltModel` asking for the same
-    ``(scheme, block_k, lowering)`` shares one compiled instance — the
-    build-once/serve-many contract applied to the IR itself.  The
-    domain is tiny (schemes × lowerings × a few block widths), so the
-    memo is unbounded.
-    """
-    return build_sweep(scheme, block_k=block_k, comm_plan=comm_plan)
-
-
-def all_sweep_programs(
-    *, block_widths: tuple[int, ...] = (1, 4)
-) -> list[SweepProgram]:
-    """Every builder output: scheme x lowering x block width.
-
-    This is what ``repro check --programs`` lints — the complete set of
-    programs either backend can ever be handed.
-    """
-    return [
-        build_sweep(scheme, block_k=k, comm_plan=lowering)
-        for scheme in PROGRAM_SCHEMES
-        for lowering in ("classic", "plan")
-        for k in block_widths
-    ]
-
-
-# ----------------------------------------------------------------------
-# multi-sweep builders: N chained sweeps, optionally pipelined across
-# the sweep boundaries
-# ----------------------------------------------------------------------
-def _sop(kind: str, sweep: int) -> SweepOp:
+def _op(kind: str, sweep: int) -> SweepOp:
     return SweepOp(kind, sweep=sweep)
 
 
-def _sequential_ops(scheme: str, n_sweeps: int) -> tuple[SweepOp, ...]:
-    """N copies of the single-sweep program, sweep-tagged back to back."""
-    single = build_sweep(scheme).ops
-    ops: list[SweepOp] = []
-    for s in range(n_sweeps):
-        for op in single:
-            if op.kind == "COMM_THREAD":
-                body = tuple(_sop(inner.kind, s) for inner in op.body)
-                ops.append(SweepOp("COMM_THREAD", body=body, sweep=s))
-            else:
-                ops.append(_sop(op.kind, s))
-    return tuple(ops)
+def _sweep_ops(scheme: str, s: int) -> tuple[SweepOp, ...]:
+    """Sweep *s* in the Fig. 4 phase ordering of *scheme*."""
+    if scheme == "no_overlap":
+        kinds = ("POST_RECVS", "PACK", "POST_SENDS", "WAITALL", "FULL_SPMVM")
+    elif scheme == "naive_overlap":
+        kinds = (
+            "POST_RECVS", "PACK", "POST_SENDS", "LOCAL_SPMVM", "WAITALL",
+            "REMOTE_SPMVM",
+        )
+    else:  # task_mode
+        body = (_op("POST_SENDS", s), _op("WAITALL", s))
+        return (
+            _op("POST_RECVS", s),
+            _op("PACK", s),
+            _op("OMP_BARRIER", s),
+            SweepOp("COMM_THREAD", body=body, sweep=s),
+            _op("LOCAL_SPMVM", s),
+            _op("OMP_BARRIER", s),
+            _op("REMOTE_SPMVM", s),
+        )
+    return tuple(_op(kind, s) for kind in kinds)
 
 
 def _pipelined_vector_ops(scheme: str, n_sweeps: int) -> tuple[SweepOp, ...]:
@@ -175,16 +93,16 @@ def _pipelined_vector_ops(scheme: str, n_sweeps: int) -> tuple[SweepOp, ...]:
     """
     split = scheme == "naive_overlap"
     kernel = "REMOTE_SPMVM" if split else "FULL_SPMVM"
-    ops: list[SweepOp] = [_sop("POST_RECVS", 0)]
+    ops: list[SweepOp] = [_op("POST_RECVS", 0)]
     for s in range(n_sweeps):
-        ops.append(_sop("PACK", s))
-        ops.append(_sop("POST_SENDS", s))
+        ops.append(_op("PACK", s))
+        ops.append(_op("POST_SENDS", s))
         if split:
-            ops.append(_sop("LOCAL_SPMVM", s))
-        ops.append(_sop("WAITALL", s))
+            ops.append(_op("LOCAL_SPMVM", s))
+        ops.append(_op("WAITALL", s))
         if s + 1 < n_sweeps:
-            ops.append(_sop("POST_RECVS", s + 1))
-        ops.append(_sop(kernel, s))
+            ops.append(_op("POST_RECVS", s + 1))
+        ops.append(_op(kernel, s))
     return tuple(ops)
 
 
@@ -210,98 +128,124 @@ def _pipelined_task_ops(n_sweeps: int) -> tuple[SweepOp, ...]:
     """
     body: list[SweepOp] = []
     for s in range(n_sweeps):
-        body.append(_sop("POST_SENDS", s))
-        body.append(_sop("WAITALL", s))
+        body.append(_op("POST_SENDS", s))
+        body.append(_op("WAITALL", s))
         if s + 1 < n_sweeps:
-            body.append(_sop("OMP_BARRIER", s))       # exchange-done s
-            body.append(_sop("POST_RECVS", s + 1))
-            body.append(_sop("OMP_BARRIER", s + 1))   # pack-published s+1
+            body.append(_op("OMP_BARRIER", s))       # exchange-done s
+            body.append(_op("POST_RECVS", s + 1))
+            body.append(_op("OMP_BARRIER", s + 1))   # pack-published s+1
     ops: list[SweepOp] = [
-        _sop("POST_RECVS", 0),
-        _sop("PACK", 0),
-        _sop("OMP_BARRIER", 0),
+        _op("POST_RECVS", 0),
+        _op("PACK", 0),
+        _op("OMP_BARRIER", 0),
         SweepOp("COMM_THREAD", body=tuple(body)),
     ]
     for s in range(n_sweeps):
-        ops.append(_sop("LOCAL_SPMVM", s))
-        ops.append(_sop("OMP_BARRIER", s))            # exchange-done s (or join)
-        ops.append(_sop("REMOTE_SPMVM", s))
+        ops.append(_op("LOCAL_SPMVM", s))
+        ops.append(_op("OMP_BARRIER", s))            # exchange-done s (or join)
+        ops.append(_op("REMOTE_SPMVM", s))
         if s + 1 < n_sweeps:
-            ops.append(_sop("PACK", s + 1))
-            ops.append(_sop("OMP_BARRIER", s + 1))    # pack-published s+1
+            ops.append(_op("PACK", s + 1))
+            ops.append(_op("OMP_BARRIER", s + 1))    # pack-published s+1
     return tuple(ops)
 
 
-def build_multi_sweep(
+def build_sweep(
     scheme: str,
-    n_sweeps: int,
+    n_sweeps: int = 1,
     *,
     pipeline: bool = True,
     block_k: int = 1,
     comm_plan: str = "classic",
-) -> MultiSweepProgram:
+) -> SweepProgram:
     """Build the N-sweep chained program of one Fig. 4 *scheme*.
 
     Sweep ``s`` consumes sweep ``s-1``'s result (the matrix-powers
-    chain ``A x, A² x, ...``).  With ``pipeline=True`` (the default)
-    sweep ``s+1``'s ``POST_RECVS`` is hoisted before sweep ``s``'s
-    halo-consuming kernel and the halo/send buffers are double-buffered
-    (``halo_depth = 2``); task mode additionally keeps one long-lived
-    communication thread across all sweeps.  ``pipeline=False`` emits
-    the plain concatenation of single-sweep programs (``halo_depth =
-    1``) — the bit-identity baseline the golden tests compare against.
+    chain ``A x, A² x, ...``); ``n_sweeps = 1`` is the plain spMVM.
+    With ``pipeline=True`` (the default) sweep ``s+1``'s ``POST_RECVS``
+    is hoisted before sweep ``s``'s halo-consuming kernel and the
+    halo/send buffers are double-buffered (``halo_depth = 2``); task
+    mode additionally keeps one long-lived communication thread across
+    all sweeps.  ``pipeline=False`` emits the plain concatenation of
+    single sweeps (``halo_depth = 1``) — the bit-identity baseline the
+    golden tests compare against.  A single sweep has no boundary to
+    pipeline across, so ``pipeline`` is stored as ``False`` there.
+
+    ``block_k`` is the number of right-hand sides per sweep (the op
+    sequence is identical for every k; the simulator prices compute ops
+    with it).  ``comm_plan`` selects the lowering of the communication
+    ops: ``"classic"`` sends one message per peer straight off the halo
+    lists, ``"plan"`` replays a compiled :class:`~repro.comm.plan.CommPlan`
+    (direct or node-aware).
     """
     check_in(scheme, PROGRAM_SCHEMES, "scheme")
     check_positive_int(n_sweeps, "n_sweeps")
-    if not pipeline or n_sweeps == 1:
-        ops = _sequential_ops(scheme, n_sweeps)
-        halo_depth = 1
+    pipeline = pipeline and n_sweeps > 1
+    if not pipeline:
+        ops = tuple(op for s in range(n_sweeps) for op in _sweep_ops(scheme, s))
     elif scheme == "task_mode":
         ops = _pipelined_task_ops(n_sweeps)
-        halo_depth = 2
     else:
         ops = _pipelined_vector_ops(scheme, n_sweeps)
-        halo_depth = 2
-    return MultiSweepProgram(
+    return SweepProgram(
         scheme=scheme,
         ops=ops,
         n_sweeps=n_sweeps,
         pipeline=pipeline,
         block_k=block_k,
         lowering=comm_plan,
-        halo_depth=halo_depth,
-        meta={"builder": "build_multi_sweep"},
+        halo_depth=2 if pipeline else 1,
+        meta={"builder": "build_sweep"},
     )
 
 
-@functools.lru_cache(maxsize=None)
-def cached_multi_sweep_program(
+def cached_sweep_program(
     scheme: str,
-    n_sweeps: int,
+    n_sweeps: int = 1,
     *,
     pipeline: bool = True,
     block_k: int = 1,
     comm_plan: str = "classic",
-) -> MultiSweepProgram:
-    """The compile-once twin of :func:`build_multi_sweep`."""
-    return build_multi_sweep(
+) -> SweepProgram:
+    """The compile-once twin of :func:`build_sweep`.
+
+    Programs are immutable data, so every engine and every
+    :class:`~repro.serve.BuiltModel` asking for the same
+    ``(scheme, n_sweeps, pipeline, block_k, lowering)`` shares one
+    compiled instance — the build-once/serve-many contract applied to
+    the IR itself.  The domain is tiny (schemes × lowerings × a few
+    sweep counts and block widths), so the memo is unbounded; it is
+    keyed on the canonical ``pipeline`` value, so the two spellings of
+    a single sweep share one slot.
+    """
+    return _cached(scheme, n_sweeps, pipeline and n_sweeps > 1, block_k, comm_plan)
+
+
+@functools.lru_cache(maxsize=None)
+def _cached(
+    scheme: str, n_sweeps: int, pipeline: bool, block_k: int, comm_plan: str
+) -> SweepProgram:
+    return build_sweep(
         scheme, n_sweeps, pipeline=pipeline, block_k=block_k, comm_plan=comm_plan
     )
 
 
-def all_multi_sweep_programs(
-    *, sweep_counts: tuple[int, ...] = (2, 3), block_widths: tuple[int, ...] = (1, 4)
-) -> list[MultiSweepProgram]:
-    """Every multi-sweep builder output: scheme x lowering x N x mode x k.
+def all_sweep_programs(
+    *, block_widths: tuple[int, ...] = (1, 4)
+) -> list[SweepProgram]:
+    """Every distinct builder output: scheme x lowering x N x mode x k.
 
-    ``repro check --programs`` lints these alongside the single-sweep
-    set — the complete multi-sweep surface either backend can be handed.
+    This is what ``repro check --programs`` lints — the program shapes
+    either backend can ever be handed: one to three chained sweeps
+    (every longer chain repeats the N = 3 sweep-boundary pattern),
+    pipelined and sequential (a single sweep has one mode, so N = 1
+    contributes once).
     """
     return [
-        build_multi_sweep(scheme, n, pipeline=pipeline, block_k=k, comm_plan=lowering)
+        build_sweep(scheme, n, pipeline=pipeline, block_k=k, comm_plan=lowering)
         for scheme in PROGRAM_SCHEMES
         for lowering in ("classic", "plan")
-        for n in sweep_counts
-        for pipeline in (True, False)
+        for n in (1, 2, 3)
+        for pipeline in ((True, False) if n > 1 else (False,))
         for k in block_widths
     ]

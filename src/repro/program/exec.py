@@ -2,10 +2,12 @@
 
 :func:`execute_sweep` runs one :class:`~repro.program.ir.SweepProgram`
 on a :class:`~repro.core.spmvm.DistributedSpMVM` engine and returns this
-rank's slice of ``A @ x``.  The engine owns the long-lived state
+rank's slices of the chain ``[A x, ..., A^N x]`` — one slice for the
+plain ``n_sweeps = 1`` spMVM.  The engine owns the long-lived state
 (communicator, halo bookkeeping, preallocated buffers, sub-matrices);
 the interpreter owns the phase ordering — which it takes entirely from
-the program, never from the scheme name.
+the program, never from the scheme name — plus sweep chaining, the
+halo-slot mapping and the comm thread's rendezvous protocol.
 
 One interpreter covers the whole pre-IR ``_multiply_*`` family:
 
@@ -16,11 +18,15 @@ One interpreter covers the whole pre-IR ``_multiply_*`` family:
   plan's sends; ``WAITALL`` completes per-peer receives vs. running the
   plan's forward/scatter relays),
 * ``COMM_THREAD`` spawns a real thread executing the body ops — the
-  Fig. 4c code structure — joined at the next ``OMP_BARRIER``.
+  Fig. 4c code structure — which meets the main path at each body
+  ``OMP_BARRIER`` and is joined at the main-path ``OMP_BARRIER`` after
+  the last of them.
 
-Numerics are scheme- and lowering-independent by construction: the local
-part is always accumulated before the remote part, row by row, and the
-exchange only copies float64 payloads.
+Numerics are scheme-, lowering- and pipelining-independent by
+construction: the local part is always accumulated before the remote
+part, row by row; the exchange only copies float64 payloads; hoisted
+receives and the long-lived comm thread reorder *communication*, never
+the kernels.
 """
 
 from __future__ import annotations
@@ -30,15 +36,15 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.program.ir import MultiSweepProgram, SweepOp, SweepProgram
+from repro.program.ir import SweepOp, SweepProgram
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.spmvm import DistributedSpMVM
 
-__all__ = ["UnjoinedCommThreadError", "execute_sweep", "execute_multi_sweep"]
+__all__ = ["UnjoinedCommThreadError", "execute_sweep"]
 
-#: Rendezvous/join patience for the persistent comm thread (seconds);
-#: generous — a rendezvous only times out when the other side is dead.
+#: Rendezvous patience for the comm thread (seconds); generous — a
+#: rendezvous only times out when the other side is dead.
 _RENDEZVOUS_TIMEOUT = 60.0
 
 
@@ -53,22 +59,41 @@ class UnjoinedCommThreadError(RuntimeError):
     """
 
 
-class _SweepState:
-    """Per-sweep mutable state shared between main and comm thread."""
+class _SweepView:
+    """One sweep's data: input, buffers of its halo slot, requests, result."""
 
-    __slots__ = (
-        "x", "halo_out", "send_bufs", "recvs", "reqs", "y", "thread", "error",
-        "san", "domain", "comm_op", "comm_token",
-    )
+    __slots__ = ("x", "halo_out", "send_bufs", "recvs", "reqs", "y")
 
-    def __init__(self, x: np.ndarray, halo_out: np.ndarray, send_bufs) -> None:
+    def __init__(self, x: np.ndarray | None, halo_out: np.ndarray, send_bufs) -> None:
         self.x = x
         self.halo_out = halo_out
         self.send_bufs = send_bufs
         self.recvs: list | None = None  # classic: [(src, Request)]
         self.reqs: dict | None = None  # plan: {channel: Request}
         self.y: np.ndarray | None = None
+
+
+class _RunState:
+    """Whole-program state shared between main and comm thread.
+
+    Sweep ``s``'s view points its ``halo_out``/``send_bufs`` into slot
+    ``s % depth`` of the engine's buffer ring.
+    """
+
+    __slots__ = (
+        "views", "depth", "thread", "barrier", "rendezvous_left",
+        "rendezvous_total", "error", "san", "domain", "comm_op", "comm_token",
+    )
+
+    def __init__(self, views: "list[_SweepView]", depth: int) -> None:
+        self.views = views
+        self.depth = depth
         self.thread: threading.Thread | None = None
+        #: two-party rendezvous; exists only while a region whose body
+        #: contains OMP_BARRIER ops is open
+        self.barrier: threading.Barrier | None = None
+        self.rendezvous_left = 0
+        self.rendezvous_total = 0
         self.error: list[BaseException] = []
         #: opt-in thread sanitizer (repro.check.threads); None costs nothing
         self.san = None
@@ -77,28 +102,40 @@ class _SweepState:
         self.comm_token: int | None = None  # sanitizer spawn token
 
 
-#: Buffers each op kind reads/writes — the access model the thread
+#: Buffers each op kind (reads, writes) — the access model the thread
 #: sanitizer checks.  PACK publishes send_bufs from x; the comm side
 #: (POST_SENDS/WAITALL) consumes x and send_bufs and lands halo_out
 #: (the plan lowering re-packs from x inside the sends and reads x
 #: during finish relays, hence x on both); the compute side reads x and
-#: halo_out into y.  OMP_BARRIER is pure synchronisation.
-_OP_READS = {
-    "PACK": ("x",),
-    "POST_SENDS": ("x", "send_bufs"),
-    "WAITALL": ("x", "recvs"),
-    "LOCAL_SPMVM": ("x",),
-    "REMOTE_SPMVM": ("halo_out",),
-    "FULL_SPMVM": ("x", "halo_out"),
+#: halo_out into y.  POST_RECVS also *writes* its halo slot: the MPI
+#: library owns the receive buffer from the post on, which is exactly
+#: the access that races a remote kernel still reading that slot when
+#: the double-buffer contract is violated.  OMP_BARRIER is pure
+#: synchronisation.
+_FOOTPRINT = {
+    "POST_RECVS": ((), ("recvs", "halo_out")),
+    "PACK": (("x",), ("send_bufs",)),
+    "POST_SENDS": (("x", "send_bufs"), ()),
+    "WAITALL": (("x", "recvs"), ("halo_out",)),
+    "LOCAL_SPMVM": (("x",), ("y",)),
+    "REMOTE_SPMVM": (("halo_out",), ("y",)),
+    "FULL_SPMVM": (("x", "halo_out"), ("y",)),
 }
-_OP_WRITES = {
-    "POST_RECVS": ("recvs",),
-    "PACK": ("send_bufs",),
-    "WAITALL": ("halo_out",),
-    "LOCAL_SPMVM": ("y",),
-    "REMOTE_SPMVM": ("y",),
-    "FULL_SPMVM": ("y",),
-}
+
+
+def _buffer_name(buf: str, sweep: int, slot: int) -> str:
+    """Sanitizer name of *buf* as sweep *sweep* sees it.
+
+    Ring buffers carry their slot (``halo_out#1``) and per-sweep data
+    its sweep (``recvs@2``, ``y@2``; a chained input *is* the previous
+    result), so the sanitizer sees cross-sweep overlap on the *same
+    physical buffer*.
+    """
+    if buf == "x":
+        return f"y@{sweep - 1}" if sweep else "x@0"
+    if buf in ("halo_out", "send_bufs"):
+        return f"{buf}#{slot}"
+    return f"{buf}@{sweep}"
 
 
 def execute_sweep(
@@ -107,8 +144,13 @@ def execute_sweep(
     x: np.ndarray,
     *,
     op_log: list[str] | None = None,
-) -> np.ndarray:
-    """Run *program* once on *engine* with input *x* (1-D or ``(n, k)``).
+) -> "list[np.ndarray]":
+    """Run *program* on *engine* with input *x* (1-D or ``(n, k)``).
+
+    Returns this rank's slices of the matrix-powers chain
+    ``[A x, A² x, ..., A^N x]``, one per sweep (each sweep past the
+    first consumed the previous sweep's result — valid because the
+    operator is square and row and column partitions coincide).
 
     ``op_log``, when given, receives the program's signature tokens in
     issue order (comm-thread bodies at the spawn point) — the hook the
@@ -121,84 +163,83 @@ def execute_sweep(
             f"program lowers communication as {program.lowering!r} but the "
             f"engine has {have} compiled comm plan"
         )
-    halo_out, send_bufs = engine.sweep_buffers(x)
-    state = _SweepState(x, halo_out, send_bufs)
+    depth = program.halo_depth
+    ring = engine.sweep_ring(x, depth)
+    # sweep 0 reads x; every later sweep's input is bound when it first runs
+    views = [_SweepView(None if s else x, *ring[s % depth]) for s in range(program.n_sweeps)]
+    state = _RunState(views, depth)
     san = getattr(engine, "sanitizer", None)
     if san is not None:
         state.san = san
         state.domain = f"rank{engine.comm.rank}"
     try:
-        _run_ops(engine, program.ops, state, op_log)
+        for op in program.ops:
+            if op_log is not None:
+                op_log.extend(op.tokens())
+            if op.kind == "COMM_THREAD":
+                _spawn_comm_thread(engine, op, state)
+            elif op.kind == "OMP_BARRIER":
+                _barrier_main(state)
+            else:
+                _issue(engine, op, state)
     except BaseException:
-        if state.thread is not None:  # never leak the worker on the error path
-            state.thread.join()
+        _reap_comm_thread(state)  # never leak the worker on the error path
         raise
     if state.thread is not None:
-        # pre-PR-9 this was a defensive join; now it is a hard error with
-        # provenance: the static lint rejects such programs, and any
-        # program reaching here ran compute ops concurrently with an open
-        # COMM_THREAD region — the exact hazard the thread sanitizer
-        # reports access by access
-        state.thread.join()
+        # compute ops ran concurrently with an open COMM_THREAD region —
+        # the hazard the thread sanitizer reports access by access
+        _reap_comm_thread(state)
         _raise_comm_error(state)
-        body = (
-            ",".join(inner.kind for inner in state.comm_op.body)
-            if state.comm_op is not None
-            else "?"
-        )
+        body = ",".join(inner.token for inner in state.comm_op.body)
         raise UnjoinedCommThreadError(
             f"rank {engine.comm.rank}: program for scheme {program.scheme!r} "
             f"finished with its COMM_THREAD({body}) region still open — no "
-            f"trailing OMP_BARRIER joined the communication thread"
+            f"main-path OMP_BARRIER joined the communication thread"
         )
     _raise_comm_error(state)
-    if state.y is None:
-        raise RuntimeError(
-            f"program for scheme {program.scheme!r} finished without computing "
-            f"a result (no LOCAL_SPMVM/FULL_SPMVM op ran)"
-        )
-    return state.y
+    for s, view in enumerate(state.views):
+        if view.y is None:
+            raise RuntimeError(
+                f"program for scheme {program.scheme!r} finished without "
+                f"computing sweep {s}'s result (no LOCAL_SPMVM/FULL_SPMVM op ran)"
+            )
+    return [view.y for view in state.views]
 
 
-def _run_ops(
-    engine: "DistributedSpMVM",
-    ops: tuple[SweepOp, ...],
-    state: _SweepState,
-    op_log: list[str] | None,
-) -> None:
-    for op in ops:
-        if op.kind == "COMM_THREAD":
-            _spawn_comm_thread(engine, op, state, op_log)
-            continue
-        if op_log is not None:
-            op_log.append(op.kind)
-        _issue(engine, op.kind, state)
-
-
-def _issue(engine: "DistributedSpMVM", kind: str, state: _SweepState) -> None:
-    """Run one op, noting its buffer accesses when a sanitizer is attached."""
+def _issue(engine: "DistributedSpMVM", op: SweepOp, state: _RunState) -> None:
+    """Run one op against its sweep's view, noting its buffer accesses
+    when a sanitizer is attached."""
+    view = state.views[op.sweep]
+    if view.x is None:
+        # chained input: sweep s consumes sweep s-1's result; the
+        # previous kernel is ordered before every consumer (lint), so
+        # the binding is always resolved by the time a reader runs
+        view.x = state.views[op.sweep - 1].y
     san = state.san
     if san is not None:
-        domain = state.domain
-        for buf in _OP_READS.get(kind, ()):
-            san.on_access(domain, buf, "r", op=kind)
-        for buf in _OP_WRITES.get(kind, ()):
-            san.on_access(domain, buf, "w", op=kind)
-    _OP_HANDLERS[kind](engine, state)
+        reads, writes = _FOOTPRINT[op.kind]
+        domain, token, sweep = state.domain, op.token, op.sweep
+        slot = sweep % state.depth
+        for buf in reads:
+            san.on_access(domain, _buffer_name(buf, sweep, slot), "r", op=token)
+        for buf in writes:
+            san.on_access(domain, _buffer_name(buf, sweep, slot), "w", op=token)
+    _OP_HANDLERS[op.kind](engine, view)
 
 
-def _spawn_comm_thread(
-    engine: "DistributedSpMVM",
-    op: SweepOp,
-    state: _SweepState,
-    op_log: list[str] | None,
-) -> None:
+def _spawn_comm_thread(engine: "DistributedSpMVM", op: SweepOp, state: _RunState) -> None:
+    """Start the comm thread of a COMM_THREAD region.
+
+    Body ``OMP_BARRIER`` ops are rendezvous with the matching main-path
+    barriers; the main path counts them at spawn so it knows which of
+    its own barriers rendezvous and which one (the first past the last
+    rendezvous) joins the thread.
+    """
     if state.thread is not None:
         raise RuntimeError("COMM_THREAD spawned while another is still open")
-    if op_log is not None:
-        op_log.append("COMM_THREAD{")
-        op_log.extend(inner.kind for inner in op.body)
-        op_log.append("}")
+    state.rendezvous_total = sum(1 for inner in op.body if inner.kind == "OMP_BARRIER")
+    state.rendezvous_left = state.rendezvous_total
+    state.barrier = threading.Barrier(2) if state.rendezvous_total else None
     name = f"comm-thread-{engine.comm.rank}"
     token = None
     if state.san is not None:
@@ -208,10 +249,17 @@ def _spawn_comm_thread(
         try:
             if token is not None:
                 state.san.on_thread_start(state.domain, token)
+            rdv = 0
             for inner in op.body:
-                _issue(engine, inner.kind, state)
+                if inner.kind == "OMP_BARRIER":
+                    _rendezvous(state, "comm", rdv)
+                    rdv += 1
+                else:
+                    _issue(engine, inner, state)
         except BaseException as exc:  # noqa: BLE001 - re-raised on join
             state.error.append(exc)
+            if state.barrier is not None:
+                state.barrier.abort()  # wake a main thread parked at a rendezvous
 
     state.comm_op = op
     state.comm_token = token
@@ -219,311 +267,7 @@ def _spawn_comm_thread(
     state.thread.start()
 
 
-def _raise_comm_error(state: _SweepState) -> None:
-    if state.error:
-        raise RuntimeError(
-            f"communication thread failed: {state.error[0]!r}"
-        ) from state.error[0]
-
-
-# ----------------------------------------------------------------------
-# op handlers (classic lowering picks the halo lists, plan lowering the
-# compiled RankExchange — decided once per engine, not per op)
-# ----------------------------------------------------------------------
-def _post_recvs(engine: "DistributedSpMVM", state: _SweepState) -> None:
-    if engine.exchange is not None:
-        state.reqs = engine.exchange.post_receives(engine.comm)
-    else:
-        state.recvs = engine.post_halo_receives()
-
-
-def _pack(engine: "DistributedSpMVM", state: _SweepState) -> None:
-    if engine.exchange is not None:
-        return  # plan lowering packs inside the sends (repro.comm.exec)
-    engine.fill_send_buffers(state.x, state.send_bufs)
-
-
-def _post_sends(engine: "DistributedSpMVM", state: _SweepState) -> None:
-    if engine.exchange is not None:
-        engine.exchange.initial_sends(engine.comm, state.x)
-    else:
-        engine.send_buffers(state.send_bufs)
-
-
-def _waitall(engine: "DistributedSpMVM", state: _SweepState) -> None:
-    if engine.exchange is not None:
-        engine.exchange.finish(engine.comm, state.x, state.reqs, state.halo_out)
-    else:
-        engine.complete_halo_receives(state.recvs, state.halo_out)
-
-
-def _local_spmvm(engine: "DistributedSpMVM", state: _SweepState) -> None:
-    # compute ops dispatch through the engine's registered kernel spec
-    # (repro.sparse.registry); the operators were format-converted once
-    # at engine construction
-    kernel = engine.kernel
-    if state.x.ndim == 2:
-        state.y = kernel.spmm(engine.A_local_op, state.x)
-    else:
-        state.y = kernel.spmv(engine.A_local_op, state.x)
-
-
-def _remote_spmvm(engine: "DistributedSpMVM", state: _SweepState) -> None:
-    kernel = engine.kernel
-    halo = engine.halo_view(state.halo_out)
-    if state.x.ndim == 2:
-        kernel.spmm_add(engine.A_remote_op, halo, out=state.y)
-    else:
-        kernel.spmv_add(engine.A_remote_op, halo, out=state.y)
-
-
-def _full_spmvm(engine: "DistributedSpMVM", state: _SweepState) -> None:
-    # the unsplit Fig. 4a kernel, lowered to local-then-remote over the
-    # split-stored matrices — the same arithmetic order as the split
-    # schemes, which is what makes all schemes bit-identical
-    _local_spmvm(engine, state)
-    _remote_spmvm(engine, state)
-
-
-def _omp_barrier(engine: "DistributedSpMVM", state: _SweepState) -> None:
-    # single main thread + optional comm thread: the barrier's only real
-    # effect is joining an open COMM_THREAD region (Fig. 4c's second
-    # barrier); with no thread open it is the compute threads' rendezvous,
-    # a no-op for one compute thread
-    if state.thread is not None:
-        state.thread.join()
-        state.thread = None
-        if state.san is not None and state.comm_token is not None:
-            state.san.on_join(state.domain, state.comm_token)
-            state.comm_token = None
-        _raise_comm_error(state)
-
-
-_OP_HANDLERS = {
-    "POST_RECVS": _post_recvs,
-    "PACK": _pack,
-    "POST_SENDS": _post_sends,
-    "WAITALL": _waitall,
-    "LOCAL_SPMVM": _local_spmvm,
-    "REMOTE_SPMVM": _remote_spmvm,
-    "FULL_SPMVM": _full_spmvm,
-    "OMP_BARRIER": _omp_barrier,
-}
-
-
-# ----------------------------------------------------------------------
-# multi-sweep interpreter: chained sweeps, double-buffered halo slots,
-# one persistent comm thread paced by barrier rendezvous
-# ----------------------------------------------------------------------
-class _MultiSweepState:
-    """Whole-program state: per-sweep views plus the persistent thread.
-
-    Each sweep gets its own :class:`_SweepState` view (input, requests,
-    result), with ``halo_out``/``send_bufs`` pointing into slot
-    ``sweep % halo_depth`` of the engine's double-buffer ring.  The op
-    handlers are the single-sweep ones, applied to the right view — the
-    multi-sweep layer only owns sweep chaining, slot mapping, and the
-    rendezvous protocol of the long-lived comm thread.
-    """
-
-    __slots__ = (
-        "views", "depth", "thread", "barrier", "rendezvous_left",
-        "rendezvous_total", "error", "san", "domain", "comm_op", "comm_token",
-    )
-
-    def __init__(self, depth: int = 1) -> None:
-        self.views: list[_SweepState] = []
-        self.depth = depth
-        self.thread: threading.Thread | None = None
-        self.barrier: threading.Barrier | None = None
-        self.rendezvous_left = 0
-        self.rendezvous_total = 0
-        self.error: list[BaseException] = []
-        self.san = None
-        self.domain = ""
-        self.comm_op: SweepOp | None = None
-        self.comm_token: int | None = None
-
-
-def _ms_buffer_names(op: SweepOp, slot: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Sanitizer footprint of *op*: slot/sweep-mapped buffer names.
-
-    The single-sweep footprints (:data:`_OP_READS`/:data:`_OP_WRITES`)
-    name one buffer set; here the names carry the double-buffer slot
-    (``halo_out#1``) and the sweep (``recvs@2``, ``y@2``) so the
-    sanitizer sees cross-iteration overlap on the *same physical
-    buffer*.  ``POST_RECVS`` additionally *writes* its halo slot: the
-    MPI library owns the receive buffer from the post on, which is
-    exactly the access that races a remote kernel still reading that
-    slot when the double-buffer contract is violated.
-    """
-    s = op.sweep
-    x = "x@0" if s == 0 else f"y@{s - 1}"
-    halo, sb = f"halo_out#{slot}", f"send_bufs#{slot}"
-    recvs, y = f"recvs@{s}", f"y@{s}"
-    reads = {
-        "PACK": (x,),
-        "POST_SENDS": (x, sb),
-        "WAITALL": (x, recvs),
-        "LOCAL_SPMVM": (x,),
-        "REMOTE_SPMVM": (halo,),
-        "FULL_SPMVM": (x, halo),
-    }.get(op.kind, ())
-    writes = {
-        "POST_RECVS": (recvs, halo),
-        "PACK": (sb,),
-        "WAITALL": (halo,),
-        "LOCAL_SPMVM": (y,),
-        "REMOTE_SPMVM": (y,),
-        "FULL_SPMVM": (y,),
-    }.get(op.kind, ())
-    return reads, writes
-
-
-def execute_multi_sweep(
-    engine: "DistributedSpMVM",
-    program: MultiSweepProgram,
-    x: np.ndarray,
-    *,
-    op_log: list[str] | None = None,
-) -> "list[np.ndarray]":
-    """Run the N-sweep chained *program* on *engine* with input *x*.
-
-    Returns this rank's slices of the matrix-powers chain
-    ``[A x, A² x, ..., A^N x]`` (each sweep consumed the previous
-    sweep's result — valid because the operator is square and row and
-    column partitions coincide).  ``op_log`` receives the program's
-    sweep-tagged signature tokens in issue order, as with
-    :func:`execute_sweep`.
-
-    The arithmetic per sweep is identical to N back-to-back
-    :func:`execute_sweep` calls, whatever the pipelining — hoisted
-    receives and the persistent comm thread reorder *communication*,
-    never the kernels — so pipelined and sequential programs are
-    bit-identical.
-    """
-    if (program.lowering == "plan") != (engine.exchange is not None):
-        have = "a" if engine.exchange is not None else "no"
-        raise ValueError(
-            f"program lowers communication as {program.lowering!r} but the "
-            f"engine has {have} compiled comm plan"
-        )
-    slots = engine.multi_sweep_buffers(x, program.halo_depth)
-    ms = _MultiSweepState(program.halo_depth)
-    for s in range(program.n_sweeps):
-        halo_out, send_bufs = slots[s % program.halo_depth]
-        view = _SweepState(x if s == 0 else None, halo_out, send_bufs)
-        ms.views.append(view)
-    san = getattr(engine, "sanitizer", None)
-    if san is not None:
-        ms.san = san
-        ms.domain = f"rank{engine.comm.rank}"
-    try:
-        for op in program.ops:
-            if op.kind == "COMM_THREAD":
-                _ms_spawn_comm_thread(engine, op, ms, op_log)
-                continue
-            if op_log is not None:
-                op_log.append(f"s{op.sweep}:{op.kind}")
-            if op.kind == "OMP_BARRIER":
-                _ms_barrier_main(ms)
-                continue
-            _ms_issue(engine, op, ms)
-    except BaseException:
-        if ms.thread is not None:  # never leak the worker on the error path
-            if ms.barrier is not None:
-                ms.barrier.abort()
-            ms.thread.join()
-        raise
-    if ms.thread is not None:
-        if ms.barrier is not None:
-            ms.barrier.abort()  # release a worker parked at a rendezvous
-        ms.thread.join()
-        _ms_raise_comm_error(ms)
-        raise UnjoinedCommThreadError(
-            f"rank {engine.comm.rank}: multi-sweep program for scheme "
-            f"{program.scheme!r} finished with its COMM_THREAD region still "
-            f"open — no main-path OMP_BARRIER joined the communication thread"
-        )
-    _ms_raise_comm_error(ms)
-    ys = []
-    for s, view in enumerate(ms.views):
-        if view.y is None:
-            raise RuntimeError(
-                f"multi-sweep program for scheme {program.scheme!r} finished "
-                f"without computing sweep {s}'s result"
-            )
-        ys.append(view.y)
-    return ys
-
-
-def _ms_issue(engine: "DistributedSpMVM", op: SweepOp, ms: _MultiSweepState) -> None:
-    """Issue one sweep-tagged op against its sweep's view."""
-    view = ms.views[op.sweep]
-    if view.x is None and op.sweep > 0:
-        # chained input: sweep s consumes sweep s-1's result; the
-        # previous kernel is ordered before every consumer (lint), so
-        # the binding is always resolved by the time a reader runs
-        view.x = ms.views[op.sweep - 1].y
-    san = ms.san
-    if san is not None:
-        reads, writes = _ms_buffer_names(op, op.sweep % ms.depth)
-        for buf in reads:
-            san.on_access(ms.domain, buf, "r", op=f"s{op.sweep}:{op.kind}")
-        for buf in writes:
-            san.on_access(ms.domain, buf, "w", op=f"s{op.sweep}:{op.kind}")
-    _OP_HANDLERS[op.kind](engine, view)
-
-
-def _ms_spawn_comm_thread(
-    engine: "DistributedSpMVM",
-    op: SweepOp,
-    ms: _MultiSweepState,
-    op_log: list[str] | None,
-) -> None:
-    """Start the long-lived comm thread of a multi-sweep region.
-
-    Body ``OMP_BARRIER`` ops are rendezvous with the matching main-path
-    barriers; the main path counts them at spawn so it knows which of
-    its own barriers rendezvous and which one (the first past the last
-    rendezvous) joins the thread.
-    """
-    if ms.thread is not None:
-        raise RuntimeError("COMM_THREAD spawned while another is still open")
-    if op_log is not None:
-        op_log.append("COMM_THREAD{")
-        op_log.extend(f"s{inner.sweep}:{inner.kind}" for inner in op.body)
-        op_log.append("}")
-    ms.rendezvous_left = sum(1 for inner in op.body if inner.kind == "OMP_BARRIER")
-    ms.rendezvous_total = ms.rendezvous_left
-    ms.barrier = threading.Barrier(2)
-    name = f"comm-thread-{engine.comm.rank}"
-    token = None
-    if ms.san is not None:
-        token = ms.san.on_spawn(ms.domain, name)
-
-    def worker() -> None:
-        try:
-            if token is not None:
-                ms.san.on_thread_start(ms.domain, token)
-            rdv = 0
-            for inner in op.body:
-                if inner.kind == "OMP_BARRIER":
-                    _ms_rendezvous(ms, "comm", rdv)
-                    rdv += 1
-                else:
-                    _ms_issue(engine, inner, ms)
-        except BaseException as exc:  # noqa: BLE001 - re-raised on join
-            ms.error.append(exc)
-            ms.barrier.abort()  # wake a main thread parked at a rendezvous
-
-    ms.comm_op = op
-    ms.comm_token = token
-    ms.thread = threading.Thread(target=worker, name=name)
-    ms.thread.start()
-
-
-def _ms_rendezvous(ms: _MultiSweepState, side: str, idx: int) -> None:
+def _rendezvous(state: _RunState, side: str, idx: int) -> None:
     """One two-party barrier rendezvous, with sanitizer hand-off edges.
 
     Each side releases its own token before the physical wait and
@@ -534,42 +278,120 @@ def _ms_rendezvous(ms: _MultiSweepState, side: str, idx: int) -> None:
     forging a happens-before edge that hides real races.
     """
     other = "comm" if side == "main" else "main"
-    if ms.san is not None:
-        ms.san.on_release(ms.domain, f"rdv:{side}:{idx}")
-    ms.barrier.wait(timeout=_RENDEZVOUS_TIMEOUT)
-    if ms.san is not None:
-        ms.san.on_acquire(ms.domain, f"rdv:{other}:{idx}")
+    if state.san is not None:
+        state.san.on_release(state.domain, f"rdv:{side}:{idx}")
+    state.barrier.wait(timeout=_RENDEZVOUS_TIMEOUT)
+    if state.san is not None:
+        state.san.on_acquire(state.domain, f"rdv:{other}:{idx}")
 
 
-def _ms_barrier_main(ms: _MultiSweepState) -> None:
+def _barrier_main(state: _RunState) -> None:
     """A main-path OMP_BARRIER: rendezvous with, or join, the comm thread."""
-    if ms.thread is None:
+    if state.thread is None:
         return  # single compute thread, no comm thread open: a no-op
-    if ms.rendezvous_left > 0:
-        idx = ms.rendezvous_total - ms.rendezvous_left
-        ms.rendezvous_left -= 1
+    if state.rendezvous_left > 0:
+        idx = state.rendezvous_total - state.rendezvous_left
+        state.rendezvous_left -= 1
         try:
-            _ms_rendezvous(ms, "main", idx)
+            _rendezvous(state, "main", idx)
         except threading.BrokenBarrierError:
             # the comm thread died (it aborts the barrier on error) or
             # timed out: surface its failure, never deadlock
-            ms.thread.join()
-            ms.thread = None
-            _ms_raise_comm_error(ms)
+            state.thread.join()
+            state.thread = None
+            _raise_comm_error(state)
             raise
         return
-    ms.thread.join()
-    ms.thread = None
-    if ms.san is not None and ms.comm_token is not None:
-        ms.san.on_join(ms.domain, ms.comm_token)
-        ms.comm_token = None
-    _ms_raise_comm_error(ms)
+    state.thread.join()
+    state.thread = None
+    if state.san is not None and state.comm_token is not None:
+        state.san.on_join(state.domain, state.comm_token)
+        state.comm_token = None
+    _raise_comm_error(state)
 
 
-def _ms_raise_comm_error(ms: _MultiSweepState) -> None:
-    real = [e for e in ms.error
+def _reap_comm_thread(state: _RunState) -> None:
+    """Release a worker parked at a rendezvous and wait for it to exit."""
+    if state.thread is not None:
+        if state.barrier is not None:
+            state.barrier.abort()
+        state.thread.join()
+
+
+def _raise_comm_error(state: _RunState) -> None:
+    real = [e for e in state.error
             if not isinstance(e, threading.BrokenBarrierError)]
     if real:
         raise RuntimeError(
             f"communication thread failed: {real[0]!r}"
         ) from real[0]
+
+
+# ----------------------------------------------------------------------
+# op handlers (classic lowering picks the halo lists, plan lowering the
+# compiled RankExchange — decided once per engine, not per op)
+# ----------------------------------------------------------------------
+def _post_recvs(engine: "DistributedSpMVM", view: _SweepView) -> None:
+    if engine.exchange is not None:
+        view.reqs = engine.exchange.post_receives(engine.comm)
+    else:
+        view.recvs = engine.post_halo_receives()
+
+
+def _pack(engine: "DistributedSpMVM", view: _SweepView) -> None:
+    if engine.exchange is not None:
+        return  # plan lowering packs inside the sends (repro.comm.exec)
+    engine.fill_send_buffers(view.x, view.send_bufs)
+
+
+def _post_sends(engine: "DistributedSpMVM", view: _SweepView) -> None:
+    if engine.exchange is not None:
+        engine.exchange.initial_sends(engine.comm, view.x)
+    else:
+        engine.send_buffers(view.send_bufs)
+
+
+def _waitall(engine: "DistributedSpMVM", view: _SweepView) -> None:
+    if engine.exchange is not None:
+        engine.exchange.finish(engine.comm, view.x, view.reqs, view.halo_out)
+    else:
+        engine.complete_halo_receives(view.recvs, view.halo_out)
+
+
+def _local_spmvm(engine: "DistributedSpMVM", view: _SweepView) -> None:
+    # compute ops dispatch through the engine's registered kernel spec
+    # (repro.sparse.registry); the operators were format-converted once
+    # at engine construction
+    kernel = engine.kernel
+    if view.x.ndim == 2:
+        view.y = kernel.spmm(engine.A_local_op, view.x)
+    else:
+        view.y = kernel.spmv(engine.A_local_op, view.x)
+
+
+def _remote_spmvm(engine: "DistributedSpMVM", view: _SweepView) -> None:
+    kernel = engine.kernel
+    halo = engine.halo_view(view.halo_out)
+    if view.x.ndim == 2:
+        kernel.spmm_add(engine.A_remote_op, halo, out=view.y)
+    else:
+        kernel.spmv_add(engine.A_remote_op, halo, out=view.y)
+
+
+def _full_spmvm(engine: "DistributedSpMVM", view: _SweepView) -> None:
+    # the unsplit Fig. 4a kernel, lowered to local-then-remote over the
+    # split-stored matrices — the same arithmetic order as the split
+    # schemes, which is what makes all schemes bit-identical
+    _local_spmvm(engine, view)
+    _remote_spmvm(engine, view)
+
+
+_OP_HANDLERS = {
+    "POST_RECVS": _post_recvs,
+    "PACK": _pack,
+    "POST_SENDS": _post_sends,
+    "WAITALL": _waitall,
+    "LOCAL_SPMVM": _local_spmvm,
+    "REMOTE_SPMVM": _remote_spmvm,
+    "FULL_SPMVM": _full_spmvm,
+}

@@ -3,8 +3,9 @@
 The paper's three hybrid schemes differ only in the *ordering and
 concurrency* of the same phases — gather, halo exchange, local spMVM,
 waitall, remote spMVM.  A :class:`SweepProgram` states that ordering
-once, as a flat list of typed ops, and every consumer interprets the
-same program:
+once, as a flat list of typed, sweep-tagged ops spanning ``n_sweeps``
+chained sweeps (a lone spMVM is the ``n_sweeps = 1`` program), and every
+consumer interprets the same program:
 
 * the real-execution backend (:mod:`repro.program.exec`) runs it on
   mpilite data and produces this rank's slice of ``A @ x``,
@@ -16,7 +17,8 @@ same program:
 Op vocabulary
 -------------
 ``POST_RECVS``
-    Post every inbound halo request of the sweep (nonblocking).
+    Post every inbound halo request of the sweep (nonblocking).  The MPI
+    library owns the sweep's halo slot from here until ``WAITALL``.
 ``PACK``
     Gather the owned RHS elements into send buffers.  Under the plan
     lowering the packing is fused into the sends on the real backend;
@@ -35,13 +37,15 @@ Op vocabulary
     with split-stored matrices lower it to local-then-remote in the
     same arithmetic order, so numerics are scheme-independent.
 ``OMP_BARRIER``
-    Intra-rank thread barrier.  A barrier is also the *join point* of an
-    open ``COMM_THREAD`` region: the compute threads wait for the
-    communication thread before crossing it.
+    Intra-rank thread barrier.  On the main path, while a
+    ``COMM_THREAD`` region is open, it pairs with the body's next
+    ``OMP_BARRIER`` (a two-party rendezvous); once the body has none
+    left it is the region's *join point*: the compute threads wait for
+    the communication thread before crossing it.
 ``COMM_THREAD(body)``
-    Fig. 4c's dedicated communication thread: run *body* (MPI calls
-    only) concurrently with the ops that follow, until the next
-    ``OMP_BARRIER`` joins it.
+    Fig. 4c's dedicated communication thread: run *body* (MPI calls,
+    paced by ``OMP_BARRIER`` rendezvous points) concurrently with the
+    ops that follow, until a main-path ``OMP_BARRIER`` joins it.
 
 Programs are backend-neutral and width-neutral: the same op sequence
 serves spmv (k = 1) and batched spmm (k > 1); ``block_k`` is metadata
@@ -59,13 +63,11 @@ __all__ = [
     "OP_KINDS",
     "COMPUTE_OPS",
     "COMM_OPS",
-    "MULTI_BODY_OPS",
     "WORK_OPS",
     "LOWERINGS",
     "SIM_PHASE_LABELS",
     "SweepOp",
     "SweepProgram",
-    "MultiSweepProgram",
 ]
 
 #: Every op kind the backends understand (stable identifiers; they are
@@ -88,14 +90,9 @@ COMPUTE_OPS = ("PACK", "LOCAL_SPMVM", "REMOTE_SPMVM", "FULL_SPMVM")
 #: Ops that execute MPI library code (legal inside a COMM_THREAD body).
 COMM_OPS = ("POST_RECVS", "POST_SENDS", "WAITALL")
 
-#: Body vocabulary of a *multi-sweep* COMM_THREAD region: MPI ops plus
-#: the OMP_BARRIER rendezvous points that pace a long-lived
-#: communication thread against the compute threads across sweeps.
-MULTI_BODY_OPS = COMM_OPS + ("OMP_BARRIER",)
-
 #: Ops that do per-sweep work (everything except synchronisation and the
-#: COMM_THREAD marker) — the multiset the multi-sweep builders must
-#: preserve per sweep relative to the single-sweep program.
+#: COMM_THREAD marker) — the multiset the builders must preserve per
+#: sweep, however many sweeps a program chains and however it pipelines.
 WORK_OPS = COMM_OPS + COMPUTE_OPS
 
 #: How PACK/POST_SENDS/WAITALL reach the wire: ``classic`` is one
@@ -114,16 +111,15 @@ SIM_PHASE_LABELS = {
 }
 
 
+
+
 @dataclass(frozen=True)
 class SweepOp:
     """One typed instruction of a sweep program.
 
     ``body`` is only meaningful (and required) for ``COMM_THREAD``; it
     holds the ops the dedicated communication thread executes.
-
-    ``sweep`` tags the op with the sweep (iteration) it belongs to in a
-    :class:`MultiSweepProgram`.  Single-sweep programs leave it at 0, so
-    their reprs and signatures are unchanged.
+    ``sweep`` is the chained sweep (iteration) the op belongs to.
     """
 
     kind: str
@@ -149,25 +145,70 @@ class SweepOp:
             return f"COMM_THREAD({', '.join(repr(op) for op in self.body)}){tag}"
         return f"{self.kind}{tag}"
 
+    @property
+    def token(self) -> str:
+        """The op's signature token: ``KIND`` in sweep 0, else ``s{n}:KIND``.
+
+        Eliding the sweep-0 tag (as ``__repr__`` does) keeps every
+        single-sweep signature — persisted in ``repro-model/1`` files —
+        byte-stable.
+        """
+        return f"s{self.sweep}:{self.kind}" if self.sweep else self.kind
+
+    def tokens(self) -> tuple[str, ...]:
+        """What executing the op logs: its token, or the delimited body.
+
+        A ``COMM_THREAD`` region is ``COMM_THREAD{``, its body tokens,
+        ``}`` — body ops appear at the spawn point (issue order); the
+        true interleaving against the concurrent compute ops is the
+        schedulers' business, not the program's.
+        """
+        if self.kind == "COMM_THREAD":
+            return ("COMM_THREAD{", *(inner.token for inner in self.body), "}")
+        return (self.token,)
+
 
 @dataclass(frozen=True)
 class SweepProgram:
-    """One scheme's full sweep, as data.
+    """One scheme's op stream over ``n_sweeps`` chained sweeps, as data.
 
     ``scheme`` names the Fig. 4 variant the program encodes, ``block_k``
     the number of right-hand sides per sweep (cost metadata), and
     ``lowering`` how the communication ops reach the wire.
+
+    Execution semantics are *chained*: sweep ``s`` consumes the result
+    of sweep ``s-1`` as its input (the matrix-powers kernel
+    ``[A x, A² x, ..., A^N x]``, which the communication-avoiding
+    solvers fuse their spMVMs into); a single spMVM is ``n_sweeps = 1``.
+    With ``pipeline`` the stream overlaps sweep boundaries — sweep
+    ``s+1``'s ``POST_RECVS`` hoisted before sweep ``s``'s
+    ``REMOTE_SPMVM``, and (task mode) one long-lived ``COMM_THREAD``
+    region whose body spans all sweeps.
+
+    ``halo_depth`` is the double-buffer contract: sweep ``s`` lands its
+    halo (and packs its sends) in slot ``s % halo_depth``, so
+    ``POST_RECVS s`` may only be hoisted above work that still reads
+    slot ``s % halo_depth`` when ``halo_depth`` sweeps separate them.
+    The lint (:func:`repro.program.lint.lint_sweep_program`) proves
+    that, and the thread sanitizer checks it access by access.
     """
 
     scheme: str
     ops: tuple[SweepOp, ...]
+    n_sweeps: int = 1
+    pipeline: bool = False
     block_k: int = 1
     lowering: str = "classic"
+    halo_depth: int = 1
     #: free-form provenance (builder name, plan kind, ...)
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         check_in(self.lowering, LOWERINGS, "lowering")
+        if self.n_sweeps < 1:
+            raise ValueError(f"n_sweeps must be >= 1, got {self.n_sweeps}")
+        if self.halo_depth < 1:
+            raise ValueError(f"halo_depth must be >= 1, got {self.halo_depth}")
         if self.block_k < 1:
             raise ValueError(f"block_k must be >= 1, got {self.block_k}")
         if not self.ops:
@@ -186,105 +227,13 @@ class SweepProgram:
                 yield inner, True
 
     def signature(self) -> tuple[str, ...]:
-        """The canonical op sequence, with comm-thread regions delimited.
+        """The canonical op sequence (:meth:`SweepOp.tokens`, concatenated).
 
         Both backends log exactly this shape while executing, so the
         golden cross-backend test compares signatures, not object
-        graphs.  Body ops appear at the spawn point (issue order): the
-        true interleaving against the concurrent compute ops is the
-        schedulers' business, not the program's.
+        graphs.
         """
-        out: list[str] = []
-        for op in self.ops:
-            if op.kind == "COMM_THREAD":
-                out.append("COMM_THREAD{")
-                out.extend(inner.kind for inner in op.body)
-                out.append("}")
-            else:
-                out.append(op.kind)
-        return tuple(out)
-
-    def describe(self) -> str:
-        """One line: scheme, lowering and the op sequence."""
-        return (
-            f"{self.scheme} [{self.lowering}, k={self.block_k}]: "
-            + " -> ".join(repr(op) for op in self.ops)
-        )
-
-    def program_id(self) -> str:
-        """Short stable identifier for cost attribution (repro.obs)."""
-        return f"{self.scheme}/{self.lowering}/k{self.block_k}"
-
-
-@dataclass(frozen=True)
-class MultiSweepProgram:
-    """An op stream spanning ``n_sweeps`` chained sweeps, as data.
-
-    The multi-sweep twin of :class:`SweepProgram`: every op carries a
-    ``sweep`` tag, and the stream may *pipeline* across sweep boundaries
-    — sweep ``i+1``'s ``POST_RECVS`` hoisted before sweep ``i``'s
-    ``REMOTE_SPMVM``, halo and send buffers double-buffered over
-    ``halo_depth`` slots, and (task mode) one long-lived ``COMM_THREAD``
-    region whose body spans all sweeps, paced against the compute
-    threads by ``OMP_BARRIER`` rendezvous points inside the body.
-
-    Execution semantics are *chained*: sweep ``s`` consumes the result
-    of sweep ``s-1`` as its input (the matrix-powers kernel
-    ``[A x, A² x, ..., A^N x]``), which is what the communication-
-    avoiding solvers fuse their spMVMs into.
-
-    ``halo_depth`` is the double-buffer contract: sweep ``s`` lands its
-    halo (and packs its sends) in slot ``s % halo_depth``, so
-    ``POST_RECVS s`` may only be hoisted above work that still reads
-    slot ``s % halo_depth`` when ``halo_depth`` sweeps separate them.
-    The lint (:func:`repro.program.lint.lint_multi_sweep_program`)
-    proves that, and the thread sanitizer checks it access by access.
-    """
-
-    scheme: str
-    ops: tuple[SweepOp, ...]
-    n_sweeps: int
-    pipeline: bool = True
-    block_k: int = 1
-    lowering: str = "classic"
-    halo_depth: int = 2
-    #: free-form provenance (builder name, plan kind, ...)
-    meta: dict = field(default_factory=dict, compare=False)
-
-    def __post_init__(self) -> None:
-        check_in(self.lowering, LOWERINGS, "lowering")
-        if self.n_sweeps < 1:
-            raise ValueError(f"n_sweeps must be >= 1, got {self.n_sweeps}")
-        if self.halo_depth < 1:
-            raise ValueError(f"halo_depth must be >= 1, got {self.halo_depth}")
-        if self.block_k < 1:
-            raise ValueError(f"block_k must be >= 1, got {self.block_k}")
-        if not self.ops:
-            raise ValueError("a multi-sweep program needs at least one op")
-
-    def walk(self) -> Iterator[tuple[SweepOp, bool]]:
-        """Every op with its context: ``(op, inside_comm_thread)``."""
-        for op in self.ops:
-            yield op, False
-            for inner in op.body:
-                yield inner, True
-
-    def signature(self) -> tuple[str, ...]:
-        """The canonical sweep-tagged op sequence.
-
-        Tokens are ``s{sweep}:{kind}``; comm-thread regions are
-        delimited with ``COMM_THREAD{`` / ``}`` and their body ops
-        appear at the spawn point, exactly as both backends log them.
-        """
-        out: list[str] = []
-        for op in self.ops:
-            if op.kind == "COMM_THREAD":
-                out.append("COMM_THREAD{")
-                out.extend(f"s{inner.sweep}:{inner.kind}" for inner in op.body)
-                out.append("}")
-            else:
-                out.append(f"s{op.sweep}:{op.kind}")
-        return tuple(out)
+        return tuple(token for op in self.ops for token in op.tokens())
 
     def sweep_work_ops(self, sweep: int) -> tuple[str, ...]:
         """Sorted multiset of *sweep*'s work ops (:data:`WORK_OPS` only).
@@ -298,14 +247,18 @@ class MultiSweepProgram:
             if op.sweep == sweep and op.kind in WORK_OPS
         ))
 
-    def describe(self) -> str:
-        """One line: scheme, lowering, sweep count and the op sequence."""
+    @property
+    def label(self) -> str:
+        """Scheme, sweep count, mode, lowering, width and ring depth."""
         mode = "pipelined" if self.pipeline else "sequential"
         return (
             f"{self.scheme} x{self.n_sweeps} [{mode}, {self.lowering}, "
-            f"k={self.block_k}, depth={self.halo_depth}]: "
-            + " -> ".join(repr(op) for op in self.ops)
+            f"k={self.block_k}, depth={self.halo_depth}]"
         )
+
+    def describe(self) -> str:
+        """One line: the :attr:`label` and the op sequence."""
+        return f"{self.label}: " + " -> ".join(repr(op) for op in self.ops)
 
     def program_id(self) -> str:
         """Short stable identifier for cost attribution (repro.obs)."""

@@ -7,166 +7,64 @@ dispatches through :mod:`repro.program`, the correctness layer verifies
 the IR once — instead of chasing three hand-rolled implementations of
 the same phase ordering.
 
+The ordering invariants are proved on a *happens-before* model of the
+op stream: only ``OMP_BARRIER`` ops order the main path against the
+comm thread.  A ``COMM_THREAD`` spawn does not — Fig. 4c's
+communication thread is a member of the thread team, not a freshly
+created thread, so nothing the compute threads wrote before the spawn
+is published to it until a barrier says so.
+
 Invariants
 ----------
-* **vocabulary** — every op kind is known; ``COMM_THREAD`` bodies hold
-  MPI ops only (a communication thread executes library calls, never
-  compute);
-* **request lifecycle** — receives are posted exactly once and before
-  the sends, sends exactly once, and one ``WAITALL`` completes every
-  posted request (no leaked requests by construction);
-* **buffer publication** — ``PACK`` precedes ``POST_SENDS``; when the
-  sends run on the communication thread, an ``OMP_BARRIER`` separates
-  the pack from the spawn (the compute threads must publish the buffers
-  before the thread may touch them);
-* **comm-thread region balance** — at most one region, spawned after
-  the receives are posted, containing the ``WAITALL``, and joined by a
-  later ``OMP_BARRIER`` before any op that consumes the halo;
+* **vocabulary** — every op kind is known and tagged with a sweep the
+  program has; ``COMM_THREAD`` bodies hold MPI ops and ``OMP_BARRIER``
+  rendezvous points only (a communication thread executes library
+  calls, never compute);
+* **request lifecycle** — per sweep, receives, pack, sends and the
+  ``WAITALL`` appear exactly once; receives are posted before the sends
+  and ``WAITALL`` after both (no leaked requests by construction);
+* **buffer publication** — ``PACK`` happens-before ``POST_SENDS``: when
+  the sends run on the communication thread, an ``OMP_BARRIER``
+  separates the pack from them;
+* **comm-thread region balance** — at most one region open at a time,
+  and every region joined by a main-path ``OMP_BARRIER`` before the
+  program ends;
 * **data readiness** — ``REMOTE_SPMVM``/``FULL_SPMVM`` run only after
-  the exchange completed (a finished ``WAITALL`` on the main path, or
-  the joining barrier of the comm-thread region); the kernel writes the
-  result exactly once (one ``FULL_SPMVM`` or one ``LOCAL_SPMVM`` +
-  ``REMOTE_SPMVM`` pair, local first).
+  the sweep's ``WAITALL`` (on the main path, or behind a barrier when
+  it ran on the comm thread); the kernel writes the result exactly once
+  (one ``FULL_SPMVM`` or one ``LOCAL_SPMVM`` + ``REMOTE_SPMVM`` pair,
+  local first);
+* **chained input** — sweep ``s``'s pack/sends/kernel run after sweep
+  ``s-1``'s kernel;
+* **double-buffer contract** — ``POST_RECVS s`` (which re-arms halo
+  slot ``s % halo_depth``) only after the consumer of sweep
+  ``s - halo_depth`` is done, and ``PACK s`` only after ``POST_SENDS``
+  of ``s - halo_depth`` released the send-buffer slot.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
-from repro.program.ir import COMM_OPS, MULTI_BODY_OPS, MultiSweepProgram, SweepProgram
+from repro.program.ir import COMM_OPS, SweepProgram
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.check.findings import Finding
 
-__all__ = ["lint_sweep_program", "lint_multi_sweep_program", "lint_sweep_programs"]
+__all__ = ["lint_sweep_program", "lint_sweep_programs"]
+
+#: What a COMM_THREAD body may hold: MPI ops plus the OMP_BARRIER
+#: rendezvous points that pace the thread against the compute threads.
+_BODY_OPS = COMM_OPS + ("OMP_BARRIER",)
 
 
-def lint_sweep_program(program: SweepProgram) -> "list[Finding]":
-    """Lint *program*; returns all findings (empty = provably well-formed)."""
-    from repro.check.findings import Finding
-
-    findings: list[Finding] = []
-    where = f"{program.scheme} [{program.lowering}, k={program.block_k}]"
-
-    def add(message: str, **details: object) -> None:
-        findings.append(Finding(
-            kind="program-lint",
-            message=f"{where}: {message}",
-            details={"scheme": program.scheme, "lowering": program.lowering,
-                     **details},
-        ))
-
-    # linearised views: (kind, in_comm_thread) in issue order, and the
-    # index of each main-path op
-    flat = list(program.walk())
-    main = [op.kind for op, inside in flat if not inside]
-
-    def count(kind: str) -> int:
-        return sum(1 for op, _inside in flat if op.kind == kind)
-
-    def main_index(kind: str) -> int | None:
-        return main.index(kind) if kind in main else None
-
-    # -- comm-thread body vocabulary ----------------------------------
-    for op, _ in flat:
-        if op.kind == "COMM_THREAD":
-            for inner in op.body:
-                if inner.kind not in COMM_OPS:
-                    add(f"comm thread executes {inner.kind}; a communication "
-                        f"thread may only run MPI ops {COMM_OPS}")
-
-    # -- request lifecycle --------------------------------------------
-    for kind in ("POST_RECVS", "POST_SENDS", "WAITALL"):
-        n = count(kind)
-        if n != 1:
-            add(f"{kind} appears {n}x (must be exactly once: every posted "
-                f"request is completed by the one WAITALL)")
-    order = [op.kind for op, _inside in flat]
-    if order.count("POST_RECVS") == 1 and order.count("POST_SENDS") == 1:
-        if order.index("POST_RECVS") > order.index("POST_SENDS"):
-            add("POST_SENDS issued before POST_RECVS: a sweep must prepost "
-                "its receives so no send can block on an unposted peer")
-    if order.count("POST_SENDS") == 1 and order.count("WAITALL") == 1:
-        if order.index("WAITALL") < order.index("POST_SENDS"):
-            add("WAITALL precedes POST_SENDS: the send requests it must "
-                "complete do not exist yet")
-
-    # -- buffer publication -------------------------------------------
-    pack_i = main_index("PACK")
-    if pack_i is None:
-        add("no PACK op: send buffers are never filled")
-    regions = [(i, op) for i, op in enumerate(program.ops) if op.kind == "COMM_THREAD"]
-    if len(regions) > 1:
-        add(f"{len(regions)} COMM_THREAD regions (at most one per sweep)")
-    for i, region in regions:
-        body_kinds = [inner.kind for inner in region.body]
-        before = [op.kind for op in program.ops[:i]]
-        if "WAITALL" in body_kinds and "POST_RECVS" not in before:
-            add("comm thread waits on receives that are not posted before "
-                "the region spawns")
-        if "POST_SENDS" in body_kinds:
-            if "PACK" in before and "OMP_BARRIER" not in before[before.index("PACK"):]:
-                add("comm thread sends buffers without an OMP_BARRIER after "
-                    "PACK: the compute threads never published them")
-        after = [op.kind for op in program.ops[i + 1:]]
-        if "OMP_BARRIER" not in after:
-            add("COMM_THREAD region is never joined: no OMP_BARRIER follows "
-                "it, so the sweep can finish with the exchange in flight")
-
-    # -- data readiness and result shape ------------------------------
-    exchange_done = _exchange_completion_index(program)
-    for i, op in enumerate(program.ops):
-        if op.kind in ("REMOTE_SPMVM", "FULL_SPMVM"):
-            if exchange_done is None or i < exchange_done:
-                add(f"{op.kind} consumes the halo before the exchange "
-                    f"completed (needs a finished WAITALL or the joining "
-                    f"barrier first)")
-    n_full, n_local, n_remote = count("FULL_SPMVM"), count("LOCAL_SPMVM"), count("REMOTE_SPMVM")
-    if n_full:
-        if n_full > 1 or n_local or n_remote:
-            add("FULL_SPMVM must be the only kernel op (it already writes "
-                "the whole result)")
-    elif (n_local, n_remote) != (1, 1):
-        add(f"split kernel needs exactly one LOCAL_SPMVM and one "
-            f"REMOTE_SPMVM (got {n_local} and {n_remote})")
-    elif main_index("LOCAL_SPMVM") is not None and main_index("REMOTE_SPMVM") is not None \
-            and main_index("LOCAL_SPMVM") > main_index("REMOTE_SPMVM"):
-        add("REMOTE_SPMVM before LOCAL_SPMVM: the remote phase accumulates "
-            "into the local phase's result")
-    return findings
-
-
-def _exchange_completion_index(program: SweepProgram) -> int | None:
-    """Main-path index after which the halo data is guaranteed landed.
-
-    That is the index just past a main-path ``WAITALL``, or past the
-    ``OMP_BARRIER`` that joins the comm-thread region carrying the
-    ``WAITALL``.  ``None`` when the exchange never provably completes.
-    """
-    for i, op in enumerate(program.ops):
-        if op.kind == "WAITALL":
-            return i + 1
-        if op.kind == "COMM_THREAD" and any(
-            inner.kind == "WAITALL" for inner in op.body
-        ):
-            for j in range(i + 1, len(program.ops)):
-                if program.ops[j].kind == "OMP_BARRIER":
-                    return j + 1
-            return None
-    return None
-
-
-# ----------------------------------------------------------------------
-# multi-sweep lint: a happens-before model over the whole op stream
-# ----------------------------------------------------------------------
 class _Item:
     """One issued op with its happens-before coordinates.
 
-    ``step`` is a global logical time that only barriers (and region
-    spawns) advance; two items at the same step on different paths are
-    causally *concurrent*.  ``path`` is ``("main",)`` or
-    ``("body", region_index)``; within one path items are ordered by
-    ``pos``.
+    ``step`` is a global logical time that only barriers advance; two
+    items at the same step on different paths are causally
+    *concurrent*.  ``path`` is ``("main",)`` or ``("body",
+    region_index)``; within one path items are ordered by ``pos``.
     """
 
     __slots__ = ("op", "path", "pos", "step")
@@ -186,14 +84,15 @@ def _happens_before(a: _Item, b: _Item) -> bool:
     return a.path == b.path and a.pos < b.pos
 
 
-def _schedule_items(program: MultiSweepProgram, add) -> list[_Item]:
+def _schedule_items(program: SweepProgram, add) -> list[_Item]:
     """Assign every issued op its (path, pos, step) coordinates.
 
     Main-path ``OMP_BARRIER`` ops advance the step.  A ``COMM_THREAD``
-    spawn also advances it and splits its body at the body's own
-    ``OMP_BARRIER`` rendezvous points into chunks: chunk 0 runs from
-    the spawn, and each subsequent main barrier *while the region is
-    open* releases the next chunk (rendezvous) — until no chunks
+    spawn does not (the comm thread is a team thread: only a barrier
+    publishes main-path writes to it); it splits its body at the body's
+    own ``OMP_BARRIER`` rendezvous points into chunks: chunk 0 runs
+    from the spawn, and each subsequent main barrier *while the region
+    is open* releases the next chunk (rendezvous) — until no chunks
     remain, at which point the barrier joins the thread and closes the
     region.  A region still open at the end of the stream is an error.
     """
@@ -207,7 +106,6 @@ def _schedule_items(program: MultiSweepProgram, add) -> list[_Item]:
             if region is not None:
                 add("COMM_THREAD spawned while another region is still open")
                 continue
-            step += 1
             chunks: list[list] = [[]]
             for inner in op.body:
                 if inner.kind == "OMP_BARRIER":
@@ -242,32 +140,16 @@ def _schedule_items(program: MultiSweepProgram, add) -> list[_Item]:
     return items
 
 
-def lint_multi_sweep_program(program: MultiSweepProgram) -> "list[Finding]":
-    """Lint a multi-sweep program; empty result = provably well-formed.
-
-    On top of the single-sweep vocabulary/lifecycle invariants (now per
-    sweep), this proves the *cross-sweep* ones on a happens-before model
-    of the stream: chained inputs (sweep s's pack/kernel run after sweep
-    s-1's kernel), halo readiness across iteration boundaries (WAITALL s
-    before the halo-consuming kernel of s), and the double-buffer
-    contract (POST_RECVS s — which re-arms halo slot ``s % halo_depth``
-    — only after the consumer of sweep ``s - halo_depth`` is done, and
-    PACK s only after POST_SENDS of ``s - halo_depth`` released the
-    send-buffer slot).
-    """
+def lint_sweep_program(program: SweepProgram) -> "list[Finding]":
+    """Lint *program*; returns all findings (empty = provably well-formed)."""
     from repro.check.findings import Finding
 
     findings: list[Finding] = []
-    mode = "pipelined" if program.pipeline else "sequential"
-    where = (
-        f"{program.scheme} x{program.n_sweeps} [{mode}, {program.lowering}, "
-        f"k={program.block_k}, depth={program.halo_depth}]"
-    )
 
     def add(message: str, **details: object) -> None:
         findings.append(Finding(
             kind="program-lint",
-            message=f"{where}: {message}",
+            message=f"{program.label}: {message}",
             details={"scheme": program.scheme, "lowering": program.lowering,
                      "n_sweeps": program.n_sweeps, "pipeline": program.pipeline,
                      **details},
@@ -277,9 +159,9 @@ def lint_multi_sweep_program(program: MultiSweepProgram) -> "list[Finding]":
 
     # -- vocabulary and sweep tags ------------------------------------
     for op, inside in program.walk():
-        if inside and op.kind not in MULTI_BODY_OPS:
-            add(f"comm thread executes {op.kind}; a multi-sweep communication "
-                f"thread may only run {MULTI_BODY_OPS}")
+        if inside and op.kind not in _BODY_OPS:
+            add(f"comm thread executes {op.kind}; a communication thread may "
+                f"only run {_BODY_OPS}")
         if op.kind != "COMM_THREAD" and not 0 <= op.sweep < n:
             add(f"{op.kind} tagged sweep {op.sweep}, outside 0..{n - 1}")
 
@@ -349,22 +231,19 @@ def lint_multi_sweep_program(program: MultiSweepProgram) -> "list[Finding]":
 
 
 def lint_sweep_programs(
-    programs: Iterable[SweepProgram | MultiSweepProgram] | None = None,
+    programs: Iterable[SweepProgram] | None = None,
 ) -> "list[Finding]":
     """Lint a collection of programs (default: every builder output).
 
     This is the ``repro check --programs`` sweep: all Fig. 4 builders,
-    both lowerings, scalar and batched widths — single-sweep and
-    multi-sweep programs alike (dispatched on type).
+    both lowerings, scalar and batched widths, one to three chained
+    sweeps, pipelined and sequential.
     """
-    from repro.program.build import all_multi_sweep_programs, all_sweep_programs
+    from repro.program.build import all_sweep_programs
 
     if programs is None:
-        programs = [*all_sweep_programs(), *all_multi_sweep_programs()]
+        programs = all_sweep_programs()
     findings: list[Finding] = []
     for program in programs:
-        if isinstance(program, MultiSweepProgram):
-            findings.extend(lint_multi_sweep_program(program))
-        else:
-            findings.extend(lint_sweep_program(program))
+        findings.extend(lint_sweep_program(program))
     return findings

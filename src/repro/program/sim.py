@@ -1,22 +1,17 @@
 """Simulation backend: interpreting a sweep program as a simulator process.
 
 :func:`sweep_process` runs one :class:`~repro.program.ir.SweepProgram`
-inside the discrete-event simulator: compute ops become memory-bus flows
-priced by the rank's :class:`~repro.core.costs.PhaseCosts` (emitting the
-phase labels of :data:`~repro.program.ir.SIM_PHASE_LABELS`, so every
-:mod:`repro.obs` analysis keeps working unchanged), communication ops go
-through the simulated MPI with its progress semantics, and a
-``COMM_THREAD`` region becomes a spawned subprocess holding the MPI
-progress gate open inside ``Waitall`` — joined, as on the real machine,
-at the next ``OMP_BARRIER``.
-
-:func:`multi_sweep_process` is the multi-sweep twin: one
-:class:`~repro.program.ir.MultiSweepProgram` whose op stream spans N
-chained sweeps, with per-sweep request sets, and (task mode) one
-long-lived comm-thread subprocess paced against the main path by
-two-party rendezvous at the body's ``OMP_BARRIER`` ops.  Phase labels
-stay exactly :data:`~repro.program.ir.SIM_PHASE_LABELS`; the per-sweep
-distinction is carried by ``op_cost`` attribution events instead.
+— the op stream of its N chained sweeps — inside the discrete-event
+simulator: compute ops become memory-bus flows priced by the rank's
+:class:`~repro.core.costs.PhaseCosts` (emitting the phase labels of
+:data:`~repro.program.ir.SIM_PHASE_LABELS`, so every :mod:`repro.obs`
+analysis keeps working unchanged), communication ops go through the
+simulated MPI with its progress semantics and per-sweep request sets,
+and a ``COMM_THREAD`` region becomes a spawned subprocess holding the
+MPI progress gate open inside ``Waitall`` — paced against the main path
+by two-party rendezvous at the body's ``OMP_BARRIER`` ops and joined, as
+on the real machine, at the main-path ``OMP_BARRIER`` after the last of
+them.
 
 When the rank context carries a trace, every executed op additionally
 emits one ``op_cost`` event (category ``program``) keyed on the
@@ -36,173 +31,14 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator
 
 from repro.frame.events import SimEvent
-from repro.program.ir import (
-    SIM_PHASE_LABELS,
-    MultiSweepProgram,
-    SweepOp,
-    SweepProgram,
-)
+from repro.program.ir import SIM_PHASE_LABELS, SweepOp, SweepProgram
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.schemes import RankContext
 
-__all__ = ["sweep_process", "multi_sweep_process"]
+__all__ = ["sweep_process"]
 
 
-class _SimSweep:
-    """Per-sweep interpreter state (requests and the open comm thread)."""
-
-    __slots__ = ("recvs", "sends", "comm_finished")
-
-    def __init__(self) -> None:
-        self.recvs: list = []
-        self.sends: list = []
-        self.comm_finished: SimEvent | None = None
-
-
-def _emit_op_cost(
-    ctx: "RankContext", pid: str, op: SweepOp, t0: float
-) -> None:
-    """One ``op_cost`` attribution event (no-op without a trace)."""
-    if ctx.trace is not None:
-        ctx.trace.emit(
-            ctx.sim.now, f"rank{ctx.rank}", "op_cost", "program",
-            op=op.kind, sweep=op.sweep, program=pid,
-            seconds=ctx.sim.now - t0,
-        )
-
-
-def sweep_process(
-    ctx: "RankContext",
-    program: SweepProgram,
-    sweep: int,
-    *,
-    op_log: list[str] | None = None,
-) -> Generator:
-    """Sub-generator: one sweep of *program* on simulated rank *ctx*.
-
-    *sweep* tags the sweep's messages so drifting ranks cannot mismatch
-    successive iterations.  ``op_log`` receives the program's signature
-    tokens in issue order — the simulated half of the golden
-    cross-backend comparison.
-    """
-    state = _SimSweep()
-    pid = program.program_id()
-    yield from _run_ops(ctx, program.ops, state, sweep, op_log, pid,
-                        in_comm_thread=False)
-    if state.comm_finished is not None:  # defensive: lint rejects such programs
-        yield state.comm_finished
-
-
-def _run_ops(
-    ctx: "RankContext",
-    ops: tuple[SweepOp, ...],
-    state: _SimSweep,
-    sweep: int,
-    op_log: list[str] | None,
-    pid: str,
-    *,
-    in_comm_thread: bool,
-) -> Generator:
-    for op in ops:
-        if op.kind == "COMM_THREAD":
-            if op_log is not None:
-                op_log.append("COMM_THREAD{")
-                op_log.extend(inner.kind for inner in op.body)
-                op_log.append("}")
-            _spawn_comm_thread(ctx, op, state, sweep, pid)
-            continue
-        if op_log is not None:
-            op_log.append(op.kind)
-        yield from _run_op(ctx, op, state, sweep, pid,
-                           in_comm_thread=in_comm_thread)
-
-
-def _run_op(
-    ctx: "RankContext",
-    op: SweepOp,
-    state: _SimSweep,
-    sweep: int,
-    pid: str,
-    *,
-    in_comm_thread: bool,
-) -> Generator:
-    kind = op.kind
-    t0 = ctx.sim.now
-    if kind in SIM_PHASE_LABELS:
-        yield from ctx.compute(SIM_PHASE_LABELS[kind], _compute_cost(ctx, kind))
-    elif kind == "POST_RECVS":
-        state.recvs = _post_receives(ctx, sweep)
-    elif kind == "POST_SENDS":
-        state.sends = _post_sends(ctx, sweep)
-    elif kind == "WAITALL":
-        yield from ctx.mpi.waitall(ctx.rank, state.recvs + state.sends)
-        ctx.record(":comm" if in_comm_thread else "", "MPI_Waitall", t0)
-    elif kind == "OMP_BARRIER":
-        if state.comm_finished is not None:
-            # the barrier joins the open comm-thread region: compute
-            # threads wait until the exchange is complete (Fig. 4c)
-            yield state.comm_finished
-            state.comm_finished = None
-        yield from ctx.omp_barrier()
-    else:  # pragma: no cover - ir.py validates kinds
-        raise ValueError(f"simulation backend cannot execute op {kind!r}")
-    _emit_op_cost(ctx, pid, op, t0)
-
-
-def _compute_cost(ctx: "RankContext", kind: str) -> float:
-    costs = ctx.costs
-    return {
-        "PACK": costs.gather,
-        "LOCAL_SPMVM": costs.local_spmv,
-        "REMOTE_SPMVM": costs.remote_spmv,
-        "FULL_SPMVM": costs.full_spmv,
-    }[kind]
-
-
-def _spawn_comm_thread(
-    ctx: "RankContext", op: SweepOp, state: _SimSweep, sweep: int, pid: str
-) -> None:
-    if state.comm_finished is not None:
-        raise RuntimeError("COMM_THREAD spawned while another is still open")
-    finished: SimEvent = ctx.sim.event()
-
-    def comm_thread() -> Generator:
-        # Fig. 4c: the dedicated thread executes MPI calls only, sitting
-        # in Waitall with the progress gate held open while the compute
-        # threads run the local spMVM
-        yield from _run_ops(ctx, op.body, state, sweep, None, pid,
-                            in_comm_thread=True)
-        finished.succeed()
-
-    ctx.sim.spawn(comm_thread(), name=f"rank{ctx.rank}-comm")
-    state.comm_finished = finished
-
-
-def _post_receives(ctx: "RankContext", sweep: int) -> list:
-    if ctx.comm is not None:
-        return ctx.comm.post_receives(ctx, sweep)
-    # classic lowering: one message per peer per sweep; a batched sweep
-    # carries all block_k columns of the segment in that single message
-    return [
-        ctx.mpi.irecv(ctx.rank, src, 8 * ctx.block_k * count, sweep)
-        for src, count in ctx.halo.recv_from
-    ]
-
-
-def _post_sends(ctx: "RankContext", sweep: int) -> list:
-    if ctx.comm is not None:
-        return ctx.comm.post_sends(ctx, sweep)
-    return [
-        ctx.mpi.isend(ctx.rank, dst, 8 * ctx.block_k * count, sweep)
-        for dst, count in ctx.halo.send_to
-    ]
-
-
-# ----------------------------------------------------------------------
-# multi-sweep replay: per-sweep request sets and one long-lived comm
-# thread paced by two-party rendezvous
-# ----------------------------------------------------------------------
 class _SimRendezvous:
     """Two-party rendezvous between the main path and the comm thread.
 
@@ -227,8 +63,8 @@ class _SimRendezvous:
             ev.succeed()
 
 
-class _SimMultiSweep:
-    """Multi-sweep interpreter state: per-sweep requests + region pacing."""
+class _SimState:
+    """Interpreter state: per-sweep requests + the open region's pacing."""
 
     __slots__ = ("recvs", "sends", "comm_finished", "rdv", "rendezvous_left")
 
@@ -236,13 +72,27 @@ class _SimMultiSweep:
         self.recvs: dict[int, list] = {}
         self.sends: dict[int, list] = {}
         self.comm_finished: SimEvent | None = None
+        #: exists only while a region whose body contains OMP_BARRIER
+        #: ops is open
         self.rdv: _SimRendezvous | None = None
         self.rendezvous_left = 0
 
 
-def multi_sweep_process(
+def _emit_op_cost(
+    ctx: "RankContext", pid: str, op: SweepOp, t0: float
+) -> None:
+    """One ``op_cost`` attribution event (no-op without a trace)."""
+    if ctx.trace is not None:
+        ctx.trace.emit(
+            ctx.sim.now, f"rank{ctx.rank}", "op_cost", "program",
+            op=op.kind, sweep=op.sweep, program=pid,
+            seconds=ctx.sim.now - t0,
+        )
+
+
+def sweep_process(
     ctx: "RankContext",
-    program: MultiSweepProgram,
+    program: SweepProgram,
     base: int,
     *,
     op_log: list[str] | None = None,
@@ -252,43 +102,40 @@ def multi_sweep_process(
     *base* is the global sweep number of the program's sweep 0 (pass
     ``iteration * n_sweeps`` when looping programs back to back); sweep
     ``s``'s messages are tagged ``base + s`` so drifting ranks cannot
-    mismatch sweeps.  ``op_log`` receives the sweep-tagged signature
-    tokens in issue order, matching
-    :func:`repro.program.exec.execute_multi_sweep`.
+    mismatch sweeps.  ``op_log`` receives the program's signature
+    tokens in issue order — the simulated half of the golden
+    cross-backend comparison.
     """
-    state = _SimMultiSweep()
+    state = _SimState()
     pid = program.program_id()
     for op in program.ops:
-        if op.kind == "COMM_THREAD":
-            if op_log is not None:
-                op_log.append("COMM_THREAD{")
-                op_log.extend(f"s{inner.sweep}:{inner.kind}" for inner in op.body)
-                op_log.append("}")
-            _spawn_multi_comm_thread(ctx, op, state, base, pid)
-            continue
         if op_log is not None:
-            op_log.append(f"s{op.sweep}:{op.kind}")
-        if op.kind == "OMP_BARRIER":
+            op_log.extend(op.tokens())
+        if op.kind == "COMM_THREAD":
+            _spawn_comm_thread(ctx, op, state, base, pid)
+        elif op.kind == "OMP_BARRIER":
             t0 = ctx.sim.now
             if state.comm_finished is not None and state.rendezvous_left > 0:
                 state.rendezvous_left -= 1
                 yield from state.rdv.wait()
             elif state.comm_finished is not None:
-                # past the last rendezvous: this barrier joins the thread
+                # past the last rendezvous: this barrier joins the
+                # region — compute threads wait until the exchange is
+                # complete (Fig. 4c)
                 yield state.comm_finished
                 state.comm_finished = None
             yield from ctx.omp_barrier()
             _emit_op_cost(ctx, pid, op, t0)
-            continue
-        yield from _run_multi_op(ctx, op, state, base, pid, in_comm_thread=False)
+        else:
+            yield from _run_op(ctx, op, state, base, pid, in_comm_thread=False)
     if state.comm_finished is not None:  # defensive: lint rejects such programs
         yield state.comm_finished
 
 
-def _run_multi_op(
+def _run_op(
     ctx: "RankContext",
     op: SweepOp,
-    state: _SimMultiSweep,
+    state: _SimState,
     base: int,
     pid: str,
     *,
@@ -308,36 +155,60 @@ def _run_multi_op(
         yield from ctx.mpi.waitall(ctx.rank, reqs)
         ctx.record(":comm" if in_comm_thread else "", "MPI_Waitall", t0)
     else:  # pragma: no cover - ir.py validates kinds
-        raise ValueError(f"multi-sweep backend cannot execute op {kind!r}")
+        raise ValueError(f"simulation backend cannot execute op {kind!r}")
     _emit_op_cost(ctx, pid, op, t0)
 
 
-def _spawn_multi_comm_thread(
-    ctx: "RankContext",
-    op: SweepOp,
-    state: _SimMultiSweep,
-    base: int,
-    pid: str,
+def _spawn_comm_thread(
+    ctx: "RankContext", op: SweepOp, state: _SimState, base: int, pid: str
 ) -> None:
     if state.comm_finished is not None:
         raise RuntimeError("COMM_THREAD spawned while another is still open")
     finished: SimEvent = ctx.sim.event()
-    state.rdv = _SimRendezvous(ctx.sim)
-    state.rendezvous_left = sum(
-        1 for inner in op.body if inner.kind == "OMP_BARRIER"
-    )
+    state.rendezvous_left = sum(1 for inner in op.body if inner.kind == "OMP_BARRIER")
+    state.rdv = _SimRendezvous(ctx.sim) if state.rendezvous_left else None
 
     def comm_thread() -> Generator:
-        # one long-lived communication thread spanning every sweep of
-        # the region, pacing itself against the compute threads at its
-        # OMP_BARRIER rendezvous points
+        # Fig. 4c: the dedicated thread executes MPI calls only, sitting
+        # in Waitall with the progress gate held open while the compute
+        # threads run the local spMVM — and, when its body spans several
+        # sweeps, pacing itself against them at its OMP_BARRIER points
         for inner in op.body:
             if inner.kind == "OMP_BARRIER":
                 yield from state.rdv.wait()
             else:
-                yield from _run_multi_op(ctx, inner, state, base, pid,
-                                         in_comm_thread=True)
+                yield from _run_op(ctx, inner, state, base, pid, in_comm_thread=True)
         finished.succeed()
 
     ctx.sim.spawn(comm_thread(), name=f"rank{ctx.rank}-comm")
     state.comm_finished = finished
+
+
+def _compute_cost(ctx: "RankContext", kind: str) -> float:
+    costs = ctx.costs
+    return {
+        "PACK": costs.gather,
+        "LOCAL_SPMVM": costs.local_spmv,
+        "REMOTE_SPMVM": costs.remote_spmv,
+        "FULL_SPMVM": costs.full_spmv,
+    }[kind]
+
+
+def _post_receives(ctx: "RankContext", sweep: int) -> list:
+    if ctx.comm is not None:
+        return ctx.comm.post_receives(ctx, sweep)
+    # classic lowering: one message per peer per sweep; a batched sweep
+    # carries all block_k columns of the segment in that single message
+    return [
+        ctx.mpi.irecv(ctx.rank, src, 8 * ctx.block_k * count, sweep)
+        for src, count in ctx.halo.recv_from
+    ]
+
+
+def _post_sends(ctx: "RankContext", sweep: int) -> list:
+    if ctx.comm is not None:
+        return ctx.comm.post_sends(ctx, sweep)
+    return [
+        ctx.mpi.isend(ctx.rank, dst, 8 * ctx.block_k * count, sweep)
+        for dst, count in ctx.halo.send_to
+    ]

@@ -126,8 +126,8 @@ def sstep_cg(
 
     Mathematically equivalent to :func:`conjugate_gradient` — each outer
     step minimises the A-norm error over the same Krylov space as two
-    classic iterations — but restructured around the multi-sweep
-    pipeline (DESIGN.md §15):
+    classic iterations — but restructured around the N-sweep program
+    pipeline (DESIGN.md §10, §15):
 
     * the two matvecs of an outer step are ONE 2-sweep matrix-powers
       program (``op.matvec_chain``): sweep 1's halo receives are posted

@@ -155,10 +155,10 @@ class DistributedOperator:
         return self.engine.multiply(x, self.scheme)
 
     def matvec_chain(self, x: np.ndarray, n: int, *, pipeline: bool = True) -> list[np.ndarray]:
-        """``[A x, ..., Aⁿ x]`` as one multi-sweep program (matrix powers).
+        """``[A x, ..., Aⁿ x]`` as one n-sweep program (matrix powers).
 
         Pipelined by default: sweep ``i+1``'s receives are posted before
-        sweep ``i``'s remote kernel (:func:`repro.program.build_multi_sweep`),
+        sweep ``i``'s remote kernel (:func:`repro.program.build_sweep`),
         still one exchange (= one message per peer) per sweep.
         """
         self._count_exchanges(n)

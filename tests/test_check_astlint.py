@@ -55,6 +55,24 @@ def test_each_fixture_fires_its_own_rule(name):
     assert all(f.message.startswith(f"{path}:") for f in findings)
 
 
+@pytest.mark.parametrize("rule,table", [
+    ("hot-path-alloc", "HOT_FUNCTIONS"),
+    ("comm-thread-vocabulary", "COMPUTE_FUNCTIONS"),
+])
+def test_allowlisted_function_names_exist(rule, table):
+    # the tables name functions by string: a rename must not silently
+    # retire the rule for that function
+    import ast
+
+    for suffix, names in getattr(get_rule(rule), table).items():
+        tree = ast.parse((DEFAULT_ROOT / suffix).read_text())
+        defined = {
+            node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        assert names <= defined, f"{suffix}: {sorted(names - defined)} not defined"
+
+
 def test_get_rule_rejects_unknown_names():
     with pytest.raises(ValueError, match="unknown rule"):
         get_rule("no-such-rule")

@@ -33,7 +33,7 @@ def test_cli_check_lint_only(capsys):
 def test_cli_check_programs(capsys):
     assert main(["check", "--programs"]) == 0
     out = capsys.readouterr().out
-    assert "sweep-program lint (12 programs): clean" in out
+    assert "sweep-program lint (60 programs): clean" in out
     assert "COMM_THREAD(POST_SENDS, WAITALL)" in out
 
 

@@ -1,13 +1,14 @@
-"""Property tests for multi-sweep programs + s-step CG validation.
+"""Property tests for N-sweep programs + s-step CG validation.
 
-Hypothesis half: for EVERY (scheme, n_sweeps, pipeline, block_k,
+Hypothesis half: for EVERY (scheme, n_sweeps >= 1, pipeline, block_k,
 lowering) combination,
 
-* :func:`build_multi_sweep` lints clean (the double-buffer hoisting
-  invariants of DESIGN.md §15 hold by construction),
-* every sweep performs exactly the single-sweep work-op multiset —
-  pipelining may reorder communication and change barrier pacing, but
-  never add or drop per-sweep work,
+* :func:`build_sweep` lints clean (the double-buffer hoisting
+  invariants of DESIGN.md §10 hold by construction),
+* every sweep performs exactly the frozen single-sweep work-op multiset
+  — pipelining may reorder communication and change barrier pacing, but
+  never add or drop per-sweep work — and the N = 1 program *is* the
+  frozen single-sweep tuple,
 * when pipelined, sweep ``s+1``'s POST_RECVS really precedes sweep
   ``s``'s halo-consuming kernel.
 
@@ -25,12 +26,7 @@ from hypothesis import strategies as st
 from repro.core import build_halo_plan, scatter_vector
 from repro.matrices import poisson_2d
 from repro.mpilite import PerRank, run_spmd
-from repro.program import (
-    WORK_OPS,
-    build_multi_sweep,
-    build_sweep,
-    lint_multi_sweep_program,
-)
+from repro.program import WORK_OPS, SweepOp, build_sweep, lint_sweep_program
 from repro.solvers import (
     DistributedOperator,
     SerialOperator,
@@ -38,6 +34,7 @@ from repro.solvers import (
     sstep_cg,
 )
 from repro.sparse import CSRMatrix, partition_matrix
+from tests.test_program_golden import GOLDEN_SIGNATURES
 
 SCHEMES = ("no_overlap", "naive_overlap", "task_mode")
 
@@ -48,45 +45,41 @@ _lowering = st.sampled_from(["classic", "plan"])
 _pipeline = st.booleans()
 
 
-def _work_multiset(program):
-    """Sorted WORK_OPS multiset of a single-sweep program."""
-    return tuple(sorted(
-        op.kind for op, _inside in program.walk() if op.kind in WORK_OPS
-    ))
-
-
 @settings(max_examples=60, deadline=None)
 @given(scheme=_scheme, n_sweeps=_n_sweeps, pipeline=_pipeline,
        block_k=_block_k, lowering=_lowering)
 def test_build_multi_sweep_lints_clean(scheme, n_sweeps, pipeline, block_k, lowering):
-    program = build_multi_sweep(
+    program = build_sweep(
         scheme, n_sweeps, pipeline=pipeline, block_k=block_k, comm_plan=lowering,
     )
-    assert lint_multi_sweep_program(program) == []
+    assert lint_sweep_program(program) == []
 
 
 @settings(max_examples=60, deadline=None)
 @given(scheme=_scheme, n_sweeps=_n_sweeps, pipeline=_pipeline,
        block_k=_block_k, lowering=_lowering)
 def test_every_sweep_does_single_sweep_work(scheme, n_sweeps, pipeline, block_k, lowering):
-    program = build_multi_sweep(
+    program = build_sweep(
         scheme, n_sweeps, pipeline=pipeline, block_k=block_k, comm_plan=lowering,
     )
-    single = _work_multiset(build_sweep(scheme, block_k=block_k, comm_plan=lowering))
+    single = tuple(sorted(t for t in GOLDEN_SIGNATURES[scheme] if t in WORK_OPS))
     for s in range(n_sweeps):
         assert program.sweep_work_ops(s) == single
     # no ops tagged outside the sweep range
     assert all(0 <= op.sweep < n_sweeps for op, _inside in program.walk())
+    if n_sweeps == 1:
+        assert program.signature() == GOLDEN_SIGNATURES[scheme]
 
 
 @settings(max_examples=40, deadline=None)
 @given(scheme=_scheme, n_sweeps=st.integers(min_value=2, max_value=6),
        block_k=_block_k)
 def test_pipelined_recvs_hoisted_across_sweeps(scheme, n_sweeps, block_k):
-    sig = build_multi_sweep(scheme, n_sweeps, pipeline=True, block_k=block_k).signature()
+    sig = build_sweep(scheme, n_sweeps, pipeline=True, block_k=block_k).signature()
     tail = "FULL_SPMVM" if scheme == "no_overlap" else "REMOTE_SPMVM"
     for s in range(n_sweeps - 1):
-        assert sig.index(f"s{s + 1}:POST_RECVS") < sig.index(f"s{s}:{tail}")
+        hoisted = SweepOp("POST_RECVS", sweep=s + 1).token
+        assert sig.index(hoisted) < sig.index(SweepOp(tail, sweep=s).token)
 
 
 # ----------------------------------------------------------------------

@@ -49,5 +49,21 @@ def test_public_functions_have_docstrings():
     assert not missing, f"undocumented public items: {missing}"
 
 
+def test_program_api_is_one_of_each():
+    # one program class, one builder (+ its cached twin and enumerator),
+    # one interpreter per backend, one lint: a second spelling of any of
+    # these must be a conscious change here
+    import repro.program
+
+    assert sorted(repro.program.__all__) == sorted([
+        "OP_KINDS", "COMPUTE_OPS", "COMM_OPS", "WORK_OPS", "LOWERINGS",
+        "SIM_PHASE_LABELS", "PROGRAM_SCHEMES",
+        "SweepOp", "SweepProgram",
+        "build_sweep", "cached_sweep_program", "all_sweep_programs",
+        "execute_sweep", "sweep_process",
+        "lint_sweep_program", "lint_sweep_programs",
+    ])
+
+
 def test_version_string():
     assert repro.__version__.count(".") == 2

@@ -1,20 +1,16 @@
 """Golden cross-backend test: one sweep program, two executions.
 
 The acceptance contract of the sweep IR (DESIGN.md §10): for every
-Fig. 4 scheme × {spmv, spmm} × {classic, plan} lowering,
+Fig. 4 scheme × {classic, plan} lowering × {spmv, spmm, 3-sweep chain},
 
 * the op sequence the mpilite backend executes equals the op sequence
-  the simulation backend executes (both equal the program's signature),
-* the mpilite results are bit-identical across all combinations and to
-  a hand-rolled split-kernel reference (the pre-refactor arithmetic:
-  local part first, then the remote part accumulated row by row).
-
-The multi-sweep half (DESIGN.md §15) extends the same contract to
-N-sweep chained programs: frozen sweep-tagged signatures for every
-scheme, op-sequence equality between :meth:`multiply_chain` and the
-simulator's :func:`multi_sweep_process`, and bit-identity of the
-pipelined chain against both the sequential chain and the iterated
-split-kernel reference.
+  the simulation backend executes (both equal the program's frozen
+  signature),
+* the mpilite results — every slice of the chain — are bit-identical
+  across all combinations and to a hand-rolled split-kernel reference,
+  iterated once per sweep (the pre-refactor arithmetic: local part
+  first, then the remote part accumulated row by row),
+* the pipelined chain is bit-identical to the sequential one.
 """
 
 import numpy as np
@@ -24,15 +20,16 @@ from repro.core import cached_halo_plan, distributed_spmm, distributed_spmv, sim
 from repro.core.spmvm import SCHEMES, DistributedSpMVM, lower_comm_plan, scatter_vector
 from repro.machine import westmere_cluster
 from repro.mpilite import PerRank, run_spmd
-from repro.program import build_multi_sweep, build_sweep
+from repro.program import SweepOp, build_sweep
 from repro.sparse import partition_matrix
 from repro.sparse.spmm import spmm, spmm_add
 from repro.sparse.spmv import spmv, spmv_add
 
 NRANKS = 4
 
-#: The frozen per-scheme op sequences — editing a builder must be a
-#: conscious change here too.
+#: The frozen per-scheme op sequences of a single sweep — editing a
+#: builder must be a conscious change here too.  ``repro-model/1`` files
+#: persist these tokens, so they are a compatibility surface as well.
 GOLDEN_SIGNATURES = {
     "no_overlap": (
         "POST_RECVS", "PACK", "POST_SENDS", "WAITALL", "FULL_SPMVM",
@@ -51,32 +48,32 @@ GOLDEN_SIGNATURES = {
 
 N_SWEEPS = 3
 
-#: The frozen N=3 pipelined multi-sweep op sequences.  The pipelining
-#: contract is visible in the data: sweep ``s+1``'s POST_RECVS precedes
-#: sweep ``s``'s remote/full kernel in every scheme.
-GOLDEN_MULTI_SIGNATURES = {
+#: The frozen N=3 pipelined op sequences (sweep-0 tokens carry no tag).
+#: The pipelining contract is visible in the data: sweep ``s+1``'s
+#: POST_RECVS precedes sweep ``s``'s remote/full kernel in every scheme.
+GOLDEN_CHAIN_SIGNATURES = {
     "no_overlap": (
-        "s0:POST_RECVS", "s0:PACK", "s0:POST_SENDS", "s0:WAITALL",
-        "s1:POST_RECVS", "s0:FULL_SPMVM", "s1:PACK", "s1:POST_SENDS",
-        "s1:WAITALL", "s2:POST_RECVS", "s1:FULL_SPMVM", "s2:PACK",
-        "s2:POST_SENDS", "s2:WAITALL", "s2:FULL_SPMVM",
+        "POST_RECVS", "PACK", "POST_SENDS", "WAITALL", "s1:POST_RECVS",
+        "FULL_SPMVM", "s1:PACK", "s1:POST_SENDS", "s1:WAITALL",
+        "s2:POST_RECVS", "s1:FULL_SPMVM", "s2:PACK", "s2:POST_SENDS",
+        "s2:WAITALL", "s2:FULL_SPMVM",
     ),
     "naive_overlap": (
-        "s0:POST_RECVS", "s0:PACK", "s0:POST_SENDS", "s0:LOCAL_SPMVM",
-        "s0:WAITALL", "s1:POST_RECVS", "s0:REMOTE_SPMVM", "s1:PACK",
-        "s1:POST_SENDS", "s1:LOCAL_SPMVM", "s1:WAITALL", "s2:POST_RECVS",
-        "s1:REMOTE_SPMVM", "s2:PACK", "s2:POST_SENDS", "s2:LOCAL_SPMVM",
-        "s2:WAITALL", "s2:REMOTE_SPMVM",
+        "POST_RECVS", "PACK", "POST_SENDS", "LOCAL_SPMVM", "WAITALL",
+        "s1:POST_RECVS", "REMOTE_SPMVM", "s1:PACK", "s1:POST_SENDS",
+        "s1:LOCAL_SPMVM", "s1:WAITALL", "s2:POST_RECVS", "s1:REMOTE_SPMVM",
+        "s2:PACK", "s2:POST_SENDS", "s2:LOCAL_SPMVM", "s2:WAITALL",
+        "s2:REMOTE_SPMVM",
     ),
     "task_mode": (
-        "s0:POST_RECVS", "s0:PACK", "s0:OMP_BARRIER", "COMM_THREAD{",
-        "s0:POST_SENDS", "s0:WAITALL", "s0:OMP_BARRIER", "s1:POST_RECVS",
-        "s1:OMP_BARRIER", "s1:POST_SENDS", "s1:WAITALL", "s1:OMP_BARRIER",
-        "s2:POST_RECVS", "s2:OMP_BARRIER", "s2:POST_SENDS", "s2:WAITALL",
-        "}", "s0:LOCAL_SPMVM", "s0:OMP_BARRIER", "s0:REMOTE_SPMVM",
-        "s1:PACK", "s1:OMP_BARRIER", "s1:LOCAL_SPMVM", "s1:OMP_BARRIER",
-        "s1:REMOTE_SPMVM", "s2:PACK", "s2:OMP_BARRIER", "s2:LOCAL_SPMVM",
-        "s2:OMP_BARRIER", "s2:REMOTE_SPMVM",
+        "POST_RECVS", "PACK", "OMP_BARRIER", "COMM_THREAD{", "POST_SENDS",
+        "WAITALL", "OMP_BARRIER", "s1:POST_RECVS", "s1:OMP_BARRIER",
+        "s1:POST_SENDS", "s1:WAITALL", "s1:OMP_BARRIER", "s2:POST_RECVS",
+        "s2:OMP_BARRIER", "s2:POST_SENDS", "s2:WAITALL", "}", "LOCAL_SPMVM",
+        "OMP_BARRIER", "REMOTE_SPMVM", "s1:PACK", "s1:OMP_BARRIER",
+        "s1:LOCAL_SPMVM", "s1:OMP_BARRIER", "s1:REMOTE_SPMVM", "s2:PACK",
+        "s2:OMP_BARRIER", "s2:LOCAL_SPMVM", "s2:OMP_BARRIER",
+        "s2:REMOTE_SPMVM",
     ),
 }
 
@@ -118,74 +115,25 @@ def split_kernel_reference(A, x, nranks):
     return np.concatenate(pieces)
 
 
+GOLDEN = {1: GOLDEN_SIGNATURES, N_SWEEPS: GOLDEN_CHAIN_SIGNATURES}
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("lowering", ["classic", "plan"])
-@pytest.mark.parametrize("width", ["spmv", "spmm"])
-def test_cross_backend_golden(golden_matrix, golden_x, golden_X, scheme, lowering, width):
+@pytest.mark.parametrize(
+    "width,n_sweeps",
+    [("spmv", 1), ("spmm", 1), ("spmv", N_SWEEPS)],
+    ids=["spmv", "spmm", f"spmv-n{N_SWEEPS}"],
+)
+def test_cross_backend_golden(
+    golden_matrix, golden_x, golden_X, scheme, lowering, width, n_sweeps
+):
     A = golden_matrix
     x = golden_x if width == "spmv" else golden_X
     k = 1 if width == "spmv" else x.shape[1]
-    signature = GOLDEN_SIGNATURES[scheme]
-    assert build_sweep(scheme, block_k=k, comm_plan=lowering).signature() == signature
-
-    # --- real execution (mpilite): op log + per-rank results ----------
-    plan = cached_halo_plan(A, NRANKS, with_matrices=True)
-    cplan = (
-        lower_comm_plan(plan, NRANKS, "node-aware", ranks_per_node=2)
-        if lowering == "plan" else None
-    )
-
-    def rank_fn(comm, halo):
-        engine = DistributedSpMVM(comm, halo, comm_plan=cplan)
-        x_local = scatter_vector(x, plan.partition, comm.rank)
-        log: list[str] = []
-        if width == "spmv":
-            y = engine.multiply(x_local, scheme, op_log=log)
-        else:
-            y = engine.multiply_block(x_local, scheme, op_log=log)
-        return y, tuple(log)
-
-    out = run_spmd(NRANKS, rank_fn, PerRank(plan.ranks))
-    for _y, log in out:
-        assert log == signature
-    y_exec = np.concatenate([y for y, _log in out])
-
-    # --- simulation: same program, same op sequence -------------------
-    cluster = westmere_cluster(2)
-    sim_plan = cached_halo_plan(A, NRANKS, with_matrices=False)
-    op_logs: dict[int, list[str]] = {}
-    iterations = 2
-    simulate_from_plan(
-        sim_plan, cluster, mode="per-ld", scheme=scheme,
-        eager_threshold=1024, iterations=iterations, block_k=k,
-        comm_plan="node-aware" if lowering == "plan" else "direct",
-        op_logs=op_logs,
-    )
-    assert sorted(op_logs) == list(range(NRANKS))
-    for rank_log in op_logs.values():
-        assert tuple(rank_log) == signature * iterations
-
-    # --- numerics: bit-identical to the split-kernel reference --------
-    assert np.array_equal(y_exec, split_kernel_reference(A, x, NRANKS))
-
-
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_multi_sweep_frozen_signature(scheme):
-    sig = build_multi_sweep(scheme, N_SWEEPS).signature()
-    assert sig == GOLDEN_MULTI_SIGNATURES[scheme]
-    # The pipelining contract, asserted on the data itself: sweep s+1's
-    # receives are posted before sweep s's concluding kernel.
-    tail = "FULL_SPMVM" if scheme == "no_overlap" else "REMOTE_SPMVM"
-    for s in range(N_SWEEPS - 1):
-        assert sig.index(f"s{s + 1}:POST_RECVS") < sig.index(f"s{s}:{tail}")
-
-
-@pytest.mark.parametrize("scheme", SCHEMES)
-@pytest.mark.parametrize("lowering", ["classic", "plan"])
-def test_multi_sweep_cross_backend_golden(golden_matrix, golden_x, scheme, lowering):
-    A = golden_matrix
-    x = golden_x
-    signature = GOLDEN_MULTI_SIGNATURES[scheme]
+    signature = GOLDEN[n_sweeps][scheme]
+    program = build_sweep(scheme, n_sweeps, block_k=k, comm_plan=lowering)
+    assert program.signature() == signature
 
     # --- real execution (mpilite): op log + per-rank chain slices -----
     plan = cached_halo_plan(A, NRANKS, with_matrices=True)
@@ -198,11 +146,17 @@ def test_multi_sweep_cross_backend_golden(golden_matrix, golden_x, scheme, lower
         engine = DistributedSpMVM(comm, halo, comm_plan=cplan)
         x_local = scatter_vector(x, plan.partition, comm.rank)
         log: list[str] = []
-        ys = engine.multiply_chain(x_local, N_SWEEPS, scheme, op_log=log)
+        if width == "spmm":
+            ys = [engine.multiply_block(x_local, scheme, op_log=log)]
+        elif n_sweeps == 1:
+            ys = [engine.multiply(x_local, scheme, op_log=log)]
+        else:
+            ys = engine.multiply_chain(x_local, n_sweeps, scheme, op_log=log)
         return ys, tuple(log)
 
     out = run_spmd(NRANKS, rank_fn, PerRank(plan.ranks))
-    for _ys, log in out:
+    for ys, log in out:
+        assert len(ys) == n_sweeps
         assert log == signature
 
     # --- simulation: same program, same op sequence -------------------
@@ -212,23 +166,37 @@ def test_multi_sweep_cross_backend_golden(golden_matrix, golden_x, scheme, lower
     iterations = 2
     result = simulate_from_plan(
         sim_plan, cluster, mode="per-ld", scheme=scheme,
-        eager_threshold=1024, iterations=iterations,
-        n_sweeps=N_SWEEPS, pipeline=True,
+        eager_threshold=1024, iterations=iterations, block_k=k,
+        n_sweeps=n_sweeps, pipeline=True,
         comm_plan="node-aware" if lowering == "plan" else "direct",
         op_logs=op_logs,
     )
-    assert result.iterations == iterations * N_SWEEPS
+    assert result.iterations == iterations * n_sweeps
     assert sorted(op_logs) == list(range(NRANKS))
     for rank_log in op_logs.values():
         assert tuple(rank_log) == signature * iterations
 
     # --- numerics: every chain slice matches the iterated reference ---
     ref = x
-    for s in range(N_SWEEPS):
+    for s in range(n_sweeps):
         ref = split_kernel_reference(A, ref, NRANKS)
-        assert np.array_equal(
-            np.concatenate([ys[s] for ys, _log in out]), ref
-        )
+        assert np.array_equal(np.concatenate([ys[s] for ys, _log in out]), ref)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_multi_sweep_frozen_signature(scheme):
+    sig = build_sweep(scheme, N_SWEEPS).signature()
+    assert sig == GOLDEN_CHAIN_SIGNATURES[scheme]
+    # The pipelining contract, asserted on the data itself: sweep s+1's
+    # receives are posted before sweep s's concluding kernel.
+    tail = "FULL_SPMVM" if scheme == "no_overlap" else "REMOTE_SPMVM"
+    for s in range(N_SWEEPS - 1):
+        hoisted = SweepOp("POST_RECVS", sweep=s + 1).token
+        assert sig.index(hoisted) < sig.index(SweepOp(tail, sweep=s).token)
+    # sweep attribution: every sweep keeps exactly its single-sweep work
+    program = build_sweep(scheme, N_SWEEPS)
+    for s in range(N_SWEEPS):
+        assert program.sweep_work_ops(s) == build_sweep(scheme).sweep_work_ops(0)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

@@ -1,5 +1,7 @@
 """Sweep IR: op/program validation, builders, and the program lint."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.schemes import SIM_SCHEMES
@@ -50,6 +52,19 @@ def test_program_validates_lowering_and_width():
         _prog([SweepOp("PACK")], block_k=0)
     with pytest.raises(ValueError, match="at least one op"):
         _prog([])
+    with pytest.raises(ValueError, match="n_sweeps"):
+        _prog([SweepOp("PACK")], n_sweeps=0)
+    with pytest.raises(ValueError, match="halo_depth"):
+        _prog([SweepOp("PACK")], halo_depth=0)
+
+
+def test_token_elides_the_sweep_zero_tag():
+    # the one token rule: bare KIND in sweep 0 (so single-sweep
+    # signatures stay byte-stable), s{n}:KIND afterwards
+    assert SweepOp("PACK").token == "PACK"
+    assert SweepOp("PACK", sweep=2).token == "s2:PACK"
+    region = SweepOp("COMM_THREAD", body=(SweepOp("WAITALL"), SweepOp("POST_RECVS", sweep=1)))
+    assert region.tokens() == ("COMM_THREAD{", "WAITALL", "s1:POST_RECVS", "}")
 
 
 def test_walk_and_signature_delimit_comm_thread():
@@ -73,10 +88,30 @@ def test_scheme_tuples_agree_with_builders():
 
 def test_all_builder_outputs_lint_clean():
     programs = all_sweep_programs()
-    # schemes x lowerings x widths
-    assert len(programs) == len(PROGRAM_SCHEMES) * 2 * 2
+    # schemes x lowerings x (N=1 | N in {2, 3} x {pipelined, sequential}) x widths
+    assert len(programs) == len(PROGRAM_SCHEMES) * 2 * (1 + 2 * 2) * 2
+    assert {p.n_sweeps for p in programs} == {1, 2, 3}
     assert lint_sweep_programs(programs) == []
     assert lint_sweep_programs() == []
+
+
+@pytest.mark.parametrize("scheme", PROGRAM_SCHEMES)
+def test_pipeline_is_canonical_for_a_single_sweep(scheme):
+    # a single sweep has no boundary to pipeline across: both spellings
+    # are one program, one cache slot, one program_id
+    from repro.program import cached_sweep_program
+
+    piped = build_sweep(scheme, 1, pipeline=True)
+    plain = build_sweep(scheme, 1, pipeline=False)
+    assert piped == plain == build_sweep(scheme)
+    assert piped.program_id() == plain.program_id()
+    assert piped.halo_depth == 1
+    assert cached_sweep_program(scheme, 1, pipeline=True) is cached_sweep_program(
+        scheme, pipeline=False
+    )
+    # halo_depth is derived, never chosen: 2 exactly when pipelined
+    assert build_sweep(scheme, 3).halo_depth == 2
+    assert build_sweep(scheme, 3, pipeline=False).halo_depth == 1
 
 
 def test_builder_rejects_unknown_scheme():
@@ -100,17 +135,17 @@ def test_lint_catches_compute_in_comm_thread():
             SweepOp("POST_SENDS"), SweepOp("LOCAL_SPMVM"), SweepOp("WAITALL"))),
         SweepOp("FULL_SPMVM"), SweepOp("OMP_BARRIER"),
     ])
-    assert "may only run MPI ops" in _messages(prog)
+    assert "comm thread executes LOCAL_SPMVM" in _messages(prog)
 
 
 def test_lint_catches_request_lifecycle_violations():
     # sends before receives
-    assert "before POST_RECVS" in _messages(_prog([
+    assert "s0:POST_SENDS is not ordered after s0:POST_RECVS" in _messages(_prog([
         SweepOp("POST_SENDS"), SweepOp("POST_RECVS"), SweepOp("PACK"),
         SweepOp("WAITALL"), SweepOp("FULL_SPMVM"),
     ]))
     # waitall before the sends exist
-    assert "WAITALL precedes POST_SENDS" in _messages(_prog([
+    assert "s0:WAITALL is not ordered after s0:POST_SENDS" in _messages(_prog([
         SweepOp("POST_RECVS"), SweepOp("PACK"), SweepOp("WAITALL"),
         SweepOp("POST_SENDS"), SweepOp("FULL_SPMVM"),
     ]))
@@ -122,20 +157,22 @@ def test_lint_catches_request_lifecycle_violations():
 
 
 def test_lint_catches_missing_pack():
-    assert "never filled" in _messages(_prog([
+    assert "PACK appears 0x" in _messages(_prog([
         SweepOp("POST_RECVS"), SweepOp("POST_SENDS"), SweepOp("WAITALL"),
         SweepOp("FULL_SPMVM"),
     ]))
 
 
 def test_lint_catches_unpublished_buffers():
-    # comm thread sends buffers but no barrier after PACK published them
+    # comm thread sends buffers but no barrier after PACK published them:
+    # the comm thread is a team thread (Fig. 4c), so its spawn orders
+    # nothing — only a barrier publishes the packed buffers to it
     prog = _prog([
         SweepOp("POST_RECVS"), SweepOp("PACK"),
         SweepOp("COMM_THREAD", body=(SweepOp("POST_SENDS"), SweepOp("WAITALL"))),
         SweepOp("LOCAL_SPMVM"), SweepOp("OMP_BARRIER"), SweepOp("REMOTE_SPMVM"),
     ])
-    assert "never published" in _messages(prog)
+    assert "s0:POST_SENDS is not ordered after s0:PACK" in _messages(prog)
 
 
 def test_lint_catches_unjoined_comm_thread():
@@ -150,7 +187,7 @@ def test_lint_catches_unjoined_comm_thread():
 
 def test_lint_catches_premature_halo_consumption():
     # remote part before the exchange completed
-    assert "before the exchange" in _messages(_prog([
+    assert "s0:REMOTE_SPMVM is not ordered after s0:WAITALL" in _messages(_prog([
         SweepOp("POST_RECVS"), SweepOp("PACK"), SweepOp("POST_SENDS"),
         SweepOp("LOCAL_SPMVM"), SweepOp("REMOTE_SPMVM"), SweepOp("WAITALL"),
     ]))
@@ -164,7 +201,30 @@ def test_lint_catches_kernel_shape_violations():
         SweepOp("REMOTE_SPMVM"),
     ]))
     # remote accumulates into a result that does not exist yet
-    assert "REMOTE_SPMVM before LOCAL_SPMVM" in _messages(_prog([
+    assert "s0:REMOTE_SPMVM is not ordered after s0:LOCAL_SPMVM" in _messages(_prog([
         SweepOp("POST_RECVS"), SweepOp("PACK"), SweepOp("POST_SENDS"),
         SweepOp("WAITALL"), SweepOp("REMOTE_SPMVM"), SweepOp("LOCAL_SPMVM"),
     ]))
+
+
+def test_lint_catches_double_buffer_violation():
+    # pipelined task mode squeezed into one halo slot: sweep 1's receives
+    # re-arm the slot sweep 0's remote kernel may still be reading
+    prog = dataclasses.replace(build_sweep("task_mode", 2), halo_depth=1)
+    assert "POST_RECVS re-arms halo slot 0" in _messages(prog)
+    assert lint_sweep_program(build_sweep("task_mode", 2)) == []
+
+
+def test_lint_rejects_every_seeded_fixture_program():
+    # the thread-race fixtures run these programs *past* the lint to show
+    # the sanitizer catching them live; the lint must reject each one
+    from repro.check.fixtures import SEEDED_PROGRAMS
+
+    assert len(SEEDED_PROGRAMS) == 3
+    for name, build in SEEDED_PROGRAMS.items():
+        assert _messages(build()), name
+
+
+def test_lint_catches_sweep_tag_outside_the_program():
+    ops = build_sweep("no_overlap", 2).ops
+    assert "tagged sweep 1, outside 0..0" in _messages(_prog(ops, n_sweeps=1))
