@@ -9,10 +9,7 @@ Three groups mirror the layers of the implementation:
   against the CSR reference before it is timed);
 * ``distributed`` — the mpilite engine end to end: ``distributed_spmv``
   and the batched ``distributed_spmm``, including halo exchange (one
-  message per peer per sweep, k columns per message when batched), plus
-  the node-aware lowering (``repro.comm``: intra-node gather, one
-  aggregated message per node pair, intra-node scatter) with its plan
-  accounting attached as derived figures;
+  message per peer per sweep, k columns per message when batched);
 * ``program`` — the sweep-IR guard: the fixed dispatch cost of
   :func:`repro.program.execute_sweep` must stay under 5% of the
   single-rank spmv hot path (asserted, not just reported);
@@ -371,10 +368,6 @@ def _distributed_benches(
         )
     )
     single_min = stats.min
-    results += _comm_plan_benches(
-        A, rng, nranks=nranks, scheme=scheme, direct_min=single_min,
-        warmup=warmup, repeat=repeat,
-    )
     for k in BLOCK_WIDTHS:
         X = rng.standard_normal((A.ncols, k))
         stats = time_callable(
@@ -394,57 +387,6 @@ def _distributed_benches(
             )
         )
     return results
-
-
-def _comm_plan_benches(
-    A: CSRMatrix,
-    rng: np.random.Generator,
-    *,
-    nranks: int,
-    scheme: str,
-    direct_min: float,
-    warmup: int,
-    repeat: int,
-) -> list[BenchResult]:
-    """The node-aware lowering of ``distributed_spmv`` (2 ranks per node)."""
-    from repro.comm import build_comm_plan, compare_plans
-    from repro.core.halo import cached_halo_plan
-
-    ranks_per_node = 2
-    x = rng.standard_normal(A.ncols)
-    stats = time_callable(
-        lambda: distributed_spmv(
-            A, x, nranks, scheme=scheme,
-            comm_plan="node-aware", ranks_per_node=ranks_per_node,
-        ),
-        warmup=warmup, repeat=repeat,
-    )
-    plan = cached_halo_plan(A, nranks, with_matrices=True)
-    rank_node = [r // ranks_per_node for r in range(nranks)]
-    cmp = compare_plans(
-        build_comm_plan(plan, rank_node, "direct"),
-        build_comm_plan(plan, rank_node, "node-aware"),
-    )
-    return [
-        BenchResult(
-            name="distributed-spmv-nodeaware", group="distributed",
-            warmup=warmup, repeat=repeat, seconds=stats,
-            params={
-                "nrows": A.nrows, "nnz": A.nnz, "nranks": nranks,
-                "scheme": scheme, "comm_plan": "node-aware",
-                "ranks_per_node": ranks_per_node,
-            },
-            derived={
-                "gflops": _gflops(A.nnz, 1, stats.min),
-                # in-process mpilite moves bytes through memcpy, so this
-                # measures plan-replay overhead, not network aggregation
-                "speedup_vs_direct": direct_min / stats.min,
-                "internode_message_ratio": cmp.message_ratio,
-                "injected_byte_ratio": cmp.byte_ratio,
-                "duplicate_factor": cmp.direct.duplicate_factor,
-            },
-        )
-    ]
 
 
 def _program_overhead_bench(

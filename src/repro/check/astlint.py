@@ -102,9 +102,10 @@ class HotPathAllocRule(AstRule):
     """No temporary-producing numpy constructor calls in hot functions.
 
     Scoped to the per-sweep call chain: the sparse kernels, the sweep
-    interpreter's op handlers, and the engine's buffer plumbing.  Only
-    explicit allocator *calls* are flagged (``np.empty``/``zeros``/
-    ``concatenate``/..., ``.copy()``, ``.astype()``) — elementwise
+    interpreter's op handlers, the engine's buffer plumbing, and the
+    compiled exchange those delegate to.  Only explicit allocator
+    *calls* are flagged (``np.empty``/``zeros``/``concatenate``/...,
+    ``.copy()``, ``.astype()``) — elementwise
     temporaries are the kernels' own business and are measured by the
     bench guards instead.  Allocation under an ``is None`` guard is the
     sanctioned lazy-init idiom.
@@ -117,6 +118,7 @@ class HotPathAllocRule(AstRule):
         "sparse/spmm.py",
         "program/exec.py",
         "core/spmvm.py",
+        "comm/exec.py",
     )
 
     # np.asarray is deliberately absent: it is no-copy for an already-
@@ -141,8 +143,12 @@ class HotPathAllocRule(AstRule):
             "execute_sweep", "_issue", "_barrier_main", "_rendezvous",
         }),
         "core/spmvm.py": frozenset({
-            "sweep_ring", "sweep_buffers", "fill_send_buffers", "send_buffers",
-            "complete_halo_receives", "halo_view",
+            "sweep_ring", "sweep_buffers", "post_halo_receives",
+            "fill_send_buffers", "send_buffers", "complete_halo_receives",
+            "halo_view",
+        }),
+        "comm/exec.py": frozenset({
+            "post_receives", "pack", "send", "finish", "wait",
         }),
     }
 
@@ -314,15 +320,15 @@ class CommVocabRule(AstRule):
 
     The dynamic twin of the sweep-program lint's vocabulary invariant,
     applied to the *implementation*: the interpreter's compute handlers
-    (and the engine's compute-side helpers) must not touch the
-    communicator or call send/recv-family methods — communication is
-    funneled through the comm ops, which task mode may move onto the
-    dedicated thread (``MPI_THREAD_FUNNELED``).
+    (and the compute-side helpers of the engine and its exchange) must
+    not touch the communicator or call send/recv-family methods —
+    communication is funneled through the comm ops, which task mode may
+    move onto the dedicated thread (``MPI_THREAD_FUNNELED``).
     """
 
     name = "comm-thread-vocabulary"
     description = "no mpilite calls from compute-side op handlers"
-    suffixes = ("program/exec.py", "core/spmvm.py")
+    suffixes = ("program/exec.py", "core/spmvm.py", "comm/exec.py")
 
     MPI_CALLS = frozenset({
         "send", "recv", "irecv", "sendrecv", "Send", "Recv", "Isend", "Irecv",
@@ -336,6 +342,7 @@ class CommVocabRule(AstRule):
         "core/spmvm.py": frozenset({
             "sweep_ring", "sweep_buffers", "fill_send_buffers", "halo_view",
         }),
+        "comm/exec.py": frozenset({"pack"}),
     }
 
     def _compute_names(self, path: str) -> frozenset[str]:

@@ -8,7 +8,7 @@ findings — that is the whole point), and returns results together with
 the :class:`~repro.check.findings.CheckReport`.
 
 :func:`check_spmvm` is the full sweep the CLI and CI gate on: every
-spMVM scheme under every comm-plan lowering on one matrix, each run
+spMVM scheme under every comm plan on one matrix, each run
 verified numerically against the serial kernel and dynamically analyzed,
 plus a static lint of both plans.  A healthy tree reports zero findings.
 """
@@ -106,7 +106,7 @@ def check_spmvm(
     trace: "TraceRecorder | None" = None,
     seed: int = 7,
 ) -> CheckReport:
-    """Analyze every scheme under every comm-plan lowering, plus plan lint.
+    """Analyze every scheme under every comm plan, plus plan lint.
 
     Builds the *matrix*/*scale* preset when *A* is not given.  Each
     dynamic run also cross-checks the distributed result against the
@@ -128,7 +128,7 @@ def check_spmvm(
 
     report = CheckReport(context=f"nranks={nranks} ranks_per_node={ranks_per_node}")
 
-    # static prong: lint both lowerings against the halo plan
+    # static prong: lint both plans against the halo plan
     halo = cached_halo_plan(A, nranks, with_matrices=True)
     from repro.comm.plan import cached_comm_plan
 
@@ -137,7 +137,7 @@ def check_spmvm(
         plan = cached_comm_plan(halo, rank_node, kind=kind)
         report.extend(lint_comm_plan(plan, halo))
 
-    # dynamic prong: every scheme under every lowering
+    # dynamic prong: every scheme under every plan
     for kind in plans:
         for scheme in schemes:
             rec = CommRecorder(nranks, trace=trace)

@@ -397,12 +397,12 @@ def check_threads(
     service_requests: int = 12,
     seed: int = 7,
 ) -> CheckReport:
-    """Run every scheme/lowering and a concurrent service under the sanitizer.
+    """Run every scheme/plan and a concurrent service under the sanitizer.
 
     The thread-level twin of :func:`repro.check.driver.check_spmvm`:
-    spmv and spmm sweeps for every scheme under both comm-plan
-    lowerings, each with a fresh :class:`ThreadSanitizer` attached to
-    every rank engine, plus one concurrent
+    spmv and spmm sweeps for every scheme under both comm plans, each
+    with a fresh :class:`ThreadSanitizer` attached to every rank
+    engine, plus one concurrent
     :class:`~repro.serve.SolverService` session (multi-threaded
     submitters racing ``close``) with the sanitizer on the service lock
     and dispatcher/worker state.  A healthy tree reports zero findings;

@@ -46,7 +46,7 @@ def _cmd_list(_args: argparse.Namespace) -> int:
         ("kappa", "Sect. 2 κ determination + Eq. 2 split penalty"),
         ("kappa-predict", "predict κ from structure via the LRU cache model"),
         ("commvol", "internode communication volume vs node count"),
-        ("comm-plan", "direct vs node-aware halo-exchange lowering (repro.comm)"),
+        ("comm-plan", "direct vs node-aware halo-exchange plan (repro.comm)"),
         ("comm-plans", "plan accounting + simulated node-aware scaling sweep"),
         ("balance", "load-balancing study (compute vs communication)"),
         ("check", "communication correctness analyzer (repro.check)"),
@@ -185,7 +185,7 @@ def _cmd_commvol(args: argparse.Namespace) -> int:
 
 
 def _cmd_comm_plan(args: argparse.Namespace) -> int:
-    """Compare the direct and node-aware lowering of one halo exchange."""
+    """Compare the direct and node-aware plan of one halo exchange."""
     from repro.comm import build_comm_plan, compare_plans
     from repro.core.halo import build_halo_plan
     from repro.core.runner import simulate_spmvm
@@ -270,7 +270,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     """Run the communication correctness analyzer (dynamic + static).
 
-    Default: every spMVM scheme under both comm-plan lowerings on one
+    Default: every spMVM scheme under both comm plans on one
     matrix, each run under the dynamic analyzer (deadlock/race/buffer
     hazard/leak detection) and cross-checked against the serial kernel,
     plus a static lint of both plans.  Exit 1 on any finding.
@@ -281,13 +281,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
     what it claims to.
 
     ``--programs`` statically lints every sweep program the builders can
-    emit (scheme x lowering x 1-3 chained sweeps, pipelined and
-    sequential, x block width; :mod:`repro.program`) — the
+    emit (scheme x 1-3 chained sweeps, pipelined and sequential, x
+    block width: 30 programs; :mod:`repro.program`) — the
     one place the Fig. 4 phase orderings live now that both backends
     dispatch through the IR.
 
     ``--threads`` runs the thread-level race sanitizer instead
-    (:func:`repro.check.check_threads`): every scheme/lowering sweep
+    (:func:`repro.check.check_threads`): every scheme/plan sweep
     plus a concurrent solver-service session, each under per-thread
     vector clocks, reporting causally concurrent conflicting buffer
     accesses.  Exit 1 on any finding.
@@ -352,7 +352,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             findings.extend(lint_comm_plan(build_comm_plan(halo, rank_node, kind), halo))
         title = f"plan lint ({args.matrix}/{args.scale}, nranks={args.nranks})"
         if not findings:
-            print(f"{title}: clean (both lowerings)")
+            print(f"{title}: clean (both plans)")
             return 0
         print(f"{title}: {len(findings)} finding(s)")
         for f in findings:
@@ -644,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--scheme", default="no_overlap",
                     choices=("no_overlap", "naive_overlap", "task_mode"))
     pc.add_argument("--simulate", action="store_true",
-                    help="also simulate both lowerings and print GFlop/s")
+                    help="also simulate both plans and print GFlop/s")
     pcs = add("comm-plans", _cmd_comm_plans)
     pcs.add_argument("--scale", default="small")
     pcs.add_argument("--sweep-nodes", type=_parse_nodes, default=(1, 2, 4, 8),
@@ -661,7 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="static plan lint only (no instrumented runs)")
     pk.add_argument("--programs", action="store_true",
                     help="lint every sweep program (repro.program builders: scheme x "
-                         "lowering x N in 1..3 x pipelining x width) and exit")
+                         "N in 1..3 x pipelining x width) and exit")
     pk.add_argument("--threads", action="store_true",
                     help="run the thread-level race sanitizer (repro.check.threads)")
     pk.add_argument("--seed-bug", metavar="NAME", default=None,

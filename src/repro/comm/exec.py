@@ -1,31 +1,41 @@
-"""Executing a node-aware plan on real data (the mpilite path).
+"""Executing a halo exchange on real data (the mpilite path).
 
-:class:`RankExchange` compiles one rank's duties out of a node-aware
-:class:`~repro.comm.plan.CommPlan` into flat numpy index arrays, so the
-per-sweep work is pure gather/scatter/copy:
+:class:`RankExchange` compiles one rank's duties into flat numpy index
+arrays, so the per-sweep work is pure gather/copy into buffers that were
+allocated once (:meth:`RankExchange.allocate`, one set per slot of the
+engine's buffer ring):
 
-* **initial sends** — intra-node direct segments and this rank's gather
-  contributions, packed straight from the owned vector slice;
+* **packs** — everything this rank owns and somebody needs: one send
+  buffer per initial message (intra-node direct segments, gather
+  contributions, aggregates the leader owns outright) plus a leader's
+  own share of each forward aggregate it assembles;
 * **forward duties** (source-node leader) — wait for the co-located
-  gathers, assemble the deduplicated aggregate, send it to the
+  gathers, complete the deduplicated aggregate, send it to the
   destination leader;
 * **scatter duties** (destination-node leader) — wait for the forward,
   fan the per-rank subsets out, keep its own share;
-* **final receives** — direct and scatter segments landing in the halo
-  buffer at explicit positions.
+* **landings** — direct and scatter segments landing in the halo buffer
+  at explicit positions.
+
+The direct exchange is the case with no relay duties: compiled from the
+:class:`~repro.core.halo.RankHalo` lists alone (``plan=None`` and a
+``direct`` plan are the same tables), every peer is an initial send and
+every source a contiguous landing.  A ``node-aware`` plan adds the
+gather → forward → scatter relays; nothing else differs.
 
 All sends are buffered (mpilite's router copies on ``put``), so the
-dependency chain gather → forward → scatter cannot deadlock regardless
-of the order ranks reach :meth:`finish`.  Every index array works on
-1-D vectors and ``(n, k)`` blocks alike (axis-0 indexing), and since
-the exchange only ever *copies* float64 payloads, results are
-bit-identical to the direct path by construction.
+buffers are reusable at once and the relay chain cannot deadlock
+regardless of the order ranks reach :meth:`RankExchange.finish`.  Every
+index array works on 1-D vectors and ``(n, k)`` blocks alike (axis-0
+indexing), and since the exchange only ever *copies* float64 payloads,
+results are bit-identical across plans by construction.  Every received
+message is checked against the shape its plan entry promises before it
+is copied anywhere.
 
-In sweep-IR terms (:mod:`repro.program`) this class is the ``plan``
-lowering of the communication ops: ``POST_RECVS`` maps to
-:meth:`post_receives`, ``POST_SENDS`` to :meth:`initial_sends` (packing
-fused in, so the program's ``PACK`` is a no-op under this lowering) and
-``WAITALL`` to :meth:`finish` — see ``repro.program.exec``.
+In sweep-IR terms (:mod:`repro.program`) ``POST_RECVS`` is
+:meth:`~RankExchange.post_receives`, ``PACK`` :meth:`~RankExchange.pack`,
+``POST_SENDS`` :meth:`~RankExchange.send` and ``WAITALL``
+:meth:`~RankExchange.finish`.
 """
 
 from __future__ import annotations
@@ -43,148 +53,191 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["PLAN_TAG_BASE", "RankExchange"]
 
-#: mpilite tag of channel 0; each plan channel gets its own tag, so the
+#: mpilite tag of channel 0; each plan channel gets its own tag (a direct
+#: exchange has one message per rank pair and rides channel 0), so the
 #: per-(src, dst, tag) FIFO keeps successive sweeps ordered.
 PLAN_TAG_BASE = 64
 
 
 @dataclass(frozen=True)
-class _ForwardDuty:
-    out_channel: int
-    dst: int
-    size: int
-    own_pos: np.ndarray | None  # positions of the leader's own share
-    own_local: np.ndarray | None  # matching local indices into the owned slice
-    parts: tuple[tuple[int, np.ndarray], ...]  # (gather channel, positions)
+class _Inbound:
+    """One expected message: its request's position, sender and row count."""
+
+    req: int
+    src: int
+    rows: int
+
+    def wait(self, reqs: "list[Request]", cols: tuple[int, ...]) -> np.ndarray:
+        data = reqs[self.req].wait()
+        expected = (self.rows, *cols)
+        if data.shape != expected:
+            raise ValueError(
+                f"halo segment from {self.src} has shape {data.shape}, "
+                f"expected {expected}"
+            )
+        return data
 
 
-@dataclass(frozen=True)
-class _ScatterDuty:
-    in_channel: int
-    sends: tuple[tuple[int, int, np.ndarray], ...]  # (dst rank, channel, positions)
-    own: tuple[np.ndarray, np.ndarray] | None  # (positions, halo indices)
+#: One message this rank sends: (buffer key, destination rank, tag).
+_Outbound = tuple[int, int, int]
+
+
+def _run(pos: np.ndarray) -> slice:
+    """*pos* as a slice: ranks own contiguous column ranges, so one rank's
+    share of a sorted aggregate is a single run."""
+    lo, hi = int(pos[0]), int(pos[-1]) + 1
+    if hi - lo != pos.size:
+        raise ValueError("a rank's share of a node aggregate is not contiguous")
+    return slice(lo, hi)
 
 
 class RankExchange:
-    """One rank's compiled node-aware exchange (see module docstring)."""
+    """One rank's compiled halo exchange (see module docstring).
 
-    def __init__(self, plan: CommPlan, halo: "RankHalo") -> None:
-        if plan.kind != "node-aware":
-            raise ValueError(f"RankExchange needs a node-aware plan, got {plan.kind!r}")
+    *plan* is ``None`` or a ``direct`` plan (no relay duties) or a
+    ``node-aware`` plan.  Send buffers are keyed by destination rank
+    under the former, by plan channel under the latter.
+    """
+
+    def __init__(self, plan: CommPlan | None, halo: "RankHalo") -> None:
+        self._recv_posts: list[tuple[int, int]] = []  # (source rank, tag)
+        self._buffers: list[tuple[int, int]] = []  # (key, rows)
+        # (key, local indices): a whole buffer gathered from the owned slice
+        self._packs: list[tuple[int, np.ndarray]] = []
+        # (key, aggregate rows, local indices): a leader's share of an aggregate
+        self._own_shares: list[tuple[int, slice, np.ndarray]] = []
+        self._sends: list[_Outbound] = []
+        # (aggregate, ((gather, aggregate rows), ...)): complete it, forward it
+        self._forwards: list[tuple[_Outbound, tuple]] = []
+        # (aggregate, ((message, aggregate rows), ...), own (aggregate rows,
+        # halo indices) or None): fan the forwarded aggregate out
+        self._scatters: list[tuple[_Inbound, tuple, tuple | None]] = []
+        self._landings: list[tuple[_Inbound, slice | np.ndarray]] = []
+        if plan is None or plan.kind == "direct":
+            self._compile_direct(halo)
+        else:
+            self._compile_node_aware(plan, halo)
+
+    def _initial_send(self, out: _Outbound, idx: np.ndarray) -> None:
+        key = out[0]
+        self._buffers.append((key, int(idx.size)))
+        self._packs.append((key, idx))
+        self._sends.append(out)
+
+    def _compile_direct(self, halo: "RankHalo") -> None:
+        # halo_columns is globally sorted and each source owns a
+        # contiguous ascending range, so segments land in rank order
+        pos = 0
+        for src, count in halo.recv_from:
+            inbound = _Inbound(len(self._recv_posts), src, count)
+            self._recv_posts.append((src, PLAN_TAG_BASE))
+            self._landings.append((inbound, slice(pos, pos + count)))
+            pos += count
+        for dst, idx in halo.send_indices.items():
+            self._initial_send((dst, dst, PLAN_TAG_BASE), idx)
+
+    def _compile_node_aware(self, plan: CommPlan, halo: "RankHalo") -> None:
         rank = halo.rank
         my_node = plan.rank_node[rank]
         row_lo = halo.row_lo
         direct_channel = {
             (m.src, m.dst): m.channel for m in plan.messages if m.phase == "direct"
         }
+        inbound: dict[int, _Inbound] = {}
+        for ch in plan.scripts[rank].recv_channels:
+            m = plan.messages[ch]
+            inbound[ch] = _Inbound(len(self._recv_posts), m.src, m.n_elements)
+            self._recv_posts.append((m.src, PLAN_TAG_BASE + ch))
 
-        # inbound posts: (channel, source rank), in plan order
-        self._recv_posts = [
-            (ch, plan.messages[ch].src) for ch in plan.scripts[rank].recv_channels
-        ]
+        def outbound(ch: int) -> _Outbound:
+            return ch, plan.messages[ch].dst, PLAN_TAG_BASE + ch
 
-        initial: list[tuple[int, int, np.ndarray]] = []  # (dst, channel, local idx)
         for dst, _count in halo.send_to:
             if plan.rank_node[dst] == my_node:
-                initial.append((dst, direct_channel[(rank, dst)], halo.send_indices[dst]))
-
-        finals: list[tuple[int, np.ndarray]] = []  # (channel, halo indices)
+                self._initial_send(
+                    outbound(direct_channel[(rank, dst)]), halo.send_indices[dst]
+                )
         pos = 0
         for src, count in halo.recv_from:
             if plan.rank_node[src] == my_node:
-                finals.append(
-                    (direct_channel[(src, rank)], np.arange(pos, pos + count))
+                self._landings.append(
+                    (inbound[direct_channel[(src, rank)]], slice(pos, pos + count))
                 )
             pos += count
 
-        forwards: list[_ForwardDuty] = []
-        scatters: list[_ScatterDuty] = []
         for (src_node, dst_node), edge in plan.edges.items():
             if src_node == my_node:
+                leads = rank == plan.leaders[src_node]
                 own_pos = edge.contributors.get(rank)
                 own_local = edge.columns[own_pos] - row_lo if own_pos is not None else None
-                if rank == plan.leaders[src_node]:
-                    if edge.gather_channels:
-                        forwards.append(
-                            _ForwardDuty(
-                                out_channel=edge.forward_channel,
-                                dst=plan.leaders[dst_node],
-                                size=int(edge.columns.size),
-                                own_pos=own_pos,
-                                own_local=own_local,
-                                parts=tuple(
-                                    (ch, edge.contributors[p])
-                                    for p, ch in sorted(edge.gather_channels.items())
-                                ),
-                            )
-                        )
-                    else:
-                        # leader owns the whole aggregate: plain initial send
-                        initial.append(
-                            (
-                                plan.leaders[dst_node],
-                                edge.forward_channel,
-                                edge.columns - row_lo,
-                            )
-                        )
+                if leads and edge.gather_channels:
+                    fwd = edge.forward_channel
+                    self._buffers.append((fwd, int(edge.columns.size)))
+                    if own_pos is not None:
+                        self._own_shares.append((fwd, _run(own_pos), own_local))
+                    self._forwards.append((outbound(fwd), tuple(
+                        (inbound[ch], _run(edge.contributors[p]))
+                        for p, ch in sorted(edge.gather_channels.items())
+                    )))
                 elif own_pos is not None:
-                    initial.append(
-                        (plan.leaders[src_node], edge.gather_channels[rank], own_local)
-                    )
+                    # a gather contribution, or an aggregate its leader owns outright
+                    ch = edge.forward_channel if leads else edge.gather_channels[rank]
+                    self._initial_send(outbound(ch), own_local)
             if dst_node == my_node:
                 entry = edge.consumers.get(rank)
                 if rank == plan.leaders[dst_node]:
-                    scatters.append(
-                        _ScatterDuty(
-                            in_channel=edge.forward_channel,
-                            sends=tuple(
-                                (q, ch, edge.consumers[q][0])
-                                for q, ch in sorted(edge.scatter_channels.items())
-                            ),
-                            own=entry,
-                        )
+                    sends = []
+                    for q, ch in sorted(edge.scatter_channels.items()):
+                        agg_rows = edge.consumers[q][0]
+                        self._buffers.append((ch, int(agg_rows.size)))
+                        sends.append((outbound(ch), agg_rows))
+                    self._scatters.append(
+                        (inbound[edge.forward_channel], tuple(sends), entry)
                     )
                 elif entry is not None:
-                    finals.append((edge.scatter_channels[rank], entry[1]))
-
-        self._initial_sends = initial
-        self._final_recvs = finals
-        self._forward_duties = forwards
-        self._scatter_duties = scatters
+                    self._landings.append((inbound[edge.scatter_channels[rank]], entry[1]))
 
     # ------------------------------------------------------------------
-    def post_receives(self, comm: "Comm") -> dict[int, "Request"]:
-        """Post every inbound message; returns requests keyed by channel."""
-        return {
-            ch: comm.irecv(src, PLAN_TAG_BASE + ch) for ch, src in self._recv_posts
-        }
+    def allocate(self, cols: tuple[int, ...]) -> dict[int, np.ndarray]:
+        """One buffer per message this rank sends, ``cols`` wide (``()`` is
+        the 1-D case) — a ring slot's send buffers."""
+        return {key: np.empty((rows, *cols)) for key, rows in self._buffers}
 
-    def initial_sends(self, comm: "Comm", x: np.ndarray) -> None:
-        """Pack and send everything payload-ready at sweep start."""
-        for dst, ch, idx in self._initial_sends:
-            comm.Send(x[idx], dst, PLAN_TAG_BASE + ch)
+    def post_receives(self, comm: "Comm") -> "list[Request]":
+        """Post every inbound message; a request is known by its position."""
+        return [comm.irecv(src, tag) for src, tag in self._recv_posts]
+
+    def pack(self, x: np.ndarray, bufs: dict[int, np.ndarray]) -> None:
+        """Gather everything this rank owns into *bufs*."""
+        for key, idx in self._packs:
+            np.take(x, idx, axis=0, out=bufs[key])
+        for key, run, idx in self._own_shares:
+            np.take(x, idx, axis=0, out=bufs[key][run])
+
+    def send(self, comm: "Comm", bufs: dict[int, np.ndarray]) -> None:
+        """Send every buffer that was complete once packed."""
+        for key, dst, tag in self._sends:
+            comm.Send(bufs[key], dst, tag)
 
     def finish(
         self,
         comm: "Comm",
-        x: np.ndarray,
-        reqs: dict[int, "Request"],
+        reqs: "list[Request]",
+        bufs: dict[int, np.ndarray],
         halo_out: np.ndarray,
     ) -> None:
         """Complete relays and land every halo segment in *halo_out*."""
-        for fd in self._forward_duties:
-            agg = np.empty((fd.size,) + x.shape[1:])
-            if fd.own_pos is not None:
-                agg[fd.own_pos] = x[fd.own_local]
-            for ch, pos in fd.parts:
-                agg[pos] = reqs.pop(ch).wait()
-            comm.Send(agg, fd.dst, PLAN_TAG_BASE + fd.out_channel)
-        for sd in self._scatter_duties:
-            agg = reqs.pop(sd.in_channel).wait()
-            for q, ch, pos in sd.sends:
-                comm.Send(agg[pos], q, PLAN_TAG_BASE + ch)
-            if sd.own is not None:
-                pos, halo_idx = sd.own
-                halo_out[halo_idx] = agg[pos]
-        for ch, halo_idx in self._final_recvs:
-            halo_out[halo_idx] = reqs.pop(ch).wait()
+        cols = halo_out.shape[1:]
+        for (key, dst, tag), parts in self._forwards:
+            for inbound, run in parts:
+                bufs[key][run] = inbound.wait(reqs, cols)
+            comm.Send(bufs[key], dst, tag)
+        for inbound, sends, own in self._scatters:
+            agg = inbound.wait(reqs, cols)
+            for (key, dst, tag), agg_rows in sends:
+                comm.Send(np.take(agg, agg_rows, axis=0, out=bufs[key]), dst, tag)
+            if own is not None:
+                agg_rows, halo_idx = own
+                halo_out[halo_idx] = agg[agg_rows]
+        for inbound, where in self._landings:
+            halo_out[where] = inbound.wait(reqs, cols)

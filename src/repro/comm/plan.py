@@ -3,7 +3,7 @@
 A :class:`~repro.core.halo.HaloPlan` says *what* every rank needs; a
 :class:`CommPlan` says *which messages carry it*.  Two strategies:
 
-* **direct** — the classic lowering, one point-to-point message per
+* **direct** — the paper's exchange, one point-to-point message per
   communicating rank pair.  With several ranks per node this injects
   duplicate RHS elements into the network whenever two ranks on the same
   destination node need the same element.

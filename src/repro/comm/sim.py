@@ -2,8 +2,8 @@
 
 One :class:`SimExchange` per rank drives the plan's messages through the
 simulated MPI: sweep-start sends and receives are posted where the sweep
-program's ``POST_SENDS``/``POST_RECVS`` ops execute (the ``plan``
-lowering in ``repro.program.sim``), and every
+program's ``POST_SENDS``/``POST_RECVS`` ops execute
+(``repro.program.sim``), and every
 :class:`~repro.comm.plan.Relay` (a leader waiting for intra-node gathers
 before forwarding, or for a forward before scattering) becomes a spawned
 simulator subprocess.  Relay sends inherit the full MPI progress

@@ -58,13 +58,12 @@ class RankContext:
     placement: RankPlacement
     halo: RankHalo
     costs: PhaseCosts
+    #: replay driver of the rank's comm plan (repro.comm), direct or node-aware
+    comm: SimExchange
     trace: TraceRecorder | None = None
     barrier_seconds: float = OMP_BARRIER_SECONDS
     #: right-hand sides per sweep; halo messages carry k columns each
     block_k: int = 1
-    #: plan replay driver (repro.comm); None falls back to the classic
-    #: one-message-per-peer exchange straight off the halo lists
-    comm: SimExchange | None = None
     finish_times: list[float] = field(default_factory=list)
 
     @property
@@ -138,11 +137,7 @@ def rank_process(
     cross-backend comparison).
     """
     check_in(scheme, SIM_SCHEMES, "scheme")
-    program = build_sweep(
-        scheme, n_sweeps,
-        pipeline=pipeline, block_k=ctx.block_k,
-        comm_plan="plan" if ctx.comm is not None else "classic",
-    )
+    program = build_sweep(scheme, n_sweeps, pipeline=pipeline, block_k=ctx.block_k)
     for it in range(iterations):
         yield from sweep_process(ctx, program, it * n_sweeps, op_log=op_log)
         ctx.finish_times.append(ctx.sim.now)

@@ -20,15 +20,16 @@ the real-execution interpreter (:func:`repro.program.execute_sweep`),
 which runs the scheme's program op by op.  spmv and batched multi-RHS
 spmm are the k = 1 / k > 1 cases of that one interpreter, a single
 multiply and the N-sweep matrix-powers chain its ``n_sweeps`` = 1 / N
-cases, and the classic and node-aware exchanges are two lowerings of
-its communication ops.  The numerical result is identical in every
-scheme and lowering: the local part is accumulated before the remote
-part, row by row.
+cases, and the direct and node-aware exchanges are two plans replayed
+by its one compiled :class:`~repro.comm.exec.RankExchange`.  The
+numerical result is identical in every scheme and plan: the local part
+is accumulated before the remote part, row by row.
 
-The hot paths are allocation-free: halo and per-peer send buffers are
-allocated once per batch width and refilled with ``np.take(...,
-out=...)`` — the router copies payloads on send, so the buffers are
-immediately reusable, exactly the ``MPI_Send`` guarantee.
+The hot paths call no allocator: halo and send buffers (relay
+aggregates included) are allocated once per batch width and refilled
+with ``np.take(..., out=...)`` — the router copies payloads on send, so
+the buffers are immediately reusable, exactly the ``MPI_Send``
+guarantee.
 
 Note on Python: the GIL serialises the task-mode comm thread against
 numpy compute, so no wall-clock overlap materialises here — exactly the
@@ -66,8 +67,6 @@ __all__ = [
 
 SCHEMES = ("no_overlap", "naive_overlap", "task_mode")
 
-_HALO_TAG = 7
-
 
 class DistributedSpMVM:
     """Per-rank distributed spMVM engine.
@@ -80,20 +79,20 @@ class DistributedSpMVM:
         This rank's piece of the communication plan (must carry the
         local/remote sub-matrices, i.e. built ``with_matrices=True``).
     comm_plan:
-        Optional :class:`~repro.comm.plan.CommPlan` lowering of the halo
-        exchange.  ``None`` or a ``"direct"`` plan use the classic
-        one-message-per-peer path; a ``"node-aware"`` plan routes
-        inter-node traffic through per-node leader ranks (gather →
-        forward → scatter, :mod:`repro.comm`).  Results are
-        bit-identical either way — the exchange only copies float64
-        payloads, never reorders arithmetic.
+        Optional :class:`~repro.comm.plan.CommPlan` of the halo
+        exchange.  ``None`` or a ``"direct"`` plan send one message per
+        peer; a ``"node-aware"`` plan routes inter-node traffic through
+        per-node leader ranks (gather → forward → scatter,
+        :mod:`repro.comm`).  Results are bit-identical either way — the
+        exchange only copies float64 payloads, never reorders
+        arithmetic.
     kernel:
         Registered kernel name (``"csr"``, ``"sell/matmul"``, ...) or a
         :class:`~repro.sparse.registry.KernelSpec`.  The local and
         remote sub-matrices are converted to the kernel's format once at
         construction (memoised per matrix); every sweep's compute ops
         then dispatch through the spec.  The default CSR reference keeps
-        results bit-identical across schemes and lowerings; non-exact
+        results bit-identical across schemes and plans; non-exact
         kernels (``exact=False``) are tolerance-equivalent.
     sanitizer:
         Optional :class:`~repro.check.threads.ThreadSanitizer`.  When
@@ -122,19 +121,15 @@ class DistributedSpMVM:
         self.kernel = get_kernel(kernel)
         self.A_local_op = build_operator(self.kernel, halo.A_local)
         self.A_remote_op = build_operator(self.kernel, halo.A_remote)
-        #: compiled node-aware exchange, or None for the classic lowering
-        self.exchange = (
-            RankExchange(comm_plan, halo)
-            if comm_plan is not None and comm_plan.kind == "node-aware"
-            else None
-        )
+        #: this rank's compiled exchange (no relay duties under a direct plan)
+        self.exchange = RankExchange(comm_plan, halo)
         self.sanitizer = sanitizer
-        self._halo_offsets = self._build_offsets()
-        # per-width rings of (halo landing buffer, per-peer send buffers)
-        # slots, grown lazily and refilled in place every MVM (the router
+        # per-width rings of (halo landing buffer, send buffers) slots,
+        # grown lazily and refilled in place every MVM (the router
         # copies on send, so reuse across iterations is safe); sweep s of
-        # a program lands in slot s % halo_depth.  Width 0 is the 1-D case.
-        self._rings: dict[int, list[tuple[np.ndarray, dict[int, np.ndarray]]]] = {}
+        # a program lands in slot s % halo_depth.  Keyed by the trailing
+        # shape: () for a vector, (k,) for a block.
+        self._rings: dict[tuple, list[tuple[np.ndarray, dict[int, np.ndarray]]]] = {}
         # degenerate halo views (n_halo == 0): A_remote was built with one
         # zero column, so the remote kernel needs a length-1 zero RHS —
         # cached here so halo_view stays allocation-free per sweep
@@ -142,36 +137,16 @@ class DistributedSpMVM:
         self._zero_halo_blocks: dict[int, np.ndarray] = {}
         self.iterations = 0
 
-    def _build_offsets(self) -> dict[int, tuple[int, int]]:
-        """Halo-buffer slice of each source rank.
-
-        ``halo_columns`` is globally sorted and each source owns a
-        contiguous ascending global range, so source segments are
-        contiguous slices in ascending rank order.
-        """
-        offsets: dict[int, tuple[int, int]] = {}
-        pos = 0
-        for src, count in self.halo.recv_from:
-            offsets[src] = (pos, pos + count)
-            pos += count
-        return offsets
-
     def program(
         self, scheme: str, n_sweeps: int = 1, *, pipeline: bool = True
     ) -> SweepProgram:
         """The compiled *n_sweeps*-sweep program this engine runs for *scheme*.
 
-        Compiled once per ``(scheme, n_sweeps, pipeline, lowering)``
-        process-wide (:func:`repro.program.cached_sweep_program`) —
-        every engine of a persistent worker pool shares the same
-        program instances.
+        Compiled once per ``(scheme, n_sweeps, pipeline)`` process-wide
+        (:func:`repro.program.cached_sweep_program`) — every engine of
+        a persistent worker pool shares the same program instances.
         """
-        return cached_sweep_program(
-            scheme,
-            n_sweeps,
-            pipeline=pipeline,
-            comm_plan="plan" if self.exchange is not None else "classic",
-        )
+        return cached_sweep_program(scheme, n_sweeps, pipeline=pipeline)
 
     # ------------------------------------------------------------------
     def _sweep(
@@ -264,67 +239,54 @@ class DistributedSpMVM:
     ) -> list[tuple[np.ndarray, dict[int, np.ndarray]]]:
         """The buffer ring for input *x*, at least *depth* slots long.
 
-        Slot ``s % depth`` is sweep ``s``'s (halo landing buffer,
-        per-peer send buffers) — allocated once per width and reused
-        across sweeps and programs.
+        Slot ``s % depth`` is sweep ``s``'s (halo landing buffer, send
+        buffers) — allocated once per width and reused across sweeps
+        and programs.
         """
-        k = x.shape[1] if x.ndim == 2 else 0
-        ring = self._rings.get(k)
+        ring = self._rings.get(x.shape[1:])
         if ring is None or len(ring) < depth:
-            ring = self._grow_ring(k, depth)
+            ring = self._grow_ring(x.shape[1:], depth)
         return ring
 
     def _grow_ring(
-        self, k: int, depth: int
+        self, cols: tuple, depth: int
     ) -> list[tuple[np.ndarray, dict[int, np.ndarray]]]:
-        ring = self._rings.setdefault(k, [])
-        cols = (k,) if k else ()
+        ring = self._rings.setdefault(cols, [])
         while len(ring) < depth:
-            ring.append((
-                np.empty((self.halo.n_halo, *cols)),
-                {
-                    dst: np.empty((idx.size, *cols))
-                    for dst, idx in self.halo.send_indices.items()
-                },
-            ))
+            ring.append(
+                (np.empty((self.halo.n_halo, *cols)), self.exchange.allocate(cols))
+            )
         return ring
 
     def sweep_buffers(self, x: np.ndarray) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-        """(halo landing buffer, per-peer send buffers) a single sweep of
-        *x* lands in: slot 0 of the ring."""
+        """(halo landing buffer, send buffers) a single sweep of *x* lands
+        in: slot 0 of the ring."""
         return self.sweep_ring(x, 1)[0]
 
-    def post_halo_receives(self) -> list[tuple[int, object]]:
-        """Classic lowering of POST_RECVS: one irecv per source rank."""
-        return [
-            (src, self.comm.irecv(src, _HALO_TAG)) for src, _count in self.halo.recv_from
-        ]
+    def post_halo_receives(self) -> list:
+        """POST_RECVS: post every inbound message of the exchange."""
+        return self.exchange.post_receives(self.comm)
 
     def fill_send_buffers(
         self, x: np.ndarray, send_bufs: dict[int, np.ndarray]
     ) -> None:
-        """Classic lowering of PACK: gather owned elements per peer."""
-        for dst, idx in self.halo.send_indices.items():
-            np.take(x, idx, axis=0, out=send_bufs[dst])
+        """PACK: gather everything this rank owns into *send_bufs*."""
+        self.exchange.pack(x, send_bufs)
 
     def send_buffers(self, send_bufs: dict[int, np.ndarray]) -> None:
-        """Classic lowering of POST_SENDS: one buffered send per peer."""
-        for dst, buf in send_bufs.items():
-            self.comm.Send(buf, dst, _HALO_TAG)
+        """POST_SENDS: send every buffer that was complete once packed."""
+        self.exchange.send(self.comm, send_bufs)
 
-    def complete_halo_receives(
-        self, recvs: list[tuple[int, object]], halo_out: np.ndarray
-    ) -> None:
-        """Classic lowering of WAITALL: land every segment in *halo_out*."""
-        for src, req in recvs:
-            data = req.wait()
-            lo, hi = self._halo_offsets[src]
-            expected = halo_out[lo:hi].shape
-            if data.shape != expected:
-                raise ValueError(
-                    f"halo segment from {src} has shape {data.shape}, expected {expected}"
-                )
-            halo_out[lo:hi] = data
+    def complete_halo_receives(self, recvs: list, halo_out: np.ndarray) -> None:
+        """WAITALL: run the relay duties, land every segment in *halo_out*.
+
+        *halo_out* is a ring slot's landing buffer; a leader's relay
+        aggregates are that slot's send buffers.
+        """
+        for landing, send_bufs in self._rings.get(halo_out.shape[1:], ()):
+            if landing is halo_out:
+                return self.exchange.finish(self.comm, recvs, send_bufs, halo_out)
+        raise ValueError("halo_out is not a landing buffer of this engine's ring")
 
     def halo_view(self, halo_out: np.ndarray) -> np.ndarray:
         """The remote kernel's RHS (A_remote was built with ncols = max(1, n_halo))."""
@@ -356,9 +318,10 @@ def gather_vector(pieces: list[np.ndarray]) -> np.ndarray:
 def lower_comm_plan(plan, nranks: int, comm_plan: str, ranks_per_node: int = 1):
     """Resolve the drivers' ``comm_plan``/``ranks_per_node`` arguments.
 
-    Returns ``None`` for the classic direct path (no plan object needed)
-    or a cached node-aware :class:`~repro.comm.plan.CommPlan` for the
-    rank-major placement ``node(r) = r // ranks_per_node``.
+    Returns ``None`` for the direct exchange (the engine compiles it
+    from the halo lists, no plan object needed) or a cached node-aware
+    :class:`~repro.comm.plan.CommPlan` for the rank-major placement
+    ``node(r) = r // ranks_per_node``.
     """
     check_in(comm_plan, PLAN_KINDS, "comm_plan")
     if ranks_per_node < 1:
@@ -367,6 +330,34 @@ def lower_comm_plan(plan, nranks: int, comm_plan: str, ranks_per_node: int = 1):
         return None
     rank_node = [r // ranks_per_node for r in range(nranks)]
     return cached_comm_plan(plan, rank_node, kind="node-aware")
+
+
+def _distributed(
+    A, x, nranks, block, scheme, strategy, iterations, comm_plan,
+    ranks_per_node, kernel, recorder, sanitizer,
+) -> np.ndarray:
+    """The one-call drivers' body (*block*: *x* is a validated 2-D block)."""
+    from repro.mpilite.world import PerRank, run_spmd
+
+    check_in(scheme, SCHEMES, "scheme")
+    kspec = get_kernel(kernel)
+    plan = cached_halo_plan(A, nranks, strategy=strategy, with_matrices=True)
+    cplan = lower_comm_plan(plan, nranks, comm_plan, ranks_per_node)
+
+    def rank_fn(comm: Comm, halo: RankHalo) -> np.ndarray:
+        engine = DistributedSpMVM(
+            comm, halo, comm_plan=cplan, kernel=kspec, sanitizer=sanitizer
+        )
+        multiply = engine.multiply_block if block else engine.multiply
+        x_local = scatter_vector(x, plan.partition, comm.rank)
+        y_local = multiply(x_local, scheme)
+        for _ in range(iterations - 1):
+            comm.barrier()
+            y_local = multiply(x_local, scheme)
+        return y_local
+
+    pieces = run_spmd(nranks, rank_fn, PerRank(plan.ranks), recorder=recorder)
+    return gather_vector(pieces)
 
 
 def distributed_spmv(
@@ -392,10 +383,10 @@ def distributed_spmv(
     iteration re-multiplies the same ``x`` to exercise repeated
     communication), and reassembles the global result.
 
-    ``comm_plan`` selects the halo-exchange lowering (:mod:`repro.comm`);
+    ``comm_plan`` selects the halo-exchange plan (:mod:`repro.comm`);
     ``"node-aware"`` aggregates inter-node messages through per-node
     leaders, with nodes assigned rank-major from *ranks_per_node*.
-    Results are bit-identical across lowerings.  ``kernel`` selects the
+    Results are bit-identical across plans.  ``kernel`` selects the
     registered compute kernel per rank (see :class:`DistributedSpMVM`).
     ``recorder`` attaches a :class:`repro.check.CommRecorder` to the
     world (inter-rank dynamic analysis); ``sanitizer`` attaches a
@@ -403,26 +394,10 @@ def distributed_spmv(
     (intra-rank thread-race detection).  Use a fresh sanitizer per run:
     thread idents are unbound at join and recycled by CPython.
     """
-    from repro.mpilite.world import PerRank, run_spmd
-
-    check_in(scheme, SCHEMES, "scheme")
-    kspec = get_kernel(kernel)
-    plan = cached_halo_plan(A, nranks, strategy=strategy, with_matrices=True)
-    cplan = lower_comm_plan(plan, nranks, comm_plan, ranks_per_node)
-
-    def rank_fn(comm: Comm, halo: RankHalo) -> np.ndarray:
-        engine = DistributedSpMVM(
-            comm, halo, comm_plan=cplan, kernel=kspec, sanitizer=sanitizer
-        )
-        x_local = scatter_vector(x, plan.partition, comm.rank)
-        y_local = engine.multiply(x_local, scheme)
-        for _ in range(iterations - 1):
-            comm.barrier()
-            y_local = engine.multiply(x_local, scheme)
-        return y_local
-
-    pieces = run_spmd(nranks, rank_fn, PerRank(plan.ranks), recorder=recorder)
-    return gather_vector(pieces)
+    return _distributed(
+        A, x, nranks, False, scheme, strategy, iterations, comm_plan,
+        ranks_per_node, kernel, recorder, sanitizer,
+    )
 
 
 def distributed_spmm(
@@ -446,26 +421,10 @@ def distributed_spmm(
     :func:`distributed_spmv` for ``comm_plan``/``ranks_per_node``/
     ``kernel``/``recorder``/``sanitizer``.
     """
-    from repro.mpilite.world import PerRank, run_spmd
-
-    check_in(scheme, SCHEMES, "scheme")
-    kspec = get_kernel(kernel)
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"X must be a 2-D block, got shape {X.shape}")
-    plan = cached_halo_plan(A, nranks, strategy=strategy, with_matrices=True)
-    cplan = lower_comm_plan(plan, nranks, comm_plan, ranks_per_node)
-
-    def rank_fn(comm: Comm, halo: RankHalo) -> np.ndarray:
-        engine = DistributedSpMVM(
-            comm, halo, comm_plan=cplan, kernel=kspec, sanitizer=sanitizer
-        )
-        X_local = scatter_vector(X, plan.partition, comm.rank)
-        Y_local = engine.multiply_block(X_local, scheme)
-        for _ in range(iterations - 1):
-            comm.barrier()
-            Y_local = engine.multiply_block(X_local, scheme)
-        return Y_local
-
-    pieces = run_spmd(nranks, rank_fn, PerRank(plan.ranks), recorder=recorder)
-    return gather_vector(pieces)
+    return _distributed(
+        A, X, nranks, True, scheme, strategy, iterations, comm_plan,
+        ranks_per_node, kernel, recorder, sanitizer,
+    )

@@ -30,7 +30,6 @@ from repro.program.exec import execute_sweep
 from repro.program.ir import (
     COMM_OPS,
     COMPUTE_OPS,
-    LOWERINGS,
     OP_KINDS,
     SIM_PHASE_LABELS,
     WORK_OPS,
@@ -45,7 +44,6 @@ __all__ = [
     "COMPUTE_OPS",
     "COMM_OPS",
     "WORK_OPS",
-    "LOWERINGS",
     "SIM_PHASE_LABELS",
     "SweepOp",
     "SweepProgram",

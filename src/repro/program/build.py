@@ -156,7 +156,6 @@ def build_sweep(
     *,
     pipeline: bool = True,
     block_k: int = 1,
-    comm_plan: str = "classic",
 ) -> SweepProgram:
     """Build the N-sweep chained program of one Fig. 4 *scheme*.
 
@@ -173,10 +172,7 @@ def build_sweep(
 
     ``block_k`` is the number of right-hand sides per sweep (the op
     sequence is identical for every k; the simulator prices compute ops
-    with it).  ``comm_plan`` selects the lowering of the communication
-    ops: ``"classic"`` sends one message per peer straight off the halo
-    lists, ``"plan"`` replays a compiled :class:`~repro.comm.plan.CommPlan`
-    (direct or node-aware).
+    with it).
     """
     check_in(scheme, PROGRAM_SCHEMES, "scheme")
     check_positive_int(n_sweeps, "n_sweeps")
@@ -193,7 +189,6 @@ def build_sweep(
         n_sweeps=n_sweeps,
         pipeline=pipeline,
         block_k=block_k,
-        lowering=comm_plan,
         halo_depth=2 if pipeline else 1,
         meta={"builder": "build_sweep"},
     )
@@ -205,35 +200,30 @@ def cached_sweep_program(
     *,
     pipeline: bool = True,
     block_k: int = 1,
-    comm_plan: str = "classic",
 ) -> SweepProgram:
     """The compile-once twin of :func:`build_sweep`.
 
     Programs are immutable data, so every engine and every
     :class:`~repro.serve.BuiltModel` asking for the same
-    ``(scheme, n_sweeps, pipeline, block_k, lowering)`` shares one
-    compiled instance — the build-once/serve-many contract applied to
-    the IR itself.  The domain is tiny (schemes × lowerings × a few
-    sweep counts and block widths), so the memo is unbounded; it is
-    keyed on the canonical ``pipeline`` value, so the two spellings of
-    a single sweep share one slot.
+    ``(scheme, n_sweeps, pipeline, block_k)`` shares one compiled
+    instance — the build-once/serve-many contract applied to the IR
+    itself.  The domain is tiny (schemes × a few sweep counts and block
+    widths), so the memo is unbounded; it is keyed on the canonical
+    ``pipeline`` value, so the two spellings of a single sweep share
+    one slot.
     """
-    return _cached(scheme, n_sweeps, pipeline and n_sweeps > 1, block_k, comm_plan)
+    return _cached(scheme, n_sweeps, pipeline and n_sweeps > 1, block_k)
 
 
 @functools.lru_cache(maxsize=None)
-def _cached(
-    scheme: str, n_sweeps: int, pipeline: bool, block_k: int, comm_plan: str
-) -> SweepProgram:
-    return build_sweep(
-        scheme, n_sweeps, pipeline=pipeline, block_k=block_k, comm_plan=comm_plan
-    )
+def _cached(scheme: str, n_sweeps: int, pipeline: bool, block_k: int) -> SweepProgram:
+    return build_sweep(scheme, n_sweeps, pipeline=pipeline, block_k=block_k)
 
 
 def all_sweep_programs(
     *, block_widths: tuple[int, ...] = (1, 4)
 ) -> list[SweepProgram]:
-    """Every distinct builder output: scheme x lowering x N x mode x k.
+    """Every distinct builder output: scheme x N x mode x k.
 
     This is what ``repro check --programs`` lints — the program shapes
     either backend can ever be handed: one to three chained sweeps
@@ -242,9 +232,8 @@ def all_sweep_programs(
     contributes once).
     """
     return [
-        build_sweep(scheme, n, pipeline=pipeline, block_k=k, comm_plan=lowering)
+        build_sweep(scheme, n, pipeline=pipeline, block_k=k)
         for scheme in PROGRAM_SCHEMES
-        for lowering in ("classic", "plan")
         for n in (1, 2, 3)
         for pipeline in ((True, False) if n > 1 else (False,))
         for k in block_widths

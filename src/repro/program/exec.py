@@ -9,20 +9,18 @@ the interpreter owns the phase ordering — which it takes entirely from
 the program, never from the scheme name — plus sweep chaining, the
 halo-slot mapping and the comm thread's rendezvous protocol.
 
-One interpreter covers the whole pre-IR ``_multiply_*`` family:
+One interpreter covers every case:
 
 * spmv and spmm are the ``x.ndim == 1`` / ``x.ndim == 2`` cases of the
   same op handlers (every buffer fill and kernel call is axis-0 based),
-* the classic and plan exchanges are two lowerings of the communication
-  ops (``PACK`` packs per-peer buffers vs. fusing the packing into the
-  plan's sends; ``WAITALL`` completes per-peer receives vs. running the
-  plan's forward/scatter relays),
+* the four communication ops are the engine's four phase methods,
+  whatever plan (direct or node-aware) the engine compiled,
 * ``COMM_THREAD`` spawns a real thread executing the body ops — the
   Fig. 4c code structure — which meets the main path at each body
   ``OMP_BARRIER`` and is joined at the main-path ``OMP_BARRIER`` after
   the last of them.
 
-Numerics are scheme-, lowering- and pipelining-independent by
+Numerics are scheme-, plan- and pipelining-independent by
 construction: the local part is always accumulated before the remote
 part, row by row; the exchange only copies float64 payloads; hoisted
 receives and the long-lived comm thread reorder *communication*, never
@@ -62,14 +60,13 @@ class UnjoinedCommThreadError(RuntimeError):
 class _SweepView:
     """One sweep's data: input, buffers of its halo slot, requests, result."""
 
-    __slots__ = ("x", "halo_out", "send_bufs", "recvs", "reqs", "y")
+    __slots__ = ("x", "halo_out", "send_bufs", "recvs", "y")
 
     def __init__(self, x: np.ndarray | None, halo_out: np.ndarray, send_bufs) -> None:
         self.x = x
         self.halo_out = halo_out
         self.send_bufs = send_bufs
-        self.recvs: list | None = None  # classic: [(src, Request)]
-        self.reqs: dict | None = None  # plan: {channel: Request}
+        self.recvs: list | None = None
         self.y: np.ndarray | None = None
 
 
@@ -103,20 +100,20 @@ class _RunState:
 
 
 #: Buffers each op kind (reads, writes) — the access model the thread
-#: sanitizer checks.  PACK publishes send_bufs from x; the comm side
-#: (POST_SENDS/WAITALL) consumes x and send_bufs and lands halo_out
-#: (the plan lowering re-packs from x inside the sends and reads x
-#: during finish relays, hence x on both); the compute side reads x and
-#: halo_out into y.  POST_RECVS also *writes* its halo slot: the MPI
-#: library owns the receive buffer from the post on, which is exactly
-#: the access that races a remote kernel still reading that slot when
-#: the double-buffer contract is violated.  OMP_BARRIER is pure
-#: synchronisation.
+#: sanitizer checks.  PACK publishes send_bufs from x (no other
+#: communication op reads x); POST_SENDS sends them; WAITALL completes
+#: the requests, finishes and forwards a leader's relay aggregates
+#: (which live in send_bufs) and lands halo_out; the compute side reads
+#: x and halo_out into y.  POST_RECVS also *writes* its halo slot: the
+#: MPI library owns the receive buffer from the post on, which is
+#: exactly the access that races a remote kernel still reading that
+#: slot when the double-buffer contract is violated.  OMP_BARRIER is
+#: pure synchronisation.
 _FOOTPRINT = {
     "POST_RECVS": ((), ("recvs", "halo_out")),
     "PACK": (("x",), ("send_bufs",)),
-    "POST_SENDS": (("x", "send_bufs"), ()),
-    "WAITALL": (("x", "recvs"), ("halo_out",)),
+    "POST_SENDS": (("send_bufs",), ()),
+    "WAITALL": (("recvs",), ("send_bufs", "halo_out")),
     "LOCAL_SPMVM": (("x",), ("y",)),
     "REMOTE_SPMVM": (("halo_out",), ("y",)),
     "FULL_SPMVM": (("x", "halo_out"), ("y",)),
@@ -157,12 +154,6 @@ def execute_sweep(
     golden cross-backend test uses to compare real execution against the
     simulated one.
     """
-    if (program.lowering == "plan") != (engine.exchange is not None):
-        have = "a" if engine.exchange is not None else "no"
-        raise ValueError(
-            f"program lowers communication as {program.lowering!r} but the "
-            f"engine has {have} compiled comm plan"
-        )
     depth = program.halo_depth
     ring = engine.sweep_ring(x, depth)
     # sweep 0 reads x; every later sweep's input is bound when it first runs
@@ -328,34 +319,22 @@ def _raise_comm_error(state: _RunState) -> None:
 
 
 # ----------------------------------------------------------------------
-# op handlers (classic lowering picks the halo lists, plan lowering the
-# compiled RankExchange — decided once per engine, not per op)
+# op handlers
 # ----------------------------------------------------------------------
 def _post_recvs(engine: "DistributedSpMVM", view: _SweepView) -> None:
-    if engine.exchange is not None:
-        view.reqs = engine.exchange.post_receives(engine.comm)
-    else:
-        view.recvs = engine.post_halo_receives()
+    view.recvs = engine.post_halo_receives()
 
 
 def _pack(engine: "DistributedSpMVM", view: _SweepView) -> None:
-    if engine.exchange is not None:
-        return  # plan lowering packs inside the sends (repro.comm.exec)
     engine.fill_send_buffers(view.x, view.send_bufs)
 
 
 def _post_sends(engine: "DistributedSpMVM", view: _SweepView) -> None:
-    if engine.exchange is not None:
-        engine.exchange.initial_sends(engine.comm, view.x)
-    else:
-        engine.send_buffers(view.send_bufs)
+    engine.send_buffers(view.send_bufs)
 
 
 def _waitall(engine: "DistributedSpMVM", view: _SweepView) -> None:
-    if engine.exchange is not None:
-        engine.exchange.finish(engine.comm, view.x, view.reqs, view.halo_out)
-    else:
-        engine.complete_halo_receives(view.recvs, view.halo_out)
+    engine.complete_halo_receives(view.recvs, view.halo_out)
 
 
 def _local_spmvm(engine: "DistributedSpMVM", view: _SweepView) -> None:

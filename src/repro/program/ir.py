@@ -20,9 +20,9 @@ Op vocabulary
     Post every inbound halo request of the sweep (nonblocking).  The MPI
     library owns the sweep's halo slot from here until ``WAITALL``.
 ``PACK``
-    Gather the owned RHS elements into send buffers.  Under the plan
-    lowering the packing is fused into the sends on the real backend;
-    the simulator prices it as the ``gather`` compute phase either way.
+    Gather the owned RHS elements into send buffers (a leader's own
+    share of a relay aggregate included); the simulator prices it as
+    the ``gather`` compute phase.
 ``POST_SENDS``
     Issue every payload-ready outbound message (and, under a comm plan,
     arm the relay duties).
@@ -64,7 +64,6 @@ __all__ = [
     "COMPUTE_OPS",
     "COMM_OPS",
     "WORK_OPS",
-    "LOWERINGS",
     "SIM_PHASE_LABELS",
     "SweepOp",
     "SweepProgram",
@@ -95,11 +94,6 @@ COMM_OPS = ("POST_RECVS", "POST_SENDS", "WAITALL")
 #: sweep, however many sweeps a program chains and however it pipelines.
 WORK_OPS = COMM_OPS + COMPUTE_OPS
 
-#: How PACK/POST_SENDS/WAITALL reach the wire: ``classic`` is one
-#: message per peer straight off the halo lists; ``plan`` replays a
-#: compiled :class:`~repro.comm.plan.CommPlan` (direct or node-aware).
-LOWERINGS = ("classic", "plan")
-
 #: Trace phase label the simulation backend emits for each compute op —
 #: the contract that keeps every :mod:`repro.obs` analysis (phase
 #: summaries, overlap-bytes-during-local-spMVM) working unchanged.
@@ -109,8 +103,6 @@ SIM_PHASE_LABELS = {
     "REMOTE_SPMVM": "remote spMVM",
     "FULL_SPMVM": "full spMVM",
 }
-
-
 
 
 @dataclass(frozen=True)
@@ -172,9 +164,10 @@ class SweepOp:
 class SweepProgram:
     """One scheme's op stream over ``n_sweeps`` chained sweeps, as data.
 
-    ``scheme`` names the Fig. 4 variant the program encodes, ``block_k``
-    the number of right-hand sides per sweep (cost metadata), and
-    ``lowering`` how the communication ops reach the wire.
+    ``scheme`` names the Fig. 4 variant the program encodes and
+    ``block_k`` the number of right-hand sides per sweep (cost
+    metadata).  Which messages the communication ops move is the
+    backend's comm plan, not the program's business.
 
     Execution semantics are *chained*: sweep ``s`` consumes the result
     of sweep ``s-1`` as its input (the matrix-powers kernel
@@ -198,13 +191,11 @@ class SweepProgram:
     n_sweeps: int = 1
     pipeline: bool = False
     block_k: int = 1
-    lowering: str = "classic"
     halo_depth: int = 1
     #: free-form provenance (builder name, plan kind, ...)
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
-        check_in(self.lowering, LOWERINGS, "lowering")
         if self.n_sweeps < 1:
             raise ValueError(f"n_sweeps must be >= 1, got {self.n_sweeps}")
         if self.halo_depth < 1:
@@ -249,11 +240,11 @@ class SweepProgram:
 
     @property
     def label(self) -> str:
-        """Scheme, sweep count, mode, lowering, width and ring depth."""
+        """Scheme, sweep count, mode, width and ring depth."""
         mode = "pipelined" if self.pipeline else "sequential"
         return (
-            f"{self.scheme} x{self.n_sweeps} [{mode}, {self.lowering}, "
-            f"k={self.block_k}, depth={self.halo_depth}]"
+            f"{self.scheme} x{self.n_sweeps} [{mode}, k={self.block_k}, "
+            f"depth={self.halo_depth}]"
         )
 
     def describe(self) -> str:
@@ -263,7 +254,4 @@ class SweepProgram:
     def program_id(self) -> str:
         """Short stable identifier for cost attribution (repro.obs)."""
         mode = "pipe" if self.pipeline else "seq"
-        return (
-            f"{self.scheme}/{self.lowering}/k{self.block_k}"
-            f"/n{self.n_sweeps}/{mode}"
-        )
+        return f"{self.scheme}/k{self.block_k}/n{self.n_sweeps}/{mode}"

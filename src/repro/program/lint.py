@@ -150,9 +150,8 @@ def lint_sweep_program(program: SweepProgram) -> "list[Finding]":
         findings.append(Finding(
             kind="program-lint",
             message=f"{program.label}: {message}",
-            details={"scheme": program.scheme, "lowering": program.lowering,
-                     "n_sweeps": program.n_sweeps, "pipeline": program.pipeline,
-                     **details},
+            details={"scheme": program.scheme, "n_sweeps": program.n_sweeps,
+                     "pipeline": program.pipeline, **details},
         ))
 
     n = program.n_sweeps
@@ -236,8 +235,8 @@ def lint_sweep_programs(
     """Lint a collection of programs (default: every builder output).
 
     This is the ``repro check --programs`` sweep: all Fig. 4 builders,
-    both lowerings, scalar and batched widths, one to three chained
-    sweeps, pipelined and sequential.
+    scalar and batched widths, one to three chained sweeps, pipelined
+    and sequential.
     """
     from repro.program.build import all_sweep_programs
 

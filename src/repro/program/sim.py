@@ -19,11 +19,9 @@ program's :meth:`~repro.program.ir.SweepProgram.program_id` and the
 op's sweep index — the per-op cost breakdown ``repro trace --per-op``
 aggregates.
 
-The lowering of the communication ops mirrors the real backend: with a
-:class:`~repro.comm.sim.SimExchange` attached to the rank context the
-plan's per-channel messages (and relay duties) are replayed; without one
-the classic one-message-per-peer exchange is posted straight off the
-halo lists.
+The communication ops mirror the real backend: the rank context's
+:class:`~repro.comm.sim.SimExchange` replays its plan's per-channel
+messages (and relay duties, if the plan has any).
 """
 
 from __future__ import annotations
@@ -147,9 +145,9 @@ def _run_op(
     if kind in SIM_PHASE_LABELS:
         yield from ctx.compute(SIM_PHASE_LABELS[kind], _compute_cost(ctx, kind))
     elif kind == "POST_RECVS":
-        state.recvs[op.sweep] = _post_receives(ctx, sweep)
+        state.recvs[op.sweep] = ctx.comm.post_receives(ctx, sweep)
     elif kind == "POST_SENDS":
-        state.sends[op.sweep] = _post_sends(ctx, sweep)
+        state.sends[op.sweep] = ctx.comm.post_sends(ctx, sweep)
     elif kind == "WAITALL":
         reqs = state.recvs.pop(op.sweep, []) + state.sends.pop(op.sweep, [])
         yield from ctx.mpi.waitall(ctx.rank, reqs)
@@ -192,23 +190,3 @@ def _compute_cost(ctx: "RankContext", kind: str) -> float:
         "REMOTE_SPMVM": costs.remote_spmv,
         "FULL_SPMVM": costs.full_spmv,
     }[kind]
-
-
-def _post_receives(ctx: "RankContext", sweep: int) -> list:
-    if ctx.comm is not None:
-        return ctx.comm.post_receives(ctx, sweep)
-    # classic lowering: one message per peer per sweep; a batched sweep
-    # carries all block_k columns of the segment in that single message
-    return [
-        ctx.mpi.irecv(ctx.rank, src, 8 * ctx.block_k * count, sweep)
-        for src, count in ctx.halo.recv_from
-    ]
-
-
-def _post_sends(ctx: "RankContext", sweep: int) -> list:
-    if ctx.comm is not None:
-        return ctx.comm.post_sends(ctx, sweep)
-    return [
-        ctx.mpi.isend(ctx.rank, dst, 8 * ctx.block_k * count, sweep)
-        for dst, count in ctx.halo.send_to
-    ]

@@ -102,7 +102,7 @@ class BuiltModel:
         )
 
     def describe(self) -> str:
-        """One line: shape, ranks, scheme, lowering, kernel."""
+        """One line: shape, ranks, scheme, comm plan, kernel."""
         return (
             f"BuiltModel({self.matrix.nrows} rows, nnz={self.matrix.nnz}, "
             f"{self.nranks} ranks, scheme={self.scheme}, "
@@ -283,9 +283,7 @@ def _assemble(
 
     check_in(scheme, SCHEMES, "scheme")
     cplan = lower_comm_plan(plan, plan.nranks, comm_plan, ranks_per_node)
-    program = cached_sweep_program(
-        scheme, comm_plan="plan" if cplan is not None else "classic"
-    )
+    program = cached_sweep_program(scheme)
     # pay format conversion now, not on first request
     for rh in plan.ranks:
         build_operator(kernel, rh.A_local)
@@ -370,7 +368,7 @@ def cached_model(
 ) -> BuiltModel:
     """Build (or reuse) the model for this serving configuration.
 
-    Keyed on matrix identity + kernel + scheme + lowering; each hit
+    Keyed on matrix identity + kernel + scheme + comm plan; each hit
     re-verifies the matrix's structure fingerprint, so mutating the
     matrix in place rebuilds the model instead of serving a stale one.
     """

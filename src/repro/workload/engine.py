@@ -35,6 +35,8 @@ from typing import Generator, Sequence
 
 import numpy as np
 
+from repro.comm.plan import build_comm_plan
+from repro.comm.sim import SimExchange
 from repro.core.costs import phase_costs
 from repro.core.halo import build_halo_plan
 from repro.core.schemes import SIM_SCHEMES, RankContext
@@ -284,17 +286,19 @@ class ClusterEngine:
         partition = partition_matrix(A, nranks)
         plan = build_halo_plan(A, partition, with_matrices=False)
         placements = self._build_placements(nodes)
+        rank_node = [p.node for p in placements]
         trace = _JobTrace(self.recorder, job.job_id) if self.recorder else None
         mpi = SimMPI(
             self.sim,
             self.net,
             self.cluster.network,
-            rank_node=[p.node for p in placements],
+            rank_node=rank_node,
             config=MPIConfig(eager_threshold=self._eager_threshold),
             trace=trace,
             n_nodes=self.cluster.n_nodes,
         )
-        program = build_sweep(self.scheme, block_k=job.block_k, comm_plan="classic")
+        cplan = build_comm_plan(plan, rank_node, kind="direct")
+        program = build_sweep(self.scheme, block_k=job.block_k)
         procs = []
         for placement, halo in zip(placements, plan.ranks):
             ctx = RankContext(
@@ -304,6 +308,7 @@ class ClusterEngine:
                 placement=placement,
                 halo=halo,
                 costs=phase_costs(halo, self.kappa, block_k=job.block_k),
+                comm=SimExchange(cplan, placement.rank),
                 trace=trace,
                 block_k=job.block_k,
             )

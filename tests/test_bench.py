@@ -18,7 +18,7 @@ from repro.cli import main
 EXPECTED_NAMES = {
     "spmv", "spmv-out", "spmm-k1", "spmm-k4", "spmm-k16",
     "sell-spmv", "sell-spmm-k4", "sell-spmm-k16",
-    "distributed-spmv", "distributed-spmv-nodeaware",
+    "distributed-spmv",
     "distributed-spmm-k1", "distributed-spmm-k4", "distributed-spmm-k16",
     "program-overhead",
     "serve-cold", "serve-warm", "serve-coalesced",

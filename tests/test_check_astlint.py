@@ -73,6 +73,24 @@ def test_allowlisted_function_names_exist(rule, table):
         assert names <= defined, f"{suffix}: {sorted(names - defined)} not defined"
 
 
+def test_exchange_per_sweep_methods_are_under_the_rules():
+    # every multiply ends in RankExchange: its per-sweep methods are hot,
+    # and packing is compute-side (task mode runs it off the comm thread)
+    hot = get_rule("hot-path-alloc")
+    assert {"post_receives", "pack", "send", "finish"} <= hot.HOT_FUNCTIONS["comm/exec.py"]
+    assert "pack" in get_rule("comm-thread-vocabulary").COMPUTE_FUNCTIONS["comm/exec.py"]
+    src = (
+        "import numpy as np\n"
+        "class RankExchange:\n"
+        "    def finish(self, comm, reqs, bufs, halo_out):\n"
+        "        agg = np.empty(halo_out.shape)\n"
+        "    def pack(self, x, bufs):\n"
+        "        self.comm.Send(x, 0, 1)\n"
+    )
+    rules = {f.details["rule"] for f in lint_source(src, "repro/comm/exec.py")}
+    assert rules == {"hot-path-alloc", "comm-thread-vocabulary"}
+
+
 def test_get_rule_rejects_unknown_names():
     with pytest.raises(ValueError, match="unknown rule"):
         get_rule("no-such-rule")

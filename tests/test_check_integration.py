@@ -27,13 +27,13 @@ def test_cli_check_clean_run(capsys):
 
 def test_cli_check_lint_only(capsys):
     assert main(["check", "--lint-only", "--matrix", "HMeP", "--scale", "tiny"]) == 0
-    assert "clean (both lowerings)" in capsys.readouterr().out
+    assert "clean (both plans)" in capsys.readouterr().out
 
 
 def test_cli_check_programs(capsys):
     assert main(["check", "--programs"]) == 0
     out = capsys.readouterr().out
-    assert "sweep-program lint (60 programs): clean" in out
+    assert "sweep-program lint (30 programs): clean" in out
     assert "COMM_THREAD(POST_SENDS, WAITALL)" in out
 
 

@@ -1,7 +1,7 @@
 """Property tests for N-sweep programs + s-step CG validation.
 
-Hypothesis half: for EVERY (scheme, n_sweeps >= 1, pipeline, block_k,
-lowering) combination,
+Hypothesis half: for EVERY (scheme, n_sweeps >= 1, pipeline, block_k)
+combination,
 
 * :func:`build_sweep` lints clean (the double-buffer hoisting
   invariants of DESIGN.md §10 hold by construction),
@@ -41,27 +41,20 @@ SCHEMES = ("no_overlap", "naive_overlap", "task_mode")
 _scheme = st.sampled_from(SCHEMES)
 _n_sweeps = st.integers(min_value=1, max_value=6)
 _block_k = st.integers(min_value=1, max_value=3)
-_lowering = st.sampled_from(["classic", "plan"])
 _pipeline = st.booleans()
 
 
 @settings(max_examples=60, deadline=None)
-@given(scheme=_scheme, n_sweeps=_n_sweeps, pipeline=_pipeline,
-       block_k=_block_k, lowering=_lowering)
-def test_build_multi_sweep_lints_clean(scheme, n_sweeps, pipeline, block_k, lowering):
-    program = build_sweep(
-        scheme, n_sweeps, pipeline=pipeline, block_k=block_k, comm_plan=lowering,
-    )
+@given(scheme=_scheme, n_sweeps=_n_sweeps, pipeline=_pipeline, block_k=_block_k)
+def test_build_multi_sweep_lints_clean(scheme, n_sweeps, pipeline, block_k):
+    program = build_sweep(scheme, n_sweeps, pipeline=pipeline, block_k=block_k)
     assert lint_sweep_program(program) == []
 
 
 @settings(max_examples=60, deadline=None)
-@given(scheme=_scheme, n_sweeps=_n_sweeps, pipeline=_pipeline,
-       block_k=_block_k, lowering=_lowering)
-def test_every_sweep_does_single_sweep_work(scheme, n_sweeps, pipeline, block_k, lowering):
-    program = build_sweep(
-        scheme, n_sweeps, pipeline=pipeline, block_k=block_k, comm_plan=lowering,
-    )
+@given(scheme=_scheme, n_sweeps=_n_sweeps, pipeline=_pipeline, block_k=_block_k)
+def test_every_sweep_does_single_sweep_work(scheme, n_sweeps, pipeline, block_k):
+    program = build_sweep(scheme, n_sweeps, pipeline=pipeline, block_k=block_k)
     single = tuple(sorted(t for t in GOLDEN_SIGNATURES[scheme] if t in WORK_OPS))
     for s in range(n_sweeps):
         assert program.sweep_work_ops(s) == single

@@ -1,7 +1,7 @@
 """Golden cross-backend test: one sweep program, two executions.
 
 The acceptance contract of the sweep IR (DESIGN.md §10): for every
-Fig. 4 scheme × {classic, plan} lowering × {spmv, spmm, 3-sweep chain},
+Fig. 4 scheme × {direct, node-aware} comm plan × {spmv, spmm, 3-sweep chain},
 
 * the op sequence the mpilite backend executes equals the op sequence
   the simulation backend executes (both equal the program's frozen
@@ -119,28 +119,25 @@ GOLDEN = {1: GOLDEN_SIGNATURES, N_SWEEPS: GOLDEN_CHAIN_SIGNATURES}
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-@pytest.mark.parametrize("lowering", ["classic", "plan"])
+@pytest.mark.parametrize("plan_kind", ["direct", "node-aware"])
 @pytest.mark.parametrize(
     "width,n_sweeps",
     [("spmv", 1), ("spmm", 1), ("spmv", N_SWEEPS)],
     ids=["spmv", "spmm", f"spmv-n{N_SWEEPS}"],
 )
 def test_cross_backend_golden(
-    golden_matrix, golden_x, golden_X, scheme, lowering, width, n_sweeps
+    golden_matrix, golden_x, golden_X, scheme, plan_kind, width, n_sweeps
 ):
     A = golden_matrix
     x = golden_x if width == "spmv" else golden_X
     k = 1 if width == "spmv" else x.shape[1]
     signature = GOLDEN[n_sweeps][scheme]
-    program = build_sweep(scheme, n_sweeps, block_k=k, comm_plan=lowering)
+    program = build_sweep(scheme, n_sweeps, block_k=k)
     assert program.signature() == signature
 
     # --- real execution (mpilite): op log + per-rank chain slices -----
     plan = cached_halo_plan(A, NRANKS, with_matrices=True)
-    cplan = (
-        lower_comm_plan(plan, NRANKS, "node-aware", ranks_per_node=2)
-        if lowering == "plan" else None
-    )
+    cplan = lower_comm_plan(plan, NRANKS, plan_kind, ranks_per_node=2)
 
     def rank_fn(comm, halo):
         engine = DistributedSpMVM(comm, halo, comm_plan=cplan)
@@ -168,8 +165,7 @@ def test_cross_backend_golden(
         sim_plan, cluster, mode="per-ld", scheme=scheme,
         eager_threshold=1024, iterations=iterations, block_k=k,
         n_sweeps=n_sweeps, pipeline=True,
-        comm_plan="node-aware" if lowering == "plan" else "direct",
-        op_logs=op_logs,
+        comm_plan=plan_kind, op_logs=op_logs,
     )
     assert result.iterations == iterations * n_sweeps
     assert sorted(op_logs) == list(range(NRANKS))
@@ -220,7 +216,7 @@ def test_multi_sweep_pipelined_vs_sequential_bit_identical(golden_matrix, golden
 
 
 def test_all_combinations_bit_identical(golden_matrix, golden_x, golden_X):
-    """Scheme and lowering choice must never change a single bit."""
+    """Scheme and comm-plan choice must never change a single bit."""
     A = golden_matrix
     spmv_results = [
         distributed_spmv(A, golden_x, NRANKS, scheme=scheme,

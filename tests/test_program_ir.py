@@ -45,9 +45,9 @@ def test_plain_op_cannot_carry_body():
         SweepOp("PACK", body=(SweepOp("WAITALL"),))
 
 
-def test_program_validates_lowering_and_width():
-    with pytest.raises(ValueError, match="lowering"):
-        _prog([SweepOp("PACK")], lowering="magic")
+def test_program_validates_width_and_counts():
+    with pytest.raises(TypeError, match="lowering"):
+        _prog([SweepOp("PACK")], lowering="plan")  # the axis is gone, not defaulted
     with pytest.raises(ValueError, match="block_k"):
         _prog([SweepOp("PACK")], block_k=0)
     with pytest.raises(ValueError, match="at least one op"):
@@ -88,8 +88,8 @@ def test_scheme_tuples_agree_with_builders():
 
 def test_all_builder_outputs_lint_clean():
     programs = all_sweep_programs()
-    # schemes x lowerings x (N=1 | N in {2, 3} x {pipelined, sequential}) x widths
-    assert len(programs) == len(PROGRAM_SCHEMES) * 2 * (1 + 2 * 2) * 2
+    # schemes x (N=1 | N in {2, 3} x {pipelined, sequential}) x widths
+    assert len(programs) == len(PROGRAM_SCHEMES) * (1 + 2 * 2) * 2 == 30
     assert {p.n_sweeps for p in programs} == {1, 2, 3}
     assert lint_sweep_programs(programs) == []
     assert lint_sweep_programs() == []
