@@ -1,71 +1,62 @@
-"""The spMVM benchmark suite: kernel, batched, and distributed timings.
+"""The guard suite: the ratios that must hold, measured and enforced.
 
-Three groups mirror the layers of the implementation:
+``repro bench`` does not report how fast a path is — that is the job of
+``benchmarks/ledger`` (the distributed sweep, the served request, the
+solve and the simulated sweep, on the paper's matrices, kept as a
+trajectory).  This suite holds what nothing else measures or gates: a
+ratio between two things timed *against each other*, or a count.  One
+row of :data:`GROUPS` per group:
 
 * ``kernel`` — the raw kernels on one process: ``spmv`` with and
-  without a preallocated output (the allocation-free hot path), the
-  block kernel ``spmm`` for k ∈ {1, 4, 16}, and every *non-default*
-  kernel registered in :mod:`repro.sparse.registry` (correctness-gated
-  against the CSR reference before it is timed);
-* ``distributed`` — the mpilite engine end to end: ``distributed_spmv``
-  and the batched ``distributed_spmm``, including halo exchange (one
-  message per peer per sweep, k columns per message when batched);
-* ``program`` — the sweep-IR guard: the fixed dispatch cost of
-  :func:`repro.program.execute_sweep` must stay under 5% of the
-  single-rank spmv hot path (asserted, not just reported);
-* ``serve`` — the build-once/serve-many contract (:mod:`repro.serve`):
-  cold build-and-serve vs. warm requests against a persistent
-  :class:`~repro.serve.SolverService` (:func:`serve_guard` asserts the
-  warm path is at least :data:`SERVE_WARM_SPEEDUP_MIN` times faster),
-  plus coalesced-batch throughput with every response checked
-  bit-for-bit against the same service's independent per-request
-  answers;
+  without a preallocated output, the block kernel ``spmm`` for
+  k ∈ {1, 4, 16}, and every *non-default* kernel registered in
+  :mod:`repro.sparse.registry` (correctness-gated against the CSR
+  reference before it is timed).  :func:`kernel_guard`: spmm-k1 never
+  drops below per-column parity with spmv and spmm-k4/k16 stay strictly
+  above it;
+* ``program`` — the sweep-IR contract: the fixed dispatch cost of
+  :func:`repro.program.execute_sweep` stays under
+  :data:`PROGRAM_OVERHEAD_MAX` of the single-rank spmv hot path
+  (:func:`program_guard`);
+* ``check`` — the opt-in observability tax: one task-mode
+  ``distributed_spmv`` with a :class:`~repro.check.ThreadSanitizer`
+  attached vs. the same sweep uninstrumented (:func:`sanitizer_guard`:
+  at most :data:`SANITIZER_OVERHEAD_MAX`; the clean run must report
+  zero races before its timing counts);
 * ``solver`` — the communication-avoiding CG contract
   (:func:`repro.solvers.sstep_cg` vs classic
   :func:`~repro.solvers.conjugate_gradient`, SPMD on a Poisson system):
   both must converge to the same solution, and the s-step variant must
   post strictly fewer communication operations per iteration — counted
   deterministically from the operators' ``counters``, not timed
-  (:func:`solver_guard`); an interleaved wall-time ratio additionally
-  guards the latency-dominated small-matrix regime against the fused
-  path being slower where it should win;
-* ``check`` — the opt-in observability tax: one task-mode
-  ``distributed_spmv`` with a :class:`~repro.check.ThreadSanitizer`
-  attached vs. the same sweep uninstrumented, interleaved
-  (:func:`sanitizer_guard` asserts the instrumented run stays under
-  :data:`SANITIZER_OVERHEAD_MAX`, and the clean run must report zero
-  races before its timing counts);
-* ``workload`` (full mode only) — the cluster-scale reference studies
-  (:mod:`repro.experiments.workload`): FCFS vs EASY utilisation on the
-  fat tree, random vs node-aware placement on the loaded torus, and the
-  solo-vs-co-running link-contention probe, each enforced by
-  :func:`workload_guard`.
+  (:func:`solver_guard`); a wall-time ratio additionally guards the
+  fused path against being outright slower.
+
+Every ratio comes from one *interleaved* protocol
+(:func:`_paired_ratio`), and wall-clock guards are enforced only on at
+least :data:`GUARD_MIN_ROWS` rows; below that the results are reported,
+never gated.
+
+:func:`spmvm_suite` only measures.  :func:`guard_failures` then runs
+every row's guard over the results, so a caller (``repro bench``) can
+print and write everything it measured before it fails.
 
 Every result carries a ``gflops`` derived figure (2 flops per nonzero
 per right-hand side, from the minimum sample), and every block result a
 ``speedup_vs_spmv`` per-column speedup next to the prediction of the
 block code-balance model ``6/k + 12/Nnzr + kappa/2``
-(``model_speedup``, :mod:`repro.model`) — the batching win shows up
-directly in ``BENCH_spmvm.json``.
-
-Block speedups are measured with an *interleaved* protocol
-(:func:`_paired_speedup`): spmv and spmm samples alternate in time, so
-a machine-wide slowdown mid-suite moves both sides of the ratio
-instead of faking a regression.  :func:`kernel_guard` then asserts the
-spmm-k1 speedup never drops below 1.0 and spmm-k4/k16 stay strictly
-above it — the regression this suite exists to catch, enforced on every
-CI bench-smoke run (skipped below :data:`KERNEL_GUARD_MIN_ROWS` rows,
-where the kernels are all dispatch overhead and the ratio is noise).
+(``model_speedup``, :mod:`repro.model`).
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.bench.harness import BenchResult, TimingStats, time_callable
-from repro.core.spmvm import distributed_spmm, distributed_spmv
+from repro.core.spmvm import distributed_spmv
 from repro.matrices import random_sparse
 from repro.model.code_balance import block_speedup
 from repro.sparse import available_kernels, build_operator, get_kernel, spmm, spmv
@@ -73,49 +64,41 @@ from repro.sparse.csr import CSRMatrix
 
 __all__ = [
     "BLOCK_WIDTHS",
-    "KERNEL_GUARD_MIN_ROWS",
+    "GROUPS",
+    "GUARD_MIN_ROWS",
+    "PROGRAM_OVERHEAD_MAX",
     "SANITIZER_OVERHEAD_MAX",
-    "SERVE_WARM_SPEEDUP_MIN",
-    "SOLVER_GUARD_MIN_ROWS",
     "SOLVER_SPEED_RATIO_MAX",
+    "guard_failures",
     "kernel_guard",
+    "program_guard",
     "sanitizer_guard",
-    "serve_guard",
     "solver_guard",
-    "workload_guard",
     "spmvm_suite",
 ]
 
 #: Block widths exercised by the batched benchmarks.
 BLOCK_WIDTHS = (1, 4, 16)
 
-#: Smallest matrix on which :func:`kernel_guard` enforces block speedups.
-KERNEL_GUARD_MIN_ROWS = 2_000
+#: Smallest matrix on which a wall-clock guard is enforced.  Below it the
+#: kernels are all dispatch overhead and a distributed sweep is
+#: sub-millisecond, so thread spin-up jitter can push even a zero-cost
+#: change past any fixed bound: the ratio is noise, and gating on it
+#: would only make the tests flake.  Counted quantities
+#: (:func:`solver_guard`) are enforced at every size.
+GUARD_MIN_ROWS = 2_000
 
-#: Minimum cold-build-and-serve / warm-request latency ratio
-#: (:func:`serve_guard`).  The whole point of the persistent service is
-#: amortising the one-time bookkeeping; if a warm request is not at
-#: least this much cheaper than a cold build-and-serve, the service
-#: stopped paying for itself.
-SERVE_WARM_SPEEDUP_MIN = 5.0
-
-#: Smallest matrix on which :func:`serve_guard` enforces the ratio.  On
-#: sub-guard matrices the one-time bookkeeping is so cheap that thread
-#: spin-up dominates the cold side and the ratio sits at the bound by
-#: noise alone — the same reasoning as :data:`KERNEL_GUARD_MIN_ROWS`.
-SERVE_GUARD_MIN_ROWS = 2_000
+#: Maximum sweep-interpreter indirection as a fraction of the
+#: single-rank spmv hot path (:func:`program_guard`).  A regression here
+#: means the interpreter grew a per-op cost it must not have.
+PROGRAM_OVERHEAD_MAX = 0.05
 
 #: Maximum instrumented/uninstrumented wall-time ratio of a task-mode
 #: ``distributed_spmv`` sweep with a thread sanitizer attached
 #: (:func:`sanitizer_guard`).  The sanitizer is the always-affordable
 #: debugging tool; if attaching it costs more than 20% the
 #: instrumentation stopped being something you can leave on in tests.
-#: Enforced only at :data:`SANITIZER_GUARD_MIN_ROWS` and above: on tiny
-#: matrices the sweep is sub-millisecond and thread spin-up jitter can
-#: push even a zero-cost hook past any fixed bound — the same no-flake
-#: policy as :data:`KERNEL_GUARD_MIN_ROWS`/:data:`SERVE_GUARD_MIN_ROWS`.
 SANITIZER_OVERHEAD_MAX = 1.20
-SANITIZER_GUARD_MIN_ROWS = 2_000
 
 #: Maximum s-step/classic CG wall-time ratio on the latency-dominated
 #: small-matrix configuration (:func:`solver_guard`).  The margin is
@@ -126,30 +109,39 @@ SANITIZER_GUARD_MIN_ROWS = 2_000
 #: deterministic.
 SOLVER_SPEED_RATIO_MAX = 1.25
 
-#: Smallest system on which :func:`solver_guard` enforces the wall-time
-#: ratio (same no-flake policy as :data:`KERNEL_GUARD_MIN_ROWS`; the
-#: counted-communication assertions are enforced at every size).
-SOLVER_GUARD_MIN_ROWS = 2_000
+
+@dataclass(frozen=True)
+class _Run:
+    """What every group is handed: the matrix, the seeded generator, the mode's counts."""
+
+    A: CSRMatrix
+    rng: np.random.Generator
+    nranks: int
+    quick: bool
+    warmup: int
+    repeat: int
 
 
 def _gflops(nnz: int, k: int, seconds: float) -> float:
     return 2.0 * nnz * k / seconds / 1e9
 
 
-def _paired_speedup(
-    ref_fn, test_fn, k: int, *, warmup: int, rounds: int, trials: int = 3
+def _paired_ratio(
+    ref_fn, test_fn, *, warmup: int, rounds: int, stop: float, trials: int = 3
 ) -> tuple[float, TimingStats, TimingStats]:
-    """Per-column speedup of *test_fn* (k columns) over *ref_fn* (one).
+    """Cost of *test_fn* relative to *ref_fn*: ``min(test) / min(ref)``.
 
     Samples alternate ref/test within each round, so both sides of the
     ratio see the same machine state — a throttling event or a noisy
     neighbour shifts numerator and denominator together instead of
     producing a phantom slowdown.  The ratio of per-side minima is taken
-    per trial and the best of up to *trials* trials wins (stopping early
-    once comfortably above break-even): a lower-bound estimator for a
-    lower-bound guard.
+    per trial and the lowest of up to *trials* trials wins, stopping
+    early once it is at or under *stop* (comfortably inside the bound
+    the caller guards): every guard here bounds the cost of the test
+    side from above, so the lowest ratio is the estimator that fails
+    only when the cost is really there.
 
-    Returns ``(speedup, ref_stats, test_stats)`` of the best trial.
+    Returns ``(ratio, ref_stats, test_stats)`` of the best trial.
     """
     best = None
     for _ in range(max(trials, 1)):
@@ -158,37 +150,59 @@ def _paired_speedup(
             test_fn()
         ref_s, test_s = [], []
         for _ in range(rounds):
-            t0 = time.perf_counter()
-            ref_fn()
-            ref_s.append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            test_fn()
-            test_s.append(time.perf_counter() - t0)
-        trial = (
-            k * min(ref_s) / min(test_s),
-            TimingStats(tuple(ref_s)),
-            TimingStats(tuple(test_s)),
-        )
-        if best is None or trial[0] > best[0]:
+            for fn, samples in ((ref_fn, ref_s), (test_fn, test_s)):
+                t0 = time.perf_counter()
+                fn()
+                samples.append(time.perf_counter() - t0)
+        trial = min(test_s) / min(ref_s), TimingStats(tuple(ref_s)), TimingStats(tuple(test_s))
+        if best is None or trial[0] < best[0]:
             best = trial
-        if best[0] >= 1.10:
+        if best[0] <= stop:
             break
     return best
 
 
-def _block_model_derived(A: CSRMatrix, k: int, speedup: float) -> dict:
-    """Measured block speedup next to the code-balance prediction."""
-    model = block_speedup(A.nnz / A.nrows, k)
-    return {
-        "speedup_vs_spmv": speedup,
-        "model_speedup": model,
-        "model_fraction": speedup / model,
-    }
+def _at_guard_size(results: list[BenchResult], group: str) -> list[BenchResult]:
+    """The *group* results large enough for a wall-clock guard."""
+    return [
+        r for r in results
+        if r.group == group and r.params.get("nrows", 0) >= GUARD_MIN_ROWS
+    ]
 
 
-def _kernel_benches(
-    A: CSRMatrix, rng: np.random.Generator, *, warmup: int, repeat: int
-) -> list[BenchResult]:
+def _paired_kernel_result(
+    run: _Run, name: str, x: np.ndarray, test_fn, params: dict, k: int | None = None
+) -> BenchResult:
+    """Time *test_fn* against the CSR reference ``spmv(A, x)``, interleaved.
+
+    *k* marks a block result (*test_fn* multiplies k columns): it adds
+    the per-column time and the measured per-column speedup next to the
+    code-balance prediction.
+    """
+    A, rounds = run.A, max(run.repeat, 7)
+    cols = 1 if k is None else k
+    # stop retrying once the speedup is comfortably above break-even
+    ratio, _ref, stats = _paired_ratio(
+        lambda: spmv(A, x), test_fn, warmup=run.warmup, rounds=rounds, stop=cols / 1.10
+    )
+    speedup = cols / ratio  # > 1 once the matrix stream amortises over columns
+    derived = {"gflops": _gflops(A.nnz, cols, stats.min), "speedup_vs_spmv": speedup}
+    if k is not None:
+        params = {**params, "k": k}
+        model = block_speedup(A.nnz / A.nrows, k)
+        derived.update(
+            seconds_per_column=stats.min / k,
+            model_speedup=model,
+            model_fraction=speedup / model,
+        )
+    return BenchResult(
+        name=name, group="kernel", warmup=run.warmup, repeat=rounds,
+        seconds=stats, params=params, derived=derived,
+    )
+
+
+def _kernel_benches(run: _Run) -> list[BenchResult]:
+    A, rng, warmup = run.A, run.rng, run.warmup
     base = {"nrows": A.nrows, "nnz": A.nnz}
     x = rng.standard_normal(A.ncols)
     y = np.empty(A.nrows)
@@ -197,37 +211,21 @@ def _kernel_benches(
         ("spmv", lambda: spmv(A, x), base),
         ("spmv-out", lambda: spmv(A, x, out=y), {**base, "preallocated": True}),
     ):
-        stats = time_callable(fn, warmup=warmup, repeat=repeat)
+        stats = time_callable(fn, warmup=warmup, repeat=run.repeat)
         results.append(
             BenchResult(
-                name=name, group="kernel", warmup=warmup, repeat=repeat,
+                name=name, group="kernel", warmup=warmup, repeat=run.repeat,
                 seconds=stats, params=params,
                 derived={"gflops": _gflops(A.nnz, 1, stats.min)},
             )
         )
-    rounds = max(repeat, 7)
     for k in BLOCK_WIDTHS:
         X = rng.standard_normal((A.ncols, k))
         Y = np.empty((A.nrows, k))
-        speedup, _ref, stats = _paired_speedup(
-            lambda: spmv(A, x),
-            lambda: spmm(A, X, out=Y),
-            k, warmup=warmup, rounds=rounds,
-        )
         results.append(
-            BenchResult(
-                name=f"spmm-k{k}", group="kernel", warmup=warmup, repeat=rounds,
-                seconds=stats, params={**base, "k": k},
-                derived={
-                    "gflops": _gflops(A.nnz, k, stats.min),
-                    "seconds_per_column": stats.min / k,
-                    # > 1 once the matrix stream amortises over columns
-                    **_block_model_derived(A, k, speedup),
-                },
-            )
+            _paired_kernel_result(run, f"spmm-k{k}", x, lambda: spmm(A, X, out=Y), base, k)
         )
-    results += _registry_benches(A, rng, warmup=warmup, rounds=rounds)
-    return results
+    return results + _registry_benches(run)
 
 
 def _check_registered_kernel(spec, A: CSRMatrix, op, X: np.ndarray) -> None:
@@ -255,10 +253,9 @@ def _check_registered_kernel(spec, A: CSRMatrix, op, X: np.ndarray) -> None:
             )
 
 
-def _registry_benches(
-    A: CSRMatrix, rng: np.random.Generator, *, warmup: int, rounds: int
-) -> list[BenchResult]:
+def _registry_benches(run: _Run) -> list[BenchResult]:
     """Benchmark every registered non-default kernel against CSR spmv."""
+    A, rng = run.A, run.rng
     x = rng.standard_normal(A.ncols)
     results = []
     for key in available_kernels():
@@ -275,39 +272,17 @@ def _registry_benches(
         if pad is not None:
             base["pad_factor"] = pad
         y = np.empty(A.nrows)
-        speedup, _ref, stats = _paired_speedup(
-            lambda: spmv(A, x),
-            lambda: spec.spmv(op, x, out=y),
-            1, warmup=warmup, rounds=rounds,
-        )
         results.append(
-            BenchResult(
-                name=f"{spec.format}-spmv", group="kernel",
-                warmup=warmup, repeat=rounds, seconds=stats, params=base,
-                derived={
-                    "gflops": _gflops(A.nnz, 1, stats.min),
-                    "speedup_vs_spmv": speedup,
-                },
+            _paired_kernel_result(
+                run, f"{spec.format}-spmv", x, lambda: spec.spmv(op, x, out=y), base
             )
         )
         for k in BLOCK_WIDTHS[1:]:
             X = rng.standard_normal((A.ncols, k))
             Y = np.empty((A.nrows, k))
-            speedup, _ref, stats = _paired_speedup(
-                lambda: spmv(A, x),
-                lambda: spec.spmm(op, X, out=Y),
-                k, warmup=warmup, rounds=rounds,
-            )
             results.append(
-                BenchResult(
-                    name=f"{spec.format}-spmm-k{k}", group="kernel",
-                    warmup=warmup, repeat=rounds, seconds=stats,
-                    params={**base, "k": k},
-                    derived={
-                        "gflops": _gflops(A.nnz, k, stats.min),
-                        "seconds_per_column": stats.min / k,
-                        **_block_model_derived(A, k, speedup),
-                    },
+                _paired_kernel_result(
+                    run, f"{spec.format}-spmm-k{k}", x, lambda: spec.spmm(op, X, out=Y), base, k
                 )
             )
     return results
@@ -317,18 +292,16 @@ def kernel_guard(results: list[BenchResult]) -> list[str]:
     """Assert the block-kernel speedups that PR 6 fixed never regress.
 
     For every ``spmm-k*`` result measured on at least
-    :data:`KERNEL_GUARD_MIN_ROWS` rows: k = 1 must reach per-column
-    parity with spmv (``>= 1.0`` — the degenerate batch is never a
-    regression) and k > 1 must beat it strictly (``> 1.0`` — batching
-    must amortise the matrix stream, the inversion the old ``(nnz, k)``
-    broadcast kernel caused).  Returns the names it enforced; raises
+    :data:`GUARD_MIN_ROWS` rows: k = 1 must reach per-column parity with
+    spmv (``>= 1.0`` — the degenerate batch is never a regression) and
+    k > 1 must beat it strictly (``> 1.0`` — batching must amortise the
+    matrix stream, the inversion the old ``(nnz, k)`` broadcast kernel
+    caused).  Returns the names it enforced; raises
     :class:`AssertionError` on violation.
     """
     enforced = []
-    for r in results:
-        if r.group != "kernel" or not r.name.startswith("spmm-k"):
-            continue
-        if r.params.get("nrows", 0) < KERNEL_GUARD_MIN_ROWS:
+    for r in _at_guard_size(results, "kernel"):
+        if not r.name.startswith("spmm-k"):
             continue
         k = r.params["k"]
         speedup = r.derived["speedup_vs_spmv"]
@@ -344,65 +317,17 @@ def kernel_guard(results: list[BenchResult]) -> list[str]:
     return enforced
 
 
-def _distributed_benches(
-    A: CSRMatrix,
-    rng: np.random.Generator,
-    *,
-    nranks: int,
-    scheme: str,
-    warmup: int,
-    repeat: int,
-) -> list[BenchResult]:
-    base = {"nrows": A.nrows, "nnz": A.nnz, "nranks": nranks, "scheme": scheme}
-    x = rng.standard_normal(A.ncols)
-    results = []
-    stats = time_callable(
-        lambda: distributed_spmv(A, x, nranks, scheme=scheme),
-        warmup=warmup, repeat=repeat,
-    )
-    results.append(
-        BenchResult(
-            name="distributed-spmv", group="distributed",
-            warmup=warmup, repeat=repeat, seconds=stats, params=base,
-            derived={"gflops": _gflops(A.nnz, 1, stats.min)},
-        )
-    )
-    single_min = stats.min
-    for k in BLOCK_WIDTHS:
-        X = rng.standard_normal((A.ncols, k))
-        stats = time_callable(
-            lambda: distributed_spmm(A, X, nranks, scheme=scheme),
-            warmup=warmup, repeat=repeat,
-        )
-        results.append(
-            BenchResult(
-                name=f"distributed-spmm-k{k}", group="distributed",
-                warmup=warmup, repeat=repeat, seconds=stats,
-                params={**base, "k": k},
-                derived={
-                    "gflops": _gflops(A.nnz, k, stats.min),
-                    "seconds_per_column": stats.min / k,
-                    "speedup_vs_spmv": k * single_min / stats.min,
-                },
-            )
-        )
-    return results
+def _program_overhead_bench(run: _Run) -> list[BenchResult]:
+    """Sweep-interpreter indirection on the single-rank spmv hot path.
 
-
-def _program_overhead_bench(
-    rng: np.random.Generator, *, warmup: int, repeat: int
-) -> list[BenchResult]:
-    """Guard: sweep-interpreter indirection on the single-rank spmv hot path.
-
-    Every multiply now runs through :func:`repro.program.execute_sweep`,
+    Every multiply runs through :func:`repro.program.execute_sweep`,
     which adds a fixed per-sweep dispatch cost (op loop + handler
     lookups).  Differencing two large-matrix timings drowns that cost in
     memory-traffic noise, so it is measured where it is visible — a
     single-rank engine on a tiny matrix, interpreter vs. the same
     arithmetic hand-inlined — and reported relative to a hot-path spmv
-    at the quick bench size.  The guard asserts the ratio stays below
-    ``GUARD``; a regression here means the interpreter grew a per-op
-    cost it must not have.
+    on a fixed guard-sized matrix (whatever size the rest of the suite
+    runs at), which is what :func:`program_guard` bounds.
     """
     from repro.core.halo import cached_halo_plan
     from repro.core.spmvm import DistributedSpMVM
@@ -410,11 +335,11 @@ def _program_overhead_bench(
     from repro.mpilite.router import Router
     from repro.sparse.spmv import spmv_add
 
-    GUARD = 0.05
+    warmup, repeat = run.warmup, run.repeat
     tiny = random_sparse(64, nnzr=5.0, seed=11, ensure_diagonal=True)
     thalo = cached_halo_plan(tiny, 1, with_matrices=True).ranks[0]
     tengine = DistributedSpMVM(Comm(0, Router(1), CollectiveState(1)), thalo)
-    tx = rng.standard_normal(tiny.ncols)
+    tx = run.rng.standard_normal(tiny.ncols)
 
     def inlined():
         # the pre-IR hot path: the same arithmetic with no op loop
@@ -432,17 +357,10 @@ def _program_overhead_bench(
     hot = random_sparse(4_000, nnzr=15.0, seed=11, ensure_diagonal=True)
     hhalo = cached_halo_plan(hot, 1, with_matrices=True).ranks[0]
     hengine = DistributedSpMVM(Comm(0, Router(1), CollectiveState(1)), hhalo)
-    hx = rng.standard_normal(hot.ncols)
+    hx = run.rng.standard_normal(hot.ncols)
     hot_stats = time_callable(
         lambda: hengine.multiply(hx, "no_overlap"), warmup=max(warmup, 1), repeat=max(repeat, 5)
     )
-    ratio = indirection / hot_stats.min
-    if ratio >= GUARD:
-        raise AssertionError(
-            f"sweep-interpreter indirection is {ratio:.1%} of the single-rank "
-            f"spmv hot path (guard: < {GUARD:.0%}); the interpreter grew a "
-            f"per-op cost the IR refactor promised not to add"
-        )
     return [
         BenchResult(
             name="program-overhead", group="program",
@@ -455,133 +373,48 @@ def _program_overhead_bench(
                 "gflops": _gflops(hot.nnz, 1, hot_stats.min),
                 "indirection_seconds": indirection,
                 "hot_path_seconds": hot_stats.min,
-                "overhead_vs_hot_path": ratio,
-                "guard_max": GUARD,
+                "overhead_vs_hot_path": indirection / hot_stats.min,
+                "guard_max": PROGRAM_OVERHEAD_MAX,
             },
         )
     ]
 
 
-def _serve_benches(
-    A: CSRMatrix,
-    rng: np.random.Generator,
-    *,
-    nranks: int,
-    scheme: str,
-    warmup: int,
-    repeat: int,
-) -> list[BenchResult]:
-    """The serve group: cold vs. warm latency, coalesced throughput.
+def program_guard(results: list[BenchResult]) -> list[str]:
+    """Assert the sweep interpreter stays free on the hot path.
 
-    *Cold* builds a fresh model (bypassing every process-wide cache)
-    and serves one request through a new service; *warm* reuses one
-    persistent service for every request — the ratio is the amortised
-    one-time cost the ``repro.serve`` tentpole exists to capture.  The
-    coalesced bench first serves 16 right-hand sides as independent
-    width-1 requests, then re-serves them as coalesced spmm batches and
-    asserts bit-identity between the two before reporting throughput —
-    a wrong fast path is worse than no fast path.
+    The ``program-overhead`` result's indirection must stay strictly
+    under :data:`PROGRAM_OVERHEAD_MAX` of the single-rank spmv hot path.
+    Returns the names enforced; raises :class:`AssertionError` on
+    violation.
     """
-    from repro.serve import SolverService, build_model
-
-    base = {"nrows": A.nrows, "nnz": A.nnz, "nranks": nranks, "scheme": scheme}
-    x = rng.standard_normal(A.ncols)
-
-    def cold() -> None:
-        model = build_model(A, nranks, scheme=scheme, reuse_caches=False)
-        with SolverService(model, name="bench-cold") as svc:
-            svc.solve(x)
-
-    cold_stats = time_callable(cold, warmup=1, repeat=max(repeat, 3))
-    results = [
-        BenchResult(
-            name="serve-cold", group="serve",
-            warmup=1, repeat=max(repeat, 3), seconds=cold_stats, params=base,
-            derived={"gflops": _gflops(A.nnz, 1, cold_stats.min)},
-        )
-    ]
-
-    model = build_model(A, nranks, scheme=scheme)
-    n_req = 16
-    max_batch = 8
-    with SolverService(model, max_batch=max_batch, name="bench-warm") as service:
-        warm_repeat = max(repeat, 10)
-        warm_stats = time_callable(
-            lambda: service.solve(x), warmup=max(warmup, 2), repeat=warm_repeat
-        )
-        warm_speedup = cold_stats.min / warm_stats.min
-        results.append(
-            BenchResult(
-                name="serve-warm", group="serve",
-                warmup=max(warmup, 2), repeat=warm_repeat,
-                seconds=warm_stats, params=base,
-                derived={
-                    "gflops": _gflops(A.nnz, 1, warm_stats.min),
-                    "warm_speedup_vs_cold": warm_speedup,
-                    "guard_min": SERVE_WARM_SPEEDUP_MIN,
-                },
+    enforced = []
+    for r in _at_guard_size(results, "program"):
+        ratio = r.derived["overhead_vs_hot_path"]
+        if ratio >= PROGRAM_OVERHEAD_MAX:
+            raise AssertionError(
+                f"{r.name}: sweep-interpreter indirection is {ratio:.1%} of the "
+                f"single-rank spmv hot path (guard: < {PROGRAM_OVERHEAD_MAX:.0%}); "
+                f"the interpreter grew a per-op cost the IR refactor promised "
+                f"not to add"
             )
-        )
-
-        Xs = rng.standard_normal((n_req, A.ncols))
-        refs = [service.solve(Xs[i]) for i in range(n_req)]
-        walls, widths = [], []
-        for _ in range(max(repeat, 3)):
-            before = len(service.stats["batch_widths"])
-            t0 = time.perf_counter()
-            with service.hold():
-                reqs = [service.submit(Xs[i]) for i in range(n_req)]
-            ys = [service.gather(r) for r in reqs]
-            walls.append(time.perf_counter() - t0)
-            widths = service.stats["batch_widths"][before:]
-            for i in range(n_req):
-                if not np.array_equal(ys[i], refs[i]):
-                    raise AssertionError(
-                        f"coalesced response {i} is not bit-identical to the "
-                        f"independent width-1 request for the same RHS; "
-                        f"refusing to report throughput of a wrong fast path"
-                    )
-        coalesced_stats = TimingStats(tuple(walls))
-        results.append(
-            BenchResult(
-                name="serve-coalesced", group="serve",
-                warmup=0, repeat=len(walls), seconds=coalesced_stats,
-                params={**base, "requests": n_req, "max_batch": max_batch},
-                derived={
-                    "gflops": _gflops(A.nnz, n_req, coalesced_stats.min),
-                    "throughput_rps": n_req / coalesced_stats.min,
-                    "mean_batch_width": (sum(widths) / len(widths)) if widths else 0.0,
-                    "speedup_vs_warm": n_req * warm_stats.min / coalesced_stats.min,
-                    "bit_identical": 1.0,
-                },
-            )
-        )
-    return results
+        enforced.append(r.name)
+    return enforced
 
 
-def _sanitizer_benches(
-    A: CSRMatrix,
-    rng: np.random.Generator,
-    *,
-    nranks: int,
-    scheme: str,
-    warmup: int,
-    repeat: int,
-) -> list[BenchResult]:
+def _sanitizer_benches(run: _Run) -> list[BenchResult]:
     """The check group: thread-sanitizer overhead on a task-mode sweep.
 
-    Interleaved like :func:`_paired_speedup` — plain and instrumented
-    sweeps alternate within each round so machine noise moves both
-    sides of the ratio — but taking the *lowest* ratio of up to three
-    trials (a lower-bound estimator for an upper-bound guard, stopping
-    early once comfortably under the bound).  Every instrumented sweep
+    Task mode is the scheme with a second thread per rank, so it is the
+    one the sanitizer has most to say about.  Every instrumented sweep
     runs a fresh :class:`~repro.check.ThreadSanitizer` (thread idents
     are recycled across joins), and a single reported race fails the
     bench outright: a racy sweep's timing is not an overhead figure.
     """
     from repro.check.threads import ThreadSanitizer
 
-    x = rng.standard_normal(A.ncols)
+    A, nranks, scheme = run.A, run.nranks, "task_mode"
+    x = run.rng.standard_normal(A.ncols)
     sanitizers: list[ThreadSanitizer] = []
 
     def plain() -> None:
@@ -592,29 +425,10 @@ def _sanitizer_benches(
         sanitizers.append(san)
         distributed_spmv(A, x, nranks, scheme=scheme, sanitizer=san)
 
-    rounds = max(repeat, 5)
-    best = None
-    for _ in range(3):
-        for _ in range(max(warmup, 1)):
-            plain()
-            instrumented()
-        plain_s, instr_s = [], []
-        for _ in range(rounds):
-            t0 = time.perf_counter()
-            plain()
-            plain_s.append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            instrumented()
-            instr_s.append(time.perf_counter() - t0)
-        trial = (
-            min(instr_s) / min(plain_s),
-            TimingStats(tuple(plain_s)),
-            TimingStats(tuple(instr_s)),
-        )
-        if best is None or trial[0] < best[0]:
-            best = trial
-        if best[0] <= 1.05:
-            break
+    rounds = max(run.repeat, 5)
+    overhead, plain_stats, instr_stats = _paired_ratio(
+        plain, instrumented, warmup=run.warmup, rounds=rounds, stop=1.05
+    )
     races = [f for san in sanitizers for f in san.findings]
     if races:
         raise AssertionError(
@@ -622,11 +436,10 @@ def _sanitizer_benches(
             f"{len(races)} thread-race finding(s) — first: "
             f"{races[0].describe()}; refusing to report overhead of a racy run"
         )
-    overhead, plain_stats, instr_stats = best
     return [
         BenchResult(
             name="sanitizer-overhead", group="check",
-            warmup=max(warmup, 1), repeat=rounds, seconds=instr_stats,
+            warmup=max(run.warmup, 1), repeat=rounds, seconds=instr_stats,
             params={"nrows": A.nrows, "nnz": A.nnz, "nranks": nranks, "scheme": scheme},
             derived={
                 "gflops": _gflops(A.nnz, 1, instr_stats.min),
@@ -645,20 +458,16 @@ def sanitizer_guard(results: list[BenchResult]) -> list[str]:
     The ``sanitizer-overhead`` result's instrumented/plain ratio must
     not exceed :data:`SANITIZER_OVERHEAD_MAX` — the contract that the
     sanitizer remains cheap enough to leave on in every test and CI
-    check run.  Enforced only at :data:`SANITIZER_GUARD_MIN_ROWS` rows
-    and above (sub-guard sweeps are reported, never gated).  Returns
-    the names enforced; raises :class:`AssertionError` on violation.
+    check run.  Enforced only at :data:`GUARD_MIN_ROWS` rows and above
+    (sub-guard sweeps are reported, never gated).  Returns the names
+    enforced; raises :class:`AssertionError` on violation.
     """
     enforced = []
-    for r in results:
-        if r.group != "check" or r.name != "sanitizer-overhead":
-            continue
-        if r.params.get("nrows", 0) < SANITIZER_GUARD_MIN_ROWS:
-            continue
+    for r in _at_guard_size(results, "check"):
         overhead = r.derived["overhead_vs_plain"]
         if overhead > SANITIZER_OVERHEAD_MAX:
             raise AssertionError(
-                f"sanitizer-overhead: instrumented task-mode sweep costs "
+                f"{r.name}: instrumented task-mode sweep costs "
                 f"{overhead:.3f}x the plain sweep (guard: <= "
                 f"{SANITIZER_OVERHEAD_MAX}); the per-event bookkeeping grew "
                 f"beyond what an always-on sanitizer may charge"
@@ -667,14 +476,7 @@ def sanitizer_guard(results: list[BenchResult]) -> list[str]:
     return enforced
 
 
-def _solver_benches(
-    rng: np.random.Generator,
-    *,
-    nranks: int,
-    quick: bool,
-    warmup: int,
-    repeat: int,
-) -> list[BenchResult]:
+def _solver_benches(run: _Run) -> list[BenchResult]:
     """The solver group: classic vs communication-avoiding CG, SPMD.
 
     One Poisson system, two SPMD solves per sample: classic CG (one
@@ -693,10 +495,11 @@ def _solver_benches(
     from repro.mpilite.world import PerRank, run_spmd
     from repro.solvers import DistributedOperator, conjugate_gradient, sstep_cg
 
-    grid = 32 if quick else 63
+    nranks = run.nranks
+    grid = 32 if run.quick else 63
     A = poisson_2d(grid)
     plan = cached_halo_plan(A, nranks, with_matrices=True)
-    b = rng.standard_normal(A.nrows)
+    b = run.rng.standard_normal(A.nrows)
     tol, max_iter = 1e-8, 3000
     base = {"nrows": A.nrows, "nnz": A.nnz, "nranks": nranks, "grid": grid}
 
@@ -742,34 +545,15 @@ def _solver_benches(
 
     eco_classic, eco_sstep = economics(classic), economics(sstep)
 
-    rounds = max(repeat, 3)
-    best = None
-    for _ in range(3):
-        for _ in range(max(warmup, 1)):
-            solve("classic")
-            solve("sstep")
-        classic_s, sstep_s = [], []
-        for _ in range(rounds):
-            t0 = time.perf_counter()
-            solve("classic")
-            classic_s.append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            solve("sstep")
-            sstep_s.append(time.perf_counter() - t0)
-        trial = (
-            min(sstep_s) / min(classic_s),
-            TimingStats(tuple(classic_s)),
-            TimingStats(tuple(sstep_s)),
-        )
-        if best is None or trial[0] < best[0]:
-            best = trial
-        if best[0] <= 1.05:
-            break
-    ratio, classic_stats, sstep_stats = best
+    rounds = max(run.repeat, 3)
+    ratio, classic_stats, sstep_stats = _paired_ratio(
+        lambda: solve("classic"), lambda: solve("sstep"),
+        warmup=run.warmup, rounds=rounds, stop=1.05,
+    )
     return [
         BenchResult(
             name="solver-cg-classic", group="solver",
-            warmup=max(warmup, 1), repeat=rounds, seconds=classic_stats,
+            warmup=max(run.warmup, 1), repeat=rounds, seconds=classic_stats,
             params=base,
             derived={
                 "gflops": _gflops(A.nnz, 1, classic_stats.min / max(eco_classic["iterations"], 1)),
@@ -778,7 +562,7 @@ def _solver_benches(
         ),
         BenchResult(
             name="solver-cg-sstep", group="solver",
-            warmup=max(warmup, 1), repeat=rounds, seconds=sstep_stats,
+            warmup=max(run.warmup, 1), repeat=rounds, seconds=sstep_stats,
             params=base,
             derived={
                 "gflops": _gflops(A.nnz, 1, sstep_stats.min / max(eco_sstep["iterations"], 1)),
@@ -803,11 +587,11 @@ def solver_guard(results: list[BenchResult]) -> list[str]:
     halo messages per iteration, strictly fewer total communication
     posts per iteration, and the solutions-match marker present (the
     bench raises before producing a result otherwise).  These are
-    counted quantities — deterministic, so violations are real.  The
-    interleaved wall-time ratio must additionally stay under
-    :data:`SOLVER_SPEED_RATIO_MAX` at :data:`SOLVER_GUARD_MIN_ROWS` rows
-    and above.  Returns the names enforced; raises
-    :class:`AssertionError` on violation.
+    counted quantities — deterministic, so violations are real and are
+    enforced at every size.  The interleaved wall-time ratio must
+    additionally stay under :data:`SOLVER_SPEED_RATIO_MAX` at
+    :data:`GUARD_MIN_ROWS` rows and above.  Returns the names enforced;
+    raises :class:`AssertionError` on violation.
     """
     enforced = []
     for r in results:
@@ -840,7 +624,7 @@ def solver_guard(results: list[BenchResult]) -> list[str]:
                 f"CG's {d['classic_comm_posts_per_iteration']:.3f} — the "
                 f"communication-avoiding variant stopped avoiding communication"
             )
-        if r.params.get("nrows", 0) >= SOLVER_GUARD_MIN_ROWS:
+        if r.params.get("nrows", 0) >= GUARD_MIN_ROWS:
             ratio = d["time_ratio_vs_classic"]
             if ratio > SOLVER_SPEED_RATIO_MAX:
                 raise AssertionError(
@@ -853,186 +637,17 @@ def solver_guard(results: list[BenchResult]) -> list[str]:
     return enforced
 
 
-def _workload_benches() -> list[BenchResult]:
-    """The workload group: reference-trace policy studies + contention.
-
-    Unlike the other groups these time a *simulation*, so the wall
-    seconds are informational (one sample per study); the quantities
-    under guard are simulated outcomes and fully deterministic.  Three
-    results: the scheduler comparison on the fat tree (where runtimes
-    are policy-independent, so utilisation differences are pure
-    packing), the placement comparison on the loaded torus, and the
-    solo-vs-co-running link-contention probe — the same reference
-    configurations as ``repro workload --smoke``
-    (:mod:`repro.experiments.workload`).
-    """
-    from repro.experiments.workload import (
-        placement_cluster,
-        run_contention_probe,
-        scheduling_cluster,
-    )
-    from repro.workload import compare_policies, reference_trace
-
-    trace = reference_trace()
-    base = {"jobs": len(trace), "nodes": 16, "trace": "reference"}
-
-    t0 = time.perf_counter()
-    sched = compare_policies(
-        trace, scheduling_cluster, schedulers=("fcfs", "easy"), placements=("first-fit",)
-    )
-    t_sched = time.perf_counter() - t0
-    fcfs = sched[("fcfs", "first-fit")]
-    easy = sched[("easy", "first-fit")]
-    results = [
-        BenchResult(
-            name="workload-scheduling", group="workload",
-            warmup=0, repeat=1, seconds=TimingStats((t_sched,)),
-            params={**base, "cluster": "westmere-fat-tree"},
-            derived={
-                "util_fcfs": fcfs.utilisation(),
-                "util_easy": easy.utilisation(),
-                "makespan_fcfs": fcfs.makespan,
-                "makespan_easy": easy.makespan,
-                "mean_bsld_fcfs": fcfs.summary()["mean_slowdown"],
-                "mean_bsld_easy": easy.summary()["mean_slowdown"],
-            },
-        )
-    ]
-
-    t0 = time.perf_counter()
-    placed = compare_policies(
-        trace, placement_cluster,
-        schedulers=("easy",), placements=("random", "node-aware"), seed=11,
-    )
-    t_place = time.perf_counter() - t0
-    rand = placed[("easy", "random")]
-    aware = placed[("easy", "node-aware")]
-    results.append(
-        BenchResult(
-            name="workload-placement", group="workload",
-            warmup=0, repeat=1, seconds=TimingStats((t_place,)),
-            params={**base, "cluster": "cray-torus-loaded"},
-            derived={
-                "p99_random": rand.summary()["p99"],
-                "p99_node_aware": aware.summary()["p99"],
-                "wire_bytes_random": rand.interconnect_bytes(),
-                "wire_bytes_node_aware": aware.interconnect_bytes(),
-                "hop_sum_random": rand.summary()["hop_sum"],
-                "hop_sum_node_aware": aware.summary()["hop_sum"],
-            },
-        )
-    )
-
-    t0 = time.perf_counter()
-    alone, shared = run_contention_probe()
-    t_cont = time.perf_counter() - t0
-    results.append(
-        BenchResult(
-            name="workload-contention", group="workload",
-            warmup=0, repeat=1, seconds=TimingStats((t_cont,)),
-            params={"jobs": 2, "nodes": 4, "cluster": "cray-torus-loaded"},
-            derived={
-                "bw_alone": alone.effective_bandwidth,
-                "bw_shared_min": min(r.effective_bandwidth for r in shared),
-                "bw_shared_max": max(r.effective_bandwidth for r in shared),
-            },
-        )
-    )
-    return results
-
-
-def workload_guard(results: list[BenchResult]) -> list[str]:
-    """Assert the workload subsystem's reference-trace properties.
-
-    EASY backfilling must achieve strictly higher utilisation than FCFS
-    on the fat tree (where runtimes are policy-independent); node-aware
-    placement must never move more hop-weighted interconnect bytes than
-    random and must beat it on p99 response latency on the loaded
-    torus; and a job co-running with a communication-heavy twin must
-    observe strictly lower effective bandwidth than the same job alone.
-    Returns the names enforced; raises :class:`AssertionError` on
-    violation.  No-op when the workload group was skipped (quick mode).
-    """
-    enforced = []
-    for r in results:
-        if r.group != "workload":
-            continue
-        if r.name == "workload-scheduling":
-            u_f, u_e = r.derived["util_fcfs"], r.derived["util_easy"]
-            if u_e <= u_f:
-                raise AssertionError(
-                    f"workload-scheduling: EASY utilisation {u_e:.4f} does not "
-                    f"beat FCFS {u_f:.4f} on the reference trace; backfilling "
-                    f"stopped filling the head-of-line blocking window"
-                )
-            enforced.append(r.name)
-        elif r.name == "workload-placement":
-            b_r = r.derived["wire_bytes_random"]
-            b_a = r.derived["wire_bytes_node_aware"]
-            if b_a > b_r:
-                raise AssertionError(
-                    f"workload-placement: node-aware moved {b_a:.3e} B over the "
-                    f"wire vs random's {b_r:.3e} B; compact allocations must "
-                    f"never increase hop-weighted inter-node traffic"
-                )
-            p_r = r.derived["p99_random"]
-            p_a = r.derived["p99_node_aware"]
-            if p_a >= p_r:
-                raise AssertionError(
-                    f"workload-placement: node-aware p99 latency {p_a:.3e} s is "
-                    f"not below random's {p_r:.3e} s on the loaded torus; the "
-                    f"topology knowledge stopped paying for itself"
-                )
-            enforced.append(r.name)
-        elif r.name == "workload-contention":
-            solo = r.derived["bw_alone"]
-            worst = r.derived["bw_shared_max"]
-            if worst >= solo:
-                raise AssertionError(
-                    f"workload-contention: a co-running job saw "
-                    f"{worst:.3e} B/s, not below the solo {solo:.3e} B/s; "
-                    f"jobs are no longer sharing the torus link pool"
-                )
-            enforced.append(r.name)
-    return enforced
-
-
-def serve_guard(results: list[BenchResult]) -> list[str]:
-    """Assert the build-once/serve-many contract holds.
-
-    A warm request against the persistent service must be at least
-    :data:`SERVE_WARM_SPEEDUP_MIN` times faster than a cold
-    build-and-serve, and the coalesced bench must have proven
-    bit-identity (it raises before producing a result otherwise, so
-    here it is checked as presence of the marker).  Sub-guard matrices
-    (:data:`SERVE_GUARD_MIN_ROWS`) are reported but not enforced.
-    Returns the names enforced; raises :class:`AssertionError` on
-    violation.
-    """
-    enforced = []
-    for r in results:
-        if r.group != "serve":
-            continue
-        if r.params.get("nrows", 0) < SERVE_GUARD_MIN_ROWS:
-            continue
-        if r.name == "serve-warm":
-            speedup = r.derived["warm_speedup_vs_cold"]
-            if speedup < SERVE_WARM_SPEEDUP_MIN:
-                raise AssertionError(
-                    f"serve-warm: warm_speedup_vs_cold is {speedup:.2f} "
-                    f"(guard: >= {SERVE_WARM_SPEEDUP_MIN}); a warm request "
-                    f"should amortise away the one-time build cost — the "
-                    f"service is rebuilding state it was meant to keep"
-                )
-            enforced.append(r.name)
-        elif r.name == "serve-coalesced":
-            if r.derived.get("bit_identical") != 1.0:
-                raise AssertionError(
-                    "serve-coalesced: missing the bit-identity marker; the "
-                    "coalesced path was benchmarked without being verified"
-                )
-            enforced.append(r.name)
-    return enforced
+#: The suite, one row per group: ``(group, bench, guard)``.  ``bench``
+#: maps a :class:`_Run` to that group's results and ``guard`` maps the
+#: suite's results to the names it enforced, raising
+#: :class:`AssertionError` on a violation.  Adding or retiring a group is
+#: one row.
+GROUPS = (
+    ("kernel", _kernel_benches, kernel_guard),
+    ("program", _program_overhead_bench, program_guard),
+    ("check", _sanitizer_benches, sanitizer_guard),
+    ("solver", _solver_benches, solver_guard),
+)
 
 
 def spmvm_suite(
@@ -1040,48 +655,39 @@ def spmvm_suite(
     quick: bool = False,
     nrows: int | None = None,
     nranks: int | None = None,
-    scheme: str = "task_mode",
     seed: int = 7,
-    workload: bool | None = None,
 ) -> list[BenchResult]:
-    """Run the full spMVM benchmark suite and return its results.
+    """Measure every group of :data:`GROUPS` and return the results.
 
     ``quick`` shrinks the matrix and the sample counts for CI smoke
     runs; the schema and the result names are identical in both modes.
     ``nrows``/``nranks`` override the mode defaults (used by the tests
-    to keep runtimes trivial).  ``workload`` adds the reference-trace
-    workload studies (~30 s of simulation, policy-guarded); it defaults
-    to ``not quick`` — quick/CI runs get the same assertions from the
-    dedicated ``repro workload --smoke`` gate instead.
+    to keep runtimes trivial).  Nothing is gated here beyond the
+    correctness checks a group runs before it times anything; pass the
+    results to :func:`guard_failures`.
     """
     if nrows is None:
         nrows = 4_000 if quick else 40_000
     if nranks is None:
         nranks = 2 if quick else 4
     warmup, repeat = (1, 3) if quick else (3, 7)
-    rng = np.random.default_rng(seed)
-    A = random_sparse(nrows, nnzr=15.0, seed=seed, ensure_diagonal=True)
-    results = _kernel_benches(A, rng, warmup=warmup, repeat=repeat)
-    results += _distributed_benches(
-        A, rng, nranks=nranks, scheme=scheme, warmup=warmup, repeat=repeat
+    run = _Run(
+        A=random_sparse(nrows, nnzr=15.0, seed=seed, ensure_diagonal=True),
+        rng=np.random.default_rng(seed),
+        nranks=nranks, quick=quick, warmup=warmup, repeat=repeat,
     )
-    results += _program_overhead_bench(rng, warmup=warmup, repeat=repeat)
-    results += _serve_benches(
-        A, rng, nranks=nranks, scheme=scheme, warmup=warmup, repeat=repeat
-    )
-    results += _sanitizer_benches(
-        A, rng, nranks=nranks, scheme=scheme, warmup=warmup, repeat=repeat
-    )
-    results += _solver_benches(
-        rng, nranks=nranks, quick=quick, warmup=warmup, repeat=repeat
-    )
-    if workload is None:
-        workload = not quick
-    if workload:
-        results += _workload_benches()
-    kernel_guard(results)
-    serve_guard(results)
-    sanitizer_guard(results)
-    solver_guard(results)
-    workload_guard(results)
+    results = []
+    for _group, bench, _guard in GROUPS:
+        results += bench(run)
     return results
+
+
+def guard_failures(results: list[BenchResult]) -> list[str]:
+    """Run every guard of :data:`GROUPS`; one ``<guard>: <message>`` per violation."""
+    failures = []
+    for _group, _bench, guard in GROUPS:
+        try:
+            guard(results)
+        except AssertionError as exc:
+            failures.append(f"{guard.__name__}: {exc}")
+    return failures

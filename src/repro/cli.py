@@ -52,7 +52,7 @@ def _cmd_list(_args: argparse.Namespace) -> int:
         ("check", "communication correctness analyzer (repro.check)"),
         ("lint", "repo-invariant AST lint (repro.check.astlint)"),
         ("probe", "Sect. 3 asynchronous-progress probe"),
-        ("bench", "timed spMVM micro-benchmarks → BENCH_spmvm.json"),
+        ("bench", "guard suite: kernel, program, sanitizer and solver ratios"),
         ("serve", "persistent solver service: build once, stream requests"),
         ("workload", "multi-job cluster simulation: streams, scheduling, contention"),
         ("kernels", "list the registered spMVM kernels (repro.sparse.registry)"),
@@ -256,15 +256,24 @@ def _cmd_balance(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run the spMVM benchmark suite and write BENCH_spmvm.json."""
-    from repro.bench import spmvm_suite, write_results
+    """Run the guard suite: report and write every result, then gate.
 
-    results = spmvm_suite(quick=args.quick, scheme=args.scheme, seed=args.seed)
+    The guards run last, so a violated ratio still leaves its number on
+    the terminal and in the ``repro-bench/1`` file.  Exit 1 on any
+    violation, one ``FAIL`` line each.
+    """
+    from repro.bench import spmvm_suite, write_results
+    from repro.bench.suite import guard_failures
+
+    results = spmvm_suite(quick=args.quick, seed=args.seed)
     for r in results:
         print(r.describe())
     write_results(results, args.output, quick=args.quick)
     print(f"\n{len(results)} results written to {args.output}")
-    return 0
+    failures = guard_failures(results)
+    for failure in failures:
+        print(f"FAIL {failure}")
+    return 1 if failures else 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -684,9 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("probe", _cmd_probe)
     pb = add("bench", _cmd_bench)
     pb.add_argument("--quick", action="store_true",
-                    help="small matrix, few repeats (CI smoke mode)")
-    pb.add_argument("--scheme", default="task_mode",
-                    choices=("no_overlap", "naive_overlap", "task_mode"))
+                    help="small matrix, few repeats (CI smoke mode; guards still enforced)")
     pb.add_argument("--seed", type=int, default=7)
     pb.add_argument("--output", metavar="PATH", default="BENCH_spmvm.json",
                     help="where to write the repro-bench/1 JSON (default: %(default)s)")

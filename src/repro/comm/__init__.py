@@ -1,4 +1,4 @@
-"""Communication planning: direct vs node-aware halo exchange lowering."""
+"""Communication planning: the direct and the node-aware halo-exchange plan kinds."""
 
 from repro.comm.exec import PLAN_TAG_BASE, RankExchange
 from repro.comm.plan import (

@@ -49,7 +49,7 @@ class SimulationResult:
     messages_per_mvm: float
     bytes_transferred: float = 0.0  # actually moved through the simulated MPI
     block_k: int = 1  # right-hand sides per sweep (batched multi-RHS)
-    comm_plan: str = "direct"  # halo-exchange lowering (repro.comm)
+    comm_plan: str = "direct"  # comm-plan kind (repro.comm)
     trace: TraceRecorder | None = None
     resource_stats: dict[object, ResourceStats] | None = None
 
@@ -71,11 +71,11 @@ class SimulationResult:
     def describe(self) -> str:
         """One-line summary."""
         batch = f" | k={self.block_k}" if self.block_k > 1 else ""
-        lowering = f" | {self.comm_plan}" if self.comm_plan != "direct" else ""
+        plan = f" | {self.comm_plan}" if self.comm_plan != "direct" else ""
         return (
             f"{self.scheme:>14} | {self.mode:>8} | {self.n_nodes:3d} nodes "
             f"({self.n_ranks:4d} ranks) | {self.gflops:7.2f} GFlop/s | "
-            f"{self.seconds_per_mvm * 1e3:8.3f} ms/MVM{batch}{lowering}"
+            f"{self.seconds_per_mvm * 1e3:8.3f} ms/MVM{batch}{plan}"
         )
 
 
@@ -114,7 +114,7 @@ def simulate_from_plan(
     ``block_k > 1`` simulates batched multi-RHS sweeps: each iteration
     applies the operator to k right-hand sides, with one k-column halo
     message per peer (same message count, k× payload) and block-kernel
-    memory traffic.  ``comm_plan`` picks the halo-exchange lowering
+    memory traffic.  ``comm_plan`` picks the plan kind
     (:mod:`repro.comm`): ``"direct"`` replays one message per rank pair,
     ``"node-aware"`` aggregates inter-node traffic through per-node
     leader ranks (gather/forward/scatter, priced on the ``intra_*``

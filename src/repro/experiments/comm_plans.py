@@ -4,7 +4,7 @@ Two parts:
 
 1. **Plan accounting** — for HMeP and sAMG on both machine presets
    (Westmere/fat-tree and Magny Cours/torus), reduce the direct and the
-   node-aware lowering of the same halo plan to their message counts,
+   node-aware plan of the same halo exchange to their message counts,
    injected inter-node bytes, worst per-NIC load and duplicate factor
    (:func:`repro.comm.plan_stats`).  No simulation — this is pure
    bookkeeping from the partitioned matrices.
@@ -188,7 +188,7 @@ def run_comm_plans(
 
     The sweep runs *sweep_matrix* in pure-MPI mode (``per-core``) on the
     Cray torus with :data:`TORUS_MESSAGE_OVERHEAD` per message, under
-    both lowerings.  ``include_sweep=False`` skips the (comparatively
+    both plan kinds.  ``include_sweep=False`` skips the (comparatively
     slow) simulations and returns the accounting tables only.
     """
     result = CommPlansResult(

@@ -9,8 +9,8 @@ actually isolate it:
    utilisation differences are purely packing differences — the quantity
    a scheduler controls.  On the reference trace EASY backfills the
    short narrow jobs into the nodes the head-blocked wide job cannot
-   use, and its utilisation is strictly higher (asserted by
-   ``workload_guard`` and the CLI smoke mode).
+   use, and its utilisation is strictly higher (asserted by the CLI
+   smoke mode and the test suite).
 2. **Placement** (first-fit vs random vs node-aware) is compared on the
    Cray *torus* under heavy background load
    (:data:`PLACEMENT_BACKGROUND_LOAD`): torus demand is bytes × hops on
@@ -178,9 +178,9 @@ class WorkloadStudy:
 def smoke_checks(study: WorkloadStudy) -> list[tuple[str, bool, str]]:
     """The subsystem's acceptance checks as ``(name, passed, detail)`` rows.
 
-    Shared by ``repro workload --smoke`` (CI gate), the bench suite's
-    ``workload_guard``, and the test suite, so all three assert the same
-    properties on the same reference configurations.
+    The ``repro workload --smoke`` CI gate; the test suite
+    (``tests/test_workload_engine.py``) asserts the same properties on
+    the same reference configurations, so the two agree.
     """
     checks: list[tuple[str, bool, str]] = []
 

@@ -107,16 +107,17 @@ class DistributedOperator:
     scheme:
         Which Fig. 4 execution scheme the matvec uses.
     comm_plan:
-        Optional halo-exchange lowering (see
-        :class:`~repro.core.spmvm.DistributedSpMVM`): ``None``/direct
-        uses the classic per-peer exchange, a node-aware
+        Optional comm plan (see
+        :class:`~repro.core.spmvm.DistributedSpMVM`): ``None`` or a
+        ``direct`` plan is the direct exchange (one message per peer, no
+        relay duties), a ``node-aware``
         :class:`~repro.comm.plan.CommPlan` routes inter-node traffic
         through per-node leaders.  Solver iterates are bit-identical
         either way.
 
     The ``counters`` dict tallies communication economics — halo
     ``exchanges``, collective ``reductions``, and total ``messages``
-    this rank posts: one per send peer per exchange (classic
+    this rank posts: one per send peer per exchange (direct-exchange
     accounting) plus two per collective (this rank's up-and-down hop of
     a rooted reduction) — so solver variants can be compared on
     *counted* traffic rather than timed noise (the :mod:`repro.bench`

@@ -1,9 +1,10 @@
-"""The benchmark harness, the spMVM suite, and the repro-bench/1 schema."""
+"""The benchmark harness, the guard suite, and the repro-bench/1 schema."""
 
 import json
 
 import pytest
 
+import repro.bench
 from repro.bench import (
     BENCH_SCHEMA,
     BenchResult,
@@ -12,16 +13,14 @@ from repro.bench import (
     time_callable,
     write_results,
 )
-from repro.bench.suite import KERNEL_GUARD_MIN_ROWS, kernel_guard
+from repro.bench import suite as bench_suite
+from repro.bench.suite import GROUPS, GUARD_MIN_ROWS, guard_failures, kernel_guard
 from repro.cli import main
 
 EXPECTED_NAMES = {
     "spmv", "spmv-out", "spmm-k1", "spmm-k4", "spmm-k16",
     "sell-spmv", "sell-spmm-k4", "sell-spmm-k16",
-    "distributed-spmv",
-    "distributed-spmm-k1", "distributed-spmm-k4", "distributed-spmm-k16",
     "program-overhead",
-    "serve-cold", "serve-warm", "serve-coalesced",
     "sanitizer-overhead",
     "solver-cg-classic", "solver-cg-sstep",
 }
@@ -79,9 +78,10 @@ def tiny_suite():
 
 def test_suite_covers_all_paths(tiny_suite):
     assert {r.name for r in tiny_suite} == EXPECTED_NAMES
-    assert {r.group for r in tiny_suite} == {
-        "kernel", "distributed", "program", "serve", "check", "solver",
-    }
+    # the distributed, serve and workload paths are timed by
+    # benchmarks/ledger only; what is left is one row of GROUPS each
+    groups = list(dict.fromkeys(r.group for r in tiny_suite))
+    assert groups == [g for g, _, _ in GROUPS] == ["kernel", "program", "check", "solver"]
     for r in tiny_suite:
         assert r.seconds.min > 0
         assert r.derived["gflops"] > 0
@@ -145,7 +145,7 @@ def test_kernel_guard_enforces_block_speedups():
 
 
 def test_kernel_guard_skips_noise_dominated_sizes():
-    tiny = _guard_result("spmm-k4", 4, KERNEL_GUARD_MIN_ROWS - 1, 0.5)
+    tiny = _guard_result("spmm-k4", 4, GUARD_MIN_ROWS - 1, 0.5)
     assert kernel_guard([tiny]) == []
     # ...which is why the tiny test suite (300 rows) cannot flake on it
 
@@ -154,83 +154,54 @@ def test_tiny_suite_below_guard_threshold(tiny_suite):
     # the module fixture runs at 300 rows: the guard must have been a
     # no-op there, or CI test runs would inherit timing flakiness
     kernel_nrows = {r.params["nrows"] for r in tiny_suite if r.group == "kernel"}
-    assert max(kernel_nrows) < KERNEL_GUARD_MIN_ROWS
+    assert max(kernel_nrows) < GUARD_MIN_ROWS
 
 
 def test_program_overhead_guard(tiny_suite):
     # the sweep-IR tentpole's perf contract: interpreter indirection must
-    # stay well under 5% of the single-rank spmv hot path (the suite
-    # itself raises past the guard; here we check the reported figures)
+    # stay well under 5% of the single-rank spmv hot path.  The hot path
+    # is a fixed guard-sized matrix, so even the tiny suite is enforced.
+    from repro.bench.suite import PROGRAM_OVERHEAD_MAX, program_guard
+
     (r,) = [r for r in tiny_suite if r.name == "program-overhead"]
-    assert r.derived["guard_max"] == 0.05
+    assert r.derived["guard_max"] == PROGRAM_OVERHEAD_MAX == 0.05
+    assert program_guard(tiny_suite) == ["program-overhead"]
     assert 0.0 <= r.derived["overhead_vs_hot_path"] < r.derived["guard_max"]
     assert r.derived["indirection_seconds"] < r.derived["hot_path_seconds"]
 
 
-def test_serve_group_reports_warm_cold_and_coalesced(tiny_suite):
-    from repro.bench.suite import SERVE_WARM_SPEEDUP_MIN, serve_guard
-
-    by_name = {r.name: r for r in tiny_suite}
-    warm = by_name["serve-warm"]
-    # the ratio itself is only *enforced* at guard size (see below); at
-    # 300 rows just require the persistent service to actually win
-    assert warm.seconds.min < by_name["serve-cold"].seconds.min
-    assert warm.derived["guard_min"] == SERVE_WARM_SPEEDUP_MIN
-    coal = by_name["serve-coalesced"]
-    assert coal.derived["bit_identical"] == 1.0  # asserted before timing
-    assert coal.derived["throughput_rps"] > 0.0
-    assert 1.0 <= coal.derived["mean_batch_width"] <= coal.params["max_batch"]
-    # 300 rows is below SERVE_GUARD_MIN_ROWS: reported, not enforced —
-    # the same no-flake policy as kernel_guard
-    assert serve_guard(tiny_suite) == []
-
-
-def _serve_result(name, nrows, derived):
+def _program_result(nrows, overhead):
     return BenchResult(
-        name=name, group="serve", warmup=1, repeat=3,
+        name="program-overhead", group="program", warmup=1, repeat=200,
         seconds=TimingStats(samples=(1.0,)),
-        params={"nrows": nrows, "nnz": 10 * nrows, "nranks": 2, "scheme": "task_mode"},
-        derived=derived,
+        params={"nrows": nrows, "nnz": 15 * nrows, "nranks": 1, "scheme": "no_overlap"},
+        derived={"overhead_vs_hot_path": overhead, "guard_max": 0.05},
     )
 
 
-def test_serve_guard_enforces_at_guard_size():
-    from repro.bench.suite import SERVE_GUARD_MIN_ROWS, serve_guard
+def test_program_guard_enforces_at_guard_size():
+    from repro.bench.suite import PROGRAM_OVERHEAD_MAX, program_guard
 
-    ok = [
-        _serve_result("serve-warm", 4000,
-                      {"warm_speedup_vs_cold": 8.0, "guard_min": 5.0}),
-        _serve_result("serve-coalesced", 4000,
-                      {"throughput_rps": 100.0, "bit_identical": 1.0}),
-    ]
-    assert serve_guard(ok) == ["serve-warm", "serve-coalesced"]
-    with pytest.raises(AssertionError, match="rebuilding state"):
-        serve_guard([_serve_result("serve-warm", 4000,
-                                   {"warm_speedup_vs_cold": 1.5, "guard_min": 5.0})])
-    with pytest.raises(AssertionError, match="bit-identity"):
-        serve_guard([_serve_result("serve-coalesced", 4000,
-                                   {"throughput_rps": 10.0})])
-    # sub-guard sizes are never enforced
-    tiny = _serve_result("serve-warm", SERVE_GUARD_MIN_ROWS - 1,
-                         {"warm_speedup_vs_cold": 0.5, "guard_min": 5.0})
-    assert serve_guard([tiny]) == []
+    assert program_guard([_program_result(4000, 0.02)]) == ["program-overhead"]
+    with pytest.raises(AssertionError, match="per-op cost"):
+        program_guard([_program_result(4000, 0.08)])
+    # the bound itself is already a violation (strictly under 5 %)
+    with pytest.raises(AssertionError, match="program-overhead"):
+        program_guard([_program_result(4000, PROGRAM_OVERHEAD_MAX)])
+    assert program_guard([_program_result(GUARD_MIN_ROWS - 1, 0.5)]) == []
 
 
 def test_sanitizer_overhead_reported(tiny_suite):
-    from repro.bench.suite import (
-        SANITIZER_GUARD_MIN_ROWS,
-        SANITIZER_OVERHEAD_MAX,
-        sanitizer_guard,
-    )
+    from repro.bench.suite import SANITIZER_OVERHEAD_MAX, sanitizer_guard
 
     (r,) = [r for r in tiny_suite if r.name == "sanitizer-overhead"]
     assert r.group == "check"
     assert r.derived["guard_max"] == SANITIZER_OVERHEAD_MAX
     assert r.derived["events_observed"] > 0
     assert r.derived["plain_seconds"] > 0
-    # 300 rows is below SANITIZER_GUARD_MIN_ROWS: reported, not enforced
+    # 300 rows is below GUARD_MIN_ROWS: reported, not enforced
     # (sub-millisecond sweeps put thread spin-up jitter in the ratio)
-    assert r.params["nrows"] < SANITIZER_GUARD_MIN_ROWS
+    assert r.params["nrows"] < GUARD_MIN_ROWS
     assert sanitizer_guard(tiny_suite) == []
 
 
@@ -244,14 +215,14 @@ def _sanitizer_result(nrows, overhead):
 
 
 def test_sanitizer_guard_enforces_at_guard_size():
-    from repro.bench.suite import SANITIZER_GUARD_MIN_ROWS, sanitizer_guard
+    from repro.bench.suite import sanitizer_guard
 
     ok = _sanitizer_result(4000, 1.1)
     assert sanitizer_guard([ok]) == ["sanitizer-overhead"]
     with pytest.raises(AssertionError, match="sanitizer-overhead"):
         sanitizer_guard([_sanitizer_result(4000, 1.5)])
     # sub-guard sizes are never enforced
-    tiny = _sanitizer_result(SANITIZER_GUARD_MIN_ROWS - 1, 1.5)
+    tiny = _sanitizer_result(GUARD_MIN_ROWS - 1, 1.5)
     assert sanitizer_guard([tiny]) == []
 
 
@@ -272,18 +243,6 @@ def test_write_results_schema(tiny_suite, tmp_path):
 
 
 # ----------------------------------------------------------------- CLI
-
-
-def test_cli_bench_quick(tmp_path, capsys):
-    out = tmp_path / "BENCH_spmvm.json"
-    rc = main(["bench", "--quick", "--output", str(out)])
-    assert rc == 0
-    data = json.loads(out.read_text())
-    assert data["schema"] == "repro-bench/1"
-    assert {r["name"] for r in data["results"]} == EXPECTED_NAMES
-    printed = capsys.readouterr().out
-    assert "distributed-spmm-k16" in printed
-    assert str(out) in printed
 
 
 def _solver_result(nrows, derived):
@@ -307,7 +266,7 @@ def _solver_result(nrows, derived):
 
 
 def test_solver_guard_counts_not_times(tiny_suite):
-    from repro.bench.suite import SOLVER_GUARD_MIN_ROWS, solver_guard
+    from repro.bench.suite import solver_guard
 
     # the real tiny suite passes the guard and reports the economics
     assert solver_guard(tiny_suite) == ["solver-cg-sstep"]
@@ -327,6 +286,111 @@ def test_solver_guard_counts_not_times(tiny_suite):
         solver_guard([_solver_result(100, {"solutions_match": 0.0})])
     # the timing ratio only at guard size and above
     slow = {"time_ratio_vs_classic": 2.0}
-    assert solver_guard([_solver_result(SOLVER_GUARD_MIN_ROWS - 1, slow)])
+    assert solver_guard([_solver_result(GUARD_MIN_ROWS - 1, slow)])
     with pytest.raises(AssertionError, match="never lose outright"):
-        solver_guard([_solver_result(SOLVER_GUARD_MIN_ROWS, slow)])
+        solver_guard([_solver_result(GUARD_MIN_ROWS, slow)])
+
+
+# ----------------------------------------------------- the group table
+
+
+def test_every_group_has_a_guard():
+    # one synthetic passing result set per row of GROUPS, at any size
+    passing = {
+        "kernel": lambda n: [_guard_result("spmm-k1", 1, n, 1.0),
+                             _guard_result("spmm-k4", 4, n, 1.2)],
+        "program": lambda n: [_program_result(n, 0.02)],
+        "check": lambda n: [_sanitizer_result(n, 1.1)],
+        "solver": lambda n: [_solver_result(n, {})],
+    }
+    assert [g for g, _, _ in GROUPS] == list(passing)
+    for group, bench, guard in GROUPS:
+        assert callable(bench)
+        mine = passing[group](GUARD_MIN_ROWS)
+        others = [r for g, make in passing.items() if g != group
+                  for r in make(GUARD_MIN_ROWS)]
+        enforced = guard(mine + others)
+        assert enforced and set(enforced) <= {r.name for r in mine}
+        assert guard(others) == []  # a guard reads its own group only
+        # below guard size nothing timed is enforced; the solver's
+        # counted economics are deterministic and hold at every size
+        below = guard(passing[group](GUARD_MIN_ROWS - 1))
+        assert below == (["solver-cg-sstep"] if group == "solver" else [])
+    assert guard_failures([r for make in passing.values()
+                           for r in make(GUARD_MIN_ROWS)]) == []
+    # the package surface: the harness, the four guards, their bounds
+    assert set(repro.bench.__all__) == {
+        "BENCH_SCHEMA", "BenchResult", "TimingStats", "time_callable",
+        "write_results", "BLOCK_WIDTHS", "SANITIZER_OVERHEAD_MAX",
+        "SOLVER_SPEED_RATIO_MAX", "kernel_guard", "program_guard",
+        "sanitizer_guard", "solver_guard", "spmvm_suite",
+    }
+
+
+def test_guard_failures_names_every_violated_guard():
+    bad = [_guard_result("spmm-k4", 4, 4000, 0.9), _sanitizer_result(4000, 1.5),
+           _program_result(4000, 0.02)]
+    failures = guard_failures(bad)
+    assert [f.split(":")[0] for f in failures] == ["kernel_guard", "sanitizer_guard"]
+    assert "spmm-k4" in failures[0] and "sanitizer-overhead" in failures[1]
+
+
+def test_retired_options_are_gone(capsys):
+    # the ledger times the scheme-dependent and workload paths now
+    with pytest.raises(TypeError):
+        spmvm_suite(quick=True, nrows=300, scheme="task_mode")
+    with pytest.raises(TypeError):
+        spmvm_suite(quick=True, nrows=300, workload=False)
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--quick", "--scheme", "task_mode"])
+    assert exc.value.code == 2
+    assert "--scheme" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------- CLI
+
+
+def test_cli_bench_quick(tiny_suite, tmp_path, capsys, monkeypatch):
+    # argument plumbing, printing and the file — over the sub-guard tiny
+    # results, so no wall-clock kernel guard runs in tier-1 (CI's
+    # bench-smoke job runs the real `repro bench --quick`)
+    calls = []
+
+    def fake_suite(**kwargs):
+        calls.append(kwargs)
+        return tiny_suite
+
+    monkeypatch.setattr(repro.bench, "spmvm_suite", fake_suite)
+    out = tmp_path / "BENCH_spmvm.json"
+    rc = main(["bench", "--quick", "--seed", "3", "--output", str(out)])
+    assert rc == 0
+    assert calls == [{"quick": True, "seed": 3}]
+    data = json.loads(out.read_text())
+    assert data["schema"] == "repro-bench/1"
+    assert data["quick"] is True
+    assert {r["name"] for r in data["results"]} == EXPECTED_NAMES
+    printed = capsys.readouterr().out
+    for name in EXPECTED_NAMES:
+        assert name in printed
+    assert "FAIL" not in printed
+    assert str(out) in printed
+
+
+def test_cli_bench_reports_before_it_gates(tiny_suite, tmp_path, capsys, monkeypatch):
+    def broken_guard(results):
+        raise AssertionError("spmm-k4: per-column speedup_vs_spmv is 0.900")
+
+    monkeypatch.setattr(repro.bench, "spmvm_suite", lambda **kwargs: tiny_suite)
+    monkeypatch.setattr(
+        bench_suite, "GROUPS",
+        (("kernel", None, broken_guard),) + tuple(GROUPS[1:]),
+    )
+    out = tmp_path / "bench.json"
+    rc = main(["bench", "--quick", "--output", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    for name in EXPECTED_NAMES:
+        assert name in captured.out  # every result printed before the gate
+    assert "FAIL broken_guard: spmm-k4: per-column speedup_vs_spmv is 0.900" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+    assert {r["name"] for r in json.loads(out.read_text())["results"]} == EXPECTED_NAMES
