@@ -430,7 +430,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """Serve a request stream from a persistent solver service.
 
     Builds the matrix's :class:`~repro.serve.BuiltModel` once
-    (optionally round-tripping it through the ``repro-model/1`` file
+    (optionally round-tripping it through the ``repro-model/2`` file
     given with ``--model``), keeps a worker pool alive, and fires
     ``--requests`` right-hand sides at it from ``--concurrency``
     submitter threads.  Prints build cost, latency percentiles,
@@ -714,7 +714,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="responses to re-check against independent runs")
     ps.add_argument("--seed", type=int, default=7)
     ps.add_argument("--model", metavar="PATH", default=None,
-                    help="save the built model here and serve from the reloaded copy")
+                    help="save the model here as a repro-model/2 file (matrix + "
+                         "serving configuration) and serve from the copy rebuilt from it")
     pw = add("workload", _cmd_workload)
     pw.add_argument("--jobs", type=int, default=100,
                     help="synthetic stream length (default: %(default)s)")

@@ -232,7 +232,8 @@ def build_halo_plan(
 # plan cache: solvers and benchmarks re-multiply the same matrix on the
 # same partition thousands of times; the bookkeeping "needs to be done
 # only once" (Sect. 3.1), so key it on the matrix *identity* — guarded
-# by a structure fingerprint so in-place mutation rebuilds the plan
+# by a fingerprint of whatever the plan copied, so in-place mutation
+# rebuilds the plan
 # ----------------------------------------------------------------------
 _PLAN_CACHE: dict[tuple[int, int, str, bool], tuple[weakref.ref, tuple, HaloPlan]] = {}
 _PLAN_CACHE_MAX = 32
@@ -243,20 +244,25 @@ def cached_halo_plan(
 ) -> HaloPlan:
     """Partition *A* and build (or reuse) its halo plan.
 
-    Plans are cached keyed on ``(id(A), nparts, strategy)``, with two
-    guards on each hit: a weak reference against id reuse after the
-    matrix is garbage collected, and the matrix's
-    :meth:`~repro.sparse.csr.CSRMatrix.structure_fingerprint` against
-    in-place mutation.  A long-lived service may legitimately rebuild a
-    matrix's structure between requests; returning the old plan then
-    silently computes with the wrong sparsity pattern (wrong halos,
-    wrong sub-matrices), so a fingerprint mismatch rebuilds the plan
-    instead.  The cache is bounded; oldest entries fall out first.
+    Plans are cached keyed on ``(id(A), nparts, strategy,
+    with_matrices)``, with two guards on each hit: a weak reference
+    against id reuse after the matrix is garbage collected, and a
+    fingerprint of the matrix against in-place mutation.  A long-lived
+    service may legitimately rebuild a matrix between requests;
+    returning the old plan then silently computes with the wrong
+    sparsity pattern or the wrong values, so a fingerprint mismatch
+    rebuilds the plan instead.  The fingerprint covers what the plan
+    copied: a metadata-only plan holds structure alone
+    (:meth:`~repro.sparse.csr.CSRMatrix.structure_fingerprint`); one
+    ``with_matrices`` also copied ``val`` into ``A_local`` /
+    ``A_remote``, so it is guarded by
+    :meth:`~repro.sparse.csr.CSRMatrix.content_fingerprint`.  The cache
+    is bounded; oldest entries fall out first.
     """
     from repro.sparse.partition import partition_matrix
 
     key = (id(A), int(nparts), strategy, with_matrices)
-    fingerprint = A.structure_fingerprint()
+    fingerprint = A.content_fingerprint() if with_matrices else A.structure_fingerprint()
     hit = _PLAN_CACHE.get(key)
     if hit is not None and hit[0]() is A and hit[1] == fingerprint:
         return hit[2]

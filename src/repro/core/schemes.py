@@ -35,14 +35,14 @@ from repro.frame.core import Simulator
 from repro.frame.resources import FlowNetwork
 from repro.frame.trace import TraceRecorder
 from repro.machine.affinity import RankPlacement
-from repro.program.build import build_sweep
+from repro.program.build import PROGRAM_SCHEMES, build_sweep
 from repro.program.sim import sweep_process
 from repro.smpi.api import SimMPI
 from repro.util import check_in
 
 __all__ = ["SIM_SCHEMES", "RankContext", "rank_process"]
 
-SIM_SCHEMES = ("no_overlap", "naive_overlap", "task_mode")
+SIM_SCHEMES = PROGRAM_SCHEMES
 
 #: Cost of one OpenMP-style barrier among a rank's threads (seconds).
 OMP_BARRIER_SECONDS = 2.0e-6

@@ -47,7 +47,7 @@ from repro.comm.exec import RankExchange
 from repro.comm.plan import PLAN_KINDS, CommPlan, cached_comm_plan
 from repro.core.halo import RankHalo, cached_halo_plan
 from repro.mpilite.comm import Comm
-from repro.program.build import cached_sweep_program
+from repro.program.build import PROGRAM_SCHEMES, cached_sweep_program
 from repro.program.exec import execute_sweep
 from repro.program.ir import SweepProgram
 from repro.sparse.csr import CSRMatrix
@@ -65,7 +65,7 @@ __all__ = [
     "gather_vector",
 ]
 
-SCHEMES = ("no_overlap", "naive_overlap", "task_mode")
+SCHEMES = PROGRAM_SCHEMES
 
 
 class DistributedSpMVM:

@@ -49,9 +49,9 @@ __all__ = [
     "all_sweep_programs",
 ]
 
-#: The Fig. 4 schemes, in paper order.  (Kept equal to
-#: ``repro.core.spmvm.SCHEMES`` / ``repro.core.schemes.SIM_SCHEMES`` by
-#: a package-health test — the builders are the source of truth.)
+#: The Fig. 4 schemes, in paper order — the one spelling;
+#: ``repro.core.spmvm.SCHEMES`` and ``repro.core.schemes.SIM_SCHEMES``
+#: are bindings of this tuple.
 PROGRAM_SCHEMES = ("no_overlap", "naive_overlap", "task_mode")
 
 

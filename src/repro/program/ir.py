@@ -142,8 +142,8 @@ class SweepOp:
         """The op's signature token: ``KIND`` in sweep 0, else ``s{n}:KIND``.
 
         Eliding the sweep-0 tag (as ``__repr__`` does) keeps every
-        single-sweep signature — persisted in ``repro-model/1`` files —
-        byte-stable.
+        single-sweep signature — frozen in ``tests/test_program_golden.py``
+        — byte-stable.
         """
         return f"s{self.sweep}:{self.kind}" if self.sweep else self.kind
 

@@ -1,7 +1,7 @@
 """The ``repro serve`` request-stream driver.
 
 Builds a model once, optionally round-trips it through the
-``repro-model/1`` file format, stands up a :class:`SolverService`, and
+``repro-model/2`` file format, stands up a :class:`SolverService`, and
 fires a stream of right-hand-side requests at it from concurrent
 submitter threads — the serving analogue of the bench harness's sweep
 loops.  Reports build cost, latency percentiles

@@ -16,7 +16,6 @@ from repro.solvers.amg import (
     strength_graph,
 )
 from repro.solvers.cg import CGResult, conjugate_gradient, sstep_cg
-from repro.solvers.jacobi_davidson import JDResult, jacobi_davidson
 from repro.solvers.chebyshev import ChebyshevPropagator
 from repro.solvers.kpm import KPMSpectrum, chebyshev_moments, jackson_kernel, kpm_spectrum
 from repro.solvers.lanczos import LanczosResult, ground_state, lanczos, spectral_bounds
@@ -33,8 +32,6 @@ __all__ = [
     "CGResult",
     "conjugate_gradient",
     "sstep_cg",
-    "JDResult",
-    "jacobi_davidson",
     "ChebyshevPropagator",
     "KPMSpectrum",
     "kpm_spectrum",

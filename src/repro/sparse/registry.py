@@ -23,7 +23,9 @@ without touching any call site.
 
 Format conversion happens once per matrix via :func:`build_operator`,
 which memoises the built operator per (kernel, matrix) with weak
-references — dropping the CSR matrix frees the converted copy too.
+references — dropping the CSR matrix frees the converted copy too.  A
+kernel whose operator *is* the CSR matrix (``csr/reference``) converts
+nothing, so it is neither memoised nor fingerprinted.
 """
 
 from __future__ import annotations
@@ -177,16 +179,23 @@ def build_operator(spec: str | KernelSpec, A: CSRMatrix) -> object:
     :meth:`~repro.sparse.csr.CSRMatrix.content_fingerprint`: mutating
     the matrix in place — structure *or* values — rebuilds the operator
     instead of serving a stale converted copy.
+
+    A ``build`` that returns its argument (``csr/reference``) made no
+    copy that could go stale: the matrix is returned as is, without the
+    checksum pass the guard costs.
     """
     spec = get_kernel(spec)
     cache = _OPERATOR_CACHE.setdefault(spec.key, weakref.WeakKeyDictionary())
-    fingerprint = A.content_fingerprint()
     hit = cache.get(A)
-    if hit is not None and hit[0] == fingerprint:
-        return hit[1]
-    op = spec.build(A)
-    cache[A] = (fingerprint, op)
-    return op
+    if hit is None:
+        op = spec.build(A)
+        if op is not A:
+            cache[A] = (A.content_fingerprint(), op)
+        return op
+    fingerprint = A.content_fingerprint()
+    if hit[0] != fingerprint:
+        hit = cache[A] = (fingerprint, spec.build(A))
+    return hit[1]
 
 
 register_kernel(

@@ -1,11 +1,43 @@
-"""Shared fixtures: small matrices built once per test session."""
+"""Shared fixtures: small matrices built once per test session, and the
+per-test hang watchdog."""
 
 from __future__ import annotations
+
+import faulthandler
+import os
 
 import numpy as np
 import pytest
 
 from repro.matrices import build_samg_like, get_matrix, random_sparse
+
+#: Seconds one test may run before the watchdog kills the session.  The
+#: whole tier-1 suite takes about a minute; only a hang gets near this.
+HANG_TIMEOUT_SECONDS = 300.0
+
+_real_stderr_fd = 2
+
+
+def pytest_configure(config):
+    # output capture is suspended while pytest configures, so fd 2 is the
+    # terminal here; inside a test it is the capture file, which a hard
+    # exit would throw away together with the dump
+    global _real_stderr_fd
+    _real_stderr_fd = os.dup(2)
+
+
+@pytest.fixture(autouse=True)
+def hang_watchdog():
+    """A hung exchange fails the run with every thread's stack.
+
+    pytest-timeout is not installed; without it a deadlocked rank thread
+    stalls the job until the CI runner gives up, with no trace.  The
+    stdlib watchdog dumps all thread tracebacks to the real stderr and
+    exits the process (status 1) once a test exceeds the bound.
+    """
+    faulthandler.dump_traceback_later(HANG_TIMEOUT_SECONDS, exit=True, file=_real_stderr_fd)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(scope="session")

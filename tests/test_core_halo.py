@@ -201,6 +201,28 @@ class TestStaleCacheGuard:
         # the pre-fix bug produced *structurally* wrong results here
         np.testing.assert_allclose(distributed_spmv(A, x, 3), spmv(A, x), rtol=1e-12)
 
+    def test_value_only_mutation_multiplies_correctly(self):
+        # a plan built with_matrices copied A.val into A_local/A_remote,
+        # so the structure guard alone served the *old* values: y2 == y1
+        from repro.core.halo import cached_halo_plan
+        from repro.core.spmvm import distributed_spmv
+        from repro.serve import build_model
+
+        A = random_sparse(120, nnzr=5, seed=36)
+        x = np.arange(120, dtype=float)
+        y1 = distributed_spmv(A, x, 2)
+        m1 = build_model(A, 2)
+        meta_plan = cached_halo_plan(A, 2, with_matrices=False)
+        A.val *= 2.0
+        np.testing.assert_array_equal(distributed_spmv(A, x, 2), 2.0 * y1)
+        m2 = build_model(A, 2)
+        assert m2.plan is not m1.plan
+        np.testing.assert_array_equal(
+            m2.plan.ranks[0].A_local.val, 2.0 * m1.plan.ranks[0].A_local.val
+        )
+        # a metadata-only plan holds no values: the structure guard still hits
+        assert cached_halo_plan(A, 2, with_matrices=False) is meta_plan
+
     def test_value_only_mutation_rebuilds_operator(self):
         # same staleness class one layer down: the kernel-operator cache
         # copies values at build time (e.g. SELL), so changing A.val in

@@ -28,8 +28,7 @@ from repro.sparse.spmv import spmv, spmv_add
 NRANKS = 4
 
 #: The frozen per-scheme op sequences of a single sweep — editing a
-#: builder must be a conscious change here too.  ``repro-model/1`` files
-#: persist these tokens, so they are a compatibility surface as well.
+#: builder must be a conscious change here too.
 GOLDEN_SIGNATURES = {
     "no_overlap": (
         "POST_RECVS", "PACK", "POST_SENDS", "WAITALL", "FULL_SPMVM",

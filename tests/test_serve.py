@@ -22,7 +22,6 @@ from repro.serve import (
     ServiceError,
     SolverService,
     build_model,
-    cached_model,
     run_request_stream,
 )
 
@@ -38,7 +37,7 @@ def model(A):
 
 
 # ----------------------------------------------------------------------
-# model build + cache
+# model build
 # ----------------------------------------------------------------------
 class TestBuiltModel:
     def test_build_captures_all_one_time_state(self, A, model):
@@ -48,17 +47,6 @@ class TestBuiltModel:
         assert model.fingerprint == A.structure_fingerprint()
         assert model.build_seconds > 0.0
         assert "task_mode" in model.describe()
-
-    def test_cached_model_reuses_until_structure_changes(self):
-        A = random_sparse(100, nnzr=5.0, seed=14, ensure_diagonal=True)
-        m1 = cached_model(A, 2)
-        assert cached_model(A, 2) is m1
-        assert cached_model(A, 2, scheme="no_overlap") is not m1  # new config
-        B = random_sparse(100, nnzr=7.0, seed=15, ensure_diagonal=True)
-        A.row_ptr, A.col_idx, A.val = B.row_ptr, B.col_idx, B.val
-        m2 = cached_model(A, 2)
-        assert m2 is not m1  # fingerprint guard: in-place mutation rebuilds
-        assert m2.fingerprint == A.structure_fingerprint()
 
     def test_engines_share_one_compiled_program(self, model):
         from repro.mpilite import World
@@ -83,13 +71,47 @@ class TestModelSerialization:
         with SolverService(model) as live, SolverService(loaded) as thawed:
             np.testing.assert_array_equal(live.solve(x), thawed.solve(x))
 
+    def test_file_holds_only_what_a_build_cannot_recompute(self, tmp_path):
+        import json
+
+        A = random_sparse(100, nnzr=5.0, seed=14, ensure_diagonal=True)
+        built = build_model(
+            A, 4, scheme="naive_overlap", comm_plan="node-aware", ranks_per_node=2,
+            strategy="rows",
+        )
+        path = built.save(tmp_path / "model.npz")
+        with np.load(path) as data:
+            # derived state (partition, halo lists, sub-matrices, program
+            # signature) must not creep back in: load() rebuilds it
+            assert set(data.files) == {
+                "meta", "matrix.row_ptr", "matrix.col_idx", "matrix.val",
+            }
+            meta = json.loads(str(data["meta"][()]))
+        assert meta == {
+            "schema": MODEL_SCHEMA,
+            "nranks": 4,
+            "scheme": "naive_overlap",
+            "strategy": "rows",
+            "kernel": "csr/reference",
+            "comm_plan": "node-aware",
+            "ranks_per_node": 2,
+            "fingerprint": list(A.structure_fingerprint()),
+        }
+        loaded = BuiltModel.load(path)
+        assert (loaded.nranks, loaded.scheme, loaded.strategy) == (4, "naive_overlap", "rows")
+        assert (loaded.comm_plan_kind, loaded.ranks_per_node) == ("node-aware", 2)
+        assert loaded.comm_plan is not None
+        np.testing.assert_array_equal(
+            loaded.plan.partition.offsets, built.plan.partition.offsets
+        )
+
     def test_load_rejects_wrong_schema(self, model, tmp_path):
         import json
 
         path = model.save(tmp_path / "model.npz")
         data = dict(np.load(path))
         meta = json.loads(str(data["meta"][()]))
-        meta["schema"] = "repro-model/0"
+        meta["schema"] = "repro-model/1"  # the layout that stored derived state
         data["meta"] = np.array(json.dumps(meta))
         np.savez(tmp_path / "bad.npz", **data)
         with pytest.raises(ValueError, match=MODEL_SCHEMA.replace("/", "/")):
