@@ -13,6 +13,8 @@ JSON layout written by :func:`write_results` is a stable contract
       "created": "2026-01-01T00:00:00+00:00",
       "python": "3.12.3",
       "numpy": "2.4.6",
+      "csr_rowsums": {"available": true, "library": "~/.cache/repro/rowsums-….so",
+                      "compiler": null, "flags": ["-O3", "…"], "reason": null},
       "quick": false,
       "results": [
         {
@@ -25,7 +27,9 @@ JSON layout written by :func:`write_results` is a stable contract
       ]
     }
 
-Times are wall-clock seconds; ``derived`` holds benchmark-specific
+``csr_rowsums`` is :func:`repro.sparse.native.status`: which executor
+of the CSR row sums was timed (the compiled one and where it was loaded
+from, or numpy and why).  Times are wall-clock seconds; ``derived`` holds benchmark-specific
 numbers (GFlop/s, per-column times, speedups) computed from the
 *minimum* — the least-noise estimate of the true cost.
 """
@@ -145,11 +149,14 @@ def write_results(
     """
     import numpy
 
+    from repro.sparse import native
+
     payload = {
         "schema": BENCH_SCHEMA,
         "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
+        "csr_rowsums": native.status().to_dict(),
         "quick": bool(quick),
         "results": [r.to_dict() for r in results],
     }

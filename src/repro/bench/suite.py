@@ -181,9 +181,17 @@ def _paired_kernel_result(
     """
     A, rounds = run.A, max(run.repeat, 7)
     cols = 1 if k is None else k
-    # stop retrying once the speedup is comfortably above break-even
+    # stop retrying once the speedup is comfortably above break-even.
+    # k = 1 has no such margin: under the compiled executor it *is* the
+    # spmv kernel, the true ratio is 1 and a trial reads 0.98-1.02, so
+    # stop at the first trial that shows parity and allow enough of them
+    # that only a real cost reads above 1 every time
+    if k == 1:
+        stop, trials = 1.0, 15
+    else:
+        stop, trials = cols / 1.10, 3
     ratio, _ref, stats = _paired_ratio(
-        lambda: spmv(A, x), test_fn, warmup=run.warmup, rounds=rounds, stop=cols / 1.10
+        lambda: spmv(A, x), test_fn, warmup=run.warmup, rounds=rounds, stop=stop, trials=trials
     )
     speedup = cols / ratio  # > 1 once the matrix stream amortises over columns
     derived = {"gflops": _gflops(A.nnz, cols, stats.min), "speedup_vs_spmv": speedup}
@@ -326,8 +334,12 @@ def _program_overhead_bench(run: _Run) -> list[BenchResult]:
     memory-traffic noise, so it is measured where it is visible — a
     single-rank engine on a tiny matrix, interpreter vs. the same
     arithmetic hand-inlined — and reported relative to a hot-path spmv
-    on a fixed guard-sized matrix (whatever size the rest of the suite
-    runs at), which is what :func:`program_guard` bounds.
+    on a fixed matrix (whatever size the rest of the suite runs at),
+    which is what :func:`program_guard` bounds.  That matrix is the
+    smallest per-rank block the performance ledger gates on — one rank's
+    half of ``hmep-small``, 16 800 rows at Nnzr = 10: a sweep no shorter
+    than any the ledger times, so the bound means "the interpreter is
+    under 5 % of every gated sweep" however fast the kernel under it is.
     """
     from repro.core.halo import cached_halo_plan
     from repro.core.spmvm import DistributedSpMVM
@@ -354,7 +366,7 @@ def _program_overhead_bench(run: _Run) -> list[BenchResult]:
     inline = time_callable(inlined, warmup=warmup, repeat=micro_repeat)
     indirection = max(0.0, interp.min - inline.min)
 
-    hot = random_sparse(4_000, nnzr=15.0, seed=11, ensure_diagonal=True)
+    hot = random_sparse(16_800, nnzr=10.0, seed=11, ensure_diagonal=True)
     hhalo = cached_halo_plan(hot, 1, with_matrices=True).ranks[0]
     hengine = DistributedSpMVM(Comm(0, Router(1), CollectiveState(1)), hhalo)
     hx = run.rng.standard_normal(hot.ncols)

@@ -116,6 +116,7 @@ class HotPathAllocRule(AstRule):
     suffixes = (
         "sparse/spmv.py",
         "sparse/spmm.py",
+        "sparse/native.py",
         "program/exec.py",
         "core/spmvm.py",
         "comm/exec.py",
@@ -132,11 +133,14 @@ class HotPathAllocRule(AstRule):
     ALLOC_METHODS = frozenset({"copy", "astype"})
     HOT_FUNCTIONS = {
         "sparse/spmv.py": frozenset({
-            "spmv", "spmv_add", "spmv_rows", "spmv_split", "_segmented_rowsums",
+            "spmv", "spmv_add", "spmv_rows", "spmv_split",
+            "_segmented_rowsums", "_numpy_rowsums",
         }),
         "sparse/spmm.py": frozenset({
-            "spmm", "spmm_add", "spmm_rows", "_segmented_block_rowsums",
+            "spmm", "spmm_add", "spmm_rows",
+            "_segmented_block_rowsums", "_numpy_block_rowsums",
         }),
+        "sparse/native.py": frozenset({"rowsums", "_address"}),
         "program/exec.py": frozenset({
             "_post_recvs", "_pack", "_post_sends", "_waitall",
             "_local_spmvm", "_remote_spmvm", "_full_spmvm",
@@ -264,7 +268,7 @@ class LockDisciplineRule(AstRule):
 
     GUARDED = frozenset({
         "_pending", "_state", "_hold", "_next_id", "_seq", "_batch_widths",
-        "_requests_served", "_columns_served", "_fault", "_cancel_on_close",
+        "_requests_served", "_columns_served", "_fault", "_inflight",
         "_fail_reason",
     })
 

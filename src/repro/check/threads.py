@@ -3,7 +3,7 @@
 PR 4's vector clocks order *ranks* by the messages they exchange; this
 module orders the *threads inside one rank* — the main compute thread,
 the dedicated ``COMM_THREAD`` of task mode (Fig. 4c of the paper), and
-the dispatcher/worker threads of :mod:`repro.serve` — and reports any
+the submitter/worker threads of :mod:`repro.serve` — and reports any
 pair of conflicting buffer accesses that no happens-before edge
 separates.  The discipline being machine-checked is the paper's
 ``MPI_THREAD_FUNNELED`` contract: all communication funneled through
@@ -405,7 +405,7 @@ def check_threads(
     engine, plus one concurrent
     :class:`~repro.serve.SolverService` session (multi-threaded
     submitters racing ``close``) with the sanitizer on the service lock
-    and dispatcher/worker state.  A healthy tree reports zero findings;
+    and submitter/worker state.  A healthy tree reports zero findings;
     every result is also cross-checked against the serial kernel.
     """
     from repro.core.spmvm import SCHEMES, distributed_spmm, distributed_spmv

@@ -547,7 +547,7 @@ def _cmd_workload(args: argparse.Namespace) -> int:
 
 def _cmd_kernels(_args: argparse.Namespace) -> int:
     """List every registered sparse kernel (format/variant, equivalence)."""
-    from repro.sparse import DEFAULT_KERNEL, available_kernels, get_kernel
+    from repro.sparse import DEFAULT_KERNEL, available_kernels, get_kernel, native
 
     default_key = get_kernel(DEFAULT_KERNEL).key
     print("registered spMVM kernels:")
@@ -557,6 +557,7 @@ def _cmd_kernels(_args: argparse.Namespace) -> int:
         if key == default_key:
             tags.append("default")
         print(f"  {key:<16} [{', '.join(tags)}] {spec.description}")
+    print(f"csr row sums: {native.status().describe()}")
     return 0
 
 

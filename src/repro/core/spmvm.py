@@ -157,12 +157,13 @@ class DistributedSpMVM:
         *,
         pipeline: bool = True,
         op_log: list[str] | None = None,
+        out: np.ndarray | None = None,
     ) -> list[np.ndarray]:
         """Run *scheme*'s *n_sweeps*-sweep program on validated input *x*."""
         check_in(scheme, SCHEMES, "scheme")
         program = self.program(scheme, n_sweeps, pipeline=pipeline)
         self.iterations += n_sweeps
-        return execute_sweep(self, program, x, op_log=op_log)
+        return execute_sweep(self, program, x, op_log=op_log, out=out)
 
     def _local_vector(self, x_local: np.ndarray) -> np.ndarray:
         x_local = np.asarray(x_local, dtype=np.float64)
@@ -192,6 +193,7 @@ class DistributedSpMVM:
         scheme: str = "task_mode",
         *,
         op_log: list[str] | None = None,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """One batched distributed MVM over k right-hand sides.
 
@@ -200,14 +202,17 @@ class DistributedSpMVM:
         halo exchange moves each peer's segment for all k columns in a
         single message — one message per peer per *batch* instead of
         per vector.  Runs the *same* sweep program as :meth:`multiply`;
-        only the buffers and kernels are k-column wide.
+        only the buffers and kernels are k-column wide.  ``out``, when
+        given, is the ``(n_rows, k)`` float64 buffer the kernels write
+        the slice into (it must not overlap *X_local*); a caller that
+        sweeps again and again keeps one and allocates nothing per call.
         """
         X_local = np.asarray(X_local, dtype=np.float64)
         if X_local.ndim != 2 or X_local.shape[0] != self.halo.n_rows:
             raise ValueError(
                 f"X_local must have shape ({self.halo.n_rows}, k), got {X_local.shape}"
             )
-        return self._sweep(X_local, scheme, op_log=op_log)[0]
+        return self._sweep(X_local, scheme, op_log=op_log, out=out)[0]
 
     def multiply_chain(
         self,

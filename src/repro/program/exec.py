@@ -60,7 +60,7 @@ class UnjoinedCommThreadError(RuntimeError):
 class _SweepView:
     """One sweep's data: input, buffers of its halo slot, requests, result."""
 
-    __slots__ = ("x", "halo_out", "send_bufs", "recvs", "y")
+    __slots__ = ("x", "halo_out", "send_bufs", "recvs", "y", "out")
 
     def __init__(self, x: np.ndarray | None, halo_out: np.ndarray, send_bufs) -> None:
         self.x = x
@@ -68,6 +68,8 @@ class _SweepView:
         self.send_bufs = send_bufs
         self.recvs: list | None = None
         self.y: np.ndarray | None = None
+        #: caller's buffer for the result (None: the kernel allocates it)
+        self.out: np.ndarray | None = None
 
 
 class _RunState:
@@ -141,6 +143,7 @@ def execute_sweep(
     x: np.ndarray,
     *,
     op_log: list[str] | None = None,
+    out: np.ndarray | None = None,
 ) -> "list[np.ndarray]":
     """Run *program* on *engine* with input *x* (1-D or ``(n, k)``).
 
@@ -152,12 +155,14 @@ def execute_sweep(
     ``op_log``, when given, receives the program's signature tokens in
     issue order (comm-thread bodies at the spawn point) — the hook the
     golden cross-backend test uses to compare real execution against the
-    simulated one.
+    simulated one.  ``out``, when given, is the buffer the last sweep's
+    result is computed into (shaped like *x*, not overlapping it).
     """
     depth = program.halo_depth
     ring = engine.sweep_ring(x, depth)
     # sweep 0 reads x; every later sweep's input is bound when it first runs
     views = [_SweepView(None if s else x, *ring[s % depth]) for s in range(program.n_sweeps)]
+    views[-1].out = out
     state = _RunState(views, depth)
     san = getattr(engine, "sanitizer", None)
     if san is not None:
@@ -343,9 +348,9 @@ def _local_spmvm(engine: "DistributedSpMVM", view: _SweepView) -> None:
     # at engine construction
     kernel = engine.kernel
     if view.x.ndim == 2:
-        view.y = kernel.spmm(engine.A_local_op, view.x)
+        view.y = kernel.spmm(engine.A_local_op, view.x, out=view.out)
     else:
-        view.y = kernel.spmv(engine.A_local_op, view.x)
+        view.y = kernel.spmv(engine.A_local_op, view.x, out=view.out)
 
 
 def _remote_spmvm(engine: "DistributedSpMVM", view: _SweepView) -> None:

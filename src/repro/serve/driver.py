@@ -92,7 +92,7 @@ class StreamReport:
     def workload_jobs(self, *, n_nodes: int = 2, seed: int = 0) -> list:
         """The measured request stream as schedulable workload jobs.
 
-        Each coalesced batch the dispatcher actually produced becomes one
+        Each coalesced batch the service actually produced becomes one
         single-sweep ``block_k``-wide job against the served matrix, with
         submits spread over the measured wall time — the bridge that makes
         the service's *observed* traffic one more job source for
@@ -147,7 +147,7 @@ def run_request_stream(
 
     ``concurrency`` submitter threads each run their share of the
     stream synchronously (submit, then gather), so in-flight pressure
-    equals the thread count and the dispatcher's coalescing is
+    equals the thread count and the service's coalescing is
     exercised for real.  ``model_path`` additionally round-trips the
     built model through :meth:`BuiltModel.save`/:meth:`BuiltModel.load`
     before serving — the serialize→deserialize→serve path.  ``verify``

@@ -10,15 +10,28 @@ service.  Requests stream through an async ticket API
 :meth:`~SolverService.gather`); :meth:`~SolverService.solve` is the
 synchronous convenience wrapper.
 
-**Coalescing policy** (DESIGN.md §12): the dispatcher keeps *at most
-one batch in flight*.  While a batch is being swept, newly submitted
-right-hand sides queue up; when the batch completes, everything queued
-(up to ``max_batch`` columns) is concatenated into one spmm sweep —
-one halo exchange amortised over the whole batch.  Under load, batches
-widen automatically; an idle service degenerates to per-request spmv
-with zero added latency.  Because spmm is column-wise bit-identical to
-spmv for exact kernels (PR 6's registry contract), coalescing never
-changes anyone's answer.
+**Coalescing policy** (DESIGN.md §12): *at most one batch in flight*,
+and a batch is formed at exactly two moments — by the submitting thread
+when the service is idle, and by the rank that lands the last part of
+a batch, for everything that queued up while it was being swept (up to
+``max_batch`` columns: one spmm sweep, one halo exchange amortised over
+the whole batch).  No thread stands between a request and the workers,
+so a request to an idle service starts at once and which requests share
+a batch is decided by what was queued when the previous one landed, not
+by which thread woke first.  Under load, batches widen automatically;
+an idle service degenerates to per-request spmv with zero added
+latency.  Because spmm is column-wise bit-identical to spmv for exact
+kernels (PR 6's registry contract), coalescing never changes anyone's
+answer.
+
+**One buffer per request**: ``submit`` copies the right-hand sides
+once; every rank overwrites its own rows of that copy with the product
+when its part of the batch is done (the halo values its peers needed
+were packed out of it before any kernel ran), and ``gather`` hands the
+same array back.  The ranks gather and sweep into scratch buffers they
+keep, so serving a request allocates nothing but that copy — its cost
+does not depend on what the allocator has just given back to the
+kernel.
 
 **Lifecycle**: all waiting is condition-variable based — an idle
 service burns no CPU.  A worker failure mid-request aborts the world
@@ -100,25 +113,48 @@ class ServeRequest:
 
 
 class _Batch:
-    """One coalesced spmm sweep: the requests in it and the rank parts."""
+    """One coalesced spmm sweep: its requests and their buffers."""
 
-    __slots__ = ("entries", "error", "parts", "remaining", "seq", "width")
+    __slots__ = ("blocks", "entries", "error", "remaining", "seq", "width")
 
-    def __init__(self, seq: int, entries: list, nranks: int, width: int) -> None:
+    def __init__(self, seq: int, entries: list, blocks: list, nranks: int, width: int) -> None:
         self.seq = seq
-        self.entries = entries  # [(ServeRequest, column offset)]
-        self.parts: list[np.ndarray | None] = [None] * nranks
+        self.entries = entries  # [(ServeRequest, its response array)]
+        #: the requests' private ``(nrows, k)`` buffers, in column order:
+        #: right-hand sides going in, products coming out
+        self.blocks = blocks
         self.remaining = nranks
         self.error: Exception | None = None
         self.width = width
 
 
+class _Scratch:
+    """A buffer one rank keeps between batches.
+
+    Calling it gives a C-contiguous ``(rows, width)`` view; the storage
+    grows to the widest batch seen and is never given back.
+    """
+
+    __slots__ = ("_flat", "_rows")
+
+    def __init__(self, rows: int) -> None:
+        self._rows = rows
+        self._flat = np.empty(0)
+
+    def __call__(self, width: int) -> np.ndarray:
+        size = self._rows * width
+        if self._flat.size < size:
+            self._flat = np.empty(size)
+        return self._flat[:size].reshape(self._rows, width)
+
+
 class SolverService:
     """A persistent solver pool over one :class:`BuiltModel`.
 
-    Threads: one dispatcher (coalesces pending requests into batches)
-    plus one worker per rank (runs the model's sweep program on its
-    engine).  All are daemons parked on condition variables when idle.
+    Threads: one worker per rank (runs the model's sweep program on its
+    engine), daemons parked on a condition variable when idle.  Batches
+    are formed by whoever makes one possible — a submitter, the rank
+    that lands a batch, ``hold`` on release — under the service lock.
     """
 
     def __init__(
@@ -150,10 +186,11 @@ class SolverService:
             self._lock = TrackedCondition(sanitizer, self._tsan_domain, "service-lock")
         else:
             self._lock = threading.Condition()
-        self._pending: deque[tuple[ServeRequest, np.ndarray]] = deque()
+        #: (request, response array, its (nrows, k) view)
+        self._pending: deque[tuple[ServeRequest, np.ndarray, np.ndarray]] = deque()
         self._inboxes: list[deque] = [deque() for _ in range(model.nranks)]
+        self._inflight: _Batch | None = None
         self._state = "running"  # running -> closing -> closed | failed
-        self._cancel_on_close = False
         self._fail_reason: str | None = None
         self._hold = 0
         self._next_id = 0
@@ -168,12 +205,8 @@ class SolverService:
             )
             for r in range(model.nranks)
         ]
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name=f"{name}-dispatch", daemon=True
-        )
         for w in self._workers:
             w.start()
-        self._dispatcher.start()
 
     # ------------------------------------------------------------------
     # client API
@@ -186,27 +219,24 @@ class SolverService:
         copied, so the caller may reuse its buffer.
         """
         x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 1
-        if squeeze:
-            data = x.reshape(-1, 1).copy()
-        elif x.ndim == 2:
-            data = np.ascontiguousarray(x)
-            if data is x:
-                data = data.copy()
-        else:
+        if x.ndim not in (1, 2):
             raise ValueError(f"x must be 1-D or 2-D, got ndim={x.ndim}")
-        if data.shape[0] != self.model.matrix.nrows:
+        if x.shape[0] != self.model.matrix.nrows:
             raise ValueError(
-                f"x has {data.shape[0]} rows, model expects {self.model.matrix.nrows}"
+                f"x has {x.shape[0]} rows, model expects {self.model.matrix.nrows}"
             )
+        # the request's one buffer: right-hand sides now, the response
+        # once every rank has overwritten its rows
+        response = np.array(x, dtype=np.float64, order="C")
+        data = response if response.ndim == 2 else response.reshape(-1, 1)
         with self._lock:
             if self._state != "running":
                 raise ServiceClosedError(self._closed_message_locked("submit"))
-            req = ServeRequest(self._next_id, data.shape[1], squeeze)
+            req = ServeRequest(self._next_id, data.shape[1], x.ndim == 1)
             self._next_id += 1
-            self._pending.append((req, data))
+            self._pending.append((req, response, data))
             self._note("pending", "w", "submit")
-            self._lock.notify_all()
+            self._dispatch_locked()
         return req
 
     def poll(self, request: ServeRequest) -> bool:
@@ -239,7 +269,7 @@ class SolverService:
 
         Lets callers — the request-stream driver and the coalescing
         tests — stage several submissions and have them provably land
-        in coalesced batches instead of racing the dispatcher.
+        in coalesced batches instead of the first one starting alone.
         """
         with self._lock:
             self._hold += 1
@@ -248,7 +278,7 @@ class SolverService:
         finally:
             with self._lock:
                 self._hold -= 1
-                self._lock.notify_all()
+                self._dispatch_locked()
 
     @property
     def state(self) -> str:
@@ -292,26 +322,31 @@ class SolverService:
         ``drain=True`` serves everything already submitted first;
         ``drain=False`` cancels queued requests with a descriptive
         :class:`ServiceClosedError` (an in-flight batch still completes).
-        If the dispatcher cannot finish within *timeout* seconds the
+        If the queue cannot be served within *timeout* seconds the
         world is aborted so blocked workers fail fast instead of
         hanging.  Idempotent.
         """
         with self._lock:
             if self._state == "running":
-                self._cancel_on_close = not drain
                 self._state = "closing"
                 self._note("state", "w", "close")
-            self._lock.notify_all()
-        self._dispatcher.join(timeout)
-        if self._dispatcher.is_alive():
+                if not drain:
+                    self._cancel_pending_locked()
+                # a hold no longer applies: what is queued is served now
+                self._dispatch_locked()
+            drained = self._drain_locked(timeout)
+        if not drained:
+            # a rank is stuck in a sweep: abort the world, which fails
+            # its batch (and with it the service) with provenance
             self.world.abort(
                 f"service {self.name!r}: close() timed out after {timeout} s "
                 f"with a request in flight"
             )
-            self._dispatcher.join(5.0)
+            with self._lock:
+                self._drain_locked(5.0)
         for w in self._workers:
             w.join(5.0)
-        stuck = [t.name for t in [self._dispatcher, *self._workers] if t.is_alive()]
+        stuck = [t.name for t in self._workers if t.is_alive()]
         if stuck:
             raise ServiceError(f"service {self.name!r}: threads failed to stop: {stuck}")
 
@@ -344,7 +379,7 @@ class SolverService:
 
     def _cancel_pending_locked(self) -> None:
         while self._pending:
-            req, _data = self._pending.popleft()
+            req, _response, _data = self._pending.popleft()
             req._complete(
                 None,
                 ServiceClosedError(
@@ -353,70 +388,68 @@ class SolverService:
                 ),
             )
 
-    def _dispatch_loop(self) -> None:
-        partition = self.model.plan.partition
-        nranks = self.model.nranks
-        try:
-            while True:
-                with self._lock:
-                    while self._state == "running" and (not self._pending or self._hold):
-                        self._lock.wait()
-                    if self._state == "failed":
-                        return
-                    if self._state == "closing" and (self._cancel_on_close or not self._pending):
-                        return
-                    if self._hold and self._state == "running":
-                        continue
-                    # take whole requests until the next would overflow
-                    # max_batch columns (always take at least one)
-                    entries: list[tuple[ServeRequest, int]] = []
-                    blocks: list[np.ndarray] = []
-                    width = 0
-                    while self._pending:
-                        req, data = self._pending[0]
-                        if entries and width + req.k > self.max_batch:
-                            break
-                        self._pending.popleft()
-                        entries.append((req, width))
-                        blocks.append(data)
-                        width += req.k
-                    self._note("pending", "w", "dispatch")
-                    batch = _Batch(self._seq, entries, nranks, width)
-                    self._seq += 1
-                    X = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
-                    for r in range(nranks):
-                        lo, hi = partition.bounds(r)
-                        self._inboxes[r].append((batch, X[lo:hi]))
-                    self._note("inboxes", "w", "dispatch")
-                    self._lock.notify_all()
-                    # at most one batch in flight: wait for it, so
-                    # requests arriving meanwhile coalesce into the next
-                    while batch.remaining > 0:
-                        self._lock.wait()
-                    self._finish_batch_locked(batch)
-        finally:
-            with self._lock:
-                if self._state != "failed":
-                    self._state = "closed"
-                self._note("state", "w", "dispatch-exit")
-                self._cancel_pending_locked()
-                self._lock.notify_all()
+    def _drain_locked(self, timeout: float) -> bool:
+        """Wait for a closing service to run dry, then mark it closed;
+        False if it is still busy after *timeout* seconds."""
+        deadline = time.monotonic() + timeout
+        while self._state == "closing" and (self._pending or self._inflight is not None):
+            if not self._lock.wait(max(0.0, deadline - time.monotonic())):
+                return False
+        if self._state == "closing":
+            self._state = "closed"
+            self._note("state", "w", "close")
+            self._lock.notify_all()  # the workers: nothing more will come
+        return True
 
-    def _finish_batch_locked(self, batch: _Batch) -> None:
-        if batch.error is not None:
-            for req, _off in batch.entries:
-                req._complete(None, batch.error)
+    def _dispatch_locked(self) -> None:
+        """Form the next batch if one can start now.
+
+        Called wherever that may have become true: a request was queued,
+        a batch landed, a hold was released, the service is closing (a
+        hold does not outlive ``close``).
+        """
+        if self._inflight is not None or not self._pending:
             return
-        self._note("batch-parts", "r", "finish-batch")
-        Y = np.concatenate(batch.parts, axis=0)
-        for req, off in batch.entries:
-            block = Y[:, off : off + req.k]
-            result = np.ascontiguousarray(block[:, 0] if req.squeeze else block)
-            req._complete(result, None)
+        if self._state != "closing" and (self._state != "running" or self._hold):
+            return
+        # take whole requests until the next would overflow max_batch
+        # columns (always take at least one)
+        entries: list[tuple[ServeRequest, np.ndarray]] = []
+        blocks: list[np.ndarray] = []
+        width = 0
+        while self._pending:
+            req, response, data = self._pending[0]
+            if entries and width + req.k > self.max_batch:
+                break
+            self._pending.popleft()
+            entries.append((req, response))
+            blocks.append(data)
+            width += req.k
+        self._note("pending", "w", "dispatch")
+        batch = _Batch(self._seq, entries, blocks, self.model.nranks, width)
+        self._seq += 1
+        self._inflight = batch
+        for inbox in self._inboxes:
+            inbox.append(batch)
+        self._note("inboxes", "w", "dispatch")
+        self._lock.notify_all()
+
+    def _land_locked(self, batch: _Batch) -> None:
+        """One rank is done with *batch*; the last one completes it and
+        starts whatever queued up meanwhile."""
+        batch.remaining -= 1
+        if batch.remaining > 0 or batch.error is not None:
+            return
+        for req, response in batch.entries:
+            req._complete(response, None)
         self._batch_widths.append(batch.width)
         self._requests_served += len(batch.entries)
         self._columns_served += batch.width
         self._note("counters", "w", "finish-batch")
+        self._inflight = None
+        self._dispatch_locked()
+        if self._state == "closing":
+            self._lock.notify_all()  # close() is waiting for the queue to drain
 
     def _worker(self, rank: int) -> None:
         comm = self.world.comms[rank]
@@ -427,28 +460,41 @@ class SolverService:
             return
         scheme = self.model.scheme
         inbox = self._inboxes[rank]
+        lo, hi = self.model.plan.partition.bounds(rank)
+        gathered, swept = _Scratch(hi - lo), _Scratch(hi - lo)
         while True:
             with self._lock:
                 while not inbox and self._state not in ("closed", "failed"):
                     self._lock.wait()
                 if not inbox:
                     return
-                batch, X_local = inbox.popleft()
+                batch = inbox.popleft()
                 self._note("inboxes", "w", f"worker{rank}-take")
                 fault = rank in self._fault
             try:
                 if fault:
                     raise RuntimeError(f"injected worker fault on rank {rank}")
-                Y_local = engine.multiply_block(X_local, scheme)
+                # this rank's rows of every request: gathered, swept and
+                # written back here, by all ranks at once and into memory
+                # that is already there
+                blocks = batch.blocks
+                if len(blocks) == 1:
+                    X_local = blocks[0][lo:hi]
+                else:
+                    X_local = np.concatenate(
+                        [data[lo:hi] for data in blocks], axis=1, out=gathered(batch.width)
+                    )
+                Y_local = engine.multiply_block(X_local, scheme, out=swept(batch.width))
+                col = 0
+                for data in blocks:
+                    data[lo:hi] = Y_local[:, col : col + data.shape[1]]
+                    col += data.shape[1]
             except Exception as exc:  # fail the batch, never swallow
                 self._worker_failed(batch, rank, exc)
                 continue
             with self._lock:
-                batch.parts[rank] = Y_local
-                batch.remaining -= 1
                 self._note("batch-parts", "w", f"worker{rank}-land")
-                if batch.remaining == 0:
-                    self._lock.notify_all()
+                self._land_locked(batch)
 
     def _worker_failed(self, batch: _Batch | None, rank: int, exc: Exception) -> None:
         with self._lock:
@@ -457,15 +503,19 @@ class SolverService:
             self._note("state", "w", f"worker{rank}-failed")
             if first:
                 self._fail_reason = f"rank {rank}: {exc!r}"
-            if batch is not None:
-                if batch.error is None:
-                    batch.error = ServiceError(
-                        f"service {self.name!r}: rank {rank} failed serving batch "
-                        f"{batch.seq} ({batch.width} column(s), scheme "
-                        f"{self.model.scheme!r}): {exc!r}"
-                    )
-                    batch.error.__cause__ = exc
-                batch.remaining = 0
+            # a rank that dies before it took the batch in flight will
+            # never land it either
+            doomed = batch if batch is not None else self._inflight
+            if doomed is not None and doomed.error is None:
+                doomed.error = ServiceError(
+                    f"service {self.name!r}: rank {rank} failed serving batch "
+                    f"{doomed.seq} ({doomed.width} column(s), scheme "
+                    f"{self.model.scheme!r}): {exc!r}"
+                )
+                doomed.error.__cause__ = exc
+                for req, _response in doomed.entries:
+                    req._complete(None, doomed.error)
+            self._cancel_pending_locked()
             self._lock.notify_all()
         if first:
             # wake every peer blocked in the halo exchange *now* — with

@@ -11,8 +11,14 @@ Kernel dispatch is pluggable: :mod:`repro.sparse.registry` maps
 reference, SELL-C-sigma, and anything registered at runtime), and the
 engine / sweep-interpreter / benchmark layers all resolve kernels
 through it.
+
+The CSR row sums have two executors — the numpy definition and a C loop
+compiled once per machine (:mod:`repro.sparse.native`); the second is
+built, loaded and proven bit-identical to the first right here, at
+import, so that no kernel call ever pays for it.
 """
 
+from repro.sparse import native
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.io import (
@@ -56,6 +62,8 @@ from repro.sparse.spmm import spmm, spmm_add, spmm_rows, spmm_traffic
 from repro.sparse.spmv import flops, spmv, spmv_add, spmv_rows, spmv_split, spmv_traffic
 from repro.sparse.stats import MatrixStats, bandwidth, matrix_stats, profile, row_nnz_histogram
 from repro.sparse.symmetric import SymmetricCSR, spmv_symmetric, symmetric_code_balance
+
+native.load()
 
 __all__ = [
     "COOMatrix",

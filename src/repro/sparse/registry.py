@@ -8,10 +8,19 @@ the four kernels every caller needs (``spmv``/``spmv_add`` and the
 block ``spmm``/``spmm_add``), under a ``"format/variant"`` name:
 
 * ``"csr/reference"`` (default) — the paper's CRS kernels, bit-exact
-  per column between ``spmv`` and ``spmm`` (``exact=True``);
+  per column between ``spmv`` and ``spmm`` (``exact=True``).  Its row
+  sums have two executors that compute the same bits — the numpy
+  definition and the compiled loop of :mod:`repro.sparse.native` — and
+  that is *not* a registry axis: a key selects a result class, and
+  there is only one here;
 * ``"sell/matmul"`` — SELL-C-sigma with batched-``matmul`` block
   kernels (:mod:`repro.sparse.sell`), tolerance-equivalent
   (``exact=False``: vectorised reductions sum in a different order).
+  It beat the numpy CSR kernels per column; it does not beat the
+  compiled executor (``repro bench``: 0.5x at k = 1, 1.0-1.2x at
+  k = 4/16 of one CSR spmv per column, where CSR's block kernel reads
+  2.1-4.3x).  It stays as the registry's tolerance-class example;
+  whether it stays at all is a later simplicity PR's question.
 
 Lookup accepts a bare format (``"sell"`` resolves that format's default
 variant), a fully qualified ``"sell/matmul"``, or a spec instance.  The

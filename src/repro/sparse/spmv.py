@@ -16,6 +16,11 @@ entry anywhere cancels small rows that follow it (e.g. rows
 instead of ``[1e16, 2]``).  ``reduceat`` keeps each row's accumulation
 independent, matching the two-loop CRS reference exactly.
 
+The numpy code below *defines* the row sum; where the machine has a C
+compiler the same sum — the same association, hence the same bits — is
+executed by the compiled loop of :mod:`repro.sparse.native`, which
+:func:`_segmented_rowsums` asks first.
+
 Kernels
 -------
 ``spmv``            full product ``C = A @ B``
@@ -36,6 +41,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sparse.csr import CSRMatrix
 
+from repro.sparse import native
 from repro.sparse.csr import IDX_BYTES, RESULT_BYTES, RHS_BYTES, VAL_BYTES
 from repro.sparse.validate import check_out
 
@@ -50,38 +56,82 @@ __all__ = [
 
 
 def _segmented_rowsums(
+    A: "CSRMatrix",
+    x: np.ndarray,
+    out: np.ndarray,
+    *,
+    add: bool = False,
+    rows: tuple[int, int] | None = None,
+) -> np.ndarray:
+    """Row sums of ``A.val * x[A.col_idx]``: ``out = sums`` or ``out += sums``.
+
+    With ``rows = (lo, hi)`` only those rows of ``out`` (length nrows)
+    are computed.  One definition, two executors: the compiled one
+    (:func:`repro.sparse.native.rowsums`) is asked first; what it does
+    not take — or everything, where it could not be built —
+    :func:`_numpy_rowsums` computes, and the two agree bit for bit (the
+    library is only accepted once it has proven that, at import).
+    """
+    if native.rowsums(A, x, out, add, rows):
+        return out
+    target = out if rows is None else out[rows[0] : rows[1]]
+    _numpy_rowsums(*_csr_arrays(A, rows), x, target, add=add)
+    return out
+
+
+def _csr_arrays(
+    A: "CSRMatrix", rows: tuple[int, int] | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(row_ptr, col_idx, val)`` of *A*, or of its *rows* re-based to 0."""
+    if rows is None:
+        return A.row_ptr, A.col_idx, A.val
+    row_lo, row_hi = rows
+    lo, hi = int(A.row_ptr[row_lo]), int(A.row_ptr[row_hi])
+    return A.row_ptr[row_lo : row_hi + 1] - lo, A.col_idx[lo:hi], A.val[lo:hi]
+
+
+def _numpy_rowsums(
     row_ptr: np.ndarray,
     col_idx: np.ndarray,
     val: np.ndarray,
     x: np.ndarray,
-    out: np.ndarray | None = None,
+    out: np.ndarray,
+    *,
+    add: bool = False,
 ) -> np.ndarray:
-    """Per-row sums of ``val * x[col_idx]`` via ``np.add.reduceat``.
+    """The definition of a row sum: ``np.add.reduceat`` over the products.
 
     Each row is reduced over its own slice only, so partial sums never
     cross row boundaries (no cumulative-sum cancellation).  Empty rows
     must be masked out: ``reduceat`` at a repeated offset returns the
-    *element* at that offset rather than an empty-sum 0.
+    *element* at that offset rather than an empty-sum 0.  Overwriting,
+    an empty row reads 0; under ``add`` it is left alone.
 
-    With ``out`` given (float64, length nrows) the reduction writes the
-    result in place — no temporary result vector — as long as no row is
-    empty; the general masked path still needs one small gather.
+    The reduction writes ``out`` (float64, length nrows) in place as
+    long as no row is empty and nothing is accumulated; the general
+    path still needs one small gather.
     """
-    nrows = row_ptr.size - 1
-    if out is None:
-        out = np.empty(nrows)
     if col_idx.size == 0:
-        out[:] = 0.0
+        if not add:
+            out[:] = 0.0
         return out
     prod = val * x[col_idx]
-    nonempty = row_ptr[1:] > row_ptr[:-1]
+    starts = row_ptr[:-1]
+    nonempty = row_ptr[1:] > starts
     if nonempty.all():
-        np.add.reduceat(prod, row_ptr[:-1], out=out)
-    else:
+        if add:
+            out += np.add.reduceat(prod, starts)
+        else:
+            np.add.reduceat(prod, starts, out=out)
+        return out
+    if not add:
         out[:] = 0.0
-        starts = row_ptr[:-1][nonempty]
-        if starts.size:
-            out[nonempty] = np.add.reduceat(prod, starts)
+    masked_starts = starts[nonempty]
+    if masked_starts.size:
+        if add:
+            out[nonempty] += np.add.reduceat(prod, masked_starts)
+        else:
+            out[nonempty] = np.add.reduceat(prod, masked_starts)
     return out
 
 
@@ -104,9 +154,11 @@ def spmv(A: "CSRMatrix", x: np.ndarray, out: np.ndarray | None = None) -> np.nda
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size != A.ncols:
         raise ValueError(f"x must be a vector of length {A.ncols}, got shape {x.shape}")
-    if out is not None:
+    if out is None:
+        out = np.empty(A.nrows)
+    else:
         check_out(out, (A.nrows,))
-    return _segmented_rowsums(A.row_ptr, A.col_idx, A.val, x, out=out)
+    return _segmented_rowsums(A, x, out)
 
 
 def spmv_add(A: "CSRMatrix", x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -115,8 +167,7 @@ def spmv_add(A: "CSRMatrix", x: np.ndarray, out: np.ndarray) -> np.ndarray:
     if x.ndim != 1 or x.size != A.ncols:
         raise ValueError(f"x must be a vector of length {A.ncols}, got shape {x.shape}")
     check_out(out, (A.nrows,))
-    out += _segmented_rowsums(A.row_ptr, A.col_idx, A.val, x)
-    return out
+    return _segmented_rowsums(A, x, out, add=True)
 
 
 def spmv_rows(
@@ -135,11 +186,7 @@ def spmv_rows(
     if x.ndim != 1 or x.size != A.ncols:
         raise ValueError(f"x must be a vector of length {A.ncols}, got shape {x.shape}")
     check_out(out, (A.nrows,))
-    lo = int(A.row_ptr[row_lo])
-    hi = int(A.row_ptr[row_hi])
-    sub_ptr = A.row_ptr[row_lo : row_hi + 1] - lo
-    out[row_lo:row_hi] = _segmented_rowsums(sub_ptr, A.col_idx[lo:hi], A.val[lo:hi], x)
-    return out
+    return _segmented_rowsums(A, x, out, rows=(row_lo, row_hi))
 
 
 def spmv_split(

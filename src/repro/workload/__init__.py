@@ -7,7 +7,7 @@ and spMVM jobs concurrently onto shared nodes and a shared network?
 
 * :mod:`repro.workload.streams` — seeded synthetic arrival streams
   (Poisson / heavy-tailed), the ``repro-trace/1`` JSON trace format, the
-  documented reference trace, and the :mod:`repro.serve` dispatcher as a
+  documented reference trace, and the :mod:`repro.serve` service as a
   job source;
 * :mod:`repro.workload.scheduler` — FCFS, EASY backfilling, and the
   placement policies (first-fit / random / node-aware);

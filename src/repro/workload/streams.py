@@ -11,7 +11,7 @@ independent users.  This module produces such streams three ways:
   be replayed bit-for-bit;
 * :func:`service_stream` — the :mod:`repro.serve` tie-in: a stream of
   small solve requests coalesced into spmm batches exactly the way the
-  ``SolverService`` dispatcher does (arrivals inside one service window
+  ``SolverService`` does (arrivals inside one service window
   merge into a single ``block_k``-wide job, capped at ``max_batch``) —
   the persistent service becomes one more schedulable job source.
 
@@ -255,7 +255,7 @@ def service_stream(
 ) -> list[Job]:
     """The solver service's request stream as schedulable jobs.
 
-    Models the :class:`repro.serve.SolverService` dispatcher: solve
+    Models :class:`repro.serve.SolverService`'s coalescing: solve
     requests arrive Poisson at ``rate`` per second, and requests that
     arrive within ``hold_window`` of the batch opener are coalesced into
     one spmm sweep of up to ``max_batch`` columns — each coalesced batch

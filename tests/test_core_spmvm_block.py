@@ -89,6 +89,26 @@ def test_block_sends_one_message_per_peer_per_batch(random_300, rng, scheme):
     )
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_multiply_block_into_callers_buffer(random_300, rng, scheme):
+    # out= is where the kernels write: the same bits, and no array per call
+    partition = partition_matrix(random_300, 3)
+    plan = build_halo_plan(random_300, partition, with_matrices=True)
+    X = rng.standard_normal((300, 4))
+
+    def fn(comm, halo):
+        eng = DistributedSpMVM(comm, halo)
+        X_local = scatter_vector(X, partition, comm.rank)
+        fresh = eng.multiply_block(X_local, scheme)
+        out = np.full_like(fresh, np.nan)
+        for _ in range(2):  # the buffer is reusable
+            assert eng.multiply_block(X_local, scheme, out=out) is out
+            assert np.array_equal(out, fresh)
+        return True
+
+    assert all(run_spmd(3, fn, PerRank(plan.ranks)))
+
+
 def test_multiply_block_rejects_bad_shapes(random_300):
     plan = cached_halo_plan(random_300, 2)
 

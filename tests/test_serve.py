@@ -173,6 +173,36 @@ class TestServing:
             Y = svc.solve(X)
         assert Y.shape == (A.nrows, 3)
 
+    def test_response_is_the_requests_own_copy(self, A, model):
+        # submit copies x once; that copy comes back as the response, so
+        # the caller's buffer is never read again and never written
+        rng = np.random.default_rng(9)
+        x, X = rng.standard_normal(A.nrows), rng.standard_normal((A.nrows, 2))
+        x0, X0 = x.copy(), X.copy()
+        with SolverService(model) as svc:
+            with svc.hold():
+                reqs = [svc.submit(x), svc.submit(X)]
+                x[:], X[:] = 0.0, 0.0  # reused before the batch even starts
+            y, Y = (svc.gather(r) for r in reqs)
+        assert y.shape == x.shape and Y.shape == X.shape
+        assert y.flags.owndata and y.flags.c_contiguous and Y.flags.c_contiguous
+        assert not np.shares_memory(y, x) and not np.shares_memory(Y, X)
+        np.testing.assert_array_equal(y, distributed_spmv(A, x0, 3, scheme="task_mode"))
+        for j in range(2):
+            np.testing.assert_array_equal(
+                Y[:, j], distributed_spmv(A, X0[:, j], 3, scheme="task_mode")
+            )
+
+    def test_idle_service_starts_a_request_on_the_submitting_thread(self, A, model):
+        # no thread stands between a request and the ranks: by the time
+        # submit returns the batch is in their inboxes, and what queues
+        # up behind it rides in the next one
+        with SolverService(model, max_batch=8) as svc:
+            first = svc.submit(np.ones(A.nrows))
+            assert svc._inflight is not None or first.done
+            svc.gather(first)
+            assert svc.stats["batch_widths"] == (1,)
+
     def test_submit_validates_shape(self, A, model):
         with SolverService(model) as svc:
             with pytest.raises(ValueError, match="rows"):
@@ -296,6 +326,26 @@ class TestLifecycle:
         with pytest.raises(ServiceClosedError, match="failed"):
             svc.submit(x)
         svc.close()  # idempotent after failure
+
+    def test_rank_dead_before_its_first_batch_fails_the_batch_in_flight(self, A):
+        # a rank whose engine cannot be built never takes a batch, so it
+        # can never land one either: the batch in flight must fail with
+        # it instead of waiting for a part that will not come
+        model = build_model(A, 2, scheme="no_overlap")
+        healthy = model.engine
+
+        def engine(comm, **kwargs):
+            if comm.rank == 1:
+                time.sleep(0.05)  # let a request get in flight first
+                raise RuntimeError("no engine for rank 1")
+            return healthy(comm, **kwargs)
+
+        object.__setattr__(model, "engine", engine)
+        svc = SolverService(model, name="stillborn")
+        with pytest.raises(ServiceError, match="rank 1"):
+            svc.solve(np.ones(A.nrows), timeout=30.0)
+        assert svc.state == "failed"
+        svc.close()
 
     def test_peer_blocked_in_exchange_gets_descriptive_abort(self, A):
         # the survivors' view: their halo receives must surface the

@@ -70,7 +70,7 @@ def test_concurrent_submitters_run_race_free(model, hmep_tiny):
 
 def test_submit_racing_close_is_race_free(model, hmep_tiny):
     # closing while clients are still submitting is the hairiest path:
-    # dispatcher drain, worker teardown, and ServiceClosedError rejections
+    # queue drain, worker teardown, and ServiceClosedError rejections
     # all touch lifecycle state concurrently — and all under the lock
     from repro.serve import ServiceClosedError
 
