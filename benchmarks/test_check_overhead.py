@@ -144,7 +144,7 @@ def test_no_sanitizer_means_no_hooks_in_the_interpreter(problem):
 
     A, x = problem
     halo = cached_halo_plan(A, 1, with_matrices=True).ranks[0]
-    engine = DistributedSpMVM(Comm(0, Router(1), CollectiveState(1)), halo)
-    assert engine.sanitizer is None
-    y = engine.multiply(x, "task_mode")
+    with DistributedSpMVM(Comm(0, Router(1), CollectiveState(1)), halo) as engine:
+        assert engine.sanitizer is None
+        y = engine.multiply(x, "task_mode")
     assert y.shape == (A.nrows,)

@@ -50,14 +50,14 @@ def main() -> None:
     v0 = rng.standard_normal(H.nrows)
 
     def rank_fn(comm, halo):
-        op = DistributedOperator(comm, halo, scheme="task_mode")
-        res = lanczos(
-            op,
-            max_iter=150,
-            tol=1e-9,
-            v0=scatter_vector(v0, partition, comm.rank),
-            seed=0,
-        )
+        with DistributedOperator(comm, halo, scheme="task_mode") as op:
+            res = lanczos(
+                op,
+                max_iter=150,
+                tol=1e-9,
+                v0=scatter_vector(v0, partition, comm.rank),
+                seed=0,
+            )
         return res.ground_energy
 
     energies = run_spmd(nranks, rank_fn, PerRank(plan.ranks))

@@ -59,10 +59,10 @@ def main() -> None:
     plan = build_halo_plan(A, partition, with_matrices=True)
 
     def rank_fn(comm, halo):
-        dop = DistributedOperator(comm, halo, scheme="task_mode")
-        res = conjugate_gradient(
-            dop, scatter_vector(f, partition, comm.rank), tol=1e-8, max_iter=2000
-        )
+        with DistributedOperator(comm, halo, scheme="task_mode") as dop:
+            res = conjugate_gradient(
+                dop, scatter_vector(f, partition, comm.rank), tol=1e-8, max_iter=2000
+            )
         return res.x, res.iterations
 
     results = run_spmd(nranks, rank_fn, PerRank(plan.ranks))

@@ -350,29 +350,30 @@ def _program_overhead_bench(run: _Run) -> list[BenchResult]:
     warmup, repeat = run.warmup, run.repeat
     tiny = random_sparse(64, nnzr=5.0, seed=11, ensure_diagonal=True)
     thalo = cached_halo_plan(tiny, 1, with_matrices=True).ranks[0]
-    tengine = DistributedSpMVM(Comm(0, Router(1), CollectiveState(1)), thalo)
     tx = run.rng.standard_normal(tiny.ncols)
-
-    def inlined():
-        # the pre-IR hot path: the same arithmetic with no op loop
-        y = spmv(thalo.A_local, tx)
-        spmv_add(thalo.A_remote, tengine.halo_view(tengine.sweep_buffers(tx)[0]), out=y)
-        return y
-
     micro_repeat = max(repeat, 200)
-    interp = time_callable(
-        lambda: tengine.multiply(tx, "no_overlap"), warmup=warmup, repeat=micro_repeat
-    )
-    inline = time_callable(inlined, warmup=warmup, repeat=micro_repeat)
+    with DistributedSpMVM(Comm(0, Router(1), CollectiveState(1)), thalo) as tengine:
+
+        def inlined():
+            # the pre-IR hot path: the same arithmetic with no op loop
+            y = spmv(thalo.A_local, tx)
+            spmv_add(thalo.A_remote, tengine.halo_view(tengine.sweep_buffers(tx)[0]), out=y)
+            return y
+
+        interp = time_callable(
+            lambda: tengine.multiply(tx, "no_overlap"), warmup=warmup, repeat=micro_repeat
+        )
+        inline = time_callable(inlined, warmup=warmup, repeat=micro_repeat)
     indirection = max(0.0, interp.min - inline.min)
 
     hot = random_sparse(16_800, nnzr=10.0, seed=11, ensure_diagonal=True)
     hhalo = cached_halo_plan(hot, 1, with_matrices=True).ranks[0]
-    hengine = DistributedSpMVM(Comm(0, Router(1), CollectiveState(1)), hhalo)
     hx = run.rng.standard_normal(hot.ncols)
-    hot_stats = time_callable(
-        lambda: hengine.multiply(hx, "no_overlap"), warmup=max(warmup, 1), repeat=max(repeat, 5)
-    )
+    with DistributedSpMVM(Comm(0, Router(1), CollectiveState(1)), hhalo) as hengine:
+        hot_stats = time_callable(
+            lambda: hengine.multiply(hx, "no_overlap"),
+            warmup=max(warmup, 1), repeat=max(repeat, 5),
+        )
     return [
         BenchResult(
             name="program-overhead", group="program",
@@ -517,13 +518,13 @@ def _solver_benches(run: _Run) -> list[BenchResult]:
 
     def solve(kind: str):
         def fn(comm, halo):
-            op = DistributedOperator(comm, halo, "task_mode")
-            bl = scatter_vector(b, plan.partition, comm.rank)
-            if kind == "classic":
-                res = conjugate_gradient(op, bl, tol=tol, max_iter=max_iter)
-            else:
-                res = sstep_cg(op, bl, tol=tol, max_iter=max_iter)
-            return res.x, res.iterations, res.converged, dict(op.counters)
+            with DistributedOperator(comm, halo, "task_mode") as op:
+                bl = scatter_vector(b, plan.partition, comm.rank)
+                if kind == "classic":
+                    res = conjugate_gradient(op, bl, tol=tol, max_iter=max_iter)
+                else:
+                    res = sstep_cg(op, bl, tol=tol, max_iter=max_iter)
+                return res.x, res.iterations, res.converged, dict(op.counters)
         return run_spmd(nranks, fn, PerRank(plan.ranks))
 
     classic = solve("classic")

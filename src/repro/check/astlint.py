@@ -145,11 +145,15 @@ class HotPathAllocRule(AstRule):
             "_post_recvs", "_pack", "_post_sends", "_waitall",
             "_local_spmvm", "_remote_spmvm", "_full_spmvm",
             "execute_sweep", "_issue", "_barrier_main", "_rendezvous",
+            # a COMM_THREAD region's hand-off, rendezvous, completion
+            # wait and reap
+            "_hand_off", "_reap_comm_thread", "run", "hand_off", "meet",
+            "release", "wait",
         }),
         "core/spmvm.py": frozenset({
             "sweep_ring", "sweep_buffers", "post_halo_receives",
             "fill_send_buffers", "send_buffers", "complete_halo_receives",
-            "halo_view",
+            "halo_view", "team_thread",
         }),
         "comm/exec.py": frozenset({
             "post_receives", "pack", "send", "finish", "wait",
@@ -341,7 +345,10 @@ class CommVocabRule(AstRule):
     COMPUTE_FUNCTIONS = {
         "program/exec.py": frozenset({
             "_pack", "_local_spmvm", "_remote_spmvm", "_full_spmvm",
-            "_barrier_main", "_rendezvous",
+            # the main path's side of a COMM_THREAD region is pure
+            # synchronisation: hand-off, rendezvous, completion wait
+            "_hand_off", "_barrier_main", "_rendezvous", "_reap_comm_thread",
+            "hand_off", "meet", "release", "wait",
         }),
         "core/spmvm.py": frozenset({
             "sweep_ring", "sweep_buffers", "fill_send_buffers", "halo_view",

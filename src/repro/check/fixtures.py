@@ -212,8 +212,10 @@ def _seeded_program_fixture(name: str) -> Callable[[], CheckReport]:
         san = ThreadSanitizer()
 
         def fn(comm, halo) -> list[np.ndarray]:
-            engine = DistributedSpMVM(comm, halo, sanitizer=san)
-            return execute_sweep(engine, program, scatter_vector(x, plan.partition, comm.rank))
+            with DistributedSpMVM(comm, halo, sanitizer=san) as engine:
+                return execute_sweep(
+                    engine, program, scatter_vector(x, plan.partition, comm.rank)
+                )
 
         run_spmd(nranks, fn, PerRank(plan.ranks), recv_timeout=10.0, timeout=30.0)
         return san.finalize(context=f"seed-bug {name}")

@@ -14,11 +14,13 @@ Happens-before edges come from four sources:
 * **spawn** — the child thread starts with a copy of the spawner's
   clock (:meth:`ThreadSanitizer.on_spawn` /
   :meth:`~ThreadSanitizer.on_thread_start`): everything before the
-  spawn is visible to the comm thread;
+  spawn is visible to the comm thread.  A ``COMM_THREAD`` region's
+  hand-off to the engine's parked communication thread is this edge:
+  one spawn token per region, the same OS thread re-bound each time;
 * **join** — the joining thread merges the child's final clock
   (:meth:`~ThreadSanitizer.on_join`; the interpreter calls it from the
-  ``OMP_BARRIER`` that closes a ``COMM_THREAD`` region, and from
-  ``WAITALL``-completion joins on the error path);
+  ``OMP_BARRIER`` that closes a ``COMM_THREAD`` region, once it has
+  taken the region's completion token);
 * **lock hand-off** — releasing a tracked lock stores the releaser's
   clock and the next acquirer merges it
   (:meth:`~ThreadSanitizer.on_acquire` /
@@ -42,9 +44,10 @@ A *domain* is one race-detection universe — ``"rank0"`` for a sweep
 engine, ``"service:solver"`` for a service — so a single sanitizer can
 watch a whole world plus the service layered on top without
 cross-talk.  Thread idents are unbound at :meth:`~ThreadSanitizer.on_join`
-because CPython reuses them after a join; use a fresh sanitizer per
-run/session (mirroring the fresh-:class:`~repro.check.recorder.CommRecorder`
--per-run convention of :func:`~repro.check.driver.check_spmvm`).
+because one ident serves many logical threads (CPython reuses them
+after a join, and a parked comm thread runs every region of its engine);
+use a fresh sanitizer per run/session (mirroring the
+fresh-:class:`~repro.check.recorder.CommRecorder`-per-run convention of :func:`~repro.check.driver.check_spmvm`).
 
 Like :class:`~repro.check.recorder.CommRecorder`, the sanitizer is
 strictly opt-in: every instrumentation site in the interpreter, engine
@@ -184,10 +187,11 @@ class ThreadSanitizer:
     def on_spawn(self, domain: str, name: str) -> int:
         """Record a thread spawn; returns the child's token.
 
-        Called on the *spawning* thread before ``Thread.start()``.  The
-        child inherits a copy of the spawner's clock — everything the
-        spawner did before the spawn happens-before everything the
-        child does.  The child must call :meth:`on_thread_start` with
+        Called on the *spawning* thread before the child can run (before
+        ``Thread.start()``, or before a region is handed to a parked
+        thread).  The child inherits a copy of the spawner's clock —
+        everything the spawner did before the spawn happens-before
+        everything the child does.  The child must call :meth:`on_thread_start` with
         the returned token as its first sanitized action.
         """
         with self._lock:
@@ -211,9 +215,10 @@ class ThreadSanitizer:
     def on_join(self, domain: str, token: int) -> None:
         """Record a join: the caller merges the child's final clock.
 
-        Also unbinds the child's OS ident — CPython reuses idents after
-        a join, and a stale binding would splice a dead thread's clock
-        into an unrelated new thread.
+        Also unbinds the child's OS ident — the ident will serve another
+        logical thread (CPython reuses idents after a join; a parked comm
+        thread runs the next region), and a stale binding would splice
+        this one's clock into it.
         """
         with self._lock:
             parent = self._state_locked(domain)

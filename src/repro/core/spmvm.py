@@ -31,14 +31,25 @@ with ``np.take(..., out=...)`` — the router copies payloads on send, so
 the buffers are immediately reusable, exactly the ``MPI_Send``
 guarantee.
 
-Note on Python: the GIL serialises the task-mode comm thread against
-numpy compute, so no wall-clock overlap materialises here — exactly the
-limitation the calibrated simulator exists to transcend.  The *code
-structure* (thread, buffers, barriers) is the real one.
+The task-mode communication thread is a team thread, as in the paper:
+each engine parks ONE (:class:`~repro.program.exec.CommThread`), started
+by the first ``COMM_THREAD`` region it runs and handed every later
+region through a mailbox, so a sweep pays two queue hand-offs, not a
+thread start and a join.  Vector-mode engines never start it.  Whoever
+builds an engine closes it (:meth:`DistributedSpMVM.close`, or ``with``);
+an engine that is dropped unclosed stops its thread from a finalizer.
+
+Note on Python: the compiled row-sum executor (:mod:`repro.sparse.native`)
+releases the GIL for the whole kernel call, so the comm thread's sends
+and waits do run beside the local kernel; what stays serialised is the
+interpreter's own bytecode and the numpy fallback.  How much wall-clock
+overlap that buys depends on the host (EXPERIMENTS.md) — the calibrated
+simulator, not this backend, reproduces the paper's figures.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Any
 
 import numpy as np
@@ -48,7 +59,7 @@ from repro.comm.plan import PLAN_KINDS, CommPlan, cached_comm_plan
 from repro.core.halo import RankHalo, cached_halo_plan
 from repro.mpilite.comm import Comm
 from repro.program.build import PROGRAM_SCHEMES, cached_sweep_program
-from repro.program.exec import execute_sweep
+from repro.program.exec import CommThread, execute_sweep
 from repro.program.ir import SweepProgram
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.partition import RowPartition
@@ -101,6 +112,9 @@ class DistributedSpMVM:
         vector clocks, happens-before race detection); ``None`` costs
         nothing — the zero-cost-when-absent contract of
         :class:`~repro.check.recorder.CommRecorder`.
+
+    An engine that has run a task-mode sweep owns a parked thread:
+    :meth:`close` it (or use it as a context manager) when done.
     """
 
     def __init__(
@@ -135,7 +149,43 @@ class DistributedSpMVM:
         # cached here so halo_view stays allocation-free per sweep
         self._zero_halo = np.zeros(1)
         self._zero_halo_blocks: dict[int, np.ndarray] = {}
+        #: the parked communication thread; None until the first
+        #: COMM_THREAD region and again after close()
+        self.comm_thread: CommThread | None = None
         self.iterations = 0
+
+    def team_thread(self) -> CommThread:
+        """The thread every COMM_THREAD region of this engine runs on.
+
+        Created (not yet started — the first hand-off does that) on
+        first use.  It refers to nothing of the engine while parked, so
+        the finalizer registered here stops it when an engine is
+        dropped without :meth:`close`.
+        """
+        team = self.comm_thread
+        if team is None:
+            team = self.comm_thread = CommThread(f"comm-thread-{self.comm.rank}")
+            self._stop_comm_thread = weakref.finalize(self, team.stop)
+        return team
+
+    def close(self) -> None:
+        """Stop the parked communication thread and wait for it to exit.
+
+        Idempotent, and a no-op for an engine that never ran a
+        COMM_THREAD region.  The engine stays usable: a task-mode sweep
+        after ``close()`` starts a fresh thread (close again after it).
+        """
+        team, self.comm_thread = self.comm_thread, None
+        if team is not None:
+            self._stop_comm_thread()  # posts the sentinel, once
+            if team.ident is not None:
+                team.join()
+
+    def __enter__(self) -> "DistributedSpMVM":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def program(
         self, scheme: str, n_sweeps: int = 1, *, pipeline: bool = True
@@ -225,7 +275,7 @@ class DistributedSpMVM:
     ) -> list[np.ndarray]:
         """The matrix-powers chain: this rank's slices of ``A x .. A^N x``.
 
-        Runs ONE *n_sweeps*-sweep program (one comm-thread spawn,
+        Runs ONE *n_sweeps*-sweep program (one COMM_THREAD region,
         pipelined receives, double-buffered halo slots) instead of N
         independent multiplies.  Each slice is bit-identical to
         iterating :meth:`multiply`, pipelined or not — the pipelining
@@ -350,16 +400,16 @@ def _distributed(
     cplan = lower_comm_plan(plan, nranks, comm_plan, ranks_per_node)
 
     def rank_fn(comm: Comm, halo: RankHalo) -> np.ndarray:
-        engine = DistributedSpMVM(
+        with DistributedSpMVM(
             comm, halo, comm_plan=cplan, kernel=kspec, sanitizer=sanitizer
-        )
-        multiply = engine.multiply_block if block else engine.multiply
-        x_local = scatter_vector(x, plan.partition, comm.rank)
-        y_local = multiply(x_local, scheme)
-        for _ in range(iterations - 1):
-            comm.barrier()
+        ) as engine:
+            multiply = engine.multiply_block if block else engine.multiply
+            x_local = scatter_vector(x, plan.partition, comm.rank)
             y_local = multiply(x_local, scheme)
-        return y_local
+            for _ in range(iterations - 1):
+                comm.barrier()
+                y_local = multiply(x_local, scheme)
+            return y_local
 
     pieces = run_spmd(nranks, rank_fn, PerRank(plan.ranks), recorder=recorder)
     return gather_vector(pieces)
@@ -397,7 +447,7 @@ def distributed_spmv(
     world (inter-rank dynamic analysis); ``sanitizer`` attaches a
     :class:`repro.check.ThreadSanitizer` to every rank engine
     (intra-rank thread-race detection).  Use a fresh sanitizer per run:
-    thread idents are unbound at join and recycled by CPython.
+    the rank threads' idents are recycled by CPython between runs.
     """
     return _distributed(
         A, x, nranks, False, scheme, strategy, iterations, comm_plan,

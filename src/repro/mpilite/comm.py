@@ -7,10 +7,12 @@ numerically.  The API mirrors the mpi4py conventions the paper's
 ecosystem uses: lowercase methods move Python objects, capitalised
 ``Send``/``Recv``/``Isend``/``Irecv`` move numpy buffers.
 
-The GIL prevents real compute overlap (the very reason this repository
-pairs mpilite with a performance simulator — see DESIGN.md), but the
-communication *semantics* are real: blocking receives, nonblocking
-requests, wildcard matching, deadlocks and all.  Those semantics are
+Rank and communication threads share one interpreter: everything here
+runs under the GIL, and only the compiled kernels (which release it)
+truly run beside it.  Timing is therefore the simulator's business
+(DESIGN.md), but the communication *semantics* are real: blocking
+receives, nonblocking requests, wildcard matching, deadlocks and all.
+Those semantics are
 what the dynamic analyzer in :mod:`repro.check` verifies: a
 :class:`~repro.check.CommRecorder` attached via
 :func:`repro.mpilite.world.run_spmd` observes every operation through

@@ -15,10 +15,12 @@ One interpreter covers every case:
   same op handlers (every buffer fill and kernel call is axis-0 based),
 * the four communication ops are the engine's four phase methods,
   whatever plan (direct or node-aware) the engine compiled,
-* ``COMM_THREAD`` spawns a real thread executing the body ops — the
-  Fig. 4c code structure — which meets the main path at each body
-  ``OMP_BARRIER`` and is joined at the main-path ``OMP_BARRIER`` after
-  the last of them.
+* ``COMM_THREAD`` hands the body ops to the engine's parked
+  communication thread (:class:`CommThread` — Fig. 4c's team thread,
+  started by the engine's first region and kept across sweeps), which
+  meets the main path at each body ``OMP_BARRIER``; the main-path
+  ``OMP_BARRIER`` after the last of them waits for the region's
+  completion token where a spawned thread would be joined.
 
 Numerics are scheme-, plan- and pipelining-independent by
 construction: the local part is always accumulated before the remote
@@ -29,8 +31,9 @@ the kernels.
 
 from __future__ import annotations
 
+import queue
 import threading
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -39,11 +42,12 @@ from repro.program.ir import SweepOp, SweepProgram
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.spmvm import DistributedSpMVM
 
-__all__ = ["UnjoinedCommThreadError", "execute_sweep"]
+__all__ = ["CommThread", "UnjoinedCommThreadError", "execute_sweep"]
 
-#: Rendezvous patience for the comm thread (seconds); generous — a
-#: rendezvous only times out when the other side is dead.
-_RENDEZVOUS_TIMEOUT = 60.0
+#: What travels through a :class:`CommThread`'s mailbox besides regions
+#: and the ``None`` stop sentinel: one side's arrival at a rendezvous, the
+#: main path giving a rendezvous up, a region's completion.
+_MEET, _BREAK, _DONE = "meet", "break", "done"
 
 
 class UnjoinedCommThreadError(RuntimeError):
@@ -55,6 +59,89 @@ class UnjoinedCommThreadError(RuntimeError):
     an open communication thread is exactly the hazard the thread
     sanitizer (:mod:`repro.check.threads`) reports access by access.
     """
+
+
+class CommThread(threading.Thread):
+    """An engine's communication thread, parked between COMM_THREAD regions.
+
+    The mailbox is a pair of ``queue.SimpleQueue``s, one per direction.
+    :meth:`hand_off` puts a region (a callable that never raises) in the
+    inbox and :meth:`wait` takes its completion token from the other —
+    exactly one per region.  Those two hand-offs are the region's two
+    happens-before edges: what a spawn and a join gave when every region
+    had a thread of its own.  While a region is open the same two queues
+    carry its rendezvous (:meth:`meet`).  Every wait is a blocking
+    ``get``: nothing polls, sleeps or wakes on a timeout, and neither
+    side can die without posting what the other is waiting for.
+
+    Parked, the thread holds the two queues and nothing else: the region
+    (whose closure reaches the engine) is dropped before the token is
+    posted, so an engine nobody refers to is collected and its finalizer
+    posts the :meth:`stop` sentinel.  A daemon, so an interpreter exiting
+    with engines still open does not wait for it.
+    """
+
+    def __init__(self, name: str) -> None:
+        super().__init__(name=name, daemon=True)
+        self._inbox: queue.SimpleQueue = queue.SimpleQueue()
+        self._done: queue.SimpleQueue = queue.SimpleQueue()
+
+    def run(self) -> None:
+        inbox, done = self._inbox, self._done
+        while True:
+            region = inbox.get()
+            if region is None:
+                return
+            if region is _MEET or region is _BREAK:
+                continue  # meant for a region that failed before it got there
+            try:
+                region()
+            finally:
+                region = None  # park without a reference to the engine
+                done.put(_DONE)
+
+    def hand_off(self, region: Callable[[], None]) -> None:
+        """Give *region* to the thread (the first hand-off starts it).
+
+        The first region is queued *before* ``start()``: the new thread
+        finds it on its first ``get`` and a one-shot engine pays one
+        wake-up, not two.
+        """
+        self._inbox.put(region)
+        if self.ident is None:
+            self.start()
+
+    def meet(self, side: str) -> bool:
+        """*side*'s (``"main"`` / ``"comm"``) half of a two-party rendezvous.
+
+        Each side posts its arrival to the other and takes the other's.
+        ``False`` means the other side is not coming: on the comm thread,
+        that the main path gave the region up (:meth:`release`); on the
+        main path, that the region has ended — what was taken is its
+        completion token, so there is nothing left to :meth:`wait` for.
+        """
+        if side == "main":
+            self._inbox.put(_MEET)
+            return self._done.get() is _MEET
+        self._done.put(_MEET)
+        return self._inbox.get() is _MEET
+
+    def release(self) -> None:
+        """Main path: wake a region parked at (or on its way to) a rendezvous."""
+        self._inbox.put(_BREAK)
+
+    def wait(self) -> None:
+        """Block until the region handed off last has finished."""
+        while self._done.get() is not _DONE:
+            pass  # the arrival of a region that is being released
+
+    def stop(self) -> None:
+        """Post the sentinel that ends the thread once it is parked."""
+        self._inbox.put(None)
+
+
+class _BrokenRendezvous(RuntimeError):
+    """Raised inside a region whose main path gave up its rendezvous."""
 
 
 class _SweepView:
@@ -80,17 +167,15 @@ class _RunState:
     """
 
     __slots__ = (
-        "views", "depth", "thread", "barrier", "rendezvous_left",
+        "views", "depth", "team", "rendezvous_left",
         "rendezvous_total", "error", "san", "domain", "comm_op", "comm_token",
     )
 
     def __init__(self, views: "list[_SweepView]", depth: int) -> None:
         self.views = views
         self.depth = depth
-        self.thread: threading.Thread | None = None
-        #: two-party rendezvous; exists only while a region whose body
-        #: contains OMP_BARRIER ops is open
-        self.barrier: threading.Barrier | None = None
+        #: the engine's comm thread while a COMM_THREAD region is open
+        self.team: CommThread | None = None
         self.rendezvous_left = 0
         self.rendezvous_total = 0
         self.error: list[BaseException] = []
@@ -173,15 +258,15 @@ def execute_sweep(
             if op_log is not None:
                 op_log.extend(op.tokens())
             if op.kind == "COMM_THREAD":
-                _spawn_comm_thread(engine, op, state)
+                _hand_off(engine, op, state)
             elif op.kind == "OMP_BARRIER":
                 _barrier_main(state)
             else:
                 _issue(engine, op, state)
     except BaseException:
-        _reap_comm_thread(state)  # never leak the worker on the error path
+        _reap_comm_thread(state)  # never leave the region open on the error path
         raise
-    if state.thread is not None:
+    if state.team is not None:
         # compute ops ran concurrently with an open COMM_THREAD region —
         # the hazard the thread sanitizer reports access by access
         _reap_comm_thread(state)
@@ -223,48 +308,51 @@ def _issue(engine: "DistributedSpMVM", op: SweepOp, state: _RunState) -> None:
     _OP_HANDLERS[op.kind](engine, view)
 
 
-def _spawn_comm_thread(engine: "DistributedSpMVM", op: SweepOp, state: _RunState) -> None:
-    """Start the comm thread of a COMM_THREAD region.
+def _hand_off(engine: "DistributedSpMVM", op: SweepOp, state: _RunState) -> None:
+    """Open a COMM_THREAD region on the engine's parked comm thread.
 
     Body ``OMP_BARRIER`` ops are rendezvous with the matching main-path
-    barriers; the main path counts them at spawn so it knows which of
+    barriers; the main path counts them at hand-off so it knows which of
     its own barriers rendezvous and which one (the first past the last
-    rendezvous) joins the thread.
+    rendezvous) waits for the region's completion token.
     """
-    if state.thread is not None:
+    if state.team is not None:
         raise RuntimeError("COMM_THREAD spawned while another is still open")
     state.rendezvous_total = sum(1 for inner in op.body if inner.kind == "OMP_BARRIER")
     state.rendezvous_left = state.rendezvous_total
-    state.barrier = threading.Barrier(2) if state.rendezvous_total else None
-    name = f"comm-thread-{engine.comm.rank}"
+    team = engine.team_thread()
     token = None
     if state.san is not None:
-        token = state.san.on_spawn(state.domain, name)
+        # one spawn edge per region: the thread is re-bound to a fresh
+        # sanitizer identity whose clock starts from this thread's now
+        token = state.san.on_spawn(state.domain, team.name)
 
-    def worker() -> None:
+    def region() -> None:
         try:
             if token is not None:
                 state.san.on_thread_start(state.domain, token)
             rdv = 0
             for inner in op.body:
-                if inner.kind == "OMP_BARRIER":
-                    _rendezvous(state, "comm", rdv)
+                if inner.kind != "OMP_BARRIER":
+                    _issue(engine, inner, state)
+                elif _rendezvous(state, team, "comm", rdv):
                     rdv += 1
                 else:
-                    _issue(engine, inner, state)
-        except BaseException as exc:  # noqa: BLE001 - re-raised on join
+                    raise _BrokenRendezvous(f"main path gave up rendezvous {rdv}")
+        except BaseException as exc:  # noqa: BLE001 - re-raised by the main path
+            # ending the region is what wakes a main path parked at a
+            # rendezvous: it takes the completion token instead
             state.error.append(exc)
-            if state.barrier is not None:
-                state.barrier.abort()  # wake a main thread parked at a rendezvous
 
     state.comm_op = op
     state.comm_token = token
-    state.thread = threading.Thread(target=worker, name=name)
-    state.thread.start()
+    team.hand_off(region)
+    state.team = team
 
 
-def _rendezvous(state: _RunState, side: str, idx: int) -> None:
-    """One two-party barrier rendezvous, with sanitizer hand-off edges.
+def _rendezvous(state: _RunState, team: CommThread, side: str, idx: int) -> bool:
+    """One two-party rendezvous, with sanitizer hand-off edges; False if
+    the other side is not coming (:meth:`CommThread.meet`).
 
     Each side releases its own token before the physical wait and
     acquires the other side's after it — a bidirectional happens-before
@@ -276,30 +364,29 @@ def _rendezvous(state: _RunState, side: str, idx: int) -> None:
     other = "comm" if side == "main" else "main"
     if state.san is not None:
         state.san.on_release(state.domain, f"rdv:{side}:{idx}")
-    state.barrier.wait(timeout=_RENDEZVOUS_TIMEOUT)
-    if state.san is not None:
+    met = team.meet(side)
+    if met and state.san is not None:
         state.san.on_acquire(state.domain, f"rdv:{other}:{idx}")
+    return met
 
 
 def _barrier_main(state: _RunState) -> None:
-    """A main-path OMP_BARRIER: rendezvous with, or join, the comm thread."""
-    if state.thread is None:
-        return  # single compute thread, no comm thread open: a no-op
+    """A main-path OMP_BARRIER: rendezvous with the comm thread, or wait
+    for its region to complete."""
+    if state.team is None:
+        return  # single compute thread, no region open: a no-op
     if state.rendezvous_left > 0:
         idx = state.rendezvous_total - state.rendezvous_left
         state.rendezvous_left -= 1
-        try:
-            _rendezvous(state, "main", idx)
-        except threading.BrokenBarrierError:
-            # the comm thread died (it aborts the barrier on error) or
-            # timed out: surface its failure, never deadlock
-            state.thread.join()
-            state.thread = None
+        if not _rendezvous(state, state.team, "main", idx):
+            # the region died on its way here and is already closed:
+            # surface its failure, never deadlock
+            state.team = None
             _raise_comm_error(state)
-            raise
+            raise RuntimeError(f"COMM_THREAD region ended before rendezvous {idx}")
         return
-    state.thread.join()
-    state.thread = None
+    state.team.wait()
+    state.team = None
     if state.san is not None and state.comm_token is not None:
         state.san.on_join(state.domain, state.comm_token)
         state.comm_token = None
@@ -307,16 +394,18 @@ def _barrier_main(state: _RunState) -> None:
 
 
 def _reap_comm_thread(state: _RunState) -> None:
-    """Release a worker parked at a rendezvous and wait for it to exit."""
-    if state.thread is not None:
-        if state.barrier is not None:
-            state.barrier.abort()
-        state.thread.join()
+    """Close the open region: release a comm thread that may park at a
+    rendezvous the main path will not reach, and take the completion
+    token, which parks it again."""
+    if state.team is not None:
+        if state.rendezvous_left:
+            state.team.release()
+        state.team.wait()
+        state.team = None
 
 
 def _raise_comm_error(state: _RunState) -> None:
-    real = [e for e in state.error
-            if not isinstance(e, threading.BrokenBarrierError)]
+    real = [e for e in state.error if not isinstance(e, _BrokenRendezvous)]
     if real:
         raise RuntimeError(
             f"communication thread failed: {real[0]!r}"

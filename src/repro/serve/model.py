@@ -83,7 +83,9 @@ class BuiltModel:
 
         Construction is cheap by design: the halo plan, sub-matrices,
         comm plan, program and converted kernel operators already exist;
-        the engine only allocates its per-rank sweep buffers.
+        the engine only allocates its per-rank sweep buffers.  The
+        caller owns the engine and closes it (under task mode it parks
+        a communication thread from its first sweep on).
         ``sanitizer`` attaches a thread sanitizer to the engine's sweeps
         (:mod:`repro.check.threads`); ``None`` costs nothing.
         """

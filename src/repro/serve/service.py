@@ -152,7 +152,9 @@ class SolverService:
     """A persistent solver pool over one :class:`BuiltModel`.
 
     Threads: one worker per rank (runs the model's sweep program on its
-    engine), daemons parked on a condition variable when idle.  Batches
+    engine), daemons parked on a condition variable when idle; under
+    task mode each worker's engine parks one communication thread
+    beside it, which the worker stops when it exits.  Batches
     are formed by whoever makes one possible — a submitter, the rank
     that lands a batch, ``hold`` on release — under the service lock.
     """
@@ -199,6 +201,9 @@ class SolverService:
         self._requests_served = 0
         self._columns_served = 0
         self._fault = set()
+        #: each rank's engine, set by its worker once built; close()
+        #: reads it only to name a comm thread that failed to stop
+        self._engines: list = [None] * model.nranks
         self._workers = [
             threading.Thread(
                 target=self._worker, args=(r,), name=f"{name}-rank{r}", daemon=True
@@ -346,7 +351,10 @@ class SolverService:
                 self._drain_locked(5.0)
         for w in self._workers:
             w.join(5.0)
-        stuck = [t.name for t in self._workers if t.is_alive()]
+        # a worker closes its engine on the way out, so a comm thread is
+        # still there only beside a worker that is stuck itself
+        threads = [*self._workers, *(e.comm_thread for e in self._engines if e is not None)]
+        stuck = [t.name for t in threads if t is not None and t.is_alive()]
         if stuck:
             raise ServiceError(f"service {self.name!r}: threads failed to stop: {stuck}")
 
@@ -458,6 +466,13 @@ class SolverService:
         except Exception as exc:  # fail loudly, never die silently
             self._worker_failed(None, rank, exc)
             return
+        self._engines[rank] = engine
+        with engine:  # however the loop ends, the engine's comm thread goes too
+            self._serve(rank, engine)
+
+    def _serve(self, rank: int, engine) -> None:
+        """One rank's loop: take a batch, sweep it, land it — until the
+        service is closed or has failed."""
         scheme = self.model.scheme
         inbox = self._inboxes[rank]
         lo, hi = self.model.plan.partition.bounds(rank)

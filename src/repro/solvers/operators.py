@@ -122,6 +122,10 @@ class DistributedOperator:
     a rooted reduction) — so solver variants can be compared on
     *counted* traffic rather than timed noise (the :mod:`repro.bench`
     solver guard asserts on these).
+
+    The operator owns its engine, whose task-mode matvecs park one
+    communication thread for the whole solve: :meth:`close` it (or use
+    the operator as a context manager) when the solve is done.
     """
 
     def __init__(
@@ -136,6 +140,16 @@ class DistributedOperator:
         self.engine = DistributedSpMVM(comm, halo, comm_plan=comm_plan)
         self.scheme = scheme
         self.counters: dict[str, int] = {"exchanges": 0, "messages": 0, "reductions": 0}
+
+    def close(self) -> None:
+        """Close the engine (stops its communication thread; idempotent)."""
+        self.engine.close()
+
+    def __enter__(self) -> "DistributedOperator":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def _count_exchanges(self, n: int) -> None:
         self.counters["exchanges"] += n

@@ -1,10 +1,13 @@
-"""Shared fixtures: small matrices built once per test session, and the
-per-test hang watchdog."""
+"""Shared fixtures: small matrices built once per test session, the
+per-test hang watchdog and the per-test leaked-thread check."""
 
 from __future__ import annotations
 
 import faulthandler
+import gc
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -38,6 +41,32 @@ def hang_watchdog():
     faulthandler.dump_traceback_later(HANG_TIMEOUT_SECONDS, exit=True, file=_real_stderr_fd)
     yield
     faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_comm_thread():
+    """No engine's communication thread outlives the test that started it.
+
+    An engine parks one ``comm-thread-<rank>`` from its first task-mode
+    sweep until it is closed — or, for the many tests (and the ledger's
+    rank functions) that just drop it, until its finalizer posts the stop
+    sentinel.  That is asynchronous, so stragglers get a bounded wait.
+    """
+    yield
+    leaked = [t for t in threading.enumerate() if t.name.startswith("comm-thread-")]
+    if leaked and not _all_exit(leaked, 0.25):
+        gc.collect()  # an engine held by a traceback cycle: collect it, then wait
+        assert _all_exit(leaked, 2.0), (
+            f"communication thread(s) outlived the test: "
+            f"{[t.name for t in leaked if t.is_alive()]}"
+        )
+
+
+def _all_exit(threads, seconds: float) -> bool:
+    deadline = time.monotonic() + seconds
+    for t in threads:
+        t.join(max(0.0, deadline - time.monotonic()))
+    return not any(t.is_alive() for t in threads)
 
 
 @pytest.fixture(scope="session")
