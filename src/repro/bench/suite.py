@@ -8,12 +8,9 @@ ratio between two things timed *against each other*, or a count.  One
 row of :data:`GROUPS` per group:
 
 * ``kernel`` — the raw kernels on one process: ``spmv`` with and
-  without a preallocated output, the block kernel ``spmm`` for
-  k ∈ {1, 4, 16}, and every *non-default* kernel registered in
-  :mod:`repro.sparse.registry` (correctness-gated against the CSR
-  reference before it is timed).  :func:`kernel_guard`: spmm-k1 never
-  drops below per-column parity with spmv and spmm-k4/k16 stay strictly
-  above it;
+  without a preallocated output and the block kernel ``spmm`` for
+  k ∈ {1, 4, 16}.  :func:`kernel_guard`: spmm-k1 never drops below
+  per-column parity with spmv and spmm-k4/k16 stay strictly above it;
 * ``program`` — the sweep-IR contract: the fixed dispatch cost of
   :func:`repro.program.execute_sweep` stays under
   :data:`PROGRAM_OVERHEAD_MAX` of the single-rank spmv hot path
@@ -59,7 +56,7 @@ from repro.bench.harness import BenchResult, TimingStats, time_callable
 from repro.core.spmvm import distributed_spmv
 from repro.matrices import random_sparse
 from repro.model.code_balance import block_speedup
-from repro.sparse import available_kernels, build_operator, get_kernel, spmm, spmv
+from repro.sparse import spmm, spmv
 from repro.sparse.csr import CSRMatrix
 
 __all__ = [
@@ -171,16 +168,14 @@ def _at_guard_size(results: list[BenchResult], group: str) -> list[BenchResult]:
 
 
 def _paired_kernel_result(
-    run: _Run, name: str, x: np.ndarray, test_fn, params: dict, k: int | None = None
+    run: _Run, name: str, x: np.ndarray, test_fn, params: dict, k: int
 ) -> BenchResult:
-    """Time *test_fn* against the CSR reference ``spmv(A, x)``, interleaved.
+    """Time the k-column *test_fn* against ``spmv(A, x)``, interleaved.
 
-    *k* marks a block result (*test_fn* multiplies k columns): it adds
-    the per-column time and the measured per-column speedup next to the
-    code-balance prediction.
+    Reports the per-column time and the measured per-column speedup next
+    to the code-balance prediction.
     """
     A, rounds = run.A, max(run.repeat, 7)
-    cols = 1 if k is None else k
     # stop retrying once the speedup is comfortably above break-even.
     # k = 1 has no such margin: under the compiled executor it *is* the
     # spmv kernel, the true ratio is 1 and a trial reads 0.98-1.02, so
@@ -189,23 +184,22 @@ def _paired_kernel_result(
     if k == 1:
         stop, trials = 1.0, 15
     else:
-        stop, trials = cols / 1.10, 3
+        stop, trials = k / 1.10, 3
     ratio, _ref, stats = _paired_ratio(
         lambda: spmv(A, x), test_fn, warmup=run.warmup, rounds=rounds, stop=stop, trials=trials
     )
-    speedup = cols / ratio  # > 1 once the matrix stream amortises over columns
-    derived = {"gflops": _gflops(A.nnz, cols, stats.min), "speedup_vs_spmv": speedup}
-    if k is not None:
-        params = {**params, "k": k}
-        model = block_speedup(A.nnz / A.nrows, k)
-        derived.update(
-            seconds_per_column=stats.min / k,
-            model_speedup=model,
-            model_fraction=speedup / model,
-        )
+    speedup = k / ratio  # > 1 once the matrix stream amortises over columns
+    model = block_speedup(A.nnz / A.nrows, k)
     return BenchResult(
         name=name, group="kernel", warmup=run.warmup, repeat=rounds,
-        seconds=stats, params=params, derived=derived,
+        seconds=stats, params={**params, "k": k},
+        derived={
+            "gflops": _gflops(A.nnz, k, stats.min),
+            "speedup_vs_spmv": speedup,
+            "seconds_per_column": stats.min / k,
+            "model_speedup": model,
+            "model_fraction": speedup / model,
+        },
     )
 
 
@@ -233,66 +227,6 @@ def _kernel_benches(run: _Run) -> list[BenchResult]:
         results.append(
             _paired_kernel_result(run, f"spmm-k{k}", x, lambda: spmm(A, X, out=Y), base, k)
         )
-    return results + _registry_benches(run)
-
-
-def _check_registered_kernel(spec, A: CSRMatrix, op, X: np.ndarray) -> None:
-    """Correctness gate: a registered kernel is never timed unverified.
-
-    ``exact`` kernels must match the CSR reference bit for bit; the rest
-    to tight relative tolerance.  A failure raises — a wrong kernel in
-    the benchmark table would be worse than a missing one.
-    """
-    x = X[:, 0]
-    pairs = (
-        ("spmv", spec.spmv(op, x), spmv(A, x)),
-        ("spmm", spec.spmm(op, X), spmm(A, X)),
-    )
-    for name, got, ref in pairs:
-        if spec.exact:
-            ok = np.array_equal(got, ref)
-        else:
-            ok = np.allclose(got, ref, rtol=1e-10, atol=1e-13)
-        if not ok:
-            raise AssertionError(
-                f"registered kernel {spec.key!r} disagrees with the CSR "
-                f"reference on {name} (exact={spec.exact}); refusing to "
-                f"benchmark an incorrect kernel"
-            )
-
-
-def _registry_benches(run: _Run) -> list[BenchResult]:
-    """Benchmark every registered non-default kernel against CSR spmv."""
-    A, rng = run.A, run.rng
-    x = rng.standard_normal(A.ncols)
-    results = []
-    for key in available_kernels():
-        spec = get_kernel(key)
-        if spec.key == "csr/reference":
-            continue  # the reference is the spmv/spmm-k* rows above
-        op = build_operator(spec, A)
-        _check_registered_kernel(spec, A, op, rng.standard_normal((A.ncols, 4)))
-        base = {
-            "nrows": A.nrows, "nnz": A.nnz,
-            "format": spec.format, "variant": spec.variant, "exact": spec.exact,
-        }
-        pad = getattr(op, "pad_factor", None)
-        if pad is not None:
-            base["pad_factor"] = pad
-        y = np.empty(A.nrows)
-        results.append(
-            _paired_kernel_result(
-                run, f"{spec.format}-spmv", x, lambda: spec.spmv(op, x, out=y), base
-            )
-        )
-        for k in BLOCK_WIDTHS[1:]:
-            X = rng.standard_normal((A.ncols, k))
-            Y = np.empty((A.nrows, k))
-            results.append(
-                _paired_kernel_result(
-                    run, f"{spec.format}-spmm-k{k}", x, lambda: spec.spmm(op, X, out=Y), base, k
-                )
-            )
     return results
 
 

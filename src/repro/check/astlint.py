@@ -492,7 +492,7 @@ class SolverService:
         "repro/program/exec.py",
         '''\
 def _local_spmvm(engine, state):
-    state.y = engine.kernel.spmv(engine.A_local_op, state.x)
+    state.y = spmv(engine.halo.A_local, state.x)
     engine.comm.send(state.y, 0, tag=1)  # seeded: mpilite from a compute op
 ''',
     ),

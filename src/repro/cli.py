@@ -55,7 +55,7 @@ def _cmd_list(_args: argparse.Namespace) -> int:
         ("bench", "guard suite: kernel, program, sanitizer and solver ratios"),
         ("serve", "persistent solver service: build once, stream requests"),
         ("workload", "multi-job cluster simulation: streams, scheduling, contention"),
-        ("kernels", "list the registered spMVM kernels (repro.sparse.registry)"),
+        ("kernels", "the spMVM kernel and which executor computes its row sums"),
         ("matrix", "build and describe one registry matrix"),
         ("all", "run every experiment in sequence"),
     ):
@@ -445,7 +445,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         A,
         args.nranks,
         scheme=args.scheme,
-        kernel=args.kernel,
         requests=args.requests,
         concurrency=args.concurrency,
         max_batch=args.max_batch,
@@ -546,17 +545,10 @@ def _cmd_workload(args: argparse.Namespace) -> int:
 
 
 def _cmd_kernels(_args: argparse.Namespace) -> int:
-    """List every registered sparse kernel (format/variant, equivalence)."""
-    from repro.sparse import DEFAULT_KERNEL, available_kernels, get_kernel, native
+    """Name the one spMVM kernel and the executor under its row sums."""
+    from repro.sparse import native
 
-    default_key = get_kernel(DEFAULT_KERNEL).key
-    print("registered spMVM kernels:")
-    for key in available_kernels():
-        spec = get_kernel(key)
-        tags = ["bit-exact" if spec.exact else "tolerance"]
-        if key == default_key:
-            tags.append("default")
-        print(f"  {key:<16} [{', '.join(tags)}] {spec.description}")
+    print("spMVM kernel: csr/reference (CRS row sums; spmm is bit-identical per column to spmv)")
     print(f"csr row sums: {native.status().describe()}")
     return 0
 
@@ -704,8 +696,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--nranks", type=int, default=4)
     ps.add_argument("--scheme", default="task_mode",
                     choices=("no_overlap", "naive_overlap", "task_mode"))
-    ps.add_argument("--kernel", default="csr",
-                    help="registered kernel key (see `repro kernels`)")
     ps.add_argument("--requests", type=int, default=64)
     ps.add_argument("--concurrency", type=int, default=8,
                     help="concurrent submitter threads")

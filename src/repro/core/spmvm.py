@@ -50,6 +50,7 @@ simulator, not this backend, reproduces the paper's figures.
 from __future__ import annotations
 
 import weakref
+from types import SimpleNamespace
 from typing import Any
 
 import numpy as np
@@ -63,7 +64,8 @@ from repro.program.exec import CommThread, execute_sweep
 from repro.program.ir import SweepProgram
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.partition import RowPartition
-from repro.sparse.registry import DEFAULT_KERNEL, KernelSpec, build_operator, get_kernel
+from repro.sparse.spmm import spmm, spmm_add
+from repro.sparse.spmv import spmv, spmv_add
 from repro.util import check_in
 
 __all__ = [
@@ -77,6 +79,14 @@ __all__ = [
 ]
 
 SCHEMES = PROGRAM_SCHEMES
+
+# Ledger aliases.  benchmarks/ledger/layers.py (_dispatch_rank,
+# stepped_sweep) reads engine.kernel.{spmv,spmv_add,spmm,spmm_add},
+# engine.A_local_op and engine.A_remote_op and can only be edited by a
+# [benchmark] PR, so the engine keeps those three read-only names until
+# ROADMAP item 8(e) deletes them.  Nothing under src/ reads them: the
+# sweep calls the CSR kernels on halo.A_local / halo.A_remote directly.
+_LEDGER_KERNELS = SimpleNamespace(spmv=spmv, spmv_add=spmv_add, spmm=spmm, spmm_add=spmm_add)
 
 
 class DistributedSpMVM:
@@ -97,14 +107,6 @@ class DistributedSpMVM:
         :mod:`repro.comm`).  Results are bit-identical either way — the
         exchange only copies float64 payloads, never reorders
         arithmetic.
-    kernel:
-        Registered kernel name (``"csr"``, ``"sell/matmul"``, ...) or a
-        :class:`~repro.sparse.registry.KernelSpec`.  The local and
-        remote sub-matrices are converted to the kernel's format once at
-        construction (memoised per matrix); every sweep's compute ops
-        then dispatch through the spec.  The default CSR reference keeps
-        results bit-identical across schemes and plans; non-exact
-        kernels (``exact=False``) are tolerance-equivalent.
     sanitizer:
         Optional :class:`~repro.check.threads.ThreadSanitizer`.  When
         attached, the sweep interpreter notes every buffer access and
@@ -117,12 +119,16 @@ class DistributedSpMVM:
     :meth:`close` it (or use it as a context manager) when done.
     """
 
+    # ledger aliases (see _LEDGER_KERNELS above; ROADMAP item 8(e))
+    kernel = _LEDGER_KERNELS
+    A_local_op = property(lambda self: self.halo.A_local)
+    A_remote_op = property(lambda self: self.halo.A_remote)
+
     def __init__(
         self,
         comm: Comm,
         halo: RankHalo,
         comm_plan: CommPlan | None = None,
-        kernel: str | KernelSpec = DEFAULT_KERNEL,
         sanitizer: Any = None,
     ) -> None:
         if halo.A_local is None or halo.A_remote is None:
@@ -131,10 +137,6 @@ class DistributedSpMVM:
             raise ValueError(f"halo is for rank {halo.rank}, communicator is rank {comm.rank}")
         self.comm = comm
         self.halo = halo
-        #: resolved kernel spec plus the sub-matrices in its format
-        self.kernel = get_kernel(kernel)
-        self.A_local_op = build_operator(self.kernel, halo.A_local)
-        self.A_remote_op = build_operator(self.kernel, halo.A_remote)
         #: this rank's compiled exchange (no relay duties under a direct plan)
         self.exchange = RankExchange(comm_plan, halo)
         self.sanitizer = sanitizer
@@ -389,20 +391,32 @@ def lower_comm_plan(plan, nranks: int, comm_plan: str, ranks_per_node: int = 1):
 
 def _distributed(
     A, x, nranks, block, scheme, strategy, iterations, comm_plan,
-    ranks_per_node, kernel, recorder, sanitizer,
+    ranks_per_node, recorder, sanitizer,
 ) -> np.ndarray:
-    """The one-call drivers' body (*block*: *x* is a validated 2-D block)."""
+    """The one-call drivers' body (*block*: *x* is a 2-D block, else a vector).
+
+    Everything about the call is validated here, in the caller's thread,
+    before any rank exists: ``scatter_vector`` slices, so a long *x*
+    would lose its tail silently and a short one would fail on one rank.
+    """
     from repro.mpilite.world import PerRank, run_spmd
 
     check_in(scheme, SCHEMES, "scheme")
-    kspec = get_kernel(kernel)
+    x = np.asarray(x, dtype=np.float64)
+    ndim = 2 if block else 1
+    if x.ndim != ndim or x.shape[0] != A.ncols:
+        want = f"({A.ncols}, k)" if block else f"({A.ncols},)"
+        raise ValueError(
+            f"x must be a {ndim}-D array of shape {want} for a matrix of shape "
+            f"{A.shape}, got shape {x.shape}"
+        )
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
     plan = cached_halo_plan(A, nranks, strategy=strategy, with_matrices=True)
     cplan = lower_comm_plan(plan, nranks, comm_plan, ranks_per_node)
 
     def rank_fn(comm: Comm, halo: RankHalo) -> np.ndarray:
-        with DistributedSpMVM(
-            comm, halo, comm_plan=cplan, kernel=kspec, sanitizer=sanitizer
-        ) as engine:
+        with DistributedSpMVM(comm, halo, comm_plan=cplan, sanitizer=sanitizer) as engine:
             multiply = engine.multiply_block if block else engine.multiply
             x_local = scatter_vector(x, plan.partition, comm.rank)
             y_local = multiply(x_local, scheme)
@@ -425,7 +439,6 @@ def distributed_spmv(
     iterations: int = 1,
     comm_plan: str = "direct",
     ranks_per_node: int = 1,
-    kernel: str | KernelSpec = DEFAULT_KERNEL,
     recorder: Any = None,
     sanitizer: Any = None,
 ) -> np.ndarray:
@@ -441,8 +454,7 @@ def distributed_spmv(
     ``comm_plan`` selects the halo-exchange plan (:mod:`repro.comm`);
     ``"node-aware"`` aggregates inter-node messages through per-node
     leaders, with nodes assigned rank-major from *ranks_per_node*.
-    Results are bit-identical across plans.  ``kernel`` selects the
-    registered compute kernel per rank (see :class:`DistributedSpMVM`).
+    Results are bit-identical across plans.
     ``recorder`` attaches a :class:`repro.check.CommRecorder` to the
     world (inter-rank dynamic analysis); ``sanitizer`` attaches a
     :class:`repro.check.ThreadSanitizer` to every rank engine
@@ -451,7 +463,7 @@ def distributed_spmv(
     """
     return _distributed(
         A, x, nranks, False, scheme, strategy, iterations, comm_plan,
-        ranks_per_node, kernel, recorder, sanitizer,
+        ranks_per_node, recorder, sanitizer,
     )
 
 
@@ -465,7 +477,6 @@ def distributed_spmm(
     iterations: int = 1,
     comm_plan: str = "direct",
     ranks_per_node: int = 1,
-    kernel: str | KernelSpec = DEFAULT_KERNEL,
     recorder: Any = None,
     sanitizer: Any = None,
 ) -> np.ndarray:
@@ -474,12 +485,9 @@ def distributed_spmm(
     The batched twin of :func:`distributed_spmv`: one halo exchange (one
     message per peer) serves all ``X.shape[1]`` right-hand sides.  See
     :func:`distributed_spmv` for ``comm_plan``/``ranks_per_node``/
-    ``kernel``/``recorder``/``sanitizer``.
+    ``recorder``/``sanitizer``.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"X must be a 2-D block, got shape {X.shape}")
     return _distributed(
         A, X, nranks, True, scheme, strategy, iterations, comm_plan,
-        ranks_per_node, kernel, recorder, sanitizer,
+        ranks_per_node, recorder, sanitizer,
     )

@@ -106,6 +106,10 @@ def run_spmd(
     router, the collective state and every communicator — the opt-in
     dynamic correctness analyzer; pass ``None`` (the default) for the
     uninstrumented fast path.
+
+    A rank whose ``fn`` raises aborts the world, so peers blocked on it
+    fail at once, and the ``RuntimeError`` raised here names that rank
+    and chains its exception — the first failure, not its casualties.
     """
     nranks = check_positive_int(nranks, "nranks")
     world = World(nranks, recv_timeout=recv_timeout, recorder=recorder)
@@ -124,6 +128,10 @@ def run_spmd(
         except BaseException as exc:  # noqa: BLE001 - surface everything
             with lock:
                 errors.append((rank, exc))
+                if len(errors) == 1:
+                    # the cause: fail its peers' blocked operations now, not
+                    # after a receive timeout (they land in `errors` behind it)
+                    world.abort(f"rank {rank} failed: {exc!r}")
         finally:
             if recorder is not None:
                 recorder.on_rank_finished(rank)
@@ -143,7 +151,7 @@ def run_spmd(
             f"(likely an mpilite deadlock): {[t.name for t in alive]}"
         )
     if errors:
-        rank, exc = min(errors, key=lambda e: e[0])
+        rank, exc = errors[0]  # the first failure in time; the rest are its casualties
         raise RuntimeError(f"rank {rank} failed: {exc!r}") from exc
     return results
 

@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro.program.ir import SweepOp, SweepProgram
+from repro.sparse import spmm, spmm_add, spmv, spmv_add
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.spmvm import DistributedSpMVM
@@ -432,23 +433,18 @@ def _waitall(engine: "DistributedSpMVM", view: _SweepView) -> None:
 
 
 def _local_spmvm(engine: "DistributedSpMVM", view: _SweepView) -> None:
-    # compute ops dispatch through the engine's registered kernel spec
-    # (repro.sparse.registry); the operators were format-converted once
-    # at engine construction
-    kernel = engine.kernel
     if view.x.ndim == 2:
-        view.y = kernel.spmm(engine.A_local_op, view.x, out=view.out)
+        view.y = spmm(engine.halo.A_local, view.x, out=view.out)
     else:
-        view.y = kernel.spmv(engine.A_local_op, view.x, out=view.out)
+        view.y = spmv(engine.halo.A_local, view.x, out=view.out)
 
 
 def _remote_spmvm(engine: "DistributedSpMVM", view: _SweepView) -> None:
-    kernel = engine.kernel
     halo = engine.halo_view(view.halo_out)
     if view.x.ndim == 2:
-        kernel.spmm_add(engine.A_remote_op, halo, out=view.y)
+        spmm_add(engine.halo.A_remote, halo, out=view.y)
     else:
-        kernel.spmv_add(engine.A_remote_op, halo, out=view.y)
+        spmv_add(engine.halo.A_remote, halo, out=view.y)
 
 
 def _full_spmvm(engine: "DistributedSpMVM", view: _SweepView) -> None:

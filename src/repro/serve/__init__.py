@@ -3,7 +3,7 @@
 The paper's observation that the communication bookkeeping "needs to be
 done only once" (Sect. 3.1), taken to its production conclusion: a
 :class:`BuiltModel` captures *all* one-time work — partition, halo
-plan, comm plan, compiled sweep program, kernel-format conversion —
+plan, comm plan, compiled sweep program —
 behind one constructor (:func:`build_model`; a ``repro-model/2`` file
 stores its inputs, not its outputs), and a
 :class:`SolverService` keeps a persistent mpilite worker pool alive

@@ -23,7 +23,6 @@ from repro.obs.latency import latency_summary, throughput
 from repro.serve.model import BuiltModel, build_model
 from repro.serve.service import SolverService
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.registry import DEFAULT_KERNEL
 
 __all__ = ["StreamReport", "run_request_stream"]
 
@@ -37,7 +36,6 @@ class StreamReport:
     nnz: int
     nranks: int
     scheme: str
-    kernel: str
     requests: int
     concurrency: int
     max_batch: int
@@ -46,7 +44,6 @@ class StreamReport:
     latencies: tuple[float, ...]
     batch_widths: tuple[int, ...]
     verified: int
-    verify_exact: bool
     model_path: str | None = None
     extras: dict = field(default_factory=dict)
 
@@ -68,7 +65,7 @@ class StreamReport:
         lines = [
             f"repro serve: {self.matrix_label} ({self.nrows} rows, "
             f"nnz={self.nnz}) on {self.nranks} ranks",
-            f"  scheme / kernel     : {self.scheme} / {self.kernel}",
+            f"  scheme              : {self.scheme}",
             f"  one-time build      : {self.build_seconds * ms:8.2f} ms"
             + (f"  (round-tripped via {self.model_path})" if self.model_path else ""),
             f"  requests            : {self.requests} over {self.concurrency} "
@@ -82,10 +79,9 @@ class StreamReport:
             f"  throughput          : {s['throughput_rps']:8.1f} requests/s",
         ]
         if self.verified:
-            how = "bit-identical to" if self.verify_exact else "matching (tolerance)"
             lines.append(
                 f"  verified            : {self.verified}/{self.verified} "
-                f"response(s) {how} independent distributed spMVM runs"
+                f"response(s) bit-identical to independent distributed spMVM runs"
             )
         return "\n".join(lines)
 
@@ -132,7 +128,6 @@ def run_request_stream(
     nranks: int = 4,
     *,
     scheme: str = "task_mode",
-    kernel: str = DEFAULT_KERNEL,
     comm_plan: str = "direct",
     ranks_per_node: int = 1,
     requests: int = 64,
@@ -153,7 +148,7 @@ def run_request_stream(
     before serving — the serialize→deserialize→serve path.  ``verify``
     responses are recomputed with independent per-request
     :func:`~repro.core.spmvm.distributed_spmv` runs and compared
-    bit-for-bit (exact kernels) or to tolerance.
+    bit-for-bit.
     """
     from repro.core.spmvm import distributed_spmv
 
@@ -165,7 +160,6 @@ def run_request_stream(
         A,
         nranks,
         scheme=scheme,
-        kernel=kernel,
         comm_plan=comm_plan,
         ranks_per_node=ranks_per_node,
     )
@@ -212,19 +206,12 @@ def run_request_stream(
     verified = 0
     for i in range(min(verify, requests)):
         y_ref = distributed_spmv(
-            A, X[i], nranks, scheme=scheme, kernel=model.kernel, comm_plan=comm_plan,
+            A, X[i], nranks, scheme=scheme, comm_plan=comm_plan,
             ranks_per_node=ranks_per_node,
         )
-        if model.kernel.exact:
-            if not np.array_equal(results[i], y_ref):
-                raise AssertionError(
-                    f"response {i} is not bit-identical to an independent "
-                    f"distributed spMVM (kernel {model.kernel.key})"
-                )
-        elif not np.allclose(results[i], y_ref, rtol=1e-12, atol=1e-12):
+        if not np.array_equal(results[i], y_ref):
             raise AssertionError(
-                f"response {i} does not match an independent distributed "
-                f"spMVM (kernel {model.kernel.key})"
+                f"response {i} is not bit-identical to an independent distributed spMVM"
             )
         verified += 1
 
@@ -234,7 +221,6 @@ def run_request_stream(
         nnz=A.nnz,
         nranks=nranks,
         scheme=scheme,
-        kernel=model.kernel.key,
         requests=requests,
         concurrency=concurrency,
         max_batch=max_batch,
@@ -243,6 +229,5 @@ def run_request_stream(
         latencies=tuple(latencies),
         batch_widths=stats["batch_widths"],
         verified=verified,
-        verify_exact=model.kernel.exact,
         model_path=str(model_path) if model_path is not None else None,
     )

@@ -4,8 +4,7 @@
 Sect. 3.1) — a :class:`BuiltModel` is that bookkeeping made a first-
 class object: the partitioned matrix, the halo plan with its per-rank
 local/remote sub-matrices, the (optional) node-aware communication
-plan, the compiled sweep program, and the resolved kernel spec with its
-format-converted operators.  :func:`build_model` is its only
+plan and the compiled sweep program.  :func:`build_model` is its only
 constructor.  :meth:`BuiltModel.save` persists what a build cannot
 recompute — the matrix and the serving configuration (``repro-model/2``,
 a plain ``.npz``: three numeric arrays plus one JSON metadata entry — no
@@ -31,13 +30,6 @@ from repro.program.build import cached_sweep_program
 from repro.program.ir import SweepProgram
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.partition import partition_matrix
-from repro.sparse.registry import (
-    DEFAULT_KERNEL,
-    KernelSpec,
-    available_kernels,
-    build_operator,
-    get_kernel,
-)
 from repro.util import check_in
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -48,6 +40,11 @@ __all__ = ["MODEL_SCHEMA", "BuiltModel", "build_model"]
 
 #: Version tag of the on-disk layout.  Bump only on breaking changes.
 MODEL_SCHEMA = "repro-model/2"
+
+#: What a ``repro-model/2`` file must hold: the matrix arrays beside the
+#: JSON ``meta`` entry, and the keys of ``meta`` beside ``schema``.
+_ARRAYS = ("matrix.row_ptr", "matrix.col_idx", "matrix.val")
+_META_KEYS = ("nranks", "scheme", "strategy", "comm_plan", "ranks_per_node", "fingerprint")
 
 
 @dataclass
@@ -63,7 +60,6 @@ class BuiltModel:
 
     matrix: CSRMatrix
     plan: HaloPlan
-    kernel: KernelSpec
     scheme: str
     strategy: str
     comm_plan_kind: str
@@ -82,10 +78,10 @@ class BuiltModel:
         """The per-rank engine of ``comm.rank``, on this model's state.
 
         Construction is cheap by design: the halo plan, sub-matrices,
-        comm plan, program and converted kernel operators already exist;
-        the engine only allocates its per-rank sweep buffers.  The
-        caller owns the engine and closes it (under task mode it parks
-        a communication thread from its first sweep on).
+        comm plan and program already exist; the engine only allocates
+        its per-rank sweep buffers.  The caller owns the engine and
+        closes it (under task mode it parks a communication thread from
+        its first sweep on).
         ``sanitizer`` attaches a thread sanitizer to the engine's sweeps
         (:mod:`repro.check.threads`); ``None`` costs nothing.
         """
@@ -95,16 +91,15 @@ class BuiltModel:
             comm,
             self.plan.ranks[comm.rank],
             comm_plan=self.comm_plan,
-            kernel=self.kernel,
             sanitizer=sanitizer,
         )
 
     def describe(self) -> str:
-        """One line: shape, ranks, scheme, comm plan, kernel."""
+        """One line: shape, ranks, scheme, comm plan."""
         return (
             f"BuiltModel({self.matrix.nrows} rows, nnz={self.matrix.nnz}, "
             f"{self.nranks} ranks, scheme={self.scheme}, "
-            f"comm_plan={self.comm_plan_kind}, kernel={self.kernel.key}, "
+            f"comm_plan={self.comm_plan_kind}, "
             f"built in {self.build_seconds * 1e3:.1f} ms)"
         )
 
@@ -127,7 +122,6 @@ class BuiltModel:
             "nranks": self.nranks,
             "scheme": self.scheme,
             "strategy": self.strategy,
-            "kernel": self.kernel.key,
             "comm_plan": self.comm_plan_kind,
             "ranks_per_node": self.ranks_per_node,
             "fingerprint": list(self.fingerprint),
@@ -149,25 +143,45 @@ class BuiltModel:
     def load(cls, path: str | Path) -> "BuiltModel":
         """Read a file written by :meth:`save`, verify it, and build.
 
-        Three guards, each with a descriptive error: the schema tag, the
-        matrix structure fingerprint (recomputed and compared against
-        the stored one — truncated or corrupted files fail here, not in
-        a kernel), and the kernel key (which must be registered in *this*
-        process; runtime-registered kernels must be re-registered before
-        loading models built on them).  Then :func:`build_model` — the
-        same constructor, so a loaded model serves bit-identically.
+        The file is outside input, so every guard is a ``ValueError``
+        that starts with the path: the npz entries and the schema tag;
+        the required ``meta`` keys; a ``kernel`` key left by an older
+        writer (files used to name the kernel that computed their
+        results — ``csr/reference``, the one there is, loads; anything
+        else was a different result class and is refused); ``val`` as
+        long as ``col_idx`` (the structure fingerprint does not cover
+        values); and the matrix structure fingerprint, recomputed and
+        compared against the stored one, so a truncated or corrupted
+        file fails here, not in a kernel.  Then :func:`build_model` —
+        the same constructor, so a loaded model serves bit-identically.
         """
         path = Path(path)
         with np.load(path) as data:
+            missing = [name for name in ("meta", *_ARRAYS) if name not in data.files]
+            if missing:
+                raise ValueError(f"{path}: not a {MODEL_SCHEMA} file, it lacks {missing}")
             meta = json.loads(str(data["meta"][()]))
             if meta.get("schema") != MODEL_SCHEMA:
                 raise ValueError(
                     f"{path}: expected schema {MODEL_SCHEMA!r}, "
                     f"got {meta.get('schema')!r}"
                 )
-            A = CSRMatrix(
-                data["matrix.row_ptr"], data["matrix.col_idx"], data["matrix.val"], check=False
+            row_ptr, col_idx, val = (data[name] for name in _ARRAYS)
+        missing = [key for key in _META_KEYS if key not in meta]
+        if missing:
+            raise ValueError(f"{path}: meta lacks the required key(s) {missing}")
+        if meta.get("kernel", "csr/reference") != "csr/reference":
+            raise ValueError(
+                f"{path}: meta key 'kernel' names {meta['kernel']!r}; only "
+                f"'csr/reference' exists, and a model built on another kernel "
+                f"served a different result class — rebuild it with build_model"
             )
+        if val.shape != col_idx.shape:
+            raise ValueError(
+                f"{path}: matrix.val has shape {val.shape} but matrix.col_idx "
+                f"{col_idx.shape}; the file is truncated or was edited after save"
+            )
+        A = CSRMatrix(row_ptr, col_idx, val, check=False)
         stored_fp = tuple(meta["fingerprint"])
         actual_fp = A.structure_fingerprint()
         if actual_fp != stored_fp:
@@ -176,20 +190,11 @@ class BuiltModel:
                 f"(stored {stored_fp}, recomputed {actual_fp}); the "
                 f"file is corrupt or was edited after save"
             )
-        try:
-            kernel = get_kernel(meta["kernel"])
-        except ValueError as exc:
-            raise ValueError(
-                f"{path}: model was built with kernel {meta['kernel']!r}, "
-                f"which is not registered in this process (available: "
-                f"{available_kernels()}); register it before loading"
-            ) from exc
         # the matrix object is new, so the process-wide plan cache cannot hit
         return build_model(
             A,
             int(meta["nranks"]),
             scheme=str(meta["scheme"]),
-            kernel=kernel,
             comm_plan=str(meta["comm_plan"]),
             ranks_per_node=int(meta["ranks_per_node"]),
             strategy=str(meta["strategy"]),
@@ -202,7 +207,6 @@ def build_model(
     nranks: int,
     *,
     scheme: str = "task_mode",
-    kernel: str | KernelSpec = DEFAULT_KERNEL,
     comm_plan: str = "direct",
     ranks_per_node: int = 1,
     strategy: str = "nnz",
@@ -211,17 +215,16 @@ def build_model(
     """Do all one-time bookkeeping for serving ``A`` on *nranks* ranks.
 
     Partition, halo plan (with sub-matrices), optional node-aware comm
-    plan, compiled sweep program, and kernel-format conversion — the
-    full cold-start cost, paid here and never again.  ``reuse_caches``
-    lets the build share the process-wide halo-plan cache (the default);
-    benchmarks pass ``False`` to measure a genuinely cold build.
+    plan and compiled sweep program — the full cold-start cost, paid
+    here and never again.  ``reuse_caches`` lets the build share the
+    process-wide halo-plan cache (the default); benchmarks pass
+    ``False`` to measure a genuinely cold build.
     """
     from repro.core.spmvm import lower_comm_plan
 
     check_in(comm_plan, PLAN_KINDS, "comm_plan")
     t0 = time.perf_counter()
     program = cached_sweep_program(scheme)  # first: rejects an unknown scheme
-    kspec = get_kernel(kernel)
     if reuse_caches:
         plan = cached_halo_plan(A, nranks, strategy=strategy, with_matrices=True)
     else:
@@ -229,14 +232,9 @@ def build_model(
             A, partition_matrix(A, nranks, strategy=strategy), with_matrices=True
         )
     cplan = lower_comm_plan(plan, plan.nranks, comm_plan, ranks_per_node)
-    # pay format conversion now, not on first request
-    for rh in plan.ranks:
-        build_operator(kspec, rh.A_local)
-        build_operator(kspec, rh.A_remote)
     return BuiltModel(
         matrix=A,
         plan=plan,
-        kernel=kspec,
         scheme=scheme,
         strategy=strategy,
         comm_plan_kind=comm_plan,

@@ -20,9 +20,8 @@ so a request to an idle service starts at once and which requests share
 a batch is decided by what was queued when the previous one landed, not
 by which thread woke first.  Under load, batches widen automatically;
 an idle service degenerates to per-request spmv with zero added
-latency.  Because spmm is column-wise bit-identical to spmv for exact
-kernels (PR 6's registry contract), coalescing never changes anyone's
-answer.
+latency.  Because spmm is column-wise bit-identical to spmv,
+coalescing never changes anyone's answer.
 
 **One buffer per request**: ``submit`` copies the right-hand sides
 once; every rank overwrites its own rows of that copy with the product

@@ -6,12 +6,6 @@ the split local/nonlocal kernel of the overlap schemes), Reverse
 Cuthill-McKee reordering, row-block partitioners, structure statistics,
 block-occupancy pattern aggregation (Fig. 1) and Matrix Market I/O.
 
-Kernel dispatch is pluggable: :mod:`repro.sparse.registry` maps
-``"format/variant"`` names to :class:`KernelSpec` bundles (CSR
-reference, SELL-C-sigma, and anything registered at runtime), and the
-engine / sweep-interpreter / benchmark layers all resolve kernels
-through it.
-
 The CSR row sums have two executors — the numpy definition and a C loop
 compiled once per machine (:mod:`repro.sparse.native`); the second is
 built, loaded and proven bit-identical to the first right here, at
@@ -36,27 +30,11 @@ from repro.sparse.partition import (
     partition_rows_balanced,
 )
 from repro.sparse.patterns import OccupancyGrid, block_occupancy
-from repro.sparse.registry import (
-    DEFAULT_KERNEL,
-    KernelSpec,
-    available_kernels,
-    build_operator,
-    get_kernel,
-    register_kernel,
-    unregister_kernel,
-)
 from repro.sparse.reorder import (
     bfs_levels,
     cuthill_mckee,
     pseudo_peripheral_node,
     reverse_cuthill_mckee,
-)
-from repro.sparse.sell import (
-    SellMatrix,
-    sell_spmm,
-    sell_spmm_add,
-    sell_spmv,
-    sell_spmv_add,
 )
 from repro.sparse.spmm import spmm, spmm_add, spmm_rows, spmm_traffic
 from repro.sparse.spmv import flops, spmv, spmv_add, spmv_rows, spmv_split, spmv_traffic
@@ -92,18 +70,6 @@ __all__ = [
     "spmm_rows",
     "spmm_traffic",
     "flops",
-    "DEFAULT_KERNEL",
-    "KernelSpec",
-    "available_kernels",
-    "build_operator",
-    "get_kernel",
-    "register_kernel",
-    "unregister_kernel",
-    "SellMatrix",
-    "sell_spmv",
-    "sell_spmv_add",
-    "sell_spmm",
-    "sell_spmm_add",
     "MatrixStats",
     "matrix_stats",
     "bandwidth",

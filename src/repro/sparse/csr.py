@@ -167,9 +167,9 @@ class CSRMatrix:
     def content_fingerprint(self) -> tuple[int, ...]:
         """:meth:`structure_fingerprint` plus a checksum of ``val``.
 
-        Caches holding *converted copies* of the matrix (format-converted
-        kernel operators, serialized models) must also notice in-place
-        value updates, which leave the structure fingerprint unchanged.
+        Caches holding *copies of the values* (the halo plan's local /
+        remote sub-matrices) must also notice in-place value updates,
+        which leave the structure fingerprint unchanged.
         """
         import zlib
 

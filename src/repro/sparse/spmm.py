@@ -40,11 +40,6 @@ over the rows with the k accumulators in registers, ``val``/``col_idx``
 streamed once per block, the identical association per column, no
 ``nnz`` temporary and no GIL — which is the full code-balance win in
 CSR itself: 2.1x (k = 4) and 4.3x (k = 16) per column over ``spmv``.
-The SELL-C-sigma format of :mod:`repro.sparse.sell` (registered as a
-tolerance-equivalent kernel in :mod:`repro.sparse.registry`) streamed
-the matrix once per block when CSR in numpy could not; it no longer
-beats CSR per column and is kept as the registry's second format only —
-its removal is a later simplicity PR.
 
 Kernels
 -------

@@ -1,7 +1,6 @@
 """Shared output-buffer validation for the sparse kernels.
 
-Every kernel in :mod:`repro.sparse.spmv`, :mod:`repro.sparse.spmm` and
-the registered alternative formats (:mod:`repro.sparse.registry`)
+Every kernel in :mod:`repro.sparse.spmv` and :mod:`repro.sparse.spmm`
 validates a caller-provided ``out`` through :func:`check_out`, so that
 *what* is checked — and the error message — cannot drift between
 kernels.

@@ -19,7 +19,6 @@ from repro.cli import main
 
 EXPECTED_NAMES = {
     "spmv", "spmv-out", "spmm-k1", "spmm-k4", "spmm-k16",
-    "sell-spmv", "sell-spmm-k4", "sell-spmm-k16",
     "program-overhead",
     "sanitizer-overhead",
     "solver-cg-classic", "solver-cg-sstep",
@@ -105,17 +104,6 @@ def test_block_results_carry_model_comparison(tiny_suite):
             assert r.derived["model_fraction"] == pytest.approx(
                 r.derived["speedup_vs_spmv"] / r.derived["model_speedup"]
             )
-
-
-def test_registry_kernels_benched_with_metadata(tiny_suite):
-    by_name = {r.name: r for r in tiny_suite}
-    for name in ("sell-spmv", "sell-spmm-k4", "sell-spmm-k16"):
-        r = by_name[name]
-        assert r.group == "kernel"
-        assert r.params["format"] == "sell"
-        assert r.params["variant"] == "matmul"
-        assert r.params["exact"] is False
-        assert r.params["pad_factor"] >= 1.0
 
 
 def _guard_result(name, k, nrows, speedup):

@@ -136,7 +136,7 @@ def test_hot_alloc_allows_is_none_lazy_init():
 def test_hot_alloc_ignores_cold_functions():
     src = (
         "import numpy as np\n"
-        "def build_operator(A):\n"
+        "def build_scratch(A):\n"
         "    return np.zeros(8)\n"  # not in the hot set: allocation is fine
     )
     assert lint_source(src, "repro/sparse/spmv.py") == []

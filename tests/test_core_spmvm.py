@@ -96,6 +96,33 @@ def test_engine_rejects_wrong_vector_length(random_300):
     assert all(run_spmd(2, fn, PerRank(plan.ranks)))
 
 
+@pytest.mark.parametrize(
+    "block,shape,iterations,match",
+    [
+        (False, (305,), 1, r"shape \(300,\) for a matrix of shape \(300, 300\), got .*\(305,\)$"),
+        (False, (297,), 1, r"shape \(300,\) .* got shape \(297,\)$"),
+        (False, (300, 2), 1, r"1-D array .* got shape \(300, 2\)"),
+        (True, (304, 3), 1, r"shape \(300, k\) .* got shape \(304, 3\)"),
+        (False, (300,), 0, r"iterations must be >= 1, got 0"),
+        (True, (300, 3), 0, r"iterations must be >= 1, got 0"),
+    ],
+    ids=["long", "short", "block-to-spmv", "long-block", "no-iterations", "no-block-iterations"],
+)
+def test_driver_validates_before_it_spawns(
+    random_300, monkeypatch, block, shape, iterations, match
+):
+    # scatter_vector slices: a long x used to lose its tail silently, a
+    # short one reached the ranks (where one of them failed), and
+    # iterations=0 ran one multiply
+    import repro.mpilite.world as world
+    from repro.core import distributed_spmm
+
+    monkeypatch.setattr(world, "run_spmd", lambda *a, **k: pytest.fail("ranks were spawned"))
+    driver = distributed_spmm if block else distributed_spmv
+    with pytest.raises(ValueError, match=match):
+        driver(random_300, np.ones(shape), 2, iterations=iterations)
+
+
 def test_scatter_gather_roundtrip(rng):
     x = rng.standard_normal(50)
     p = partition_rows_balanced(50, 3)

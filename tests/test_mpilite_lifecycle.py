@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.mpilite import World, WorldAbortedError, open_world
+from repro.mpilite import World, WorldAbortedError, open_world, run_spmd
 from repro.mpilite.comm import CollectiveState
 from repro.mpilite.router import (
     OBSERVER_WAIT_SLICE_MAX,
@@ -88,6 +88,21 @@ class TestAbort:
             w.comms[0].send(np.ones(2), dest=1)
         with pytest.raises(WorldAbortedError):
             w.collectives.exchange(0, 1, lambda vals: 0)
+
+    @pytest.mark.parametrize("blocked_in", ["recv", "barrier"])
+    def test_failed_rank_aborts_run_spmd_and_takes_the_blame(self, blocked_in):
+        # rank 1 dies before rank 0's blocking operation can complete;
+        # pre-fix rank 0 waited out the 60 s timeout and was the one named
+        def fn(comm):
+            if comm.rank == 1:
+                raise KeyError("rank 1's own bug")
+            return comm.recv(1, tag=5) if blocked_in == "recv" else comm.barrier()
+
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError, match=r"^rank 1 failed: KeyError") as err:
+            run_spmd(2, fn)
+        assert time.perf_counter() - t0 < 2.0
+        assert isinstance(err.value.__cause__, KeyError)
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import repro
 
@@ -63,6 +65,37 @@ def test_program_api_is_one_of_each():
         "execute_sweep", "sweep_process",
         "lint_sweep_program", "lint_sweep_programs",
     ])
+
+
+def _resolve(ref: str):
+    """Import the longest module prefix of *ref*, ``getattr`` the rest."""
+    parts = ref.split(".")
+    for n in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:n]))
+        except ImportError:
+            continue
+        for attr in parts[n:]:
+            obj = getattr(obj, attr)
+        return obj
+    raise ImportError(ref)
+
+
+def test_doc_references_resolve():
+    # docs may not name code that is gone: every dotted ``repro.…`` path
+    # inside an inline-code span of the three living documents must import
+    root = Path(__file__).resolve().parent.parent
+    dangling, seen = [], set()
+    for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
+        for span in re.findall(r"`([^`\n]+)`", (root / doc).read_text()):
+            for ref in re.findall(r"(?<![\w./-])repro(?:\.[A-Za-z_]\w*)+", span):
+                seen.add(ref)
+                try:
+                    _resolve(ref)
+                except (ImportError, AttributeError) as exc:
+                    dangling.append(f"{doc}: `{ref}` ({exc!r})")
+    assert len(seen) >= 30  # the pattern still finds the references
+    assert not dangling, "docs name code that does not exist:\n" + "\n".join(dangling)
 
 
 def test_version_string():

@@ -14,7 +14,6 @@ starts from the main thread's at hand-off).
 
 from __future__ import annotations
 
-import dataclasses
 import sys
 import threading
 import time
@@ -314,25 +313,29 @@ def test_comm_body_failure_surfaces_on_the_main_path(hmep_tiny, rng, n_sweeps, f
 
 
 @pytest.mark.parametrize("n_sweeps,failing_call", [(1, 1), (3, 2)])
-def test_main_path_failure_reaps_the_open_region(hmep_tiny, rng, n_sweeps, failing_call):
+def test_main_path_failure_reaps_the_open_region(
+    hmep_tiny, rng, monkeypatch, n_sweeps, failing_call
+):
     # n_sweeps = 3: the kernel dies in sweep 1 with the comm thread parked
     # at a rendezvous the main path will now never reach
+    import repro.program.exec as program_exec
+
     x = rng.standard_normal(hmep_tiny.nrows)
     with single_rank_engine(hmep_tiny) as engine:
         want = engine.multiply_chain(x, n_sweeps, "no_overlap")
-        healthy = engine.kernel
+        healthy = program_exec.spmv
         calls = [0]
 
         def spmv(*args, **kwargs):
             calls[0] += 1
             if calls[0] == failing_call:
                 raise Injected("kernel")
-            return healthy.spmv(*args, **kwargs)
+            return healthy(*args, **kwargs)
 
-        engine.kernel = dataclasses.replace(healthy, spmv=spmv)
+        monkeypatch.setattr(program_exec, "spmv", spmv)
         _res, exc = in_time(lambda: engine.multiply_chain(x, n_sweeps, "task_mode"))
         assert isinstance(exc, Injected)
-        engine.kernel = healthy
+        monkeypatch.undo()
         got, exc = in_time(lambda: engine.multiply_chain(x, n_sweeps, "task_mode"))
         assert exc is None
         assert all(np.array_equal(g, w) for g, w in zip(got, want))

@@ -65,7 +65,6 @@ class TestModelSerialization:
         path = model.save(tmp_path / "model.npz")
         loaded = BuiltModel.load(path)
         assert loaded.fingerprint == model.fingerprint
-        assert loaded.kernel.key == model.kernel.key
         assert loaded.program is model.program  # same process-wide cache
         x = np.arange(A.nrows, dtype=float)
         with SolverService(model) as live, SolverService(loaded) as thawed:
@@ -92,7 +91,6 @@ class TestModelSerialization:
             "nranks": 4,
             "scheme": "naive_overlap",
             "strategy": "rows",
-            "kernel": "csr/reference",
             "comm_plan": "node-aware",
             "ranks_per_node": 2,
             "fingerprint": list(A.structure_fingerprint()),
@@ -126,26 +124,54 @@ class TestModelSerialization:
         with pytest.raises(ValueError, match="fingerprint mismatch"):
             BuiltModel.load(path)
 
-    def test_load_requires_registered_kernel(self, A, tmp_path):
-        import json
-
-        from repro.sparse.registry import get_kernel, register_kernel, unregister_kernel
-
-        sell = get_kernel("sell")
-        ghost = type(sell)(
-            format="ghost", variant="v1", description="test-only", exact=sell.exact,
-            build=sell.build, spmv=sell.spmv, spmv_add=sell.spmv_add,
-            spmm=sell.spmm, spmm_add=sell.spmm_add,
-        )
-        register_kernel(ghost)
-        try:
-            path = build_model(A, 2, kernel="ghost/v1").save(tmp_path / "m.npz")
-        finally:
-            unregister_kernel("ghost/v1")
-        with pytest.raises(ValueError, match="not registered in this process"):
+    @pytest.mark.parametrize(
+        "corrupt,match",
+        [
+            (lambda meta, data: meta.pop("nranks"), r"meta lacks .*'nranks'"),
+            (lambda meta, data: meta.pop("fingerprint"), r"meta lacks .*'fingerprint'"),
+            (lambda meta, data: meta.pop("comm_plan"), r"meta lacks .*'comm_plan'"),
+            (lambda meta, data: data.pop("matrix.val"), r"lacks \['matrix.val'\]"),
+            (
+                lambda meta, data: data.update({"matrix.val": data["matrix.val"][:-3]}),
+                r"matrix\.val has shape \(\d+,\) but matrix\.col_idx \(\d+,\)",
+            ),
+            # a file an older writer built on a kernel that no longer
+            # exists served a different result class: refused by name
+            (lambda meta, data: meta.update(kernel="ghost/v1"), r"'kernel' names 'ghost/v1'"),
+        ],
+        ids=[
+            "meta-no-nranks", "meta-no-fingerprint", "meta-no-comm_plan",
+            "no-val-array", "short-val", "foreign-kernel",
+        ],
+    )
+    def test_load_rejects_corrupt_file_with_its_path(self, model, tmp_path, corrupt, match):
+        path = _rewritten(model.save(tmp_path / "model.npz"), corrupt)
+        with pytest.raises(ValueError, match=match) as err:
             BuiltModel.load(path)
-        meta = json.loads(str(np.load(path)["meta"][()]))
-        assert meta["kernel"] == "ghost/v1"
+        assert str(err.value).startswith(f"{path}: ")
+
+    def test_legacy_file_naming_the_csr_kernel_loads_bit_identically(self, A, model, tmp_path):
+        # every repro-model/2 file written before the key was dropped
+        path = _rewritten(
+            model.save(tmp_path / "model.npz"),
+            lambda meta, data: meta.update(kernel="csr/reference"),
+        )
+        loaded = BuiltModel.load(path)
+        x = np.cos(np.arange(A.nrows))
+        with SolverService(model) as live, SolverService(loaded) as thawed:
+            np.testing.assert_array_equal(live.solve(x), thawed.solve(x))
+
+
+def _rewritten(path, edit):
+    """Apply ``edit(meta, arrays)`` to a saved model file in place."""
+    import json
+
+    with np.load(path) as npz:
+        data = dict(npz)
+    meta = json.loads(str(data.pop("meta")[()]))
+    edit(meta, data)
+    np.savez(path, meta=np.array(json.dumps(meta)), **data)
+    return path
 
 
 # ----------------------------------------------------------------------
@@ -267,6 +293,30 @@ class TestServing:
         s = report.summary()
         assert s["count"] == 12 and s["p50"] > 0.0 and s["throughput_rps"] > 0.0
         assert "random/240" in report.render()
+
+    def test_request_stream_verification_is_bit_identity(self, A, monkeypatch):
+        # one result class: the report has no tolerance wording to fall back
+        # on, and a reference one ulp away fails the run
+        import dataclasses
+
+        import repro.core.spmvm as core_spmvm
+        from repro.serve import StreamReport
+
+        report = run_request_stream(A, 2, requests=4, concurrency=2, verify=3)
+        assert (
+            "verified            : 3/3 response(s) bit-identical to independent "
+            "distributed spMVM runs"
+        ) in report.render()
+        fields = [f.name for f in dataclasses.fields(StreamReport)]
+        assert not [name for name in fields if "kernel" in name or "exact" in name]
+
+        exact = core_spmvm.distributed_spmv
+        monkeypatch.setattr(
+            core_spmvm, "distributed_spmv",
+            lambda *args, **kwargs: np.nextafter(exact(*args, **kwargs), np.inf),
+        )
+        with pytest.raises(AssertionError, match="response 0 is not bit-identical"):
+            run_request_stream(A, 2, requests=4, concurrency=2, verify=1)
 
 
 # ----------------------------------------------------------------------

@@ -114,9 +114,9 @@ class TestEngineBasics:
 
         report = StreamReport(
             matrix_label="tiny", nrows=128, nnz=640, nranks=2, scheme="no_overlap",
-            kernel="csr", requests=6, concurrency=2, max_batch=4,
+            requests=6, concurrency=2, max_batch=4,
             build_seconds=0.01, wall_seconds=3e-4, latencies=(1e-4,) * 6,
-            batch_widths=(4, 2), verified=0, verify_exact=True,
+            batch_widths=(4, 2), verified=0,
         )
         jobs = report.workload_jobs(n_nodes=1)
         assert [j.block_k for j in jobs] == [4, 2]
