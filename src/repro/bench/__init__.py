@@ -18,11 +18,9 @@ from repro.bench.harness import (
 from repro.bench.suite import (
     BLOCK_WIDTHS,
     SANITIZER_OVERHEAD_MAX,
-    SOLVER_SPEED_RATIO_MAX,
     kernel_guard,
     program_guard,
     sanitizer_guard,
-    solver_guard,
     spmvm_suite,
 )
 
@@ -34,10 +32,8 @@ __all__ = [
     "write_results",
     "BLOCK_WIDTHS",
     "SANITIZER_OVERHEAD_MAX",
-    "SOLVER_SPEED_RATIO_MAX",
     "kernel_guard",
     "program_guard",
     "sanitizer_guard",
-    "solver_guard",
     "spmvm_suite",
 ]

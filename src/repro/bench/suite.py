@@ -4,7 +4,7 @@
 ``benchmarks/ledger`` (the distributed sweep, the served request, the
 solve and the simulated sweep, on the paper's matrices, kept as a
 trajectory).  This suite holds what nothing else measures or gates: a
-ratio between two things timed *against each other*, or a count.  One
+ratio between two things timed *against each other*.  One
 row of :data:`GROUPS` per group:
 
 * ``kernel`` — the raw kernels on one process: ``spmv`` with and
@@ -19,15 +19,7 @@ row of :data:`GROUPS` per group:
   ``distributed_spmv`` with a :class:`~repro.check.ThreadSanitizer`
   attached vs. the same sweep uninstrumented (:func:`sanitizer_guard`:
   at most :data:`SANITIZER_OVERHEAD_MAX`; the clean run must report
-  zero races before its timing counts);
-* ``solver`` — the communication-avoiding CG contract
-  (:func:`repro.solvers.sstep_cg` vs classic
-  :func:`~repro.solvers.conjugate_gradient`, SPMD on a Poisson system):
-  both must converge to the same solution, and the s-step variant must
-  post strictly fewer communication operations per iteration — counted
-  deterministically from the operators' ``counters``, not timed
-  (:func:`solver_guard`); a wall-time ratio additionally guards the
-  fused path against being outright slower.
+  zero races before its timing counts).
 
 Every ratio comes from one *interleaved* protocol
 (:func:`_paired_ratio`), and wall-clock guards are enforced only on at
@@ -65,12 +57,10 @@ __all__ = [
     "GUARD_MIN_ROWS",
     "PROGRAM_OVERHEAD_MAX",
     "SANITIZER_OVERHEAD_MAX",
-    "SOLVER_SPEED_RATIO_MAX",
     "guard_failures",
     "kernel_guard",
     "program_guard",
     "sanitizer_guard",
-    "solver_guard",
     "spmvm_suite",
 ]
 
@@ -81,8 +71,7 @@ BLOCK_WIDTHS = (1, 4, 16)
 #: kernels are all dispatch overhead and a distributed sweep is
 #: sub-millisecond, so thread spin-up jitter can push even a zero-cost
 #: change past any fixed bound: the ratio is noise, and gating on it
-#: would only make the tests flake.  Counted quantities
-#: (:func:`solver_guard`) are enforced at every size.
+#: would only make the tests flake.
 GUARD_MIN_ROWS = 2_000
 
 #: Maximum sweep-interpreter indirection as a fraction of the
@@ -97,15 +86,6 @@ PROGRAM_OVERHEAD_MAX = 0.05
 #: instrumentation stopped being something you can leave on in tests.
 SANITIZER_OVERHEAD_MAX = 1.20
 
-#: Maximum s-step/classic CG wall-time ratio on the latency-dominated
-#: small-matrix configuration (:func:`solver_guard`).  The margin is
-#: generous — in-process mpilite has no wire latency, so most of the
-#: fused-collective win cannot show up here; the ratio only guards
-#: against the restructured solver being outright slower.  The message
-#: economics are guarded separately on *counted* communication, which is
-#: deterministic.
-SOLVER_SPEED_RATIO_MAX = 1.25
-
 
 @dataclass(frozen=True)
 class _Run:
@@ -114,7 +94,6 @@ class _Run:
     A: CSRMatrix
     rng: np.random.Generator
     nranks: int
-    quick: bool
     warmup: int
     repeat: int
 
@@ -423,167 +402,6 @@ def sanitizer_guard(results: list[BenchResult]) -> list[str]:
     return enforced
 
 
-def _solver_benches(run: _Run) -> list[BenchResult]:
-    """The solver group: classic vs communication-avoiding CG, SPMD.
-
-    One Poisson system, two SPMD solves per sample: classic CG (one
-    exchange + three collectives per iteration) and :func:`sstep_cg`
-    (one 2-sweep pipelined matrix-powers exchange + ONE fused collective
-    per outer step of two iterations).  Communication is *counted* on
-    the operators' ``counters`` — deterministic, so the economics guard
-    can be strict — while wall times interleave classic/s-step samples
-    per round so machine noise moves both sides of the ratio.  Both
-    solvers must converge and agree on the solution before any figure is
-    reported.
-    """
-    from repro.core.halo import cached_halo_plan
-    from repro.core.spmvm import gather_vector, scatter_vector
-    from repro.matrices import poisson_2d
-    from repro.mpilite.world import PerRank, run_spmd
-    from repro.solvers import DistributedOperator, conjugate_gradient, sstep_cg
-
-    nranks = run.nranks
-    grid = 32 if run.quick else 63
-    A = poisson_2d(grid)
-    plan = cached_halo_plan(A, nranks, with_matrices=True)
-    b = run.rng.standard_normal(A.nrows)
-    tol, max_iter = 1e-8, 3000
-    base = {"nrows": A.nrows, "nnz": A.nnz, "nranks": nranks, "grid": grid}
-
-    def solve(kind: str):
-        def fn(comm, halo):
-            with DistributedOperator(comm, halo, "task_mode") as op:
-                bl = scatter_vector(b, plan.partition, comm.rank)
-                if kind == "classic":
-                    res = conjugate_gradient(op, bl, tol=tol, max_iter=max_iter)
-                else:
-                    res = sstep_cg(op, bl, tol=tol, max_iter=max_iter)
-                return res.x, res.iterations, res.converged, dict(op.counters)
-        return run_spmd(nranks, fn, PerRank(plan.ranks))
-
-    classic = solve("classic")
-    sstep = solve("sstep")
-    for name, out in (("classic", classic), ("sstep", sstep)):
-        if not all(o[2] for o in out):
-            raise AssertionError(
-                f"solver-cg-{name} did not converge on the Poisson system; "
-                f"refusing to report communication economics of a failed solve"
-            )
-    x_classic = gather_vector([o[0] for o in classic])
-    x_sstep = gather_vector([o[0] for o in sstep])
-    if not np.allclose(x_sstep, x_classic, rtol=1e-4, atol=1e-4):
-        raise AssertionError(
-            "solver-cg-sstep solution disagrees with classic CG beyond the "
-            "convergence tolerance; a faster wrong solver is not a result"
-        )
-
-    def economics(out) -> dict[str, float]:
-        iters = max(out[0][1], 1)
-        exchanges = out[0][3]["exchanges"]  # identical on every rank
-        reductions = out[0][3]["reductions"]
-        messages = sum(o[3]["messages"] for o in out)
-        return {
-            "iterations": float(out[0][1]),
-            "exchanges_per_iteration": exchanges / iters,
-            "reductions_per_iteration": reductions / iters,
-            "messages_per_iteration": messages / iters,
-            "comm_posts_per_iteration": (exchanges + reductions) / iters,
-        }
-
-    eco_classic, eco_sstep = economics(classic), economics(sstep)
-
-    rounds = max(run.repeat, 3)
-    ratio, classic_stats, sstep_stats = _paired_ratio(
-        lambda: solve("classic"), lambda: solve("sstep"),
-        warmup=run.warmup, rounds=rounds, stop=1.05,
-    )
-    return [
-        BenchResult(
-            name="solver-cg-classic", group="solver",
-            warmup=max(run.warmup, 1), repeat=rounds, seconds=classic_stats,
-            params=base,
-            derived={
-                "gflops": _gflops(A.nnz, 1, classic_stats.min / max(eco_classic["iterations"], 1)),
-                **eco_classic,
-            },
-        ),
-        BenchResult(
-            name="solver-cg-sstep", group="solver",
-            warmup=max(run.warmup, 1), repeat=rounds, seconds=sstep_stats,
-            params=base,
-            derived={
-                "gflops": _gflops(A.nnz, 1, sstep_stats.min / max(eco_sstep["iterations"], 1)),
-                **eco_sstep,
-                "classic_reductions_per_iteration": eco_classic["reductions_per_iteration"],
-                "classic_messages_per_iteration": eco_classic["messages_per_iteration"],
-                "classic_comm_posts_per_iteration": eco_classic["comm_posts_per_iteration"],
-                "classic_iterations": eco_classic["iterations"],
-                "time_ratio_vs_classic": ratio,
-                "solutions_match": 1.0,
-                "guard_ratio_max": SOLVER_SPEED_RATIO_MAX,
-            },
-        ),
-    ]
-
-
-def solver_guard(results: list[BenchResult]) -> list[str]:
-    """Assert the communication-avoiding CG actually avoids communication.
-
-    On the ``solver-cg-sstep`` result: strictly fewer collective
-    reductions per iteration than classic CG, no more point-to-point
-    halo messages per iteration, strictly fewer total communication
-    posts per iteration, and the solutions-match marker present (the
-    bench raises before producing a result otherwise).  These are
-    counted quantities — deterministic, so violations are real and are
-    enforced at every size.  The interleaved wall-time ratio must
-    additionally stay under :data:`SOLVER_SPEED_RATIO_MAX` at
-    :data:`GUARD_MIN_ROWS` rows and above.  Returns the names enforced;
-    raises :class:`AssertionError` on violation.
-    """
-    enforced = []
-    for r in results:
-        if r.group != "solver" or r.name != "solver-cg-sstep":
-            continue
-        d = r.derived
-        if d.get("solutions_match") != 1.0:
-            raise AssertionError(
-                "solver-cg-sstep: missing the solutions-match marker; the "
-                "s-step path was benchmarked without being verified"
-            )
-        if d["reductions_per_iteration"] >= d["classic_reductions_per_iteration"]:
-            raise AssertionError(
-                f"solver-cg-sstep: {d['reductions_per_iteration']:.3f} "
-                f"reductions/iteration is not strictly below classic CG's "
-                f"{d['classic_reductions_per_iteration']:.3f}; the fused "
-                f"collective stopped fusing"
-            )
-        if d["messages_per_iteration"] > d["classic_messages_per_iteration"] + 1e-9:
-            raise AssertionError(
-                f"solver-cg-sstep: {d['messages_per_iteration']:.3f} halo "
-                f"messages/iteration exceeds classic CG's "
-                f"{d['classic_messages_per_iteration']:.3f}; the matrix-powers "
-                f"chain grew extra exchanges"
-            )
-        if d["comm_posts_per_iteration"] >= d["classic_comm_posts_per_iteration"]:
-            raise AssertionError(
-                f"solver-cg-sstep: {d['comm_posts_per_iteration']:.3f} "
-                f"communication posts/iteration is not strictly below classic "
-                f"CG's {d['classic_comm_posts_per_iteration']:.3f} — the "
-                f"communication-avoiding variant stopped avoiding communication"
-            )
-        if r.params.get("nrows", 0) >= GUARD_MIN_ROWS:
-            ratio = d["time_ratio_vs_classic"]
-            if ratio > SOLVER_SPEED_RATIO_MAX:
-                raise AssertionError(
-                    f"solver-cg-sstep: wall time is {ratio:.3f}x classic CG "
-                    f"(guard: <= {SOLVER_SPEED_RATIO_MAX}) on the "
-                    f"latency-dominated configuration; the pipelined path "
-                    f"must never lose outright"
-                )
-        enforced.append(r.name)
-    return enforced
-
-
 #: The suite, one row per group: ``(group, bench, guard)``.  ``bench``
 #: maps a :class:`_Run` to that group's results and ``guard`` maps the
 #: suite's results to the names it enforced, raising
@@ -593,7 +411,6 @@ GROUPS = (
     ("kernel", _kernel_benches, kernel_guard),
     ("program", _program_overhead_bench, program_guard),
     ("check", _sanitizer_benches, sanitizer_guard),
-    ("solver", _solver_benches, solver_guard),
 )
 
 
@@ -621,7 +438,7 @@ def spmvm_suite(
     run = _Run(
         A=random_sparse(nrows, nnzr=15.0, seed=seed, ensure_diagonal=True),
         rng=np.random.default_rng(seed),
-        nranks=nranks, quick=quick, warmup=warmup, repeat=repeat,
+        nranks=nranks, warmup=warmup, repeat=repeat,
     )
     results = []
     for _group, bench, _guard in GROUPS:

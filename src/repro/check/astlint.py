@@ -144,14 +144,12 @@ class HotPathAllocRule(AstRule):
         "program/exec.py": frozenset({
             "_post_recvs", "_pack", "_post_sends", "_waitall",
             "_local_spmvm", "_remote_spmvm", "_full_spmvm",
-            "execute_sweep", "_issue", "_barrier_main", "_rendezvous",
-            # a COMM_THREAD region's hand-off, rendezvous, completion
-            # wait and reap
-            "_hand_off", "_reap_comm_thread", "run", "hand_off", "meet",
-            "release", "wait",
+            "execute_sweep", "_check_single_sweep", "_issue", "_barrier_main",
+            # a COMM_THREAD region's hand-off, completion wait and reap
+            "_hand_off", "_reap_comm_thread", "run", "hand_off", "wait",
         }),
         "core/spmvm.py": frozenset({
-            "sweep_ring", "sweep_buffers", "post_halo_receives",
+            "sweep_buffers", "post_halo_receives",
             "fill_send_buffers", "send_buffers", "complete_halo_receives",
             "halo_view", "team_thread",
         }),
@@ -346,12 +344,12 @@ class CommVocabRule(AstRule):
         "program/exec.py": frozenset({
             "_pack", "_local_spmvm", "_remote_spmvm", "_full_spmvm",
             # the main path's side of a COMM_THREAD region is pure
-            # synchronisation: hand-off, rendezvous, completion wait
-            "_hand_off", "_barrier_main", "_rendezvous", "_reap_comm_thread",
-            "hand_off", "meet", "release", "wait",
+            # synchronisation: hand-off and completion wait
+            "_hand_off", "_barrier_main", "_reap_comm_thread",
+            "hand_off", "wait",
         }),
         "core/spmvm.py": frozenset({
-            "sweep_ring", "sweep_buffers", "fill_send_buffers", "halo_view",
+            "sweep_buffers", "fill_send_buffers", "halo_view",
         }),
         "comm/exec.py": frozenset({"pack"}),
     }

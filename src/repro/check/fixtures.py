@@ -171,24 +171,12 @@ def _main_halo_program():
     return SweepProgram(scheme="task_mode", ops=ops)
 
 
-def _sweep_overlap_program():
-    """A pipelined 2-sweep program rebuilt with ``halo_depth=1``: sweep 1's
-    POST_RECVS hands the single halo slot to MPI while the main thread's
-    REMOTE_SPMVM of sweep 0 still reads it (the bug double-buffering
-    exists to prevent)."""
-    from repro.program.build import build_sweep
-
-    # seeded: collapse the halo ring to one slot
-    return dataclasses.replace(build_sweep("task_mode", 2), halo_depth=1)
-
-
 #: The hand-built programs behind the thread-race fixtures.  Each one is
 #: rejected by :func:`repro.program.lint_sweep_program`; the fixtures
 #: bypass the lint to show the sanitizer catching the same bug live.
 SEEDED_PROGRAMS = {
     "thread-race-missing-barrier": _missing_barrier_program,
     "thread-race-main-halo": _main_halo_program,
-    "thread-race-sweep-overlap": _sweep_overlap_program,
 }
 
 
@@ -211,7 +199,7 @@ def _seeded_program_fixture(name: str) -> Callable[[], CheckReport]:
         x = rng.standard_normal(A.nrows)
         san = ThreadSanitizer()
 
-        def fn(comm, halo) -> list[np.ndarray]:
+        def fn(comm, halo) -> np.ndarray:
             with DistributedSpMVM(comm, halo, sanitizer=san) as engine:
                 return execute_sweep(
                     engine, program, scatter_vector(x, plan.partition, comm.rank)

@@ -52,7 +52,7 @@ def _cmd_list(_args: argparse.Namespace) -> int:
         ("check", "communication correctness analyzer (repro.check)"),
         ("lint", "repo-invariant AST lint (repro.check.astlint)"),
         ("probe", "Sect. 3 asynchronous-progress probe"),
-        ("bench", "guard suite: kernel, program, sanitizer and solver ratios"),
+        ("bench", "guard suite: kernel, program and sanitizer ratios"),
         ("serve", "persistent solver service: build once, stream requests"),
         ("workload", "multi-job cluster simulation: streams, scheduling, contention"),
         ("kernels", "the spMVM kernel and which executor computes its row sums"),
@@ -612,7 +612,8 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--async-progress", action="store_true",
                     help="model an MPI library with working progress threads")
     pt.add_argument("--sweeps", type=int, default=1,
-                    help="chain N sweeps per iteration as one N-sweep program")
+                    help="chain N sweeps per iteration as one N-sweep program "
+                         "(simulator only: the real backend runs single sweeps)")
     pt.add_argument("--no-pipeline", action="store_true",
                     help="sequential N-sweep program (no cross-sweep overlap)")
     pt.add_argument("--per-op", action="store_true",
@@ -670,7 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("deadlock-cycle", "collective-stall", "message-race",
                              "buffer-hazard", "leaked-request", "plan-lint",
                              "thread-race-missing-barrier", "thread-race-main-halo",
-                             "thread-race-sweep-overlap",
                              "thread-race-unlocked-service", "astlint-hot-alloc",
                              "astlint-float64", "astlint-lock-discipline",
                              "astlint-comm-vocab"),

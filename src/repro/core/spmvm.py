@@ -18,12 +18,11 @@ the long-lived per-rank state — communicator, halo bookkeeping,
 preallocated buffers, split sub-matrices — and hands every multiply to
 the real-execution interpreter (:func:`repro.program.execute_sweep`),
 which runs the scheme's program op by op.  spmv and batched multi-RHS
-spmm are the k = 1 / k > 1 cases of that one interpreter, a single
-multiply and the N-sweep matrix-powers chain its ``n_sweeps`` = 1 / N
-cases, and the direct and node-aware exchanges are two plans replayed
-by its one compiled :class:`~repro.comm.exec.RankExchange`.  The
-numerical result is identical in every scheme and plan: the local part
-is accumulated before the remote part, row by row.
+spmm are the k = 1 / k > 1 cases of that one interpreter, and the direct
+and node-aware exchanges are two plans replayed by its one compiled
+:class:`~repro.comm.exec.RankExchange`.  The numerical result is
+identical in every scheme and plan: the local part is accumulated
+before the remote part, row by row.
 
 The hot paths call no allocator: halo and send buffers (relay
 aggregates included) are allocated once per batch width and refilled
@@ -66,7 +65,7 @@ from repro.sparse.csr import CSRMatrix
 from repro.sparse.partition import RowPartition
 from repro.sparse.spmm import spmm, spmm_add
 from repro.sparse.spmv import spmv, spmv_add
-from repro.util import check_in
+from repro.util import check_in, check_positive_int
 
 __all__ = [
     "SCHEMES",
@@ -140,12 +139,11 @@ class DistributedSpMVM:
         #: this rank's compiled exchange (no relay duties under a direct plan)
         self.exchange = RankExchange(comm_plan, halo)
         self.sanitizer = sanitizer
-        # per-width rings of (halo landing buffer, send buffers) slots,
-        # grown lazily and refilled in place every MVM (the router
-        # copies on send, so reuse across iterations is safe); sweep s of
-        # a program lands in slot s % halo_depth.  Keyed by the trailing
-        # shape: () for a vector, (k,) for a block.
-        self._rings: dict[tuple, list[tuple[np.ndarray, dict[int, np.ndarray]]]] = {}
+        # one (halo landing buffer, send buffers) pair per width,
+        # allocated on first use and refilled in place every MVM (the
+        # router copies on send, so reuse across iterations is safe).
+        # Keyed by the trailing shape: () for a vector, (k,) for a block.
+        self._buffers: dict[tuple, tuple[np.ndarray, dict[int, np.ndarray]]] = {}
         # degenerate halo views (n_halo == 0): A_remote was built with one
         # zero column, so the remote kernel needs a length-1 zero RHS —
         # cached here so halo_view stays allocation-free per sweep
@@ -189,41 +187,28 @@ class DistributedSpMVM:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def program(
-        self, scheme: str, n_sweeps: int = 1, *, pipeline: bool = True
-    ) -> SweepProgram:
-        """The compiled *n_sweeps*-sweep program this engine runs for *scheme*.
+    def program(self, scheme: str) -> SweepProgram:
+        """The compiled single-sweep program this engine runs for *scheme*.
 
-        Compiled once per ``(scheme, n_sweeps, pipeline)`` process-wide
+        Compiled once per scheme process-wide
         (:func:`repro.program.cached_sweep_program`) — every engine of
         a persistent worker pool shares the same program instances.
         """
-        return cached_sweep_program(scheme, n_sweeps, pipeline=pipeline)
+        return cached_sweep_program(scheme)
 
     # ------------------------------------------------------------------
     def _sweep(
         self,
         x: np.ndarray,
         scheme: str,
-        n_sweeps: int = 1,
         *,
-        pipeline: bool = True,
         op_log: list[str] | None = None,
         out: np.ndarray | None = None,
-    ) -> list[np.ndarray]:
-        """Run *scheme*'s *n_sweeps*-sweep program on validated input *x*."""
+    ) -> np.ndarray:
+        """Run *scheme*'s program on validated input *x*."""
         check_in(scheme, SCHEMES, "scheme")
-        program = self.program(scheme, n_sweeps, pipeline=pipeline)
-        self.iterations += n_sweeps
-        return execute_sweep(self, program, x, op_log=op_log, out=out)
-
-    def _local_vector(self, x_local: np.ndarray) -> np.ndarray:
-        x_local = np.asarray(x_local, dtype=np.float64)
-        if x_local.shape != (self.halo.n_rows,):
-            raise ValueError(
-                f"x_local must have shape ({self.halo.n_rows},), got {x_local.shape}"
-            )
-        return x_local
+        self.iterations += 1
+        return execute_sweep(self, self.program(scheme), x, op_log=op_log, out=out)
 
     def multiply(
         self,
@@ -237,7 +222,12 @@ class DistributedSpMVM:
         ``op_log``, when given, receives the executed op sequence (the
         program's signature tokens) — see :func:`repro.program.execute_sweep`.
         """
-        return self._sweep(self._local_vector(x_local), scheme, op_log=op_log)[0]
+        x_local = np.asarray(x_local, dtype=np.float64)
+        if x_local.shape != (self.halo.n_rows,):
+            raise ValueError(
+                f"x_local must have shape ({self.halo.n_rows},), got {x_local.shape}"
+            )
+        return self._sweep(x_local, scheme, op_log=op_log)
 
     def multiply_block(
         self,
@@ -264,61 +254,18 @@ class DistributedSpMVM:
             raise ValueError(
                 f"X_local must have shape ({self.halo.n_rows}, k), got {X_local.shape}"
             )
-        return self._sweep(X_local, scheme, op_log=op_log, out=out)[0]
-
-    def multiply_chain(
-        self,
-        x_local: np.ndarray,
-        n_sweeps: int,
-        scheme: str = "task_mode",
-        *,
-        pipeline: bool = True,
-        op_log: list[str] | None = None,
-    ) -> list[np.ndarray]:
-        """The matrix-powers chain: this rank's slices of ``A x .. A^N x``.
-
-        Runs ONE *n_sweeps*-sweep program (one COMM_THREAD region,
-        pipelined receives, double-buffered halo slots) instead of N
-        independent multiplies.  Each slice is bit-identical to
-        iterating :meth:`multiply`, pipelined or not — the pipelining
-        reorders communication, never kernel arithmetic.  Requires a
-        square operator (chaining feeds each sweep's result back as the
-        next input).
-        """
-        return self._sweep(
-            self._local_vector(x_local), scheme, n_sweeps,
-            pipeline=pipeline, op_log=op_log,
-        )
+        return self._sweep(X_local, scheme, op_log=op_log, out=out)
 
     # -- state the interpreter's op handlers drive ---------------------
-    def sweep_ring(
-        self, x: np.ndarray, depth: int
-    ) -> list[tuple[np.ndarray, dict[int, np.ndarray]]]:
-        """The buffer ring for input *x*, at least *depth* slots long.
-
-        Slot ``s % depth`` is sweep ``s``'s (halo landing buffer, send
-        buffers) — allocated once per width and reused across sweeps
-        and programs.
-        """
-        ring = self._rings.get(x.shape[1:])
-        if ring is None or len(ring) < depth:
-            ring = self._grow_ring(x.shape[1:], depth)
-        return ring
-
-    def _grow_ring(
-        self, cols: tuple, depth: int
-    ) -> list[tuple[np.ndarray, dict[int, np.ndarray]]]:
-        ring = self._rings.setdefault(cols, [])
-        while len(ring) < depth:
-            ring.append(
-                (np.empty((self.halo.n_halo, *cols)), self.exchange.allocate(cols))
-            )
-        return ring
-
     def sweep_buffers(self, x: np.ndarray) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-        """(halo landing buffer, send buffers) a single sweep of *x* lands
-        in: slot 0 of the ring."""
-        return self.sweep_ring(x, 1)[0]
+        """(halo landing buffer, send buffers) a sweep of *x* uses."""
+        cols = x.shape[1:]
+        pair = self._buffers.get(cols)
+        if pair is None:
+            pair = self._buffers[cols] = (
+                np.empty((self.halo.n_halo, *cols)), self.exchange.allocate(cols)
+            )
+        return pair
 
     def post_halo_receives(self) -> list:
         """POST_RECVS: post every inbound message of the exchange."""
@@ -337,13 +284,13 @@ class DistributedSpMVM:
     def complete_halo_receives(self, recvs: list, halo_out: np.ndarray) -> None:
         """WAITALL: run the relay duties, land every segment in *halo_out*.
 
-        *halo_out* is a ring slot's landing buffer; a leader's relay
-        aggregates are that slot's send buffers.
+        *halo_out* is the landing buffer of :meth:`sweep_buffers`; a
+        leader's relay aggregates are the send buffers paired with it.
         """
-        for landing, send_bufs in self._rings.get(halo_out.shape[1:], ()):
-            if landing is halo_out:
-                return self.exchange.finish(self.comm, recvs, send_bufs, halo_out)
-        raise ValueError("halo_out is not a landing buffer of this engine's ring")
+        landing, send_bufs = self._buffers.get(halo_out.shape[1:], (None, None))
+        if landing is not halo_out:
+            raise ValueError("halo_out is not a landing buffer of this engine")
+        self.exchange.finish(self.comm, recvs, send_bufs, halo_out)
 
     def halo_view(self, halo_out: np.ndarray) -> np.ndarray:
         """The remote kernel's RHS (A_remote was built with ncols = max(1, n_halo))."""
@@ -410,8 +357,7 @@ def _distributed(
             f"x must be a {ndim}-D array of shape {want} for a matrix of shape "
             f"{A.shape}, got shape {x.shape}"
         )
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    check_positive_int(iterations, "iterations")
     plan = cached_halo_plan(A, nranks, strategy=strategy, with_matrices=True)
     cplan = lower_comm_plan(plan, nranks, comm_plan, ranks_per_node)
 

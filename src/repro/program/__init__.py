@@ -6,18 +6,19 @@ waitall, remote spMVM).  A :class:`SweepProgram` spans ``n_sweeps``
 chained sweeps (the matrix-powers kernel ``A x .. A^N x``) with explicit
 sweep tags — a lone spMVM is the ``n_sweeps = 1`` program — so
 cross-iteration pipelining (sweep ``i+1``'s receives hoisted before
-sweep ``i``'s remote kernel, double-buffered halo slots, one long-lived
-comm thread) is emitted as data.  Two interpreters execute it:
+sweep ``i``'s remote kernel, one long-lived comm thread) is emitted as
+data.  Two interpreters execute it:
 
 * :func:`execute_sweep` — real execution on mpilite data (the engine
-  behind :class:`~repro.core.spmvm.DistributedSpMVM`),
+  behind :class:`~repro.core.spmvm.DistributedSpMVM`); single-sweep
+  programs only,
 * :func:`sweep_process` — a timed simulator process (the engine behind
-  :func:`~repro.core.runner.simulate_spmvm`),
+  :func:`~repro.core.runner.simulate_spmvm`), for any ``n_sweeps``,
 
 and :func:`lint_sweep_program` proves a program's structural invariants
-(request lifecycle, comm-thread region balance, barrier placement, the
-double-buffer contract) on a happens-before model before either backend
-touches it.  See DESIGN.md §10.
+(request lifecycle, comm-thread region balance, barrier placement,
+chained input) on a happens-before model before either backend touches
+it.  See DESIGN.md §10.
 """
 
 from repro.program.build import (

@@ -30,9 +30,10 @@ mpilite, in the simulator, and under the program lint.
 Those are the ``n_sweeps = 1`` programs.  For N chained sweeps the same
 builder either concatenates N sweep-tagged copies (``pipeline=False``)
 or *pipelines* across the sweep boundaries: sweep ``s+1``'s receives
-hoisted before sweep ``s``'s halo-consuming kernel, double-buffered
-halo slots, and in task mode one long-lived communication thread paced
-by barrier rendezvous.
+hoisted before sweep ``s``'s halo-consuming kernel, and in task mode one
+long-lived communication thread paced by barrier rendezvous.  The
+simulator interprets those (EXPERIMENTS.md, "The chain's verdict"); the
+real backend runs single sweeps only.
 """
 
 from __future__ import annotations
@@ -88,8 +89,8 @@ def _pipelined_vector_ops(scheme: str, n_sweeps: int) -> tuple[SweepOp, ...]:
     Sweep ``s+1``'s ``POST_RECVS`` is issued right after sweep ``s``'s
     ``WAITALL`` — before the halo-consuming kernel of sweep ``s`` — so
     the next exchange's receives are preposted while this sweep still
-    computes.  Needs ``halo_depth >= 2``: the hoisted receives land in
-    the *other* halo slot.
+    computes (into a second halo buffer, which a backend running this
+    would have to provide).
     """
     split = scheme == "naive_overlap"
     kernel = "REMOTE_SPMVM" if split else "FULL_SPMVM"
@@ -117,8 +118,7 @@ def _pipelined_task_ops(n_sweeps: int) -> tuple[SweepOp, ...]:
       run ``REMOTE_SPMVM s``.  The comm thread then posts sweep
       ``s+1``'s receives, causally *concurrent* with the main path's
       remote kernel of sweep ``s`` — the cross-iteration pipelining
-      this IR exists for, safe only because the receives land in the
-      other halo slot (``halo_depth = 2``).
+      the sweep tags exist for (the receives need a second halo buffer).
     * **pack-published** — after the main path packed sweep ``s+1``'s
       send buffers (from sweep ``s``'s result), before the comm thread
       may send them.
@@ -162,13 +162,12 @@ def build_sweep(
     Sweep ``s`` consumes sweep ``s-1``'s result (the matrix-powers
     chain ``A x, A² x, ...``); ``n_sweeps = 1`` is the plain spMVM.
     With ``pipeline=True`` (the default) sweep ``s+1``'s ``POST_RECVS``
-    is hoisted before sweep ``s``'s halo-consuming kernel and the
-    halo/send buffers are double-buffered (``halo_depth = 2``); task
-    mode additionally keeps one long-lived communication thread across
-    all sweeps.  ``pipeline=False`` emits the plain concatenation of
-    single sweeps (``halo_depth = 1``) — the bit-identity baseline the
-    golden tests compare against.  A single sweep has no boundary to
-    pipeline across, so ``pipeline`` is stored as ``False`` there.
+    is hoisted before sweep ``s``'s halo-consuming kernel; task mode
+    additionally keeps one long-lived communication thread across all
+    sweeps.  ``pipeline=False`` emits the plain concatenation of single
+    sweeps — the baseline the simulator study compares against.  A
+    single sweep has no boundary to pipeline across, so ``pipeline`` is
+    stored as ``False`` there.
 
     ``block_k`` is the number of right-hand sides per sweep (the op
     sequence is identical for every k; the simulator prices compute ops
@@ -189,7 +188,6 @@ def build_sweep(
         n_sweeps=n_sweeps,
         pipeline=pipeline,
         block_k=block_k,
-        halo_depth=2 if pipeline else 1,
         meta={"builder": "build_sweep"},
     )
 

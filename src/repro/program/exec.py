@@ -1,13 +1,15 @@
 """Real-execution backend: interpreting a sweep program on mpilite data.
 
-:func:`execute_sweep` runs one :class:`~repro.program.ir.SweepProgram`
-on a :class:`~repro.core.spmvm.DistributedSpMVM` engine and returns this
-rank's slices of the chain ``[A x, ..., A^N x]`` — one slice for the
-plain ``n_sweeps = 1`` spMVM.  The engine owns the long-lived state
+:func:`execute_sweep` runs one single-sweep
+:class:`~repro.program.ir.SweepProgram` on a
+:class:`~repro.core.spmvm.DistributedSpMVM` engine and returns this
+rank's slice of ``A @ x``.  The engine owns the long-lived state
 (communicator, halo bookkeeping, preallocated buffers, sub-matrices);
 the interpreter owns the phase ordering — which it takes entirely from
-the program, never from the scheme name — plus sweep chaining, the
-halo-slot mapping and the comm thread's rendezvous protocol.
+the program, never from the scheme name.  Programs chaining several
+sweeps (``build_sweep(scheme, n_sweeps > 1)``) are the simulator's
+(:mod:`repro.program.sim`): on this backend they never beat N single
+sweeps (EXPERIMENTS.md, "The chain's verdict"), so it refuses them.
 
 One interpreter covers every case:
 
@@ -17,16 +19,13 @@ One interpreter covers every case:
   whatever plan (direct or node-aware) the engine compiled,
 * ``COMM_THREAD`` hands the body ops to the engine's parked
   communication thread (:class:`CommThread` — Fig. 4c's team thread,
-  started by the engine's first region and kept across sweeps), which
-  meets the main path at each body ``OMP_BARRIER``; the main-path
-  ``OMP_BARRIER`` after the last of them waits for the region's
+  started by the engine's first region and kept across sweeps); the
+  main-path ``OMP_BARRIER`` that follows waits for the region's
   completion token where a spawned thread would be joined.
 
-Numerics are scheme-, plan- and pipelining-independent by
-construction: the local part is always accumulated before the remote
-part, row by row; the exchange only copies float64 payloads; hoisted
-receives and the long-lived comm thread reorder *communication*, never
-the kernels.
+Numerics are scheme- and plan-independent by construction: the local
+part is always accumulated before the remote part, row by row; the
+exchange only copies float64 payloads.
 """
 
 from __future__ import annotations
@@ -44,11 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.spmvm import DistributedSpMVM
 
 __all__ = ["CommThread", "UnjoinedCommThreadError", "execute_sweep"]
-
-#: What travels through a :class:`CommThread`'s mailbox besides regions
-#: and the ``None`` stop sentinel: one side's arrival at a rendezvous, the
-#: main path giving a rendezvous up, a region's completion.
-_MEET, _BREAK, _DONE = "meet", "break", "done"
 
 
 class UnjoinedCommThreadError(RuntimeError):
@@ -70,10 +64,9 @@ class CommThread(threading.Thread):
     inbox and :meth:`wait` takes its completion token from the other —
     exactly one per region.  Those two hand-offs are the region's two
     happens-before edges: what a spawn and a join gave when every region
-    had a thread of its own.  While a region is open the same two queues
-    carry its rendezvous (:meth:`meet`).  Every wait is a blocking
-    ``get``: nothing polls, sleeps or wakes on a timeout, and neither
-    side can die without posting what the other is waiting for.
+    had a thread of its own.  Every wait is a blocking ``get``: nothing
+    polls, sleeps or wakes on a timeout, and the thread cannot end a
+    region without posting the token the main path is waiting for.
 
     Parked, the thread holds the two queues and nothing else: the region
     (whose closure reaches the engine) is dropped before the token is
@@ -93,13 +86,11 @@ class CommThread(threading.Thread):
             region = inbox.get()
             if region is None:
                 return
-            if region is _MEET or region is _BREAK:
-                continue  # meant for a region that failed before it got there
             try:
                 region()
             finally:
                 region = None  # park without a reference to the engine
-                done.put(_DONE)
+                done.put(None)
 
     def hand_off(self, region: Callable[[], None]) -> None:
         """Give *region* to the thread (the first hand-off starts it).
@@ -112,73 +103,34 @@ class CommThread(threading.Thread):
         if self.ident is None:
             self.start()
 
-    def meet(self, side: str) -> bool:
-        """*side*'s (``"main"`` / ``"comm"``) half of a two-party rendezvous.
-
-        Each side posts its arrival to the other and takes the other's.
-        ``False`` means the other side is not coming: on the comm thread,
-        that the main path gave the region up (:meth:`release`); on the
-        main path, that the region has ended — what was taken is its
-        completion token, so there is nothing left to :meth:`wait` for.
-        """
-        if side == "main":
-            self._inbox.put(_MEET)
-            return self._done.get() is _MEET
-        self._done.put(_MEET)
-        return self._inbox.get() is _MEET
-
-    def release(self) -> None:
-        """Main path: wake a region parked at (or on its way to) a rendezvous."""
-        self._inbox.put(_BREAK)
-
     def wait(self) -> None:
         """Block until the region handed off last has finished."""
-        while self._done.get() is not _DONE:
-            pass  # the arrival of a region that is being released
+        self._done.get()
 
     def stop(self) -> None:
         """Post the sentinel that ends the thread once it is parked."""
         self._inbox.put(None)
 
 
-class _BrokenRendezvous(RuntimeError):
-    """Raised inside a region whose main path gave up its rendezvous."""
+class _SweepState:
+    """One sweep's data, shared between the main path and the comm thread:
+    input, buffers, requests, result — and the open region, if any."""
 
+    __slots__ = (
+        "x", "halo_out", "send_bufs", "recvs", "y", "out",
+        "team", "error", "san", "domain", "comm_op", "comm_token",
+    )
 
-class _SweepView:
-    """One sweep's data: input, buffers of its halo slot, requests, result."""
-
-    __slots__ = ("x", "halo_out", "send_bufs", "recvs", "y", "out")
-
-    def __init__(self, x: np.ndarray | None, halo_out: np.ndarray, send_bufs) -> None:
+    def __init__(self, x: np.ndarray, halo_out: np.ndarray, send_bufs, out) -> None:
         self.x = x
         self.halo_out = halo_out
         self.send_bufs = send_bufs
         self.recvs: list | None = None
         self.y: np.ndarray | None = None
         #: caller's buffer for the result (None: the kernel allocates it)
-        self.out: np.ndarray | None = None
-
-
-class _RunState:
-    """Whole-program state shared between main and comm thread.
-
-    Sweep ``s``'s view points its ``halo_out``/``send_bufs`` into slot
-    ``s % depth`` of the engine's buffer ring.
-    """
-
-    __slots__ = (
-        "views", "depth", "team", "rendezvous_left",
-        "rendezvous_total", "error", "san", "domain", "comm_op", "comm_token",
-    )
-
-    def __init__(self, views: "list[_SweepView]", depth: int) -> None:
-        self.views = views
-        self.depth = depth
+        self.out: np.ndarray | None = out
         #: the engine's comm thread while a COMM_THREAD region is open
         self.team: CommThread | None = None
-        self.rendezvous_left = 0
-        self.rendezvous_total = 0
         self.error: list[BaseException] = []
         #: opt-in thread sanitizer (repro.check.threads); None costs nothing
         self.san = None
@@ -192,10 +144,8 @@ class _RunState:
 #: communication op reads x); POST_SENDS sends them; WAITALL completes
 #: the requests, finishes and forwards a leader's relay aggregates
 #: (which live in send_bufs) and lands halo_out; the compute side reads
-#: x and halo_out into y.  POST_RECVS also *writes* its halo slot: the
-#: MPI library owns the receive buffer from the post on, which is
-#: exactly the access that races a remote kernel still reading that
-#: slot when the double-buffer contract is violated.  OMP_BARRIER is
+#: x and halo_out into y.  POST_RECVS also *writes* halo_out: the MPI
+#: library owns the receive buffer from the post on.  OMP_BARRIER is
 #: pure synchronisation.
 _FOOTPRINT = {
     "POST_RECVS": ((), ("recvs", "halo_out")),
@@ -208,19 +158,23 @@ _FOOTPRINT = {
 }
 
 
-def _buffer_name(buf: str, sweep: int, slot: int) -> str:
-    """Sanitizer name of *buf* as sweep *sweep* sees it.
-
-    Ring buffers carry their slot (``halo_out#1``) and per-sweep data
-    its sweep (``recvs@2``, ``y@2``; a chained input *is* the previous
-    result), so the sanitizer sees cross-sweep overlap on the *same
-    physical buffer*.
-    """
-    if buf == "x":
-        return f"y@{sweep - 1}" if sweep else "x@0"
-    if buf in ("halo_out", "send_bufs"):
-        return f"{buf}#{slot}"
-    return f"{buf}@{sweep}"
+def _check_single_sweep(program: SweepProgram) -> None:
+    """Refuse what only the simulator interprets: chained sweeps and the
+    body rendezvous that pace a comm thread across them."""
+    if program.n_sweeps != 1:
+        raise ValueError(
+            f"{program.label}: the real backend runs single-sweep programs; "
+            f"chained sweeps are a simulator study (simulate_from_plan(n_sweeps=...), "
+            f"`repro trace --sweeps`)"
+        )
+    for op in program.ops:
+        for inner in op.body:
+            if inner.kind == "OMP_BARRIER":
+                raise ValueError(
+                    f"{program.label}: OMP_BARRIER inside a COMM_THREAD body is a "
+                    f"rendezvous only the simulator interprets; on the real backend "
+                    f"a region runs from its hand-off to the main-path barrier that joins it"
+                )
 
 
 def execute_sweep(
@@ -230,26 +184,18 @@ def execute_sweep(
     *,
     op_log: list[str] | None = None,
     out: np.ndarray | None = None,
-) -> "list[np.ndarray]":
-    """Run *program* on *engine* with input *x* (1-D or ``(n, k)``).
-
-    Returns this rank's slices of the matrix-powers chain
-    ``[A x, A² x, ..., A^N x]``, one per sweep (each sweep past the
-    first consumed the previous sweep's result — valid because the
-    operator is square and row and column partitions coincide).
+) -> np.ndarray:
+    """Run the single-sweep *program* on *engine* with input *x* (1-D or
+    ``(n, k)``); returns this rank's slice of ``A @ x``.
 
     ``op_log``, when given, receives the program's signature tokens in
     issue order (comm-thread bodies at the spawn point) — the hook the
     golden cross-backend test uses to compare real execution against the
-    simulated one.  ``out``, when given, is the buffer the last sweep's
-    result is computed into (shaped like *x*, not overlapping it).
+    simulated one.  ``out``, when given, is the buffer the result is
+    computed into (shaped like *x*, not overlapping it).
     """
-    depth = program.halo_depth
-    ring = engine.sweep_ring(x, depth)
-    # sweep 0 reads x; every later sweep's input is bound when it first runs
-    views = [_SweepView(None if s else x, *ring[s % depth]) for s in range(program.n_sweeps)]
-    views[-1].out = out
-    state = _RunState(views, depth)
+    _check_single_sweep(program)  # before the engine is touched
+    state = _SweepState(x, *engine.sweep_buffers(x), out)
     san = getattr(engine, "sanitizer", None)
     if san is not None:
         state.san = san
@@ -279,48 +225,31 @@ def execute_sweep(
             f"main-path OMP_BARRIER joined the communication thread"
         )
     _raise_comm_error(state)
-    for s, view in enumerate(state.views):
-        if view.y is None:
-            raise RuntimeError(
-                f"program for scheme {program.scheme!r} finished without "
-                f"computing sweep {s}'s result (no LOCAL_SPMVM/FULL_SPMVM op ran)"
-            )
-    return [view.y for view in state.views]
+    if state.y is None:
+        raise RuntimeError(
+            f"program for scheme {program.scheme!r} finished without "
+            f"computing a result (no LOCAL_SPMVM/FULL_SPMVM op ran)"
+        )
+    return state.y
 
 
-def _issue(engine: "DistributedSpMVM", op: SweepOp, state: _RunState) -> None:
-    """Run one op against its sweep's view, noting its buffer accesses
-    when a sanitizer is attached."""
-    view = state.views[op.sweep]
-    if view.x is None:
-        # chained input: sweep s consumes sweep s-1's result; the
-        # previous kernel is ordered before every consumer (lint), so
-        # the binding is always resolved by the time a reader runs
-        view.x = state.views[op.sweep - 1].y
+def _issue(engine: "DistributedSpMVM", op: SweepOp, state: _SweepState) -> None:
+    """Run one op, noting its buffer accesses when a sanitizer is attached."""
     san = state.san
     if san is not None:
         reads, writes = _FOOTPRINT[op.kind]
-        domain, token, sweep = state.domain, op.token, op.sweep
-        slot = sweep % state.depth
+        domain, token = state.domain, op.token
         for buf in reads:
-            san.on_access(domain, _buffer_name(buf, sweep, slot), "r", op=token)
+            san.on_access(domain, buf, "r", op=token)
         for buf in writes:
-            san.on_access(domain, _buffer_name(buf, sweep, slot), "w", op=token)
-    _OP_HANDLERS[op.kind](engine, view)
+            san.on_access(domain, buf, "w", op=token)
+    _OP_HANDLERS[op.kind](engine, state)
 
 
-def _hand_off(engine: "DistributedSpMVM", op: SweepOp, state: _RunState) -> None:
-    """Open a COMM_THREAD region on the engine's parked comm thread.
-
-    Body ``OMP_BARRIER`` ops are rendezvous with the matching main-path
-    barriers; the main path counts them at hand-off so it knows which of
-    its own barriers rendezvous and which one (the first past the last
-    rendezvous) waits for the region's completion token.
-    """
+def _hand_off(engine: "DistributedSpMVM", op: SweepOp, state: _SweepState) -> None:
+    """Open a COMM_THREAD region on the engine's parked comm thread."""
     if state.team is not None:
         raise RuntimeError("COMM_THREAD spawned while another is still open")
-    state.rendezvous_total = sum(1 for inner in op.body if inner.kind == "OMP_BARRIER")
-    state.rendezvous_left = state.rendezvous_total
     team = engine.team_thread()
     token = None
     if state.san is not None:
@@ -332,17 +261,9 @@ def _hand_off(engine: "DistributedSpMVM", op: SweepOp, state: _RunState) -> None
         try:
             if token is not None:
                 state.san.on_thread_start(state.domain, token)
-            rdv = 0
             for inner in op.body:
-                if inner.kind != "OMP_BARRIER":
-                    _issue(engine, inner, state)
-                elif _rendezvous(state, team, "comm", rdv):
-                    rdv += 1
-                else:
-                    raise _BrokenRendezvous(f"main path gave up rendezvous {rdv}")
+                _issue(engine, inner, state)
         except BaseException as exc:  # noqa: BLE001 - re-raised by the main path
-            # ending the region is what wakes a main path parked at a
-            # rendezvous: it takes the completion token instead
             state.error.append(exc)
 
     state.comm_op = op
@@ -351,41 +272,10 @@ def _hand_off(engine: "DistributedSpMVM", op: SweepOp, state: _RunState) -> None
     state.team = team
 
 
-def _rendezvous(state: _RunState, team: CommThread, side: str, idx: int) -> bool:
-    """One two-party rendezvous, with sanitizer hand-off edges; False if
-    the other side is not coming (:meth:`CommThread.meet`).
-
-    Each side releases its own token before the physical wait and
-    acquires the other side's after it — a bidirectional happens-before
-    edge.  The tokens carry the rendezvous ordinal *idx*: with one token
-    per side a thread that races ahead to the NEXT rendezvous would
-    overwrite its release clock before the peer's acquire reads it,
-    forging a happens-before edge that hides real races.
-    """
-    other = "comm" if side == "main" else "main"
-    if state.san is not None:
-        state.san.on_release(state.domain, f"rdv:{side}:{idx}")
-    met = team.meet(side)
-    if met and state.san is not None:
-        state.san.on_acquire(state.domain, f"rdv:{other}:{idx}")
-    return met
-
-
-def _barrier_main(state: _RunState) -> None:
-    """A main-path OMP_BARRIER: rendezvous with the comm thread, or wait
-    for its region to complete."""
+def _barrier_main(state: _SweepState) -> None:
+    """A main-path OMP_BARRIER: wait for the open region to complete."""
     if state.team is None:
         return  # single compute thread, no region open: a no-op
-    if state.rendezvous_left > 0:
-        idx = state.rendezvous_total - state.rendezvous_left
-        state.rendezvous_left -= 1
-        if not _rendezvous(state, state.team, "main", idx):
-            # the region died on its way here and is already closed:
-            # surface its failure, never deadlock
-            state.team = None
-            _raise_comm_error(state)
-            raise RuntimeError(f"COMM_THREAD region ended before rendezvous {idx}")
-        return
     state.team.wait()
     state.team = None
     if state.san is not None and state.comm_token is not None:
@@ -394,65 +284,61 @@ def _barrier_main(state: _RunState) -> None:
     _raise_comm_error(state)
 
 
-def _reap_comm_thread(state: _RunState) -> None:
-    """Close the open region: release a comm thread that may park at a
-    rendezvous the main path will not reach, and take the completion
-    token, which parks it again."""
+def _reap_comm_thread(state: _SweepState) -> None:
+    """Close the open region: take its completion token, which parks the
+    thread again."""
     if state.team is not None:
-        if state.rendezvous_left:
-            state.team.release()
         state.team.wait()
         state.team = None
 
 
-def _raise_comm_error(state: _RunState) -> None:
-    real = [e for e in state.error if not isinstance(e, _BrokenRendezvous)]
-    if real:
+def _raise_comm_error(state: _SweepState) -> None:
+    if state.error:
         raise RuntimeError(
-            f"communication thread failed: {real[0]!r}"
-        ) from real[0]
+            f"communication thread failed: {state.error[0]!r}"
+        ) from state.error[0]
 
 
 # ----------------------------------------------------------------------
 # op handlers
 # ----------------------------------------------------------------------
-def _post_recvs(engine: "DistributedSpMVM", view: _SweepView) -> None:
-    view.recvs = engine.post_halo_receives()
+def _post_recvs(engine: "DistributedSpMVM", state: _SweepState) -> None:
+    state.recvs = engine.post_halo_receives()
 
 
-def _pack(engine: "DistributedSpMVM", view: _SweepView) -> None:
-    engine.fill_send_buffers(view.x, view.send_bufs)
+def _pack(engine: "DistributedSpMVM", state: _SweepState) -> None:
+    engine.fill_send_buffers(state.x, state.send_bufs)
 
 
-def _post_sends(engine: "DistributedSpMVM", view: _SweepView) -> None:
-    engine.send_buffers(view.send_bufs)
+def _post_sends(engine: "DistributedSpMVM", state: _SweepState) -> None:
+    engine.send_buffers(state.send_bufs)
 
 
-def _waitall(engine: "DistributedSpMVM", view: _SweepView) -> None:
-    engine.complete_halo_receives(view.recvs, view.halo_out)
+def _waitall(engine: "DistributedSpMVM", state: _SweepState) -> None:
+    engine.complete_halo_receives(state.recvs, state.halo_out)
 
 
-def _local_spmvm(engine: "DistributedSpMVM", view: _SweepView) -> None:
-    if view.x.ndim == 2:
-        view.y = spmm(engine.halo.A_local, view.x, out=view.out)
+def _local_spmvm(engine: "DistributedSpMVM", state: _SweepState) -> None:
+    if state.x.ndim == 2:
+        state.y = spmm(engine.halo.A_local, state.x, out=state.out)
     else:
-        view.y = spmv(engine.halo.A_local, view.x, out=view.out)
+        state.y = spmv(engine.halo.A_local, state.x, out=state.out)
 
 
-def _remote_spmvm(engine: "DistributedSpMVM", view: _SweepView) -> None:
-    halo = engine.halo_view(view.halo_out)
-    if view.x.ndim == 2:
-        spmm_add(engine.halo.A_remote, halo, out=view.y)
+def _remote_spmvm(engine: "DistributedSpMVM", state: _SweepState) -> None:
+    halo = engine.halo_view(state.halo_out)
+    if state.x.ndim == 2:
+        spmm_add(engine.halo.A_remote, halo, out=state.y)
     else:
-        spmv_add(engine.halo.A_remote, halo, out=view.y)
+        spmv_add(engine.halo.A_remote, halo, out=state.y)
 
 
-def _full_spmvm(engine: "DistributedSpMVM", view: _SweepView) -> None:
+def _full_spmvm(engine: "DistributedSpMVM", state: _SweepState) -> None:
     # the unsplit Fig. 4a kernel, lowered to local-then-remote over the
     # split-stored matrices — the same arithmetic order as the split
     # schemes, which is what makes all schemes bit-identical
-    _local_spmvm(engine, view)
-    _remote_spmvm(engine, view)
+    _local_spmvm(engine, state)
+    _remote_spmvm(engine, state)
 
 
 _OP_HANDLERS = {

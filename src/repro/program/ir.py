@@ -176,14 +176,8 @@ class SweepProgram:
     With ``pipeline`` the stream overlaps sweep boundaries — sweep
     ``s+1``'s ``POST_RECVS`` hoisted before sweep ``s``'s
     ``REMOTE_SPMVM``, and (task mode) one long-lived ``COMM_THREAD``
-    region whose body spans all sweeps.
-
-    ``halo_depth`` is the double-buffer contract: sweep ``s`` lands its
-    halo (and packs its sends) in slot ``s % halo_depth``, so
-    ``POST_RECVS s`` may only be hoisted above work that still reads
-    slot ``s % halo_depth`` when ``halo_depth`` sweeps separate them.
-    The lint (:func:`repro.program.lint.lint_sweep_program`) proves
-    that, and the thread sanitizer checks it access by access.
+    region whose body spans all sweeps.  Only the simulation backend
+    interprets ``n_sweeps > 1``; the real backend runs single sweeps.
     """
 
     scheme: str
@@ -191,15 +185,12 @@ class SweepProgram:
     n_sweeps: int = 1
     pipeline: bool = False
     block_k: int = 1
-    halo_depth: int = 1
     #: free-form provenance (builder name, plan kind, ...)
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_sweeps < 1:
             raise ValueError(f"n_sweeps must be >= 1, got {self.n_sweeps}")
-        if self.halo_depth < 1:
-            raise ValueError(f"halo_depth must be >= 1, got {self.halo_depth}")
         if self.block_k < 1:
             raise ValueError(f"block_k must be >= 1, got {self.block_k}")
         if not self.ops:
@@ -240,12 +231,9 @@ class SweepProgram:
 
     @property
     def label(self) -> str:
-        """Scheme, sweep count, mode, width and ring depth."""
+        """Scheme, sweep count, mode and width."""
         mode = "pipelined" if self.pipeline else "sequential"
-        return (
-            f"{self.scheme} x{self.n_sweeps} [{mode}, k={self.block_k}, "
-            f"depth={self.halo_depth}]"
-        )
+        return f"{self.scheme} x{self.n_sweeps} [{mode}, k={self.block_k}]"
 
     def describe(self) -> str:
         """One line: the :attr:`label` and the op sequence."""

@@ -35,11 +35,7 @@ Invariants
   (one ``FULL_SPMVM`` or one ``LOCAL_SPMVM`` + ``REMOTE_SPMVM`` pair,
   local first);
 * **chained input** — sweep ``s``'s pack/sends/kernel run after sweep
-  ``s-1``'s kernel;
-* **double-buffer contract** — ``POST_RECVS s`` (which re-arms halo
-  slot ``s % halo_depth``) only after the consumer of sweep
-  ``s - halo_depth`` is done, and ``PACK s`` only after ``POST_SENDS``
-  of ``s - halo_depth`` released the send-buffer slot.
+  ``s-1``'s kernel.
 """
 
 from __future__ import annotations
@@ -215,17 +211,6 @@ def lint_sweep_program(program: SweepProgram) -> "list[Finding]":
             for consumer in ("PACK", "POST_SENDS", "LOCAL_SPMVM", "FULL_SPMVM"):
                 require(prev_kernel, s - 1, consumer, s,
                         "sweep input is the previous sweep's result")
-
-        # -- double-buffer contract across halo_depth sweeps ----------
-        d = program.halo_depth
-        if s >= d:
-            old_kernel = "FULL_SPMVM" if find("FULL_SPMVM", s - d) else "REMOTE_SPMVM"
-            require(old_kernel, s - d, "POST_RECVS", s,
-                    f"POST_RECVS re-arms halo slot {s % d} while sweep "
-                    f"{s - d}'s kernel may still read it (halo_depth={d})")
-            require("POST_SENDS", s - d, "PACK", s,
-                    f"PACK refills send-buffer slot {s % d} while sweep "
-                    f"{s - d}'s sends may still read it (halo_depth={d})")
     return findings
 
 

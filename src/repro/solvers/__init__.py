@@ -15,7 +15,7 @@ from repro.solvers.amg import (
     direct_interpolation,
     strength_graph,
 )
-from repro.solvers.cg import CGResult, conjugate_gradient, sstep_cg
+from repro.solvers.cg import CGResult, conjugate_gradient
 from repro.solvers.chebyshev import ChebyshevPropagator
 from repro.solvers.kpm import KPMSpectrum, chebyshev_moments, jackson_kernel, kpm_spectrum
 from repro.solvers.lanczos import LanczosResult, ground_state, lanczos, spectral_bounds
@@ -31,7 +31,6 @@ __all__ = [
     "spectral_bounds",
     "CGResult",
     "conjugate_gradient",
-    "sstep_cg",
     "ChebyshevPropagator",
     "KPMSpectrum",
     "kpm_spectrum",

@@ -47,14 +47,6 @@ class LinearOperator(Protocol):
         """Global 2-norm."""
         ...
 
-    def matvec_chain(self, x: np.ndarray, n: int) -> list[np.ndarray]:
-        """Apply the operator ``n`` times: ``[A x, A² x, ..., Aⁿ x]``."""
-        ...
-
-    def dot_many(self, pairs: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-        """Batch of global inner products fused into one reduction."""
-        ...
-
 
 class SerialOperator:
     """A plain single-process operator around a CSR matrix."""
@@ -80,19 +72,6 @@ class SerialOperator:
     def norm(self, x: np.ndarray) -> float:
         """Ordinary 2-norm."""
         return float(np.linalg.norm(x))
-
-    def matvec_chain(self, x: np.ndarray, n: int, *, pipeline: bool = True) -> list[np.ndarray]:
-        """``[A x, A² x, ..., Aⁿ x]`` by repeated matvec (nothing to pipeline)."""
-        ys: list[np.ndarray] = []
-        cur = x
-        for _ in range(n):
-            cur = self.A.matvec(cur)
-            ys.append(cur)
-        return ys
-
-    def dot_many(self, pairs: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-        """Batched inner products (no communication to fuse serially)."""
-        return np.array([np.dot(x, y) for x, y in pairs], dtype=np.float64)
 
 
 class DistributedOperator:
@@ -120,8 +99,8 @@ class DistributedOperator:
     this rank posts: one per send peer per exchange (direct-exchange
     accounting) plus two per collective (this rank's up-and-down hop of
     a rooted reduction) — so solver variants can be compared on
-    *counted* traffic rather than timed noise (the :mod:`repro.bench`
-    solver guard asserts on these).
+    *counted* traffic rather than timed noise (the ledger reports them
+    as ``solvers.exchanges`` / ``reductions`` / ``messages``).
 
     The operator owns its engine, whose task-mode matvecs park one
     communication thread for the whole solve: :meth:`close` it (or use
@@ -151,9 +130,9 @@ class DistributedOperator:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _count_exchanges(self, n: int) -> None:
-        self.counters["exchanges"] += n
-        self.counters["messages"] += n * len(self.engine.halo.send_to)
+    def _count_exchange(self) -> None:
+        self.counters["exchanges"] += 1
+        self.counters["messages"] += len(self.engine.halo.send_to)
 
     def _count_reduction(self) -> None:
         self.counters["reductions"] += 1
@@ -166,33 +145,13 @@ class DistributedOperator:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Halo-exchanged distributed spMVM."""
-        self._count_exchanges(1)
+        self._count_exchange()
         return self.engine.multiply(x, self.scheme)
-
-    def matvec_chain(self, x: np.ndarray, n: int, *, pipeline: bool = True) -> list[np.ndarray]:
-        """``[A x, ..., Aⁿ x]`` as one n-sweep program (matrix powers).
-
-        Pipelined by default: sweep ``i+1``'s receives are posted before
-        sweep ``i``'s remote kernel (:func:`repro.program.build_sweep`),
-        still one exchange (= one message per peer) per sweep.
-        """
-        self._count_exchanges(n)
-        return self.engine.multiply_chain(x, n, self.scheme, pipeline=pipeline)
 
     def dot(self, x: np.ndarray, y: np.ndarray) -> float:
         """Allreduce inner product."""
         self._count_reduction()
         return float(self.comm.allreduce(float(np.dot(x, y))))
-
-    def dot_many(self, pairs: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-        """Many inner products fused into ONE elementwise allreduce.
-
-        This is the communication-avoiding half of the s-step CG: the
-        scalar products of one outer step share a single collective.
-        """
-        self._count_reduction()
-        local = np.array([np.dot(x, y) for x, y in pairs], dtype=np.float64)
-        return np.asarray(self.comm.allreduce(local), dtype=np.float64)
 
     def norm(self, x: np.ndarray) -> float:
         """Allreduce 2-norm."""

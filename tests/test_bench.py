@@ -21,7 +21,6 @@ EXPECTED_NAMES = {
     "spmv", "spmv-out", "spmm-k1", "spmm-k4", "spmm-k16",
     "program-overhead",
     "sanitizer-overhead",
-    "solver-cg-classic", "solver-cg-sstep",
 }
 
 
@@ -80,7 +79,7 @@ def test_suite_covers_all_paths(tiny_suite):
     # the distributed, serve and workload paths are timed by
     # benchmarks/ledger only; what is left is one row of GROUPS each
     groups = list(dict.fromkeys(r.group for r in tiny_suite))
-    assert groups == [g for g, _, _ in GROUPS] == ["kernel", "program", "check", "solver"]
+    assert groups == [g for g, _, _ in GROUPS] == ["kernel", "program", "check"]
     for r in tiny_suite:
         assert r.seconds.min > 0
         assert r.derived["gflops"] > 0
@@ -233,55 +232,6 @@ def test_write_results_schema(tiny_suite, tmp_path):
         assert set(r["seconds"]) == {"min", "mean", "median", "std"}
 
 
-# ----------------------------------------------------------------- CLI
-
-
-def _solver_result(nrows, derived):
-    base = {
-        "solutions_match": 1.0,
-        "reductions_per_iteration": 0.5,
-        "classic_reductions_per_iteration": 3.0,
-        "messages_per_iteration": 4.0,
-        "classic_messages_per_iteration": 14.0,
-        "comm_posts_per_iteration": 1.5,
-        "classic_comm_posts_per_iteration": 4.0,
-        "time_ratio_vs_classic": 1.0,
-        "guard_ratio_max": 1.25,
-    }
-    return BenchResult(
-        name="solver-cg-sstep", group="solver", warmup=1, repeat=3,
-        seconds=TimingStats(samples=(1.0,)),
-        params={"nrows": nrows, "nnz": 5 * nrows, "nranks": 2, "grid": 32},
-        derived={**base, **derived},
-    )
-
-
-def test_solver_guard_counts_not_times(tiny_suite):
-    from repro.bench.suite import solver_guard
-
-    # the real tiny suite passes the guard and reports the economics
-    assert solver_guard(tiny_suite) == ["solver-cg-sstep"]
-    (r,) = [r for r in tiny_suite if r.name == "solver-cg-sstep"]
-    assert r.derived["solutions_match"] == 1.0
-    assert (r.derived["reductions_per_iteration"]
-            < r.derived["classic_reductions_per_iteration"])
-
-    # counted violations are enforced at EVERY size
-    with pytest.raises(AssertionError, match="stopped fusing"):
-        solver_guard([_solver_result(100, {"reductions_per_iteration": 3.0})])
-    with pytest.raises(AssertionError, match="extra exchanges"):
-        solver_guard([_solver_result(100, {"messages_per_iteration": 20.0})])
-    with pytest.raises(AssertionError, match="stopped avoiding"):
-        solver_guard([_solver_result(100, {"comm_posts_per_iteration": 4.0})])
-    with pytest.raises(AssertionError, match="without being verified"):
-        solver_guard([_solver_result(100, {"solutions_match": 0.0})])
-    # the timing ratio only at guard size and above
-    slow = {"time_ratio_vs_classic": 2.0}
-    assert solver_guard([_solver_result(GUARD_MIN_ROWS - 1, slow)])
-    with pytest.raises(AssertionError, match="never lose outright"):
-        solver_guard([_solver_result(GUARD_MIN_ROWS, slow)])
-
-
 # ----------------------------------------------------- the group table
 
 
@@ -292,7 +242,6 @@ def test_every_group_has_a_guard():
                              _guard_result("spmm-k4", 4, n, 1.2)],
         "program": lambda n: [_program_result(n, 0.02)],
         "check": lambda n: [_sanitizer_result(n, 1.1)],
-        "solver": lambda n: [_solver_result(n, {})],
     }
     assert [g for g, _, _ in GROUPS] == list(passing)
     for group, bench, guard in GROUPS:
@@ -303,18 +252,15 @@ def test_every_group_has_a_guard():
         enforced = guard(mine + others)
         assert enforced and set(enforced) <= {r.name for r in mine}
         assert guard(others) == []  # a guard reads its own group only
-        # below guard size nothing timed is enforced; the solver's
-        # counted economics are deterministic and hold at every size
-        below = guard(passing[group](GUARD_MIN_ROWS - 1))
-        assert below == (["solver-cg-sstep"] if group == "solver" else [])
+        # below guard size nothing timed is enforced
+        assert guard(passing[group](GUARD_MIN_ROWS - 1)) == []
     assert guard_failures([r for make in passing.values()
                            for r in make(GUARD_MIN_ROWS)]) == []
-    # the package surface: the harness, the four guards, their bounds
+    # the package surface: the harness, the three guards, their bounds
     assert set(repro.bench.__all__) == {
         "BENCH_SCHEMA", "BenchResult", "TimingStats", "time_callable",
         "write_results", "BLOCK_WIDTHS", "SANITIZER_OVERHEAD_MAX",
-        "SOLVER_SPEED_RATIO_MAX", "kernel_guard", "program_guard",
-        "sanitizer_guard", "solver_guard", "spmvm_suite",
+        "kernel_guard", "program_guard", "sanitizer_guard", "spmvm_suite",
     }
 
 

@@ -337,7 +337,7 @@ def test_same_program_with_join_barrier_runs(hmep_tiny, rng):
         return execute_sweep(
             engine, _seeded_program(join_barrier=True),
             scatter_vector(x, plan.partition, comm.rank),
-        )[0]
+        )
 
     parts = run_spmd(2, fn, PerRank(plan.ranks), recv_timeout=10.0, timeout=30.0)
     np.testing.assert_allclose(np.concatenate(parts), spmv(hmep_tiny, x), rtol=1e-10)

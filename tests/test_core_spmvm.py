@@ -103,23 +103,32 @@ def test_engine_rejects_wrong_vector_length(random_300):
         (False, (297,), 1, r"shape \(300,\) .* got shape \(297,\)$"),
         (False, (300, 2), 1, r"1-D array .* got shape \(300, 2\)"),
         (True, (304, 3), 1, r"shape \(300, k\) .* got shape \(304, 3\)"),
-        (False, (300,), 0, r"iterations must be >= 1, got 0"),
-        (True, (300, 3), 0, r"iterations must be >= 1, got 0"),
+        (False, (300,), 0, r"iterations must be positive, got 0"),
+        (True, (300, 3), 0, r"iterations must be positive, got 0"),
+        (False, (300,), 2.5, r"iterations must be an integer, got float"),
     ],
-    ids=["long", "short", "block-to-spmv", "long-block", "no-iterations", "no-block-iterations"],
+    ids=[
+        "long", "short", "block-to-spmv", "long-block", "no-iterations",
+        "no-block-iterations", "fractional-iterations",
+    ],
 )
 def test_driver_validates_before_it_spawns(
     random_300, monkeypatch, block, shape, iterations, match
 ):
     # scatter_vector slices: a long x used to lose its tail silently, a
-    # short one reached the ranks (where one of them failed), and
-    # iterations=0 ran one multiply
+    # short one reached the ranks (where one of them failed),
+    # iterations=0 ran one multiply and iterations=2.5 died inside a rank
+    import threading
+
     import repro.mpilite.world as world
     from repro.core import distributed_spmm
 
     monkeypatch.setattr(world, "run_spmd", lambda *a, **k: pytest.fail("ranks were spawned"))
+    monkeypatch.setattr(
+        threading.Thread, "start", lambda self: pytest.fail(f"thread {self.name} was started")
+    )
     driver = distributed_spmm if block else distributed_spmv
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises((ValueError, TypeError), match=match):
         driver(random_300, np.ones(shape), 2, iterations=iterations)
 
 

@@ -1,10 +1,10 @@
-"""Property tests for N-sweep programs + s-step CG validation.
+"""Property tests for N-sweep programs, and who runs them.
 
 Hypothesis half: for EVERY (scheme, n_sweeps >= 1, pipeline, block_k)
 combination,
 
-* :func:`build_sweep` lints clean (the double-buffer hoisting
-  invariants of DESIGN.md §10 hold by construction),
+* :func:`build_sweep` lints clean (the hoisting invariants of
+  DESIGN.md §10 hold by construction),
 * every sweep performs exactly the frozen single-sweep work-op multiset
   — pipelining may reorder communication and change barrier pacing, but
   never add or drop per-sweep work — and the N = 1 program *is* the
@@ -12,10 +12,11 @@ combination,
 * when pipelined, sweep ``s+1``'s POST_RECVS really precedes sweep
   ``s``'s halo-consuming kernel.
 
-s-step CG half: :func:`repro.solvers.sstep_cg` matches classic CG on
-SPD systems (serial and SPMD), spends strictly fewer collectives per
-iteration (count-asserted on operator counters), and rejects
-indefinite operators.
+Backend half: the real backend refuses every ``n_sweeps > 1`` program
+before it touches the engine, and the simulator — the one interpreter of
+those programs — shows the effect that keeps their builders: pipelining
+is worth exactly nothing in the vector modes and a constant per sweep in
+task mode.
 """
 
 import numpy as np
@@ -23,17 +24,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import build_halo_plan, scatter_vector
-from repro.matrices import poisson_2d
-from repro.mpilite import PerRank, run_spmd
-from repro.program import WORK_OPS, SweepOp, build_sweep, lint_sweep_program
-from repro.solvers import (
-    DistributedOperator,
-    SerialOperator,
-    conjugate_gradient,
-    sstep_cg,
-)
-from repro.sparse import CSRMatrix, partition_matrix
+from repro.core import build_halo_plan, simulate_from_plan
+from repro.machine import westmere_cluster
+from repro.program import WORK_OPS, SweepOp, build_sweep, execute_sweep, lint_sweep_program
+from repro.sparse import partition_matrix
+from tests.test_program_comm_thread import single_rank_engine
 from tests.test_program_golden import GOLDEN_SIGNATURES
 
 SCHEMES = ("no_overlap", "naive_overlap", "task_mode")
@@ -76,93 +71,36 @@ def test_pipelined_recvs_hoisted_across_sweeps(scheme, n_sweeps, block_k):
 
 
 # ----------------------------------------------------------------------
-# s-step CG
+# who runs them: the simulator does, the real backend refuses
 # ----------------------------------------------------------------------
-def test_sstep_cg_solves_poisson(rng):
-    A = poisson_2d(15)
-    x_true = rng.standard_normal(A.nrows)
-    b = A @ x_true
-    res = sstep_cg(SerialOperator(A), b, tol=1e-10, max_iter=2000)
-    assert res.converged
-    assert np.allclose(res.x, x_true, atol=1e-6)
-    assert res.residual_history[-1] <= 1e-10
-    # the recurrence residual drifts slightly from the true residual
-    # (the classic s-step trade-off) — but stays well within a few
-    # orders of the target
-    assert res.residual_norm <= 1e-8
+@pytest.mark.parametrize("pipeline", [True, False], ids=["pipelined", "sequential"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_real_backend_refuses_multi_sweep_programs(hmep_tiny, scheme, pipeline):
+    # refused before the engine is touched: no buffer, no request, no thread
+    engine = single_rank_engine(hmep_tiny)
+    x = np.ones(hmep_tiny.nrows)
+    with pytest.raises(ValueError, match=r"x2 .*single-sweep programs.*simulator"):
+        execute_sweep(engine, build_sweep(scheme, 2, pipeline=pipeline), x)
+    assert engine._buffers == {} and engine.comm_thread is None
+    assert np.array_equal(engine.multiply(x, scheme), engine.multiply(x, "no_overlap"))
+    engine.close()
 
 
-def test_sstep_cg_matches_classic_cg(rng):
-    A = poisson_2d(12)
-    b = rng.standard_normal(A.nrows)
-    op = SerialOperator(A)
-    classic = conjugate_gradient(op, b, tol=1e-9, max_iter=2000)
-    sstep = sstep_cg(op, b, tol=1e-9, max_iter=2000)
-    assert classic.converged and sstep.converged
-    assert np.allclose(sstep.x, classic.x, atol=1e-7)
-    # same Krylov space per outer step: iteration counts agree to the
-    # 2-iteration granularity of the fused convergence check
-    assert abs(sstep.iterations - classic.iterations) <= 2
-
-
-def test_sstep_cg_zero_rhs():
-    A = poisson_2d(5)
-    res = sstep_cg(SerialOperator(A), np.zeros(A.nrows))
-    assert res.converged and res.iterations == 0
-    assert np.all(res.x == 0)
-
-
-def test_sstep_cg_rejects_indefinite_operator(rng):
-    d = np.diag(np.concatenate([np.ones(5), -np.ones(5)]))
-    A = CSRMatrix.from_dense(d)
-    b = rng.standard_normal(10)
-    with pytest.raises(ValueError, match="not positive definite"):
-        sstep_cg(SerialOperator(A), b, max_iter=50)
-
-
-@pytest.mark.parametrize("pipeline", [True, False])
-def test_distributed_sstep_cg_matches_serial(rng, pipeline):
-    A = poisson_2d(13)
-    b = rng.standard_normal(A.nrows)
-    serial = sstep_cg(SerialOperator(A), b, tol=1e-9, max_iter=2000)
-    partition = partition_matrix(A, 4)
-    plan = build_halo_plan(A, partition, with_matrices=True)
-
-    def fn(comm, halo):
-        op = DistributedOperator(comm, halo)
-        res = sstep_cg(op, scatter_vector(b, partition, comm.rank),
-                       tol=1e-9, max_iter=2000, pipeline=pipeline)
-        return res.x, res.iterations, res.converged
-
-    out = run_spmd(4, fn, PerRank(plan.ranks))
-    assert all(converged for _x, _it, converged in out)
-    x = np.concatenate([x for x, _it, _conv in out])
-    assert np.allclose(x, serial.x, atol=1e-7)
-    assert all(it == serial.iterations for _x, it, _conv in out)
-
-
-def test_sstep_cg_fewer_collectives_than_classic(rng):
-    """The communication-avoiding claim, count-asserted on counters."""
-    A = poisson_2d(13)
-    b = rng.standard_normal(A.nrows)
-    partition = partition_matrix(A, 2)
-    plan = build_halo_plan(A, partition, with_matrices=True)
-
-    def fn(comm, halo):
-        b_local = scatter_vector(b, partition, comm.rank)
-        classic_op = DistributedOperator(comm, halo)
-        classic = conjugate_gradient(classic_op, b_local, tol=1e-8, max_iter=3000)
-        sstep_op = DistributedOperator(comm, halo)
-        sstep = sstep_cg(sstep_op, b_local, tol=1e-8, max_iter=3000)
-        assert classic.converged and sstep.converged
-        return (classic.iterations, dict(classic_op.counters),
-                sstep.iterations, dict(sstep_op.counters))
-
-    for classic_it, classic_ct, sstep_it, sstep_ct in run_spmd(2, fn, PerRank(plan.ranks)):
-        classic_red = classic_ct["reductions"] / classic_it
-        sstep_red = sstep_ct["reductions"] / sstep_it
-        assert sstep_red < classic_red
-        # total posted messages per iteration drop too: the fused
-        # allreduce amortises the collective traffic
-        assert (sstep_ct["messages"] / sstep_it
-                < classic_ct["messages"] / classic_it)
+def test_simulated_pipelining_pays_only_in_task_mode(hmep_tiny):
+    # the finding that keeps the multi-sweep builders (EXPERIMENTS.md, "The
+    # chain's verdict"): hoisted receives buy the vector modes nothing; one
+    # long-lived comm thread saves task mode a constant per sweep, which
+    # shows once a sweep is short (HMeP-tiny on 4 nodes: a few microseconds)
+    plan = build_halo_plan(hmep_tiny, partition_matrix(hmep_tiny, 8), with_matrices=False)
+    ratio = {}
+    for scheme in SCHEMES:
+        pipe, seq = (
+            simulate_from_plan(
+                plan, westmere_cluster(4), mode="per-ld", scheme=scheme,
+                n_sweeps=3, pipeline=pipeline,
+            ).total_seconds
+            for pipeline in (True, False)
+        )
+        ratio[scheme] = pipe / seq
+    assert ratio["no_overlap"] == 1.0 and ratio["naive_overlap"] == 1.0
+    assert ratio["task_mode"] <= 0.9

@@ -3,7 +3,7 @@
 One thread per engine, started by the engine's first COMM_THREAD region
 and handed every later region through a mailbox.  Four things are pinned
 here: the *census* (an engine starts exactly one thread however many
-sweeps, chains and widths follow, and reuse never changes a bit), the
+sweeps and widths follow, and reuse never changes a bit), the
 *lifetime* (every owner stops what it owns; an engine dropped unclosed
 stops its thread from a finalizer; nothing outlives its test), the
 *failure paths* (today's error types, within two seconds, the engine
@@ -31,6 +31,7 @@ from repro.mpilite.router import Router
 from repro.mpilite.world import PerRank, open_world, run_spmd
 from repro.program.exec import UnjoinedCommThreadError, execute_sweep
 from repro.program.ir import SweepOp, SweepProgram
+from repro.program.lint import lint_sweep_program
 from repro.serve import ServiceClosedError, ServiceError, SolverService, build_model
 from repro.solvers import DistributedOperator, conjugate_gradient, lanczos
 
@@ -99,9 +100,6 @@ def test_one_thread_per_rank_whatever_the_engine_runs(hmep_tiny, rng, comm_threa
                 else:
                     engine.multiply(xl, "task_mode")
                 idents.add(engine.comm_thread.ident)
-            for pipeline in (True, False):
-                engine.multiply_chain(xl, 3, "task_mode", pipeline=pipeline)
-                idents.add(engine.comm_thread.ident)
             thread = engine.comm_thread
         assert not thread.is_alive()  # close() joined it
         return idents
@@ -138,13 +136,6 @@ def test_reused_engine_reproduces_fresh_engine_bits(hmep_tiny, rng):
                         pair = reused.multiply_block(Xl, scheme), fresh.multiply_block(Xl, scheme)
                 if not np.array_equal(*pair):
                     mismatches.append((scheme, k))
-            chains = [
-                reused.multiply_chain(xl, 3, "task_mode", pipeline=pipeline)
-                for pipeline in (True, False)
-            ]
-            for piped, seq in zip(*chains):
-                if not np.array_equal(piped, seq):
-                    mismatches.append("chain")
         return mismatches
 
     assert run_spmd(2, fn, PerRank(plan.ranks)) == [[], []]
@@ -156,17 +147,19 @@ def test_mailbox_under_preemption_stress(hmep_tiny, rng):
     # or misrouted token would hang (the watchdog) or change a bit
     plan = cached_halo_plan(hmep_tiny, 4, with_matrices=True)
     x = rng.standard_normal(hmep_tiny.nrows)
+    X = rng.standard_normal((hmep_tiny.nrows, 3))
 
     def fn(comm, halo):
         xl = scatter_vector(x, plan.partition, comm.rank)
+        Xl = scatter_vector(X, plan.partition, comm.rank)
         with DistributedSpMVM(comm, halo) as engine:
-            want = engine.multiply_chain(xl, 3, "no_overlap")
-            for i in range(60):
+            want = engine.multiply(xl, "no_overlap"), engine.multiply_block(Xl, "no_overlap")
+            for i in range(120):
                 if i % 3:
-                    got = [engine.multiply(xl, "task_mode")]
+                    got = engine.multiply(xl, "task_mode")
                 else:
-                    got = engine.multiply_chain(xl, 3, "task_mode")
-                if not all(np.array_equal(g, w) for g, w in zip(got, want)):
+                    got = engine.multiply_block(Xl, "task_mode")
+                if not np.array_equal(got, want[i % 3 == 0]):
                     return i
         return None
 
@@ -291,54 +284,96 @@ def fail_nth_call(obj, name: str, n: int):
     return lambda: delattr(obj, name)
 
 
-@pytest.mark.parametrize("n_sweeps,failing_call", [(1, 1), (3, 2)])
-def test_comm_body_failure_surfaces_on_the_main_path(hmep_tiny, rng, n_sweeps, failing_call):
-    # n_sweeps = 3: the body dies at its second POST_SENDS while the main
-    # thread is parked at (or about to reach) a chain rendezvous
-    x = rng.standard_normal(hmep_tiny.nrows)
+def width_input(rng, nrows: int, k: int) -> np.ndarray:
+    """A vector for k = 1, an ``(nrows, k)`` block otherwise."""
+    return rng.standard_normal(nrows) if k == 1 else rng.standard_normal((nrows, k))
+
+
+def multiply_any(engine, x, scheme):
+    return (engine.multiply if x.ndim == 1 else engine.multiply_block)(x, scheme)
+
+
+@pytest.mark.parametrize("k,failing_call", [(1, 1), (8, 3)])
+def test_comm_body_failure_surfaces_on_the_main_path(hmep_tiny, rng, k, failing_call):
+    # failing_call = 1: the region that starts the thread dies; 3: a region
+    # handed to the thread while it is parked does
+    x = width_input(rng, hmep_tiny.nrows, k)
     with single_rank_engine(hmep_tiny) as engine:
-        want = engine.multiply_chain(x, n_sweeps, "no_overlap")
+        want = multiply_any(engine, x, "no_overlap")
         restore = fail_nth_call(engine, "send_buffers", failing_call)
-        _res, exc = in_time(lambda: engine.multiply_chain(x, n_sweeps, "task_mode"))
+        for _ in range(failing_call - 1):
+            assert np.array_equal(multiply_any(engine, x, "task_mode"), want)
+        _res, exc = in_time(lambda: multiply_any(engine, x, "task_mode"))
         assert isinstance(exc, RuntimeError)
         assert str(exc).startswith("communication thread failed: Injected(")
         assert isinstance(exc.__cause__, Injected)
         restore()
         thread = engine.comm_thread
         assert thread.is_alive()  # parked again, not dead
-        got, exc = in_time(lambda: engine.multiply_chain(x, n_sweeps, "task_mode"))
+        got, exc = in_time(lambda: multiply_any(engine, x, "task_mode"))
         assert exc is None and engine.comm_thread is thread
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert np.array_equal(got, want)
     assert comm_threads() == []
 
 
-@pytest.mark.parametrize("n_sweeps,failing_call", [(1, 1), (3, 2)])
-def test_main_path_failure_reaps_the_open_region(
-    hmep_tiny, rng, monkeypatch, n_sweeps, failing_call
-):
-    # n_sweeps = 3: the kernel dies in sweep 1 with the comm thread parked
-    # at a rendezvous the main path will now never reach
+@pytest.mark.parametrize("k,failing_call", [(1, 1), (8, 3)])
+def test_main_path_failure_reaps_the_open_region(hmep_tiny, rng, monkeypatch, k, failing_call):
+    # the local kernel dies with the region open (the engine's first, or one
+    # on the parked thread): the main path takes the region's completion
+    # token before it re-raises
     import repro.program.exec as program_exec
 
-    x = rng.standard_normal(hmep_tiny.nrows)
+    x = width_input(rng, hmep_tiny.nrows, k)
+    kernel = "spmv" if k == 1 else "spmm"
     with single_rank_engine(hmep_tiny) as engine:
-        want = engine.multiply_chain(x, n_sweeps, "no_overlap")
-        healthy = program_exec.spmv
+        want = multiply_any(engine, x, "no_overlap")
+        healthy = getattr(program_exec, kernel)
         calls = [0]
 
-        def spmv(*args, **kwargs):
+        def dying(*args, **kwargs):
             calls[0] += 1
             if calls[0] == failing_call:
                 raise Injected("kernel")
             return healthy(*args, **kwargs)
 
-        monkeypatch.setattr(program_exec, "spmv", spmv)
-        _res, exc = in_time(lambda: engine.multiply_chain(x, n_sweeps, "task_mode"))
+        monkeypatch.setattr(program_exec, kernel, dying)
+        for _ in range(failing_call - 1):
+            assert np.array_equal(multiply_any(engine, x, "task_mode"), want)
+        _res, exc = in_time(lambda: multiply_any(engine, x, "task_mode"))
         assert isinstance(exc, Injected)
         monkeypatch.undo()
-        got, exc = in_time(lambda: engine.multiply_chain(x, n_sweeps, "task_mode"))
+        got, exc = in_time(lambda: multiply_any(engine, x, "task_mode"))
         assert exc is None
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert np.array_equal(got, want)
+    assert comm_threads() == []
+
+
+def test_body_rendezvous_is_refused_not_hung(hmep_tiny, rng, comm_thread_starts):
+    # lint-clean: a body OMP_BARRIER pairs with the next main-path barrier
+    # (the simulator's rendezvous).  The real backend has none — it must
+    # say so before it posts a request or starts a thread, not park both
+    # sides at barriers that mean different things
+    paced = SweepProgram(scheme="task_mode", ops=(
+        SweepOp("POST_RECVS"),
+        SweepOp("PACK"),
+        SweepOp("OMP_BARRIER"),
+        SweepOp("COMM_THREAD", body=(
+            SweepOp("POST_SENDS"), SweepOp("OMP_BARRIER"), SweepOp("WAITALL"),
+        )),
+        SweepOp("LOCAL_SPMVM"),
+        SweepOp("OMP_BARRIER"),
+        SweepOp("OMP_BARRIER"),
+        SweepOp("REMOTE_SPMVM"),
+    ))
+    assert lint_sweep_program(paced) == []
+    x = rng.standard_normal(hmep_tiny.nrows)
+    with single_rank_engine(hmep_tiny) as engine:
+        _res, exc = in_time(lambda: execute_sweep(engine, paced, x), seconds=1.0)
+        assert isinstance(exc, ValueError)
+        assert "OMP_BARRIER inside a COMM_THREAD body" in str(exc) and "simulator" in str(exc)
+        assert engine.comm_thread is None and comm_thread_starts == []
+        got, exc = in_time(lambda: engine.multiply(x, "task_mode"))
+        assert exc is None and np.array_equal(got, engine.multiply(x, "no_overlap"))
     assert comm_threads() == []
 
 
@@ -456,12 +491,11 @@ def test_seeded_race_fires_again_on_the_parked_thread(hmep_tiny, rng, name):
     assert all(f.kind == "thread-race" for f in again)
 
 
-def test_clean_sweeps_and_a_chain_on_one_engine_report_nothing(hmep_tiny, rng):
+def test_clean_sweeps_on_one_engine_report_nothing(hmep_tiny, rng):
     def body(engine, xl, comm):
-        for _ in range(3):
+        for _ in range(4):
             engine.multiply(xl, "task_mode")
             comm.barrier()
-        engine.multiply_chain(xl, 3, "task_mode")
 
     san = ThreadSanitizer()
     run_sanitized(hmep_tiny, rng.standard_normal(hmep_tiny.nrows), san, body)

@@ -186,3 +186,92 @@ def test_distributed_cg_node_aware_bit_identical(samg_tiny, rng):
     for (xc, itc), (xn, itn) in zip(classic, node_aware):
         assert itc == itn
         assert np.array_equal(xc, xn)
+
+
+def _unfused_cg(op, b, tol, max_iter):
+    """The loop before ``r·r`` was reused: ``norm(r)`` for the convergence
+    test and a separate ``dot(r, z)`` (z is r), three reductions per
+    iteration.  Returns ``(x, residual_history)``."""
+    x = np.zeros_like(b)
+    r = b - op.matvec(x)
+    b_norm = op.norm(b)
+    p = r.copy()
+    rz = op.dot(r, r)
+    history = [op.norm(r) / b_norm]
+    for _ in range(max_iter):
+        if history[-1] <= tol:
+            break
+        ap = op.matvec(p)
+        alpha = rz / op.dot(p, ap)
+        x += alpha * p
+        r -= alpha * ap
+        history.append(op.norm(r) / b_norm)
+        if history[-1] <= tol:
+            break
+        rz_new = op.dot(r, r)
+        p = r + (rz_new / rz) * p
+        rz = rz_new
+    return x, history
+
+
+def test_cg_reuses_rr_bit_identically_with_two_reductions_per_iteration(rng):
+    A = poisson_2d(21)
+    b = rng.standard_normal(A.nrows)
+    partition = partition_matrix(A, 2)
+    plan = build_halo_plan(A, partition, with_matrices=True)
+
+    def fn(comm, halo):
+        b_local = scatter_vector(b, partition, comm.rank)
+        with DistributedOperator(comm, halo) as old_op, DistributedOperator(comm, halo) as op:
+            x_old, history_old = _unfused_cg(old_op, b_local, 1e-10, 2000)
+            res = conjugate_gradient(op, b_local, tol=1e-10, max_iter=2000)
+            return x_old, history_old, dict(old_op.counters), res, dict(op.counters)
+
+    for x_old, history_old, old_counters, res, counters in run_spmd(2, fn, PerRank(plan.ranks)):
+        assert res.converged and res.iterations > 50
+        assert res.residual_history == history_old  # every iterate, bit for bit
+        assert np.array_equal(res.x, x_old)
+        assert old_counters["reductions"] == 3 * res.iterations + 2
+        assert counters["reductions"] == 2 * res.iterations + 2
+        assert counters["exchanges"] == old_counters["exchanges"] == res.iterations + 1
+
+
+class _CountingOperator(SerialOperator):
+    def __init__(self, A):
+        super().__init__(A)
+        self.matvecs = 0
+
+    def matvec(self, x):
+        self.matvecs += 1
+        return super().matvec(x)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cg_rejects_a_non_finite_rhs_before_the_first_sweep(bad):
+    # used to run all max_iter iterations and return converged=False, nan
+    op = _CountingOperator(poisson_2d(6))
+    b = np.ones(op.local_size)
+    b[7] = bad
+    with pytest.raises(ValueError, match=r"right-hand side is not finite \(\|\|b\|\| = (nan|inf)\)"):
+        conjugate_gradient(op, b, max_iter=5000)
+    assert op.matvecs == 0
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, np.nan])
+def test_cg_rejects_a_tolerance_that_is_not_nonnegative(tol):
+    # tol=-1 used to end, 228 iterations in, in "not positive definite (p·Ap = 0)"
+    op = _CountingOperator(poisson_2d(6))
+    with pytest.raises(ValueError, match="tol must be >= 0"):
+        conjugate_gradient(op, np.ones(op.local_size), tol=tol)
+    assert op.matvecs == 0
+    assert conjugate_gradient(op, np.ones(op.local_size), tol=0.0, max_iter=3).iterations == 3
+
+
+def test_cg_trips_on_a_nan_at_the_first_iteration(rng):
+    # `pap <= 0` is False for a NaN: the loop used to run to max_iter
+    op = _CountingOperator(poisson_2d(6))
+    x0 = np.zeros(op.local_size)
+    x0[3] = np.nan
+    with pytest.raises(ValueError, match=r"not finite \(p·Ap = nan at iteration 1\)"):
+        conjugate_gradient(op, rng.standard_normal(op.local_size), x0=x0, max_iter=5000)
+    assert op.matvecs == 2  # the initial residual and the first search direction
