@@ -388,6 +388,9 @@ class Comm:
         """Reduce over all ranks (default: sum) with the result everywhere.
 
         numpy arrays reduce elementwise; scalars reduce to a scalar.
+        Every rank is handed the same combined object, so a combined
+        array is a fresh read-only one: a rank that wants to update it
+        in place must copy it, and no rank's deposit is handed out.
         """
         import functools
 
@@ -395,7 +398,11 @@ class Comm:
 
         def combine(slots: dict[int, Any]) -> Any:
             ordered = [slots[r] for r in sorted(slots)]
-            return functools.reduce(op, ordered)
+            total = functools.reduce(op, ordered)
+            if isinstance(total, np.ndarray):
+                total = total.copy()  # with one rank, or an op that returns an argument, a deposit
+                total.flags.writeable = False
+            return total
 
         return self._coll.exchange(self._rank, value, combine)
 

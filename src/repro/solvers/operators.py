@@ -1,6 +1,9 @@
 """Linear-operator abstraction shared by all solvers.
 
-Solvers only need ``shape``, ``matvec`` and inner products.  The two
+Solvers only need ``local_size``, ``matvec`` and inner products.
+``dot(x, y)`` takes a vector (→ a float) or a 2-D block whose rows are
+vectors (→ one value per row, still one reduction): Lanczos
+orthogonalises against its whole basis with one call.  The two
 implementations are
 
 * :class:`SerialOperator` — wraps a :class:`~repro.sparse.csr.CSRMatrix`
@@ -39,8 +42,11 @@ class LinearOperator(Protocol):
         """Apply the operator to the local slice (communicating if needed)."""
         ...
 
-    def dot(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Global inner product of two distributed vectors."""
+    def dot(self, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
+        """Global inner product of two distributed vectors (a float), or,
+        for a 2-D *x* whose rows are vectors, the inner product of every
+        row with *y*: one value per row, from one local ``gemv`` and one
+        reduction however many rows there are."""
         ...
 
     def norm(self, x: np.ndarray) -> float:
@@ -65,9 +71,9 @@ class SerialOperator:
         """``A @ x``."""
         return self.A.matvec(x)
 
-    def dot(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Ordinary inner product."""
-        return float(np.dot(x, y))
+    def dot(self, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
+        """Ordinary inner product; one per row of a 2-D *x*."""
+        return float(np.dot(x, y)) if x.ndim == 1 else np.dot(x, y)
 
     def norm(self, x: np.ndarray) -> float:
         """Ordinary 2-norm."""
@@ -148,10 +154,14 @@ class DistributedOperator:
         self._count_exchange()
         return self.engine.multiply(x, self.scheme)
 
-    def dot(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Allreduce inner product."""
+    def dot(self, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
+        """Allreduce inner product; a 2-D *x* reduces one value per row
+        in the same single allreduce (the result is read-only: every
+        rank holds the same array)."""
         self._count_reduction()
-        return float(self.comm.allreduce(float(np.dot(x, y))))
+        if x.ndim == 1:
+            return float(self.comm.allreduce(float(np.dot(x, y))))
+        return self.comm.allreduce(np.dot(x, y))
 
     def norm(self, x: np.ndarray) -> float:
         """Allreduce 2-norm."""

@@ -73,7 +73,9 @@ SOLVERS = ("spmvm", "cg", "lanczos")
 
 #: Global allreduces (dot products / orthogonalisation scalars) per
 #: solver iteration: CG needs two (alpha and beta), Lanczos two as well
-#: (the alpha/beta recurrence coefficients), a plain spMVM none.
+#: (one block dot against the basis, one norm), a plain spMVM none.
+#: These are what the real solvers post — ``counters["reductions"] ==
+#: DOTS_PER_ITERATION[solver] * iterations + 2`` is a test for both.
 DOTS_PER_ITERATION = {"spmvm": 0, "cg": 2, "lanczos": 2}
 
 #: Interarrival-time families of :func:`synthetic_stream`.

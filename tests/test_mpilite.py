@@ -245,6 +245,23 @@ def test_allreduce_sum_scalar_and_array():
     assert all(a == [6.0, 6.0] for _, a in out)
 
 
+@pytest.mark.parametrize("nranks", [1, 2])
+def test_allreduce_array_result_is_fresh_and_read_only(nranks):
+    # every rank is handed the same combined object (with one rank it
+    # used to be the caller's own deposit): an in-place update by one
+    # rank must raise, not change what its peers hold
+    def fn(comm):
+        mine = np.ones(4)
+        r = comm.allreduce(mine)
+        with pytest.raises(ValueError, match="read-only"):
+            r += 1
+        comm.barrier()  # every rank has tried its write
+        mine += 1  # the deposit stays the caller's, writable
+        return r is not mine, r.tolist()
+
+    assert run_spmd(nranks, fn) == [(True, [float(nranks)] * 4)] * nranks
+
+
 def test_allreduce_custom_op():
     def fn(comm):
         return comm.allreduce(comm.rank, op=max)
