@@ -10,7 +10,7 @@ Subpackages
 -----------
 ``repro.sparse``       CRS/CSR storage, spMVM kernels, reordering, partitioning
 ``repro.matrices``     Holstein-Hubbard and sAMG-like matrix generators
-``repro.model``        code-balance / roofline node performance model
+``repro.model``        code-balance node performance model (Eqs. 1-2), STREAM
 ``repro.machine``      multicore node topologies and network models
 ``repro.frame``        discrete-event simulation kernel
 ``repro.smpi``         simulated MPI with configurable progress semantics

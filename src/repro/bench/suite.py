@@ -4,31 +4,35 @@
 ``benchmarks/ledger`` (the distributed sweep, the served request, the
 solve and the simulated sweep, on the paper's matrices, kept as a
 trajectory).  This suite holds what nothing else measures or gates: a
-ratio between two things timed *against each other*.  One
-row of :data:`GROUPS` per group:
+ratio between two things timed *against each other*.  One row of
+:data:`GROUPS` per guarded ratio:
 
-* ``kernel`` — the raw kernels on one process: ``spmv`` with and
-  without a preallocated output and the block kernel ``spmm`` for
-  k ∈ {1, 4, 16}.  :func:`kernel_guard`: spmm-k1 never drops below
-  per-column parity with spmv and spmm-k4/k16 stay strictly above it;
+* ``kernel`` — the block kernel ``spmm`` for k ∈ {1, 4, 16} against
+  ``spmv`` on one process.  :func:`kernel_guard`: spmm-k1 never drops
+  below per-column parity with spmv and spmm-k4/k16 stay strictly above
+  it;
 * ``program`` — the sweep-IR contract: the fixed dispatch cost of
-  :func:`repro.program.execute_sweep` stays under
-  :data:`PROGRAM_OVERHEAD_MAX` of the single-rank spmv hot path
-  (:func:`program_guard`);
-* ``check`` — the opt-in observability tax: one task-mode
-  ``distributed_spmv`` with a :class:`~repro.check.ThreadSanitizer`
-  attached vs. the same sweep uninstrumented (:func:`sanitizer_guard`:
-  at most :data:`SANITIZER_OVERHEAD_MAX`; the clean run must report
-  zero races before its timing counts).
+  :func:`repro.program.execute_sweep` (interpreter against the same
+  arithmetic hand-inlined) stays under :data:`PROGRAM_OVERHEAD_MAX` of
+  the single-rank spmv hot path (:func:`program_guard`);
+* ``check`` — the opt-in observability tax, one row per observer: a
+  ``distributed_spmv`` with the observer attached against the same call
+  without — a :class:`~repro.check.ThreadSanitizer` on the task-mode
+  sweep (:func:`sanitizer_guard`, at most
+  :data:`SANITIZER_OVERHEAD_MAX`) and a
+  :class:`~repro.check.CommRecorder` on the ``no_overlap`` sweep
+  (:func:`recorder_guard`, at most :data:`RECORDER_OVERHEAD_MAX`).  An
+  observer that reports a finding on the clean sweep fails the bench
+  before its timing counts.
 
 Every ratio comes from one *interleaved* protocol
-(:func:`_paired_ratio`), and wall-clock guards are enforced only on at
-least :data:`GUARD_MIN_ROWS` rows; below that the results are reported,
-never gated.
+(:func:`_paired_ratio`, the only timing loop in this package), and
+wall-clock guards are enforced only on at least :data:`GUARD_MIN_ROWS`
+rows; below that the results are reported, never gated.
 
 :func:`spmvm_suite` only measures.  :func:`guard_failures` then runs
 every row's guard over the results, so a caller (``repro bench``) can
-print and write everything it measured before it fails.
+print everything it measured before it fails.
 
 Every result carries a ``gflops`` derived figure (2 flops per nonzero
 per right-hand side, from the minimum sample), and every block result a
@@ -44,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bench.harness import BenchResult, TimingStats, time_callable
+from repro.bench.harness import BenchResult, TimingStats
 from repro.core.spmvm import distributed_spmv
 from repro.matrices import random_sparse
 from repro.model.code_balance import block_speedup
@@ -56,10 +60,12 @@ __all__ = [
     "GROUPS",
     "GUARD_MIN_ROWS",
     "PROGRAM_OVERHEAD_MAX",
+    "RECORDER_OVERHEAD_MAX",
     "SANITIZER_OVERHEAD_MAX",
     "guard_failures",
     "kernel_guard",
     "program_guard",
+    "recorder_guard",
     "sanitizer_guard",
     "spmvm_suite",
 ]
@@ -85,6 +91,12 @@ PROGRAM_OVERHEAD_MAX = 0.05
 #: debugging tool; if attaching it costs more than 20% the
 #: instrumentation stopped being something you can leave on in tests.
 SANITIZER_OVERHEAD_MAX = 1.20
+
+#: The same for a ``no_overlap`` ``distributed_spmv`` with a
+#: :class:`~repro.check.CommRecorder` on the world
+#: (:func:`recorder_guard`): the recorder is O(1) dict/deque work per
+#: message, so 15% on a whole call is a loose ceiling.
+RECORDER_OVERHEAD_MAX = 1.15
 
 
 @dataclass(frozen=True)
@@ -183,23 +195,10 @@ def _paired_kernel_result(
 
 
 def _kernel_benches(run: _Run) -> list[BenchResult]:
-    A, rng, warmup = run.A, run.rng, run.warmup
+    A, rng = run.A, run.rng
     base = {"nrows": A.nrows, "nnz": A.nnz}
     x = rng.standard_normal(A.ncols)
-    y = np.empty(A.nrows)
     results = []
-    for name, fn, params in (
-        ("spmv", lambda: spmv(A, x), base),
-        ("spmv-out", lambda: spmv(A, x, out=y), {**base, "preallocated": True}),
-    ):
-        stats = time_callable(fn, warmup=warmup, repeat=run.repeat)
-        results.append(
-            BenchResult(
-                name=name, group="kernel", warmup=warmup, repeat=run.repeat,
-                seconds=stats, params=params,
-                derived={"gflops": _gflops(A.nnz, 1, stats.min)},
-            )
-        )
     for k in BLOCK_WIDTHS:
         X = rng.standard_normal((A.ncols, k))
         Y = np.empty((A.nrows, k))
@@ -238,21 +237,10 @@ def kernel_guard(results: list[BenchResult]) -> list[str]:
     return enforced
 
 
-def _program_overhead_bench(run: _Run) -> list[BenchResult]:
-    """Sweep-interpreter indirection on the single-rank spmv hot path.
+def _interpreter_vs_inlined(A: CSRMatrix, x: np.ndarray, *, warmup: int, rounds: int):
+    """Pair a single-rank ``no_overlap`` sweep with its hand-inlined arithmetic.
 
-    Every multiply runs through :func:`repro.program.execute_sweep`,
-    which adds a fixed per-sweep dispatch cost (op loop + handler
-    lookups).  Differencing two large-matrix timings drowns that cost in
-    memory-traffic noise, so it is measured where it is visible — a
-    single-rank engine on a tiny matrix, interpreter vs. the same
-    arithmetic hand-inlined — and reported relative to a hot-path spmv
-    on a fixed matrix (whatever size the rest of the suite runs at),
-    which is what :func:`program_guard` bounds.  That matrix is the
-    smallest per-rank block the performance ledger gates on — one rank's
-    half of ``hmep-small``, 16 800 rows at Nnzr = 10: a sweep no shorter
-    than any the ledger times, so the bound means "the interpreter is
-    under 5 % of every gated sweep" however fast the kernel under it is.
+    Returns :func:`_paired_ratio`'s ``(ratio, inlined_stats, interpreter_stats)``.
     """
     from repro.core.halo import cached_halo_plan
     from repro.core.spmvm import DistributedSpMVM
@@ -260,33 +248,49 @@ def _program_overhead_bench(run: _Run) -> list[BenchResult]:
     from repro.mpilite.router import Router
     from repro.sparse.spmv import spmv_add
 
-    warmup, repeat = run.warmup, run.repeat
-    tiny = random_sparse(64, nnzr=5.0, seed=11, ensure_diagonal=True)
-    thalo = cached_halo_plan(tiny, 1, with_matrices=True).ranks[0]
-    tx = run.rng.standard_normal(tiny.ncols)
-    micro_repeat = max(repeat, 200)
-    with DistributedSpMVM(Comm(0, Router(1), CollectiveState(1)), thalo) as tengine:
+    halo = cached_halo_plan(A, 1, with_matrices=True).ranks[0]
+    with DistributedSpMVM(Comm(0, Router(1), CollectiveState(1)), halo) as engine:
 
         def inlined():
             # the pre-IR hot path: the same arithmetic with no op loop
-            y = spmv(thalo.A_local, tx)
-            spmv_add(thalo.A_remote, tengine.halo_view(tengine.sweep_buffers(tx)[0]), out=y)
+            y = spmv(halo.A_local, x)
+            spmv_add(halo.A_remote, engine.halo_view(engine.sweep_buffers(x)[0]), out=y)
             return y
 
-        interp = time_callable(
-            lambda: tengine.multiply(tx, "no_overlap"), warmup=warmup, repeat=micro_repeat
+        return _paired_ratio(
+            inlined, lambda: engine.multiply(x, "no_overlap"),
+            warmup=warmup, rounds=rounds, stop=1.0,
         )
-        inline = time_callable(inlined, warmup=warmup, repeat=micro_repeat)
+
+
+def _program_overhead_bench(run: _Run) -> list[BenchResult]:
+    """Sweep-interpreter indirection on the single-rank spmv hot path.
+
+    Every multiply runs through :func:`repro.program.execute_sweep`,
+    which adds a fixed per-sweep dispatch cost (op loop + handler
+    lookups).  On a large matrix that cost drowns in memory-traffic
+    noise, so it is read where it is visible — a single-rank engine on a
+    tiny matrix, interpreter against the same arithmetic hand-inlined —
+    and reported relative to a hot-path spmv on a fixed matrix (whatever
+    size the rest of the suite runs at), which is what
+    :func:`program_guard` bounds.  That matrix is the smallest per-rank
+    block the performance ledger gates on — one rank's half of
+    ``hmep-small``, 16 800 rows at Nnzr = 10: a sweep no shorter than
+    any the ledger times, so the bound means "the interpreter is under
+    5 % of every gated sweep" however fast the kernel under it is.
+    """
+    warmup, repeat = run.warmup, run.repeat
+    tiny = random_sparse(64, nnzr=5.0, seed=11, ensure_diagonal=True)
+    micro_repeat = max(repeat, 200)
+    _ratio, inline, interp = _interpreter_vs_inlined(
+        tiny, run.rng.standard_normal(tiny.ncols), warmup=warmup, rounds=micro_repeat
+    )
     indirection = max(0.0, interp.min - inline.min)
 
     hot = random_sparse(16_800, nnzr=10.0, seed=11, ensure_diagonal=True)
-    hhalo = cached_halo_plan(hot, 1, with_matrices=True).ranks[0]
-    hx = run.rng.standard_normal(hot.ncols)
-    with DistributedSpMVM(Comm(0, Router(1), CollectiveState(1)), hhalo) as hengine:
-        hot_stats = time_callable(
-            lambda: hengine.multiply(hx, "no_overlap"),
-            warmup=max(warmup, 1), repeat=max(repeat, 5),
-        )
+    _ratio, _inline, hot_stats = _interpreter_vs_inlined(
+        hot, run.rng.standard_normal(hot.ncols), warmup=warmup, rounds=max(repeat, 5)
+    )
     return [
         BenchResult(
             name="program-overhead", group="program",
@@ -328,54 +332,80 @@ def program_guard(results: list[BenchResult]) -> list[str]:
     return enforced
 
 
-def _sanitizer_benches(run: _Run) -> list[BenchResult]:
-    """The check group: thread-sanitizer overhead on a task-mode sweep.
+def _observer_overhead(
+    run: _Run, name: str, scheme: str, attach: str, make_observer, bound: float
+) -> list[BenchResult]:
+    """One ``check`` row: a ``distributed_spmv`` with an observer against without.
 
-    Task mode is the scheme with a second thread per rank, so it is the
-    one the sanitizer has most to say about.  Every instrumented sweep
-    runs a fresh :class:`~repro.check.ThreadSanitizer` (thread idents
-    are recycled across joins), and a single reported race fails the
-    bench outright: a racy sweep's timing is not an overhead figure.
+    Every instrumented call gets a fresh observer from *make_observer*
+    (both kinds are single-run objects), passed as the *attach* keyword
+    and finalized inside the timed call.  A single finding fails the
+    bench outright: a dirty sweep's timing is not an overhead figure.
     """
-    from repro.check.threads import ThreadSanitizer
-
-    A, nranks, scheme = run.A, run.nranks, "task_mode"
+    A, nranks = run.A, run.nranks
     x = run.rng.standard_normal(A.ncols)
-    sanitizers: list[ThreadSanitizer] = []
+    reports = []
 
     def plain() -> None:
         distributed_spmv(A, x, nranks, scheme=scheme)
 
     def instrumented() -> None:
-        san = ThreadSanitizer()
-        sanitizers.append(san)
-        distributed_spmv(A, x, nranks, scheme=scheme, sanitizer=san)
+        observer = make_observer()
+        distributed_spmv(A, x, nranks, scheme=scheme, **{attach: observer})
+        reports.append(observer.finalize())
 
     rounds = max(run.repeat, 5)
     overhead, plain_stats, instr_stats = _paired_ratio(
         plain, instrumented, warmup=run.warmup, rounds=rounds, stop=1.05
     )
-    races = [f for san in sanitizers for f in san.findings]
-    if races:
+    findings = [f for report in reports for f in report.findings]
+    if findings:
         raise AssertionError(
-            f"sanitizer-overhead: the clean task-mode sweep reported "
-            f"{len(races)} thread-race finding(s) — first: "
-            f"{races[0].describe()}; refusing to report overhead of a racy run"
+            f"{name}: the clean {scheme} sweep reported {len(findings)} finding(s) — "
+            f"first: {findings[0].describe()}; refusing to report overhead of a dirty run"
         )
     return [
         BenchResult(
-            name="sanitizer-overhead", group="check",
+            name=name, group="check",
             warmup=max(run.warmup, 1), repeat=rounds, seconds=instr_stats,
             params={"nrows": A.nrows, "nnz": A.nnz, "nranks": nranks, "scheme": scheme},
             derived={
                 "gflops": _gflops(A.nnz, 1, instr_stats.min),
                 "plain_seconds": plain_stats.min,
                 "overhead_vs_plain": overhead,
-                "events_observed": float(sum(s.events_observed for s in sanitizers)),
-                "guard_max": SANITIZER_OVERHEAD_MAX,
+                "events_observed": float(sum(r.events_observed for r in reports)),
+                "guard_max": bound,
             },
         )
     ]
+
+
+def _overhead_guard(results: list[BenchResult], name: str) -> list[str]:
+    """Enforce the *name* row's ``overhead_vs_plain <= guard_max`` at guard size."""
+    enforced = []
+    for r in _at_guard_size(results, "check"):
+        if r.name != name:
+            continue
+        overhead, bound = r.derived["overhead_vs_plain"], r.derived["guard_max"]
+        if overhead > bound:
+            raise AssertionError(
+                f"{r.name}: instrumented {r.params['scheme']} sweep costs "
+                f"{overhead:.3f}x the plain sweep (guard: <= {bound}); the "
+                f"per-event bookkeeping grew beyond what an always-on observer "
+                f"may charge"
+            )
+        enforced.append(r.name)
+    return enforced
+
+
+def _sanitizer_benches(run: _Run) -> list[BenchResult]:
+    """Thread-sanitizer overhead on task mode, the scheme with a second thread per rank."""
+    from repro.check.threads import ThreadSanitizer
+
+    return _observer_overhead(
+        run, "sanitizer-overhead", "task_mode", "sanitizer",
+        ThreadSanitizer, SANITIZER_OVERHEAD_MAX,
+    )
 
 
 def sanitizer_guard(results: list[BenchResult]) -> list[str]:
@@ -388,29 +418,38 @@ def sanitizer_guard(results: list[BenchResult]) -> list[str]:
     (sub-guard sweeps are reported, never gated).  Returns the names
     enforced; raises :class:`AssertionError` on violation.
     """
-    enforced = []
-    for r in _at_guard_size(results, "check"):
-        overhead = r.derived["overhead_vs_plain"]
-        if overhead > SANITIZER_OVERHEAD_MAX:
-            raise AssertionError(
-                f"{r.name}: instrumented task-mode sweep costs "
-                f"{overhead:.3f}x the plain sweep (guard: <= "
-                f"{SANITIZER_OVERHEAD_MAX}); the per-event bookkeeping grew "
-                f"beyond what an always-on sanitizer may charge"
-            )
-        enforced.append(r.name)
-    return enforced
+    return _overhead_guard(results, "sanitizer-overhead")
 
 
-#: The suite, one row per group: ``(group, bench, guard)``.  ``bench``
-#: maps a :class:`_Run` to that group's results and ``guard`` maps the
-#: suite's results to the names it enforced, raising
-#: :class:`AssertionError` on a violation.  Adding or retiring a group is
-#: one row.
+def _recorder_benches(run: _Run) -> list[BenchResult]:
+    """Recorder overhead on ``no_overlap``: its cost is per message, not per thread."""
+    from repro.check.recorder import CommRecorder
+
+    return _observer_overhead(
+        run, "recorder-overhead", "no_overlap", "recorder",
+        lambda: CommRecorder(run.nranks), RECORDER_OVERHEAD_MAX,
+    )
+
+
+def recorder_guard(results: list[BenchResult]) -> list[str]:
+    """Assert attaching the rank-level recorder stays affordable.
+
+    The ``recorder-overhead`` twin of :func:`sanitizer_guard`, bounded
+    by :data:`RECORDER_OVERHEAD_MAX`.
+    """
+    return _overhead_guard(results, "recorder-overhead")
+
+
+#: The suite, one row per guarded ratio: ``(group, bench, guard)``.
+#: ``bench`` maps a :class:`_Run` to that row's results and ``guard``
+#: maps the suite's results to the names it enforced, raising
+#: :class:`AssertionError` on a violation.  Adding or retiring a guard
+#: is one row.
 GROUPS = (
     ("kernel", _kernel_benches, kernel_guard),
     ("program", _program_overhead_bench, program_guard),
     ("check", _sanitizer_benches, sanitizer_guard),
+    ("check", _recorder_benches, recorder_guard),
 )
 
 
@@ -421,10 +460,10 @@ def spmvm_suite(
     nranks: int | None = None,
     seed: int = 7,
 ) -> list[BenchResult]:
-    """Measure every group of :data:`GROUPS` and return the results.
+    """Measure every row of :data:`GROUPS` and return the results.
 
     ``quick`` shrinks the matrix and the sample counts for CI smoke
-    runs; the schema and the result names are identical in both modes.
+    runs; the result names are identical in both modes.
     ``nrows``/``nranks`` override the mode defaults (used by the tests
     to keep runtimes trivial).  Nothing is gated here beyond the
     correctness checks a group runs before it times anything; pass the

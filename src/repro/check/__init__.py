@@ -1,29 +1,27 @@
 """repro.check: communication correctness analysis for mpilite worlds.
 
-Two prongs (see DESIGN.md):
+Two observers and three static passes, one gate (see DESIGN.md §9):
 
-* **dynamic** — :class:`CommRecorder` observes a running world (vector
+* :class:`CommRecorder` watches the *ranks* of a running world (vector
   clocks, wait-for graph, buffer checksums) and diagnoses deadlocks,
   message races, buffer hazards and leaked requests with full
-  rank/tag/peer provenance; :func:`run_checked`/:func:`check_spmvm`
-  drive instrumented runs end to end;
-* **static** — :func:`lint_comm_plan` proves plan-level invariants
-  (volume conservation, exactly-once relaying, phase ordering) before
-  anything runs, and :func:`lint_sweep_program` does the same for the
-  sweep IR (:mod:`repro.program`): request lifecycle, comm-thread
-  region balance, barrier placement — verified once on the program,
-  instead of per hand-rolled scheme implementation.
+  rank/tag/peer provenance; :func:`run_checked` runs any SPMD function
+  under it;
+* :class:`ThreadSanitizer` (:mod:`repro.check.threads`) orders the
+  *threads inside one rank* with per-thread vector clocks and reports
+  causally concurrent conflicting buffer accesses;
+* :func:`lint_comm_plan` proves plan-level invariants (volume
+  conservation, exactly-once relaying, phase ordering),
+  :func:`lint_sweep_program` the sweep IR's (request lifecycle,
+  comm-thread region balance, barrier placement), and
+  :func:`run_astlint` (:mod:`repro.check.astlint`, ``repro lint``) the
+  repo's own — hot-path allocation, float64 discipline, service lock
+  discipline, comm-thread vocabulary — before anything runs.
 
-PR 9 adds the *thread* level on both prongs: :class:`ThreadSanitizer`
-(:mod:`repro.check.threads`) orders the threads inside one rank with
-per-thread vector clocks and reports causally concurrent conflicting
-buffer accesses (``repro check --threads`` / :func:`check_threads`),
-and :func:`run_astlint` (:mod:`repro.check.astlint`) enforces repo
-invariants — hot-path allocation, float64 discipline, service lock
-discipline, comm-thread vocabulary — as AST rules (``repro lint``).
-
-``repro check`` is the CLI entry; :data:`SEED_BUGS` are the seeded-bug
-fixtures demonstrating every detector firing.
+:func:`check_spmvm` (``repro check``) is the gate: the static passes,
+then every scheme x comm plan x {vector, block} and one service session,
+each run under both observers at once.  :data:`SEED_BUGS` are the
+seeded-bug fixtures demonstrating every detector firing.
 """
 
 from repro.check.astlint import (
@@ -31,7 +29,6 @@ from repro.check.astlint import (
     lint_fixture,
     lint_source,
     run_astlint,
-    selftest,
 )
 from repro.check.driver import check_spmvm, run_checked, sim_teardown_findings
 from repro.check.findings import (
@@ -49,7 +46,6 @@ from repro.check.threads import (
     ThreadRaceError,
     ThreadSanitizer,
     TrackedCondition,
-    check_threads,
 )
 from repro.program.lint import lint_sweep_program, lint_sweep_programs
 
@@ -73,10 +69,8 @@ __all__ = [
     "ThreadSanitizer",
     "ThreadRaceError",
     "TrackedCondition",
-    "check_threads",
     "ALL_RULES",
     "run_astlint",
     "lint_source",
     "lint_fixture",
-    "selftest",
 ]

@@ -11,10 +11,9 @@ them identically).
 
 Each rule carries its own seeded-bug fixture (:data:`RULE_FIXTURES`):
 a small source snippet containing exactly the violation the rule
-exists to catch.  :func:`selftest` runs every rule against its fixture
-and reports the ones that stay silent — a lint that cannot catch its
-own seeded bug is broken, the same regression harness contract as
-:data:`repro.check.fixtures.SEED_BUGS`.
+exists to catch.  They fire through the ``astlint-*`` entries of
+:data:`repro.check.fixtures.SEED_BUGS` — a lint that cannot catch its
+own seeded bug is broken, like any other detector.
 
 Deliberate exceptions are explicit, never silent:
 
@@ -41,7 +40,6 @@ __all__ = [
     "lint_fixture",
     "lint_source",
     "run_astlint",
-    "selftest",
 ]
 
 #: The tree ``run_astlint`` walks by default: the installed ``repro`` package.
@@ -502,12 +500,3 @@ def lint_fixture(rule_name: str) -> list[Finding]:
     rule = get_rule(rule_name)
     path, source = RULE_FIXTURES[rule_name]
     return lint_source(source, path, rules=(rule,))
-
-
-def selftest() -> list[str]:
-    """Names of rules whose seeded fixture did NOT fire (healthy: empty)."""
-    silent = []
-    for name in RULE_FIXTURES:
-        if not lint_fixture(name):
-            silent.append(name)
-    return silent

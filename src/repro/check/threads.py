@@ -59,20 +59,14 @@ runs pay nothing (:func:`repro.bench.suite.sanitizer_guard` holds the
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, NamedTuple
-
-import numpy as np
+from typing import NamedTuple
 
 from repro.check.findings import CheckReport, Finding
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sparse.csr import CSRMatrix
 
 __all__ = [
     "ThreadRaceError",
     "ThreadSanitizer",
     "TrackedCondition",
-    "check_threads",
 ]
 
 
@@ -384,128 +378,3 @@ class TrackedCondition:
 
     def notify_all(self) -> None:
         self._cond.notify_all()
-
-
-# ----------------------------------------------------------------------
-# the clean-run driver the CLI and CI gate on
-# ----------------------------------------------------------------------
-def check_threads(
-    A: "CSRMatrix | None" = None,
-    *,
-    matrix: str = "HMeP",
-    scale: str = "tiny",
-    nranks: int = 4,
-    ranks_per_node: int = 2,
-    schemes: tuple[str, ...] | None = None,
-    plans: tuple[str, ...] = ("direct", "node-aware"),
-    block_k: int = 4,
-    service_requests: int = 12,
-    seed: int = 7,
-) -> CheckReport:
-    """Run every scheme/plan and a concurrent service under the sanitizer.
-
-    The thread-level twin of :func:`repro.check.driver.check_spmvm`:
-    spmv and spmm sweeps for every scheme under both comm plans, each
-    with a fresh :class:`ThreadSanitizer` attached to every rank
-    engine, plus one concurrent
-    :class:`~repro.serve.SolverService` session (multi-threaded
-    submitters racing ``close``) with the sanitizer on the service lock
-    and submitter/worker state.  A healthy tree reports zero findings;
-    every result is also cross-checked against the serial kernel.
-    """
-    from repro.core.spmvm import SCHEMES, distributed_spmm, distributed_spmv
-    from repro.matrices import get_matrix
-    from repro.sparse import spmm, spmv
-
-    if A is None:
-        A = get_matrix(matrix, scale).build_cached()
-    schemes = tuple(schemes or SCHEMES)
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(A.nrows)
-    X = rng.standard_normal((A.nrows, block_k))
-    y_ref = spmv(A, x)
-    Y_ref = spmm(A, X)
-
-    report = CheckReport(
-        context=f"thread sanitizer: nranks={nranks} ranks_per_node={ranks_per_node}"
-    )
-    for kind in plans:
-        for scheme in schemes:
-            for label_k, run, ref in (
-                ("spmv", lambda **kw: distributed_spmv(A, x, nranks, **kw), y_ref),
-                ("spmm", lambda **kw: distributed_spmm(A, X, nranks, **kw), Y_ref),
-            ):
-                san = ThreadSanitizer()
-                label = f"{label_k} scheme={scheme} plan={kind}"
-                try:
-                    y = run(
-                        scheme=scheme,
-                        comm_plan=kind,
-                        ranks_per_node=ranks_per_node,
-                        sanitizer=san,
-                    )
-                except BaseException as exc:  # noqa: BLE001 - fold into report
-                    report.merge(san.finalize(context=label))
-                    report.findings.append(Finding(
-                        kind="thread-race",
-                        message=f"{label}: world failed under the sanitizer: {exc!r}",
-                        details={"exception": type(exc).__name__},
-                    ))
-                    continue
-                report.merge(san.finalize(context=label))
-                if not np.allclose(y, ref, rtol=1e-10, atol=1e-12):
-                    report.findings.append(Finding(
-                        kind="thread-race",
-                        message=(
-                            f"{label}: result deviates from the serial kernel "
-                            f"(max |Δ| = {float(np.max(np.abs(y - ref))):.3e}) "
-                            f"— an unreported unsynchronised access suspected"
-                        ),
-                    ))
-
-    report.merge(_service_session_report(A, nranks, requests=service_requests, seed=seed))
-    return report
-
-
-def _service_session_report(
-    A: "CSRMatrix", nranks: int, *, requests: int, seed: int
-) -> CheckReport:
-    """One concurrent SolverService session under the sanitizer."""
-    from repro.serve import SolverService, build_model
-
-    san = ThreadSanitizer()
-    rng = np.random.default_rng(seed)
-    model = build_model(A, nranks, scheme="task_mode")
-    errors: list[BaseException] = []
-    per_thread = max(1, requests // 3)
-    # pregenerate the RHS blocks: np.random.Generator is not thread-safe
-    payloads = [
-        [rng.standard_normal(A.nrows) for _ in range(per_thread)] for _ in range(3)
-    ]
-
-    def submitter(svc: SolverService, rhs: list[np.ndarray]) -> None:
-        try:
-            for x in rhs:
-                svc.solve(x)
-        except BaseException as exc:  # noqa: BLE001 - surfaced below
-            errors.append(exc)
-
-    try:
-        with SolverService(model, sanitizer=san, name="check-threads") as svc:
-            threads = [
-                threading.Thread(target=submitter, args=(svc, rhs)) for rhs in payloads
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-    except BaseException as exc:  # noqa: BLE001 - fold into report
-        errors.append(exc)
-    report = san.finalize(context="service session (3 concurrent submitters)")
-    for exc in errors:
-        report.findings.append(Finding(
-            kind="thread-race",
-            message=f"service session failed under the sanitizer: {exc!r}",
-            details={"exception": type(exc).__name__},
-        ))
-    return report

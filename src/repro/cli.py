@@ -256,20 +256,19 @@ def _cmd_balance(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run the guard suite: report and write every result, then gate.
+    """Run the guard suite: report every result, then gate.
 
     The guards run last, so a violated ratio still leaves its number on
-    the terminal and in the ``repro-bench/1`` file.  Exit 1 on any
-    violation, one ``FAIL`` line each.
+    the terminal.  Exit 1 on any violation, one ``FAIL`` line each.
     """
-    from repro.bench import spmvm_suite, write_results
+    from repro.bench import spmvm_suite
     from repro.bench.suite import guard_failures
+    from repro.sparse import native
 
+    print(f"csr row sums: {native.status().describe()}")
     results = spmvm_suite(quick=args.quick, seed=args.seed)
     for r in results:
         print(r.describe())
-    write_results(results, args.output, quick=args.quick)
-    print(f"\n{len(results)} results written to {args.output}")
     failures = guard_failures(results)
     for failure in failures:
         print(f"FAIL {failure}")
@@ -277,69 +276,27 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    """Run the communication correctness analyzer (dynamic + static).
+    """Is the tree clean?  One gate (:func:`repro.check.check_spmvm`).
 
-    Default: every spMVM scheme under both comm plans on one
-    matrix, each run under the dynamic analyzer (deadlock/race/buffer
-    hazard/leak detection) and cross-checked against the serial kernel,
-    plus a static lint of both plans.  Exit 1 on any finding.
+    Static pass (plan lint of both comm plans, lint of every sweep
+    program the builders can emit, the repo-invariant AST lint), then
+    every scheme x comm plan x {vector, block} and one concurrent
+    solver-service session, each run under the rank-level recorder and
+    the thread-level sanitizer at once and cross-checked against the
+    serial kernel.  Exit 1 on any finding.
 
     ``--seed-bug NAME`` instead runs a fixture containing exactly that
     bug and exits 0 only if the matching detector fired — the live
-    demonstration (and CI guard) that the analyzer actually detects
-    what it claims to.
-
-    ``--programs`` statically lints every sweep program the builders can
-    emit (scheme x 1-3 chained sweeps, pipelined and sequential, x
-    block width: 30 programs; :mod:`repro.program`) — the
-    one place the Fig. 4 phase orderings live now that both backends
-    dispatch through the IR.
-
-    ``--threads`` runs the thread-level race sanitizer instead
-    (:func:`repro.check.check_threads`): every scheme/plan sweep
-    plus a concurrent solver-service session, each under per-thread
-    vector clocks, reporting causally concurrent conflicting buffer
-    accesses.  Exit 1 on any finding.
+    demonstration that the analyzer detects what it claims to.
     """
-    from repro.check import SEED_BUGS, check_spmvm, lint_comm_plan, run_seed_bug
-
-    if args.threads:
-        from repro.check import check_threads
-
-        report = check_threads(
-            matrix=args.matrix,
-            scale=args.scale,
-            nranks=args.nranks,
-            ranks_per_node=args.ranks_per_node,
-        )
-        print(report.render(
-            title=(
-                f"thread sanitizer: {args.matrix}/{args.scale}, "
-                f"{args.nranks} ranks ({args.ranks_per_node}/node), "
-                f"all schemes x (direct, node-aware) x (spmv, spmm) "
-                f"+ 1 service session"
-            )
-        ))
-        return 0 if report.ok else 1
-
-    if args.programs:
-        from repro.program import all_sweep_programs, lint_sweep_programs
-
-        programs = all_sweep_programs()
-        findings = lint_sweep_programs(programs)
-        title = f"sweep-program lint ({len(programs)} programs)"
-        if not findings:
-            for program in programs:
-                print(f"  {program.describe()}")
-            print(f"{title}: clean")
-            return 0
-        print(f"{title}: {len(findings)} finding(s)")
-        for f in findings:
-            print(f"  - {f.describe()}")
-        return 1
+    from repro.check import SEED_BUGS, check_spmvm, run_seed_bug
 
     if args.seed_bug is not None:
-        fired, report = run_seed_bug(args.seed_bug)
+        try:
+            fired, report = run_seed_bug(args.seed_bug)
+        except ValueError as exc:
+            print(f"repro check: {exc}", file=sys.stderr)
+            return 2
         expected_kind = SEED_BUGS[args.seed_bug][0]
         print(report.render(title=f"seed-bug {args.seed_bug} (expect {expected_kind})"))
         if fired:
@@ -348,69 +305,30 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(f"FAIL: the {expected_kind} detector stayed silent")
         return 2
 
-    if args.lint_only:
-        from repro.comm.plan import build_comm_plan
-        from repro.core.halo import cached_halo_plan
-        from repro.matrices import get_matrix
-
-        A = get_matrix(args.matrix, args.scale).build_cached()
-        halo = cached_halo_plan(A, args.nranks)
-        rank_node = [r // args.ranks_per_node for r in range(args.nranks)]
-        findings = []
-        for kind in ("direct", "node-aware"):
-            findings.extend(lint_comm_plan(build_comm_plan(halo, rank_node, kind), halo))
-        title = f"plan lint ({args.matrix}/{args.scale}, nranks={args.nranks})"
-        if not findings:
-            print(f"{title}: clean (both plans)")
-            return 0
-        print(f"{title}: {len(findings)} finding(s)")
-        for f in findings:
-            print(f"  - {f.describe()}")
-        return 1
-
     report = check_spmvm(
         matrix=args.matrix,
         scale=args.scale,
         nranks=args.nranks,
         ranks_per_node=args.ranks_per_node,
-        iterations=args.iterations,
     )
-    print(report.render(
-        title=(
-            f"communication check: {args.matrix}/{args.scale}, "
-            f"{args.nranks} ranks ({args.ranks_per_node}/node), "
-            f"all schemes x (direct, node-aware)"
-        )
-    ))
+    print(report.render(title=f"repro check: {args.matrix}/{args.scale}, {report.context}"))
     return 0 if report.ok else 1
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    """Run the repo-invariant AST lint (repro.check.astlint).
+    """Run the repo-invariant AST lint (repro.check.astlint) over a tree.
 
     Walks every ``*.py`` under the repro package (or ``path``) and
     applies the rule catalog — hot-path allocation, float64 discipline,
     service lock discipline, comm-thread vocabulary — reporting
     ``ast-lint`` findings with file:line provenance.  Exit 1 on any
-    finding.
-
-    ``--selftest`` instead runs every rule against its own seeded-bug
-    fixture and fails if any rule stays silent — the proof the lints
-    can catch what they claim to.
+    finding.  (``repro check`` runs the same lint over the package.)
     """
-    from repro.check.astlint import ALL_RULES, get_rule, run_astlint, selftest
+    from repro.check.astlint import ALL_RULES, get_rule, run_astlint
 
     if args.list:
         for rule in ALL_RULES:
             print(f"  {rule.name:<24} {rule.description}")
-        return 0
-
-    if args.selftest:
-        silent = selftest()
-        if silent:
-            print(f"FAIL: {len(silent)} rule(s) missed their seeded fixture: {silent}")
-            return 2
-        print(f"OK: all {len(ALL_RULES)} rules fired on their seeded fixtures")
         return 0
 
     rules = (get_rule(args.rule),) if args.rule else None
@@ -659,37 +577,20 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--scale", default="tiny")
     pk.add_argument("--nranks", type=int, default=4)
     pk.add_argument("--ranks-per-node", type=int, default=2)
-    pk.add_argument("--iterations", type=int, default=2)
-    pk.add_argument("--lint-only", action="store_true",
-                    help="static plan lint only (no instrumented runs)")
-    pk.add_argument("--programs", action="store_true",
-                    help="lint every sweep program (repro.program builders: scheme x "
-                         "N in 1..3 x pipelining x width) and exit")
-    pk.add_argument("--threads", action="store_true",
-                    help="run the thread-level race sanitizer (repro.check.threads)")
     pk.add_argument("--seed-bug", metavar="NAME", default=None,
-                    choices=("deadlock-cycle", "collective-stall", "message-race",
-                             "buffer-hazard", "leaked-request", "plan-lint",
-                             "thread-race-missing-barrier", "thread-race-main-halo",
-                             "thread-race-unlocked-service", "astlint-hot-alloc",
-                             "astlint-float64", "astlint-lock-discipline",
-                             "astlint-comm-vocab"),
-                    help="run a seeded-bug fixture and require its detector to fire")
+                    help="run a seeded-bug fixture (repro.check.SEED_BUGS) and require "
+                         "its detector to fire")
     pl = add("lint", _cmd_lint)
     pl.add_argument("path", nargs="?", default=None,
                     help="tree to lint (default: the installed repro package)")
     pl.add_argument("--rule", metavar="NAME", default=None,
                     help="apply only this rule (see --list)")
     pl.add_argument("--list", action="store_true", help="list the rule catalog")
-    pl.add_argument("--selftest", action="store_true",
-                    help="require every rule to fire on its seeded fixture")
     add("probe", _cmd_probe)
     pb = add("bench", _cmd_bench)
     pb.add_argument("--quick", action="store_true",
                     help="small matrix, few repeats (CI smoke mode; guards still enforced)")
     pb.add_argument("--seed", type=int, default=7)
-    pb.add_argument("--output", metavar="PATH", default="BENCH_spmvm.json",
-                    help="where to write the repro-bench/1 JSON (default: %(default)s)")
     ps = add("serve", _cmd_serve)
     ps.add_argument("--matrix", default="HMeP", choices=("HMeP", "HMEp", "sAMG"))
     ps.add_argument("--scale", default="tiny")

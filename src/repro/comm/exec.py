@@ -2,8 +2,8 @@
 
 :class:`RankExchange` compiles one rank's duties into flat numpy index
 arrays, so the per-sweep work is pure gather/copy into buffers that were
-allocated once (:meth:`RankExchange.allocate`, one set per slot of the
-engine's buffer ring):
+allocated once (:meth:`RankExchange.allocate`, one set per operand
+width the engine has swept):
 
 * **packs** — everything this rank owns and somebody needs: one send
   buffer per initial message (intra-node direct segments, gather
@@ -200,7 +200,7 @@ class RankExchange:
     # ------------------------------------------------------------------
     def allocate(self, cols: tuple[int, ...]) -> dict[int, np.ndarray]:
         """One buffer per message this rank sends, ``cols`` wide (``()`` is
-        the 1-D case) — a ring slot's send buffers."""
+        the 1-D case) — the send half of the engine's ``sweep_buffers``."""
         return {key: np.empty((rows, *cols)) for key, rows in self._buffers}
 
     def post_receives(self, comm: "Comm") -> "list[Request]":

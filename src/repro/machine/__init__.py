@@ -10,7 +10,6 @@ from repro.machine.network import FatTree, Interconnect, Route, Torus2D
 from repro.machine.presets import (
     PRESET_NODES,
     cray_xe6_cluster,
-    generic_node,
     magny_cours_node,
     nehalem_ep_node,
     westmere_cluster,
@@ -39,7 +38,6 @@ __all__ = [
     "magny_cours_node",
     "westmere_cluster",
     "cray_xe6_cluster",
-    "generic_node",
     "ClusterSpec",
     "LocalityDomain",
     "NodeSpec",

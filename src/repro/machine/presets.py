@@ -35,7 +35,6 @@ __all__ = [
     "magny_cours_node",
     "westmere_cluster",
     "cray_xe6_cluster",
-    "generic_node",
     "PRESET_NODES",
 ]
 
@@ -169,55 +168,6 @@ def cray_xe6_cluster(
             background_load=background_load,
             message_overhead=message_overhead,
         ),
-    )
-
-
-def generic_node(
-    *,
-    n_domains: int = 2,
-    cores_per_domain: int = 4,
-    smt: int = 1,
-    stream_bandwidth: float = gb_per_s(20.0),
-    spmv_fraction: float = 0.85,
-    peak_core_flops: float = 10.0e9,
-) -> NodeSpec:
-    """A parameterised node for what-if studies.
-
-    The saturation curves follow the Intel shape rescaled to the given
-    saturated STREAM bandwidth; the spMVM curve is ``spmv_fraction`` of
-    STREAM (the paper's ≥ 85 % criterion).
-    """
-    shape = _WESTMERE_STREAM
-    base = shape.saturated
-    cores = tuple(range(1, cores_per_domain + 1))
-    stream = SaturationCurve(
-        cores,
-        tuple(shape.value(min(c, 6)) / base * stream_bandwidth for c in cores),
-    )
-    spmv_shape = _WESTMERE_SPMV
-    spmv = SaturationCurve(
-        cores,
-        tuple(
-            spmv_shape.value(min(c, 6)) / spmv_shape.saturated * stream_bandwidth * spmv_fraction
-            for c in cores
-        ),
-    )
-    ld = LocalityDomain(
-        n_cores=cores_per_domain,
-        smt_per_core=smt,
-        stream_curve=stream,
-        spmv_curve=spmv,
-        peak_core_flops=peak_core_flops,
-    )
-    per_socket = 1 if n_domains % 2 else 2
-    n_sockets = n_domains // per_socket
-    return NodeSpec(
-        name=f"generic ({n_domains} LDs x {cores_per_domain} cores)",
-        sockets=tuple(Socket(tuple([ld] * per_socket)) for _ in range(n_sockets)),
-        nic_bandwidth=gb_per_s(3.2),
-        nic_latency=1.5e-6,
-        intra_bandwidth=gb_per_s(5.0),
-        intra_latency=0.6e-6,
     )
 
 

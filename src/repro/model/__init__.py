@@ -1,4 +1,4 @@
-"""Node-level performance models: code balance (Eqs. 1-2), STREAM, roofline.
+"""Node-level performance models: code balance (Eqs. 1-2), STREAM, saturation curves.
 
 Communication-plan statistics (:mod:`repro.comm`) are re-exported here
 lazily so modelling code can say ``from repro.model import plan_stats``
@@ -23,7 +23,6 @@ from repro.model.code_balance import (
     max_performance,
     split_penalty,
 )
-from repro.model.roofline import Roofline
 from repro.model.saturation import SaturationCurve
 from repro.model.stream import (
     WRITE_ALLOCATE_FACTOR,
@@ -75,7 +74,6 @@ __all__ = [
     "kappa_from_bandwidth_ratio",
     "max_performance",
     "split_penalty",
-    "Roofline",
     "SaturationCurve",
     "WRITE_ALLOCATE_FACTOR",
     "TriadResult",

@@ -423,21 +423,3 @@ class Comm:
         if spread is None or len(spread) != self.size:
             raise ValueError("scatter requires a length-size sequence on root")
         return spread[self._rank]
-
-    def alltoallv(self, chunks: dict[int, np.ndarray], tag: int = 0) -> dict[int, np.ndarray]:
-        """Exchange per-peer arrays: send ``chunks[q]`` to q, receive from
-        every rank that targeted us.
-
-        Every rank must call this with a (possibly empty) dict; the set of
-        senders is established with an allgather of target lists, then the
-        payloads move point-to-point.
-        """
-        targets = sorted(chunks)
-        all_targets = self.allgather(targets)
-        senders = [r for r, t in enumerate(all_targets) if self._rank in t]
-        for q in targets:
-            self.Send(chunks[q], q, tag)
-        out: dict[int, np.ndarray] = {}
-        for s in senders:
-            out[s] = self._router.get(self._rank, s, tag, timeout=self._default_timeout)
-        return out

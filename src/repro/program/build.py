@@ -192,30 +192,16 @@ def build_sweep(
     )
 
 
-def cached_sweep_program(
-    scheme: str,
-    n_sweeps: int = 1,
-    *,
-    pipeline: bool = True,
-    block_k: int = 1,
-) -> SweepProgram:
-    """The compile-once twin of :func:`build_sweep`.
-
-    Programs are immutable data, so every engine and every
-    :class:`~repro.serve.BuiltModel` asking for the same
-    ``(scheme, n_sweeps, pipeline, block_k)`` shares one compiled
-    instance — the build-once/serve-many contract applied to the IR
-    itself.  The domain is tiny (schemes × a few sweep counts and block
-    widths), so the memo is unbounded; it is keyed on the canonical
-    ``pipeline`` value, so the two spellings of a single sweep share
-    one slot.
-    """
-    return _cached(scheme, n_sweeps, pipeline and n_sweeps > 1, block_k)
-
-
 @functools.lru_cache(maxsize=None)
-def _cached(scheme: str, n_sweeps: int, pipeline: bool, block_k: int) -> SweepProgram:
-    return build_sweep(scheme, n_sweeps, pipeline=pipeline, block_k=block_k)
+def cached_sweep_program(scheme: str) -> SweepProgram:
+    """The compile-once single sweep of *scheme*: what the real backend runs.
+
+    Programs are immutable data, so every engine asking for the same
+    scheme shares one compiled instance — the build-once/serve-many
+    contract applied to the IR itself.  (Chains and block-tagged
+    programs are the simulator's, which calls :func:`build_sweep`.)
+    """
+    return build_sweep(scheme)
 
 
 def all_sweep_programs(

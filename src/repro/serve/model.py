@@ -3,9 +3,9 @@
 "The necessary bookkeeping needs to be done only once" (paper
 Sect. 3.1) — a :class:`BuiltModel` is that bookkeeping made a first-
 class object: the partitioned matrix, the halo plan with its per-rank
-local/remote sub-matrices, the (optional) node-aware communication
-plan and the compiled sweep program.  :func:`build_model` is its only
-constructor.  :meth:`BuiltModel.save` persists what a build cannot
+local/remote sub-matrices and the (optional) node-aware communication
+plan.  :func:`build_model` is its only constructor.
+:meth:`BuiltModel.save` persists what a build cannot
 recompute — the matrix and the serving configuration (``repro-model/2``,
 a plain ``.npz``: three numeric arrays plus one JSON metadata entry — no
 pickle) — and :meth:`BuiltModel.load` reads that back, verifies it and
@@ -26,8 +26,7 @@ import numpy as np
 
 from repro.comm.plan import PLAN_KINDS, CommPlan
 from repro.core.halo import HaloPlan, build_halo_plan, cached_halo_plan
-from repro.program.build import cached_sweep_program
-from repro.program.ir import SweepProgram
+from repro.program.build import PROGRAM_SCHEMES
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.partition import partition_matrix
 from repro.util import check_in
@@ -65,7 +64,6 @@ class BuiltModel:
     comm_plan_kind: str
     ranks_per_node: int
     comm_plan: CommPlan | None
-    program: SweepProgram
     fingerprint: tuple
     build_seconds: float = 0.0
 
@@ -77,9 +75,9 @@ class BuiltModel:
     def engine(self, comm: "Comm", *, sanitizer=None) -> "DistributedSpMVM":
         """The per-rank engine of ``comm.rank``, on this model's state.
 
-        Construction is cheap by design: the halo plan, sub-matrices,
-        comm plan and program already exist; the engine only allocates
-        its per-rank sweep buffers.  The caller owns the engine and
+        Construction is cheap by design: the halo plan, sub-matrices
+        and comm plan already exist; the engine only allocates its
+        per-rank sweep buffers.  The caller owns the engine and
         closes it (under task mode it parks a communication thread from
         its first sweep on).
         ``sanitizer`` attaches a thread sanitizer to the engine's sweeps
@@ -112,8 +110,8 @@ class BuiltModel:
 
         Stores only what :func:`build_model` cannot recompute: the three
         matrix arrays, and in ``meta`` the serving configuration and the
-        structure fingerprint.  Partition, halo bookkeeping, sub-matrices,
-        comm plan and program are derived again by :meth:`load`, so
+        structure fingerprint.  Partition, halo bookkeeping, sub-matrices
+        and comm plan are derived again by :meth:`load`, so
         nothing stored can drift from the code that builds it.
         Pickle-free: numeric arrays plus one JSON string.
         """
@@ -214,17 +212,18 @@ def build_model(
 ) -> BuiltModel:
     """Do all one-time bookkeeping for serving ``A`` on *nranks* ranks.
 
-    Partition, halo plan (with sub-matrices), optional node-aware comm
-    plan and compiled sweep program — the full cold-start cost, paid
-    here and never again.  ``reuse_caches`` lets the build share the
-    process-wide halo-plan cache (the default); benchmarks pass
-    ``False`` to measure a genuinely cold build.
+    Partition, halo plan (with sub-matrices) and optional node-aware
+    comm plan — the full cold-start cost, paid here and never again
+    (the sweep program is the engine's, compiled once per process).
+    ``reuse_caches`` lets the build share the process-wide halo-plan
+    cache (the default); benchmarks pass ``False`` to measure a
+    genuinely cold build.
     """
     from repro.core.spmvm import lower_comm_plan
 
     check_in(comm_plan, PLAN_KINDS, "comm_plan")
     t0 = time.perf_counter()
-    program = cached_sweep_program(scheme)  # first: rejects an unknown scheme
+    check_in(scheme, PROGRAM_SCHEMES, "scheme")
     if reuse_caches:
         plan = cached_halo_plan(A, nranks, strategy=strategy, with_matrices=True)
     else:
@@ -240,7 +239,6 @@ def build_model(
         comm_plan_kind=comm_plan,
         ranks_per_node=ranks_per_node,
         comm_plan=cplan,
-        program=program,
         fingerprint=A.structure_fingerprint(),
         build_seconds=time.perf_counter() - t0,
     )

@@ -3,8 +3,8 @@
 This package implements, from scratch, everything the paper's Sect. 1.2
 and 3.1 rely on: the CRS format and its matrix-vector kernels (including
 the split local/nonlocal kernel of the overlap schemes), Reverse
-Cuthill-McKee reordering, row-block partitioners, structure statistics,
-block-occupancy pattern aggregation (Fig. 1) and Matrix Market I/O.
+Cuthill-McKee reordering, row-block partitioners, structure statistics
+and block-occupancy pattern aggregation (Fig. 1).
 
 The CSR row sums have two executors — the numpy definition and a C loop
 compiled once per machine (:mod:`repro.sparse.native`); the second is
@@ -15,12 +15,6 @@ import, so that no kernel call ever pays for it.
 from repro.sparse import native
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.io import (
-    dumps_matrix_market,
-    loads_matrix_market,
-    read_matrix_market,
-    write_matrix_market,
-)
 from repro.sparse.kron import kron, kron_diag_left, kron_sum
 from repro.sparse.matmul import matmul
 from repro.sparse.partition import (
@@ -78,8 +72,4 @@ __all__ = [
     "SymmetricCSR",
     "spmv_symmetric",
     "symmetric_code_balance",
-    "write_matrix_market",
-    "read_matrix_market",
-    "dumps_matrix_market",
-    "loads_matrix_market",
 ]

@@ -264,7 +264,7 @@ class NativeStatus:
         return f"compiled executor {self.library} ({built}; {' '.join(self.flags)})"
 
     def to_dict(self) -> dict:
-        """JSON-ready, for the ``repro bench`` environment block."""
+        """JSON-ready (what a benchmark records about its environment)."""
         # flags as a list: the payload must equal its own JSON round trip
         return {**asdict(self), "flags": list(self.flags)}
 

@@ -1,69 +1,85 @@
-"""The benchmark harness, the guard suite, and the repro-bench/1 schema."""
+"""The guard suite: its one estimator, its rows and their guards."""
 
-import json
-
+import numpy as np
 import pytest
 
 import repro.bench
-from repro.bench import (
-    BENCH_SCHEMA,
-    BenchResult,
-    TimingStats,
-    spmvm_suite,
-    time_callable,
-    write_results,
-)
+from repro.bench import BenchResult, TimingStats, spmvm_suite
 from repro.bench import suite as bench_suite
 from repro.bench.suite import GROUPS, GUARD_MIN_ROWS, guard_failures, kernel_guard
 from repro.cli import main
 
 EXPECTED_NAMES = {
-    "spmv", "spmv-out", "spmm-k1", "spmm-k4", "spmm-k16",
+    "spmm-k1", "spmm-k4", "spmm-k16",
     "program-overhead",
-    "sanitizer-overhead",
+    "sanitizer-overhead", "recorder-overhead",
 }
 
 
-# ------------------------------------------------------------- harness
+# ------------------------------------------------------- the estimator
 
 
-def test_time_callable_counts_calls():
-    calls = []
-    stats = time_callable(lambda: calls.append(1), warmup=2, repeat=5)
-    assert len(calls) == 7
-    assert len(stats.samples) == 5
-    assert all(s >= 0 for s in stats.samples)
-    assert stats.min <= stats.median <= max(stats.samples)
-    assert stats.min <= stats.mean <= max(stats.samples)
-    assert stats.std >= 0
+class _FakeClock:
+    """``time.perf_counter`` stand-in: each timed call costs what its script says."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self):
+        return self.now
 
 
-def test_time_callable_validation():
-    with pytest.raises(ValueError):
-        time_callable(lambda: None, warmup=-1)
-    with pytest.raises(ValueError):
-        time_callable(lambda: None, repeat=0)
+def _scripted(clock, calls, name, costs):
+    """A callable that logs *name* and advances *clock* by the next of *costs*."""
+    costs = iter(costs)
+
+    def fn():
+        calls.append(name)
+        clock.now += next(costs)
+
+    return fn
+
+
+def test_paired_ratio_interleaves_ref_and_test(monkeypatch):
+    clock, calls = _FakeClock(), []
+    monkeypatch.setattr(bench_suite, "time", clock)
+    ref = _scripted(clock, calls, "ref", [9.0, 2.0, 4.0, 3.0])  # first call is the warm-up
+    test = _scripted(clock, calls, "test", [9.0, 5.0, 3.0, 6.0])
+    ratio, ref_stats, test_stats = bench_suite._paired_ratio(
+        ref, test, warmup=1, rounds=3, stop=10.0
+    )
+    # warm-up pair, then ref/test/ref/test/... so both sides see the same machine state
+    assert calls == ["ref", "test"] * 4
+    assert ref_stats.samples == (2.0, 4.0, 3.0)  # the warm-up cost is not a sample
+    assert test_stats.samples == (5.0, 3.0, 6.0)
+    assert ratio == min(test_stats.samples) / min(ref_stats.samples) == 1.5
+
+
+def test_paired_ratio_stops_early_and_keeps_the_lowest_trial(monkeypatch):
+    clock, calls = _FakeClock(), []
+    monkeypatch.setattr(bench_suite, "time", clock)
+    # per trial: one warm-up + one timed round; test/ref reads 3.0, 1.5, 2.0
+    ref = _scripted(clock, calls, "ref", [1.0, 1.0] * 3)
+    test = _scripted(clock, calls, "test", [1.0, 3.0, 1.0, 1.5, 1.0, 2.0])
+    ratio, _ref, test_stats = bench_suite._paired_ratio(
+        ref, test, warmup=1, rounds=1, stop=0.5, trials=3
+    )
+    assert ratio == 1.5 and test_stats.samples == (1.5,)  # lowest of the three trials
+    assert len(calls) == 12  # never at or under `stop`: all three trials ran
+
+    calls.clear()
+    ref = _scripted(clock, calls, "ref", [1.0, 1.0] * 3)
+    test = _scripted(clock, calls, "test", [1.0, 3.0, 1.0, 1.5, 1.0, 2.0])
+    ratio, _ref, _test = bench_suite._paired_ratio(
+        ref, test, warmup=1, rounds=1, stop=1.5, trials=3
+    )
+    assert ratio == 1.5
+    assert len(calls) == 8  # the second trial reached `stop`: the third never ran
 
 
 def test_timing_stats_single_sample():
     s = TimingStats(samples=(0.25,))
-    assert s.min == s.mean == s.median == 0.25
-    assert s.std == 0.0
-    assert s.to_dict() == {"min": 0.25, "mean": 0.25, "median": 0.25, "std": 0.0}
-
-
-def test_bench_result_round_trip():
-    r = BenchResult(
-        name="x", group="kernel", warmup=1, repeat=2,
-        seconds=TimingStats(samples=(1.0, 3.0)),
-        params={"n": 5}, derived={"gflops": 2.0},
-    )
-    d = r.to_dict()
-    assert d["name"] == "x"
-    assert d["seconds"]["mean"] == 2.0
-    assert d["params"] == {"n": 5}
-    assert "gflops" in r.describe()
-    json.dumps(d)  # JSON-serialisable as-is
+    assert s.min == s.mean == 0.25
 
 
 # --------------------------------------------------------------- suite
@@ -79,7 +95,7 @@ def test_suite_covers_all_paths(tiny_suite):
     # the distributed, serve and workload paths are timed by
     # benchmarks/ledger only; what is left is one row of GROUPS each
     groups = list(dict.fromkeys(r.group for r in tiny_suite))
-    assert groups == [g for g, _, _ in GROUPS] == ["kernel", "program", "check"]
+    assert groups == list(dict.fromkeys(g for g, _, _ in GROUPS)) == ["kernel", "program", "check"]
     for r in tiny_suite:
         assert r.seconds.min > 0
         assert r.derived["gflops"] > 0
@@ -186,6 +202,7 @@ def test_sanitizer_overhead_reported(tiny_suite):
 
     (r,) = [r for r in tiny_suite if r.name == "sanitizer-overhead"]
     assert r.group == "check"
+    assert r.params["scheme"] == "task_mode"
     assert r.derived["guard_max"] == SANITIZER_OVERHEAD_MAX
     assert r.derived["events_observed"] > 0
     assert r.derived["plain_seconds"] > 0
@@ -195,17 +212,62 @@ def test_sanitizer_overhead_reported(tiny_suite):
     assert sanitizer_guard(tiny_suite) == []
 
 
-def _sanitizer_result(nrows, overhead):
+def test_recorder_overhead_reported(tiny_suite):
+    # the row that was benchmarks/test_check_overhead.py's recorder gate:
+    # plain vs CommRecorder-attached no_overlap call, the bound carried over
+    from repro.bench.suite import RECORDER_OVERHEAD_MAX, recorder_guard
+
+    (r,) = [r for r in tiny_suite if r.name == "recorder-overhead"]
+    assert r.group == "check"
+    assert r.params["scheme"] == "no_overlap"
+    assert r.derived["guard_max"] == RECORDER_OVERHEAD_MAX == 1.15
+    assert r.derived["events_observed"] > 0
+    assert r.derived["plain_seconds"] > 0
+    assert recorder_guard(tiny_suite) == []  # below guard size
+
+
+def test_a_finding_on_the_clean_sweep_fails_the_bench(monkeypatch):
+    # finalize().ok is required before an observer's timing counts
+    from repro.check import CommRecorder, Finding
+    from repro.matrices import random_sparse
+
+    def dirty_finalize(self, context=""):
+        report = clean_finalize(self, context)
+        report.findings.append(Finding(kind="leaked-request", message="seeded"))
+        return report
+
+    clean_finalize = CommRecorder.finalize
+    monkeypatch.setattr(CommRecorder, "finalize", dirty_finalize)
+    run = bench_suite._Run(
+        A=random_sparse(300, nnzr=15.0, seed=7, ensure_diagonal=True),
+        rng=np.random.default_rng(7), nranks=2, warmup=1, repeat=1,
+    )
+    with pytest.raises(AssertionError, match="recorder-overhead.*leaked-request: seeded"):
+        bench_suite._recorder_benches(run)
+
+
+def _observer_result(name, nrows, overhead):
+    scheme, bound = {
+        "sanitizer-overhead": ("task_mode", 1.2), "recorder-overhead": ("no_overlap", 1.15),
+    }[name]
     return BenchResult(
-        name="sanitizer-overhead", group="check", warmup=1, repeat=5,
+        name=name, group="check", warmup=1, repeat=5,
         seconds=TimingStats(samples=(1.0,)),
-        params={"nrows": nrows, "nnz": 10 * nrows, "nranks": 2, "scheme": "task_mode"},
-        derived={"overhead_vs_plain": overhead, "guard_max": 1.2},
+        params={"nrows": nrows, "nnz": 10 * nrows, "nranks": 2, "scheme": scheme},
+        derived={"overhead_vs_plain": overhead, "guard_max": bound},
     )
 
 
+def _sanitizer_result(nrows, overhead):
+    return _observer_result("sanitizer-overhead", nrows, overhead)
+
+
+def _recorder_result(nrows, overhead):
+    return _observer_result("recorder-overhead", nrows, overhead)
+
+
 def test_sanitizer_guard_enforces_at_guard_size():
-    from repro.bench.suite import sanitizer_guard
+    from repro.bench.suite import recorder_guard, sanitizer_guard
 
     ok = _sanitizer_result(4000, 1.1)
     assert sanitizer_guard([ok]) == ["sanitizer-overhead"]
@@ -214,22 +276,13 @@ def test_sanitizer_guard_enforces_at_guard_size():
     # sub-guard sizes are never enforced
     tiny = _sanitizer_result(GUARD_MIN_ROWS - 1, 1.5)
     assert sanitizer_guard([tiny]) == []
-
-
-def test_write_results_schema(tiny_suite, tmp_path):
-    path = tmp_path / "BENCH_spmvm.json"
-    payload = write_results(tiny_suite, path, quick=True)
-    on_disk = json.loads(path.read_text())
-    assert on_disk == payload
-    assert on_disk["schema"] == BENCH_SCHEMA == "repro-bench/1"
-    assert on_disk["quick"] is True
-    assert on_disk["python"] and on_disk["numpy"] and on_disk["created"]
-    assert {r["name"] for r in on_disk["results"]} == EXPECTED_NAMES
-    for r in on_disk["results"]:
-        assert set(r) == {
-            "name", "group", "params", "warmup", "repeat", "seconds", "derived"
-        }
-        assert set(r["seconds"]) == {"min", "mean", "median", "std"}
+    # the recorder's row shares the group and has its own guard and bound:
+    # 1.18 passes the sanitizer's 1.2 and fails the recorder's 1.15
+    both = [_sanitizer_result(4000, 1.18), _recorder_result(4000, 1.1)]
+    assert sanitizer_guard(both) == ["sanitizer-overhead"]
+    assert recorder_guard(both) == ["recorder-overhead"]
+    with pytest.raises(AssertionError, match="recorder-overhead"):
+        recorder_guard([_recorder_result(4000, 1.18)])
 
 
 # ----------------------------------------------------- the group table
@@ -238,29 +291,35 @@ def test_write_results_schema(tiny_suite, tmp_path):
 def test_every_group_has_a_guard():
     # one synthetic passing result set per row of GROUPS, at any size
     passing = {
-        "kernel": lambda n: [_guard_result("spmm-k1", 1, n, 1.0),
-                             _guard_result("spmm-k4", 4, n, 1.2)],
-        "program": lambda n: [_program_result(n, 0.02)],
-        "check": lambda n: [_sanitizer_result(n, 1.1)],
+        "kernel_guard": lambda n: [_guard_result("spmm-k1", 1, n, 1.0),
+                                   _guard_result("spmm-k4", 4, n, 1.2)],
+        "program_guard": lambda n: [_program_result(n, 0.02)],
+        "sanitizer_guard": lambda n: [_sanitizer_result(n, 1.1)],
+        "recorder_guard": lambda n: [_recorder_result(n, 1.1)],
     }
-    assert [g for g, _, _ in GROUPS] == list(passing)
-    for group, bench, guard in GROUPS:
+    # one row per guarded ratio; `check` holds both observers' rows
+    assert [(g, guard.__name__) for g, _, guard in GROUPS] == [
+        ("kernel", "kernel_guard"), ("program", "program_guard"),
+        ("check", "sanitizer_guard"), ("check", "recorder_guard"),
+    ]
+    for _group, bench, guard in GROUPS:
         assert callable(bench)
-        mine = passing[group](GUARD_MIN_ROWS)
-        others = [r for g, make in passing.items() if g != group
+        mine = passing[guard.__name__](GUARD_MIN_ROWS)
+        others = [r for name, make in passing.items() if name != guard.__name__
                   for r in make(GUARD_MIN_ROWS)]
         enforced = guard(mine + others)
         assert enforced and set(enforced) <= {r.name for r in mine}
-        assert guard(others) == []  # a guard reads its own group only
+        assert guard(others) == []  # a guard reads its own row only
         # below guard size nothing timed is enforced
-        assert guard(passing[group](GUARD_MIN_ROWS - 1)) == []
+        assert guard(passing[guard.__name__](GUARD_MIN_ROWS - 1)) == []
     assert guard_failures([r for make in passing.values()
                            for r in make(GUARD_MIN_ROWS)]) == []
-    # the package surface: the harness, the three guards, their bounds
+    # the package surface: the records, the four guards, their bounds
     assert set(repro.bench.__all__) == {
-        "BENCH_SCHEMA", "BenchResult", "TimingStats", "time_callable",
-        "write_results", "BLOCK_WIDTHS", "SANITIZER_OVERHEAD_MAX",
-        "kernel_guard", "program_guard", "sanitizer_guard", "spmvm_suite",
+        "BenchResult", "TimingStats", "BLOCK_WIDTHS",
+        "RECORDER_OVERHEAD_MAX", "SANITIZER_OVERHEAD_MAX",
+        "kernel_guard", "program_guard", "recorder_guard", "sanitizer_guard",
+        "spmvm_suite",
     }
 
 
@@ -278,19 +337,28 @@ def test_retired_options_are_gone(capsys):
         spmvm_suite(quick=True, nrows=300, scheme="task_mode")
     with pytest.raises(TypeError):
         spmvm_suite(quick=True, nrows=300, workload=False)
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", "--quick", "--scheme", "task_mode"])
-    assert exc.value.code == 2
-    assert "--scheme" in capsys.readouterr().err
+    # ...and nothing reads a results file, so none is written
+    for argv in (["bench", "--quick", "--scheme", "task_mode"],
+                 ["bench", "--quick", "--output", "bench.json"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert argv[2] in capsys.readouterr().err
+    # one estimator: the spare timing loop and the file writer are not importable
+    for name in ("time_callable", "write_results", "BENCH_SCHEMA"):
+        assert not hasattr(repro.bench, name)
+        assert not hasattr(repro.bench.harness, name)
 
 
 # ----------------------------------------------------------------- CLI
 
 
-def test_cli_bench_quick(tiny_suite, tmp_path, capsys, monkeypatch):
-    # argument plumbing, printing and the file — over the sub-guard tiny
-    # results, so no wall-clock kernel guard runs in tier-1 (CI's
-    # bench-smoke job runs the real `repro bench --quick`)
+def test_cli_bench_quick(tiny_suite, capsys, monkeypatch):
+    # argument plumbing and printing — over the sub-guard tiny results,
+    # so no wall-clock kernel guard runs in tier-1 (CI's bench-smoke job
+    # runs the real `repro bench --quick`)
+    from repro.sparse import native
+
     calls = []
 
     def fake_suite(**kwargs):
@@ -298,22 +366,18 @@ def test_cli_bench_quick(tiny_suite, tmp_path, capsys, monkeypatch):
         return tiny_suite
 
     monkeypatch.setattr(repro.bench, "spmvm_suite", fake_suite)
-    out = tmp_path / "BENCH_spmvm.json"
-    rc = main(["bench", "--quick", "--seed", "3", "--output", str(out)])
+    rc = main(["bench", "--quick", "--seed", "3"])
     assert rc == 0
     assert calls == [{"quick": True, "seed": 3}]
-    data = json.loads(out.read_text())
-    assert data["schema"] == "repro-bench/1"
-    assert data["quick"] is True
-    assert {r["name"] for r in data["results"]} == EXPECTED_NAMES
     printed = capsys.readouterr().out
+    # which executor of the row sums was timed comes first
+    assert printed.splitlines()[0] == f"csr row sums: {native.status().describe()}"
     for name in EXPECTED_NAMES:
         assert name in printed
     assert "FAIL" not in printed
-    assert str(out) in printed
 
 
-def test_cli_bench_reports_before_it_gates(tiny_suite, tmp_path, capsys, monkeypatch):
+def test_cli_bench_reports_before_it_gates(tiny_suite, capsys, monkeypatch):
     def broken_guard(results):
         raise AssertionError("spmm-k4: per-column speedup_vs_spmv is 0.900")
 
@@ -322,12 +386,10 @@ def test_cli_bench_reports_before_it_gates(tiny_suite, tmp_path, capsys, monkeyp
         bench_suite, "GROUPS",
         (("kernel", None, broken_guard),) + tuple(GROUPS[1:]),
     )
-    out = tmp_path / "bench.json"
-    rc = main(["bench", "--quick", "--output", str(out)])
+    rc = main(["bench", "--quick"])
     assert rc == 1
     captured = capsys.readouterr()
     for name in EXPECTED_NAMES:
         assert name in captured.out  # every result printed before the gate
     assert "FAIL broken_guard: spmm-k4: per-column speedup_vs_spmv is 0.900" in captured.out
     assert "Traceback" not in captured.out + captured.err
-    assert {r["name"] for r in json.loads(out.read_text())["results"]} == EXPECTED_NAMES

@@ -20,7 +20,6 @@ from repro.check.astlint import (
     lint_fixture,
     lint_source,
     run_astlint,
-    selftest,
 )
 
 RULE_NAMES = [r.name for r in ALL_RULES]
@@ -37,11 +36,6 @@ def test_repo_lints_clean():
 def test_default_root_is_the_repro_package():
     assert DEFAULT_ROOT.name == "repro"
     assert (DEFAULT_ROOT / "check" / "astlint.py").exists()
-
-
-def test_selftest_fires_every_rule():
-    assert selftest() == []
-    assert set(RULE_FIXTURES) == set(RULE_NAMES)
 
 
 @pytest.mark.parametrize("name", RULE_NAMES)
@@ -255,13 +249,6 @@ def test_cli_lint_clean(capsys):
 
     assert main(["lint"]) == 0
     assert "clean" in capsys.readouterr().out
-
-
-def test_cli_lint_selftest(capsys):
-    from repro.cli import main
-
-    assert main(["lint", "--selftest"]) == 0
-    assert "rules fired" in capsys.readouterr().out
 
 
 def test_cli_lint_reports_findings_with_exit_one(tmp_path, capsys):

@@ -16,7 +16,6 @@ from repro.machine import (
     render_node_ascii,
     westmere_cluster,
     westmere_ep_node,
-    generic_node,
 )
 
 
@@ -70,12 +69,6 @@ def test_cluster_spec():
     assert cl.total_cores == 96
     assert cl.total_domains == 16
     assert cl.with_nodes(2).n_nodes == 2
-
-
-def test_generic_node():
-    n = generic_node(n_domains=4, cores_per_domain=8, stream_bandwidth=40e9)
-    assert n.n_domains == 4
-    assert n.domains[0].stream_curve.saturated == pytest.approx(40e9)
 
 
 # ----------------------------------------------------------------------

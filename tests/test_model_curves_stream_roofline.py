@@ -1,12 +1,10 @@
-"""Saturation curves, STREAM arithmetic, roofline model."""
+"""Saturation curves and STREAM arithmetic."""
 
 import numpy as np
 import pytest
 
 from repro.model import (
-    Roofline,
     SaturationCurve,
-    CodeBalanceModel,
     WRITE_ALLOCATE_FACTOR,
     measure_host_triad,
     triad_flops,
@@ -72,20 +70,3 @@ def test_host_triad_measurement_runs():
     assert r.bandwidth > 1e8  # any real machine exceeds 100 MB/s
     assert r.bandwidth_gb == pytest.approx(r.bandwidth / 1e9)
     assert r.best_seconds > 0
-
-
-def test_roofline():
-    rl = Roofline(peak_flops=10e9, bandwidth=20e9)
-    assert rl.ridge_intensity == pytest.approx(0.5)
-    assert rl.performance(0.1) == pytest.approx(2e9)  # memory bound
-    assert rl.performance(5.0) == 10e9  # compute bound
-    assert rl.is_memory_bound(0.1)
-    assert not rl.is_memory_bound(5.0)
-
-
-def test_roofline_spmvm_is_memory_bound():
-    rl = Roofline(peak_flops=6 * 10.64e9, bandwidth=20.1e9)
-    model = CodeBalanceModel(nnzr=15.0, kappa=2.5)
-    perf = rl.spmvm_performance(model)
-    assert perf == pytest.approx(20.1e9 / 8.05)
-    assert rl.is_memory_bound(1.0 / model.balance())

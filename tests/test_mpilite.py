@@ -292,20 +292,6 @@ def test_scatter():
     assert run_spmd(3, fn) == [10, 20, 30]
 
 
-def test_alltoallv():
-    def fn(comm):
-        # everyone sends its rank id to every *other* rank
-        chunks = {
-            q: np.full(2, float(comm.rank)) for q in range(comm.size) if q != comm.rank
-        }
-        got = comm.alltoallv(chunks)
-        return sorted((src, float(arr[0])) for src, arr in got.items())
-
-    out = run_spmd(3, fn)
-    assert out[0] == [(1, 1.0), (2, 2.0)]
-    assert out[1] == [(0, 0.0), (2, 2.0)]
-
-
 def test_exchange_result_landing_at_deadline_is_not_a_timeout():
     # regression: after Condition.wait returned False the code raised
     # TimeoutError without re-checking whether the result had landed in

@@ -103,9 +103,11 @@ def test_pipeline_is_canonical_for_a_single_sweep(scheme):
     plain = build_sweep(scheme, 1, pipeline=False)
     assert piped == plain == build_sweep(scheme)
     assert piped.program_id() == plain.program_id()
-    assert cached_sweep_program(scheme, 1, pipeline=True) is cached_sweep_program(
-        scheme, pipeline=False
-    )
+    # the real backend's compile-once program is that single sweep, and
+    # takes nothing but the scheme (chains are the simulator's)
+    assert cached_sweep_program(scheme) is cached_sweep_program(scheme) == plain
+    with pytest.raises(TypeError):
+        cached_sweep_program(scheme, 1, pipeline=True)
 
 
 def test_builder_rejects_unknown_scheme():

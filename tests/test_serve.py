@@ -43,7 +43,8 @@ class TestBuiltModel:
     def test_build_captures_all_one_time_state(self, A, model):
         assert model.nranks == 3
         assert model.plan.nnz == A.nnz
-        assert model.program.scheme == "task_mode"
+        assert model.scheme == "task_mode"
+        assert not hasattr(model, "program")  # derived by the engine, never stored
         assert model.fingerprint == A.structure_fingerprint()
         assert model.build_seconds > 0.0
         assert "task_mode" in model.describe()
@@ -65,7 +66,7 @@ class TestModelSerialization:
         path = model.save(tmp_path / "model.npz")
         loaded = BuiltModel.load(path)
         assert loaded.fingerprint == model.fingerprint
-        assert loaded.program is model.program  # same process-wide cache
+        assert loaded.scheme == model.scheme
         x = np.arange(A.nrows, dtype=float)
         with SolverService(model) as live, SolverService(loaded) as thawed:
             np.testing.assert_array_equal(live.solve(x), thawed.solve(x))

@@ -1,4 +1,4 @@
-"""Structure statistics, block-occupancy patterns and Matrix Market I/O."""
+"""Structure statistics and block-occupancy patterns."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,9 @@ from repro.sparse import (
     CSRMatrix,
     bandwidth,
     block_occupancy,
-    dumps_matrix_market,
-    loads_matrix_market,
     matrix_stats,
     profile,
-    read_matrix_market,
     row_nnz_histogram,
-    write_matrix_market,
 )
 
 
@@ -77,29 +73,3 @@ def test_occupancy_render(hmep_tiny):
     text = block_occupancy(hmep_tiny, grid=20).render(title="x")
     assert text.startswith("x")
     assert len(text.splitlines()) == 21
-
-
-def test_matrix_market_roundtrip(tmp_path, rng):
-    d = (rng.random((12, 9)) < 0.3) * rng.standard_normal((12, 9))
-    m = CSRMatrix.from_dense(d)
-    path = tmp_path / "m.mtx"
-    write_matrix_market(m, path, comment="test matrix")
-    back = read_matrix_market(path)
-    assert np.allclose(back.to_dense(), d)
-
-
-def test_matrix_market_symmetric_roundtrip(rng):
-    d = rng.standard_normal((8, 8)) * (rng.random((8, 8)) < 0.4)
-    d = d + d.T
-    m = CSRMatrix.from_dense(d)
-    text = dumps_matrix_market(m, symmetric=True)
-    assert "symmetric" in text.splitlines()[0]
-    back = loads_matrix_market(text)
-    assert np.allclose(back.to_dense(), d)
-
-
-def test_matrix_market_rejects_garbage():
-    with pytest.raises(ValueError, match="MatrixMarket"):
-        loads_matrix_market("not a matrix\n")
-    with pytest.raises(ValueError, match="symmetry"):
-        loads_matrix_market("%%MatrixMarket matrix coordinate real hermitian\n1 1 0\n")

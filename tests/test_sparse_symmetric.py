@@ -1,5 +1,4 @@
-"""The symmetric-CSR extension (the file name predates the removal of the
-Jacobi-Davidson solver; kept so the test ids stay stable)."""
+"""The symmetric-CSR extension (repro.sparse.symmetric)."""
 
 import numpy as np
 import pytest
