@@ -30,14 +30,8 @@ from repro.check.astlint import (
     lint_source,
     run_astlint,
 )
-from repro.check.driver import check_spmvm, run_checked, sim_teardown_findings
-from repro.check.findings import (
-    FINDING_KINDS,
-    CheckFailure,
-    CheckReport,
-    Finding,
-    raise_if_findings,
-)
+from repro.check.driver import check_spmvm, run_checked
+from repro.check.findings import FINDING_KINDS, CheckReport, Finding
 from repro.check.fixtures import SEED_BUGS, run_seed_bug
 from repro.check.lint import lint_comm_plan
 from repro.check.races import analyze_races
@@ -53,8 +47,6 @@ __all__ = [
     "FINDING_KINDS",
     "Finding",
     "CheckReport",
-    "CheckFailure",
-    "raise_if_findings",
     "CommRecorder",
     "DeadlockError",
     "analyze_races",
@@ -63,7 +55,6 @@ __all__ = [
     "lint_sweep_programs",
     "run_checked",
     "check_spmvm",
-    "sim_teardown_findings",
     "SEED_BUGS",
     "run_seed_bug",
     "ThreadSanitizer",

@@ -131,11 +131,11 @@ class HotPathAllocRule(AstRule):
     ALLOC_METHODS = frozenset({"copy", "astype"})
     HOT_FUNCTIONS = {
         "sparse/spmv.py": frozenset({
-            "spmv", "spmv_add", "spmv_rows", "spmv_split",
+            "spmv", "spmv_add", "spmv_split",
             "_segmented_rowsums", "_numpy_rowsums",
         }),
         "sparse/spmm.py": frozenset({
-            "spmm", "spmm_add", "spmm_rows",
+            "spmm", "spmm_add",
             "_segmented_block_rowsums", "_numpy_block_rowsums",
         }),
         "sparse/native.py": frozenset({"rowsums", "_address"}),

@@ -36,7 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.frame.trace import TraceRecorder
     from repro.sparse.csr import CSRMatrix
 
-__all__ = ["run_checked", "check_spmvm", "sim_teardown_findings"]
+__all__ = ["run_checked", "check_spmvm"]
 
 #: What the gate sweeps, beyond the three schemes: both comm plans, two
 #: sweeps per run (the second one finds the comm thread parked and the
@@ -47,29 +47,6 @@ ITERATIONS = 2
 BLOCK_K = 4
 SERVICE_REQUESTS = 12
 SEED = 7
-
-
-def sim_teardown_findings(mpi: Any) -> list[Finding]:
-    """Leaked-request findings for a finished :class:`repro.smpi.SimMPI`.
-
-    The simulator's twin of the mpilite teardown check: every send still
-    waiting for a receiver (and vice versa) when the simulation ends is
-    a plan/replay bug, reported with full src/dst/tag provenance.
-    """
-    findings: list[Finding] = []
-    for kind, src, dst, tag, nbytes in mpi.unmatched_requests():
-        waiting = "a receiver" if kind == "send" else "a sender"
-        poster = src if kind == "send" else dst
-        findings.append(Finding(
-            kind="leaked-request",
-            message=(
-                f"simulated {kind} from rank {src} to rank {dst} with tag {tag} "
-                f"({nbytes} bytes) never found {waiting} before the simulation ended"
-            ),
-            ranks=(poster,),
-            details={"op": f"sim-{kind}", "src": src, "dst": dst, "tag": tag},
-        ))
-    return findings
 
 
 def _failure_finding(where: str, failure: Exception) -> Finding:

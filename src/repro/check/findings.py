@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-__all__ = ["FINDING_KINDS", "Finding", "CheckReport", "CheckFailure"]
+__all__ = ["FINDING_KINDS", "Finding", "CheckReport"]
 
 #: Every kind a detector may report (stable identifiers, used by tests,
 #: the CLI ``--seed-bug`` fixtures and the trace-event payloads).
@@ -63,14 +63,6 @@ class Finding:
             where.append(f"phase {self.phase}")
         loc = f" [{'; '.join(where)}]" if where else ""
         return f"{self.kind}{loc}: {self.message}"
-
-
-class CheckFailure(RuntimeError):
-    """Raised by :meth:`CheckReport.raise_if_findings` when findings exist."""
-
-    def __init__(self, report: "CheckReport") -> None:
-        super().__init__(report.render())
-        self.report = report
 
 
 @dataclass
@@ -122,9 +114,3 @@ class CheckReport:
             )
             lines.extend(f"  - {f.describe()}" for f in self.findings)
         return "\n".join(lines)
-
-
-def raise_if_findings(report: CheckReport) -> None:
-    """Raise :class:`CheckFailure` when *report* carries findings."""
-    if not report.ok:
-        raise CheckFailure(report)

@@ -317,18 +317,6 @@ class ThreadSanitizer:
         self.findings.append(finding)
         return finding
 
-    # ------------------------------------------------------------------
-    def open_regions(self) -> list[tuple[str, int]]:
-        """(domain, token) of every spawned thread never joined."""
-        with self._lock:
-            joined = set(self._spawned)
-            live = {
-                (d, st.tid)
-                for (d, _ident), st in self._threads.items()
-                if (d, st.tid) not in joined and st.tid != 0
-            }
-            return sorted(joined | live)
-
     def finalize(self, context: str = "") -> CheckReport:
         """Snapshot the findings as a :class:`CheckReport`."""
         with self._lock:
@@ -342,8 +330,8 @@ class TrackedCondition:
     """A ``threading.Condition`` feeding lock hand-off edges to a sanitizer.
 
     Drop-in for the condition-variable-as-lock idiom of
-    :class:`~repro.serve.service.SolverService`: ``with``, :meth:`wait`,
-    :meth:`notify` and :meth:`notify_all` delegate to a real Condition
+    :class:`~repro.serve.service.SolverService`: ``with``, :meth:`wait`
+    and :meth:`notify_all` delegate to a real Condition
     while every acquire merges the last releaser's clock and every
     release (including the implicit one inside :meth:`wait`) publishes
     the caller's.  All sanitizer records happen while the underlying
@@ -372,9 +360,6 @@ class TrackedCondition:
         notified = self._cond.wait(timeout)
         self._san.on_acquire(self._domain, self._lock_id)
         return notified
-
-    def notify(self, n: int = 1) -> None:
-        self._cond.notify(n)
 
     def notify_all(self) -> None:
         self._cond.notify_all()

@@ -108,28 +108,27 @@ def plan_stats(plan: CommPlan, *, unique_internode_bytes: int | None = None) -> 
     )
 
 
-def predicted_exchange_seconds(
-    stats: PlanStats,
-    *,
-    latency: float = 1.5e-6,
-    bandwidth: float = 3.2e9,
-    intra_latency: float = 0.6e-6,
-    intra_bandwidth: float = 5.0e9,
-) -> float:
+#: Rates of :func:`predicted_exchange_seconds`, matching the Westmere/QDR
+#: cluster presets: inter-node latency (s) and NIC bandwidth (B/s), then
+#: the same for an intra-node hop.
+_LATENCY = 1.5e-6
+_BANDWIDTH = 3.2e9
+_INTRA_LATENCY = 0.6e-6
+_INTRA_BANDWIDTH = 5.0e9
+
+
+def predicted_exchange_seconds(stats: PlanStats) -> float:
     """Alpha-beta estimate of one halo exchange under *stats*.
 
     Per node: its share of inter-node message latencies, the worst NIC's
     serialisation time, plus its share of the intra-node gather/scatter
-    hops.  Defaults match the Westmere/QDR cluster presets.
+    hops, at the module's rates.
     """
     nodes = max(1, stats.n_nodes)
-    inter = (
-        stats.internode_messages / nodes * latency
-        + stats.max_nic_out_bytes / bandwidth
-    )
+    inter = stats.internode_messages / nodes * _LATENCY + stats.max_nic_out_bytes / _BANDWIDTH
     intra = (
-        stats.intranode_messages / nodes * intra_latency
-        + stats.intranode_bytes / nodes / intra_bandwidth
+        stats.intranode_messages / nodes * _INTRA_LATENCY
+        + stats.intranode_bytes / nodes / _INTRA_BANDWIDTH
     )
     return inter + intra
 
@@ -140,20 +139,6 @@ class PlanComparison:
 
     direct: PlanStats
     node_aware: PlanStats
-
-    @property
-    def message_ratio(self) -> float:
-        """Node-aware inter-node messages as a fraction of direct's."""
-        if self.direct.internode_messages == 0:
-            return 1.0
-        return self.node_aware.internode_messages / self.direct.internode_messages
-
-    @property
-    def byte_ratio(self) -> float:
-        """Node-aware injected bytes as a fraction of direct's."""
-        if self.direct.internode_bytes == 0:
-            return 1.0
-        return self.node_aware.internode_bytes / self.direct.internode_bytes
 
     @property
     def predicted_speedup(self) -> float:

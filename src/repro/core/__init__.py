@@ -10,7 +10,7 @@
 """
 
 from repro.core.costs import PhaseCosts, phase_costs
-from repro.core.efficiency import ScalingSeries, fifty_percent_point, parallel_efficiency
+from repro.core.efficiency import fifty_percent_point, parallel_efficiency
 from repro.core.halo import HaloPlan, RankHalo, build_halo_plan, cached_halo_plan
 from repro.core.runner import SimulationResult, simulate_from_plan, simulate_spmvm
 from repro.core.schemes import SIM_SCHEMES, RankContext, rank_process
@@ -42,7 +42,6 @@ __all__ = [
     "SimulationResult",
     "simulate_spmvm",
     "simulate_from_plan",
-    "ScalingSeries",
     "parallel_efficiency",
     "fifty_percent_point",
 ]

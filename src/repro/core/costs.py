@@ -37,11 +37,6 @@ class PhaseCosts:
     local_spmv: float
     remote_spmv: float
 
-    @property
-    def split_total(self) -> float:
-        """Traffic of the split kernel (local + remote phases)."""
-        return self.local_spmv + self.remote_spmv
-
 
 def phase_costs(
     halo: RankHalo,

@@ -8,12 +8,11 @@ because of bad resource utilization".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from repro.util import check_positive_float
 
-__all__ = ["parallel_efficiency", "fifty_percent_point", "ScalingSeries"]
+__all__ = ["parallel_efficiency", "fifty_percent_point"]
 
 
 def parallel_efficiency(performance: float, n_nodes: int, single_node_performance: float) -> float:
@@ -53,28 +52,3 @@ def fifty_percent_point(
             return float(prev_n + frac * (n - prev_n))
         prev_n, prev_e = n, e
     return None
-
-
-@dataclass
-class ScalingSeries:
-    """One strong-scaling curve: performance vs node count."""
-
-    label: str
-    nodes: list[int]
-    gflops: list[float]
-
-    def add(self, n_nodes: int, gflops: float) -> None:
-        """Append one measurement."""
-        self.nodes.append(n_nodes)
-        self.gflops.append(gflops)
-
-    def efficiency(self, single_node_gflops: float) -> list[float]:
-        """Per-point parallel efficiency."""
-        return [
-            parallel_efficiency(p, n, single_node_gflops)
-            for n, p in zip(self.nodes, self.gflops)
-        ]
-
-    def fifty_percent(self, single_node_gflops: float) -> float | None:
-        """The 50 % efficiency point of this curve."""
-        return fifty_percent_point(self.nodes, self.gflops, single_node_gflops)

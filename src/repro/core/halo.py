@@ -115,15 +115,6 @@ class HaloPlan:
         """Point-to-point messages per MVM."""
         return sum(len(r.send_to) for r in self.ranks)
 
-    def max_rank_comm_bytes(self) -> int:
-        """Largest per-rank communication volume (the straggler)."""
-        return max((r.send_bytes + r.recv_bytes for r in self.ranks), default=0)
-
-    def comm_to_comp_ratio(self) -> float:
-        """Communication bytes per flop — the scalability indicator that
-        separates HMeP (high) from sAMG (low)."""
-        return self.total_comm_bytes() / max(1, 2 * self.nnz)
-
 
 def _rank_split(
     A: CSRMatrix, lo: int, hi: int, halo_cols: np.ndarray, with_matrices: bool
@@ -216,15 +207,14 @@ def build_halo_plan(
         )
         ranks.append(rh)
 
-    # invert the needs to obtain send lists
-    for p in range(nranks):
-        lo, _hi = partition.bounds(p)
-        for q in range(nranks):
-            cols = needs[q].get(p)
-            if cols is not None and cols.size:
-                ranks[p].send_to.append((q, int(cols.size)))
-                if with_matrices:
-                    ranks[p].send_indices[q] = (cols - lo).astype(np.int64)
+    # invert the needs to obtain send lists: walking receivers in
+    # ascending order appends every send list in ascending peer order,
+    # in time linear in the messages rather than in rank pairs
+    for q in range(nranks):
+        for p, cols in needs[q].items():
+            ranks[p].send_to.append((q, int(cols.size)))
+            if with_matrices:
+                ranks[p].send_indices[q] = (cols - ranks[p].row_lo).astype(np.int64)
     return HaloPlan(partition=partition, nrows=A.nrows, nnz=A.nnz, ranks=ranks)
 
 
@@ -235,18 +225,18 @@ def build_halo_plan(
 # by a fingerprint of whatever the plan copied, so in-place mutation
 # rebuilds the plan
 # ----------------------------------------------------------------------
-_PLAN_CACHE: dict[tuple[int, int, str, bool], tuple[weakref.ref, tuple, HaloPlan]] = {}
+_PLAN_CACHE: dict[tuple[int, int, bool], tuple[weakref.ref, tuple, HaloPlan]] = {}
 _PLAN_CACHE_MAX = 32
 
 
-def cached_halo_plan(
-    A: CSRMatrix, nparts: int, *, strategy: str = "nnz", with_matrices: bool = True
-) -> HaloPlan:
-    """Partition *A* and build (or reuse) its halo plan.
+def cached_halo_plan(A: CSRMatrix, nparts: int, *, with_matrices: bool = True) -> HaloPlan:
+    """Partition *A* by balanced nonzeros and build (or reuse) its halo plan.
 
-    Plans are cached keyed on ``(id(A), nparts, strategy,
-    with_matrices)``, with two guards on each hit: a weak reference
-    against id reuse after the matrix is garbage collected, and a
+    The partition is the paper's (footnote 2:
+    :func:`~repro.sparse.partition.partition_nnz_balanced`).  Plans are
+    cached keyed on ``(id(A), nparts, with_matrices)``, with two guards
+    on each hit: a weak reference against id reuse after the matrix is
+    garbage collected, and a
     fingerprint of the matrix against in-place mutation.  A long-lived
     service may legitimately rebuild a matrix between requests;
     returning the old plan then silently computes with the wrong
@@ -259,15 +249,14 @@ def cached_halo_plan(
     :meth:`~repro.sparse.csr.CSRMatrix.content_fingerprint`.  The cache
     is bounded; oldest entries fall out first.
     """
-    from repro.sparse.partition import partition_matrix
+    from repro.sparse.partition import partition_nnz_balanced
 
-    key = (id(A), int(nparts), strategy, with_matrices)
+    key = (id(A), int(nparts), with_matrices)
     fingerprint = A.content_fingerprint() if with_matrices else A.structure_fingerprint()
     hit = _PLAN_CACHE.get(key)
     if hit is not None and hit[0]() is A and hit[1] == fingerprint:
         return hit[2]
-    partition = partition_matrix(A, nparts, strategy=strategy)
-    plan = build_halo_plan(A, partition, with_matrices=with_matrices)
+    plan = build_halo_plan(A, partition_nnz_balanced(A, nparts), with_matrices=with_matrices)
     dead = [k for k, (ref, _fp, _p) in _PLAN_CACHE.items() if ref() is None]
     for k in dead:
         del _PLAN_CACHE[k]

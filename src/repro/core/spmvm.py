@@ -337,8 +337,7 @@ def lower_comm_plan(plan, nranks: int, comm_plan: str, ranks_per_node: int = 1):
 
 
 def _distributed(
-    A, x, nranks, block, scheme, strategy, iterations, comm_plan,
-    ranks_per_node, recorder, sanitizer,
+    A, x, nranks, block, scheme, iterations, comm_plan, ranks_per_node, recorder, sanitizer,
 ) -> np.ndarray:
     """The one-call drivers' body (*block*: *x* is a 2-D block, else a vector).
 
@@ -358,7 +357,7 @@ def _distributed(
             f"{A.shape}, got shape {x.shape}"
         )
     check_positive_int(iterations, "iterations")
-    plan = cached_halo_plan(A, nranks, strategy=strategy, with_matrices=True)
+    plan = cached_halo_plan(A, nranks, with_matrices=True)
     cplan = lower_comm_plan(plan, nranks, comm_plan, ranks_per_node)
 
     def rank_fn(comm: Comm, halo: RankHalo) -> np.ndarray:
@@ -381,7 +380,6 @@ def distributed_spmv(
     nranks: int,
     *,
     scheme: str = "task_mode",
-    strategy: str = "nnz",
     iterations: int = 1,
     comm_plan: str = "direct",
     ranks_per_node: int = 1,
@@ -390,8 +388,8 @@ def distributed_spmv(
 ) -> np.ndarray:
     """Compute ``A @ x`` on *nranks* mpilite ranks (the integration driver).
 
-    Partitions the matrix (paper default: balanced nonzeros), builds the
-    halo plan (cached across calls on the same matrix/partition), runs
+    Partitions the matrix by balanced nonzeros (the paper's footnote 2),
+    builds the halo plan (cached across calls on the same matrix), runs
     *iterations* multiplications (feeding the result back as the next
     input requires a square operator and matching partition — here each
     iteration re-multiplies the same ``x`` to exercise repeated
@@ -408,8 +406,7 @@ def distributed_spmv(
     the rank threads' idents are recycled by CPython between runs.
     """
     return _distributed(
-        A, x, nranks, False, scheme, strategy, iterations, comm_plan,
-        ranks_per_node, recorder, sanitizer,
+        A, x, nranks, False, scheme, iterations, comm_plan, ranks_per_node, recorder, sanitizer,
     )
 
 
@@ -419,7 +416,6 @@ def distributed_spmm(
     nranks: int,
     *,
     scheme: str = "task_mode",
-    strategy: str = "nnz",
     iterations: int = 1,
     comm_plan: str = "direct",
     ranks_per_node: int = 1,
@@ -434,6 +430,5 @@ def distributed_spmm(
     ``recorder``/``sanitizer``.
     """
     return _distributed(
-        A, X, nranks, True, scheme, strategy, iterations, comm_plan,
-        ranks_per_node, recorder, sanitizer,
+        A, X, nranks, True, scheme, iterations, comm_plan, ranks_per_node, recorder, sanitizer,
     )

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.comm.plan import build_comm_plan
+from repro.comm.stats import plan_stats
 from repro.core.halo import build_halo_plan
 from repro.machine.affinity import ranks_for_mode
 from repro.machine.presets import westmere_cluster
@@ -36,11 +38,6 @@ class VolumeRow:
     internode_mb: float
     messages: int
     internode_messages: int
-
-    @property
-    def internode_fraction(self) -> float:
-        """Share of the halo volume crossing node boundaries."""
-        return self.internode_mb / self.total_mb if self.total_mb else 0.0
 
 
 @dataclass
@@ -90,33 +87,23 @@ def run_comm_volume(
                     continue
                 if nranks > A.nrows:
                     continue
-                plan = build_halo_plan(
+                halo = build_halo_plan(
                     A, partition_matrix(A, nranks), with_matrices=False
                 )
+                # the direct exchange on a rank-major placement
                 ranks_per_node = nranks // n_nodes
-                total = 0.0
-                internode = 0.0
-                msgs = 0
-                internode_msgs = 0
-                for rh in plan.ranks:
-                    src_node = rh.rank // ranks_per_node
-                    for dst, count in rh.send_to:
-                        nbytes = 8.0 * count
-                        total += nbytes
-                        msgs += 1
-                        if dst // ranks_per_node != src_node:
-                            internode += nbytes
-                            internode_msgs += 1
+                rank_node = [r // ranks_per_node for r in range(nranks)]
+                stats = plan_stats(build_comm_plan(halo, rank_node, "direct"))
                 result.rows.append(
                     VolumeRow(
                         matrix=name,
                         mode=mode,
                         n_nodes=n_nodes,
                         n_ranks=nranks,
-                        total_mb=total / 1e6,
-                        internode_mb=internode / 1e6,
-                        messages=msgs,
-                        internode_messages=internode_msgs,
+                        total_mb=(stats.internode_bytes + stats.intranode_bytes) / 1e6,
+                        internode_mb=stats.internode_bytes / 1e6,
+                        messages=stats.messages,
+                        internode_messages=stats.internode_messages,
                     )
                 )
     return result

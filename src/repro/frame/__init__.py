@@ -1,7 +1,7 @@
 """Discrete-event simulation kernel: events, processes, shared resources, traces."""
 
 from repro.frame.core import Process, Simulator
-from repro.frame.events import SimEvent, all_of, any_of
+from repro.frame.events import SimEvent, all_of
 from repro.frame.resources import Flow, FlowNetwork, ResourceStats
 from repro.frame.trace import Interval, TraceEvent, TraceRecorder
 
@@ -10,7 +10,6 @@ __all__ = [
     "Process",
     "SimEvent",
     "all_of",
-    "any_of",
     "Flow",
     "FlowNetwork",
     "ResourceStats",

@@ -130,8 +130,3 @@ class Simulator:
             if self._step_count > max_steps:
                 raise RuntimeError(f"simulation exceeded {max_steps} steps — likely a livelock")
             fn()
-
-    @property
-    def steps_executed(self) -> int:
-        """Number of callbacks processed so far (diagnostics)."""
-        return self._step_count

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable
 
-__all__ = ["SimEvent", "all_of", "any_of"]
+__all__ = ["SimEvent", "all_of"]
 
 
 class SimEvent:
@@ -76,20 +76,4 @@ def all_of(events: Iterable[SimEvent]) -> SimEvent:
 
     for e in events:
         e.add_callback(on_fire)
-    return combined
-
-
-def any_of(events: Iterable[SimEvent]) -> SimEvent:
-    """An event that fires with the first input's value (others ignored)."""
-    events = list(events)
-    combined = SimEvent()
-
-    def on_fire(value: Any) -> None:
-        if not combined.triggered:
-            combined.succeed(value)
-
-    for e in events:
-        e.add_callback(on_fire)
-    if not events:
-        raise ValueError("any_of needs at least one event")
     return combined

@@ -155,18 +155,6 @@ class FlowNetwork:
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def add_capacity(self, key: ResourceKey, fn: Callable[[float], float]) -> None:
-        """Register an additional resource."""
-        if key in self._res_index:
-            raise ValueError(f"resource {key!r} already registered")
-        self._res_index[key] = len(self._res_keys)
-        self._res_keys.append(key)
-        self._cap_fns.append(fn)
-        self._res_busy = np.append(self._res_busy, 0.0)
-        self._res_bytes = np.append(self._res_bytes, 0.0)
-        self._res_hwm = np.append(self._res_hwm, 0)
-        self._res_flows = np.append(self._res_flows, 0)
-
     def capacity_of(self, key: ResourceKey, weight: float = 1.0) -> float:
         """Capacity of one resource at the given active weight (bytes/s)."""
         return float(self._cap_fns[self._res_index[key]](weight))
@@ -236,10 +224,6 @@ class FlowNetwork:
             self._settle()
             self._paused[flow.slot] = False
             self._mark_dirty()
-
-    def active_flows(self) -> list[Flow]:
-        """Snapshot of currently active flows (diagnostics)."""
-        return [f for f in self._flows[: self._n_slots] if f is not None and self._alive[f.slot]]
 
     def resource_stats(self) -> dict[ResourceKey, ResourceStats]:
         """Per-resource utilization accumulated so far.

@@ -159,14 +159,6 @@ class TraceRecorder:
             if iv.label == label and (actor is None or iv.actor == actor)
         ]
 
-    def total_time(self, actor: str, label_prefix: str = "") -> float:
-        """Summed duration of an actor's intervals matching a label prefix."""
-        return sum(
-            iv.duration
-            for iv in self.intervals
-            if iv.actor == actor and iv.label.startswith(label_prefix)
-        )
-
     def makespan(self) -> float:
         """End of the last interval / latest event (0 when empty)."""
         t_iv = max((iv.end for iv in self.intervals), default=0.0)

@@ -50,11 +50,6 @@ class LocalityDomain:
         check_positive_float(self.peak_core_flops, "peak_core_flops")
 
     @property
-    def n_hw_threads(self) -> int:
-        """Hardware threads (physical × SMT)."""
-        return self.n_cores * self.smt_per_core
-
-    @property
     def stream_bandwidth(self) -> float:
         """Saturated STREAM triad bandwidth of the domain (bytes/s)."""
         return self.stream_curve.saturated
@@ -63,11 +58,6 @@ class LocalityDomain:
     def spmv_bandwidth(self) -> float:
         """Saturated spMVM-pattern bandwidth of the domain (bytes/s)."""
         return self.spmv_curve.saturated
-
-    @property
-    def peak_flops(self) -> float:
-        """In-core peak of all cores combined (flop/s)."""
-        return self.n_cores * self.peak_core_flops
 
 
 @dataclass(frozen=True)
@@ -165,20 +155,6 @@ class ClusterSpec:
 
     def __post_init__(self) -> None:
         check_positive_int(self.n_nodes, "n_nodes")
-
-    @property
-    def total_cores(self) -> int:
-        """Physical cores in the whole cluster."""
-        return self.n_nodes * self.node.n_cores
-
-    @property
-    def total_domains(self) -> int:
-        """Locality domains in the whole cluster."""
-        return self.n_nodes * self.node.n_domains
-
-    def with_nodes(self, n_nodes: int) -> "ClusterSpec":
-        """A copy with a different node count (for scaling sweeps)."""
-        return ClusterSpec(self.name, self.node, n_nodes, self.network)
 
 
 def render_node_ascii(node: NodeSpec) -> str:

@@ -234,10 +234,6 @@ class BosonBasis:
         """``Σ_i b†_i b_i`` per basis state (the phonon energy diagonal)."""
         return np.asarray([float(sum(s)) for s in self.states()])
 
-    def number_diagonal(self, mode: int) -> np.ndarray:
-        """Occupation of one mode per basis state."""
-        return np.asarray([float(s[mode]) for s in self.states()])
-
     def displacement_matrix(self, mode: int) -> CSRMatrix:
         """The symmetric displacement operator ``b†_i + b_i`` for one mode.
 

@@ -8,7 +8,6 @@ without an import cycle — ``repro.comm`` consumers include the core)."""
 from repro.model.cache import (
     CacheConfig,
     KappaPrediction,
-    predict_kappa,
     simulate_rhs_traffic,
 )
 from repro.model.code_balance import (
@@ -18,7 +17,6 @@ from repro.model.code_balance import (
     code_balance_block,
     code_balance_block_split,
     code_balance_split,
-    kappa_from_bandwidth_ratio,
     kappa_from_measurement,
     max_performance,
     split_penalty,
@@ -28,7 +26,6 @@ from repro.model.stream import (
     WRITE_ALLOCATE_FACTOR,
     TriadResult,
     measure_host_triad,
-    triad_flops,
     triad_traffic,
 )
 
@@ -62,7 +59,6 @@ __all__ = [
     "predicted_exchange_seconds",
     "CacheConfig",
     "KappaPrediction",
-    "predict_kappa",
     "simulate_rhs_traffic",
     "CodeBalanceModel",
     "code_balance",
@@ -71,13 +67,11 @@ __all__ = [
     "code_balance_block_split",
     "block_speedup",
     "kappa_from_measurement",
-    "kappa_from_bandwidth_ratio",
     "max_performance",
     "split_penalty",
     "SaturationCurve",
     "WRITE_ALLOCATE_FACTOR",
     "TriadResult",
     "measure_host_triad",
-    "triad_flops",
     "triad_traffic",
 ]

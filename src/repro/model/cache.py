@@ -40,7 +40,7 @@ import numpy as np
 from repro.sparse.csr import CSRMatrix
 from repro.util import check_fraction, check_positive_int
 
-__all__ = ["CacheConfig", "KappaPrediction", "simulate_rhs_traffic", "predict_kappa"]
+__all__ = ["CacheConfig", "KappaPrediction", "simulate_rhs_traffic"]
 
 _LINE_BYTES = 64
 _DOUBLES_PER_LINE = _LINE_BYTES // 8
@@ -166,14 +166,3 @@ def simulate_rhs_traffic(
         reloads=reloads,
         lines=lines_cap,
     )
-
-
-def predict_kappa(
-    A: CSRMatrix,
-    config: CacheConfig | None = None,
-    *,
-    sample_rows: int | None = 50_000,
-    seed: int = 0,
-) -> float:
-    """κ (bytes per inner-loop iteration) predicted by the cache model."""
-    return simulate_rhs_traffic(A, config, sample_rows=sample_rows, seed=seed).kappa

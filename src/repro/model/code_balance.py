@@ -37,7 +37,6 @@ __all__ = [
     "block_speedup",
     "max_performance",
     "kappa_from_measurement",
-    "kappa_from_bandwidth_ratio",
     "split_penalty",
     "CodeBalanceModel",
 ]
@@ -136,19 +135,6 @@ def kappa_from_measurement(performance: float, bandwidth_drawn: float, nnzr: flo
     return max(0.0, kappa)
 
 
-def kappa_from_bandwidth_ratio(reload_count: float, nnzr: float) -> float:
-    """``kappa`` if the whole RHS vector is loaded ``reload_count`` extra times.
-
-    Each full reload of ``B`` adds ``8/Nnzr`` bytes per inner iteration;
-    the paper's Nehalem case (κ = 2.5, Nnzr = 15) corresponds to about
-    five extra loads — "the complete vector B is loaded six times from
-    main memory".
-    """
-    if reload_count < 0:
-        raise ValueError("reload_count must be >= 0")
-    return reload_count * 8.0 / check_positive_float(nnzr, "nnzr")
-
-
 def split_penalty(nnzr: float, kappa: float = 0.0) -> float:
     """Relative node-level performance penalty of the split kernel.
 
@@ -181,10 +167,6 @@ class CodeBalanceModel:
     def performance(self, bandwidth: float, *, split: bool = False) -> float:
         """Attainable flop/s at the given bandwidth (bytes/s)."""
         return max_performance(bandwidth, self.nnzr, self.kappa, split=split)
-
-    def bandwidth_needed(self, performance: float, *, split: bool = False) -> float:
-        """Bytes/s of memory bandwidth needed to sustain *performance* flop/s."""
-        return check_positive_float(performance, "performance") * self.balance(split=split)
 
     def traffic(self, nnz: int, nrows: int, ncols: int, *, split: bool = False) -> float:
         """Absolute bytes moved by one spMVM with these dimensions.

@@ -55,41 +55,10 @@ class SaturationCurve:
         """Bandwidth with all calibrated cores active (the plateau)."""
         return self.bandwidth[-1]
 
-    @property
-    def single_core(self) -> float:
-        """Bandwidth achievable by one core."""
-        return self.bandwidth[0] if self.cores[0] == 1 else self.value(1)
-
     def value(self, active_cores: float) -> float:
         """Aggregate bandwidth for *active_cores* concurrently streaming cores."""
         if active_cores <= 0:
             return 0.0
         return float(
             np.interp(active_cores, np.asarray(self.cores, dtype=float), self.bandwidth)
-        )
-
-    def saturation_point(self, threshold: float = 0.95) -> int:
-        """Smallest calibrated core count reaching *threshold* × saturated bw.
-
-        The paper's observation "spMVM saturates at about 4 threads per
-        locality domain" is this quantity.
-        """
-        target = threshold * self.saturated
-        for c, b in zip(self.cores, self.bandwidth):
-            if b >= target:
-                return c
-        return self.cores[-1]
-
-    def scaled(self, factor: float) -> "SaturationCurve":
-        """A copy with all bandwidths multiplied by *factor* (used to derive
-        sibling-architecture curves from a measured shape)."""
-        factor = check_positive_float(factor, "factor")
-        return SaturationCurve(self.cores, tuple(b * factor for b in self.bandwidth))
-
-    def extended(self, cores: int) -> "SaturationCurve":
-        """A copy whose table extends flat to *cores* entries (explicit plateau)."""
-        if cores <= self.cores[-1]:
-            return self
-        return SaturationCurve(
-            self.cores + (cores,), self.bandwidth + (self.saturated,)
         )

@@ -7,8 +7,8 @@ to account for the write-allocate transfer (footnote 1).
 
 Two things live here:
 
-* :func:`triad_traffic` / :func:`triad_flops` — the arithmetic of the
-  triad kernel ``a(i) = b(i) + s * c(i)``,
+* :func:`triad_traffic` — the arithmetic of the triad kernel
+  ``a(i) = b(i) + s * c(i)``,
 * :func:`measure_host_triad` — an actual numpy micro-benchmark of the
   *host* running this library, used by the examples to relate the
   simulated machines to wherever the code happens to run.
@@ -26,7 +26,6 @@ from repro.util import check_positive_int
 __all__ = [
     "WRITE_ALLOCATE_FACTOR",
     "triad_traffic",
-    "triad_flops",
     "TriadResult",
     "measure_host_triad",
 ]
@@ -41,11 +40,6 @@ def triad_traffic(n: int, *, write_allocate: bool = True) -> float:
     n = check_positive_int(n, "n")
     streams = 4.0 if write_allocate else 3.0
     return streams * 8.0 * n
-
-
-def triad_flops(n: int) -> int:
-    """Flops of one triad sweep (one multiply + one add per element)."""
-    return 2 * check_positive_int(n, "n")
 
 
 @dataclass(frozen=True)

@@ -416,10 +416,3 @@ class Comm:
         """Gather to *root* (others get None)."""
         out = self.allgather(value)
         return out if self._rank == root else None
-
-    def scatter(self, values: Sequence[Any] | None, root: int = 0) -> Any:
-        """Scatter a sequence from *root*, one element per rank."""
-        spread = self.bcast(list(values) if self._rank == root and values is not None else None, root)
-        if spread is None or len(spread) != self.size:
-            raise ValueError("scatter requires a length-size sequence on root")
-        return spread[self._rank]

@@ -116,11 +116,6 @@ class Router:
             self._abort_reason = str(reason)
             self._lock.notify_all()
 
-    @property
-    def aborted(self) -> str | None:
-        """The abort reason, or ``None`` while the world is live."""
-        return self._abort_reason
-
     def _check_abort(self, dst: int, src: int, tag: int, op: str) -> None:
         if self._abort_reason is not None:
             raise WorldAbortedError(
@@ -194,15 +189,6 @@ class Router:
         """True when a matching message is waiting (wildcards allowed)."""
         with self._lock:
             return self._match(dst, src, tag) is not None
-
-    def pending_messages(self) -> list[tuple[int, int, int, int]]:
-        """Deposited-but-unreceived messages as ``(src, dst, tag, count)``."""
-        with self._lock:
-            return [
-                (src, dst, tag, len(box))
-                for (dst, src, tag), box in self._boxes.items()
-                if box
-            ]
 
     # ------------------------------------------------------------------
     def _match(self, dst: int, src: int, tag: int) -> tuple[int, int, int] | None:

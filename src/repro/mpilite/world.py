@@ -62,11 +62,6 @@ class World:
         """World size."""
         return self.router.nranks
 
-    @property
-    def aborted(self) -> str | None:
-        """The abort reason, or ``None`` while the world is live."""
-        return self.router.aborted
-
     def abort(self, reason: str) -> None:
         """Tear the world down: every blocked or future operation raises
         :class:`~repro.mpilite.router.WorldAbortedError` naming *reason*

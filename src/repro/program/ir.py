@@ -217,18 +217,6 @@ class SweepProgram:
         """
         return tuple(token for op in self.ops for token in op.tokens())
 
-    def sweep_work_ops(self, sweep: int) -> tuple[str, ...]:
-        """Sorted multiset of *sweep*'s work ops (:data:`WORK_OPS` only).
-
-        Synchronisation (``OMP_BARRIER``) and the ``COMM_THREAD`` marker
-        are excluded: pipelining legitimately changes how many barriers
-        pace the stream, but never how much per-sweep work it does.
-        """
-        return tuple(sorted(
-            op.kind for op, _inside in self.walk()
-            if op.sweep == sweep and op.kind in WORK_OPS
-        ))
-
     @property
     def label(self) -> str:
         """Scheme, sweep count, mode and width."""

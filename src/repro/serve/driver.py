@@ -85,43 +85,6 @@ class StreamReport:
             )
         return "\n".join(lines)
 
-    def workload_jobs(self, *, n_nodes: int = 2, seed: int = 0) -> list:
-        """The measured request stream as schedulable workload jobs.
-
-        Each coalesced batch the service actually produced becomes one
-        single-sweep ``block_k``-wide job against the served matrix, with
-        submits spread over the measured wall time — the bridge that makes
-        the service's *observed* traffic one more job source for
-        :mod:`repro.workload` (synthetic service traffic without a live
-        run is :func:`repro.workload.streams.service_stream`).  Feed the
-        result to :func:`repro.workload.run_workload` to study how the
-        service's stream coexists with batch solver jobs on one machine.
-        """
-        from repro.workload.streams import Job, estimate_walltime
-
-        if not self.batch_widths:
-            return []
-        nnzr = self.nnz / self.nrows
-        gap = self.wall_seconds / len(self.batch_widths)
-        return [
-            Job(
-                job_id=i,
-                name=f"serve-{self.matrix_label}-b{i}",
-                solver="spmvm",
-                submit=i * gap,
-                n_nodes=n_nodes,
-                nrows=self.nrows,
-                nnzr=nnzr,
-                iterations=1,
-                walltime=estimate_walltime(
-                    "spmvm", self.nrows, nnzr, 1, n_nodes, overestimate=2.0
-                ),
-                block_k=width,
-                seed=seed,
-            )
-            for i, width in enumerate(self.batch_widths)
-        ]
-
 
 def run_request_stream(
     A: CSRMatrix,

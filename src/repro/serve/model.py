@@ -28,7 +28,7 @@ from repro.comm.plan import PLAN_KINDS, CommPlan
 from repro.core.halo import HaloPlan, build_halo_plan, cached_halo_plan
 from repro.program.build import PROGRAM_SCHEMES
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.partition import partition_matrix
+from repro.sparse.partition import partition_nnz_balanced
 from repro.util import check_in
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -43,7 +43,7 @@ MODEL_SCHEMA = "repro-model/2"
 #: What a ``repro-model/2`` file must hold: the matrix arrays beside the
 #: JSON ``meta`` entry, and the keys of ``meta`` beside ``schema``.
 _ARRAYS = ("matrix.row_ptr", "matrix.col_idx", "matrix.val")
-_META_KEYS = ("nranks", "scheme", "strategy", "comm_plan", "ranks_per_node", "fingerprint")
+_META_KEYS = ("nranks", "scheme", "comm_plan", "ranks_per_node", "fingerprint")
 
 
 @dataclass
@@ -60,7 +60,6 @@ class BuiltModel:
     matrix: CSRMatrix
     plan: HaloPlan
     scheme: str
-    strategy: str
     comm_plan_kind: str
     ranks_per_node: int
     comm_plan: CommPlan | None
@@ -119,7 +118,6 @@ class BuiltModel:
             "schema": MODEL_SCHEMA,
             "nranks": self.nranks,
             "scheme": self.scheme,
-            "strategy": self.strategy,
             "comm_plan": self.comm_plan_kind,
             "ranks_per_node": self.ranks_per_node,
             "fingerprint": list(self.fingerprint),
@@ -142,38 +140,31 @@ class BuiltModel:
         """Read a file written by :meth:`save`, verify it, and build.
 
         The file is outside input, so every guard is a ``ValueError``
-        that starts with the path: the npz entries and the schema tag;
-        the required ``meta`` keys; a ``kernel`` key left by an older
-        writer (files used to name the kernel that computed their
-        results — ``csr/reference``, the one there is, loads; anything
-        else was a different result class and is refused); ``val`` as
-        long as ``col_idx`` (the structure fingerprint does not cover
-        values); and the matrix structure fingerprint, recomputed and
-        compared against the stored one, so a truncated or corrupted
-        file fails here, not in a kernel.  Then :func:`build_model` —
-        the same constructor, so a loaded model serves bit-identically.
+        that starts with the path: the npz entries, JSON ``meta`` and
+        the schema tag; the required ``meta`` keys and the type and
+        range of each value (:func:`_check_meta`), before anything is
+        built from them; ``val`` as long as ``col_idx`` (the structure
+        fingerprint does not cover values); the matrix structure
+        fingerprint, recomputed and compared against the stored one, so
+        a truncated or corrupted file fails here, not in a kernel; and
+        ``nranks`` no larger than the row count.  Then
+        :func:`build_model` — the same constructor, so a loaded model
+        serves bit-identically.
         """
         path = Path(path)
         with np.load(path) as data:
             missing = [name for name in ("meta", *_ARRAYS) if name not in data.files]
             if missing:
                 raise ValueError(f"{path}: not a {MODEL_SCHEMA} file, it lacks {missing}")
-            meta = json.loads(str(data["meta"][()]))
-            if meta.get("schema") != MODEL_SCHEMA:
-                raise ValueError(
-                    f"{path}: expected schema {MODEL_SCHEMA!r}, "
-                    f"got {meta.get('schema')!r}"
-                )
+            try:
+                meta = json.loads(str(data["meta"][()]))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: meta is not JSON ({exc})") from None
+            schema = meta.get("schema") if isinstance(meta, dict) else None
+            if schema != MODEL_SCHEMA:
+                raise ValueError(f"{path}: expected schema {MODEL_SCHEMA!r}, got {schema!r}")
             row_ptr, col_idx, val = (data[name] for name in _ARRAYS)
-        missing = [key for key in _META_KEYS if key not in meta]
-        if missing:
-            raise ValueError(f"{path}: meta lacks the required key(s) {missing}")
-        if meta.get("kernel", "csr/reference") != "csr/reference":
-            raise ValueError(
-                f"{path}: meta key 'kernel' names {meta['kernel']!r}; only "
-                f"'csr/reference' exists, and a model built on another kernel "
-                f"served a different result class — rebuild it with build_model"
-            )
+        _check_meta(path, meta)
         if val.shape != col_idx.shape:
             raise ValueError(
                 f"{path}: matrix.val has shape {val.shape} but matrix.col_idx "
@@ -188,16 +179,54 @@ class BuiltModel:
                 f"(stored {stored_fp}, recomputed {actual_fp}); the "
                 f"file is corrupt or was edited after save"
             )
+        if meta["nranks"] > A.nrows:
+            raise ValueError(
+                f"{path}: meta key 'nranks' is {meta['nranks']}, more ranks than the "
+                f"matrix has rows ({A.nrows})"
+            )
         # the matrix object is new, so the process-wide plan cache cannot hit
         return build_model(
             A,
-            int(meta["nranks"]),
-            scheme=str(meta["scheme"]),
-            comm_plan=str(meta["comm_plan"]),
-            ranks_per_node=int(meta["ranks_per_node"]),
-            strategy=str(meta["strategy"]),
+            meta["nranks"],
+            scheme=meta["scheme"],
+            comm_plan=meta["comm_plan"],
+            ranks_per_node=meta["ranks_per_node"],
             reuse_caches=False,
         )
+
+
+def _check_meta(path: Path, meta: dict) -> None:
+    """Refuse, naming *path*, any ``meta`` value :func:`build_model` must
+    not see: a missing key, a count that is not an integer >= 1, a name
+    outside its set, a fingerprint that is not five integers, or a key
+    left by an older writer that names something this code does not do
+    (``kernel``: only ``csr/reference`` exists; ``strategy``: the real
+    backend partitions by balanced nonzeros only, the paper's footnote 2).
+    """
+    missing = [key for key in _META_KEYS if key not in meta]
+    if missing:
+        raise ValueError(f"{path}: meta lacks the required key(s) {missing}")
+
+    for key, only in (("kernel", "csr/reference"), ("strategy", "nnz")):
+        if meta.get(key, only) != only:
+            raise ValueError(
+                f"{path}: meta key {key!r} names {meta[key]!r}; only {only!r} exists, "
+                f"and a model built otherwise served a different result — rebuild it "
+                f"with build_model"
+            )
+
+    def refuse(key: str, want: str) -> ValueError:
+        return ValueError(f"{path}: meta key {key!r} is {meta[key]!r}; {want}")
+
+    for key in ("nranks", "ranks_per_node"):
+        if type(meta[key]) is not int or meta[key] < 1:
+            raise refuse(key, "expected an integer >= 1")
+    for key, names in (("scheme", PROGRAM_SCHEMES), ("comm_plan", PLAN_KINDS)):
+        if meta[key] not in names:
+            raise refuse(key, f"expected one of {list(names)}")
+    fp = meta["fingerprint"]
+    if not (isinstance(fp, list) and len(fp) == 5 and all(type(v) is int for v in fp)):
+        raise refuse("fingerprint", "expected a list of five integers")
 
 
 def build_model(
@@ -207,12 +236,12 @@ def build_model(
     scheme: str = "task_mode",
     comm_plan: str = "direct",
     ranks_per_node: int = 1,
-    strategy: str = "nnz",
     reuse_caches: bool = True,
 ) -> BuiltModel:
     """Do all one-time bookkeeping for serving ``A`` on *nranks* ranks.
 
-    Partition, halo plan (with sub-matrices) and optional node-aware
+    Partition (balanced nonzeros, the paper's footnote 2), halo plan
+    (with sub-matrices) and optional node-aware
     comm plan — the full cold-start cost, paid here and never again
     (the sweep program is the engine's, compiled once per process).
     ``reuse_caches`` lets the build share the process-wide halo-plan
@@ -225,17 +254,14 @@ def build_model(
     t0 = time.perf_counter()
     check_in(scheme, PROGRAM_SCHEMES, "scheme")
     if reuse_caches:
-        plan = cached_halo_plan(A, nranks, strategy=strategy, with_matrices=True)
+        plan = cached_halo_plan(A, nranks, with_matrices=True)
     else:
-        plan = build_halo_plan(
-            A, partition_matrix(A, nranks, strategy=strategy), with_matrices=True
-        )
+        plan = build_halo_plan(A, partition_nnz_balanced(A, nranks), with_matrices=True)
     cplan = lower_comm_plan(plan, plan.nranks, comm_plan, ranks_per_node)
     return BuiltModel(
         matrix=A,
         plan=plan,
         scheme=scheme,
-        strategy=strategy,
         comm_plan_kind=comm_plan,
         ranks_per_node=ranks_per_node,
         comm_plan=cplan,

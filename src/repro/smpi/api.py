@@ -213,25 +213,6 @@ class SimMPI:
         self._next_mid += 1
         return msg
 
-    def unmatched_requests(self) -> list[tuple[str, int, int, int, int]]:
-        """Requests still waiting for a partner: ``(kind, src, dst, tag, nbytes)``.
-
-        A simulation that ends with entries here posted a send nobody
-        received (or a receive nobody fed) — the simulator-side
-        equivalent of mpilite's leaked-request/unconsumed-message
-        teardown findings (:mod:`repro.check`).  Empty on a healthy run.
-        """
-        out: list[tuple[str, int, int, int, int]] = []
-        for (src, dst, tag), queue in sorted(self._pending_send.items()):
-            for msg in queue:
-                nbytes = msg.send.nbytes if msg.send is not None else 0
-                out.append(("send", src, dst, tag, nbytes))
-        for (src, dst, tag), queue in sorted(self._pending_recv.items()):
-            for msg in queue:
-                nbytes = msg.recv.nbytes if msg.recv is not None else 0
-                out.append(("recv", src, dst, tag, nbytes))
-        return out
-
     # ------------------------------------------------------------------
     # progress state
     # ------------------------------------------------------------------
@@ -250,10 +231,6 @@ class SimMPI:
         if self._depth[rank] == 0:
             self._emit(f"rank{rank}", "gate_close", rank=rank)
             self._update_gates(rank)
-
-    def in_mpi(self, rank: int) -> bool:
-        """Whether any thread of *rank* is currently inside MPI."""
-        return self._depth[rank] > 0
 
     def waitall(self, rank: int, requests: list[SimRequest]) -> Generator:
         """Block inside MPI until every request completes (sub-generator).

@@ -18,7 +18,7 @@ from repro.solvers.amg import (
 from repro.solvers.cg import CGResult, conjugate_gradient
 from repro.solvers.chebyshev import ChebyshevPropagator
 from repro.solvers.kpm import KPMSpectrum, chebyshev_moments, jackson_kernel, kpm_spectrum
-from repro.solvers.lanczos import LanczosResult, ground_state, lanczos, spectral_bounds
+from repro.solvers.lanczos import LanczosResult, lanczos, spectral_bounds
 from repro.solvers.operators import DistributedOperator, LinearOperator, SerialOperator
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "DistributedOperator",
     "LanczosResult",
     "lanczos",
-    "ground_state",
     "spectral_bounds",
     "CGResult",
     "conjugate_gradient",

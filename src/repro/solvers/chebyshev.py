@@ -97,15 +97,3 @@ class ChebyshevPropagator:
             out += coeff * t_next
             t_prev, t_curr = t_curr, t_next
         return np.exp(-1j * self._center * t) * out
-
-    def evolve(
-        self, psi0: np.ndarray, t_final: float, n_steps: int
-    ) -> list[np.ndarray]:
-        """Propagate through *n_steps* equal steps, returning all states."""
-        if n_steps <= 0:
-            raise ValueError("n_steps must be positive")
-        dt = t_final / n_steps
-        states = [np.asarray(psi0, dtype=np.complex128)]
-        for _ in range(n_steps):
-            states.append(self.step(states[-1], dt))
-        return states

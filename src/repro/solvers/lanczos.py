@@ -46,7 +46,7 @@ import numpy as np
 from repro.solvers.operators import LinearOperator
 from repro.util import check_positive_int
 
-__all__ = ["LanczosResult", "lanczos", "ground_state", "spectral_bounds"]
+__all__ = ["LanczosResult", "lanczos", "spectral_bounds"]
 
 #: Estimated overlap with the basis above which a new vector takes a
 #: second pass (module docstring): half of the ``max|V Vᵀ − I| <= 1e-12``
@@ -241,12 +241,6 @@ def lanczos(
     return _lanczos_with_basis(
         op, max_iter, tol, n_eigenvalues, seed, reorthogonalize, want_vector, v0
     )[0]
-
-
-def ground_state(op: LinearOperator, **kwargs) -> tuple[float, np.ndarray | None]:
-    """Convenience wrapper: lowest eigenvalue (and vector if requested)."""
-    result = lanczos(op, **kwargs)
-    return result.ground_energy, result.ritz_vector
 
 
 def spectral_bounds(op: LinearOperator, *, max_iter: int = 80, seed: int = 1) -> tuple[float, float]:

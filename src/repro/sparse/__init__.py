@@ -15,7 +15,7 @@ import, so that no kernel call ever pays for it.
 from repro.sparse import native
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.kron import kron, kron_diag_left, kron_sum
+from repro.sparse.kron import kron, kron_diag_left
 from repro.sparse.matmul import matmul
 from repro.sparse.partition import (
     RowPartition,
@@ -30,9 +30,9 @@ from repro.sparse.reorder import (
     pseudo_peripheral_node,
     reverse_cuthill_mckee,
 )
-from repro.sparse.spmm import spmm, spmm_add, spmm_rows, spmm_traffic
-from repro.sparse.spmv import flops, spmv, spmv_add, spmv_rows, spmv_split, spmv_traffic
-from repro.sparse.stats import MatrixStats, bandwidth, matrix_stats, profile, row_nnz_histogram
+from repro.sparse.spmm import spmm, spmm_add
+from repro.sparse.spmv import flops, spmv, spmv_add, spmv_split, spmv_traffic
+from repro.sparse.stats import MatrixStats, bandwidth, matrix_stats
 from repro.sparse.symmetric import SymmetricCSR, spmv_symmetric, symmetric_code_balance
 
 native.load()
@@ -46,7 +46,6 @@ __all__ = [
     "partition_rows_balanced",
     "kron",
     "kron_diag_left",
-    "kron_sum",
     "matmul",
     "OccupancyGrid",
     "block_occupancy",
@@ -56,19 +55,14 @@ __all__ = [
     "pseudo_peripheral_node",
     "spmv",
     "spmv_add",
-    "spmv_rows",
     "spmv_split",
     "spmv_traffic",
     "spmm",
     "spmm_add",
-    "spmm_rows",
-    "spmm_traffic",
     "flops",
     "MatrixStats",
     "matrix_stats",
     "bandwidth",
-    "profile",
-    "row_nnz_histogram",
     "SymmetricCSR",
     "spmv_symmetric",
     "symmetric_code_balance",

@@ -23,7 +23,7 @@ See :mod:`repro.model.code_balance`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -188,21 +188,6 @@ class CSRMatrix:
     # constructors / conversions
     # ------------------------------------------------------------------
     @classmethod
-    def from_coo(
-        cls, nrows: int, ncols: int, row: Iterable[int], col: Iterable[int], val: Iterable[float]
-    ) -> "CSRMatrix":
-        """Build from triplets (duplicates summed)."""
-        from repro.sparse.coo import COOMatrix
-
-        return COOMatrix(
-            nrows,
-            ncols,
-            np.asarray(list(row) if not isinstance(row, np.ndarray) else row),
-            np.asarray(list(col) if not isinstance(col, np.ndarray) else col),
-            np.asarray(list(val) if not isinstance(val, np.ndarray) else val, dtype=np.float64),
-        ).to_csr()
-
-    @classmethod
     def from_dense(cls, dense: np.ndarray, *, tol: float = 0.0) -> "CSRMatrix":
         """Build from a dense array, keeping entries with ``|a_ij| > tol``."""
         from repro.sparse.coo import COOMatrix
@@ -239,19 +224,6 @@ class CSRMatrix:
 
         return sp.csr_matrix(
             (self.val.copy(), self.col_idx.copy(), self.row_ptr.copy()), shape=self.shape
-        )
-
-    @classmethod
-    def from_scipy(cls, mat) -> "CSRMatrix":
-        """Build from any scipy sparse matrix."""
-        csr = mat.tocsr()
-        csr.sum_duplicates()
-        csr.sort_indices()
-        return cls(
-            csr.indptr.astype(np.int64),
-            csr.indices.astype(np.int64),
-            csr.data.astype(np.float64),
-            ncols=csr.shape[1],
         )
 
     def copy(self) -> "CSRMatrix":
@@ -326,20 +298,6 @@ class CSRMatrix:
     # ------------------------------------------------------------------
     # structure manipulation
     # ------------------------------------------------------------------
-    def extract_rows(self, row_lo: int, row_hi: int) -> "CSRMatrix":
-        """Return the row block ``A[row_lo:row_hi, :]`` (half-open)."""
-        if not (0 <= row_lo <= row_hi <= self.nrows):
-            raise ValueError(f"invalid row range [{row_lo}, {row_hi}) for {self.nrows} rows")
-        lo = int(self.row_ptr[row_lo])
-        hi = int(self.row_ptr[row_hi])
-        return CSRMatrix(
-            self.row_ptr[row_lo : row_hi + 1] - lo,
-            self.col_idx[lo:hi].copy(),
-            self.val[lo:hi].copy(),
-            ncols=self.ncols,
-            check=False,
-        )
-
     def permute(self, perm: np.ndarray) -> "CSRMatrix":
         """Symmetric permutation ``P A P^T`` where ``perm[new] = old``.
 
@@ -366,59 +324,3 @@ class CSRMatrix:
         val = self.val[gather]
         order = np.lexsort((col_idx, dest_rows))
         return CSRMatrix(row_ptr, col_idx[order], val[order], ncols=self.ncols, check=False)
-
-    def column_mask_split(self, is_local: np.ndarray) -> tuple["CSRMatrix", "CSRMatrix"]:
-        """Split into (local, nonlocal) parts by a boolean column mask.
-
-        Entry ``(i, j)`` goes to the first matrix iff ``is_local[j]``.
-        Both results keep the full column space, so
-        ``A @ x == local @ x + nonlocal @ x`` exactly (up to fp ordering).
-        This is the structural basis of the overlap schemes (Fig. 4 b/c):
-        the local part can be computed before communication finishes.
-        """
-        is_local = np.asarray(is_local, dtype=bool)
-        if is_local.size != self.ncols:
-            raise ValueError("mask length must equal ncols")
-        keep = is_local[self.col_idx]
-        return self._filter_entries(keep), self._filter_entries(~keep)
-
-    def _filter_entries(self, keep: np.ndarray) -> "CSRMatrix":
-        rows = np.repeat(np.arange(self.nrows, dtype=np.int64), self.row_nnz())
-        rows = rows[keep]
-        row_ptr = np.zeros(self.nrows + 1, dtype=np.int64)
-        np.add.at(row_ptr, rows + 1, 1)
-        np.cumsum(row_ptr, out=row_ptr)
-        return CSRMatrix(
-            row_ptr, self.col_idx[keep].copy(), self.val[keep].copy(), ncols=self.ncols, check=False
-        )
-
-    def relabel_columns(self, mapping: np.ndarray, new_ncols: int) -> "CSRMatrix":
-        """Return a copy with each column index ``j`` replaced by ``mapping[j]``.
-
-        Used to compress the nonlocal column space to compact halo-buffer
-        indices.  Column order within a row is re-sorted after relabelling.
-        """
-        mapping = check_array_1d(mapping, "mapping", dtype=np.int64)
-        if mapping.size != self.ncols:
-            raise ValueError("mapping length must equal ncols")
-        new_cols = mapping[self.col_idx]
-        if new_cols.size and (new_cols.min() < 0 or new_cols.max() >= new_ncols):
-            raise ValueError("mapping produces out-of-range column indices")
-        out = CSRMatrix(
-            self.row_ptr.copy(), new_cols, self.val.copy(), ncols=new_ncols, check=False
-        )
-        out.sort_row_columns()
-        return out
-
-    def sort_row_columns(self) -> None:
-        """Re-establish sorted column order within each row, in place."""
-        if self.nnz < 2:
-            return
-        rows = np.repeat(np.arange(self.nrows, dtype=np.int64), self.row_nnz())
-        order = np.lexsort((self.col_idx, rows))
-        self.col_idx = self.col_idx[order]
-        self.val = self.val[order]
-
-    def columns_used(self) -> np.ndarray:
-        """Sorted unique column indices that carry at least one nonzero."""
-        return np.unique(self.col_idx)

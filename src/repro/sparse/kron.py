@@ -14,7 +14,7 @@ import numpy as np
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 
-__all__ = ["kron", "kron_diag_left", "kron_sum"]
+__all__ = ["kron", "kron_diag_left"]
 
 
 def kron(A: CSRMatrix, B: CSRMatrix) -> CSRMatrix:
@@ -55,16 +55,3 @@ def kron_diag_left(diag: np.ndarray, B: CSRMatrix) -> CSRMatrix:
     cols = (nz[:, None] * np.int64(q) + b.col[None, :]).ravel()
     vals = (d[nz][:, None] * b.val[None, :]).ravel()
     return COOMatrix(m * p, m * q, rows, cols, vals).to_csr()
-
-
-def kron_sum(A: CSRMatrix, B: CSRMatrix) -> CSRMatrix:
-    """Kronecker sum ``A ⊗ I + I ⊗ B`` for square ``A`` (m×m), ``B`` (p×p).
-
-    The standard composition of two independent subsystem Hamiltonians on
-    the product space.
-    """
-    if A.nrows != A.ncols or B.nrows != B.ncols:
-        raise ValueError("kron_sum requires square factors")
-    left = kron(A, CSRMatrix.identity(B.nrows))
-    right = kron(CSRMatrix.identity(A.nrows), B)
-    return left.add(right)

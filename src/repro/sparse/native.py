@@ -491,12 +491,11 @@ def _out_of_range(row: int, row_ptr, col_idx, ncols: int) -> IndexError:
     )
 
 
-def rowsums(A, x, out, add: bool, rows: tuple[int, int] | None = None) -> bool:
+def rowsums(A, x, out, add: bool) -> bool:
     """``out (+)= A @ x`` row sums in C; ``False`` = not taken.
 
     ``x`` is a vector or a row-major ``(n, k)`` block and ``out`` the
-    matching ``(nrows,)`` / ``(nrows, k)`` array; with ``rows = (lo,
-    hi)`` only those rows of ``out`` are computed.  ``False`` leaves
+    matching ``(nrows,)`` / ``(nrows, k)`` array.  ``False`` leaves
     ``out`` untouched and the caller runs the numpy executor, which
     computes the same bits.
     """
@@ -524,20 +523,13 @@ def rowsums(A, x, out, add: bool, rows: tuple[int, int] | None = None) -> bool:
             return False
     else:
         return False
-    if rows is None:
-        lo, count = 0, nrows
-    else:
-        lo, hi = rows
-        if not 0 <= lo <= hi <= nrows:
-            return False
-        count = hi - lo
     try:
         code = fn(
-            count, handle[3] + 8 * lo, handle[4], handle[5], handle[7],
-            _address(x), x.shape[0], k, _address(out) + 8 * k * lo, add,
+            nrows, handle[3], handle[4], handle[5], handle[7],
+            _address(x), x.shape[0], k, _address(out), add,
         )
     except (TypeError, ValueError):  # read-only, strided or empty operand
         return False
     if code >= 0:
-        raise _out_of_range(lo + code, handle[0], handle[1], x.shape[0])
+        raise _out_of_range(code, handle[0], handle[1], x.shape[0])
     return code == -1

@@ -76,22 +76,6 @@ class RowPartition:
             raise ValueError("row index out of range")
         return np.searchsorted(self.offsets, rows, side="right") - 1
 
-    def local_index(self, rows: np.ndarray) -> np.ndarray:
-        """Index of each global row within its owner's block."""
-        rows = np.asarray(rows, dtype=np.int64)
-        return rows - self.offsets[self.owner_of(rows)]
-
-    def nnz_per_part(self, A: CSRMatrix) -> np.ndarray:
-        """Nonzeros of *A* falling into each part's row block."""
-        require(A.nrows == self.nrows, "partition does not match matrix")
-        return A.row_ptr[self.offsets[1:]] - A.row_ptr[self.offsets[:-1]]
-
-    def imbalance(self, weights: np.ndarray) -> float:
-        """Load imbalance ``max(w) / mean(w)`` of per-part weights (1.0 = perfect)."""
-        weights = np.asarray(weights, dtype=np.float64)
-        mean = weights.mean()
-        return float(weights.max() / mean) if mean > 0 else 1.0
-
 
 def partition_rows_balanced(nrows: int, nparts: int) -> RowPartition:
     """Split rows into *nparts* nearly equal contiguous blocks."""

@@ -31,11 +31,6 @@ class OccupancyGrid:
     nrows: int
     ncols: int
 
-    @property
-    def grid_shape(self) -> tuple[int, int]:
-        """Shape of the aggregated grid."""
-        return self.occupancy.shape  # type: ignore[return-value]
-
     def nonzero_blocks(self) -> int:
         """Number of subblocks containing at least one nonzero."""
         return int(np.count_nonzero(self.occupancy))

@@ -45,9 +45,6 @@ Kernels
 -------
 ``spmm``            full block product ``C = A @ X``
 ``spmm_add``        accumulate ``C += A @ X``
-``spmm_rows``       block product restricted to a contiguous row range
-``spmm_traffic``    bytes of main-memory traffic the block extension of
-                    the paper's model attributes to one block product
 """
 
 from __future__ import annotations
@@ -60,20 +57,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sparse.csr import CSRMatrix
 
 from repro.sparse import native
-from repro.sparse.csr import IDX_BYTES, RESULT_BYTES, RHS_BYTES, VAL_BYTES
-from repro.sparse.spmv import _csr_arrays
 from repro.sparse.validate import check_out
 
-__all__ = ["spmm", "spmm_add", "spmm_rows", "spmm_traffic"]
+__all__ = ["spmm", "spmm_add"]
 
 
 def _segmented_block_rowsums(
-    A: "CSRMatrix",
-    X: np.ndarray,
-    out: np.ndarray,
-    *,
-    add: bool = False,
-    rows: tuple[int, int] | None = None,
+    A: "CSRMatrix", X: np.ndarray, out: np.ndarray, *, add: bool = False
 ) -> np.ndarray:
     """Per-column row sums of ``A.val * X[A.col_idx]``, overwriting or accumulating.
 
@@ -84,10 +74,8 @@ def _segmented_block_rowsums(
     :func:`_numpy_block_rowsums` computes, to the same bits, whatever it
     does not take.
     """
-    if native.rowsums(A, X, out, add, rows):
-        return out
-    target = out if rows is None else out[rows[0] : rows[1]]
-    _numpy_block_rowsums(*_csr_arrays(A, rows), X, target, add=add)
+    if not native.rowsums(A, X, out, add):
+        _numpy_block_rowsums(A.row_ptr, A.col_idx, A.val, X, out, add=add)
     return out
 
 
@@ -197,42 +185,3 @@ def spmm_add(A: "CSRMatrix", X: np.ndarray, out: np.ndarray) -> np.ndarray:
     X = _check_block(A, X)
     check_out(out, (A.nrows, X.shape[1]))
     return _segmented_block_rowsums(A, X, out, add=True)
-
-
-def spmm_rows(
-    A: "CSRMatrix", X: np.ndarray, row_lo: int, row_hi: int, out: np.ndarray
-) -> np.ndarray:
-    """Compute rows ``[row_lo, row_hi)`` of ``A @ X`` into ``out`` (shape (m, k)).
-
-    Rows outside the range are left untouched — the block analogue of
-    :func:`repro.sparse.spmv.spmv_rows` for explicit work distribution.
-    """
-    if not (0 <= row_lo <= row_hi <= A.nrows):
-        raise ValueError(f"invalid row range [{row_lo}, {row_hi})")
-    X = _check_block(A, X)
-    check_out(out, (A.nrows, X.shape[1]))
-    return _segmented_block_rowsums(A, X, out, rows=(row_lo, row_hi))
-
-
-def spmm_traffic(
-    A: "CSRMatrix", k: int, *, kappa: float = 0.0, split: bool = False
-) -> float:
-    """Bytes of main-memory traffic for one ``A @ X`` block product.
-
-    The block extension of the paper's per-MVM accounting
-    (:func:`repro.sparse.spmv.spmv_traffic`): ``val`` and ``col_idx``
-    are streamed *once for the whole block*, while result, RHS and the
-    ``kappa`` cache-reload term scale with the k columns.  At ``k = 1``
-    this reduces exactly to the single-vector formula.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if kappa < 0:
-        raise ValueError(f"kappa must be >= 0, got {kappa}")
-    result_bytes = RESULT_BYTES * (2 if split else 1)
-    return (
-        (VAL_BYTES + IDX_BYTES) * A.nnz
-        + kappa * k * A.nnz
-        + result_bytes * A.nrows * k
-        + RHS_BYTES * A.ncols * k
-    )

@@ -25,7 +25,6 @@ Kernels
 -------
 ``spmv``            full product ``C = A @ B``
 ``spmv_add``        accumulate ``C += A @ B``
-``spmv_rows``       product restricted to a contiguous row range
 ``spmv_split``      two-phase product: local part first, remote part
                     added afterwards (Fig. 4 b/c execution order)
 ``spmv_traffic``    bytes of main-memory traffic the paper's model
@@ -48,7 +47,6 @@ from repro.sparse.validate import check_out
 __all__ = [
     "spmv",
     "spmv_add",
-    "spmv_rows",
     "spmv_split",
     "spmv_traffic",
     "flops",
@@ -56,38 +54,19 @@ __all__ = [
 
 
 def _segmented_rowsums(
-    A: "CSRMatrix",
-    x: np.ndarray,
-    out: np.ndarray,
-    *,
-    add: bool = False,
-    rows: tuple[int, int] | None = None,
+    A: "CSRMatrix", x: np.ndarray, out: np.ndarray, *, add: bool = False
 ) -> np.ndarray:
     """Row sums of ``A.val * x[A.col_idx]``: ``out = sums`` or ``out += sums``.
 
-    With ``rows = (lo, hi)`` only those rows of ``out`` (length nrows)
-    are computed.  One definition, two executors: the compiled one
+    One definition, two executors: the compiled one
     (:func:`repro.sparse.native.rowsums`) is asked first; what it does
     not take — or everything, where it could not be built —
     :func:`_numpy_rowsums` computes, and the two agree bit for bit (the
     library is only accepted once it has proven that, at import).
     """
-    if native.rowsums(A, x, out, add, rows):
-        return out
-    target = out if rows is None else out[rows[0] : rows[1]]
-    _numpy_rowsums(*_csr_arrays(A, rows), x, target, add=add)
+    if not native.rowsums(A, x, out, add):
+        _numpy_rowsums(A.row_ptr, A.col_idx, A.val, x, out, add=add)
     return out
-
-
-def _csr_arrays(
-    A: "CSRMatrix", rows: tuple[int, int] | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(row_ptr, col_idx, val)`` of *A*, or of its *rows* re-based to 0."""
-    if rows is None:
-        return A.row_ptr, A.col_idx, A.val
-    row_lo, row_hi = rows
-    lo, hi = int(A.row_ptr[row_lo]), int(A.row_ptr[row_hi])
-    return A.row_ptr[row_lo : row_hi + 1] - lo, A.col_idx[lo:hi], A.val[lo:hi]
 
 
 def _numpy_rowsums(
@@ -168,25 +147,6 @@ def spmv_add(A: "CSRMatrix", x: np.ndarray, out: np.ndarray) -> np.ndarray:
         raise ValueError(f"x must be a vector of length {A.ncols}, got shape {x.shape}")
     check_out(out, (A.nrows,))
     return _segmented_rowsums(A, x, out, add=True)
-
-
-def spmv_rows(
-    A: "CSRMatrix", x: np.ndarray, row_lo: int, row_hi: int, out: np.ndarray
-) -> np.ndarray:
-    """Compute rows ``[row_lo, row_hi)`` of ``A @ B`` into ``out`` (length m).
-
-    Rows outside the range are left untouched — this is the building block
-    for explicit work distribution across compute threads (the paper's task
-    mode cannot use OpenMP worksharing and assigns one contiguous chunk of
-    nonzeros per thread, Sect. 3.2).
-    """
-    if not (0 <= row_lo <= row_hi <= A.nrows):
-        raise ValueError(f"invalid row range [{row_lo}, {row_hi})")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size != A.ncols:
-        raise ValueError(f"x must be a vector of length {A.ncols}, got shape {x.shape}")
-    check_out(out, (A.nrows,))
-    return _segmented_rowsums(A, x, out, rows=(row_lo, row_hi))
 
 
 def spmv_split(

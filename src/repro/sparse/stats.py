@@ -1,8 +1,8 @@
 """Structural statistics of sparse matrices.
 
 These quantities drive both the node-level model (``Nnzr`` enters the
-code balance) and the cluster-level communication model (bandwidth /
-profile control how much halo data a row-block partition exchanges).
+code balance) and the cluster-level communication model (the bandwidth
+controls how much halo data a row-block partition exchanges).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.sparse.csr import CSRMatrix
 
-__all__ = ["MatrixStats", "matrix_stats", "bandwidth", "profile", "row_nnz_histogram"]
+__all__ = ["MatrixStats", "matrix_stats", "bandwidth"]
 
 
 def bandwidth(A: CSRMatrix) -> int:
@@ -22,21 +22,6 @@ def bandwidth(A: CSRMatrix) -> int:
         return 0
     rows = np.repeat(np.arange(A.nrows, dtype=np.int64), A.row_nnz())
     return int(np.abs(rows - A.col_idx).max())
-
-
-def profile(A: CSRMatrix) -> int:
-    """Matrix profile: sum over rows of ``i - min_j`` (skyline storage size)."""
-    if A.nnz == 0:
-        return 0
-    firsts = A.col_idx[A.row_ptr[:-1][A.row_nnz() > 0]]
-    rows = np.flatnonzero(A.row_nnz() > 0)
-    return int(np.maximum(rows - firsts, 0).sum())
-
-
-def row_nnz_histogram(A: CSRMatrix) -> dict[int, int]:
-    """Histogram of per-row nonzero counts ``{count: nrows_with_count}``."""
-    counts, freq = np.unique(A.row_nnz(), return_counts=True)
-    return {int(c): int(f) for c, f in zip(counts, freq)}
 
 
 @dataclass(frozen=True)

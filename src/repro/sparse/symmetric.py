@@ -66,17 +66,6 @@ class SymmetricCSR:
         )
         return cls(upper, A.nrows)
 
-    @property
-    def nnz_stored(self) -> int:
-        """Stored (upper-triangle) nonzeros."""
-        return self.upper.nnz
-
-    @property
-    def nnz_full(self) -> int:
-        """Nonzeros of the represented full matrix."""
-        diag = np.count_nonzero(self.upper.diagonal())
-        return 2 * self.upper.nnz - diag
-
     def memory_bytes(self) -> int:
         """Bytes of matrix storage (roughly half the full CSR)."""
         return self.upper.memory_bytes()
@@ -84,26 +73,6 @@ class SymmetricCSR:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``A @ x`` via the symmetric kernel."""
         return spmv_symmetric(self, x)
-
-    def to_full(self) -> CSRMatrix:
-        """Expand back to full CSR storage."""
-        strict = self._strict_upper()
-        return self.upper.add(strict.transpose())
-
-    def _strict_upper(self) -> CSRMatrix:
-        rows = np.repeat(np.arange(self.upper.nrows, dtype=np.int64), self.upper.row_nnz())
-        keep = self.upper.col_idx > rows
-        kept_rows = rows[keep]
-        row_ptr = np.zeros(self.upper.nrows + 1, dtype=np.int64)
-        np.add.at(row_ptr, kept_rows + 1, 1)
-        np.cumsum(row_ptr, out=row_ptr)
-        return CSRMatrix(
-            row_ptr,
-            self.upper.col_idx[keep].copy(),
-            self.upper.val[keep].copy(),
-            ncols=self.upper.ncols,
-            check=False,
-        )
 
 
 def spmv_symmetric(A: SymmetricCSR, x: np.ndarray) -> np.ndarray:

@@ -9,8 +9,7 @@ Historically the checks were inconsistent: ``spmv``/``spmm`` checked
 ``out`` for shape but silently *down-cast* into a non-float64 ``out``
 through a hidden temporary (allocating exactly what the preallocated
 output API promises to avoid, and losing precision on the way), while
-``spmv_split`` checked nothing about ``out`` and ``spmv_rows``/
-``spmm_rows`` checked neither shape nor dtype.
+``spmv_split`` checked nothing about ``out``.
 """
 
 from __future__ import annotations

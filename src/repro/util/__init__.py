@@ -2,7 +2,6 @@
 
 from repro.util.checks import (
     check_array_1d,
-    check_dtype_real,
     check_fraction,
     check_in,
     check_nonnegative_int,
@@ -16,13 +15,8 @@ from repro.util.tables import Table, ascii_chart, ascii_heatmap, format_table
 from repro.util.units import (
     GB,
     GIB,
-    format_bytes,
-    format_time,
     gb_per_s,
-    gflop_per_s,
     to_gb_per_s,
-    to_gflop_per_s,
-    usec,
 )
 
 __all__ = [
@@ -34,7 +28,6 @@ __all__ = [
     "check_in",
     "check_array_1d",
     "check_same_length",
-    "check_dtype_real",
     "check_sorted_nondecreasing",
     "Table",
     "format_table",
@@ -43,10 +36,5 @@ __all__ = [
     "GB",
     "GIB",
     "gb_per_s",
-    "gflop_per_s",
     "to_gb_per_s",
-    "to_gflop_per_s",
-    "usec",
-    "format_bytes",
-    "format_time",
 ]

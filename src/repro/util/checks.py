@@ -20,7 +20,6 @@ __all__ = [
     "check_in",
     "check_array_1d",
     "check_same_length",
-    "check_dtype_real",
     "check_sorted_nondecreasing",
 ]
 
@@ -94,12 +93,6 @@ def check_same_length(name_a: str, a: Sequence, name_b: str, b: Sequence) -> Non
             f"{name_a} and {name_b} must have the same length "
             f"({len(a)} != {len(b)})"
         )
-
-
-def check_dtype_real(arr: np.ndarray, name: str) -> None:
-    """Raise unless *arr* has a real floating or integer dtype."""
-    if not (np.issubdtype(arr.dtype, np.floating) or np.issubdtype(arr.dtype, np.integer)):
-        raise TypeError(f"{name} must have a real numeric dtype, got {arr.dtype}")
 
 
 def check_sorted_nondecreasing(arr: np.ndarray, name: str) -> None:

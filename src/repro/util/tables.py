@@ -80,12 +80,6 @@ class Table:
             self.headers, self.rows, float_fmt=self.float_fmt, title=self.title
         )
 
-    def to_csv(self) -> str:
-        out = [",".join(str(h) for h in self.headers)]
-        for row in self.rows:
-            out.append(",".join(_fmt_cell(v, self.float_fmt) for v in row))
-        return "\n".join(out)
-
 
 _MARKERS = "ox+*#@%&"
 

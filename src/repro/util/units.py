@@ -17,12 +17,7 @@ __all__ = [
     "MB",
     "GB",
     "gb_per_s",
-    "gflop_per_s",
     "to_gb_per_s",
-    "to_gflop_per_s",
-    "usec",
-    "format_bytes",
-    "format_time",
 ]
 
 KIB = 1024
@@ -40,45 +35,6 @@ def gb_per_s(value: float) -> float:
     return float(value) * GB
 
 
-def gflop_per_s(value: float) -> float:
-    """Convert a rate given in GFlop/s to flop/s."""
-    return float(value) * 1e9
-
-
 def to_gb_per_s(bytes_per_s: float) -> float:
     """Convert bytes/s to decimal GB/s (for reporting)."""
     return bytes_per_s / GB
-
-
-def to_gflop_per_s(flops_per_s: float) -> float:
-    """Convert flop/s to GFlop/s (for reporting)."""
-    return flops_per_s / 1e9
-
-
-def usec(value: float) -> float:
-    """Convert microseconds to seconds."""
-    return float(value) * 1e-6
-
-
-def format_bytes(nbytes: float) -> str:
-    """Human-readable byte count (decimal units, matching GB/s reporting)."""
-    n = float(nbytes)
-    for unit in ("B", "kB", "MB", "GB", "TB"):
-        if abs(n) < 1000.0 or unit == "TB":
-            return f"{n:.3g} {unit}"
-        n /= 1000.0
-    raise AssertionError("unreachable")
-
-
-def format_time(seconds: float) -> str:
-    """Human-readable time with an appropriate SI prefix."""
-    s = float(seconds)
-    if s == 0:
-        return "0 s"
-    if abs(s) >= 1.0:
-        return f"{s:.3g} s"
-    if abs(s) >= 1e-3:
-        return f"{s * 1e3:.3g} ms"
-    if abs(s) >= 1e-6:
-        return f"{s * 1e6:.3g} us"
-    return f"{s * 1e9:.3g} ns"

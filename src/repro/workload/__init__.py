@@ -6,9 +6,8 @@ does the simulated cluster sustain when *many* users submit CG, Lanczos,
 and spMVM jobs concurrently onto shared nodes and a shared network?
 
 * :mod:`repro.workload.streams` — seeded synthetic arrival streams
-  (Poisson / heavy-tailed), the ``repro-trace/1`` JSON trace format, the
-  documented reference trace, and the :mod:`repro.serve` service as a
-  job source;
+  (Poisson / heavy-tailed), the ``repro-trace/1`` JSON trace format and
+  the documented reference trace;
 * :mod:`repro.workload.scheduler` — FCFS, EASY backfilling, and the
   placement policies (first-fit / random / node-aware);
 * :mod:`repro.workload.engine` — the cluster engine running every job's
@@ -53,7 +52,6 @@ from repro.workload.streams import (
     jobs_to_dict,
     load_trace,
     reference_trace,
-    service_stream,
     synthetic_stream,
 )
 
@@ -65,7 +63,6 @@ __all__ = [
     "Job",
     "estimate_walltime",
     "synthetic_stream",
-    "service_stream",
     "reference_trace",
     "jobs_to_dict",
     "jobs_from_dict",

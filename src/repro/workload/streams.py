@@ -1,19 +1,14 @@
 """Job arrival streams: synthetic generators and the ``repro-trace/1`` format.
 
 A *workload* is a time-ordered stream of solver jobs submitted by many
-independent users.  This module produces such streams three ways:
+independent users.  This module produces such streams two ways:
 
 * :func:`synthetic_stream` — seeded statistical generators (Poisson or
   heavy-tailed interarrival times, configurable job-size and solver-mix
   distributions), the standard way to load the simulated cluster;
 * :func:`load_trace` / :func:`dump_trace` — a documented JSON trace
   format (``repro-trace/1``) so measured or hand-crafted workloads can
-  be replayed bit-for-bit;
-* :func:`service_stream` — the :mod:`repro.serve` tie-in: a stream of
-  small solve requests coalesced into spmm batches exactly the way the
-  ``SolverService`` does (arrivals inside one service window
-  merge into a single ``block_k``-wide job, capped at ``max_batch``) —
-  the persistent service becomes one more schedulable job source.
+  be replayed bit-for-bit.
 
 Every generator is a pure function of its seed: the same arguments
 produce the identical job list, which is what makes scheduler
@@ -55,7 +50,6 @@ __all__ = [
     "Job",
     "estimate_walltime",
     "synthetic_stream",
-    "service_stream",
     "reference_trace",
     "jobs_to_dict",
     "jobs_from_dict",
@@ -241,68 +235,6 @@ def synthetic_stream(
                 seed=seed * 100_003 + i,
             )
         )
-    return jobs
-
-
-def service_stream(
-    n_requests: int,
-    *,
-    seed: int = 0,
-    rate: float = 2000.0,
-    max_batch: int = 8,
-    hold_window: float = 2.0e-3,
-    n_nodes: int = 2,
-    nrows: int = 1024,
-    nnzr: float = 8.0,
-) -> list[Job]:
-    """The solver service's request stream as schedulable jobs.
-
-    Models :class:`repro.serve.SolverService`'s coalescing: solve
-    requests arrive Poisson at ``rate`` per second, and requests that
-    arrive within ``hold_window`` of the batch opener are coalesced into
-    one spmm sweep of up to ``max_batch`` columns — each coalesced batch
-    becomes one single-sweep job with ``block_k`` = batch width against
-    the same served matrix (``nrows``/``nnzr``/``seed`` fix its
-    structure, so every batch job reuses one model, the build-once
-    contract of PR 7).  Feeding this stream to the cluster engine is the
-    capacity-planning view of the service: what does the *machine* do
-    when the service's traffic coexists with batch solver jobs?
-    """
-    check_positive_int(n_requests, "n_requests")
-    check_positive_int(max_batch, "max_batch")
-    check_positive_float(hold_window, "hold_window")
-    rng = np.random.default_rng(seed)
-    arrivals = np.cumsum(rng.exponential(1.0 / rate, size=n_requests))
-    jobs: list[Job] = []
-    i = 0
-    while i < n_requests:
-        opener = arrivals[i]
-        width = 1
-        while (
-            i + width < n_requests
-            and width < max_batch
-            and arrivals[i + width] - opener <= hold_window
-        ):
-            width += 1
-        submit = float(arrivals[i + width - 1])  # batch closes on its last arrival
-        jobs.append(
-            Job(
-                job_id=len(jobs),
-                name=f"serve-b{len(jobs)}",
-                solver="spmvm",
-                submit=submit,
-                n_nodes=n_nodes,
-                nrows=nrows,
-                nnzr=nnzr,
-                iterations=1,
-                walltime=estimate_walltime(
-                    "spmvm", nrows, nnzr, 1, n_nodes, overestimate=2.0
-                ),
-                block_k=width,
-                seed=seed,
-            )
-        )
-        i += width
     return jobs
 
 

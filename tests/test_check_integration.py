@@ -10,7 +10,6 @@ from repro.check import (
     ThreadSanitizer,
     check_spmvm,
     run_seed_bug,
-    sim_teardown_findings,
 )
 from repro.check import driver
 from repro.cli import main
@@ -256,65 +255,26 @@ def test_cli_check_listed(capsys):
 
 
 # ----------------------------------------------------------------------
-# simulator teardown accounting
+# the simulator's side of teardown: a matched exchange leaves no request
+# waiting for a partner
 # ----------------------------------------------------------------------
-class _FakeSim:
-    def __init__(self, entries):
-        self._entries = entries
-
-    def unmatched_requests(self):
-        return self._entries
-
-
-def test_sim_teardown_findings_provenance():
-    findings = sim_teardown_findings(_FakeSim([
-        ("send", 0, 3, 7, 800),
-        ("recv", 2, 1, 9, 0),
-    ]))
-    assert [f.kind for f in findings] == ["leaked-request", "leaked-request"]
-    assert findings[0].ranks == (0,)  # the poster of the send
-    assert "tag 7" in findings[0].message
-    assert findings[1].ranks == (1,)  # the poster of the recv
-    assert "never found a sender" in findings[1].message
-
-
-def _sim_world():
+def test_simmpi_clean_run_has_no_unmatched_requests():
     from repro.frame import FlowNetwork, Simulator
     from repro.machine.network import FatTree
     from repro.smpi import SimMPI
 
     sim = Simulator()
     icn = FatTree(latency=1e-6, link_bandwidth=1e9)
-    net = FlowNetwork(sim, icn.resources(2))
-    return sim, SimMPI(sim, net, icn, [0, 1])
+    mpi = SimMPI(sim, FlowNetwork(sim, icn.resources(2)), icn, [0, 1])
+    requests = [mpi.isend(0, 1, 4096, tag=1), mpi.irecv(1, 0, 4096, tag=1)]
 
+    def rank(r, req):
+        yield from mpi.waitall(r, [req])
 
-def test_simmpi_reports_unmatched_requests():
-    sim, mpi = _sim_world()
-    # a rendezvous-sized send nobody receives, and a receive nobody feeds
-    mpi.isend(0, 1, 10_000_000, tag=3)
-    mpi.irecv(0, 1, 64, tag=4)
+    procs = [sim.spawn(rank(r, req)) for r, req in enumerate(requests)]
     sim.run()
-    entries = mpi.unmatched_requests()
-    assert ("send", 0, 1, 3, 10_000_000) in entries
-    assert ("recv", 1, 0, 4, 64) in entries
-    assert sim_teardown_findings(mpi)
-
-
-def test_simmpi_clean_run_has_no_unmatched_requests():
-    sim, mpi = _sim_world()
-
-    def sender(sim):
-        yield from mpi.waitall(0, [mpi.isend(0, 1, 4096, tag=1)])
-
-    def receiver(sim):
-        yield from mpi.waitall(1, [mpi.irecv(1, 0, 4096, tag=1)])
-
-    sim.spawn(sender(sim))
-    sim.spawn(receiver(sim))
-    sim.run()
-    assert mpi.unmatched_requests() == []
-    assert sim_teardown_findings(mpi) == []
+    assert all(req.done.triggered for req in requests)
+    assert all(p.done.triggered for p in procs)
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import build_halo_plan, fifty_percent_point, parallel_efficiency, phase_costs
-from repro.core.efficiency import ScalingSeries
 from repro.matrices import random_sparse
 from repro.model import code_balance, code_balance_split
 from repro.sparse import partition_matrix
@@ -19,7 +18,8 @@ def halo():
 
 def test_split_total_equals_full_plus_extra_result_write(halo):
     c = phase_costs(halo, kappa=0.0)
-    assert c.split_total == pytest.approx(c.full_spmv + 16.0 * halo.n_rows)
+    # the split kernel (local + remote phases) writes the result twice
+    assert c.local_spmv + c.remote_spmv == pytest.approx(c.full_spmv + 16.0 * halo.n_rows)
 
 
 def test_gather_cost_proportional_to_send_elements(halo):
@@ -43,7 +43,8 @@ def test_costs_reduce_to_code_balance_without_communication():
     c = phase_costs(rh, kappa=1.5)
     flops = 2.0 * rh.nnz
     assert c.full_spmv / flops == pytest.approx(code_balance(A.nnzr, 1.5))
-    assert c.split_total / flops == pytest.approx(code_balance_split(A.nnzr, 1.5))
+    split = c.local_spmv + c.remote_spmv
+    assert split / flops == pytest.approx(code_balance_split(A.nnzr, 1.5))
 
 
 def test_negative_kappa_rejected(halo):
@@ -76,13 +77,3 @@ def test_fifty_percent_point_none_when_efficient():
 def test_fifty_percent_point_first_point_below():
     fp = fifty_percent_point([4, 8], [8.0, 9.0], 5.0)  # already 0.4 at 4 nodes
     assert fp == 4.0
-
-
-def test_scaling_series():
-    s = ScalingSeries("x", [], [])
-    s.add(1, 5.0)
-    s.add(4, 12.0)
-    assert s.efficiency(5.0) == [pytest.approx(1.0), pytest.approx(0.6)]
-    assert s.fifty_percent(5.0) is None
-    s.add(8, 16.0)  # eff 0.4
-    assert s.fifty_percent(5.0) is not None

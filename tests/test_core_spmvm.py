@@ -30,12 +30,6 @@ def test_distributed_on_samg(samg_tiny, rng):
     assert np.allclose(y, samg_tiny @ x, atol=1e-11)
 
 
-def test_row_partition_strategy(random_300, rng):
-    x = rng.standard_normal(300)
-    y = distributed_spmv(random_300, x, 3, strategy="rows")
-    assert np.allclose(y, random_300 @ x, atol=1e-11)
-
-
 def test_repeated_multiplications(random_300, rng):
     # communication plan must be reusable across iterations
     x = rng.standard_normal(300)

@@ -66,9 +66,8 @@ def test_render_node_ascii():
 
 def test_cluster_spec():
     cl = westmere_cluster(8)
-    assert cl.total_cores == 96
-    assert cl.total_domains == 16
-    assert cl.with_nodes(2).n_nodes == 2
+    assert cl.n_nodes * cl.node.n_cores == 96
+    assert cl.n_nodes * cl.node.n_domains == 16
 
 
 # ----------------------------------------------------------------------

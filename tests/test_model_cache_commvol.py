@@ -5,7 +5,7 @@ import pytest
 
 from repro.experiments import run_comm_volume, run_kappa_prediction
 from repro.matrices import poisson_1d, random_sparse
-from repro.model import CacheConfig, predict_kappa, simulate_rhs_traffic
+from repro.model import CacheConfig, simulate_rhs_traffic
 from repro.sparse import CSRMatrix
 
 
@@ -38,7 +38,7 @@ def test_tiny_cache_forces_reloads():
 def test_kappa_monotone_in_cache_size():
     A = random_sparse(20_000, nnzr=8, seed=2)
     kappas = [
-        predict_kappa(A, CacheConfig(capacity_bytes=c), sample_rows=None)
+        simulate_rhs_traffic(A, CacheConfig(capacity_bytes=c), sample_rows=None).kappa
         for c in (4096, 65536, 16 * 1024 * 1024)
     ]
     assert kappas[0] >= kappas[1] >= kappas[2]
@@ -57,16 +57,16 @@ def test_huge_cache_only_compulsory_misses():
 def test_sampling_approximates_full_run():
     A = random_sparse(30_000, nnzr=8, seed=4)
     cfg = CacheConfig(capacity_bytes=16 * 1024)
-    full = predict_kappa(A, cfg, sample_rows=None)
-    sampled = predict_kappa(A, cfg, sample_rows=10_000, seed=1)
+    full = simulate_rhs_traffic(A, cfg, sample_rows=None).kappa
+    sampled = simulate_rhs_traffic(A, cfg, sample_rows=10_000, seed=1).kappa
     assert sampled == pytest.approx(full, rel=0.25)
 
 
 def test_kappa_prediction_reproduces_paper_ordering(hmep_tiny, hmep_bad_tiny):
     # even at tiny scale the scattered ordering must reload more
     cfg = CacheConfig(capacity_bytes=2048, rhs_cache_fraction=0.5)
-    k_good = predict_kappa(hmep_tiny, cfg, sample_rows=None)
-    k_bad = predict_kappa(hmep_bad_tiny, cfg, sample_rows=None)
+    k_good = simulate_rhs_traffic(hmep_tiny, cfg, sample_rows=None).kappa
+    k_bad = simulate_rhs_traffic(hmep_bad_tiny, cfg, sample_rows=None).kappa
     assert k_bad > k_good
 
 

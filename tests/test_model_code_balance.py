@@ -7,7 +7,6 @@ from repro.model import (
     CodeBalanceModel,
     code_balance,
     code_balance_split,
-    kappa_from_bandwidth_ratio,
     kappa_from_measurement,
     max_performance,
     split_penalty,
@@ -45,13 +44,6 @@ def test_kappa_from_measurement_clamps_to_zero():
     assert kappa_from_measurement(5e9, 18.1e9, 15.0) == 0.0
 
 
-def test_kappa_reload_interpretation():
-    # 5 extra full loads of B at Nnzr=15 -> kappa = 5*8/15
-    assert kappa_from_bandwidth_ratio(5.0, 15.0) == pytest.approx(8.0 * 5 / 15)
-    with pytest.raises(ValueError):
-        kappa_from_bandwidth_ratio(-1.0, 15.0)
-
-
 def test_split_penalty_range():
     # paper: between 15% (Nnzr=7) and 8% (Nnzr=15) for kappa=0
     assert 0.12 <= split_penalty(7.0) <= 0.15
@@ -64,7 +56,6 @@ def test_model_bundle_consistency():
     m = CodeBalanceModel(nnzr=15.0, kappa=2.5)
     bw = 18.1e9
     assert m.performance(bw) == pytest.approx(bw / m.balance())
-    assert m.bandwidth_needed(m.performance(bw)) == pytest.approx(bw)
     assert m.balance(split=True) > m.balance()
 
 

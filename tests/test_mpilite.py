@@ -285,13 +285,6 @@ def test_gather_root_only():
     assert out[2] == [0, 1, 2]
 
 
-def test_scatter():
-    def fn(comm):
-        return comm.scatter([10, 20, 30] if comm.rank == 0 else None, root=0)
-
-    assert run_spmd(3, fn) == [10, 20, 30]
-
-
 def test_exchange_result_landing_at_deadline_is_not_a_timeout():
     # regression: after Condition.wait returned False the code raised
     # TimeoutError without re-checking whether the result had landed in

@@ -98,5 +98,86 @@ def test_doc_references_resolve():
     assert not dangling, "docs name code that does not exist:\n" + "\n".join(dangling)
 
 
+#: Public definitions without a caller outside ``tests/``, each with the
+#: one reason it stays: a test seam that substitutes behaviour, a
+#: validator of outside input, the oracle or input a test compares
+#: against, or the input a ROADMAP item names for its next step.
+KEPT = {
+    "SolverService.inject_fault": "test seam: kills a rank worker to exercise failure paths",
+    "CommPlan.validate": "validates a plan built outside the lowering (raises with findings)",
+    "SweepProgram.signature": "oracle of the golden cross-backend op-sequence tests",
+    "poisson_1d": "input of the cache-model test (sequential RHS access)",
+    "poisson_2d": "input of the CG, Lanczos, AMG and RCM tests",
+    "poisson_3d": "the 7-point member of the Poisson test-matrix family",
+    "random_banded": "input of the nearest-neighbour halo test",
+    "random_symmetric": "symmetric test-matrix generator beside random_sparse",
+    "NativeStatus.to_dict": "ROADMAP item 8(d) records native.status() per ledger run",
+    "ProcComm.scatter": "mpilite/procs.py stays whole until ROADMAP item 8(e) deletes it",
+}
+
+
+def _public_definitions(root: Path):
+    """``(file:line, qualname)`` of every public function, method,
+    property and class under ``src/repro``, nested classes included."""
+    import ast
+
+    found = []
+
+    def visit(body, prefix, rel):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    found.append((f"{rel}:{node.lineno}", prefix + node.name))
+                if isinstance(node, ast.ClassDef):
+                    visit(node.body, f"{prefix}{node.name}.", rel)
+
+    for path in sorted((root / "src" / "repro").rglob("*.py")):
+        visit(ast.parse(path.read_text()).body, "", path.relative_to(root))
+    return found
+
+
+def _referenced_names(root: Path) -> set[str]:
+    """Every name the code outside ``tests/`` reads: names, attributes,
+    the quoted attribute of ``getattr`` / ``hasattr`` / ``setattr``, and
+    the words of the CI workflows."""
+    import ast
+
+    seen: set[str] = set()
+    for folder in ("src", "examples", "benchmarks"):
+        for path in (root / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    seen.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    seen.add(node.attr)
+                elif (
+                    isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("getattr", "hasattr", "setattr")
+                    and len(node.args) >= 2 and isinstance(node.args[1], ast.Constant)
+                ):
+                    seen.add(str(node.args[1].value))
+    for workflow in (root / ".github").rglob("*.yml"):
+        seen.update(re.findall(r"[A-Za-z_]\w*", workflow.read_text()))
+    return seen
+
+
+def _uncalled(root: Path) -> list[tuple[str, str]]:
+    """Public definitions whose name nothing outside ``tests/`` reads."""
+    seen = _referenced_names(root)
+    return [(where, qual) for where, qual in _public_definitions(root)
+            if qual.rsplit(".", 1)[-1] not in seen]
+
+
+def test_every_public_name_has_a_caller():
+    # a name only its own tests call is surface to maintain with nothing
+    # depending on it: delete it, or give it a reason in KEPT
+    uncalled = _uncalled(Path(__file__).resolve().parent.parent)
+    orphans = [f"{where} {qual}" for where, qual in uncalled if qual not in KEPT]
+    assert not orphans, "public names with no caller outside tests/:\n" + "\n".join(orphans)
+    stale = set(KEPT) - {qual for _, qual in uncalled}
+    assert not stale, f"KEPT entries that are gone or have a caller now: {sorted(stale)}"
+    assert len(KEPT) <= 12
+
+
 def test_version_string():
     assert repro.__version__.count(".") == 2

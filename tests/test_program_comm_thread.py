@@ -501,7 +501,6 @@ def test_clean_sweeps_on_one_engine_report_nothing(hmep_tiny, rng):
     run_sanitized(hmep_tiny, rng.standard_normal(hmep_tiny.nrows), san, body)
     report = san.finalize()
     assert report.ok, report.render()
-    assert san.open_regions() == []
     # four regions per rank, each its own spawn edge and sanitizer identity
     names = [st.name for st in san._by_tid.values()]
     assert names.count("comm-thread-0") == names.count("comm-thread-1") == 4

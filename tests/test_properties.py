@@ -80,24 +80,41 @@ def test_row_partition_covers_disjointly(nrows, nparts):
 
 
 @settings(max_examples=30, deadline=None)
-@given(n=st.integers(1, 25), nnz=st.integers(1, 150), nparts=st.integers(1, 40), seed=_SEED)
-def test_nnz_partition_and_halo_consistency(n, nnz, nparts, seed):
+@given(
+    n=st.integers(1, 25), nnz=st.integers(1, 150), nparts=st.integers(1, 40),
+    surplus=st.integers(0, 3), seed=_SEED,
+)
+def test_nnz_partition_and_halo_consistency(n, nnz, nparts, surplus, seed):
     # nparts may exceed nrows: surplus parts must come out empty, not crash
     A = _random_coo(n, n, nnz, seed).to_csr()
-    part = partition_nnz_balanced(A, nparts)
-    plan = build_halo_plan(A, part, with_matrices=True)
-    # global consistency
-    assert sum(r.send_bytes for r in plan.ranks) == sum(r.recv_bytes for r in plan.ranks)
-    assert sum(r.nnz for r in plan.ranks) == A.nnz
-    # the split reproduces the matvec on every rank
     rng = np.random.default_rng(seed + 2)
     x = rng.standard_normal(n)
     ref = A.to_dense() @ x
-    for rh in plan.ranks:
-        xl = x[rh.row_lo : rh.row_hi]
-        xh = x[rh.halo_columns] if rh.n_halo else np.zeros(1)
-        y = rh.A_local @ xl + rh.A_remote @ xh
-        assert np.allclose(y, ref[rh.row_lo : rh.row_hi], atol=1e-10)
+    for nranks in (nparts, n + surplus):
+        part = partition_nnz_balanced(A, nranks)
+        plan = build_halo_plan(A, part, with_matrices=True)
+        # global consistency
+        assert sum(r.send_bytes for r in plan.ranks) == sum(r.recv_bytes for r in plan.ranks)
+        assert sum(r.nnz for r in plan.ranks) == A.nnz
+        # every send list is the all-pairs inversion of the halos: for each
+        # receiver in ascending order, the sender's columns it needs
+        for rh in plan.ranks:
+            want = [
+                (q.rank, cols - rh.row_lo)
+                for q in plan.ranks
+                for cols in [q.halo_columns[part.owner_of(q.halo_columns) == rh.rank]]
+                if cols.size
+            ]
+            assert rh.send_to == [(q, cols.size) for q, cols in want]
+            assert list(rh.send_indices) == [q for q, _ in want]
+            for q, cols in want:
+                assert np.array_equal(rh.send_indices[q], cols)
+        # the split reproduces the matvec on every rank
+        for rh in plan.ranks:
+            xl = x[rh.row_lo : rh.row_hi]
+            xh = x[rh.halo_columns] if rh.n_halo else np.zeros(1)
+            y = rh.A_local @ xl + rh.A_remote @ xh
+            assert np.allclose(y, ref[rh.row_lo : rh.row_hi], atol=1e-10)
 
 
 @settings(max_examples=30, deadline=None)

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.spmvm import distributed_spmv
 from repro.matrices import random_sparse
+from repro.mpilite import WorldAbortedError
 from repro.serve import (
     MODEL_SCHEMA,
     BuiltModel,
@@ -77,7 +78,6 @@ class TestModelSerialization:
         A = random_sparse(100, nnzr=5.0, seed=14, ensure_diagonal=True)
         built = build_model(
             A, 4, scheme="naive_overlap", comm_plan="node-aware", ranks_per_node=2,
-            strategy="rows",
         )
         path = built.save(tmp_path / "model.npz")
         with np.load(path) as data:
@@ -91,13 +91,12 @@ class TestModelSerialization:
             "schema": MODEL_SCHEMA,
             "nranks": 4,
             "scheme": "naive_overlap",
-            "strategy": "rows",
             "comm_plan": "node-aware",
             "ranks_per_node": 2,
             "fingerprint": list(A.structure_fingerprint()),
         }
         loaded = BuiltModel.load(path)
-        assert (loaded.nranks, loaded.scheme, loaded.strategy) == (4, "naive_overlap", "rows")
+        assert (loaded.nranks, loaded.scheme) == (4, "naive_overlap")
         assert (loaded.comm_plan_kind, loaded.ranks_per_node) == ("node-aware", 2)
         assert loaded.comm_plan is not None
         np.testing.assert_array_equal(
@@ -139,16 +138,37 @@ class TestModelSerialization:
             # a file an older writer built on a kernel that no longer
             # exists served a different result class: refused by name
             (lambda meta, data: meta.update(kernel="ghost/v1"), r"'kernel' names 'ghost/v1'"),
+            # so did one partitioned other than by balanced nonzeros
+            (lambda meta, data: meta.update(strategy="rows"), r"'strategy' names 'rows'"),
+            (lambda meta, data: meta.update(strategy="bogus"), r"'strategy' names 'bogus'"),
+            # every value is checked before build_model sees it
+            (lambda meta, data: meta.update(nranks=-1), r"'nranks' is -1; expected an integer"),
+            (lambda meta, data: meta.update(nranks="x"), r"'nranks' is 'x'; expected an integer"),
+            # more ranks than rows: refused before an O(nranks) build
+            (lambda meta, data: meta.update(nranks=1_000_000), r"more ranks than the matrix"),
+            (lambda meta, data: meta.update(scheme="bogus"), r"'scheme' is 'bogus'; expected one"),
+            (lambda meta, data: meta.update(comm_plan="bogus"), r"'comm_plan' is 'bogus'"),
+            (
+                lambda meta, data: meta.update(comm_plan="node-aware", ranks_per_node=0),
+                r"'ranks_per_node' is 0; expected an integer >= 1",
+            ),
+            (lambda meta, data: meta.update(fingerprint=5), r"'fingerprint' is 5; expected a list"),
+            (lambda meta, data: data.update(meta=np.array("{not json")), r"meta is not JSON"),
         ],
         ids=[
             "meta-no-nranks", "meta-no-fingerprint", "meta-no-comm_plan",
             "no-val-array", "short-val", "foreign-kernel",
+            "strategy-rows", "strategy-bogus", "nranks-negative", "nranks-string",
+            "nranks-above-rows", "scheme-bogus", "comm_plan-bogus", "ranks_per_node-zero",
+            "fingerprint-int", "meta-not-json",
         ],
     )
     def test_load_rejects_corrupt_file_with_its_path(self, model, tmp_path, corrupt, match):
         path = _rewritten(model.save(tmp_path / "model.npz"), corrupt)
+        t0 = time.perf_counter()
         with pytest.raises(ValueError, match=match) as err:
             BuiltModel.load(path)
+        assert time.perf_counter() - t0 < 1.0
         assert str(err.value).startswith(f"{path}: ")
 
     def test_legacy_file_naming_the_csr_kernel_loads_bit_identically(self, A, model, tmp_path):
@@ -162,16 +182,29 @@ class TestModelSerialization:
         with SolverService(model) as live, SolverService(loaded) as thawed:
             np.testing.assert_array_equal(live.solve(x), thawed.solve(x))
 
+    def test_legacy_file_naming_the_nnz_strategy_loads_bit_identically(self, A, model, tmp_path):
+        # every repro-model/2 file written before the key was dropped; a
+        # file without it (what save writes now) is the round trip above
+        path = model.save(tmp_path / "model.npz")
+        with np.load(path) as npz:
+            assert "strategy" not in str(npz["meta"][()])
+        loaded = BuiltModel.load(_rewritten(path, lambda meta, data: meta.update(strategy="nnz")))
+        np.testing.assert_array_equal(loaded.plan.partition.offsets, model.plan.partition.offsets)
+        x = np.cos(np.arange(A.nrows))
+        with SolverService(model) as live, SolverService(loaded) as thawed:
+            np.testing.assert_array_equal(live.solve(x), thawed.solve(x))
+
 
 def _rewritten(path, edit):
-    """Apply ``edit(meta, arrays)`` to a saved model file in place."""
+    """Apply ``edit(meta, arrays)`` to a saved model file in place (an
+    edit that puts a ``meta`` entry into *arrays* replaces the JSON)."""
     import json
 
     with np.load(path) as npz:
         data = dict(npz)
     meta = json.loads(str(data.pop("meta")[()]))
     edit(meta, data)
-    np.savez(path, meta=np.array(json.dumps(meta)), **data)
+    np.savez(path, **{"meta": np.array(json.dumps(meta)), **data})
     return path
 
 
@@ -370,7 +403,8 @@ class TestLifecycle:
         msg = str(excinfo.value)
         assert "rank 1" in msg and "doomed" in msg and "batch" in msg
         assert svc.state == "failed"
-        assert svc.world.aborted is not None
+        with pytest.raises(WorldAbortedError, match="rank 1"):  # the world is torn down
+            svc.world.comms[0].send(np.ones(1), dest=2)
         # the analyzer's recorder survives the crash and still reports
         report = rec.finalize(context="kill-mid-request")
         assert report is not None

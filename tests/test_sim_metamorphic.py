@@ -71,11 +71,15 @@ def _scaled_cluster(factor: float, n_nodes: int = 4) -> ClusterSpec:
     """Westmere cluster with every bandwidth multiplied by *factor*."""
     base = westmere_cluster(n_nodes)
     dom = base.node.domains[0]
+
+    def scaled(curve: SaturationCurve) -> SaturationCurve:
+        return SaturationCurve(curve.cores, tuple(b * factor for b in curve.bandwidth))
+
     ld = LocalityDomain(
         n_cores=dom.n_cores,
         smt_per_core=dom.smt_per_core,
-        stream_curve=dom.stream_curve.scaled(factor),
-        spmv_curve=dom.spmv_curve.scaled(factor),
+        stream_curve=scaled(dom.stream_curve),
+        spmv_curve=scaled(dom.spmv_curve),
         peak_core_flops=dom.peak_core_flops,
     )
     node = NodeSpec(

@@ -193,14 +193,20 @@ def test_intranode_messages_use_shared_memory():
 
 
 def test_enter_exit_depth_tracking():
+    from repro.frame import TraceRecorder
+
     _sim, mpi = _world()
-    assert not mpi.in_mpi(0)
+    mpi.trace = TraceRecorder()
+
+    def gates():
+        return [ev.name for ev in mpi.trace.events if ev.name.startswith("gate_")]
+
     mpi.enter_mpi(0)
     mpi.enter_mpi(0)
     mpi.exit_mpi(0)
-    assert mpi.in_mpi(0)  # nested
+    assert gates() == ["gate_open"]  # nested: the gate stays open
     mpi.exit_mpi(0)
-    assert not mpi.in_mpi(0)
+    assert gates() == ["gate_open", "gate_close"]
     with pytest.raises(RuntimeError, match="without matching"):
         mpi.exit_mpi(0)
 

@@ -21,7 +21,6 @@ from repro.solvers import (
     DistributedOperator,
     SerialOperator,
     conjugate_gradient,
-    ground_state,
     lanczos,
     spectral_bounds,
 )
@@ -46,7 +45,8 @@ def test_lanczos_lowest_eigenvalues(sym_matrix):
 
 def test_lanczos_ritz_vector(sym_matrix):
     op = SerialOperator(sym_matrix)
-    energy, vec = ground_state(op, max_iter=150, tol=1e-10, want_vector=True)
+    res = lanczos(op, max_iter=150, tol=1e-10, want_vector=True)
+    energy, vec = res.ground_energy, res.ritz_vector
     assert vec is not None
     resid = np.linalg.norm(sym_matrix @ vec - energy * vec)
     assert resid < 1e-6

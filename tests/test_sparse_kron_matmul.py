@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sparse import CSRMatrix, kron, kron_diag_left, kron_sum, matmul
+from repro.sparse import CSRMatrix, kron, kron_diag_left, matmul
 
 
 @pytest.fixture()
@@ -37,16 +37,14 @@ def test_kron_diag_left_matches_full_kron(rng):
 
 
 def test_kron_sum(rng):
+    # A ⊗ I + I ⊗ B, composed the way the Hubbard builder composes the
+    # two spin species (repro.matrices.fock)
     a = rng.standard_normal((3, 3)) * (rng.random((3, 3)) < 0.7)
     b = rng.standard_normal((4, 4)) * (rng.random((4, 4)) < 0.7)
-    ks = kron_sum(CSRMatrix.from_dense(a), CSRMatrix.from_dense(b))
+    A, B = CSRMatrix.from_dense(a), CSRMatrix.from_dense(b)
+    ks = kron(A, CSRMatrix.identity(4)).add(kron(CSRMatrix.identity(3), B))
     ref = np.kron(a, np.eye(4)) + np.kron(np.eye(3), b)
     assert np.allclose(ks.to_dense(), ref)
-
-
-def test_kron_sum_requires_square():
-    with pytest.raises(ValueError, match="square"):
-        kron_sum(CSRMatrix.from_dense(np.ones((2, 3))), CSRMatrix.identity(2))
 
 
 def test_matmul_matches_dense(pair, rng):

@@ -22,8 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.sparse import COOMatrix, CSRMatrix, native, spmm, spmm_add, spmm_rows
-from repro.sparse import spmv, spmv_add, spmv_rows
+from repro.sparse import COOMatrix, CSRMatrix, native, spmm, spmm_add, spmv, spmv_add
 from repro.sparse.spmm import _numpy_block_rowsums, _segmented_block_rowsums
 from repro.sparse.spmv import _numpy_rowsums, _segmented_rowsums
 
@@ -116,30 +115,6 @@ def test_native_reproduces_numpy_bits(lengths, ncols, k, add, val_special, x_spe
 
 
 @needs_library
-@settings(max_examples=60, deadline=None)
-@given(k=st.sampled_from((1, 2, 8)), seed=_SEED, data=st.data())
-def test_row_range_kernels_reproduce_numpy_bits(k, seed, data):
-    rng = np.random.default_rng(seed)
-    A = _matrix(nrows=40, ncols=35, nnz=int(rng.integers(0, 500)), seed=seed)
-    lo = data.draw(st.integers(0, A.nrows))
-    hi = data.draw(st.integers(lo, A.nrows))
-    base, top = int(A.row_ptr[lo]), int(A.row_ptr[hi])
-    sub = (A.row_ptr[lo : hi + 1] - base, A.col_idx[base:top], A.val[base:top])
-
-    x = rng.standard_normal(A.ncols)
-    out = rng.standard_normal(A.nrows)
-    want = out.copy()
-    _numpy_rowsums(*sub, x, want[lo:hi])
-    assert same_bits(spmv_rows(A, x, lo, hi, out), want)
-
-    X = rng.standard_normal((A.ncols, k))
-    out = rng.standard_normal((A.nrows, k))
-    want = out.copy()
-    _numpy_block_rowsums(*sub, X, want[lo:hi])
-    assert same_bits(spmm_rows(A, X, lo, hi, out), want)
-
-
-@needs_library
 @pytest.mark.parametrize("k", [1, 2, 3, 8, 13, 16])
 def test_block_column_is_the_vector_kernel(k):
     rng = np.random.default_rng(k)
@@ -193,7 +168,6 @@ def test_declined_operands_get_the_numpy_answer():
     # mismatched output shape: declined, never written past its end
     assert not native.rowsums(A, x, np.empty(A.nrows - 1), False)
     assert not native.rowsums(A, x, np.empty((A.nrows, 2)), False)
-    assert not native.rowsums(A, x, np.empty(A.nrows), False, rows=(5, A.nrows + 1))
     # k == 0
     empty = spmm(A, np.empty((A.ncols, 0)))
     assert empty.shape == (A.nrows, 0)
@@ -294,8 +268,6 @@ def test_long_row_with_a_bad_index_raises():
             spmv(A, np.ones(20))
         with pytest.raises(IndexError, match=r"row [12]: column index 20"):
             spmm(A, np.ones((20, 5)))
-        with pytest.raises(IndexError, match=r"row [12]: column index 20"):
-            spmv_rows(A, np.ones(20), 1, 3, np.empty(3))
 
 
 @needs_library

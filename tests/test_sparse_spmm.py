@@ -1,4 +1,4 @@
-"""Batched multi-RHS kernels: spmm family vs per-column spmv, traffic model."""
+"""Batched multi-RHS kernels: spmm family vs per-column spmv."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,7 @@ from repro.sparse import (
     CSRMatrix,
     spmm,
     spmm_add,
-    spmm_rows,
-    spmm_traffic,
     spmv,
-    spmv_traffic,
 )
 
 
@@ -92,15 +89,6 @@ def test_spmm_rejects_non_float64_out(mat_and_block):
         spmm_add(m, X, np.zeros((40, 8), dtype=np.int32))
 
 
-def test_spmm_rows_validates_out(mat_and_block):
-    """Regression: spmm_rows checked neither out shape nor dtype."""
-    m, _d, X = mat_and_block
-    with pytest.raises(ValueError, match="out must have shape"):
-        spmm_rows(m, X, 0, 10, np.zeros((40, 7)))
-    with pytest.raises(ValueError, match="out must have dtype float64"):
-        spmm_rows(m, X, 0, 10, np.zeros((40, 8), dtype=np.float32))
-
-
 def test_spmm_add_accumulates(mat_and_block):
     m, d, X = mat_and_block
     out = np.ones((40, 8))
@@ -115,48 +103,6 @@ def test_spmm_add_with_empty_rows():
     out = np.full((3, 2), 5.0)
     spmm_add(m, np.array([[2.0, -1.0], [1.0, 5.0]]), out)
     assert out.tolist() == [[5.0, 5.0], [11.0, 2.0], [5.0, 5.0]]
-
-
-def test_spmm_rows_partial(mat_and_block):
-    m, d, X = mat_and_block
-    out = np.full((40, 8), -7.0)
-    spmm_rows(m, X, 10, 25, out)
-    assert np.allclose(out[10:25], (d @ X)[10:25])
-    assert np.all(out[:10] == -7.0)
-    assert np.all(out[25:] == -7.0)
-
-
-def test_spmm_rows_bad_range(mat_and_block):
-    m, _d, X = mat_and_block
-    with pytest.raises(ValueError, match="row range"):
-        spmm_rows(m, X, 30, 10, np.zeros((40, 8)))
-
-
-def test_spmm_traffic_reduces_to_spmv_at_k1(mat_and_block):
-    m, _d, _X = mat_and_block
-    for kappa in (0.0, 2.5):
-        for split in (False, True):
-            assert spmm_traffic(m, 1, kappa=kappa, split=split) == pytest.approx(
-                spmv_traffic(m, kappa=kappa, split=split)
-            )
-
-
-def test_spmm_traffic_amortizes_matrix_data(mat_and_block):
-    # the whole point of batching: k x the vector traffic but one matrix read
-    m, _d, _X = mat_and_block
-    for k in (4, 16):
-        assert spmm_traffic(m, k) < k * spmv_traffic(m)
-        # difference is exactly (k-1) matrix reads
-        saved = k * spmv_traffic(m) - spmm_traffic(m, k)
-        assert saved == pytest.approx((k - 1) * 12 * m.nnz)
-
-
-def test_spmm_traffic_validation(mat_and_block):
-    m, _d, _X = mat_and_block
-    with pytest.raises(ValueError, match="k must be"):
-        spmm_traffic(m, 0)
-    with pytest.raises(ValueError, match="kappa"):
-        spmm_traffic(m, 4, kappa=-1.0)
 
 
 def test_spmv_out_written_in_place(mat_and_block):

@@ -1,10 +1,20 @@
-"""spMVM kernels: full, accumulate, row-range, split, traffic accounting."""
+"""spMVM kernels: full, accumulate, split, traffic accounting."""
 
 import numpy as np
 import pytest
 
 from repro.model import code_balance, code_balance_split
-from repro.sparse import CSRMatrix, flops, spmv, spmv_add, spmv_rows, spmv_split, spmv_traffic
+from repro.sparse import CSRMatrix, flops, spmv, spmv_add, spmv_split, spmv_traffic
+
+
+def _split(d, is_local):
+    """The local part of dense *d* (columns where *is_local*, full column
+    space) and the remote part with its columns compressed to a halo
+    buffer, as the halo plan lays them out; plus the halo columns."""
+    halo_cols = np.flatnonzero(~is_local & (d != 0).any(axis=0))
+    local = CSRMatrix.from_dense(d * is_local)
+    remote = CSRMatrix.from_dense(d[:, halo_cols] if halo_cols.size else np.zeros((len(d), 1)))
+    return local, remote, halo_cols
 
 
 @pytest.fixture()
@@ -36,31 +46,10 @@ def test_spmv_add_accumulates(mat_and_x):
     assert np.allclose(out, 1.0 + d @ x)
 
 
-def test_spmv_rows_partial(mat_and_x):
-    m, d, x = mat_and_x
-    out = np.full(40, -7.0)
-    spmv_rows(m, x, 10, 25, out)
-    assert np.allclose(out[10:25], (d @ x)[10:25])
-    assert np.all(out[:10] == -7.0)
-    assert np.all(out[25:] == -7.0)
-
-
-def test_spmv_rows_bad_range(mat_and_x):
-    m, _d, x = mat_and_x
-    with pytest.raises(ValueError, match="row range"):
-        spmv_rows(m, x, 30, 10, np.zeros(40))
-
-
 def test_spmv_split_equals_full(mat_and_x, rng):
-    m, d, x = mat_and_x
-    mask = rng.random(40) < 0.7
-    local, remote = m.column_mask_split(mask)
-    # compress the remote columns into a halo buffer, as the real code does
-    halo_cols = remote.columns_used()
-    mapping = np.zeros(40, dtype=np.int64)
-    mapping[halo_cols] = np.arange(halo_cols.size)
-    remote_compressed = remote.relabel_columns(mapping, max(1, halo_cols.size))
-    y = spmv_split(local, remote_compressed, x, x[halo_cols] if halo_cols.size else np.zeros(1))
+    _m, d, x = mat_and_x
+    local, remote, halo_cols = _split(d, rng.random(40) < 0.7)
+    y = spmv_split(local, remote, x, x[halo_cols] if halo_cols.size else np.zeros(1))
     assert np.allclose(y, d @ x)
 
 
@@ -111,26 +100,10 @@ def test_spmv_add_rejects_non_float64_out(mat_and_x):
         spmv_add(m, x, np.zeros(40, dtype=np.int64))
 
 
-def test_spmv_rows_validates_out_and_x(mat_and_x):
-    """Regression: spmv_rows checked neither x length nor out shape."""
-    m, _d, x = mat_and_x
-    with pytest.raises(ValueError, match="out must have shape"):
-        spmv_rows(m, x, 0, 10, np.zeros(39))
-    with pytest.raises(ValueError, match="out must have dtype float64"):
-        spmv_rows(m, x, 0, 10, np.zeros(40, dtype=np.float32))
-    with pytest.raises(ValueError, match="x must be a vector"):
-        spmv_rows(m, np.ones(41), 0, 10, np.zeros(40))
-
-
 def test_spmv_split_validates_out(mat_and_x, rng):
     """Regression: spmv_split never checked a caller-provided out."""
-    m, _d, x = mat_and_x
-    mask = rng.random(40) < 0.7
-    local, remote = m.column_mask_split(mask)
-    halo_cols = remote.columns_used()
-    mapping = np.zeros(40, dtype=np.int64)
-    mapping[halo_cols] = np.arange(halo_cols.size)
-    remote_c = remote.relabel_columns(mapping, max(1, halo_cols.size))
+    _m, d, x = mat_and_x
+    local, remote_c, halo_cols = _split(d, rng.random(40) < 0.7)
     x_remote = x[halo_cols] if halo_cols.size else np.zeros(1)
     with pytest.raises(ValueError, match="out must have shape"):
         spmv_split(local, remote_c, x, x_remote, out=np.zeros(41))
@@ -162,13 +135,6 @@ def test_spmv_add_no_cross_row_cancellation():
     assert out.tolist() == [1e16, 2.0]
 
 
-def test_spmv_rows_no_cross_row_cancellation():
-    m = CSRMatrix.from_dense(np.array([[1e16, 1.0], [1.0, 1.0]]))
-    out = np.zeros(2)
-    spmv_rows(m, np.ones(2), 0, 2, out)
-    assert out.tolist() == [1e16, 2.0]
-
-
 def test_spmv_huge_entry_then_empty_row():
     # empty row after a huge-magnitude row must stay exactly 0
     m = CSRMatrix(
@@ -194,12 +160,7 @@ def test_spmv_mixed_magnitudes_rowwise_bound(seed):
     m = CSRMatrix.from_dense(d)
     bound = 1e-10 * (np.abs(d) @ np.abs(x)) + 1e-300
     assert np.all(np.abs(spmv(m, x) - d @ x) <= bound)
-    split_mask = rng.random(n) < 0.6
-    local, remote = m.column_mask_split(split_mask)
-    halo_cols = remote.columns_used()
-    mapping = np.zeros(n, dtype=np.int64)
-    mapping[halo_cols] = np.arange(halo_cols.size)
-    remote_c = remote.relabel_columns(mapping, max(1, halo_cols.size))
+    local, remote_c, halo_cols = _split(d, rng.random(n) < 0.6)
     y = spmv_split(local, remote_c, x, x[halo_cols] if halo_cols.size else np.zeros(1))
     assert np.all(np.abs(y - d @ x) <= bound)
 

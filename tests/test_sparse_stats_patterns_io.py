@@ -8,8 +8,6 @@ from repro.sparse import (
     bandwidth,
     block_occupancy,
     matrix_stats,
-    profile,
-    row_nnz_histogram,
 )
 
 
@@ -21,19 +19,6 @@ def test_bandwidth_tridiagonal():
 def test_bandwidth_empty():
     m = CSRMatrix(np.zeros(3, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0), ncols=2)
     assert bandwidth(m) == 0
-
-
-def test_profile():
-    # row 2 reaches back to col 0 -> profile contribution 2
-    d = np.eye(3)
-    d[2, 0] = 1.0
-    assert profile(CSRMatrix.from_dense(d)) == 2
-
-
-def test_row_nnz_histogram():
-    d = np.array([[1.0, 1.0], [0.0, 1.0]])
-    h = row_nnz_histogram(CSRMatrix.from_dense(d))
-    assert h == {1: 1, 2: 1}
 
 
 def test_matrix_stats(hmep_tiny):
@@ -48,7 +33,7 @@ def test_matrix_stats(hmep_tiny):
 def test_block_occupancy_identity():
     m = CSRMatrix.identity(100)
     g = block_occupancy(m, grid=10)
-    assert g.grid_shape == (10, 10)
+    assert g.occupancy.shape == (10, 10)
     # all nonzero blocks on the diagonal
     assert g.diagonal_fraction() == 1.0
     assert g.band_fraction(0) == 1.0

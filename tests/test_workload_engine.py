@@ -23,7 +23,6 @@ from repro.workload import (
     reference_trace,
     render_report,
     run_workload,
-    service_stream,
     synthetic_stream,
 )
 
@@ -101,28 +100,19 @@ class TestEngineBasics:
         with pytest.raises(ValueError, match="nodes"):
             run_workload(_tiny_jobs(1, n_nodes=4), westmere_cluster(2))
 
-    def test_service_stream_runs_end_to_end(self):
-        jobs = service_stream(12, seed=1, rate=1e5, n_nodes=1, nrows=128, nnzr=5.0)
+    def test_block_jobs_run_end_to_end(self):
+        # single-sweep jobs of k coalesced right-hand sides (a served
+        # matrix's batches) carry their width into the sweep program
+        jobs = [
+            Job(
+                job_id=i, name=f"b{i}", solver="spmvm", submit=i * 1e-5, n_nodes=1,
+                nrows=128, nnzr=5.0, iterations=1, walltime=1e-3, block_k=k, seed=1,
+            )
+            for i, k in enumerate((8, 3, 1))
+        ]
         result = run_workload(jobs, westmere_cluster(2))
-        assert len(result.records) == len(jobs)
-        # coalesced batches carry their width into the sweep program
-        assert sum(r.job.block_k for r in result.records) == 12
-
-    def test_serve_stream_report_bridges_to_jobs(self):
-        """A measured serve run replays as a schedulable job stream."""
-        from repro.serve.driver import StreamReport
-
-        report = StreamReport(
-            matrix_label="tiny", nrows=128, nnz=640, nranks=2, scheme="no_overlap",
-            requests=6, concurrency=2, max_batch=4,
-            build_seconds=0.01, wall_seconds=3e-4, latencies=(1e-4,) * 6,
-            batch_widths=(4, 2), verified=0,
-        )
-        jobs = report.workload_jobs(n_nodes=1)
-        assert [j.block_k for j in jobs] == [4, 2]
-        assert sum(j.block_k for j in jobs) == report.requests
-        result = run_workload(jobs, westmere_cluster(2))
-        assert len(result.records) == 2
+        assert [r.job.block_k for r in result.records] == [8, 3, 1]
+        assert all(r.end > r.start for r in result.records)
 
     def test_synthetic_stream_runs_end_to_end(self):
         jobs = synthetic_stream(

@@ -23,7 +23,6 @@ from repro.workload import (
     jobs_to_dict,
     load_trace,
     reference_trace,
-    service_stream,
     synthetic_stream,
 )
 
@@ -125,26 +124,6 @@ class TestSyntheticStream:
             synthetic_stream(5, solver_mix={"gmres": 1.0})
         with pytest.raises(ValueError, match="zero"):
             synthetic_stream(5, solver_mix={"cg": 0.0})
-
-
-class TestServiceStream:
-    def test_coalesces_within_hold_window(self):
-        # huge window: all requests merge into max_batch-wide jobs
-        jobs = service_stream(16, seed=0, rate=1e6, max_batch=8, hold_window=10.0)
-        assert [j.block_k for j in jobs] == [8, 8]
-        assert all(j.iterations == 1 for j in jobs)
-
-    def test_sparse_arrivals_stay_single(self):
-        jobs = service_stream(5, seed=0, rate=10.0, hold_window=1e-9)
-        assert [j.block_k for j in jobs] == [1] * 5
-
-    @given(seed=_SEED, n=st.integers(min_value=1, max_value=40))
-    @settings(max_examples=20, deadline=None)
-    def test_every_request_is_accounted_for(self, seed, n):
-        jobs = service_stream(n, seed=seed)
-        assert sum(j.block_k for j in jobs) == n
-        for a, b in zip(jobs, jobs[1:]):
-            assert b.submit >= a.submit
 
 
 class TestTraceRoundTrip:
