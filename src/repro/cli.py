@@ -54,7 +54,6 @@ def _cmd_list(_args: argparse.Namespace) -> int:
         ("probe", "Sect. 3 asynchronous-progress probe"),
         ("bench", "guard suite: kernel, program and sanitizer ratios"),
         ("serve", "persistent solver service: build once, stream requests"),
-        ("workload", "multi-job cluster simulation: streams, scheduling, contention"),
         ("kernels", "the spMVM kernel and which executor computes its row sums"),
         ("matrix", "build and describe one registry matrix"),
         ("all", "run every experiment in sequence"),
@@ -375,93 +374,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _workload_smoke() -> int:
-    """Run the reference-trace guards and the contention probe; exit 1 on any failure."""
-    from repro.experiments.workload import run_workload_study, smoke_checks
-
-    study = run_workload_study(n_jobs=20)
-    checks = smoke_checks(study)
-    print("workload smoke checks:")
-    failed = 0
-    for name, ok, detail in checks:
-        print(f"  [{'PASS' if ok else 'FAIL'}] {name:<30} {detail}")
-        failed += 0 if ok else 1
-    s = study.stream.summary()
-    print(
-        f"  stream: {len(study.stream.records)} jobs, "
-        f"p99 {s['p99'] * 1e3:.3f} ms, util {s['utilisation'] * 100:.1f} %"
-    )
-    if failed:
-        print(f"{failed} of {len(checks)} checks failed")
-        return 1
-    print(f"all {len(checks)} checks passed")
-    return 0
-
-
-def _cmd_workload(args: argparse.Namespace) -> int:
-    """Simulate a multi-user job stream on one shared cluster.
-
-    Generates a seeded synthetic arrival stream (or replays a
-    ``repro-trace/1`` JSON file), schedules it with FCFS or EASY
-    backfilling onto concrete nodes (first-fit / random / node-aware
-    placement), runs every job's ranks on one shared flow network so
-    co-running jobs contend for links, and reports throughput, latency
-    percentiles, per-node utilisation, and bounded slowdown.
-
-    ``--compare`` additionally prints the scheduler/placement comparison
-    tables and the link-contention probe; ``--smoke`` runs the CI guard
-    checks and exits non-zero if any fails.
-    """
-    if args.smoke:
-        return _workload_smoke()
-
-    from repro.experiments.workload import run_workload_study
-    from repro.machine.presets import cray_xe6_cluster, westmere_cluster
-    from repro.workload import (
-        dump_trace,
-        export_job_trace,
-        load_trace,
-        render_report,
-        run_workload,
-        synthetic_stream,
-    )
-
-    if args.trace:
-        jobs = load_trace(args.trace)
-        print(f"replaying {len(jobs)} jobs from {args.trace}")
-    else:
-        jobs = synthetic_stream(
-            args.jobs, seed=args.seed, arrival=args.arrival, rate=args.rate
-        )
-    if args.dump_trace:
-        path = dump_trace(jobs, args.dump_trace)
-        print(f"job stream written to {path} (repro-trace/1)")
-
-    if args.compare:
-        print(run_workload_study(jobs=list(jobs)).render())
-        return 0
-
-    cluster = (
-        cray_xe6_cluster(args.nodes, background_load=args.background_load)
-        if args.network == "torus"
-        else westmere_cluster(args.nodes)
-    )
-    result = run_workload(
-        jobs,
-        cluster,
-        scheduler=args.scheduler,
-        placement=args.placement,
-        scheme=args.scheme,
-        seed=args.seed,
-        trace=args.trace_json is not None,
-    )
-    print(render_report(result))
-    if args.trace_json:
-        path = export_job_trace(result, args.trace_json)
-        print(f"\nChrome trace written to {path} (one row group per job)")
-    return 0
-
-
 def _cmd_kernels(_args: argparse.Namespace) -> int:
     """Name the one spMVM kernel and the executor under its row sums."""
     from repro.sparse import native
@@ -608,35 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--model", metavar="PATH", default=None,
                     help="save the model here as a repro-model/2 file (matrix + "
                          "serving configuration) and serve from the copy rebuilt from it")
-    pw = add("workload", _cmd_workload)
-    pw.add_argument("--jobs", type=int, default=100,
-                    help="synthetic stream length (default: %(default)s)")
-    pw.add_argument("--seed", type=int, default=0)
-    pw.add_argument("--arrival", default="poisson", choices=("poisson", "heavy"),
-                    help="interarrival distribution of the synthetic stream "
-                         "(heavy = heavy-tailed Pareto)")
-    pw.add_argument("--rate", type=float, default=1.0e5,
-                    help="mean arrival rate in jobs per simulated second "
-                         "(default saturates the 16-node machine)")
-    pw.add_argument("--scheduler", default="easy", choices=("fcfs", "easy"))
-    pw.add_argument("--placement", default="node-aware",
-                    choices=("first-fit", "random", "node-aware"))
-    pw.add_argument("--network", default="torus", choices=("torus", "fat-tree"))
-    pw.add_argument("--nodes", type=int, default=16)
-    pw.add_argument("--background-load", type=float, default=0.85,
-                    help="torus background traffic fraction (torus only)")
-    pw.add_argument("--scheme", default="naive_overlap",
-                    choices=("no_overlap", "naive_overlap"))
-    pw.add_argument("--trace", metavar="PATH", default=None,
-                    help="replay a repro-trace/1 JSON file instead of a synthetic stream")
-    pw.add_argument("--dump-trace", metavar="PATH", default=None,
-                    help="write the job stream as repro-trace/1 JSON before running")
-    pw.add_argument("--trace-json", metavar="PATH", default=None,
-                    help="write a per-job Chrome trace_event JSON of the run")
-    pw.add_argument("--compare", action="store_true",
-                    help="full study: policy comparison tables + contention probe")
-    pw.add_argument("--smoke", action="store_true",
-                    help="run the CI guard checks; non-zero exit on failure")
     add("kernels", _cmd_kernels)
     pm = add("matrix", _cmd_matrix)
     pm.add_argument("name", choices=("HMeP", "HMEp", "sAMG"))

@@ -25,7 +25,6 @@ from repro.experiments.kappa_prediction import KappaPredictionResult, run_kappa_
 from repro.experiments.load_balance import BalanceRow, LoadBalanceResult, run_load_balance
 from repro.experiments.progress_probe import ProbeResult, run_progress_probe
 from repro.experiments.scaling import ScalingPoint, ScalingStudy, run_scaling_study
-from repro.experiments.workload import WorkloadStudy, run_workload_study
 
 __all__ = [
     "KAPPA",
@@ -63,6 +62,4 @@ __all__ = [
     "ScalingPoint",
     "ScalingStudy",
     "run_scaling_study",
-    "WorkloadStudy",
-    "run_workload_study",
 ]

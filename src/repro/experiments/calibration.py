@@ -70,7 +70,7 @@ DEFAULT_NODE_COUNTS = (1, 2, 4, 8, 16, 24, 32)
 #: injection-rate limit switched on (``message_overhead``, see
 #: :class:`repro.machine.network.Interconnect`): a Gemini NIC sustains
 #: roughly 1-2 M MPI messages/s, and under the same production load
-#: that motivates ``background_load=0.35`` the effective per-message
+#: that motivates ``CRAY_BACKGROUND_LOAD`` (0.35) the effective per-message
 #: cost sits at the slow end.  2 us/message reproduces the pure-MPI
 #: message-rate wall the node-aware plan is designed to remove; the
 #: default presets keep 0 (bytes-only model) so every other experiment

@@ -27,7 +27,7 @@ from repro.obs.analysis import (
     transfer_segments,
 )
 from repro.obs.chrome import chrome_trace_events, to_chrome_trace, write_chrome_trace
-from repro.obs.latency import bounded_slowdown, latency_summary, percentile, throughput
+from repro.obs.latency import latency_summary, percentile, throughput
 from repro.obs.metrics import (
     comm_phase_messages,
     per_op_costs,
@@ -53,5 +53,4 @@ __all__ = [
     "latency_summary",
     "percentile",
     "throughput",
-    "bounded_slowdown",
 ]

@@ -1,20 +1,20 @@
-"""Latency/throughput summaries for the solver service and workload runs.
+"""Latency/throughput summaries for the solver service.
 
 The simulator side of :mod:`repro.obs` summarises *one* run in depth;
 a request-serving system needs the orthogonal view — the distribution
 of many small runs.  :func:`latency_summary` reduces a latency sample
 set to the percentile report every serving benchmark quotes (p50/p90/
-p99), :func:`throughput` is the matching requests-per-second rate, and
-:func:`bounded_slowdown` is the batch-scheduling fairness metric the
-workload layer reports per job.  Used by the ``repro serve`` driver,
-the ``serve`` bench group, and :mod:`repro.workload`.
+p99) and :func:`throughput` is the matching requests-per-second rate;
+both are read by the ``repro serve`` driver
+(:mod:`repro.serve.driver`).  The benchmark ledger reads
+:func:`percentile` for its request p95.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-__all__ = ["bounded_slowdown", "latency_summary", "percentile", "throughput"]
+__all__ = ["latency_summary", "percentile", "throughput"]
 
 
 def percentile(samples: Iterable[float], q: float) -> float:
@@ -66,25 +66,3 @@ def throughput(count: int, wall_seconds: float) -> float:
         raise ValueError(f"wall_seconds must be > 0, got {wall_seconds}")
     return count / wall_seconds
 
-
-def bounded_slowdown(response: float, runtime: float, *, tau: float = 1.0e-3) -> float:
-    """Bounded slowdown of one job (Feitelson's BSLD metric).
-
-    Plain slowdown (response time over runtime) explodes for very short
-    jobs — a 1 µs job that waited 1 ms scores 1000 — so the runtime is
-    clamped from below by the interactivity threshold ``tau`` and the
-    whole expression from below by 1::
-
-        BSLD = max(1, response / max(runtime, tau))
-
-    ``tau`` defaults to one simulated millisecond, matching the job
-    durations the workload generators produce; schedulers are compared
-    on the mean/percentile BSLD over a trace.
-    """
-    if response < 0.0:
-        raise ValueError(f"response must be >= 0, got {response}")
-    if runtime < 0.0:
-        raise ValueError(f"runtime must be >= 0, got {runtime}")
-    if tau <= 0.0:
-        raise ValueError(f"tau must be > 0, got {tau}")
-    return max(1.0, response / max(runtime, tau))

@@ -129,7 +129,6 @@ class SimMPI:
         # rendezvous flows gated by each rank's MPI state
         self._gated: dict[int, list[_Message]] = {r: [] for r in range(len(rank_node))}
         self.bytes_transferred = 0.0
-        self.messages_sent = 0
         self._next_mid = 0
 
     def _emit(self, actor: str, name: str, **args) -> None:
@@ -177,7 +176,6 @@ class SimMPI:
             if nbytes <= self.config.eager_threshold:
                 # eager data leaves immediately even without a matching recv
                 self._launch(msg, eager_unmatched=True)
-        self.messages_sent += 1
         return req
 
     def irecv(

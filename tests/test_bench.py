@@ -92,7 +92,7 @@ def tiny_suite():
 
 def test_suite_covers_all_paths(tiny_suite):
     assert {r.name for r in tiny_suite} == EXPECTED_NAMES
-    # the distributed, serve and workload paths are timed by
+    # the distributed and serve paths are timed by
     # benchmarks/ledger only; what is left is one row of GROUPS each
     groups = list(dict.fromkeys(r.group for r in tiny_suite))
     assert groups == list(dict.fromkeys(g for g, _, _ in GROUPS)) == ["kernel", "program", "check"]
@@ -332,7 +332,7 @@ def test_guard_failures_names_every_violated_guard():
 
 
 def test_retired_options_are_gone(capsys):
-    # the ledger times the scheme-dependent and workload paths now
+    # the ledger times the scheme-dependent paths now
     with pytest.raises(TypeError):
         spmvm_suite(quick=True, nrows=300, scheme="task_mode")
     with pytest.raises(TypeError):

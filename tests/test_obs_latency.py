@@ -1,8 +1,8 @@
-"""Latency/throughput/slowdown edge cases (repro.obs.latency)."""
+"""Latency/throughput edge cases (repro.obs.latency)."""
 
 import pytest
 
-from repro.obs import bounded_slowdown, latency_summary, percentile, throughput
+from repro.obs import latency_summary, percentile, throughput
 
 
 class TestPercentile:
@@ -63,29 +63,3 @@ class TestThroughput:
         with pytest.raises(ValueError, match="wall_seconds"):
             throughput(10, wall)
 
-
-class TestBoundedSlowdown:
-    def test_plain_slowdown_when_runtime_dominates_tau(self):
-        assert bounded_slowdown(3.0, 1.0) == pytest.approx(3.0)
-
-    def test_clamped_below_by_one(self):
-        # a job that never waited has slowdown exactly 1, never less
-        assert bounded_slowdown(1.0, 1.0) == 1.0
-        assert bounded_slowdown(0.5, 1.0) == 1.0
-
-    def test_tau_bounds_short_job_explosion(self):
-        # 1 µs job that waited 1 ms: plain slowdown 1000, bounded ~1
-        assert bounded_slowdown(1.001e-3, 1.0e-6, tau=1.0) == 1.0
-        # with tau at the job timescale the wait is visible again
-        assert bounded_slowdown(1.001e-3, 1.0e-6, tau=1.0e-4) == pytest.approx(10.01)
-
-    def test_zero_runtime_is_finite(self):
-        assert bounded_slowdown(2.0, 0.0, tau=1.0) == pytest.approx(2.0)
-
-    def test_negative_inputs_raise(self):
-        with pytest.raises(ValueError, match="response"):
-            bounded_slowdown(-1.0, 1.0)
-        with pytest.raises(ValueError, match="runtime"):
-            bounded_slowdown(1.0, -1.0)
-        with pytest.raises(ValueError, match="tau"):
-            bounded_slowdown(1.0, 1.0, tau=0.0)

@@ -81,20 +81,41 @@ def _resolve(ref: str):
     raise ImportError(ref)
 
 
+def _subcommands() -> set[str]:
+    """The subcommand names of ``python -m repro``."""
+    import argparse
+
+    from repro.cli import build_parser
+
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return set(sub.choices)
+
+
 def test_doc_references_resolve():
     # docs may not name code that is gone: every dotted ``repro.…`` path
-    # inside an inline-code span of the three living documents must import
+    # inside an inline-code span of the three living documents must
+    # import, and every ``python -m repro <cmd>`` there, in CI and in the
+    # verify recipe must be a subcommand
     root = Path(__file__).resolve().parent.parent
-    dangling, seen = [], set()
-    for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
-        for span in re.findall(r"`([^`\n]+)`", (root / doc).read_text()):
+    living = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+    commands = _subcommands()
+    dangling, seen, invoked = [], set(), 0
+    for doc in living + (".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"):
+        text = (root / doc).read_text()
+        for cmd in re.findall(r"python3? -m repro[ \t]+([A-Za-z][\w-]*)", text):
+            invoked += 1
+            if cmd not in commands:
+                dangling.append(f"{doc}: `python -m repro {cmd}` (no such subcommand)")
+        if doc not in living:
+            continue
+        for span in re.findall(r"`([^`\n]+)`", text):
             for ref in re.findall(r"(?<![\w./-])repro(?:\.[A-Za-z_]\w*)+", span):
                 seen.add(ref)
                 try:
                     _resolve(ref)
                 except (ImportError, AttributeError) as exc:
                     dangling.append(f"{doc}: `{ref}` ({exc!r})")
-    assert len(seen) >= 30  # the pattern still finds the references
+    assert len(seen) >= 30 and invoked >= 20  # the patterns still find the references
     assert not dangling, "docs name code that does not exist:\n" + "\n".join(dangling)
 
 

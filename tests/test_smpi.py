@@ -36,7 +36,6 @@ def test_send_recv_basic():
     # 1 MB over 1 GB/s = 1 ms (+ latency)
     assert done["recv"] == pytest.approx(1e-3, rel=0.01)
     assert mpi.bytes_transferred == 1_000_000
-    assert mpi.messages_sent == 1
 
 
 def test_message_matching_by_tag():
@@ -369,4 +368,4 @@ def test_trace_disabled_by_default():
     sim.spawn(sender(sim))
     sim.spawn(receiver(sim))
     sim.run()  # no recorder attached; nothing should blow up
-    assert mpi.messages_sent == 1
+    assert mpi.bytes_transferred == 100

@@ -27,7 +27,6 @@ from repro.solvers import (
 from repro.solvers.lanczos import _lanczos_with_basis
 from repro.sparse import CSRMatrix, partition_matrix
 from repro.sparse.partition import RowPartition
-from repro.workload.streams import DOTS_PER_ITERATION
 
 
 @pytest.fixture(scope="module")
@@ -204,8 +203,6 @@ def test_distributed_lanczos_posts_two_reductions_per_iteration(sym_matrix, rng)
 
     for iterations, counters in run_spmd(2, fn, PerRank(plan.ranks)):
         assert iterations > 40
-        # the simulator charges a Lanczos job the same: they cannot drift apart
-        assert counters["reductions"] == DOTS_PER_ITERATION["lanczos"] * iterations + 2
         assert counters["reductions"] == 2 * iterations + 2
         assert counters["exchanges"] == iterations
 
@@ -537,7 +534,6 @@ def test_cg_reuses_rr_bit_identically_with_two_reductions_per_iteration(rng):
         assert np.array_equal(res.x, x_old)
         assert old_counters["reductions"] == 3 * res.iterations + 2
         assert counters["reductions"] == 2 * res.iterations + 2
-        assert counters["reductions"] == DOTS_PER_ITERATION["cg"] * res.iterations + 2
         assert counters["exchanges"] == old_counters["exchanges"] == res.iterations + 1
 
 
