@@ -10,12 +10,10 @@ package's.
 from repro.bench.harness import BenchResult, TimingStats
 from repro.bench.suite import (
     BLOCK_WIDTHS,
-    RECORDER_OVERHEAD_MAX,
-    SANITIZER_OVERHEAD_MAX,
+    CHECK_OVERHEAD_MAX,
+    check_guard,
     kernel_guard,
     program_guard,
-    recorder_guard,
-    sanitizer_guard,
     spmvm_suite,
 )
 
@@ -23,11 +21,9 @@ __all__ = [
     "BenchResult",
     "TimingStats",
     "BLOCK_WIDTHS",
-    "RECORDER_OVERHEAD_MAX",
-    "SANITIZER_OVERHEAD_MAX",
+    "CHECK_OVERHEAD_MAX",
+    "check_guard",
     "kernel_guard",
     "program_guard",
-    "recorder_guard",
-    "sanitizer_guard",
     "spmvm_suite",
 ]

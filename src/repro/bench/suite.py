@@ -15,14 +15,12 @@ ratio between two things timed *against each other*.  One row of
   :func:`repro.program.execute_sweep` (interpreter against the same
   arithmetic hand-inlined) stays under :data:`PROGRAM_OVERHEAD_MAX` of
   the single-rank spmv hot path (:func:`program_guard`);
-* ``check`` — the opt-in observability tax, one row per observer: a
-  ``distributed_spmv`` with the observer attached against the same call
-  without — a :class:`~repro.check.ThreadSanitizer` on the task-mode
-  sweep (:func:`sanitizer_guard`, at most
-  :data:`SANITIZER_OVERHEAD_MAX`) and a
-  :class:`~repro.check.CommRecorder` on the ``no_overlap`` sweep
-  (:func:`recorder_guard`, at most :data:`RECORDER_OVERHEAD_MAX`).  An
-  observer that reports a finding on the clean sweep fails the bench
+* ``check`` — the opt-in observability tax: a task-mode
+  ``distributed_spmv`` with a :class:`~repro.check.Checker` attached
+  against the same call without (:func:`check_guard`, at most
+  :data:`CHECK_OVERHEAD_MAX`).  Task mode is the scheme with both
+  halves busy: rank-level traffic and a second thread per rank.  A
+  checker that reports a finding on the clean sweep fails the bench
   before its timing counts.
 
 Every ratio comes from one *interleaved* protocol
@@ -57,16 +55,14 @@ from repro.sparse.csr import CSRMatrix
 
 __all__ = [
     "BLOCK_WIDTHS",
+    "CHECK_OVERHEAD_MAX",
     "GROUPS",
     "GUARD_MIN_ROWS",
     "PROGRAM_OVERHEAD_MAX",
-    "RECORDER_OVERHEAD_MAX",
-    "SANITIZER_OVERHEAD_MAX",
+    "check_guard",
     "guard_failures",
     "kernel_guard",
     "program_guard",
-    "recorder_guard",
-    "sanitizer_guard",
     "spmvm_suite",
 ]
 
@@ -85,18 +81,12 @@ GUARD_MIN_ROWS = 2_000
 #: means the interpreter grew a per-op cost it must not have.
 PROGRAM_OVERHEAD_MAX = 0.05
 
-#: Maximum instrumented/uninstrumented wall-time ratio of a task-mode
-#: ``distributed_spmv`` sweep with a thread sanitizer attached
-#: (:func:`sanitizer_guard`).  The sanitizer is the always-affordable
+#: Maximum observed/unobserved wall-time ratio of a task-mode
+#: ``distributed_spmv`` with a :class:`~repro.check.Checker` on its
+#: world (:func:`check_guard`).  The checker is the always-affordable
 #: debugging tool; if attaching it costs more than 20% the
 #: instrumentation stopped being something you can leave on in tests.
-SANITIZER_OVERHEAD_MAX = 1.20
-
-#: The same for a ``no_overlap`` ``distributed_spmv`` with a
-#: :class:`~repro.check.CommRecorder` on the world
-#: (:func:`recorder_guard`): the recorder is O(1) dict/deque work per
-#: message, so 15% on a whole call is a loose ceiling.
-RECORDER_OVERHEAD_MAX = 1.15
+CHECK_OVERHEAD_MAX = 1.20
 
 
 @dataclass(frozen=True)
@@ -332,112 +322,76 @@ def program_guard(results: list[BenchResult]) -> list[str]:
     return enforced
 
 
-def _observer_overhead(
-    run: _Run, name: str, scheme: str, attach: str, make_observer, bound: float
-) -> list[BenchResult]:
-    """One ``check`` row: a ``distributed_spmv`` with an observer against without.
+def _check_benches(run: _Run) -> list[BenchResult]:
+    """The ``check`` row: a task-mode ``distributed_spmv`` observed against unobserved.
 
-    Every instrumented call gets a fresh observer from *make_observer*
-    (both kinds are single-run objects), passed as the *attach* keyword
-    and finalized inside the timed call.  A single finding fails the
-    bench outright: a dirty sweep's timing is not an overhead figure.
+    Every observed call gets a fresh :class:`~repro.check.Checker` (a
+    single-run object), finalized inside the timed call.  A single
+    finding fails the bench outright: a dirty sweep's timing is not an
+    overhead figure.
     """
-    A, nranks = run.A, run.nranks
+    from repro.check.checker import Checker
+
+    A, nranks, scheme = run.A, run.nranks, "task_mode"
     x = run.rng.standard_normal(A.ncols)
     reports = []
 
     def plain() -> None:
         distributed_spmv(A, x, nranks, scheme=scheme)
 
-    def instrumented() -> None:
-        observer = make_observer()
-        distributed_spmv(A, x, nranks, scheme=scheme, **{attach: observer})
-        reports.append(observer.finalize())
+    def observed() -> None:
+        checker = Checker(nranks)
+        distributed_spmv(A, x, nranks, scheme=scheme, observer=checker)
+        reports.append(checker.finalize())
 
     rounds = max(run.repeat, 5)
-    overhead, plain_stats, instr_stats = _paired_ratio(
-        plain, instrumented, warmup=run.warmup, rounds=rounds, stop=1.05
+    overhead, plain_stats, observed_stats = _paired_ratio(
+        plain, observed, warmup=run.warmup, rounds=rounds, stop=1.05
     )
     findings = [f for report in reports for f in report.findings]
     if findings:
         raise AssertionError(
-            f"{name}: the clean {scheme} sweep reported {len(findings)} finding(s) — "
+            f"check-overhead: the clean {scheme} sweep reported {len(findings)} finding(s) — "
             f"first: {findings[0].describe()}; refusing to report overhead of a dirty run"
         )
     return [
         BenchResult(
-            name=name, group="check",
-            warmup=max(run.warmup, 1), repeat=rounds, seconds=instr_stats,
+            name="check-overhead", group="check",
+            warmup=max(run.warmup, 1), repeat=rounds, seconds=observed_stats,
             params={"nrows": A.nrows, "nnz": A.nnz, "nranks": nranks, "scheme": scheme},
             derived={
-                "gflops": _gflops(A.nnz, 1, instr_stats.min),
+                "gflops": _gflops(A.nnz, 1, observed_stats.min),
                 "plain_seconds": plain_stats.min,
                 "overhead_vs_plain": overhead,
                 "events_observed": float(sum(r.events_observed for r in reports)),
-                "guard_max": bound,
+                "guard_max": CHECK_OVERHEAD_MAX,
             },
         )
     ]
 
 
-def _overhead_guard(results: list[BenchResult], name: str) -> list[str]:
-    """Enforce the *name* row's ``overhead_vs_plain <= guard_max`` at guard size."""
+def check_guard(results: list[BenchResult]) -> list[str]:
+    """Assert attaching the checker stays affordable.
+
+    The ``check-overhead`` result's observed/plain ratio must not exceed
+    :data:`CHECK_OVERHEAD_MAX` — the contract that the checker remains
+    cheap enough to leave on in every test and CI check run.  Enforced
+    only at :data:`GUARD_MIN_ROWS` rows and above (sub-guard sweeps are
+    reported, never gated).  Returns the names enforced; raises
+    :class:`AssertionError` on violation.
+    """
     enforced = []
     for r in _at_guard_size(results, "check"):
-        if r.name != name:
-            continue
-        overhead, bound = r.derived["overhead_vs_plain"], r.derived["guard_max"]
-        if overhead > bound:
+        overhead = r.derived["overhead_vs_plain"]
+        if overhead > CHECK_OVERHEAD_MAX:
             raise AssertionError(
-                f"{r.name}: instrumented {r.params['scheme']} sweep costs "
-                f"{overhead:.3f}x the plain sweep (guard: <= {bound}); the "
+                f"{r.name}: observed {r.params['scheme']} sweep costs "
+                f"{overhead:.3f}x the plain sweep (guard: <= {CHECK_OVERHEAD_MAX}); the "
                 f"per-event bookkeeping grew beyond what an always-on observer "
                 f"may charge"
             )
         enforced.append(r.name)
     return enforced
-
-
-def _sanitizer_benches(run: _Run) -> list[BenchResult]:
-    """Thread-sanitizer overhead on task mode, the scheme with a second thread per rank."""
-    from repro.check.threads import ThreadSanitizer
-
-    return _observer_overhead(
-        run, "sanitizer-overhead", "task_mode", "sanitizer",
-        ThreadSanitizer, SANITIZER_OVERHEAD_MAX,
-    )
-
-
-def sanitizer_guard(results: list[BenchResult]) -> list[str]:
-    """Assert attaching the thread sanitizer stays affordable.
-
-    The ``sanitizer-overhead`` result's instrumented/plain ratio must
-    not exceed :data:`SANITIZER_OVERHEAD_MAX` — the contract that the
-    sanitizer remains cheap enough to leave on in every test and CI
-    check run.  Enforced only at :data:`GUARD_MIN_ROWS` rows and above
-    (sub-guard sweeps are reported, never gated).  Returns the names
-    enforced; raises :class:`AssertionError` on violation.
-    """
-    return _overhead_guard(results, "sanitizer-overhead")
-
-
-def _recorder_benches(run: _Run) -> list[BenchResult]:
-    """Recorder overhead on ``no_overlap``: its cost is per message, not per thread."""
-    from repro.check.recorder import CommRecorder
-
-    return _observer_overhead(
-        run, "recorder-overhead", "no_overlap", "recorder",
-        lambda: CommRecorder(run.nranks), RECORDER_OVERHEAD_MAX,
-    )
-
-
-def recorder_guard(results: list[BenchResult]) -> list[str]:
-    """Assert attaching the rank-level recorder stays affordable.
-
-    The ``recorder-overhead`` twin of :func:`sanitizer_guard`, bounded
-    by :data:`RECORDER_OVERHEAD_MAX`.
-    """
-    return _overhead_guard(results, "recorder-overhead")
 
 
 #: The suite, one row per guarded ratio: ``(group, bench, guard)``.
@@ -448,8 +402,7 @@ def recorder_guard(results: list[BenchResult]) -> list[str]:
 GROUPS = (
     ("kernel", _kernel_benches, kernel_guard),
     ("program", _program_overhead_bench, program_guard),
-    ("check", _sanitizer_benches, sanitizer_guard),
-    ("check", _recorder_benches, recorder_guard),
+    ("check", _check_benches, check_guard),
 )
 
 

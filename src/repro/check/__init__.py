@@ -1,15 +1,15 @@
 """repro.check: communication correctness analysis for mpilite worlds.
 
-Two observers and three static passes, one gate (see DESIGN.md §9):
+One observer and three static passes, one gate (see DESIGN.md §9):
 
-* :class:`CommRecorder` watches the *ranks* of a running world (vector
-  clocks, wait-for graph, buffer checksums) and diagnoses deadlocks,
-  message races, buffer hazards and leaked requests with full
-  rank/tag/peer provenance; :func:`run_checked` runs any SPMD function
-  under it;
-* :class:`ThreadSanitizer` (:mod:`repro.check.threads`) orders the
-  *threads inside one rank* with per-thread vector clocks and reports
-  causally concurrent conflicting buffer accesses;
+* :class:`Checker` (:mod:`repro.check.checker`) is the per-run
+  observer, attached at ``World(observer=)``: it watches the *ranks*
+  (vector clocks, wait-for graph, buffer checksums) and diagnoses
+  deadlocks, message races, buffer hazards and leaked requests with full
+  rank/tag/peer provenance, and it orders the *threads inside one rank*
+  with per-thread vector clocks and reports causally concurrent
+  conflicting buffer accesses; :func:`run_checked` runs anything under a
+  fresh one;
 * :func:`lint_comm_plan` proves plan-level invariants (volume
   conservation, exactly-once relaying, phase ordering),
   :func:`lint_sweep_program` the sweep IR's (request lifecycle,
@@ -20,8 +20,8 @@ Two observers and three static passes, one gate (see DESIGN.md §9):
 
 :func:`check_spmvm` (``repro check``) is the gate: the static passes,
 then every scheme x comm plan x {vector, block} and one service session,
-each run under both observers at once.  :data:`SEED_BUGS` are the
-seeded-bug fixtures demonstrating every detector firing.
+each run under a fresh checker.  :data:`SEED_BUGS` are the seeded-bug
+fixtures demonstrating every detector firing.
 """
 
 from repro.check.astlint import (
@@ -30,25 +30,21 @@ from repro.check.astlint import (
     lint_source,
     run_astlint,
 )
+from repro.check.checker import Checker, DeadlockError, TrackedCondition
 from repro.check.driver import check_spmvm, run_checked
 from repro.check.findings import FINDING_KINDS, CheckReport, Finding
 from repro.check.fixtures import SEED_BUGS, run_seed_bug
 from repro.check.lint import lint_comm_plan
 from repro.check.races import analyze_races
-from repro.check.recorder import CommRecorder, DeadlockError
-from repro.check.threads import (
-    ThreadRaceError,
-    ThreadSanitizer,
-    TrackedCondition,
-)
 from repro.program.lint import lint_sweep_program, lint_sweep_programs
 
 __all__ = [
     "FINDING_KINDS",
     "Finding",
     "CheckReport",
-    "CommRecorder",
+    "Checker",
     "DeadlockError",
+    "TrackedCondition",
     "analyze_races",
     "lint_comm_plan",
     "lint_sweep_program",
@@ -57,9 +53,6 @@ __all__ = [
     "check_spmvm",
     "SEED_BUGS",
     "run_seed_bug",
-    "ThreadSanitizer",
-    "ThreadRaceError",
-    "TrackedCondition",
     "ALL_RULES",
     "run_astlint",
     "lint_source",

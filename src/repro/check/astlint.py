@@ -259,7 +259,7 @@ class LockDisciplineRule(AstRule):
     ``self.<guarded>`` access outside a ``with self._lock:`` block is a
     finding.  ``__init__`` (no concurrency yet) and ``*_locked``
     methods (called only with the lock held, by convention enforced in
-    review and at runtime by the thread sanitizer) are exempt.
+    review and at runtime by the checker) are exempt.
     """
 
     name = "lock-discipline"

@@ -1,9 +1,18 @@
-"""The dynamic prong: an opt-in recorder for mpilite communication.
+"""The dynamic prong: one per-run observer for ranks and threads.
 
-:class:`CommRecorder` implements the observer interface of
+Task mode (Fig. 4c of the paper) is correct only when two protocols
+hold: the rank-level MPI protocol and the thread-level
+``MPI_THREAD_FUNNELED`` one.  :class:`Checker` watches both in one run.
+It is attached in one place, ``World(nranks, observer=checker)`` —
+``run_spmd``, ``distributed_spmv`` / ``distributed_spmm`` and
+``SolverService`` hand their ``observer=`` there — and every hook site
+reads that one slot: the router and the collectives, every ``Comm``
+(through its router), the sweep interpreter (through ``engine.comm``)
+and the service lock (through the service's world).
+
+**Ranks** — the observer interface of
 :class:`repro.mpilite.router.Router` and
-:class:`repro.mpilite.comm.CollectiveState` (attached via
-``run_spmd(..., recorder=...)``), maintaining
+:class:`repro.mpilite.comm.CollectiveState`:
 
 * one **vector clock** per rank — ticked on every send/receive/collective,
   merged on delivery — the happens-before relation that the message-race
@@ -21,21 +30,57 @@
   router makes them benign *here*, but they are data races under any
   real, non-buffering MPI);
 * **request and message accounting**: requests never completed and
-  messages never received are reported at world teardown.
+  messages never received are reported at :meth:`Checker.finalize`.
 
 Like standard MPI correctness tools, the deadlock detector assumes one
-communicating agent per rank (the repository's universal usage — task
-mode's dedicated communication thread is exactly that agent); the
-world-level ``timeout`` remains the backstop for anything outside that
-model.  Every finding is also emitted as a structured trace event
-(category ``"check"``) when a :class:`~repro.frame.trace.TraceRecorder`
-is attached.
+communicating agent per rank (task mode's dedicated communication
+thread is exactly that agent); the world-level ``timeout`` remains the
+backstop for anything outside that model.
+
+**Threads** — per-thread vector clocks inside each rank (the main
+compute thread, the ``COMM_THREAD`` of task mode, the submitter and
+worker threads of :mod:`repro.serve`), reporting any pair of
+conflicting buffer accesses that no happens-before edge separates.
+Edges come from four sources:
+
+* **spawn** — the child starts with a copy of the spawner's clock
+  (:meth:`Checker.on_spawn` / :meth:`~Checker.on_thread_start`).  A
+  ``COMM_THREAD`` region's hand-off to the engine's parked communication
+  thread is this edge: one spawn token per region, the same OS thread
+  re-bound each time;
+* **join** — the joining thread merges the child's final clock
+  (:meth:`~Checker.on_join`; the interpreter calls it from the
+  ``OMP_BARRIER`` that closes a ``COMM_THREAD`` region);
+* **lock hand-off** — releasing a tracked lock stores the releaser's
+  clock and the next acquirer merges it (:meth:`~Checker.on_acquire` /
+  :meth:`~Checker.on_release`; :class:`TrackedCondition` is the service
+  lock of an observed :class:`~repro.serve.service.SolverService`);
+* **program order** — each thread's own clock component ticks per
+  observed event.
+
+Detection is FastTrack-style: per ``(domain, buffer)`` location the
+checker keeps the last write and the most recent read of each thread,
+each as an epoch (the thread and its own clock component then); a
+write causally concurrent with the last write *or* any read — or a read
+concurrent with the last write — is a ``thread-race`` finding with
+op/thread/buffer provenance.  Detection is clock-based, not
+schedule-based: the GIL may serialise the Python threads, but a missing
+barrier still shows up because no edge orders the accesses.  A *domain*
+is one race-detection universe — ``"rank0"`` for a sweep engine,
+``"service:solver"`` for a service — so one checker watches a whole
+world plus the service layered on top without cross-talk.
+
+Both halves share one lock (a leaf: no hook calls out while holding
+it), one ``findings`` list and one :meth:`~Checker.finalize`.  Use a
+fresh checker per run: thread idents are recycled by CPython between
+runs.  Every hook site sits behind an ``is not None`` check, so an
+unobserved run pays nothing (:func:`repro.bench.suite.check_guard`
+bounds the observed overhead on the task-mode sweep).
 """
 
 from __future__ import annotations
 
 import threading
-import time
 import zlib
 from collections import deque
 from dataclasses import dataclass
@@ -47,10 +92,9 @@ from repro.check.findings import CheckReport, Finding
 from repro.check.vclock import vc_merge, vc_new, vc_tick, vc_tick_merge
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.frame.trace import TraceRecorder
     from repro.mpilite.comm import Request
 
-__all__ = ["DeadlockError", "SendEvent", "RecvEvent", "CommRecorder"]
+__all__ = ["Checker", "DeadlockError", "RecvEvent", "SendEvent", "TrackedCondition"]
 
 # mirrors repro.mpilite.router without importing it (keeps this package
 # usable for static-only work without pulling the runtime in)
@@ -123,26 +167,82 @@ def _checksum(buf: np.ndarray) -> int:
     return zlib.adler32(np.ascontiguousarray(buf).view(np.uint8).reshape(-1))
 
 
-@dataclass
-class CommRecorder:
-    """Per-world dynamic analyzer state (see module docstring).
+# ----------------------------------------------------------------------
+# vector-clock primitives over dynamic thread sets
+#
+# Rank clocks (repro.check.vclock) are fixed-width tuples because the
+# rank count is known up front; threads come and go, so these clocks
+# are sparse {tid: count} dicts with the same ordering semantics.
+# ----------------------------------------------------------------------
+def _merge_into(dst: dict[int, int], src: dict[int, int]) -> None:
+    for t, n in src.items():
+        if n > dst.get(t, 0):
+            dst[t] = n
 
-    Attach with ``run_spmd(..., recorder=rec)``; call :meth:`finalize`
-    after the world returns (or fails) to obtain the
-    :class:`~repro.check.findings.CheckReport`.
+
+class _Access(NamedTuple):
+    """One recorded access: which logical thread, by which op, when."""
+
+    tid: int
+    thread: str
+    op: str
+    mode: str
+    epoch: int  # the thread's own clock component at the access
+
+
+def _ordered(prior: _Access, clock: dict[int, int]) -> bool:
+    """Whether *prior* happens-before a later event whose clock is *clock*.
+
+    FastTrack's epoch test: *prior*'s thread ticked its own component at
+    the access, so the later event is ordered after it exactly when its
+    clock has seen that component — one lookup, not a comparison of
+    whole vectors (and the later event can never precede *prior*).
+    """
+    return prior.epoch <= clock.get(prior.tid, 0)
+
+
+class _ThreadState:
+    """Checker-side identity of one thread within one domain."""
+
+    __slots__ = ("clock", "ident", "name", "tid")
+
+    def __init__(self, tid: int, name: str, clock: dict[int, int]) -> None:
+        self.tid = tid
+        self.name = name
+        self.clock = clock
+        self.ident: int | None = None  # OS ident while bound (reused by CPython)
+
+    def tick(self) -> None:
+        self.clock[self.tid] = self.clock.get(self.tid, 0) + 1
+
+
+class _Location:
+    """FastTrack-lite state of one (domain, buffer) location."""
+
+    __slots__ = ("last_write", "reads")
+
+    def __init__(self) -> None:
+        self.last_write: _Access | None = None
+        self.reads: dict[int, _Access] = {}  # tid -> most recent read
+
+
+class Checker:
+    """The per-run observer of one world: its ranks and its threads.
+
+    Attach with ``World(nranks, observer=checker)`` (or the
+    ``observer=`` of ``run_spmd``, the one-call drivers and
+    ``SolverService``); call :meth:`finalize` after the run returns or
+    fails to obtain the :class:`~repro.check.findings.CheckReport`.
     """
 
-    nranks: int
-    trace: "TraceRecorder | None" = None
-    #: slice length of instrumented blocking waits (seconds); also how
-    #: quickly a declared deadlock propagates into every blocked rank
-    poll_interval: float = 0.02
-
-    def __post_init__(self) -> None:
+    def __init__(self, nranks: int) -> None:
+        self.nranks = nranks
+        self.findings: list[Finding] = []
+        self.events_observed = 0
         self._lock = threading.Lock()
-        self._t0 = time.monotonic()
-        self._clock: list[tuple[int, ...]] = [vc_new(self.nranks) for _ in range(self.nranks)]
-        # in-flight sends per (src, dst, tag) channel, FIFO like the router
+        # ranks: clocks, in-flight sends per (src, dst, tag) channel
+        # (FIFO like the router), the observed history
+        self._clock: list[tuple[int, ...]] = [vc_new(nranks) for _ in range(nranks)]
         self._inflight: dict[tuple[int, int, int], deque[SendEvent]] = {}
         self.sends: list[SendEvent] = []
         self.recvs: list[RecvEvent] = []
@@ -160,8 +260,15 @@ class CommRecorder:
         self._dirty = False
         self._requests: dict[int, _OpenRequest] = {}
         self._next_rid = 0
-        self.findings: list[Finding] = []
-        self.events_observed = 0
+        # threads: identities per (domain, OS ident) and per (domain,
+        # token), buffer locations, the clocks tracked locks published
+        self._threads: dict[tuple[str, int], _ThreadState] = {}
+        self._spawned: dict[tuple[str, int], _ThreadState] = {}
+        self._by_tid: dict[tuple[str, int], _ThreadState] = {}
+        self._next_tid: dict[str, int] = {}
+        self._locations: dict[tuple[str, str], _Location] = {}
+        self._lock_clocks: dict[tuple[str, str], dict[int, int]] = {}
+        self._reported: set[frozenset] = set()
 
     # ------------------------------------------------------------------
     # router observer interface
@@ -281,7 +388,7 @@ class CommRecorder:
             if entry is None or entry.checksum is None:
                 return
             if _checksum(buf) != entry.checksum:
-                self._record_locked(Finding(
+                self.findings.append(Finding(
                     kind="buffer-hazard",
                     message=(
                         f"rank {req.rank}: receive buffer (shape {entry.shape}) was "
@@ -306,7 +413,7 @@ class CommRecorder:
                 and entry.checksum is not None and _checksum(buf) != entry.checksum
             )
             if hazard:
-                self._record_locked(Finding(
+                self.findings.append(Finding(
                     kind="buffer-hazard",
                     message=(
                         f"rank {req.rank}: send buffer (shape {entry.shape}) was "
@@ -403,7 +510,7 @@ class CommRecorder:
             },
         )
         self._deadlock_ranks = set(doomed)
-        self._record_locked(self._deadlock)
+        self.findings.append(self._deadlock)
 
     def _extract_cycle(self, ops: dict[int, _Blocked], doomed: set[int]) -> list[int]:
         """Walk concrete successors inside the doomed set to name a cycle."""
@@ -428,34 +535,182 @@ class CommRecorder:
             raise DeadlockError(self._deadlock.message)
 
     # ------------------------------------------------------------------
-    # findings and teardown
+    # thread identity
     # ------------------------------------------------------------------
-    def _record_locked(self, finding: Finding) -> None:
-        self.findings.append(finding)
-        if self.trace is not None:
-            actor = f"rank{finding.ranks[0]}" if finding.ranks else "world"
-            self.trace.emit(
-                time.monotonic() - self._t0, actor, "check_finding", "check",
-                kind=finding.kind, message=finding.message,
-            )
+    def _alloc_locked(self, domain: str, name: str, clock: dict[int, int]) -> _ThreadState:
+        tid = self._next_tid.get(domain, 0)
+        self._next_tid[domain] = tid + 1
+        st = _ThreadState(tid, name, clock)
+        self._by_tid[(domain, tid)] = st
+        return st
 
+    def _state_locked(self, domain: str) -> _ThreadState:
+        """This OS thread's state in *domain*, auto-registered on first use."""
+        ident = threading.get_ident()
+        st = self._threads.get((domain, ident))
+        if st is None:
+            st = self._alloc_locked(domain, threading.current_thread().name, {})
+            st.tick()
+            st.ident = ident
+            self._threads[(domain, ident)] = st
+        return st
+
+    def on_spawn(self, domain: str, name: str) -> int:
+        """Record a thread spawn; returns the child's token.
+
+        Called on the *spawning* thread before the child can run (before
+        ``Thread.start()``, or before a region is handed to a parked
+        thread).  The child inherits a copy of the spawner's clock —
+        everything the spawner did before the spawn happens-before
+        everything the child does.  The child must call
+        :meth:`on_thread_start` with the returned token as its first
+        observed action.
+        """
+        with self._lock:
+            parent = self._state_locked(domain)
+            parent.tick()
+            child = self._alloc_locked(domain, name, dict(parent.clock))
+            child.tick()
+            self._spawned[(domain, child.tid)] = child
+            self.events_observed += 1
+            return child.tid
+
+    def on_thread_start(self, domain: str, token: int) -> None:
+        """Bind the calling OS thread to the spawned identity *token*."""
+        with self._lock:
+            child = self._spawned.pop((domain, token), None)
+            if child is None:
+                raise ValueError(f"unknown or already-bound spawn token {token} in {domain!r}")
+            child.ident = threading.get_ident()
+            self._threads[(domain, child.ident)] = child
+
+    def on_join(self, domain: str, token: int) -> None:
+        """Record a join: the caller merges the child's final clock.
+
+        Also unbinds the child's OS ident — the ident will serve another
+        logical thread (CPython reuses idents after a join; a parked comm
+        thread runs the next region), and a stale binding would splice
+        this one's clock into it.
+        """
+        with self._lock:
+            parent = self._state_locked(domain)
+            child = self._by_tid.get((domain, token))
+            if child is None:
+                raise ValueError(f"unknown thread token {token} in {domain!r}")
+            self._spawned.pop((domain, token), None)
+            if child.ident is not None:
+                bound = self._threads.get((domain, child.ident))
+                if bound is child:
+                    del self._threads[(domain, child.ident)]
+                child.ident = None
+            _merge_into(parent.clock, child.clock)
+            parent.tick()
+            self.events_observed += 1
+
+    # ------------------------------------------------------------------
+    # lock hand-off edges
+    # ------------------------------------------------------------------
+    def on_acquire(self, domain: str, lock_id: str) -> None:
+        """The calling thread acquired *lock_id*: merge the last release."""
+        with self._lock:
+            st = self._state_locked(domain)
+            held = self._lock_clocks.get((domain, lock_id))
+            if held is not None:
+                _merge_into(st.clock, held)
+            st.tick()
+            self.events_observed += 1
+
+    def on_release(self, domain: str, lock_id: str) -> None:
+        """The calling thread is releasing *lock_id*: publish its clock."""
+        with self._lock:
+            st = self._state_locked(domain)
+            st.tick()
+            self._lock_clocks[(domain, lock_id)] = dict(st.clock)
+            self.events_observed += 1
+
+    # ------------------------------------------------------------------
+    # access detection
+    # ------------------------------------------------------------------
+    def on_access(self, domain: str, buffer: str, mode: str, *, op: str = "") -> None:
+        """Record one read (``mode="r"``) or write (``mode="w"``) of *buffer*.
+
+        Reports a ``thread-race`` finding when the access is causally
+        concurrent with a conflicting access by another thread (write
+        vs. anything, read vs. the last write).
+        """
+        if mode not in ("r", "w"):
+            raise ValueError(f"mode must be 'r' or 'w', got {mode!r}")
+        with self._lock:
+            st = self._state_locked(domain)
+            st.tick()
+            self.events_observed += 1
+            loc = self._locations.get((domain, buffer))
+            if loc is None:
+                loc = self._locations[(domain, buffer)] = _Location()
+            clock, tid = st.clock, st.tid
+            cur = _Access(tid, st.name, op, mode, clock[tid])
+            w = loc.last_write
+            if w is not None and w.tid != tid and not _ordered(w, clock):
+                self._race_locked(domain, buffer, w, cur)
+            if mode == "w":
+                for r in loc.reads.values():
+                    if r.tid != tid and not _ordered(r, clock):
+                        self._race_locked(domain, buffer, r, cur)
+                loc.last_write = cur
+                loc.reads.clear()
+            else:
+                loc.reads[tid] = cur
+
+    def _race_locked(self, domain: str, buffer: str, other: _Access, cur: _Access) -> None:
+        key = frozenset((
+            (domain, buffer),
+            (other.op, other.mode, other.thread),
+            (cur.op, cur.mode, cur.thread),
+        ))
+        if key in self._reported:
+            return
+        self._reported.add(key)
+        words = {"r": "read", "w": "write"}
+        self.findings.append(Finding(
+            kind="thread-race",
+            message=(
+                f"{domain}: {words[cur.mode]} of {buffer!r} by "
+                f"{cur.op or 'unknown-op'} on thread {cur.thread!r} is causally "
+                f"concurrent with a {words[other.mode]} by "
+                f"{other.op or 'unknown-op'} on thread {other.thread!r} — no "
+                f"barrier, join or lock hand-off orders these accesses"
+            ),
+            details={
+                "domain": domain,
+                "buffer": buffer,
+                "ops": (other.op, cur.op),
+                "modes": (other.mode, cur.mode),
+                "threads": (other.thread, cur.thread),
+            },
+        ))
+
+    # ------------------------------------------------------------------
+    # the report
+    # ------------------------------------------------------------------
     def finalize(self, context: str = "") -> CheckReport:
-        """Run the post-mortem analyses and assemble the report.
+        """The report: every finding so far plus the post-mortem analyses.
 
-        Call after the world returned (or failed): flags leaked requests,
-        unconsumed messages, and message races (the latter verified by
-        replaying the permuted matching, see :mod:`repro.check.races`).
+        Call after the run returned (or failed): adds leaked requests,
+        unconsumed messages and message races (the latter verified by
+        replaying the permuted matching, see :mod:`repro.check.races`)
+        to the findings the live hooks recorded.  Idempotent.
         """
         from repro.check.races import analyze_races
 
         with self._lock:
+            findings = list(self.findings)
             for entry in self._requests.values():
                 if entry.closed or entry.req._done:
                     continue
                 req = entry.req
                 peer = "ANY_SOURCE" if req.peer == _ANY else str(req.peer)
                 tag = "ANY_TAG" if req.tag == _ANY else str(req.tag)
-                self._record_locked(Finding(
+                findings.append(Finding(
                     kind="leaked-request",
                     message=(
                         f"rank {req.rank}: {req.kind}(peer={peer}, tag={tag}) was "
@@ -466,7 +721,7 @@ class CommRecorder:
                 ))
             for (src, dst, tag), box in sorted(self._inflight.items()):
                 if box:
-                    self._record_locked(Finding(
+                    findings.append(Finding(
                         kind="unconsumed-message",
                         message=(
                             f"{len(box)} message(s) from rank {src} to rank {dst} "
@@ -475,10 +730,46 @@ class CommRecorder:
                         ranks=(src, dst),
                         details={"tag": tag, "count": len(box)},
                     ))
-            for finding in analyze_races(self.sends, self.recvs, self.nranks):
-                self._record_locked(finding)
+            findings.extend(analyze_races(self.sends, self.recvs, self.nranks))
             return CheckReport(
-                findings=list(self.findings),
-                events_observed=self.events_observed,
-                context=context,
+                findings=findings, events_observed=self.events_observed, context=context
             )
+
+
+class TrackedCondition:
+    """A ``threading.Condition`` feeding lock hand-off edges to a checker.
+
+    Drop-in for the condition-variable-as-lock idiom of
+    :class:`~repro.serve.service.SolverService`: ``with``, :meth:`wait`
+    and :meth:`notify_all` delegate to a real Condition
+    while every acquire merges the last releaser's clock and every
+    release (including the implicit one inside :meth:`wait`) publishes
+    the caller's.  All checker records happen while the underlying
+    lock is held, so the recorded hand-off order is the real one.
+    """
+
+    __slots__ = ("_checker", "_cond", "_domain", "_lock_id")
+
+    def __init__(self, checker: Checker, domain: str, lock_id: str = "lock") -> None:
+        self._cond = threading.Condition()
+        self._checker = checker
+        self._domain = domain
+        self._lock_id = lock_id
+
+    def __enter__(self) -> "TrackedCondition":
+        self._cond.__enter__()
+        self._checker.on_acquire(self._domain, self._lock_id)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._checker.on_release(self._domain, self._lock_id)
+        self._cond.__exit__(*exc)
+
+    def wait(self, timeout: float | None = None) -> bool:
+        self._checker.on_release(self._domain, self._lock_id)
+        notified = self._cond.wait(timeout)
+        self._checker.on_acquire(self._domain, self._lock_id)
+        return notified
+
+    def notify_all(self) -> None:
+        self._cond.notify_all()

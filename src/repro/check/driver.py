@@ -1,20 +1,18 @@
 """Running communication under the analyzer, end to end.
 
-:func:`run_checked` is the instrumented twin of
-:func:`repro.mpilite.world.run_spmd`: it wires a
-:class:`~repro.check.recorder.CommRecorder` through the world, always
-finalizes the recorder (a deadlocked or crashed world still yields its
-findings — that is the whole point), and returns results together with
-the :class:`~repro.check.findings.CheckReport`.
+:func:`run_checked` is the one way to run anything observed: it hands a
+fresh :class:`~repro.check.checker.Checker` to the caller's run, always
+finalizes it (a deadlocked or crashed world still yields its findings —
+that is the whole point), and folds a failed run into the
+:class:`~repro.check.findings.CheckReport`.  The seeded-bug fixtures and
+:func:`check_spmvm` both go through it.
 
 :func:`check_spmvm` is the one gate the CLI and CI run: the static pass
 (plan lint, sweep-program lint, AST lint), then every spMVM scheme under
 every comm plan as a vector and as a block, each run observed by a
-:class:`~repro.check.recorder.CommRecorder` on the world *and* a
-:class:`~repro.check.threads.ThreadSanitizer` on every engine and
-verified against the serial kernel, then one concurrent solver-service
-session under the same two observers.  A healthy tree reports zero
-findings.
+fresh checker and verified against the serial kernel, then one
+concurrent solver-service session under a checker of its own.  A healthy
+tree reports zero findings.
 """
 
 from __future__ import annotations
@@ -26,14 +24,12 @@ from typing import TYPE_CHECKING, Any, Callable
 import numpy as np
 
 from repro.check.astlint import run_astlint
+from repro.check.checker import Checker
 from repro.check.findings import CheckReport, Finding
 from repro.check.lint import lint_comm_plan
-from repro.check.recorder import CommRecorder
-from repro.check.threads import ThreadSanitizer
 from repro.core.spmvm import SCHEMES, distributed_spmm, distributed_spmv
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.frame.trace import TraceRecorder
     from repro.sparse.csr import CSRMatrix
 
 __all__ = ["run_checked", "check_spmvm"]
@@ -49,87 +45,41 @@ SERVICE_REQUESTS = 12
 SEED = 7
 
 
-def _failure_finding(where: str, failure: Exception) -> Finding:
-    """A failed world as a finding, so no report silently swallows a crash."""
-    return Finding(
-        kind="deadlock" if isinstance(failure, TimeoutError) else "leaked-request",
-        message=f"{where}: world failed without a detector diagnosis: {failure!r}",
-        details={"exception": type(failure).__name__},
-    )
-
-
 def run_checked(
-    nranks: int,
-    fn: Callable[..., Any],
-    *args: Any,
-    timeout: float = 120.0,
-    recv_timeout: float | None = None,
-    trace: "TraceRecorder | None" = None,
-    context: str = "",
-    **kwargs: Any,
-) -> tuple[list[Any] | None, CheckReport]:
-    """Run an SPMD function under the dynamic analyzer.
+    nranks: int, run: Callable[[Checker], Any], *, context: str = ""
+) -> tuple[Any, CheckReport]:
+    """Run ``run(checker)`` under a fresh :class:`Checker` of *nranks* ranks.
 
-    Returns ``(results, report)``.  When the world fails (deadlock,
-    timeout, rank exception) ``results`` is ``None`` and the failure is
-    folded into the report rather than raised — the analyzer's diagnosis
-    is strictly more useful than the raw traceback, which stays
-    available in the report's details.
+    *run* attaches the checker where it builds its world — the
+    ``observer=`` of ``run_spmd``, the one-call drivers or
+    ``SolverService`` — and returns what the caller wants back.
+    Returns ``(result, report)``.  When *run* raises an ``Exception``,
+    ``result`` is ``None`` and, unless a detected deadlock explains it,
+    the failure becomes one ``world-failure`` finding naming *context*:
+    reported, never raised, and never mistaken for a detector firing.
+    Anything else (Ctrl-C) propagates.
     """
-    from repro.mpilite.world import run_spmd
-
-    rec = CommRecorder(nranks, trace=trace)
-    results: list[Any] | None = None
-    failure: Exception | None = None
+    checker = Checker(nranks)
+    result = failure = None
     try:
-        results = run_spmd(
-            nranks, fn, *args,
-            timeout=timeout, recv_timeout=recv_timeout, recorder=rec, **kwargs,
-        )
+        result = run(checker)
     except Exception as exc:  # noqa: BLE001 - report, don't mask findings
         failure = exc
-    report = rec.finalize(context=context)
+    report = checker.finalize(context=context)
     if failure is not None and not report.by_kind("deadlock"):
-        report.findings.append(_failure_finding(context or "run", failure))
-    return results, report
-
-
-def _observed_run(
-    label: str, nranks: int, run: Callable[..., np.ndarray], ref: np.ndarray
-) -> CheckReport:
-    """One run under both observers, verified against the serial kernel.
-
-    ``run(recorder=, sanitizer=)`` gets a fresh observer of each kind
-    (both are single-run objects).  A world that fails becomes one
-    finding naming *label*, a wrong answer another — findings, not
-    assertions, so the report stays the single source of truth.
-    """
-    rec, san = CommRecorder(nranks), ThreadSanitizer()
-    failure: Exception | None = None
-    try:
-        y = run(recorder=rec, sanitizer=san)
-    except Exception as exc:  # noqa: BLE001 - folded into the report below
-        failure = exc
-    report = rec.finalize(context=label).merge(san.finalize(context=label))
-    if failure is not None:
-        report.findings.append(_failure_finding(label, failure))
-    elif not np.allclose(y, ref, rtol=1e-10, atol=1e-12):
         report.findings.append(Finding(
-            kind="message-race",
-            message=(
-                f"{label}: distributed result deviates from the serial kernel "
-                f"(max |Δ| = {float(np.max(np.abs(y - ref))):.3e}) — nondeterministic "
-                f"matching or an unreported unsynchronised access suspected"
-            ),
+            kind="world-failure",
+            message=f"{context or 'run'}: world failed without a detector diagnosis: {failure!r}",
+            details={"exception": type(failure).__name__},
         ))
-    return report
+    return result, report
 
 
 def _service_session(A: "CSRMatrix", nranks: int, rng: np.random.Generator):
     """The sweep's last row: three submitters on one task-mode service.
 
-    Returns ``(run, ref)`` in the shape :func:`_observed_run` takes: the
-    stacked responses of all requests against the serial products.
+    Returns ``(run, ref)``: *run* takes the checker and returns the
+    stacked responses of all requests, *ref* the serial products.
     """
     from repro.serve import SolverService, build_model
     from repro.sparse import spmv
@@ -141,7 +91,7 @@ def _service_session(A: "CSRMatrix", nranks: int, rng: np.random.Generator):
         for _ in range(3)
     ]
 
-    def run(*, recorder: CommRecorder, sanitizer: ThreadSanitizer) -> np.ndarray:
+    def run(checker: Checker) -> np.ndarray:
         answers: list[list[np.ndarray]] = [[] for _ in payloads]
         errors: list[Exception] = []
 
@@ -151,9 +101,7 @@ def _service_session(A: "CSRMatrix", nranks: int, rng: np.random.Generator):
             except Exception as exc:  # noqa: BLE001 - re-raised on the caller below
                 errors.append(exc)
 
-        with SolverService(
-            model, recorder=recorder, sanitizer=sanitizer, name="check"
-        ) as svc:
+        with SolverService(model, observer=checker, name="check") as svc:
             threads = [
                 threading.Thread(target=submitter, args=(svc, rhs, out))
                 for rhs, out in zip(payloads, answers)
@@ -180,7 +128,10 @@ def check_spmvm(
     """Is the tree clean?  Static pass, observed sweep, service session.
 
     Builds the *matrix*/*scale* preset when *A* is not given.  The
-    report's ``context`` says what was covered.
+    report's ``context`` says what was covered.  Every run that finishes
+    is verified against the serial kernel: a wrong answer is a finding
+    too, not an assertion, so the report stays the single source of
+    truth.
     """
     from repro.comm.plan import cached_comm_plan
     from repro.core.halo import cached_halo_plan
@@ -202,7 +153,7 @@ def check_spmvm(
         f"nranks={nranks} ranks_per_node={ranks_per_node}: plan lint ({len(PLANS)} plans), "
         f"program lint ({len(programs)} programs), AST lint, "
         f"{len(PLANS) * len(SCHEMES) * len(operands)} dynamic runs "
-        f"+ 1 service session under CommRecorder + ThreadSanitizer"
+        f"+ 1 service session, each under a fresh Checker"
     ))
 
     # static pass: both plans against the halo plan, every program the
@@ -214,6 +165,19 @@ def check_spmvm(
     report.extend(lint_sweep_programs(programs))
     report.extend(run_astlint())
 
+    def observe(label: str, run: Callable[[Checker], np.ndarray], ref: np.ndarray) -> None:
+        y, observed = run_checked(nranks, run, context=label)
+        report.merge(observed)
+        if y is not None and not np.allclose(y, ref, rtol=1e-10, atol=1e-12):
+            report.findings.append(Finding(
+                kind="message-race",
+                message=(
+                    f"{label}: distributed result deviates from the serial kernel "
+                    f"(max |Δ| = {float(np.max(np.abs(y - ref))):.3e}) — nondeterministic "
+                    f"matching or an unreported unsynchronised access suspected"
+                ),
+            ))
+
     # dynamic sweep: plan x scheme x {vector, block}, then the service
     for kind in PLANS:
         for scheme in SCHEMES:
@@ -224,7 +188,6 @@ def check_spmvm(
                     comm_plan=kind, ranks_per_node=ranks_per_node,
                 )
                 label = f"scheme={scheme} plan={kind} {width}"
-                report.merge(_observed_run(label, nranks, run, ref))
-    session, ref = _service_session(A, nranks, rng)
-    report.merge(_observed_run("service session (3 concurrent submitters)", nranks, session, ref))
+                observe(label, lambda checker: run(observer=checker), ref)
+    observe("service session (3 concurrent submitters)", *_service_session(A, nranks, rng))
     return report

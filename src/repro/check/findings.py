@@ -16,8 +16,10 @@ from typing import Any, Iterable
 
 __all__ = ["FINDING_KINDS", "Finding", "CheckReport"]
 
-#: Every kind a detector may report (stable identifiers, used by tests,
-#: the CLI ``--seed-bug`` fixtures and the trace-event payloads).
+#: Every kind a report may carry (stable identifiers, used by tests and
+#: the CLI ``--seed-bug`` fixtures).  All but the last are detector
+#: diagnoses; ``world-failure`` is a run that raised without one, and it
+#: never counts as a detector firing.
 FINDING_KINDS = (
     "deadlock",
     "message-race",
@@ -28,6 +30,7 @@ FINDING_KINDS = (
     "program-lint",
     "thread-race",
     "ast-lint",
+    "world-failure",
 )
 
 
@@ -70,7 +73,7 @@ class CheckReport:
     """Aggregated findings of one analysis run."""
 
     findings: list[Finding] = field(default_factory=list)
-    #: dynamic-prong bookkeeping: operations the recorder observed
+    #: dynamic-prong bookkeeping: operations the checker observed
     events_observed: int = 0
     #: free-form context ("scheme=task_mode plan=node-aware", ...)
     context: str = ""

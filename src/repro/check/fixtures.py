@@ -8,14 +8,16 @@ live demonstration of what each diagnostic looks like.
 
 Every entry maps a stable name to ``(expected finding kind, runner)``;
 the runner returns the :class:`~repro.check.findings.CheckReport` of the
-seeded run.
+seeded run.  Every dynamic fixture, rank-level and thread-level alike,
+runs through :func:`~repro.check.driver.run_checked`, so both halves of
+the checker watch each one.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import threading
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -23,6 +25,20 @@ from repro.check.driver import run_checked
 from repro.check.findings import CheckReport
 
 __all__ = ["SEED_BUGS", "SEEDED_PROGRAMS", "run_seed_bug"]
+
+
+def _observed_world(name: str, nranks: int, fn: Callable[..., Any], *args: Any) -> CheckReport:
+    """Run ``fn(comm, *args)`` on *nranks* ranks under a fresh checker."""
+    from repro.mpilite.world import run_spmd
+
+    _results, report = run_checked(
+        nranks,
+        lambda checker: run_spmd(
+            nranks, fn, *args, recv_timeout=10.0, timeout=30.0, observer=checker
+        ),
+        context=f"seed-bug {name}",
+    )
+    return report
 
 
 def _deadlock_cycle() -> CheckReport:
@@ -33,10 +49,7 @@ def _deadlock_cycle() -> CheckReport:
         comm.recv(peer, tag=1)  # both block here: nobody has sent yet
         comm.send(comm.rank, peer, tag=1)
 
-    _results, report = run_checked(
-        2, fn, recv_timeout=10.0, timeout=30.0, context="seed-bug deadlock-cycle"
-    )
-    return report
+    return _observed_world("deadlock-cycle", 2, fn)
 
 
 def _collective_stall() -> CheckReport:
@@ -46,10 +59,7 @@ def _collective_stall() -> CheckReport:
         if comm.rank != 2:
             comm.barrier()
 
-    _results, report = run_checked(
-        3, fn, recv_timeout=10.0, timeout=30.0, context="seed-bug collective-stall"
-    )
-    return report
+    return _observed_world("collective-stall", 3, fn)
 
 
 def _message_race() -> CheckReport:
@@ -64,10 +74,7 @@ def _message_race() -> CheckReport:
         comm.send(comm.rank, 0, tag=5)
         return None
 
-    _results, report = run_checked(
-        3, fn, recv_timeout=10.0, timeout=30.0, context="seed-bug message-race"
-    )
-    return report
+    return _observed_world("message-race", 3, fn)
 
 
 def _buffer_hazard() -> CheckReport:
@@ -88,10 +95,7 @@ def _buffer_hazard() -> CheckReport:
             comm.Recv(buf, 0, tag=2)
             comm.Send(np.arange(4.0), 0, tag=3)
 
-    _results, report = run_checked(
-        2, fn, recv_timeout=10.0, timeout=30.0, context="seed-bug buffer-hazard"
-    )
-    return report
+    return _observed_world("buffer-hazard", 2, fn)
 
 
 def _leaked_request() -> CheckReport:
@@ -105,10 +109,7 @@ def _leaked_request() -> CheckReport:
             comm.irecv(0, tag=8)  # posted, never wait()ed nor test()ed
         comm.barrier()  # make rank 1 outlive the sends deterministically
 
-    _results, report = run_checked(
-        2, fn, recv_timeout=10.0, timeout=30.0, context="seed-bug leaked-request"
-    )
-    return report
+    return _observed_world("leaked-request", 2, fn)
 
 
 def _plan_lint() -> CheckReport:
@@ -173,7 +174,7 @@ def _main_halo_program():
 
 #: The hand-built programs behind the thread-race fixtures.  Each one is
 #: rejected by :func:`repro.program.lint_sweep_program`; the fixtures
-#: bypass the lint to show the sanitizer catching the same bug live.
+#: bypass the lint to show the checker catching the same bug live.
 SEEDED_PROGRAMS = {
     "thread-race-missing-barrier": _missing_barrier_program,
     "thread-race-main-halo": _main_halo_program,
@@ -181,63 +182,59 @@ SEEDED_PROGRAMS = {
 
 
 def _seeded_program_fixture(name: str) -> Callable[[], CheckReport]:
-    """Runner executing ``SEEDED_PROGRAMS[name]`` under the thread sanitizer."""
+    """Runner executing ``SEEDED_PROGRAMS[name]`` on two observed ranks."""
 
     def run() -> CheckReport:
-        from repro.check.threads import ThreadSanitizer
         from repro.core.halo import cached_halo_plan
         from repro.core.spmvm import DistributedSpMVM, scatter_vector
         from repro.matrices import get_matrix
-        from repro.mpilite.world import PerRank, run_spmd
+        from repro.mpilite.world import PerRank
         from repro.program.exec import execute_sweep
 
         program = SEEDED_PROGRAMS[name]()
         A = get_matrix("HMeP", "tiny").build_cached()
-        nranks = 2
-        plan = cached_halo_plan(A, nranks, with_matrices=True)
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal(A.nrows)
-        san = ThreadSanitizer()
+        plan = cached_halo_plan(A, 2, with_matrices=True)
+        x = np.random.default_rng(11).standard_normal(A.nrows)
 
         def fn(comm, halo) -> np.ndarray:
-            with DistributedSpMVM(comm, halo, sanitizer=san) as engine:
+            with DistributedSpMVM(comm, halo) as engine:
                 return execute_sweep(
                     engine, program, scatter_vector(x, plan.partition, comm.rank)
                 )
 
-        run_spmd(nranks, fn, PerRank(plan.ranks), recv_timeout=10.0, timeout=30.0)
-        return san.finalize(context=f"seed-bug {name}")
+        return _observed_world(name, 2, fn, PerRank(plan.ranks))
 
     return run
 
 
 def _thread_race_unlocked_service() -> CheckReport:
     """A rogue thread mutates SolverService queue state bypassing the lock."""
-    from repro.check.threads import ThreadSanitizer
     from repro.matrices import get_matrix
     from repro.serve import SolverService, build_model
 
     A = get_matrix("HMeP", "tiny").build_cached()
-    san = ThreadSanitizer()
     model = build_model(A, 2, scheme="task_mode")
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal(A.nrows)
-    with SolverService(model, sanitizer=san, name="seed-unlocked") as svc:
-        with svc.hold():
-            reqs = [svc.submit(x) for _ in range(2)]
+    x = np.random.default_rng(3).standard_normal(A.nrows)
 
-            def rogue() -> None:
-                # seeded: queue state touched without `with svc._lock` —
-                # no hand-off edge orders this against submit/dispatch
-                svc._pending.rotate()
-                svc._note("pending", "w", "rogue-rotate")
+    def session(checker) -> None:
+        with SolverService(model, observer=checker, name="seed-unlocked") as svc:
+            with svc.hold():
+                reqs = [svc.submit(x) for _ in range(2)]
 
-            t = threading.Thread(target=rogue, name="rogue")
-            t.start()
-            t.join()
-        for req in reqs:
-            svc.gather(req, timeout=30.0)
-    return san.finalize(context="seed-bug thread-race-unlocked-service")
+                def rogue() -> None:
+                    # seeded: queue state touched without `with svc._lock` —
+                    # no hand-off edge orders this against submit/dispatch
+                    svc._pending.rotate()
+                    svc._note("pending", "w", "rogue-rotate")
+
+                t = threading.Thread(target=rogue, name="rogue")
+                t.start()
+                t.join()
+            for req in reqs:
+                svc.gather(req, timeout=30.0)
+
+    _result, report = run_checked(2, session, context="seed-bug thread-race-unlocked-service")
+    return report
 
 
 def _astlint_fixture(rule_name: str) -> Callable[[], CheckReport]:
@@ -271,9 +268,13 @@ SEED_BUGS: dict[str, tuple[str, Callable[[], CheckReport]]] = {
 
 
 def run_seed_bug(name: str) -> tuple[bool, CheckReport]:
-    """Run one fixture; returns (expected detector fired, its report)."""
+    """Run one fixture; returns (expected detector fired, its report).
+
+    A fixture whose world failed without a diagnosis has not shown its
+    detector working, whatever else its report holds.
+    """
     if name not in SEED_BUGS:
         raise ValueError(f"unknown seed bug {name!r} (expected one of {sorted(SEED_BUGS)})")
     kind, runner = SEED_BUGS[name]
     report = runner()
-    return bool(report.by_kind(kind)), report
+    return bool(report.by_kind(kind)) and not report.by_kind("world-failure"), report

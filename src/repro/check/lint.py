@@ -28,7 +28,7 @@ the offending rank/phase/channel:
   slot of every rank exactly once, and each direct message carries
   exactly the element count the halo plan promised.
 
-The dynamic analyzer (:mod:`repro.check.recorder`) answers "did this run
+The dynamic analyzer (:mod:`repro.check.checker`) answers "did this run
 misbehave"; this linter answers "could any run of this plan misbehave" —
 without sending a byte.
 """

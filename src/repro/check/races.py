@@ -28,7 +28,7 @@ wolf:
 from __future__ import annotations
 
 from repro.check.findings import Finding
-from repro.check.recorder import RecvEvent, SendEvent
+from repro.check.checker import RecvEvent, SendEvent
 from repro.check.vclock import vc_concurrent
 
 __all__ = ["analyze_races"]

@@ -52,7 +52,7 @@ def _cmd_list(_args: argparse.Namespace) -> int:
         ("check", "communication correctness analyzer (repro.check)"),
         ("lint", "repo-invariant AST lint (repro.check.astlint)"),
         ("probe", "Sect. 3 asynchronous-progress probe"),
-        ("bench", "guard suite: kernel, program and sanitizer ratios"),
+        ("bench", "guard suite: kernel, program and check ratios"),
         ("serve", "persistent solver service: build once, stream requests"),
         ("kernels", "the spMVM kernel and which executor computes its row sums"),
         ("matrix", "build and describe one registry matrix"),
@@ -280,9 +280,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     Static pass (plan lint of both comm plans, lint of every sweep
     program the builders can emit, the repo-invariant AST lint), then
     every scheme x comm plan x {vector, block} and one concurrent
-    solver-service session, each run under the rank-level recorder and
-    the thread-level sanitizer at once and cross-checked against the
-    serial kernel.  Exit 1 on any finding.
+    solver-service session, each run under a fresh checker (ranks and
+    threads at once) and cross-checked against the serial kernel.  Exit
+    1 on any finding.
 
     ``--seed-bug NAME`` instead runs a fixture containing exactly that
     bug and exits 0 only if the matching detector fired — the live

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import weakref
 from types import SimpleNamespace
-from typing import Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -58,6 +58,7 @@ from repro.comm.exec import RankExchange
 from repro.comm.plan import PLAN_KINDS, CommPlan, cached_comm_plan
 from repro.core.halo import RankHalo, cached_halo_plan
 from repro.mpilite.comm import Comm
+from repro.mpilite.world import PerRank, run_spmd
 from repro.program.build import PROGRAM_SCHEMES, cached_sweep_program
 from repro.program.exec import CommThread, execute_sweep
 from repro.program.ir import SweepProgram
@@ -66,6 +67,9 @@ from repro.sparse.partition import RowPartition
 from repro.sparse.spmm import spmm, spmm_add
 from repro.sparse.spmv import spmv, spmv_add
 from repro.util import check_in, check_positive_int
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.check.checker import Checker
 
 __all__ = [
     "SCHEMES",
@@ -106,13 +110,11 @@ class DistributedSpMVM:
         :mod:`repro.comm`).  Results are bit-identical either way — the
         exchange only copies float64 payloads, never reorders
         arithmetic.
-    sanitizer:
-        Optional :class:`~repro.check.threads.ThreadSanitizer`.  When
-        attached, the sweep interpreter notes every buffer access and
-        thread spawn/join in domain ``rank{comm.rank}`` (per-thread
-        vector clocks, happens-before race detection); ``None`` costs
-        nothing — the zero-cost-when-absent contract of
-        :class:`~repro.check.recorder.CommRecorder`.
+
+    The engine is observed when its communicator's world is: the sweep
+    interpreter reads ``comm.observer`` (:class:`repro.check.Checker`)
+    and notes every buffer access and comm-thread hand-off in domain
+    ``rank{comm.rank}``.
 
     An engine that has run a task-mode sweep owns a parked thread:
     :meth:`close` it (or use it as a context manager) when done.
@@ -128,7 +130,6 @@ class DistributedSpMVM:
         comm: Comm,
         halo: RankHalo,
         comm_plan: CommPlan | None = None,
-        sanitizer: Any = None,
     ) -> None:
         if halo.A_local is None or halo.A_remote is None:
             raise ValueError("RankHalo lacks sub-matrices; build plan with_matrices=True")
@@ -138,7 +139,6 @@ class DistributedSpMVM:
         self.halo = halo
         #: this rank's compiled exchange (no relay duties under a direct plan)
         self.exchange = RankExchange(comm_plan, halo)
-        self.sanitizer = sanitizer
         # one (halo landing buffer, send buffers) pair per width,
         # allocated on first use and refilled in place every MVM (the
         # router copies on send, so reuse across iterations is safe).
@@ -336,17 +336,14 @@ def lower_comm_plan(plan, nranks: int, comm_plan: str, ranks_per_node: int = 1):
     return cached_comm_plan(plan, rank_node, kind="node-aware")
 
 
-def _distributed(
-    A, x, nranks, block, scheme, iterations, comm_plan, ranks_per_node, recorder, sanitizer,
-) -> np.ndarray:
-    """The one-call drivers' body (*block*: *x* is a 2-D block, else a vector).
+def _rank_sweeps(A, x, nranks, block, scheme, iterations, comm_plan, ranks_per_node):
+    """The one-call drivers' SPMD body and its per-rank argument (*block*:
+    *x* is a 2-D block, else a vector).
 
     Everything about the call is validated here, in the caller's thread,
     before any rank exists: ``scatter_vector`` slices, so a long *x*
     would lose its tail silently and a short one would fail on one rank.
     """
-    from repro.mpilite.world import PerRank, run_spmd
-
     check_in(scheme, SCHEMES, "scheme")
     x = np.asarray(x, dtype=np.float64)
     ndim = 2 if block else 1
@@ -361,7 +358,7 @@ def _distributed(
     cplan = lower_comm_plan(plan, nranks, comm_plan, ranks_per_node)
 
     def rank_fn(comm: Comm, halo: RankHalo) -> np.ndarray:
-        with DistributedSpMVM(comm, halo, comm_plan=cplan, sanitizer=sanitizer) as engine:
+        with DistributedSpMVM(comm, halo, comm_plan=cplan) as engine:
             multiply = engine.multiply_block if block else engine.multiply
             x_local = scatter_vector(x, plan.partition, comm.rank)
             y_local = multiply(x_local, scheme)
@@ -370,8 +367,7 @@ def _distributed(
                 y_local = multiply(x_local, scheme)
             return y_local
 
-    pieces = run_spmd(nranks, rank_fn, PerRank(plan.ranks), recorder=recorder)
-    return gather_vector(pieces)
+    return rank_fn, PerRank(plan.ranks)
 
 
 def distributed_spmv(
@@ -383,8 +379,7 @@ def distributed_spmv(
     iterations: int = 1,
     comm_plan: str = "direct",
     ranks_per_node: int = 1,
-    recorder: Any = None,
-    sanitizer: Any = None,
+    observer: "Checker | None" = None,
 ) -> np.ndarray:
     """Compute ``A @ x`` on *nranks* mpilite ranks (the integration driver).
 
@@ -399,15 +394,13 @@ def distributed_spmv(
     ``"node-aware"`` aggregates inter-node messages through per-node
     leaders, with nodes assigned rank-major from *ranks_per_node*.
     Results are bit-identical across plans.
-    ``recorder`` attaches a :class:`repro.check.CommRecorder` to the
-    world (inter-rank dynamic analysis); ``sanitizer`` attaches a
-    :class:`repro.check.ThreadSanitizer` to every rank engine
-    (intra-rank thread-race detection).  Use a fresh sanitizer per run:
-    the rank threads' idents are recycled by CPython between runs.
+    ``observer`` (a fresh :class:`repro.check.Checker` per call) is
+    handed to the world: it watches the ranks and every engine's threads.
     """
-    return _distributed(
-        A, x, nranks, False, scheme, iterations, comm_plan, ranks_per_node, recorder, sanitizer,
+    rank_fn, halos = _rank_sweeps(
+        A, x, nranks, False, scheme, iterations, comm_plan, ranks_per_node
     )
+    return gather_vector(run_spmd(nranks, rank_fn, halos, observer=observer))
 
 
 def distributed_spmm(
@@ -419,16 +412,16 @@ def distributed_spmm(
     iterations: int = 1,
     comm_plan: str = "direct",
     ranks_per_node: int = 1,
-    recorder: Any = None,
-    sanitizer: Any = None,
+    observer: "Checker | None" = None,
 ) -> np.ndarray:
     """Compute the block product ``A @ X`` on *nranks* mpilite ranks.
 
     The batched twin of :func:`distributed_spmv`: one halo exchange (one
     message per peer) serves all ``X.shape[1]`` right-hand sides.  See
     :func:`distributed_spmv` for ``comm_plan``/``ranks_per_node``/
-    ``recorder``/``sanitizer``.
+    ``observer``.
     """
-    return _distributed(
-        A, X, nranks, True, scheme, iterations, comm_plan, ranks_per_node, recorder, sanitizer,
+    rank_fn, halos = _rank_sweeps(
+        A, X, nranks, True, scheme, iterations, comm_plan, ranks_per_node
     )
+    return gather_vector(run_spmd(nranks, rank_fn, halos, observer=observer))

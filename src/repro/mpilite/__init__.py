@@ -8,7 +8,7 @@ predicts its timing on the paper's machines.
 from repro.mpilite.comm import CollectiveState, Comm, Request
 from repro.mpilite.procs import ProcComm, run_spmd_processes
 from repro.mpilite.router import ANY_SOURCE, ANY_TAG, Router, WorldAbortedError
-from repro.mpilite.world import PerRank, World, open_world, run_spmd
+from repro.mpilite.world import PerRank, World, run_spmd
 
 __all__ = [
     "ANY_SOURCE",
@@ -19,7 +19,6 @@ __all__ = [
     "Router",
     "WorldAbortedError",
     "run_spmd",
-    "open_world",
     "World",
     "PerRank",
     "ProcComm",

@@ -14,8 +14,8 @@ truly run beside it.  Timing is therefore the simulator's business
 receives, nonblocking requests, wildcard matching, deadlocks and all.
 Those semantics are
 what the dynamic analyzer in :mod:`repro.check` verifies: a
-:class:`~repro.check.CommRecorder` attached via
-:func:`repro.mpilite.world.run_spmd` observes every operation through
+:class:`~repro.check.Checker` given to the
+:class:`~repro.mpilite.world.World` observes every operation through
 the hooks in this module (request lifecycle, buffer checksums,
 collective generations) without changing behaviour.
 
@@ -35,6 +35,7 @@ import numpy as np
 from repro.mpilite.router import (
     ANY_SOURCE,
     ANY_TAG,
+    OBSERVER_WAIT_SLICE_MIN,
     Router,
     WorldAbortedError,
     observer_wait_slice,
@@ -112,7 +113,7 @@ class CollectiveState:
 
     ``timeout`` bounds how long a rank waits for the others (routed
     through the world so tests can shrink it); when an ``observer`` (the
-    :mod:`repro.check` recorder) is attached, the wait runs in short
+    world's :class:`repro.check.Checker`) is attached, the wait runs in short
     slices so a wait-for cycle is diagnosed immediately instead of
     after the timeout expires.
     """
@@ -167,7 +168,7 @@ class CollectiveState:
                 self._lock.notify_all()
             else:
                 deadline = time.monotonic() + self.timeout
-                backoff = obs.poll_interval if obs is not None else 0.0
+                backoff = OBSERVER_WAIT_SLICE_MIN
                 while gen not in self._results:
                     remaining = deadline - time.monotonic()
                     # A notification can land exactly at the deadline: the
@@ -185,7 +186,7 @@ class CollectiveState:
                         wait_slice = remaining
                     else:
                         # bounded backoff: diagnosable, but near-zero idle CPU
-                        wait_slice, backoff = observer_wait_slice(obs, backoff, remaining)
+                        wait_slice, backoff = observer_wait_slice(backoff, remaining)
                     self._lock.wait(timeout=wait_slice)
                     self._check_abort(rank, gen)
                     if obs is not None:
@@ -207,8 +208,8 @@ class Comm:
     ``default_timeout`` is the blocking-receive safety net applied when a
     call site passes no explicit ``timeout=``; worlds created by
     :func:`~repro.mpilite.world.run_spmd` route their ``recv_timeout``
-    argument here.  ``recorder`` is the opt-in dynamic analyzer
-    (:class:`repro.check.CommRecorder`); when absent, no per-operation
+    argument here.  :attr:`observer` is the world's opt-in dynamic
+    analyzer, read from the router; when absent, no per-operation
     bookkeeping happens.
     """
 
@@ -218,13 +219,11 @@ class Comm:
         router: Router,
         collectives: CollectiveState,
         default_timeout: float | None = None,
-        recorder: Any = None,
     ) -> None:
         self._rank = rank
         self._router = router
         self._coll = collectives
         self._default_timeout = _DEFAULT_TIMEOUT if default_timeout is None else default_timeout
-        self._rec = recorder
 
     @property
     def rank(self) -> int:
@@ -235,6 +234,11 @@ class Comm:
     def size(self) -> int:
         """World size."""
         return self._router.nranks
+
+    @property
+    def observer(self) -> Any:
+        """The world's :class:`repro.check.Checker`, or ``None``."""
+        return self._router.observer
 
     @property
     def default_timeout(self) -> float:
@@ -336,7 +340,7 @@ class Comm:
         """
         if not isinstance(buf, np.ndarray):
             raise TypeError("Irecv expects a numpy array; use irecv() for objects")
-        rec, rank = self._rec, self._rank
+        obs, rank = self._router.observer, self._rank
 
         def wait_fn() -> np.ndarray:
             data = self._router.get(rank, source, tag, timeout=self._timeout(timeout))
@@ -346,11 +350,11 @@ class Comm:
                 raise ValueError(
                     f"receive buffer shape {buf.shape} != message shape {data.shape}"
                 )
-            if rec is not None:
+            if obs is not None:
                 # the in-flight checksum is verified *before* the library
                 # writes the payload, so a user write is distinguishable
                 # from the delivery itself
-                rec.verify_buffer(req, buf)
+                obs.verify_buffer(req, buf)
             buf[...] = data
             return buf
 
@@ -364,8 +368,9 @@ class Comm:
 
     def _track(self, req: Request, buf: np.ndarray | None = None) -> None:
         """Register *req* with the analyzer (leaks, buffer checksums)."""
-        if self._rec is not None:
-            self._rec.on_request_open(req, buf=buf)
+        obs = self._router.observer
+        if obs is not None:
+            obs.on_request_open(req, buf=buf)
 
     def waitall(self, requests: Sequence[Request]) -> list[Any]:
         """Complete a set of requests, returning their values in order."""

@@ -44,6 +44,9 @@ class ProcComm:
     (the subset the solvers and the distributed spMVM use).
     """
 
+    #: a process world is never observed (the checker lives in one process)
+    observer = None
+
     def __init__(self, rank: int, size: int, conns: dict[int, Any]) -> None:
         self._rank = rank
         self._size = size

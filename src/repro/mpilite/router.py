@@ -15,11 +15,12 @@ the nondeterministic matching that makes wildcard receives the classic
 source of MPI message races, and exactly what the dynamic analyzer in
 :mod:`repro.check` watches for.
 
-An optional :attr:`Router.observer` (the analyzer's recorder) is
-notified of every deposit, blocked receive, and completed match; when it
-is attached, blocking receives wait in short slices so the observer can
-convert a wait-for cycle into an immediate :class:`DeadlockError`
-instead of a timeout.  With no observer the hot path is unchanged.
+An optional :attr:`Router.observer` (the world's
+:class:`repro.check.Checker`, set by :class:`repro.mpilite.world.World`)
+is notified of every deposit, blocked receive, and completed match; when
+it is attached, blocking receives wait in short slices so the observer
+can convert a wait-for cycle into an immediate ``DeadlockError`` instead
+of a timeout.  With no observer the hot path is unchanged.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ ANY_SOURCE = -1
 #: Wildcard tag for receives (matches any tag).
 ANY_TAG = -1
 
+#: First observer-mode wait slice (seconds): how quickly a declared
+#: deadlock reaches a rank that has just blocked.
+OBSERVER_WAIT_SLICE_MIN = 0.02
 #: Cap on the observer-mode wait slice (seconds) once the bounded
 #: backoff has grown it; bounds both idle CPU *and* detection latency.
 OBSERVER_WAIT_SLICE_MAX = 0.25
@@ -53,14 +57,14 @@ class WorldAbortedError(RuntimeError):
     """
 
 
-def observer_wait_slice(obs, backoff: float, remaining: float | None) -> tuple[float, float]:
+def observer_wait_slice(backoff: float, remaining: float | None) -> tuple[float, float]:
     """Next condition-wait slice under an attached observer, with backoff.
 
     Observer-mode waits run in slices so the analyzer can convert a
     wait-for cycle into an immediate diagnosis — but a worker pool
-    sitting idle between requests must not spin at the poll interval
-    forever.  The slice starts at ``obs.poll_interval`` and doubles up
-    to :data:`OBSERVER_WAIT_SLICE_MAX` while the wait stays blocked,
+    sitting idle between requests must not spin at the first slice
+    forever.  The slice starts at :data:`OBSERVER_WAIT_SLICE_MIN` and
+    doubles up to :data:`OBSERVER_WAIT_SLICE_MAX` while the wait stays blocked,
     bounding idle wakeups while keeping detection latency bounded too.
     Returns ``(slice, next_backoff)``; *remaining* (time to the
     deadline) caps the slice when finite.
@@ -97,8 +101,8 @@ class Router:
         self._bytes_routed = 0
         self._messages = 0
         self._abort_reason: str | None = None
-        #: optional :class:`repro.check.CommRecorder` (or any object with
-        #: the same observer interface); ``None`` keeps the fast path
+        #: the world's :class:`repro.check.Checker`, or ``None`` (the
+        #: fast path); set once, by the World that owns this router
         self.observer: Any = None
 
     # ------------------------------------------------------------------
@@ -157,7 +161,7 @@ class Router:
             if key is not None:
                 return self._take(key, dst, src, tag)
             obs = self.observer
-            backoff = obs.poll_interval if obs is not None else 0.0
+            backoff = OBSERVER_WAIT_SLICE_MIN
             try:
                 if obs is not None:
                     obs.on_recv_blocked(dst, src, tag)
@@ -173,7 +177,7 @@ class Router:
                         # slices let the observer diagnose deadlocks, but
                         # back off exponentially (bounded) so an idle pool
                         # does not spin at the poll interval forever
-                        wait_slice, backoff = observer_wait_slice(obs, backoff, remaining)
+                        wait_slice, backoff = observer_wait_slice(backoff, remaining)
                     self._lock.wait(timeout=wait_slice)
                     self._check_abort(dst, src, tag, "blocked receive")
                     if obs is not None:

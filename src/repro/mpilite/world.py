@@ -6,25 +6,32 @@ function everywhere and collects the per-rank return values.  Exceptions
 on any rank are re-raised on the caller (first failing rank wins) so
 test failures stay loud.
 
-:func:`open_world` is the *persistent* variant: it builds the shared
-runtime (router, collective state, one communicator per rank) and hands
-it to the caller to keep alive across many requests — the substrate of
-the :mod:`repro.serve` worker pool.  :meth:`World.abort` tears it down,
-waking every blocked operation with a provenance-carrying
-:class:`~repro.mpilite.router.WorldAbortedError` instead of letting
-survivors run out their timeouts.
+:class:`World` is the shared runtime itself (router, collective state,
+one communicator per rank); built directly, the caller keeps it alive
+across many requests — the substrate of the :mod:`repro.serve` worker
+pool.  :meth:`World.abort` tears it down, waking every blocked operation
+with a provenance-carrying :class:`~repro.mpilite.router.WorldAbortedError`
+instead of letting survivors run out their timeouts.
+
+A world's ``observer`` (a :class:`repro.check.Checker`) is given in one
+place, its constructor; ``run_spmd`` passes its own through.  Every hook
+site reads that one slot — the router and the collectives directly,
+each communicator through its router.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.mpilite.comm import CollectiveState, Comm
 from repro.mpilite.router import Router
 from repro.util import check_positive_int
 
-__all__ = ["run_spmd", "open_world", "World", "PerRank"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.check.checker import Checker
+
+__all__ = ["run_spmd", "World", "PerRank"]
 
 
 class World:
@@ -42,18 +49,14 @@ class World:
         nranks: int,
         *,
         recv_timeout: float | None = None,
-        recorder: Any = None,
+        observer: "Checker | None" = None,
     ) -> None:
         nranks = check_positive_int(nranks, "nranks")
         self.router = Router(nranks)
         self.collectives = CollectiveState(nranks, timeout=recv_timeout)
-        if recorder is not None:
-            self.router.observer = recorder
-            self.collectives.observer = recorder
-        self.recorder = recorder
+        self.router.observer = self.collectives.observer = observer
         self.comms = [
-            Comm(r, self.router, self.collectives, default_timeout=recv_timeout,
-                 recorder=recorder)
+            Comm(r, self.router, self.collectives, default_timeout=recv_timeout)
             for r in range(nranks)
         ]
 
@@ -61,6 +64,11 @@ class World:
     def nranks(self) -> int:
         """World size."""
         return self.router.nranks
+
+    @property
+    def observer(self) -> "Checker | None":
+        """The observer given at construction (``None``: unobserved)."""
+        return self.router.observer
 
     def abort(self, reason: str) -> None:
         """Tear the world down: every blocked or future operation raises
@@ -70,23 +78,13 @@ class World:
         self.collectives.abort(reason)
 
 
-def open_world(
-    nranks: int,
-    *,
-    recv_timeout: float | None = None,
-    recorder: Any = None,
-) -> World:
-    """Build a persistent mpilite :class:`World` (see class docs)."""
-    return World(nranks, recv_timeout=recv_timeout, recorder=recorder)
-
-
 def run_spmd(
     nranks: int,
     fn: Callable[..., Any],
     *args: Any,
     timeout: float = 120.0,
     recv_timeout: float | None = None,
-    recorder: Any = None,
+    observer: "Checker | None" = None,
     **kwargs: Any,
 ) -> list[Any]:
     """Run ``fn(comm, *args, **kwargs)`` on *nranks* ranks; return results.
@@ -96,18 +94,17 @@ def run_spmd(
 
     ``recv_timeout`` is the world's default blocking-receive (and
     collective) timeout, handed to every rank's communicator so tests can
-    shrink the safety net in one place.  ``recorder`` attaches a
-    :class:`repro.check.CommRecorder` (or a compatible observer) to the
-    router, the collective state and every communicator — the opt-in
-    dynamic correctness analyzer; pass ``None`` (the default) for the
-    uninstrumented fast path.
+    shrink the safety net in one place.  ``observer`` (a
+    :class:`repro.check.Checker`) is handed to the :class:`World` — the
+    opt-in dynamic correctness analyzer; ``None`` (the default) is the
+    unobserved fast path.
 
     A rank whose ``fn`` raises aborts the world, so peers blocked on it
     fail at once, and the ``RuntimeError`` raised here names that rank
     and chains its exception — the first failure, not its casualties.
     """
     nranks = check_positive_int(nranks, "nranks")
-    world = World(nranks, recv_timeout=recv_timeout, recorder=recorder)
+    world = World(nranks, recv_timeout=recv_timeout, observer=observer)
     results: list[Any] = [None] * nranks
     errors: list[tuple[int, BaseException]] = []
     lock = threading.Lock()
@@ -128,8 +125,8 @@ def run_spmd(
                     # after a receive timeout (they land in `errors` behind it)
                     world.abort(f"rank {rank} failed: {exc!r}")
         finally:
-            if recorder is not None:
-                recorder.on_rank_finished(rank)
+            if observer is not None:
+                observer.on_rank_finished(rank)
 
     threads = [
         threading.Thread(target=runner, args=(r,), name=f"mpilite-rank-{r}", daemon=True)

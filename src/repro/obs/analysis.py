@@ -51,7 +51,7 @@ class TransferSegment:
 
 
 def transfer_segments(
-    recorder: TraceRecorder, *, protocol: str | None = None
+    trace: TraceRecorder, *, protocol: str | None = None
 ) -> list[TransferSegment]:
     """Active-transfer segments of every message, reconstructed from events.
 
@@ -59,7 +59,7 @@ def transfer_segments(
     messages.  Messages that never reached the wire contribute nothing.
     """
     by_mid: dict[int, list] = {}
-    for ev in recorder.iter_events("mpi"):
+    for ev in trace.iter_events("mpi"):
         if ev.name in _LIFECYCLE and "mid" in ev.args:
             by_mid.setdefault(ev.args["mid"], []).append(ev)
     segments: list[TransferSegment] = []
@@ -130,7 +130,7 @@ def bytes_moved_during(
 
 
 def overlap_bytes_with_phase(
-    recorder: TraceRecorder,
+    trace: TraceRecorder,
     label: str = "local spMVM",
     *,
     protocol: str | None = "rendezvous",
@@ -151,10 +151,10 @@ def overlap_bytes_with_phase(
 
     def rank_windows(rank: int) -> list[tuple[float, float]]:
         if rank not in windows_of:
-            windows_of[rank] = recorder.phase_windows(label, actor=f"rank{rank}")
+            windows_of[rank] = trace.phase_windows(label, actor=f"rank{rank}")
         return windows_of[rank]
 
     total = 0.0
-    for seg in transfer_segments(recorder, protocol=protocol):
+    for seg in transfer_segments(trace, protocol=protocol):
         total += bytes_moved_during([seg], rank_windows(seg.src) + rank_windows(seg.dst))
     return total

@@ -28,13 +28,13 @@ __all__ = ["chrome_trace_events", "to_chrome_trace", "write_chrome_trace"]
 _US = 1e6  # seconds -> microseconds
 
 
-def _tid_map(recorder: TraceRecorder) -> dict[str, int]:
-    return {actor: tid for tid, actor in enumerate(recorder.actors())}
+def _tid_map(trace: TraceRecorder) -> dict[str, int]:
+    return {actor: tid for tid, actor in enumerate(trace.actors())}
 
 
-def chrome_trace_events(recorder: TraceRecorder, *, pid: int = 0) -> list[dict[str, Any]]:
-    """The ``traceEvents`` list for *recorder* (metadata first)."""
-    tids = _tid_map(recorder)
+def chrome_trace_events(trace: TraceRecorder, *, pid: int = 0) -> list[dict[str, Any]]:
+    """The ``traceEvents`` list for *trace* (metadata first)."""
+    tids = _tid_map(trace)
     out: list[dict[str, Any]] = [
         {
             "ph": "M",
@@ -45,7 +45,7 @@ def chrome_trace_events(recorder: TraceRecorder, *, pid: int = 0) -> list[dict[s
         }
         for actor, tid in tids.items()
     ]
-    for iv in sorted(recorder.intervals, key=lambda iv: (iv.start, iv.actor)):
+    for iv in sorted(trace.intervals, key=lambda iv: (iv.start, iv.actor)):
         out.append(
             {
                 "ph": "X",
@@ -57,7 +57,7 @@ def chrome_trace_events(recorder: TraceRecorder, *, pid: int = 0) -> list[dict[s
                 "dur": iv.duration * _US,
             }
         )
-    for ev in recorder.iter_events():
+    for ev in trace.iter_events():
         out.append(
             {
                 "ph": "i",
@@ -73,20 +73,20 @@ def chrome_trace_events(recorder: TraceRecorder, *, pid: int = 0) -> list[dict[s
     return out
 
 
-def to_chrome_trace(recorder: TraceRecorder) -> dict[str, Any]:
+def to_chrome_trace(trace: TraceRecorder) -> dict[str, Any]:
     """The full JSON-object form of the trace."""
     return {
-        "traceEvents": chrome_trace_events(recorder),
+        "traceEvents": chrome_trace_events(trace),
         "displayTimeUnit": "ms",
     }
 
 
-def write_chrome_trace(recorder: TraceRecorder, path: str | Path) -> Path:
+def write_chrome_trace(trace: TraceRecorder, path: str | Path) -> Path:
     """Write the trace as JSON; returns the written path.
 
     Load the file in ``chrome://tracing`` or https://ui.perfetto.dev.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(to_chrome_trace(recorder), indent=None))
+    path.write_text(json.dumps(to_chrome_trace(trace), indent=None))
     return path

@@ -19,16 +19,16 @@ from repro.util.tables import Table
 __all__ = ["phase_summary"]
 
 
-def phase_summary(recorder: TraceRecorder, *, title: str | None = None) -> Table:
+def phase_summary(trace: TraceRecorder, *, title: str | None = None) -> Table:
     """One row per interval label: count, total/mean duration, makespan share.
 
     ``total`` sums over all actors, so phases running concurrently on
     many ranks can exceed 100 % of the makespan — that is actor-time,
     not wall time.
     """
-    makespan = recorder.makespan() or 1.0
+    makespan = trace.makespan() or 1.0
     by_label: dict[str, list[float]] = {}
-    for iv in recorder.intervals:
+    for iv in trace.intervals:
         by_label.setdefault(iv.label, []).append(iv.duration)
     table = Table(
         ["phase", "count", "total ms", "mean ms", "% of makespan"],

@@ -51,8 +51,8 @@ class UnjoinedCommThreadError(RuntimeError):
     The static lint (:func:`repro.program.lint.lint_sweep_program`)
     rejects such programs before they run; this is the runtime twin for
     hand-built programs that bypass the builders — compute ops racing
-    an open communication thread is exactly the hazard the thread
-    sanitizer (:mod:`repro.check.threads`) reports access by access.
+    an open communication thread is exactly the hazard the checker
+    (:mod:`repro.check.checker`) reports access by access.
     """
 
 
@@ -118,7 +118,7 @@ class _SweepState:
 
     __slots__ = (
         "x", "halo_out", "send_bufs", "recvs", "y", "out",
-        "team", "error", "san", "domain", "comm_op", "comm_token",
+        "team", "error", "obs", "domain", "comm_op", "comm_token",
     )
 
     def __init__(self, x: np.ndarray, halo_out: np.ndarray, send_bufs, out) -> None:
@@ -132,15 +132,15 @@ class _SweepState:
         #: the engine's comm thread while a COMM_THREAD region is open
         self.team: CommThread | None = None
         self.error: list[BaseException] = []
-        #: opt-in thread sanitizer (repro.check.threads); None costs nothing
-        self.san = None
+        #: the world's checker (repro.check.Checker); None costs nothing
+        self.obs = None
         self.domain = ""
         self.comm_op: SweepOp | None = None  # open COMM_THREAD, for provenance
-        self.comm_token: int | None = None  # sanitizer spawn token
+        self.comm_token: int | None = None  # checker spawn token
 
 
-#: Buffers each op kind (reads, writes) — the access model the thread
-#: sanitizer checks.  PACK publishes send_bufs from x (no other
+#: Buffers each op kind (reads, writes) — the access model the checker
+#: holds the threads to.  PACK publishes send_bufs from x (no other
 #: communication op reads x); POST_SENDS sends them; WAITALL completes
 #: the requests, finishes and forwards a leader's relay aggregates
 #: (which live in send_bufs) and lands halo_out; the compute side reads
@@ -192,13 +192,15 @@ def execute_sweep(
     issue order (comm-thread bodies at the spawn point) — the hook the
     golden cross-backend test uses to compare real execution against the
     simulated one.  ``out``, when given, is the buffer the result is
-    computed into (shaped like *x*, not overlapping it).
+    computed into (shaped like *x*, not overlapping it).  When the
+    engine's world carries an observer, every op's buffer accesses and
+    every region's spawn and join are noted in domain ``rank{r}``.
     """
     _check_single_sweep(program)  # before the engine is touched
     state = _SweepState(x, *engine.sweep_buffers(x), out)
-    san = getattr(engine, "sanitizer", None)
-    if san is not None:
-        state.san = san
+    obs = engine.comm.observer
+    if obs is not None:
+        state.obs = obs
         state.domain = f"rank{engine.comm.rank}"
     try:
         for op in program.ops:
@@ -215,7 +217,7 @@ def execute_sweep(
         raise
     if state.team is not None:
         # compute ops ran concurrently with an open COMM_THREAD region —
-        # the hazard the thread sanitizer reports access by access
+        # the hazard the checker reports access by access
         _reap_comm_thread(state)
         _raise_comm_error(state)
         body = ",".join(inner.token for inner in state.comm_op.body)
@@ -234,15 +236,15 @@ def execute_sweep(
 
 
 def _issue(engine: "DistributedSpMVM", op: SweepOp, state: _SweepState) -> None:
-    """Run one op, noting its buffer accesses when a sanitizer is attached."""
-    san = state.san
-    if san is not None:
+    """Run one op, noting its buffer accesses when an observer is attached."""
+    obs = state.obs
+    if obs is not None:
         reads, writes = _FOOTPRINT[op.kind]
         domain, token = state.domain, op.token
         for buf in reads:
-            san.on_access(domain, buf, "r", op=token)
+            obs.on_access(domain, buf, "r", op=token)
         for buf in writes:
-            san.on_access(domain, buf, "w", op=token)
+            obs.on_access(domain, buf, "w", op=token)
     _OP_HANDLERS[op.kind](engine, state)
 
 
@@ -252,15 +254,15 @@ def _hand_off(engine: "DistributedSpMVM", op: SweepOp, state: _SweepState) -> No
         raise RuntimeError("COMM_THREAD spawned while another is still open")
     team = engine.team_thread()
     token = None
-    if state.san is not None:
+    if state.obs is not None:
         # one spawn edge per region: the thread is re-bound to a fresh
-        # sanitizer identity whose clock starts from this thread's now
-        token = state.san.on_spawn(state.domain, team.name)
+        # checker identity whose clock starts from this thread's now
+        token = state.obs.on_spawn(state.domain, team.name)
 
     def region() -> None:
         try:
             if token is not None:
-                state.san.on_thread_start(state.domain, token)
+                state.obs.on_thread_start(state.domain, token)
             for inner in op.body:
                 _issue(engine, inner, state)
         except BaseException as exc:  # noqa: BLE001 - re-raised by the main path
@@ -278,8 +280,8 @@ def _barrier_main(state: _SweepState) -> None:
         return  # single compute thread, no region open: a no-op
     state.team.wait()
     state.team = None
-    if state.san is not None and state.comm_token is not None:
-        state.san.on_join(state.domain, state.comm_token)
+    if state.obs is not None and state.comm_token is not None:
+        state.obs.on_join(state.domain, state.comm_token)
         state.comm_token = None
     _raise_comm_error(state)
 

@@ -71,25 +71,18 @@ class BuiltModel:
         """Ranks of the worker pool this model was built for."""
         return self.plan.nranks
 
-    def engine(self, comm: "Comm", *, sanitizer=None) -> "DistributedSpMVM":
+    def engine(self, comm: "Comm") -> "DistributedSpMVM":
         """The per-rank engine of ``comm.rank``, on this model's state.
 
         Construction is cheap by design: the halo plan, sub-matrices
         and comm plan already exist; the engine only allocates its
         per-rank sweep buffers.  The caller owns the engine and
         closes it (under task mode it parks a communication thread from
-        its first sweep on).
-        ``sanitizer`` attaches a thread sanitizer to the engine's sweeps
-        (:mod:`repro.check.threads`); ``None`` costs nothing.
+        its first sweep on).  It is observed when *comm*'s world is.
         """
         from repro.core.spmvm import DistributedSpMVM
 
-        return DistributedSpMVM(
-            comm,
-            self.plan.ranks[comm.rank],
-            comm_plan=self.comm_plan,
-            sanitizer=sanitizer,
-        )
+        return DistributedSpMVM(comm, self.plan.ranks[comm.rank], comm_plan=self.comm_plan)
 
     def describe(self) -> str:
         """One line: shape, ranks, scheme, comm plan."""

@@ -53,9 +53,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.mpilite.world import open_world
+from repro.mpilite.world import World
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.check.checker import Checker
     from repro.serve.model import BuiltModel
 
 __all__ = ["ServeRequest", "ServiceClosedError", "ServiceError", "SolverService"]
@@ -156,6 +157,12 @@ class SolverService:
     beside it, which the worker stops when it exits.  Batches
     are formed by whoever makes one possible — a submitter, the rank
     that lands a batch, ``hold`` on release — under the service lock.
+
+    ``observer`` (a :class:`repro.check.Checker`) is handed to the
+    service's world, which is where everything else reads it: the ranks'
+    traffic, every engine's threads, and the service lock, which becomes
+    a :class:`~repro.check.TrackedCondition` so every shared-state touch
+    is ordered by lock hand-off edges.
     """
 
     def __init__(
@@ -164,8 +171,7 @@ class SolverService:
         *,
         max_batch: int = 16,
         recv_timeout: float | None = None,
-        recorder=None,
-        sanitizer=None,
+        observer: "Checker | None" = None,
         name: str = "solver",
     ) -> None:
         if max_batch < 1:
@@ -173,18 +179,12 @@ class SolverService:
         self.model = model
         self.max_batch = max_batch
         self.name = name
-        self.world = open_world(model.nranks, recv_timeout=recv_timeout, recorder=recorder)
-        # opt-in thread sanitizer (repro.check.threads): when attached,
-        # the service lock becomes a TrackedCondition (lock hand-off
-        # happens-before edges) and shared-state touches are noted via
-        # _note(); when absent, _tsan is None and nothing here costs a
-        # single extra branch beyond the `is not None` checks
-        self._tsan = sanitizer
-        self._tsan_domain = f"service:{name}"
-        if sanitizer is not None:
-            from repro.check.threads import TrackedCondition
+        self.world = World(model.nranks, recv_timeout=recv_timeout, observer=observer)
+        self._domain = f"service:{name}"
+        if self.world.observer is not None:
+            from repro.check.checker import TrackedCondition
 
-            self._lock = TrackedCondition(sanitizer, self._tsan_domain, "service-lock")
+            self._lock = TrackedCondition(self.world.observer, self._domain, "service-lock")
         else:
             self._lock = threading.Condition()
         #: (request, response array, its (nrows, k) view)
@@ -367,16 +367,17 @@ class SolverService:
     # internals
     # ------------------------------------------------------------------
     def _note(self, buffer: str, mode: str, op: str) -> None:
-        """Record one shared-state access with the attached sanitizer.
+        """Record one shared-state access with the world's observer.
 
-        Call sites hold ``self._lock``; the sanitizer then sees every
+        Call sites hold ``self._lock``; the observer then sees every
         access ordered by the lock hand-off edges the TrackedCondition
         publishes, so a clean service run reports zero races — and a
         bypassed lock (the seeded ``thread-race-unlocked-service``
         fixture) shows up as causally concurrent accesses.
         """
-        if self._tsan is not None:
-            self._tsan.on_access(self._tsan_domain, buffer, mode, op=op)
+        obs = self.world.observer
+        if obs is not None:
+            obs.on_access(self._domain, buffer, mode, op=op)
 
     def _closed_message_locked(self, verb: str) -> str:
         msg = f"cannot {verb}: service {self.name!r} is {self._state}"
@@ -461,7 +462,7 @@ class SolverService:
     def _worker(self, rank: int) -> None:
         comm = self.world.comms[rank]
         try:
-            engine = self.model.engine(comm, sanitizer=self._tsan)
+            engine = self.model.engine(comm)
         except Exception as exc:  # fail loudly, never die silently
             self._worker_failed(None, rank, exc)
             return

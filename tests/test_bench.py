@@ -12,7 +12,7 @@ from repro.cli import main
 EXPECTED_NAMES = {
     "spmm-k1", "spmm-k4", "spmm-k16",
     "program-overhead",
-    "sanitizer-overhead", "recorder-overhead",
+    "check-overhead",
 }
 
 
@@ -198,37 +198,34 @@ def test_program_guard_enforces_at_guard_size():
 
 
 def test_sanitizer_overhead_reported(tiny_suite):
-    from repro.bench.suite import SANITIZER_OVERHEAD_MAX, sanitizer_guard
+    # the sanitizer's row is the one check row: plain vs Checker-attached
+    # task-mode call, under the task-mode bound it always had
+    from repro.bench.suite import CHECK_OVERHEAD_MAX, check_guard
 
-    (r,) = [r for r in tiny_suite if r.name == "sanitizer-overhead"]
+    (r,) = [r for r in tiny_suite if r.name == "check-overhead"]
     assert r.group == "check"
     assert r.params["scheme"] == "task_mode"
-    assert r.derived["guard_max"] == SANITIZER_OVERHEAD_MAX
-    assert r.derived["events_observed"] > 0
-    assert r.derived["plain_seconds"] > 0
+    assert r.derived["guard_max"] == CHECK_OVERHEAD_MAX == 1.20
     # 300 rows is below GUARD_MIN_ROWS: reported, not enforced
     # (sub-millisecond sweeps put thread spin-up jitter in the ratio)
     assert r.params["nrows"] < GUARD_MIN_ROWS
-    assert sanitizer_guard(tiny_suite) == []
+    assert check_guard(tiny_suite) == []
 
 
 def test_recorder_overhead_reported(tiny_suite):
-    # the row that was benchmarks/test_check_overhead.py's recorder gate:
-    # plain vs CommRecorder-attached no_overlap call, the bound carried over
-    from repro.bench.suite import RECORDER_OVERHEAD_MAX, recorder_guard
-
-    (r,) = [r for r in tiny_suite if r.name == "recorder-overhead"]
-    assert r.group == "check"
-    assert r.params["scheme"] == "no_overlap"
-    assert r.derived["guard_max"] == RECORDER_OVERHEAD_MAX == 1.15
+    # the recorder's row folded into the check row: the one Checker watches
+    # ranks and threads, so one observed/plain pair measures both
+    names = {r.name for r in tiny_suite if r.group == "check"}
+    assert names == {"check-overhead"}
+    (r,) = [r for r in tiny_suite if r.name == "check-overhead"]
     assert r.derived["events_observed"] > 0
     assert r.derived["plain_seconds"] > 0
-    assert recorder_guard(tiny_suite) == []  # below guard size
+    assert r.derived["overhead_vs_plain"] > 0
 
 
 def test_a_finding_on_the_clean_sweep_fails_the_bench(monkeypatch):
-    # finalize().ok is required before an observer's timing counts
-    from repro.check import CommRecorder, Finding
+    # finalize().ok is required before the checker's timing counts
+    from repro.check import Checker, Finding
     from repro.matrices import random_sparse
 
     def dirty_finalize(self, context=""):
@@ -236,53 +233,34 @@ def test_a_finding_on_the_clean_sweep_fails_the_bench(monkeypatch):
         report.findings.append(Finding(kind="leaked-request", message="seeded"))
         return report
 
-    clean_finalize = CommRecorder.finalize
-    monkeypatch.setattr(CommRecorder, "finalize", dirty_finalize)
+    clean_finalize = Checker.finalize
+    monkeypatch.setattr(Checker, "finalize", dirty_finalize)
     run = bench_suite._Run(
         A=random_sparse(300, nnzr=15.0, seed=7, ensure_diagonal=True),
         rng=np.random.default_rng(7), nranks=2, warmup=1, repeat=1,
     )
-    with pytest.raises(AssertionError, match="recorder-overhead.*leaked-request: seeded"):
-        bench_suite._recorder_benches(run)
+    with pytest.raises(AssertionError, match="check-overhead.*leaked-request: seeded"):
+        bench_suite._check_benches(run)
 
 
-def _observer_result(name, nrows, overhead):
-    scheme, bound = {
-        "sanitizer-overhead": ("task_mode", 1.2), "recorder-overhead": ("no_overlap", 1.15),
-    }[name]
+def _check_result(nrows, overhead):
     return BenchResult(
-        name=name, group="check", warmup=1, repeat=5,
+        name="check-overhead", group="check", warmup=1, repeat=5,
         seconds=TimingStats(samples=(1.0,)),
-        params={"nrows": nrows, "nnz": 10 * nrows, "nranks": 2, "scheme": scheme},
-        derived={"overhead_vs_plain": overhead, "guard_max": bound},
+        params={"nrows": nrows, "nnz": 10 * nrows, "nranks": 2, "scheme": "task_mode"},
+        derived={"overhead_vs_plain": overhead, "guard_max": 1.2},
     )
 
 
-def _sanitizer_result(nrows, overhead):
-    return _observer_result("sanitizer-overhead", nrows, overhead)
+def test_check_guard_enforces_at_guard_size():
+    from repro.bench.suite import check_guard
 
-
-def _recorder_result(nrows, overhead):
-    return _observer_result("recorder-overhead", nrows, overhead)
-
-
-def test_sanitizer_guard_enforces_at_guard_size():
-    from repro.bench.suite import recorder_guard, sanitizer_guard
-
-    ok = _sanitizer_result(4000, 1.1)
-    assert sanitizer_guard([ok]) == ["sanitizer-overhead"]
-    with pytest.raises(AssertionError, match="sanitizer-overhead"):
-        sanitizer_guard([_sanitizer_result(4000, 1.5)])
+    assert check_guard([_check_result(4000, 1.1)]) == ["check-overhead"]
+    assert check_guard([_check_result(4000, 1.2)]) == ["check-overhead"]  # the bound passes
+    with pytest.raises(AssertionError, match="check-overhead"):
+        check_guard([_check_result(4000, 1.21)])
     # sub-guard sizes are never enforced
-    tiny = _sanitizer_result(GUARD_MIN_ROWS - 1, 1.5)
-    assert sanitizer_guard([tiny]) == []
-    # the recorder's row shares the group and has its own guard and bound:
-    # 1.18 passes the sanitizer's 1.2 and fails the recorder's 1.15
-    both = [_sanitizer_result(4000, 1.18), _recorder_result(4000, 1.1)]
-    assert sanitizer_guard(both) == ["sanitizer-overhead"]
-    assert recorder_guard(both) == ["recorder-overhead"]
-    with pytest.raises(AssertionError, match="recorder-overhead"):
-        recorder_guard([_recorder_result(4000, 1.18)])
+    assert check_guard([_check_result(GUARD_MIN_ROWS - 1, 1.5)]) == []
 
 
 # ----------------------------------------------------- the group table
@@ -294,13 +272,11 @@ def test_every_group_has_a_guard():
         "kernel_guard": lambda n: [_guard_result("spmm-k1", 1, n, 1.0),
                                    _guard_result("spmm-k4", 4, n, 1.2)],
         "program_guard": lambda n: [_program_result(n, 0.02)],
-        "sanitizer_guard": lambda n: [_sanitizer_result(n, 1.1)],
-        "recorder_guard": lambda n: [_recorder_result(n, 1.1)],
+        "check_guard": lambda n: [_check_result(n, 1.1)],
     }
-    # one row per guarded ratio; `check` holds both observers' rows
+    # one row per guarded ratio
     assert [(g, guard.__name__) for g, _, guard in GROUPS] == [
-        ("kernel", "kernel_guard"), ("program", "program_guard"),
-        ("check", "sanitizer_guard"), ("check", "recorder_guard"),
+        ("kernel", "kernel_guard"), ("program", "program_guard"), ("check", "check_guard"),
     ]
     for _group, bench, guard in GROUPS:
         assert callable(bench)
@@ -314,21 +290,20 @@ def test_every_group_has_a_guard():
         assert guard(passing[guard.__name__](GUARD_MIN_ROWS - 1)) == []
     assert guard_failures([r for make in passing.values()
                            for r in make(GUARD_MIN_ROWS)]) == []
-    # the package surface: the records, the four guards, their bounds
+    # the package surface: the records, the guards, the checker's bound
     assert set(repro.bench.__all__) == {
-        "BenchResult", "TimingStats", "BLOCK_WIDTHS",
-        "RECORDER_OVERHEAD_MAX", "SANITIZER_OVERHEAD_MAX",
-        "kernel_guard", "program_guard", "recorder_guard", "sanitizer_guard",
+        "BenchResult", "TimingStats", "BLOCK_WIDTHS", "CHECK_OVERHEAD_MAX",
+        "kernel_guard", "program_guard", "check_guard",
         "spmvm_suite",
     }
 
 
 def test_guard_failures_names_every_violated_guard():
-    bad = [_guard_result("spmm-k4", 4, 4000, 0.9), _sanitizer_result(4000, 1.5),
+    bad = [_guard_result("spmm-k4", 4, 4000, 0.9), _check_result(4000, 1.5),
            _program_result(4000, 0.02)]
     failures = guard_failures(bad)
-    assert [f.split(":")[0] for f in failures] == ["kernel_guard", "sanitizer_guard"]
-    assert "spmm-k4" in failures[0] and "sanitizer-overhead" in failures[1]
+    assert [f.split(":")[0] for f in failures] == ["kernel_guard", "check_guard"]
+    assert "spmm-k4" in failures[0] and "check-overhead" in failures[1]
 
 
 def test_retired_options_are_gone(capsys):

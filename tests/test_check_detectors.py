@@ -4,13 +4,19 @@ import numpy as np
 import pytest
 
 from repro.check import (
-    CommRecorder,
+    SEED_BUGS,
+    Checker,
     DeadlockError,
     run_checked,
     run_seed_bug,
 )
 from repro.mpilite import run_spmd
 from repro.mpilite.router import ANY_SOURCE
+
+
+def _checked(nranks, fn, **world):
+    """``run_checked`` over ``run_spmd(nranks, fn, **world)``."""
+    return run_checked(nranks, lambda checker: run_spmd(nranks, fn, observer=checker, **world))
 
 
 # ----------------------------------------------------------------------
@@ -31,11 +37,11 @@ def test_deadlock_raises_immediately_inside_the_blocked_rank():
         peer = 1 - comm.rank
         comm.recv(peer, tag=4)
 
-    rec = CommRecorder(2)
+    checker = Checker(2)
     # the world fails fast with DeadlockError, long before the 30s timeout
     with pytest.raises(RuntimeError, match="DeadlockError"):
-        run_spmd(2, fn, timeout=30.0, recv_timeout=30.0, recorder=rec)
-    assert rec.finalize().by_kind("deadlock")
+        run_spmd(2, fn, timeout=30.0, recv_timeout=30.0, observer=checker)
+    assert checker.finalize().by_kind("deadlock")
 
 
 def test_collective_watchdog_names_the_finished_rank():
@@ -53,7 +59,7 @@ def test_recv_from_finished_rank_is_a_deadlock():
         if comm.rank == 0:
             comm.recv(1, tag=3)  # rank 1 exits without ever sending
 
-    _results, report = run_checked(2, fn, recv_timeout=20.0, timeout=30.0)
+    _results, report = _checked(2, fn, recv_timeout=20.0, timeout=30.0)
     (finding,) = report.by_kind("deadlock")
     assert 0 in finding.ranks
     assert "1 already finished" in finding.message
@@ -69,7 +75,7 @@ def test_blocked_rank_with_pending_message_is_not_deadlocked():
             assert comm.recv(0, tag=2) == "x"
             comm.send("y", 0, tag=2)
 
-    results, report = run_checked(2, fn, recv_timeout=10.0)
+    results, report = _checked(2, fn, recv_timeout=10.0)
     assert results is not None
     assert report.ok, report.render()
 
@@ -78,7 +84,7 @@ def test_three_rank_cycle():
     def fn(comm):
         comm.recv((comm.rank + 1) % 3, tag=0)
 
-    _results, report = run_checked(3, fn, recv_timeout=20.0, timeout=30.0)
+    _results, report = _checked(3, fn, recv_timeout=20.0, timeout=30.0)
     (finding,) = report.by_kind("deadlock")
     assert finding.ranks == (0, 1, 2)
     assert len(finding.details["cycle"]) == 3
@@ -89,7 +95,7 @@ def test_wildcard_mutual_wait_is_diagnosed():
     def fn(comm):
         comm.recv(ANY_SOURCE, tag=0)
 
-    _results, report = run_checked(2, fn, recv_timeout=20.0, timeout=30.0)
+    _results, report = _checked(2, fn, recv_timeout=20.0, timeout=30.0)
     (finding,) = report.by_kind("deadlock")
     assert finding.ranks == (0, 1)
     assert "ANY_SOURCE" in finding.message
@@ -116,7 +122,7 @@ def test_single_sender_wildcard_is_not_a_race():
         comm.send(comm.rank, 0, tag=5)
         return None
 
-    results, report = run_checked(2, fn, recv_timeout=10.0)
+    results, report = _checked(2, fn, recv_timeout=10.0)
     assert results is not None
     assert report.ok, report.render()  # same-channel FIFO fixes the order
 
@@ -137,7 +143,7 @@ def test_causally_ordered_sends_do_not_race():
             comm.send("from2", 0, tag=7)
         return None
 
-    results, report = run_checked(3, fn, recv_timeout=10.0)
+    results, report = _checked(3, fn, recv_timeout=10.0)
     assert results is not None
     assert report.ok, report.render()
 
@@ -168,7 +174,7 @@ def test_untouched_buffers_are_clean():
             comm.Irecv(buf, 0, tag=2).wait()
             assert np.all(buf == np.arange(4.0))
 
-    results, report = run_checked(2, fn, recv_timeout=10.0)
+    results, report = _checked(2, fn, recv_timeout=10.0)
     assert results is not None
     assert report.ok, report.render()
 
@@ -197,27 +203,41 @@ def test_completed_requests_do_not_leak():
                 pass
             assert req.wait() == "a"
 
-    results, report = run_checked(2, fn, recv_timeout=10.0)
+    results, report = _checked(2, fn, recv_timeout=10.0)
     assert results is not None
     assert report.ok, report.render()
 
 
 # ----------------------------------------------------------------------
-# recorder plumbing
+# a failed world is not a diagnosis
 # ----------------------------------------------------------------------
-def test_findings_become_trace_events():
-    from repro.frame.trace import TraceRecorder
-
-    trace = TraceRecorder()
-
+def test_a_raising_world_is_only_a_world_failure():
     def fn(comm):
-        comm.recv(1 - comm.rank, tag=1)
+        if comm.rank == 1:
+            raise ValueError("not a communication bug")
 
-    run_checked(2, fn, recv_timeout=20.0, timeout=30.0, trace=trace)
-    check_events = [e for e in trace.events if e.category == "check"]
-    assert check_events
-    assert check_events[0].name == "check_finding"
-    assert check_events[0].args["kind"] == "deadlock"
+    results, report = _checked(2, fn, recv_timeout=10.0)
+    assert results is None
+    assert report.kinds() == ["world-failure"]
+    (finding,) = report.findings
+    assert "ValueError" in finding.message and finding.details["exception"] == "RuntimeError"
+
+
+def test_a_seed_bug_whose_world_raises_has_not_fired(monkeypatch):
+    # a leaked request is still on the books when the world crashes, but
+    # the crash, not the detector, is what ended the run
+    def fn(comm):
+        if comm.rank == 1:
+            comm.irecv(0, tag=8)
+            raise ValueError("crashed before the seeded bug ran")
+
+    def runner():
+        return _checked(2, fn, recv_timeout=10.0)[1]
+
+    monkeypatch.setitem(SEED_BUGS, "leaked-request", ("leaked-request", runner))
+    fired, report = run_seed_bug("leaked-request")
+    assert fired is False
+    assert {"leaked-request", "world-failure"} <= set(report.kinds())
 
 
 def test_deadlock_error_is_a_runtime_error():

@@ -6,8 +6,7 @@ import pytest
 from repro.check import (
     ALL_RULES,
     SEED_BUGS,
-    CommRecorder,
-    ThreadSanitizer,
+    Checker,
     check_spmvm,
     run_seed_bug,
 )
@@ -19,29 +18,24 @@ N_DYNAMIC_RUNS = 12  # 2 plans x 3 schemes x {spmv, spmm k=4}
 
 # ----------------------------------------------------------------------
 # the acceptance gate: static pass + all schemes x both plans x both
-# widths + the service session, under both observers, zero findings
+# widths + the service session, each under a fresh checker, zero findings
 # ----------------------------------------------------------------------
 def test_clean_sweep_all_schemes_both_plans(hmep_tiny, monkeypatch):
-    recorders, sanitizers = [], []
+    checkers = []
 
-    class Recorder(CommRecorder):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            recorders.append(self)
+    class Recording(Checker):
+        def __init__(self, nranks):
+            super().__init__(nranks)
+            checkers.append(self)
 
-    class Sanitizer(ThreadSanitizer):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            sanitizers.append(self)
-
-    monkeypatch.setattr(driver, "CommRecorder", Recorder)
-    monkeypatch.setattr(driver, "ThreadSanitizer", Sanitizer)
+    monkeypatch.setattr(driver, "Checker", Recording)
     report = check_spmvm(hmep_tiny, nranks=4, ranks_per_node=2)
     assert report.ok, report.render()
-    # one fresh observer of each kind per dynamic run, plus the service
-    # row, and every one of them saw its run
-    assert len(recorders) == len(sanitizers) == N_DYNAMIC_RUNS + 1
-    per_run = [o.finalize().events_observed for o in recorders + sanitizers]
+    # one fresh checker per dynamic run, plus the service row, and every
+    # one of them saw both halves of its run: rank traffic and threads
+    assert len(checkers) == N_DYNAMIC_RUNS + 1
+    assert all(c.sends and c._by_tid for c in checkers)
+    per_run = [c.finalize().events_observed for c in checkers]
     assert min(per_run) > 0
     assert report.events_observed == sum(per_run)
     # the report says what it covered
@@ -51,7 +45,7 @@ def test_clean_sweep_all_schemes_both_plans(hmep_tiny, monkeypatch):
 
 
 def _seeded_program_run(hmep_tiny, program):
-    """``run(recorder=, sanitizer=)`` executing a hand-built program on 2 ranks."""
+    """``run(checker)`` executing a hand-built program on 2 ranks."""
     from repro.core.halo import cached_halo_plan
     from repro.core.spmvm import DistributedSpMVM, gather_vector, scatter_vector
     from repro.mpilite.world import PerRank, run_spmd
@@ -60,42 +54,39 @@ def _seeded_program_run(hmep_tiny, program):
     plan = cached_halo_plan(hmep_tiny, 2, with_matrices=True)
     x = np.random.default_rng(11).standard_normal(hmep_tiny.nrows)
 
-    def run(*, recorder, sanitizer):
+    def run(checker):
         def fn(comm, halo):
-            with DistributedSpMVM(comm, halo, sanitizer=sanitizer) as engine:
+            with DistributedSpMVM(comm, halo) as engine:
                 return execute_sweep(
                     engine, program, scatter_vector(x, plan.partition, comm.rank)
                 )
 
         return gather_vector(run_spmd(
-            2, fn, PerRank(plan.ranks), recv_timeout=10.0, timeout=30.0, recorder=recorder
+            2, fn, PerRank(plan.ranks), recv_timeout=10.0, timeout=30.0, observer=checker
         ))
 
     return run, x
 
 
 def test_both_observers_report_through_the_same_run(hmep_tiny):
-    # one function attaches both observers; a seed on either side
-    # surfaces through it with its own kind
+    # one checker watches both halves; a seed on either side surfaces
+    # through the same run_checked with its own kind
     from repro.check.fixtures import SEEDED_PROGRAMS
     from repro.program.ir import SweepOp, SweepProgram
-    from repro.sparse import spmv
 
-    # sanitizer side: the joining barrier dropped (clean for the recorder)
-    run, x = _seeded_program_run(hmep_tiny, SEEDED_PROGRAMS["thread-race-missing-barrier"]())
-    report = driver._observed_run("seeded", 2, run, spmv(hmep_tiny, x))
-    # (the race is real, so the product may also deviate: a second finding)
+    # thread side: the joining barrier dropped (clean rank traffic)
+    run, _x = _seeded_program_run(hmep_tiny, SEEDED_PROGRAMS["thread-race-missing-barrier"]())
+    _y, report = driver.run_checked(2, run, context="seeded")
     assert "thread-race" in report.kinds()
     assert not report.by_kind("leaked-request")
 
-    # recorder side: WAITALL dropped from no_overlap, so the receives
+    # rank side: WAITALL dropped from no_overlap, so the receives
     # POST_RECVS posted are never completed (one thread: nothing races)
     no_waitall = SweepProgram(scheme="no_overlap", ops=(
         SweepOp("POST_RECVS"), SweepOp("PACK"), SweepOp("POST_SENDS"), SweepOp("LOCAL_SPMVM"),
     ))
-    run, x = _seeded_program_run(hmep_tiny, no_waitall)
-    local_only = run(recorder=None, sanitizer=None)
-    report = driver._observed_run("seeded", 2, run, local_only)
+    run, _x = _seeded_program_run(hmep_tiny, no_waitall)
+    _y, report = driver.run_checked(2, run, context="seeded")
     assert "leaked-request" in report.kinds()
     assert "thread-race" not in report.kinds()
 
@@ -114,7 +105,7 @@ def test_a_failed_rank_is_one_finding_and_the_sweep_finishes(hmep_tiny, monkeypa
             if comm.rank == 1:
                 raise RuntimeError("seeded rank failure")
 
-        return run_spmd(nranks, fn, recorder=kw["recorder"])
+        return run_spmd(nranks, fn, observer=kw["observer"])
 
     real_spmm = driver.distributed_spmm
     monkeypatch.setattr(driver, "distributed_spmm", flaky_spmm)
@@ -123,7 +114,7 @@ def test_a_failed_rank_is_one_finding_and_the_sweep_finishes(hmep_tiny, monkeypa
     (finding,) = report.findings
     for provenance in ("scheme=naive_overlap", "plan=direct", "k=4", "seeded rank failure"):
         assert provenance in finding.message
-    assert finding.kind == "leaked-request"  # as at the parent: not a timeout
+    assert finding.kind == "world-failure"  # a crash, not a detector diagnosis
 
 
 def test_ctrl_c_is_not_a_finding(hmep_tiny, monkeypatch):
@@ -144,14 +135,11 @@ def test_ctrl_c_is_not_a_finding(hmep_tiny, monkeypatch):
     assert len(calls) == 2  # no later run started
 
     # ...and so does run_checked, the fixtures' driver
-    import repro.mpilite.world
-
-    def interrupted_world(*args, **kwargs):
+    def interrupted_world(checker):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(repro.mpilite.world, "run_spmd", interrupted_world)
     with pytest.raises(KeyboardInterrupt):
-        driver.run_checked(2, lambda comm: None)
+        driver.run_checked(2, interrupted_world)
 
 
 # ----------------------------------------------------------------------
@@ -173,10 +161,9 @@ def test_cli_check_clean_run(cli_check):
     rc, out = cli_check
     assert rc == 0
     assert "clean: no findings" in out
-    # one report: the dynamic runs and both observers named in its title
+    # one report: the dynamic runs and their observer named in its title
     title = out.splitlines()[0]
-    for part in ("HMeP/tiny", "12 dynamic runs", "service session",
-                 "CommRecorder", "ThreadSanitizer"):
+    for part in ("HMeP/tiny", "12 dynamic runs", "service session", "fresh Checker"):
         assert part in title
 
 
@@ -239,10 +226,8 @@ def test_retired_modes_are_gone(capsys):
         assert argv[1] in capsys.readouterr().err
     import repro.check
     import repro.check.astlint
-    import repro.check.threads
 
     assert not hasattr(repro.check, "check_threads")
-    assert not hasattr(repro.check.threads, "check_threads")
     assert not hasattr(repro.check, "selftest")
     assert not hasattr(repro.check.astlint, "selftest")
     with pytest.raises(TypeError):
@@ -281,7 +266,6 @@ def test_simmpi_clean_run_has_no_unmatched_requests():
 # numerics stay identical under instrumentation
 # ----------------------------------------------------------------------
 def test_recorder_does_not_perturb_results():
-    from repro.check import CommRecorder
     from repro.core.spmvm import distributed_spmv
     from repro.matrices import random_sparse
     from repro.sparse.spmv import spmv
@@ -289,10 +273,10 @@ def test_recorder_does_not_perturb_results():
     A = random_sparse(120, nnzr=6, seed=5)
     x = np.random.default_rng(5).standard_normal(120)
     plain = distributed_spmv(A, x, 3, scheme="task_mode")
-    rec = CommRecorder(3)
-    checked = distributed_spmv(A, x, 3, scheme="task_mode", recorder=rec)
+    checker = Checker(3)
+    checked = distributed_spmv(A, x, 3, scheme="task_mode", observer=checker)
     assert np.array_equal(plain, checked)
-    assert rec.finalize().ok
+    assert checker.finalize().ok
     assert np.allclose(checked, spmv(A, x))
 
 
@@ -304,6 +288,7 @@ def test_no_recorder_means_no_observer_on_the_router():
     from repro.mpilite.world import World
 
     world = World(2)
+    assert world.observer is None
     assert world.router.observer is None
     assert world.collectives.observer is None
-    assert all(c._rec is None for c in world.comms)
+    assert all(c.observer is None for c in world.comms)

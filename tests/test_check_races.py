@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.check.races import analyze_races
-from repro.check.recorder import RecvEvent, SendEvent
+from repro.check.checker import RecvEvent, SendEvent
 from repro.check.vclock import vc_concurrent, vc_leq, vc_merge, vc_tick, vc_tick_merge
 
 ANY = -1

@@ -1,11 +1,11 @@
-"""The thread-level race sanitizer (repro.check.threads).
+"""The thread half of the checker (repro.check.checker).
 
-Three layers: the :class:`ThreadSanitizer` clock algebra in isolation
-(spawn/join/lock edges, FastTrack conflict rules, dedup), the sweep
-interpreter's instrumentation end to end (clean runs stay clean, the
-seeded fixtures fire, the unjoined-comm-thread hard error), and the
-seed-bug CLI route.  The clean sweep under the sanitizer is
-``check_spmvm``'s (``tests/test_check_integration.py``).
+Three layers: the per-thread clock algebra in isolation (spawn/join/lock
+edges, FastTrack conflict rules, dedup), the sweep interpreter's
+instrumentation end to end (clean runs stay clean, the seeded fixtures
+fire, the unjoined-comm-thread hard error), and the seed-bug CLI route.
+The clean sweep under the checker is ``check_spmvm``'s
+(``tests/test_check_integration.py``).
 """
 
 from __future__ import annotations
@@ -17,24 +17,24 @@ import pytest
 
 from repro.check import (
     SEED_BUGS,
-    ThreadRaceError,
-    ThreadSanitizer,
+    Checker,
     TrackedCondition,
     run_seed_bug,
 )
-from repro.check.threads import _concurrent, _leq, _merge_into
+from repro.check.checker import _Access, _merge_into, _ordered
 
 
 # ------------------------------------------------------- clock algebra
 
 
 def test_clock_partial_order():
-    assert _leq({0: 1}, {0: 2})
-    assert _leq({}, {0: 1})
-    assert not _leq({0: 2}, {0: 1})
-    assert not _leq({1: 1}, {0: 5})
-    assert _concurrent({0: 2, 1: 1}, {0: 1, 1: 2})
-    assert not _concurrent({0: 1}, {0: 1, 1: 3})
+    # FastTrack's epoch rule: an access happens before a later event
+    # exactly when that event's clock has seen the access's own component
+    prior = _Access(tid=0, thread="t0", op="PACK", mode="w", epoch=2)
+    assert _ordered(prior, {0: 2})
+    assert _ordered(prior, {0: 5, 1: 1})
+    assert not _ordered(prior, {0: 1, 1: 9})
+    assert not _ordered(prior, {1: 4})  # never heard of thread 0
 
 
 def test_merge_is_componentwise_max():
@@ -43,7 +43,7 @@ def test_merge_is_componentwise_max():
     assert dst == {0: 3, 1: 5, 2: 2}
 
 
-# ------------------------------------------------- sanitizer primitives
+# --------------------------------------------------- thread primitives
 
 
 def _run_in_thread(fn) -> None:
@@ -53,11 +53,11 @@ def _run_in_thread(fn) -> None:
 
 
 def test_unordered_cross_thread_write_is_a_race():
-    san = ThreadSanitizer()
-    san.on_access("d", "buf", "w", op="main-write")
-    # a thread the sanitizer never saw spawned: no edge orders it
-    _run_in_thread(lambda: san.on_access("d", "buf", "w", op="rogue-write"))
-    report = san.finalize()
+    checker = Checker(1)
+    checker.on_access("d", "buf", "w", op="main-write")
+    # a thread the checker never saw spawned: no edge orders it
+    _run_in_thread(lambda: checker.on_access("d", "buf", "w", op="rogue-write"))
+    report = checker.finalize()
     assert not report.ok
     (f,) = report.findings
     assert f.kind == "thread-race"
@@ -67,144 +67,127 @@ def test_unordered_cross_thread_write_is_a_race():
 
 def test_read_vs_unordered_write_races_in_either_order():
     for first, second in (("r", "w"), ("w", "r")):
-        san = ThreadSanitizer()
-        san.on_access("d", "buf", first, op="main")
-        _run_in_thread(lambda s=second: san.on_access("d", "buf", s, op="other"))
-        assert not san.finalize().ok, f"{first} then {second} stayed silent"
+        checker = Checker(1)
+        checker.on_access("d", "buf", first, op="main")
+        _run_in_thread(lambda s=second: checker.on_access("d", "buf", s, op="other"))
+        assert not checker.finalize().ok, f"{first} then {second} stayed silent"
 
 
 def test_concurrent_reads_do_not_race():
-    san = ThreadSanitizer()
-    san.on_access("d", "buf", "r", op="main-read")
-    _run_in_thread(lambda: san.on_access("d", "buf", "r", op="other-read"))
-    assert san.finalize().ok
+    checker = Checker(1)
+    checker.on_access("d", "buf", "r", op="main-read")
+    _run_in_thread(lambda: checker.on_access("d", "buf", "r", op="other-read"))
+    assert checker.finalize().ok
 
 
 def test_spawn_edge_orders_parent_writes_before_child():
-    san = ThreadSanitizer()
-    san.on_access("d", "buf", "w", op="parent-write")
-    token = san.on_spawn("d", "child")
+    checker = Checker(1)
+    checker.on_access("d", "buf", "w", op="parent-write")
+    token = checker.on_spawn("d", "child")
 
     def child():
-        san.on_thread_start("d", token)
-        san.on_access("d", "buf", "r", op="child-read")
+        checker.on_thread_start("d", token)
+        checker.on_access("d", "buf", "r", op="child-read")
 
     _run_in_thread(child)
-    assert san.finalize().ok
+    assert checker.finalize().ok
 
 
 def test_join_edge_orders_child_writes_before_parent():
-    san = ThreadSanitizer()
-    token = san.on_spawn("d", "child")
+    checker = Checker(1)
+    token = checker.on_spawn("d", "child")
 
     def child():
-        san.on_thread_start("d", token)
-        san.on_access("d", "buf", "w", op="child-write")
+        checker.on_thread_start("d", token)
+        checker.on_access("d", "buf", "w", op="child-write")
 
     t = threading.Thread(target=child)
     t.start()
     t.join()
-    san.on_join("d", token)
-    san.on_access("d", "buf", "r", op="parent-read")
-    assert san.finalize().ok
+    checker.on_join("d", token)
+    checker.on_access("d", "buf", "r", op="parent-read")
+    assert checker.finalize().ok
 
 
 def test_without_join_edge_the_same_accesses_race():
-    san = ThreadSanitizer()
-    token = san.on_spawn("d", "child")
+    checker = Checker(1)
+    token = checker.on_spawn("d", "child")
 
     def child():
-        san.on_thread_start("d", token)
-        san.on_access("d", "buf", "w", op="child-write")
+        checker.on_thread_start("d", token)
+        checker.on_access("d", "buf", "w", op="child-write")
 
     t = threading.Thread(target=child)
     t.start()
-    t.join()  # OS join happened, but the sanitizer never saw an edge
-    san.on_access("d", "buf", "r", op="parent-read")
-    assert not san.finalize().ok
+    t.join()  # OS join happened, but the checker never saw an edge
+    checker.on_access("d", "buf", "r", op="parent-read")
+    assert not checker.finalize().ok
 
 
 def test_lock_handoff_orders_accesses():
-    san = ThreadSanitizer()
-    san.on_acquire("d", "L")
-    san.on_access("d", "buf", "w", op="main-write")
-    san.on_release("d", "L")
+    checker = Checker(1)
+    checker.on_acquire("d", "L")
+    checker.on_access("d", "buf", "w", op="main-write")
+    checker.on_release("d", "L")
 
     def other():
-        san.on_acquire("d", "L")
-        san.on_access("d", "buf", "w", op="other-write")
-        san.on_release("d", "L")
+        checker.on_acquire("d", "L")
+        checker.on_access("d", "buf", "w", op="other-write")
+        checker.on_release("d", "L")
 
     _run_in_thread(other)
-    assert san.finalize().ok
+    assert checker.finalize().ok
 
 
 def test_tracked_condition_feeds_handoff_edges():
-    san = ThreadSanitizer()
-    cond = TrackedCondition(san, "d", "L")
+    checker = Checker(1)
+    cond = TrackedCondition(checker, "d", "L")
     with cond:
-        san.on_access("d", "buf", "w", op="main-write")
+        checker.on_access("d", "buf", "w", op="main-write")
 
     def other():
         with cond:
-            san.on_access("d", "buf", "w", op="other-write")
+            checker.on_access("d", "buf", "w", op="other-write")
 
     _run_in_thread(other)
-    assert san.finalize().ok
+    assert checker.finalize().ok
 
 
 def test_duplicate_races_are_deduplicated():
     # same (op, thread) pair conflicting repeatedly is one finding; the
     # dedup key includes the thread names, so a *different* rogue thread
     # would be a genuinely new race
-    san = ThreadSanitizer()
-    san.on_access("d", "buf", "w", op="main-write")
+    checker = Checker(1)
+    checker.on_access("d", "buf", "w", op="main-write")
 
     def rogue():
         for _ in range(3):  # every read conflicts with the same stale write
-            san.on_access("d", "buf", "r", op="rogue-read")
+            checker.on_access("d", "buf", "r", op="rogue-read")
 
     _run_in_thread(rogue)
-    assert len(san.finalize().findings) == 1
+    assert len(checker.finalize().findings) == 1
 
 
 def test_domains_do_not_cross_talk():
-    san = ThreadSanitizer()
-    san.on_access("rank0", "buf", "w", op="main-write")
-    _run_in_thread(lambda: san.on_access("rank1", "buf", "w", op="other-write"))
-    assert san.finalize().ok
-
-
-def test_strict_mode_raises_at_the_racy_access():
-    san = ThreadSanitizer(strict=True)
-    san.on_access("d", "buf", "w", op="main-write")
-    caught: list[BaseException] = []
-
-    def rogue():
-        try:
-            san.on_access("d", "buf", "w", op="rogue-write")
-        except ThreadRaceError as exc:
-            caught.append(exc)
-
-    _run_in_thread(rogue)
-    (exc,) = caught
-    assert exc.finding.kind == "thread-race"
-    assert "rogue-write" in str(exc)
+    checker = Checker(1)
+    checker.on_access("rank0", "buf", "w", op="main-write")
+    _run_in_thread(lambda: checker.on_access("rank1", "buf", "w", op="other-write"))
+    assert checker.finalize().ok
 
 
 def test_spawn_token_is_single_use():
-    san = ThreadSanitizer()
-    token = san.on_spawn("d", "child")
-    san.on_thread_start("d", token)
+    checker = Checker(1)
+    token = checker.on_spawn("d", "child")
+    checker.on_thread_start("d", token)
     with pytest.raises(ValueError, match="already-bound"):
-        san.on_thread_start("d", token)
+        checker.on_thread_start("d", token)
     with pytest.raises(ValueError, match="unknown thread token"):
-        san.on_join("d", 999)
+        checker.on_join("d", 999)
 
 
 def test_mode_is_validated():
     with pytest.raises(ValueError, match="mode"):
-        ThreadSanitizer().on_access("d", "buf", "x")
+        Checker(1).on_access("d", "buf", "x")
 
 
 # ------------------------------------------- interpreter instrumentation
@@ -217,12 +200,12 @@ def test_clean_schemes_report_zero_races(hmep_tiny, rng, scheme, plan):
     from repro.sparse import spmv
 
     x = rng.standard_normal(hmep_tiny.nrows)
-    san = ThreadSanitizer()
+    checker = Checker(4)
     y = distributed_spmv(
         hmep_tiny, x, 4, scheme=scheme,
-        comm_plan=plan, ranks_per_node=2, sanitizer=san,
+        comm_plan=plan, ranks_per_node=2, observer=checker,
     )
-    report = san.finalize()
+    report = checker.finalize()
     assert report.ok, report.render()
     assert report.events_observed > 0
     np.testing.assert_allclose(y, spmv(hmep_tiny, x), rtol=1e-10)
@@ -230,19 +213,19 @@ def test_clean_schemes_report_zero_races(hmep_tiny, rng, scheme, plan):
 
 def test_task_mode_observes_comm_thread_spawn(hmep_tiny, rng):
     # the overlap scheme must exercise the spawn/join protocol: the
-    # sanitizer sees more than one thread per rank domain
+    # checker sees more than one thread per rank domain
     from repro.core.spmvm import distributed_spmv
 
-    san = ThreadSanitizer()
+    checker = Checker(2)
     distributed_spmv(hmep_tiny, rng.standard_normal(hmep_tiny.nrows), 2,
-                     scheme="task_mode", sanitizer=san)
-    names = {st.name for st in san._by_tid.values()}
+                     scheme="task_mode", observer=checker)
+    names = {st.name for st in checker._by_tid.values()}
     assert any(n.startswith("comm-thread-") for n in names), names
 
 
 def test_no_sanitizer_means_no_hooks_in_the_interpreter(hmep_tiny, rng):
-    # zero-cost contract: an engine built without a sanitizer carries
-    # none, so every `is not None` instrumentation site is skipped
+    # zero-cost contract: an engine on an unobserved world carries no
+    # observer, so every `is not None` instrumentation site is skipped
     from repro.core.halo import cached_halo_plan
     from repro.core.spmvm import DistributedSpMVM
     from repro.mpilite.comm import CollectiveState, Comm
@@ -252,7 +235,7 @@ def test_no_sanitizer_means_no_hooks_in_the_interpreter(hmep_tiny, rng):
     halo = cached_halo_plan(hmep_tiny, 1, with_matrices=True).ranks[0]
     x = rng.standard_normal(hmep_tiny.nrows)
     with DistributedSpMVM(Comm(0, Router(1), CollectiveState(1)), halo) as engine:
-        assert engine.sanitizer is None
+        assert engine.comm.observer is None
         y = engine.multiply(x, "task_mode")
     np.testing.assert_allclose(y, spmv(hmep_tiny, x), rtol=1e-10)
 

@@ -134,7 +134,7 @@ def test_phase_methods_replay_the_engines_plan(rng, rank_node, k):
     # the four phase methods in naive_overlap order ARE the engine's one
     # exchange: bit-identical to multiply, and the router carries the
     # node-aware plan's messages, not one per rank pair
-    from repro.check import CommRecorder
+    from repro.check import Checker
     from repro.mpilite.world import PerRank, run_spmd
 
     nranks = len(rank_node)
@@ -163,11 +163,11 @@ def test_phase_methods_replay_the_engines_plan(rng, rank_node, k):
         return y
 
     expect = run_spmd(nranks, rank_fn, PerRank(halo.ranks), False)
-    recorder = CommRecorder(nranks)
-    got = run_spmd(nranks, rank_fn, PerRank(halo.ranks), True, recorder=recorder)
+    checker = Checker(nranks)
+    got = run_spmd(nranks, rank_fn, PerRank(halo.ranks), True, observer=checker)
     for y, ref in zip(got, expect):
         assert np.array_equal(y, ref)
-    assert len(recorder.sends) == cplan.total_messages()
+    assert len(checker.sends) == cplan.total_messages()
 
 
 def test_driver_validates_comm_plan_args(hmep_tiny, rng):

@@ -3,7 +3,7 @@
 The bugfixes the solver service flushed out (ISSUE 7): blocked waits
 must die fast and loudly when the world is torn down mid-request, and
 an idle pool with an attached observer must not burn CPU spinning at
-the observer's poll interval.
+the first observer wait slice.
 """
 
 import threading
@@ -12,10 +12,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.mpilite import World, WorldAbortedError, open_world, run_spmd
+from repro.mpilite import World, WorldAbortedError, run_spmd
 from repro.mpilite.comm import CollectiveState
 from repro.mpilite.router import (
     OBSERVER_WAIT_SLICE_MAX,
+    OBSERVER_WAIT_SLICE_MIN,
     Router,
     observer_wait_slice,
 )
@@ -80,7 +81,7 @@ class TestAbort:
         assert "rank 0" in str(exc) and "peer died" in str(exc)
 
     def test_world_abort_fans_out_to_router_and_collectives(self):
-        w = open_world(2)
+        w = World(2)
         w.comms[0].send(np.ones(2), dest=1)  # a live world delivers
         w.abort("service closed")
         with pytest.raises(WorldAbortedError, match="service closed"):
@@ -116,13 +117,15 @@ class TestWorld:
             np.testing.assert_array_equal(got, np.full(3, float(i)))
 
     def test_world_wires_recorder_to_both_layers(self):
-        from repro.check import CommRecorder
+        # one attach point: every layer reads the slot World was given
+        from repro.check import Checker
 
-        rec = CommRecorder(2)
-        w = World(2, recorder=rec)
-        assert w.router.observer is rec
-        assert w.collectives.observer is rec
-        assert all(c._rec is rec for c in w.comms)
+        checker = Checker(2)
+        w = World(2, observer=checker)
+        assert w.observer is checker
+        assert w.router.observer is checker
+        assert w.collectives.observer is checker
+        assert all(c.observer is checker for c in w.comms)
 
     def test_world_validates_nranks(self):
         with pytest.raises(ValueError, match="nranks"):
@@ -134,8 +137,6 @@ class TestWorld:
 # ----------------------------------------------------------------------
 class _CountingObserver:
     """Minimal observer interface that counts its wakeup probes."""
-
-    poll_interval = 0.02
 
     def __init__(self):
         self.checks = 0
@@ -164,21 +165,20 @@ class _CountingObserver:
 
 class TestIdleBackoff:
     def test_wait_slice_doubles_and_saturates(self):
-        obs = _CountingObserver()
-        backoff = obs.poll_interval
+        backoff = OBSERVER_WAIT_SLICE_MIN
         slices = []
         for _ in range(8):
-            s, backoff = observer_wait_slice(obs, backoff, None)
+            s, backoff = observer_wait_slice(backoff, None)
             slices.append(s)
-        assert slices[0] == pytest.approx(obs.poll_interval)
+        assert slices[0] == pytest.approx(OBSERVER_WAIT_SLICE_MIN)
         assert all(b >= a for a, b in zip(slices, slices[1:]))
         assert slices[-1] == pytest.approx(OBSERVER_WAIT_SLICE_MAX)
         # the deadline caps the slice
-        s, _ = observer_wait_slice(obs, 0.25, 0.01)
+        s, _ = observer_wait_slice(0.25, 0.01)
         assert s == pytest.approx(0.01)
 
     def test_blocked_receive_probes_are_bounded_not_polling(self):
-        # a 0.6 s idle wait at poll_interval=0.02 would probe ~30 times;
+        # a 0.6 s idle wait at a fixed 0.02 s slice would probe ~30 times;
         # with the bounded exponential backoff it must stay in the single
         # digits (0.02+0.04+0.08+0.16+0.25+0.25 > 0.6 after 6 probes)
         obs = _CountingObserver()
@@ -198,7 +198,7 @@ class TestIdleBackoff:
     def test_idle_pool_burns_no_measurable_cpu(self):
         # with *no* observer the waits are pure condition variables: an
         # idle world must cost (close to) zero process CPU
-        w = open_world(2)
+        w = World(2)
         results = []
         t = threading.Thread(
             target=lambda: results.append(w.comms[1].recv(source=0, tag=3))

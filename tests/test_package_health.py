@@ -200,5 +200,53 @@ def test_every_public_name_has_a_caller():
     assert len(KEPT) <= 12
 
 
+#: The only signatures that take the one observer of a checked run.
+OBSERVER_DOORS = {"World", "run_spmd", "distributed_spmv", "distributed_spmm", "SolverService"}
+
+
+def test_one_attach_point():
+    # a checked run carries one object, given to its World: no second
+    # parameter, field or attribute lookup may hand an observer around it
+    import ast
+
+    root = Path(__file__).resolve().parent.parent
+    stray, doors, side_doors = [], set(), []
+    for path in sorted((root / "src" / "repro").rglob("*.py")):
+        rel = path.relative_to(root)
+        tree = ast.parse(path.read_text())
+        for owner in ast.walk(tree):
+            if isinstance(owner, ast.ClassDef):
+                dataclass = any(
+                    "dataclass" in ast.unparse(d) for d in owner.decorator_list
+                )
+                for node in owner.body:
+                    if (dataclass and isinstance(node, ast.AnnAssign)
+                            and isinstance(node.target, ast.Name)
+                            and node.target.id in ("recorder", "sanitizer")):
+                        stray.append(f"{rel}:{node.lineno} field {owner.name}.{node.target.id}")
+                    if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                        args = node.args.args + node.args.kwonlyargs
+                        if any(a.arg == "observer" for a in args):
+                            doors.add(owner.name)
+            if isinstance(owner, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = owner.args
+                for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]:
+                    if arg is None:
+                        continue
+                    if arg.arg in ("recorder", "sanitizer"):
+                        stray.append(f"{rel}:{arg.lineno} parameter {arg.arg!r}")
+                    if arg.arg == "observer" and not isinstance(owner, ast.Lambda):
+                        doors.add(owner.name)
+            if (isinstance(owner, ast.Call) and isinstance(owner.func, ast.Name)
+                    and owner.func.id == "getattr" and len(owner.args) >= 2
+                    and isinstance(owner.args[1], ast.Constant)
+                    and owner.args[1].value == "sanitizer"):
+                side_doors.append(f"{rel}:{owner.lineno}")
+    doors.discard("__init__")  # counted under its class above
+    assert not stray, "recorder/sanitizer survive as attach points:\n" + "\n".join(stray)
+    assert doors == OBSERVER_DOORS, f"observer= is taken by {sorted(doors)}"
+    assert not side_doors, f"getattr(..., 'sanitizer') side doors at {side_doors}"
+
+
 def test_version_string():
     assert repro.__version__.count(".") == 2

@@ -7,7 +7,7 @@ sweeps and widths follow, and reuse never changes a bit), the
 *lifetime* (every owner stops what it owns; an engine dropped unclosed
 stops its thread from a finalizer; nothing outlives its test), the
 *failure paths* (today's error types, within two seconds, the engine
-reusable or refusing descriptively afterwards) and the *sanitizer model*
+reusable or refusing descriptively afterwards) and the *checker model*
 (a region is still one spawn edge plus one join edge, with a clock that
 starts from the main thread's at hand-off).
 """
@@ -22,13 +22,13 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.check import ThreadSanitizer
+from repro.check import Checker
 from repro.check.fixtures import SEEDED_PROGRAMS
 from repro.core.halo import cached_halo_plan
 from repro.core.spmvm import SCHEMES, DistributedSpMVM, distributed_spmv, scatter_vector
 from repro.mpilite.comm import CollectiveState, Comm
 from repro.mpilite.router import Router
-from repro.mpilite.world import PerRank, open_world, run_spmd
+from repro.mpilite.world import PerRank, World, run_spmd
 from repro.program.exec import UnjoinedCommThreadError, execute_sweep
 from repro.program.ir import SweepOp, SweepProgram
 from repro.program.lint import lint_sweep_program
@@ -399,7 +399,7 @@ def test_world_abort_fails_a_body_blocked_in_waitall(hmep_tiny, rng):
     from repro.mpilite.router import WorldAbortedError
 
     plan = cached_halo_plan(hmep_tiny, 2, with_matrices=True)
-    world = open_world(2, recv_timeout=30.0)
+    world = World(2, recv_timeout=30.0)
     xl = scatter_vector(rng.standard_normal(hmep_tiny.nrows), plan.partition, 0)
     in_waitall = threading.Event()
     with DistributedSpMVM(world.comms[0], plan.ranks[0]) as engine:
@@ -451,27 +451,27 @@ def test_injected_service_fault_fails_fast_and_leaves_no_thread(hmep_tiny, rng):
     assert comm_threads() == []
 
 
-# ------------------------------------------------------- sanitizer model
+# --------------------------------------------------------- checker model
 
 
-def run_sanitized(A, x, san, body) -> None:
-    """Run ``body(engine, x_local, comm)`` on two ranks, every sweep under *san*."""
+def run_sanitized(A, x, checker, body) -> None:
+    """Run ``body(engine, x_local, comm)`` on two ranks, every sweep under *checker*."""
     plan = cached_halo_plan(A, 2, with_matrices=True)
 
     def fn(comm, halo):
-        with DistributedSpMVM(comm, halo, sanitizer=san) as engine:
+        with DistributedSpMVM(comm, halo) as engine:
             body(engine, scatter_vector(x, plan.partition, comm.rank), comm)
 
-    run_spmd(2, fn, PerRank(plan.ranks), recv_timeout=10.0, timeout=30.0)
+    run_spmd(2, fn, PerRank(plan.ranks), recv_timeout=10.0, timeout=30.0, observer=checker)
 
 
 @pytest.mark.parametrize("name", sorted(SEEDED_PROGRAMS))
 def test_seeded_race_fires_again_on_the_parked_thread(hmep_tiny, rng, name):
-    # second execution: same OS thread, fresh sanitizer identity whose
+    # second execution: same OS thread, fresh checker identity whose
     # clock starts from the main thread's at hand-off.  A clock carried
     # over from the first region would order the racing accesses.
     program = SEEDED_PROGRAMS[name]()
-    san = ThreadSanitizer()
+    checker = Checker(2)
     counts: list[int] = []
 
     def body(engine, xl, comm):
@@ -479,14 +479,14 @@ def test_seeded_race_fires_again_on_the_parked_thread(hmep_tiny, rng, name):
             execute_sweep(engine, program, xl)
             comm.barrier()
             if comm.rank == 0:
-                counts.append(len(san.findings))
-                san._reported.clear()  # findings are deduplicated by (buffer, ops)
+                counts.append(len(checker.findings))
+                checker._reported.clear()  # findings are deduplicated by (buffer, ops)
             comm.barrier()
 
-    run_sanitized(hmep_tiny, rng.standard_normal(hmep_tiny.nrows), san, body)
+    run_sanitized(hmep_tiny, rng.standard_normal(hmep_tiny.nrows), checker, body)
     first, both = counts
     assert first > 0 and both >= 2 * first
-    again = san.findings[first:]
+    again = checker.findings[first:]
     assert {f.details["domain"] for f in again} == {"rank0", "rank1"}
     assert all(f.kind == "thread-race" for f in again)
 
@@ -497,10 +497,10 @@ def test_clean_sweeps_on_one_engine_report_nothing(hmep_tiny, rng):
             engine.multiply(xl, "task_mode")
             comm.barrier()
 
-    san = ThreadSanitizer()
-    run_sanitized(hmep_tiny, rng.standard_normal(hmep_tiny.nrows), san, body)
-    report = san.finalize()
+    checker = Checker(2)
+    run_sanitized(hmep_tiny, rng.standard_normal(hmep_tiny.nrows), checker, body)
+    report = checker.finalize()
     assert report.ok, report.render()
-    # four regions per rank, each its own spawn edge and sanitizer identity
-    names = [st.name for st in san._by_tid.values()]
+    # four regions per rank, each its own spawn edge and checker identity
+    names = [st.name for st in checker._by_tid.values()]
     assert names.count("comm-thread-0") == names.count("comm-thread-1") == 4

@@ -205,7 +205,7 @@ def test_lint_catches_kernel_shape_violations():
 
 def test_lint_rejects_every_seeded_fixture_program():
     # the thread-race fixtures run these programs *past* the lint to show
-    # the sanitizer catching them live; the lint must reject each one
+    # the checker catching them live; the lint must reject each one
     from repro.check.fixtures import SEEDED_PROGRAMS
 
     assert len(SEEDED_PROGRAMS) == 2

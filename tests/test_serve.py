@@ -4,7 +4,7 @@ Covers the acceptance criteria end to end: cold vs. warm-cache
 requests, coalesced spmm batches bit-identical per column to
 independent spmv requests, model serialize→deserialize→serve round
 trips, concurrent submitters, and the teardown paths (drain, cancel,
-worker death mid-request under the :mod:`repro.check` recorder).
+worker death mid-request under the :mod:`repro.check` checker).
 """
 
 import threading
@@ -386,11 +386,11 @@ class TestLifecycle:
             svc.submit(np.ones(A.nrows))
 
     def test_worker_death_mid_request_fails_fast_with_provenance(self, A):
-        from repro.check import CommRecorder
+        from repro.check import Checker
 
-        rec = CommRecorder(3)
+        checker = Checker(3)
         model = build_model(A, 3, scheme="task_mode")
-        svc = SolverService(model, recorder=rec, name="doomed")
+        svc = SolverService(model, observer=checker, name="doomed")
         x = np.ones(A.nrows)
         svc.solve(x)  # one healthy request first
         svc.inject_fault(1)
@@ -405,8 +405,8 @@ class TestLifecycle:
         assert svc.state == "failed"
         with pytest.raises(WorldAbortedError, match="rank 1"):  # the world is torn down
             svc.world.comms[0].send(np.ones(1), dest=2)
-        # the analyzer's recorder survives the crash and still reports
-        report = rec.finalize(context="kill-mid-request")
+        # the checker survives the crash and still reports
+        report = checker.finalize(context="kill-mid-request")
         assert report is not None
         with pytest.raises(ServiceClosedError, match="failed"):
             svc.submit(x)

@@ -1,13 +1,14 @@
-"""Lock discipline of the persistent service, proven by the sanitizer.
+"""Lock discipline of the persistent service, proven by the checker.
 
 The SolverService promises that every touch of its shared state
 (pending queue, inboxes, batch parts, counters, lifecycle state)
-happens under ``self._lock``.  These tests attach a
-:class:`ThreadSanitizer` — which turns that lock into a
-:class:`TrackedCondition` feeding happens-before edges — and hammer the
-service from several client threads at once.  A clean service reports
-*zero* races; the companion seeded fixture (thread-race-unlocked-service)
-proves the same harness does fire when a thread skips the lock.
+happens under ``self._lock``.  These tests give the service a
+:class:`Checker` — which turns that lock into a
+:class:`TrackedCondition` feeding happens-before edges, and watches the
+ranks' traffic too — and hammer the service from several client threads
+at once.  A clean service reports *zero* findings; the companion seeded
+fixture (thread-race-unlocked-service) proves the same harness does fire
+when a thread skips the lock.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.check import ThreadSanitizer
+from repro.check import Checker
 from repro.serve import SolverService, build_model
 from repro.sparse import spmv
 
@@ -40,11 +41,11 @@ def _payloads(ncols, count, seed):
 
 
 def test_concurrent_submitters_run_race_free(model, hmep_tiny):
-    san = ThreadSanitizer()
+    checker = Checker(NRANKS)
     xs = [_payloads(hmep_tiny.ncols, PER_THREAD, seed=10 + i) for i in range(SUBMITTERS)]
     results: dict[int, list[np.ndarray]] = {}
 
-    with SolverService(model, sanitizer=san, name="tsan-submit") as svc:
+    with SolverService(model, observer=checker, name="tsan-submit") as svc:
 
         def client(i):
             out = []
@@ -59,7 +60,7 @@ def test_concurrent_submitters_run_race_free(model, hmep_tiny):
             t.join()
         stats = svc.stats
 
-    report = san.finalize()
+    report = checker.finalize()
     assert report.ok, report.render()
     assert report.events_observed > 0
     assert stats["requests"] == SUBMITTERS * PER_THREAD
@@ -74,12 +75,12 @@ def test_submit_racing_close_is_race_free(model, hmep_tiny):
     # all touch lifecycle state concurrently — and all under the lock
     from repro.serve import ServiceClosedError
 
-    san = ThreadSanitizer()
+    checker = Checker(NRANKS)
     xs = _payloads(hmep_tiny.ncols, 8, seed=99)
     outcomes: list[str] = []
     go = threading.Event()
 
-    svc = SolverService(model, sanitizer=san, name="tsan-close")
+    svc = SolverService(model, observer=checker, name="tsan-close")
     try:
 
         def client():
@@ -102,7 +103,7 @@ def test_submit_racing_close_is_race_free(model, hmep_tiny):
     finally:
         svc.close(drain=False, timeout=5.0)
 
-    report = san.finalize()
+    report = checker.finalize()
     assert report.ok, report.render()
     # every request either completed correctly or was cleanly rejected
     assert len(outcomes) > 0
@@ -112,12 +113,12 @@ def test_submit_racing_close_is_race_free(model, hmep_tiny):
 
 def test_stats_and_state_probes_race_free_under_load(model, hmep_tiny):
     # observability endpoints are read paths; the lock-discipline rule
-    # (and the sanitizer) hold them to the same standard as mutations
-    san = ThreadSanitizer()
+    # (and the checker) hold them to the same standard as mutations
+    checker = Checker(NRANKS)
     xs = _payloads(hmep_tiny.ncols, 6, seed=5)
     stop = threading.Event()
 
-    with SolverService(model, sanitizer=san, name="tsan-probe") as svc:
+    with SolverService(model, observer=checker, name="tsan-probe") as svc:
 
         def prober():
             while not stop.is_set():
@@ -133,6 +134,6 @@ def test_stats_and_state_probes_race_free_under_load(model, hmep_tiny):
             stop.set()
             t.join()
 
-    report = san.finalize()
+    report = checker.finalize()
     assert report.ok, report.render()
     assert report.events_observed > 0
