@@ -262,9 +262,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     """
     from repro.bench import spmvm_suite
     from repro.bench.suite import guard_failures
-    from repro.sparse import native
 
-    print(f"csr row sums: {native.status().describe()}")
+    print(_executor_lines())
     results = spmvm_suite(quick=args.quick, seed=args.seed)
     for r in results:
         print(r.describe())
@@ -376,11 +375,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_kernels(_args: argparse.Namespace) -> int:
     """Name the one spMVM kernel and the executor under its row sums."""
+    print("spMVM kernel: csr/reference (CRS row sums; spmm is bit-identical per column to spmv)")
+    print(_executor_lines())
+    return 0
+
+
+def _executor_lines() -> str:
+    """Which executor computes the row sums and the plan cache's checksum."""
     from repro.sparse import native
 
-    print("spMVM kernel: csr/reference (CRS row sums; spmm is bit-identical per column to spmv)")
-    print(f"csr row sums: {native.status().describe()}")
-    return 0
+    status = native.status()
+    witness = "compiled" if status.available else f"crc32 ({status.reason})"
+    return f"csr row sums: {status.describe()}\nmatrix checksum: {witness}"
 
 
 def _cmd_probe(_args: argparse.Namespace) -> int:

@@ -28,6 +28,7 @@ package import-light (it is pulled in lazily by ``repro.model``).
 
 from __future__ import annotations
 
+import threading
 import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
@@ -395,6 +396,9 @@ def build_comm_plan(
 # ----------------------------------------------------------------------
 _COMM_CACHE: dict[tuple[int, tuple[int, ...], str], tuple[weakref.ref, CommPlan]] = {}
 _COMM_CACHE_MAX = 32
+#: Serialises lookup, eviction and insertion, as ``core.halo._PLAN_LOCK``
+#: does; the build stays outside.
+_COMM_LOCK = threading.Lock()
 
 
 def cached_comm_plan(
@@ -402,15 +406,17 @@ def cached_comm_plan(
 ) -> CommPlan:
     """Build (or reuse) the communication plan for *halo* on a placement."""
     key = (id(halo), tuple(int(n) for n in rank_node), kind)
-    hit = _COMM_CACHE.get(key)
+    with _COMM_LOCK:
+        hit = _COMM_CACHE.get(key)
     if hit is not None and hit[0]() is halo:
         return hit[1]
     plan = build_comm_plan(halo, rank_node, kind)
-    dead = [k for k, (ref, _p) in _COMM_CACHE.items() if ref() is None]
-    for k in dead:
-        del _COMM_CACHE[k]
-    if key not in _COMM_CACHE:
-        while len(_COMM_CACHE) >= _COMM_CACHE_MAX:
-            del _COMM_CACHE[next(iter(_COMM_CACHE))]
-    _COMM_CACHE[key] = (weakref.ref(halo), plan)
+    with _COMM_LOCK:
+        dead = [k for k, (ref, _p) in _COMM_CACHE.items() if ref() is None]
+        for k in dead:
+            del _COMM_CACHE[k]
+        if key not in _COMM_CACHE:
+            while len(_COMM_CACHE) >= _COMM_CACHE_MAX:
+                del _COMM_CACHE[next(iter(_COMM_CACHE))]
+        _COMM_CACHE[key] = (weakref.ref(halo), plan)
     return plan

@@ -23,6 +23,7 @@ simulator needs, and it keeps large scaling sweeps cheap.
 
 from __future__ import annotations
 
+import threading
 import weakref
 from dataclasses import dataclass, field
 
@@ -227,6 +228,9 @@ def build_halo_plan(
 # ----------------------------------------------------------------------
 _PLAN_CACHE: dict[tuple[int, int, bool], tuple[weakref.ref, tuple, HaloPlan]] = {}
 _PLAN_CACHE_MAX = 32
+#: Serialises lookup, eviction and insertion: the dead-entry scan must
+#: not interleave with another thread's insert or eviction.
+_PLAN_LOCK = threading.Lock()
 
 
 def cached_halo_plan(A: CSRMatrix, nparts: int, *, with_matrices: bool = True) -> HaloPlan:
@@ -252,18 +256,22 @@ def cached_halo_plan(A: CSRMatrix, nparts: int, *, with_matrices: bool = True) -
     from repro.sparse.partition import partition_nnz_balanced
 
     key = (id(A), int(nparts), with_matrices)
+    # hashing and building run outside the lock, so threads with distinct
+    # matrices overlap; only the dictionary is serialised
     fingerprint = A.content_fingerprint() if with_matrices else A.structure_fingerprint()
-    hit = _PLAN_CACHE.get(key)
+    with _PLAN_LOCK:
+        hit = _PLAN_CACHE.get(key)
     if hit is not None and hit[0]() is A and hit[1] == fingerprint:
         return hit[2]
     plan = build_halo_plan(A, partition_nnz_balanced(A, nparts), with_matrices=with_matrices)
-    dead = [k for k, (ref, _fp, _p) in _PLAN_CACHE.items() if ref() is None]
-    for k in dead:
-        del _PLAN_CACHE[k]
-    # only evict when actually inserting a new key — refreshing an entry
-    # already present at capacity must not push out a live neighbour
-    if key not in _PLAN_CACHE:
-        while len(_PLAN_CACHE) >= _PLAN_CACHE_MAX:
-            del _PLAN_CACHE[next(iter(_PLAN_CACHE))]
-    _PLAN_CACHE[key] = (weakref.ref(A), fingerprint, plan)
+    with _PLAN_LOCK:
+        dead = [k for k, (ref, _fp, _p) in _PLAN_CACHE.items() if ref() is None]
+        for k in dead:
+            del _PLAN_CACHE[k]
+        # only evict when actually inserting a new key — refreshing an entry
+        # already present at capacity must not push out a live neighbour
+        if key not in _PLAN_CACHE:
+            while len(_PLAN_CACHE) >= _PLAN_CACHE_MAX:
+                del _PLAN_CACHE[next(iter(_PLAN_CACHE))]
+        _PLAN_CACHE[key] = (weakref.ref(A), fingerprint, plan)
     return plan

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.sparse import native
 from repro.util import check_array_1d, check_sorted_nondecreasing, require
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -164,19 +165,27 @@ class CSRMatrix:
             zlib.crc32(np.ascontiguousarray(self.col_idx).data),
         )
 
-    def content_fingerprint(self) -> tuple[int, ...]:
-        """:meth:`structure_fingerprint` plus a checksum of ``val``.
+    def content_fingerprint(self) -> tuple:
+        """Witness that none of the three arrays changed since it was taken.
 
         Caches holding *copies of the values* (the halo plan's local /
         remote sub-matrices) must also notice in-place value updates,
-        which leave the structure fingerprint unchanged.
+        which leave the structure fingerprint unchanged.  ``(nrows,
+        ncols, nnz, the three dtypes, checksum)``: the checksum is one
+        compiled pass over ``row_ptr``, ``col_idx`` and ``val``
+        (:func:`repro.sparse.native.checksum`), or crc32 of each when the
+        library is off.  Process-local — never store it; files carry
+        :meth:`structure_fingerprint`.
         """
         import zlib
 
-        return (
-            *self.structure_fingerprint(),
-            zlib.crc32(np.ascontiguousarray(self.val).data),
+        arrays = (self.row_ptr, self.col_idx, self.val)
+        digest = native.checksum(arrays)
+        sums = (
+            (digest,) if digest is not None
+            else tuple(zlib.crc32(np.ascontiguousarray(a).data) for a in arrays)
         )
+        return (self.nrows, self.ncols, self.nnz, *(a.dtype.str for a in arrays), *sums)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

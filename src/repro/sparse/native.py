@@ -1,4 +1,4 @@
-"""Compiled executor of the CRS row sums: one C loop, proven at load.
+"""Compiled executor of the CRS row sums, and a matrix checksum: one C library, proven at load.
 
 Every kernel of the tree funnels through two functions,
 :func:`repro.sparse.spmv._segmented_rowsums` and
@@ -27,10 +27,19 @@ no timed call ever pays for a compiler, a ``dlopen`` or the self-test:
    the first build both end with a valid library;
 3. it is accepted only if it matches the numpy executor **bit for bit**
    on a probe matrix (row lengths 0 … 300, mixed magnitudes, signed
-   zeros, k in {1, 3}, overwrite and add).
+   zeros, k in {1, 3}, overwrite and add), and if its checksum (below)
+   reads every byte of a probe and nothing but the bytes.
 
 No compiler, a failed build, a failed load or a failed self-test means
 one logged warning and numpy everywhere; :func:`status` says which.
+
+The same library holds a second function, ``repro_checksum``: a 64-bit
+hash of xxh64's construction that streams an array at memory speed
+(crc32 runs at about a third of that).  :func:`checksum` chains it over
+a matrix's three arrays for
+:meth:`~repro.sparse.csr.CSRMatrix.content_fingerprint`, the plan
+cache's witness that nothing was mutated in place; without the library
+that witness is crc32.
 
 Per call, :func:`rowsums` declines ("not taken", the caller runs numpy)
 whatever it could not execute identically: non-int64 indices,
@@ -62,7 +71,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["NativeStatus", "load", "rowsums", "status"]
+__all__ = ["NativeStatus", "checksum", "load", "rowsums", "status"]
 
 _LOG = logging.getLogger(__name__)
 
@@ -73,6 +82,7 @@ FLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
 _SOURCE = r"""
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 typedef int64_t i64;
 typedef uint64_t u64;
@@ -231,6 +241,52 @@ repro_rowsums(intptr_t nrows, const i64 *row_ptr, const i64 *col,
     }
     return -1;
 }
+
+/* The checksum: xxh64's construction.  Four independent lanes over 32-byte
+ * stripes keep four multiplies in flight, so one pass keeps up with memory
+ * without SIMD flags. */
+#define P1 11400714785074694791ULL
+#define P2 14029467366897019727ULL
+#define P3 1609587929392839161ULL
+#define P4 9650029242287828579ULL
+#define P5 2870177450012600261ULL
+
+INLINE u64 rotl(u64 x, int r) { return (x << r) | (x >> (64 - r)); }
+INLINE u64 load8(const unsigned char *p) { u64 w; memcpy(&w, p, 8); return w; }
+INLINE u64 mix(u64 acc, u64 w) { return rotl(acc + w * P2, 31) * P1; }
+INLINE u64 merge(u64 h, u64 lane) { return (h ^ mix(0, lane)) * P1 + P4; }
+
+/* 64-bit checksum of the n bytes at p, chained from seed (the previous
+ * array's checksum).  Reads every byte once, at any alignment. */
+uint64_t
+repro_checksum(const unsigned char *p, intptr_t n, uint64_t seed)
+{
+    const unsigned char *end = p + n;
+    u64 h, v[4] = {seed + P1 + P2, seed + P2, seed, seed - P1};
+    int i;
+    if (n >= 32) {
+        do {
+            for (i = 0; i < 4; i++) v[i] = mix(v[i], load8(p + 8 * i));
+            p += 32;
+        } while (end - p >= 32);
+        h = rotl(v[0], 1) + rotl(v[1], 7) + rotl(v[2], 12) + rotl(v[3], 18);
+        for (i = 0; i < 4; i++) h = merge(h, v[i]);
+    } else {
+        h = seed + P5;
+    }
+    h += (u64)n;
+    for (; end - p >= 8; p += 8) h = rotl(h ^ mix(0, load8(p)), 27) * P1 + P4;
+    if (end - p >= 4) {
+        uint32_t w;
+        memcpy(&w, p, 4);
+        h = rotl(h ^ (u64)w * P1, 23) * P2 + P3;
+        p += 4;
+    }
+    for (; p < end; p++) h = rotl(h ^ *p * P5, 11) * P1;
+    h = (h ^ (h >> 33)) * P2;
+    h = (h ^ (h >> 29)) * P3;
+    return h ^ (h >> 32);
+}
 """
 
 #: Row lengths of the load-time probe: empty, the sequential range, both
@@ -241,6 +297,10 @@ repro_rowsums(intptr_t nrows, const i64 *row_ptr, const i64 *col,
 #: magnitudes — and ends in two rows that sum nothing but -0.0.
 _PROBE_ROW_LENGTHS = (0, 1, 2, 8, 9, 10, 128, 129, 130, 300)
 _PROBE_NCOLS = 97
+#: Byte lengths the checksum is probed at: 0-9 words (no stripe, one,
+#: two, and the word tail after each), then two ragged lengths that reach
+#: the 4-byte and 1-byte tails.
+_PROBE_CHECKSUM_BYTES = tuple(range(0, 80, 8)) + (7, 45)
 
 _I8 = np.dtype(np.int64)
 _F8 = np.dtype(np.float64)
@@ -279,6 +339,7 @@ _from_buffer = ctypes.c_byte.from_buffer
 # Build-once state, written by load() during ``import repro.sparse`` and
 # only read afterwards.
 _kernel = None
+_checksum = None
 _status = NativeStatus(False, None, None, FLAGS, "repro.sparse has not been imported")
 
 
@@ -365,8 +426,10 @@ def _library() -> tuple[Path, str | None]:
 
 
 def _bind(lib: Path):
+    """``(repro_rowsums, repro_checksum)`` of *lib*, typed for ctypes."""
     try:
-        fn = ctypes.CDLL(str(lib)).repro_rowsums
+        cdll = ctypes.CDLL(str(lib))
+        fn, digest = cdll.repro_rowsums, cdll.repro_checksum
     except (OSError, AttributeError) as exc:
         raise _Unavailable(f"loading {lib} failed: {exc}") from exc
     # every argument as c_void_p, the integers too: ctypes converts a
@@ -374,7 +437,9 @@ def _bind(lib: Path):
     # box a c_int64, and the C side declares them intptr_t
     fn.argtypes = [ctypes.c_void_p] * 10
     fn.restype = ctypes.c_ssize_t
-    return fn
+    digest.argtypes = [ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_uint64]
+    digest.restype = ctypes.c_uint64
+    return fn, digest
 
 
 def _address(array: np.ndarray) -> int:
@@ -388,7 +453,14 @@ def _address(array: np.ndarray) -> int:
     return _addressof(_from_buffer(array))
 
 
-def _self_test(fn) -> None:
+def _self_test(kernels) -> None:
+    """Accept the library only if both of its functions pass their probe."""
+    fn, digest = kernels
+    _test_rowsums(fn)
+    _test_checksum(digest)
+
+
+def _test_rowsums(fn) -> None:
     """Accept *fn* only if it reproduces the numpy executor's bits."""
     from repro.sparse.spmm import _numpy_block_rowsums
     from repro.sparse.spmv import _numpy_rowsums
@@ -427,24 +499,66 @@ def _self_test(fn) -> None:
                 )
 
 
+def _test_checksum(digest) -> None:
+    """Accept *digest* only if it reads every byte and nothing but the bytes:
+    a copy at another (odd) address sums the same, and flipping any one
+    byte of a probe changes the sum."""
+    data = np.random.default_rng(2011_0028).integers(
+        0, 256, max(_PROBE_CHECKSUM_BYTES), dtype=np.uint8
+    )
+    for n in _PROBE_CHECKSUM_BYTES:
+        probe = data[:n].copy()
+        moved = np.empty(n + 1, np.uint8)[1:]
+        moved[:] = probe
+        want = digest(probe.ctypes.data, n, 0)
+        if digest(moved.ctypes.data, n, 0) != want:
+            raise _Unavailable(
+                f"self-test failed: the checksum of {n} bytes depends on their address"
+            )
+        for i in range(n):
+            probe[i] ^= 0xFF
+            if digest(probe.ctypes.data, n, 0) == want:
+                raise _Unavailable(
+                    f"self-test failed: the checksum of {n} bytes misses a flip of byte {i}"
+                )
+            probe[i] ^= 0xFF
+
+
 def load() -> NativeStatus:
     """Find or build the library, prove it, switch it on.  Never raises.
 
     Called once, by ``repro/sparse/__init__.py``.
     """
-    global _kernel, _status
+    global _kernel, _checksum, _status
     lib = compiler = None
     try:
         lib, compiler = _library()
-        fn = _bind(lib)
-        _self_test(fn)
+        kernels = _bind(lib)
+        _self_test(kernels)
     except _Unavailable as exc:
         _status = NativeStatus(False, str(lib) if lib else None, compiler, FLAGS, str(exc))
         _LOG.warning("compiled row-sum executor is off, numpy runs instead: %s", exc)
     else:
-        _kernel = fn
+        _kernel, _checksum = kernels
         _status = NativeStatus(True, str(lib), compiler, FLAGS, None)
     return _status
+
+
+def checksum(arrays) -> int | None:
+    """64-bit checksum of the bytes of *arrays*, one pass in C without the
+    GIL; ``None`` when the library is off (the caller falls back to crc32).
+
+    Process-local: the value may differ between machines and builds, so
+    it keys in-memory caches only and is never written to a file.
+    """
+    fn = _checksum
+    if fn is None:
+        return None
+    digest = 0
+    for array in arrays:
+        array = np.ascontiguousarray(array)
+        digest = fn(array.ctypes.data, array.nbytes, digest)
+    return digest
 
 
 def _bind_matrix(A) -> tuple | None:

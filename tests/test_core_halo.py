@@ -1,11 +1,22 @@
 """Halo-plan bookkeeping verified against a brute-force reference."""
 
+import collections
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.core import build_halo_plan
+from repro.core.halo import cached_halo_plan
 from repro.matrices import random_banded, random_sparse
-from repro.sparse import partition_matrix, partition_rows_balanced
+from repro.sparse import (
+    CSRMatrix,
+    native,
+    partition_matrix,
+    partition_nnz_balanced,
+    partition_rows_balanced,
+)
 
 
 def _brute_force_needs(A, partition):
@@ -159,6 +170,114 @@ def test_cached_plan_refresh_keeps_live_neighbours(monkeypatch):
     assert halo_mod.cached_halo_plan(B, 2, with_matrices=False) is pb
 
 
+def test_concurrent_plan_caches_stay_consistent():
+    # the dead-entry scan used to iterate the cache while another thread
+    # inserted ("dictionary keys changed during iteration"), for the halo
+    # plan cache and the comm plan cache alike
+    from repro.comm import plan as plan_mod
+    from repro.core import halo as halo_mod
+
+    nthreads, per_thread = 8, 500
+    errors = []
+    start = threading.Barrier(nthreads)
+
+    def work():
+        # each thread keeps its last four matrices alive: eight threads fill
+        # the 32 slots, so every insert scans a full cache and evicts
+        alive = collections.deque(maxlen=4)
+        try:
+            start.wait(timeout=30)
+            for _ in range(per_thread):
+                alive.append(CSRMatrix.identity(64))
+                plan_mod.cached_comm_plan(cached_halo_plan(alive[-1], 2), (0, 1))
+        except Exception as exc:  # handed to the test thread, which asserts on it
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(nthreads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    # an evict-then-insert interleaved with another thread's overfills
+    assert len(halo_mod._PLAN_CACHE) <= halo_mod._PLAN_CACHE_MAX
+    assert len(plan_mod._COMM_CACHE) <= plan_mod._COMM_CACHE_MAX
+
+
+#: Base matrices of the mutation table.  ``ragged`` holds a 0.0 and a
+#: -0.0 and has nnz % 4 != 0, so its last value sits in the checksum's
+#: tail loop; ``tiny`` is shorter than one four-lane stripe.
+ZERO, NEGATIVE_ZERO = 11, 12
+
+
+@pytest.fixture(scope="module")
+def mutation_bases():
+    ragged = random_sparse(120, nnzr=5, seed=37)
+    ragged.val[ZERO], ragged.val[NEGATIVE_ZERO] = 0.0, -0.0
+    assert ragged.nnz % 4 != 0 and min(ragged.row_nnz()) >= 2
+    tiny = CSRMatrix(
+        np.array([0, 1, 2, 3]), np.array([1, 2, 0]), np.array([1.5, -2.0, 3.25])
+    )
+    return {"ragged": ragged, "tiny": tiny}
+
+
+def _set_value(index, new):
+    def mutate(A):
+        A.val[index] = new(A.val[index])
+
+    return mutate
+
+
+def _swap(name, i, j):
+    def mutate(A):
+        array = getattr(A, name)
+        array[[i, j]] = array[[j, i]]
+
+    return mutate
+
+
+def _flip_low_bit(index):
+    def mutate(A):
+        A.val.view(np.uint64)[index] ^= 1
+
+    return mutate
+
+
+def _shift_row_start(A):
+    A.row_ptr[60] += 1  # one entry of row 60 moves to row 59
+
+
+def _double(A):
+    A.val *= 2.0
+
+
+def _view_as_int64(A):
+    A.val = A.val.view(np.int64)
+
+
+MUTATIONS = {
+    "sign-flip": ("ragged", _set_value(7, np.negative)),
+    "ulp-up": ("ragged", _set_value(7, lambda v: np.nextafter(v, np.inf))),
+    "ulp-down": ("ragged", _set_value(7, lambda v: np.nextafter(v, -np.inf))),
+    "zero-to-negative-zero": ("ragged", _set_value(ZERO, lambda v: -0.0)),
+    "negative-zero-to-zero": ("ragged", _set_value(NEGATIVE_ZERO, lambda v: 0.0)),
+    "values-swapped": ("ragged", _swap("val", 3, 9)),
+    "columns-swapped-in-row": ("ragged", _swap("col_idx", 0, 1)),
+    "row-ptr-shift": ("ragged", _shift_row_start),
+    "val-doubled": ("ragged", _double),
+    "first-word": ("ragged", _flip_low_bit(0)),
+    "last-word": ("ragged", _flip_low_bit(-1)),
+    "under-four-nonzeros": ("tiny", _flip_low_bit(-1)),
+    "dtype-view": ("ragged", _view_as_int64),
+}
+
+
 class TestStaleCacheGuard:
     """The in-place-mutation bug the serve work flushed out: the plan
     cache used to key on matrix identity alone, so mutating the arrays
@@ -224,3 +343,41 @@ class TestStaleCacheGuard:
         )
         # a metadata-only plan holds no values: the structure guard still hits
         assert cached_halo_plan(A, 2, with_matrices=False) is meta_plan
+
+    @pytest.mark.parametrize("witness", ["active", "crc32"])
+    @pytest.mark.parametrize("case", sorted(MUTATIONS))
+    def test_every_mutation_rebuilds_the_plan(self, case, witness, mutation_bases, monkeypatch):
+        # the table runs under the checksum this process loaded and under
+        # the crc32 fallback (the only one without the library)
+        if witness == "crc32":
+            monkeypatch.setattr(native, "_checksum", None)
+        base, mutate = MUTATIONS[case]
+        A = mutation_bases[base].copy()
+        stale = cached_halo_plan(A, 2)
+        assert cached_halo_plan(A, 2) is stale
+        mutate(A)
+        fresh = cached_halo_plan(A, 2)
+        assert fresh is not stale
+        want = build_halo_plan(A, partition_nnz_balanced(A, 2))
+        for got, ref in zip(fresh.ranks, want.ranks, strict=True):
+            for part in ("A_local", "A_remote"):
+                for array in ("row_ptr", "col_idx", "val"):
+                    np.testing.assert_array_equal(
+                        getattr(getattr(got, part), array).view(np.uint64),
+                        getattr(getattr(ref, part), array).view(np.uint64),
+                    )
+
+    def test_dtype_view_multiplies_correctly(self):
+        # same bytes, other numbers: a byte checksum alone kept serving
+        # the float plan, and distributed_spmv disagreed with serial spmv
+        from repro.core.spmvm import distributed_spmv
+        from repro.sparse import spmv
+
+        A = random_sparse(120, nnzr=5, seed=37)
+        A.val = np.abs(A.val)  # no cancellation among the ~1e18 integers
+        x = np.arange(1, 121, dtype=float)
+        before = distributed_spmv(A, x, 2)
+        A.val = A.val.view(np.int64)
+        after = distributed_spmv(A, x, 2)
+        np.testing.assert_allclose(after, spmv(A, x), rtol=1e-12)
+        assert not np.allclose(after, before)

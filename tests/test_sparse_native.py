@@ -365,6 +365,78 @@ def test_self_test_rejects_another_association(old, new, tmp_path):
         native._self_test(native._bind(lib))
 
 
+@needs_library
+@pytest.mark.parametrize(
+    "edits",
+    [
+        (("rotl(v[0], 1) + rotl(v[1], 7) + rotl(v[2], 12) + rotl(v[3], 18)",
+          "rotl(v[0], 1) + rotl(v[1], 7) + rotl(v[2], 12)"),
+         ("for (i = 0; i < 4; i++) h = merge(h, v[i]);",
+          "for (i = 0; i < 3; i++) h = merge(h, v[i]);")),
+        (("for (; p < end; p++)", "for (; p < end - 1; p++)"),),
+    ],
+    ids=["lane-dropped-from-merge", "last-byte-skipped"],
+)
+def test_self_test_rejects_a_checksum_that_misses_bytes(edits, tmp_path):
+    source = native._SOURCE
+    for old, new in edits:
+        assert old in source
+        source = source.replace(old, new)
+    (tmp_path / "wrong.c").write_text(source)
+    lib = tmp_path / "wrong.so"
+    subprocess.run(
+        [*native._compiler(), *native.FLAGS, str(tmp_path / "wrong.c"), "-o", str(lib)],
+        check=True, timeout=300,
+    )
+    with pytest.raises(native._Unavailable, match="checksum of .* misses a flip"):
+        native._self_test(native._bind(lib))
+
+
+@needs_library
+def test_checksum_reads_every_byte_at_any_alignment():
+    # the load-time probe covers 0-9 words and two ragged lengths; here
+    # every length up to 72 bytes, copied to every misalignment
+    data = np.random.default_rng(7).integers(0, 256, 72, dtype=np.uint8)
+    for n in range(73):
+        probe = data[:n].copy()
+        want = native.checksum([probe])
+        for offset in range(1, 8):
+            moved = np.empty(n + offset, np.uint8)[offset:]
+            moved[:] = probe
+            assert native.checksum([moved]) == want
+        for i in range(n):
+            probe[i] ^= 0x01
+            assert native.checksum([probe]) != want, (n, i)
+            probe[i] ^= 0x01
+
+
+def test_fingerprint_witness_follows_the_library(monkeypatch):
+    # one compiled checksum with the library, crc32 of each array without;
+    # the dtypes are part of the key either way
+    A = _matrix()
+    compiled = A.content_fingerprint()
+    monkeypatch.setattr(native, "_checksum", None)
+    fallback = A.content_fingerprint()
+    dtypes = (A.row_ptr.dtype.str, A.col_idx.dtype.str, A.val.dtype.str)
+    assert fallback[:6] == (A.nrows, A.ncols, A.nnz, *dtypes)
+    assert len(fallback) == 9
+    assert len(compiled) == (7 if native.status().available else 9)
+    assert compiled[:6] == fallback[:6]
+
+
+def test_kernels_names_both_witnesses(capsys):
+    from repro.cli import main
+
+    assert main(["kernels"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    status = native.status()
+    assert lines[1] == f"csr row sums: {status.describe()}"
+    if status.available:
+        assert lines[2] == "matrix checksum: compiled"
+    else:
+        assert lines[2] == f"matrix checksum: crc32 ({status.reason})"
+
+
 _CHILD = """
 import json, sys
 import numpy as np
