@@ -16,7 +16,7 @@ Subpackages
 ``repro.smpi``         simulated MPI with configurable progress semantics
 ``repro.mpilite``      real, runnable MPI-like message-passing runtime
 ``repro.core``         the paper's contribution: hybrid spMVM schemes
-``repro.solvers``      Lanczos / CG / KPM / Chebyshev / AMG on top of spMVM
+``repro.solvers``      Lanczos / CG / KPM / Chebyshev on top of spMVM
 ``repro.experiments``  per-figure/table reproduction harnesses
 """
 

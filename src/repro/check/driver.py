@@ -27,7 +27,8 @@ from repro.check.astlint import run_astlint
 from repro.check.checker import Checker
 from repro.check.findings import CheckReport, Finding
 from repro.check.lint import lint_comm_plan
-from repro.core.spmvm import SCHEMES, distributed_spmm, distributed_spmv
+from repro.core.spmvm import distributed_spmm, distributed_spmv
+from repro.program.build import PROGRAM_SCHEMES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sparse.csr import CSRMatrix
@@ -152,7 +153,7 @@ def check_spmvm(
     report = CheckReport(context=(
         f"nranks={nranks} ranks_per_node={ranks_per_node}: plan lint ({len(PLANS)} plans), "
         f"program lint ({len(programs)} programs), AST lint, "
-        f"{len(PLANS) * len(SCHEMES) * len(operands)} dynamic runs "
+        f"{len(PLANS) * len(PROGRAM_SCHEMES) * len(operands)} dynamic runs "
         f"+ 1 service session, each under a fresh Checker"
     ))
 
@@ -180,7 +181,7 @@ def check_spmvm(
 
     # dynamic sweep: plan x scheme x {vector, block}, then the service
     for kind in PLANS:
-        for scheme in SCHEMES:
+        for scheme in PROGRAM_SCHEMES:
             for width, multiply, operand, ref in operands:
                 run = partial(
                     multiply, A, operand, nranks,

@@ -34,31 +34,11 @@ def _parse_nodes(text: str) -> tuple[int, ...]:
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
-    print("available experiments:")
-    for name, doc in (
-        ("fig1", "sparsity patterns (block occupancy) of HMEp / HMeP / sAMG"),
-        ("fig2", "node topologies (Westmere, Magny Cours)"),
-        ("fig3", "node-level performance analysis (both panels)"),
-        ("fig4", "scheme timelines (simulator Gantt charts)"),
-        ("trace", "trace one simulated sweep (summary, metrics, Chrome JSON)"),
-        ("fig5", "HMeP strong scaling on the Westmere cluster"),
-        ("fig6", "sAMG strong scaling on the Westmere cluster"),
-        ("kappa", "Sect. 2 κ determination + Eq. 2 split penalty"),
-        ("kappa-predict", "predict κ from structure via the LRU cache model"),
-        ("commvol", "internode communication volume vs node count"),
-        ("comm-plan", "direct vs node-aware halo-exchange plan (repro.comm)"),
-        ("comm-plans", "plan accounting + simulated node-aware scaling sweep"),
-        ("balance", "load-balancing study (compute vs communication)"),
-        ("check", "communication correctness analyzer (repro.check)"),
-        ("lint", "repo-invariant AST lint (repro.check.astlint)"),
-        ("probe", "Sect. 3 asynchronous-progress probe"),
-        ("bench", "guard suite: kernel, program and check ratios"),
-        ("serve", "persistent solver service: build once, stream requests"),
-        ("kernels", "the spMVM kernel and which executor computes its row sums"),
-        ("matrix", "build and describe one registry matrix"),
-        ("all", "run every experiment in sequence"),
-    ):
-        print(f"  {name:<7} {doc}")
+    print("available commands:")
+    commands = _subcommand_help(build_parser())
+    width = max(len(name) for name in commands)
+    for name, text in commands.items():
+        print(f"  {name:<{width}}  {text}")
     return 0
 
 
@@ -423,20 +403,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, fn, **kw):
-        p = sub.add_parser(name, help=fn.__doc__, **kw)
+    def add(name: str, fn, text: str):
+        p = sub.add_parser(name, help=text)
         p.set_defaults(fn=fn)
         return p
 
-    add("list", _cmd_list)
-    p1 = add("fig1", _cmd_fig1)
+    add("list", _cmd_list, "list the subcommands, one line each")
+    p1 = add("fig1", _cmd_fig1, "sparsity patterns (block occupancy) of HMEp / HMeP / sAMG")
     p1.add_argument("--scale", default="small")
     p1.add_argument("--grid", type=int, default=40)
-    add("fig2", _cmd_fig2)
-    add("fig3", _cmd_fig3)
-    p4 = add("fig4", _cmd_fig4)
+    add("fig2", _cmd_fig2, "node topologies (Westmere, Magny Cours)")
+    add("fig3", _cmd_fig3, "node-level performance analysis (both panels)")
+    p4 = add("fig4", _cmd_fig4, "scheme timelines (simulator Gantt charts)")
     p4.add_argument("--scale", default="small")
-    pt = add("trace", _cmd_trace)
+    pt = add("trace", _cmd_trace, "trace one simulated sweep (summary, metrics, Chrome JSON)")
     pt.add_argument("scheme", choices=("no_overlap", "naive_overlap", "task_mode"))
     pt.add_argument("--matrix", default="HMeP", choices=("HMeP", "HMEp", "sAMG"))
     pt.add_argument("--scale", default="small")
@@ -457,8 +437,12 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--metrics", action="store_true", help="print the flat metrics dict")
     pt.add_argument("--trace-json", metavar="PATH", default=None,
                     help="write Chrome trace_event JSON to PATH")
-    for name, fn in (("fig5", _cmd_fig5), ("fig6", _cmd_fig6), ("all", _cmd_all)):
-        p = add(name, fn)
+    for name, fn, text in (
+        ("fig5", _cmd_fig5, "HMeP strong scaling on the Westmere cluster"),
+        ("fig6", _cmd_fig6, "sAMG strong scaling on the Westmere cluster"),
+        ("all", _cmd_all, "run every experiment in sequence"),
+    ):
+        p = add(name, fn, text)
         p.add_argument("--scale", default="small",
                        help="matrix scale (tiny/small/medium; medium matches benchmarks)")
         p.add_argument("--nodes", type=_parse_nodes, default=(1, 2, 4, 8),
@@ -467,13 +451,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-cray", action="store_true", help="skip the Cray reference")
         if name == "all":
             p.add_argument("--grid", type=int, default=40)
-    add("kappa", _cmd_kappa)
-    for name, fn in (("kappa-predict", _cmd_kappa_predict),
-                     ("commvol", _cmd_commvol),
-                     ("balance", _cmd_balance)):
-        p = add(name, fn)
+    add("kappa", _cmd_kappa, "Sect. 2 κ determination + Eq. 2 split penalty")
+    for name, fn, text in (
+        ("kappa-predict", _cmd_kappa_predict, "predict κ from structure via the LRU cache model"),
+        ("commvol", _cmd_commvol, "internode communication volume vs node count"),
+        ("balance", _cmd_balance, "load-balancing study (compute vs communication)"),
+    ):
+        p = add(name, fn, text)
         p.add_argument("--scale", default="small")
-    pc = add("comm-plan", _cmd_comm_plan)
+    pc = add("comm-plan", _cmd_comm_plan, "direct vs node-aware halo-exchange plan (repro.comm)")
     pc.add_argument("--matrix", default="HMeP", choices=("HMeP", "HMEp", "sAMG"))
     pc.add_argument("--scale", default="small")
     pc.add_argument("--nodes", type=int, default=4)
@@ -484,13 +470,14 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("no_overlap", "naive_overlap", "task_mode"))
     pc.add_argument("--simulate", action="store_true",
                     help="also simulate both plans and print GFlop/s")
-    pcs = add("comm-plans", _cmd_comm_plans)
+    pcs = add("comm-plans", _cmd_comm_plans,
+              "plan accounting + simulated node-aware scaling sweep")
     pcs.add_argument("--scale", default="small")
     pcs.add_argument("--sweep-nodes", type=_parse_nodes, default=(1, 2, 4, 8),
                      help="node counts of the simulated torus sweep")
     pcs.add_argument("--no-sweep", action="store_true",
                      help="accounting tables only (skip the simulations)")
-    pk = add("check", _cmd_check)
+    pk = add("check", _cmd_check, "communication correctness analyzer (repro.check)")
     pk.add_argument("--matrix", default="HMeP", choices=("HMeP", "HMEp", "sAMG"))
     pk.add_argument("--scale", default="tiny")
     pk.add_argument("--nranks", type=int, default=4)
@@ -498,18 +485,18 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--seed-bug", metavar="NAME", default=None,
                     help="run a seeded-bug fixture (repro.check.SEED_BUGS) and require "
                          "its detector to fire")
-    pl = add("lint", _cmd_lint)
+    pl = add("lint", _cmd_lint, "repo-invariant AST lint (repro.check.astlint)")
     pl.add_argument("path", nargs="?", default=None,
                     help="tree to lint (default: the installed repro package)")
     pl.add_argument("--rule", metavar="NAME", default=None,
                     help="apply only this rule (see --list)")
     pl.add_argument("--list", action="store_true", help="list the rule catalog")
-    add("probe", _cmd_probe)
-    pb = add("bench", _cmd_bench)
+    add("probe", _cmd_probe, "Sect. 3 asynchronous-progress probe")
+    pb = add("bench", _cmd_bench, "guard suite: kernel, program and check ratios")
     pb.add_argument("--quick", action="store_true",
                     help="small matrix, few repeats (CI smoke mode; guards still enforced)")
     pb.add_argument("--seed", type=int, default=7)
-    ps = add("serve", _cmd_serve)
+    ps = add("serve", _cmd_serve, "persistent solver service: build once, stream requests")
     ps.add_argument("--matrix", default="HMeP", choices=("HMeP", "HMEp", "sAMG"))
     ps.add_argument("--scale", default="tiny")
     ps.add_argument("--nranks", type=int, default=4)
@@ -526,11 +513,17 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--model", metavar="PATH", default=None,
                     help="save the model here as a repro-model/2 file (matrix + "
                          "serving configuration) and serve from the copy rebuilt from it")
-    add("kernels", _cmd_kernels)
-    pm = add("matrix", _cmd_matrix)
+    add("kernels", _cmd_kernels, "the spMVM kernel and which executor computes its row sums")
+    pm = add("matrix", _cmd_matrix, "build and describe one registry matrix")
     pm.add_argument("name", choices=("HMeP", "HMEp", "sAMG"))
     pm.add_argument("--scale", default="tiny")
     return parser
+
+
+def _subcommand_help(parser: argparse.ArgumentParser) -> dict[str, str]:
+    """Each subcommand's one-line help, in the order *parser* defines them."""
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {action.dest: action.help for action in sub._choices_actions}
 
 
 def main(argv: list[str] | None = None) -> int:

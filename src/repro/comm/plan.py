@@ -71,7 +71,7 @@ class PlanValidationError(AssertionError):
 #: Message roles, in pipeline order.  Direct plans use only ``direct``.
 PHASES = ("direct", "gather", "forward", "scatter")
 
-#: Bytes per RHS element on the wire (float64); matches repro.core.halo.
+#: Bytes per RHS element on the wire (float64).
 ELEMENT_BYTES = 8
 
 

@@ -13,9 +13,8 @@ from repro.core.costs import PhaseCosts, phase_costs
 from repro.core.efficiency import fifty_percent_point, parallel_efficiency
 from repro.core.halo import HaloPlan, RankHalo, build_halo_plan, cached_halo_plan
 from repro.core.runner import SimulationResult, simulate_from_plan, simulate_spmvm
-from repro.core.schemes import SIM_SCHEMES, RankContext, rank_process
+from repro.core.schemes import RankContext, rank_process
 from repro.core.spmvm import (
-    SCHEMES,
     DistributedSpMVM,
     distributed_spmm,
     distributed_spmv,
@@ -30,8 +29,6 @@ __all__ = [
     "cached_halo_plan",
     "PhaseCosts",
     "phase_costs",
-    "SCHEMES",
-    "SIM_SCHEMES",
     "DistributedSpMVM",
     "distributed_spmv",
     "distributed_spmm",

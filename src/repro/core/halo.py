@@ -29,13 +29,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.comm.plan import ELEMENT_BYTES
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.partition import RowPartition
 
 __all__ = ["RankHalo", "HaloPlan", "build_halo_plan", "cached_halo_plan"]
-
-#: Bytes per RHS vector element on the wire (float64).
-ELEMENT_BYTES = 8
 
 
 @dataclass

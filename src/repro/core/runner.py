@@ -20,12 +20,13 @@ from repro.comm.plan import PLAN_KINDS, build_comm_plan
 from repro.comm.sim import SimExchange
 from repro.core.costs import phase_costs
 from repro.core.halo import HaloPlan, build_halo_plan
-from repro.core.schemes import SIM_SCHEMES, RankContext, rank_process
+from repro.core.schemes import RankContext, rank_process
 from repro.frame.core import Simulator
 from repro.frame.resources import FlowNetwork, ResourceStats
 from repro.frame.trace import TraceRecorder
 from repro.machine.affinity import plan_placement, ranks_for_mode
 from repro.machine.topology import ClusterSpec
+from repro.program.build import PROGRAM_SCHEMES
 from repro.smpi.api import MPIConfig, SimMPI
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.partition import partition_matrix
@@ -129,7 +130,7 @@ def simulate_from_plan(
     ``iterations`` is scaled accordingly so every per-MVM figure stays
     comparable.
     """
-    check_in(scheme, SIM_SCHEMES, "scheme")
+    check_in(scheme, PROGRAM_SCHEMES, "scheme")
     check_in(comm_plan, PLAN_KINDS, "comm_plan")
     check_positive_int(iterations, "iterations")
     check_positive_int(block_k, "block_k")

@@ -40,9 +40,7 @@ from repro.program.sim import sweep_process
 from repro.smpi.api import SimMPI
 from repro.util import check_in
 
-__all__ = ["SIM_SCHEMES", "RankContext", "rank_process"]
-
-SIM_SCHEMES = PROGRAM_SCHEMES
+__all__ = ["RankContext", "rank_process"]
 
 #: Cost of one OpenMP-style barrier among a rank's threads (seconds).
 OMP_BARRIER_SECONDS = 2.0e-6
@@ -136,7 +134,7 @@ def rank_process(
     every iteration in issue order (the simulated half of the golden
     cross-backend comparison).
     """
-    check_in(scheme, SIM_SCHEMES, "scheme")
+    check_in(scheme, PROGRAM_SCHEMES, "scheme")
     program = build_sweep(scheme, n_sweeps, pipeline=pipeline, block_k=ctx.block_k)
     for it in range(iterations):
         yield from sweep_process(ctx, program, it * n_sweeps, op_log=op_log)

@@ -72,7 +72,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.check.checker import Checker
 
 __all__ = [
-    "SCHEMES",
     "DistributedSpMVM",
     "distributed_spmv",
     "distributed_spmm",
@@ -80,8 +79,6 @@ __all__ = [
     "scatter_vector",
     "gather_vector",
 ]
-
-SCHEMES = PROGRAM_SCHEMES
 
 # Ledger aliases.  benchmarks/ledger/layers.py (_dispatch_rank,
 # stepped_sweep) reads engine.kernel.{spmv,spmv_add,spmm,spmm_add},
@@ -206,7 +203,7 @@ class DistributedSpMVM:
         out: np.ndarray | None = None,
     ) -> np.ndarray:
         """Run *scheme*'s program on validated input *x*."""
-        check_in(scheme, SCHEMES, "scheme")
+        check_in(scheme, PROGRAM_SCHEMES, "scheme")
         self.iterations += 1
         return execute_sweep(self, self.program(scheme), x, op_log=op_log, out=out)
 
@@ -344,7 +341,7 @@ def _rank_sweeps(A, x, nranks, block, scheme, iterations, comm_plan, ranks_per_n
     before any rank exists: ``scatter_vector`` slices, so a long *x*
     would lose its tail silently and a short one would fail on one rank.
     """
-    check_in(scheme, SCHEMES, "scheme")
+    check_in(scheme, PROGRAM_SCHEMES, "scheme")
     x = np.asarray(x, dtype=np.float64)
     ndim = 2 if block else 1
     if x.ndim != ndim or x.shape[0] != A.ncols:

@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 from repro.core.efficiency import fifty_percent_point, parallel_efficiency
 from repro.core.halo import build_halo_plan
 from repro.core.runner import SimulationResult, simulate_from_plan
-from repro.core.schemes import SIM_SCHEMES
 from repro.experiments.calibration import DEFAULT_NODE_COUNTS, REDUCED_EAGER_THRESHOLD
 from repro.machine.affinity import ranks_for_mode
 from repro.machine.presets import cray_xe6_cluster, westmere_cluster
 from repro.machine.topology import ClusterSpec
+from repro.program.build import PROGRAM_SCHEMES
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.partition import partition_matrix
 from repro.util import Table, ascii_chart
@@ -92,7 +92,7 @@ class ScalingStudy:
                 float_fmt=".2f",
             )
             chart_series = {}
-            for scheme in SIM_SCHEMES:
+            for scheme in PROGRAM_SCHEMES:
                 nodes, gf = self.series(mode, scheme)
                 if not nodes:
                     continue
@@ -166,7 +166,7 @@ def run_scaling_study(
     *,
     node_counts: tuple[int, ...] = DEFAULT_NODE_COUNTS,
     modes: tuple[str, ...] = _MODES,
-    schemes: tuple[str, ...] = SIM_SCHEMES,
+    schemes: tuple[str, ...] = PROGRAM_SCHEMES,
     include_cray: bool = True,
     eager_threshold: int = REDUCED_EAGER_THRESHOLD,
     max_ranks: int | None = None,

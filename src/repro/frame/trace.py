@@ -69,19 +69,19 @@ _GANTT_POOL = _GANTT_PRIMARY + "".join(
 
 @dataclass
 class TraceRecorder:
-    """Collects activity intervals and structured events during a run."""
+    """Collects activity intervals and structured events during a run.
+
+    There is no off switch on the recorder: an untraced run passes none.
+    """
 
     intervals: list[Interval] = field(default_factory=list)
     events: list[TraceEvent] = field(default_factory=list)
-    enabled: bool = True
 
     # ------------------------------------------------------------------
     # recording
     # ------------------------------------------------------------------
     def record(self, actor: str, label: str, start: float, end: float) -> None:
-        """Add one interval (no-op when disabled)."""
-        if not self.enabled:
-            return
+        """Add one interval."""
         if end < start:
             raise ValueError(f"interval ends before it starts ({start} .. {end})")
         self.intervals.append(Interval(actor, label, start, end))
@@ -89,9 +89,7 @@ class TraceRecorder:
     def emit(
         self, time: float, actor: str, name: str, category: str = "", **args: Any
     ) -> None:
-        """Add one structured event (no-op when disabled)."""
-        if not self.enabled:
-            return
+        """Add one structured event."""
         self.events.append(TraceEvent(time, actor, name, category, args))
 
     # ------------------------------------------------------------------
@@ -135,29 +133,17 @@ class TraceRecorder:
         )
 
     def phase_windows(self, label: str, actor: str | None = None) -> list[tuple[float, float]]:
-        """``(start, end)`` windows of one compute-phase label.
+        """``(start, end)`` windows of one compute-phase label, paired
+        from its ``phase_begin`` / ``phase_end`` events."""
 
-        Prefers the structured ``phase_begin``/``phase_end`` event pairs;
-        falls back to recorded intervals with that label when no events
-        were emitted (older traces).
-        """
-        begins = [
-            ev
-            for ev in self.events_named("phase_begin", "phase")
-            if ev.args.get("label") == label and (actor is None or ev.actor == actor)
-        ]
-        ends = [
-            ev
-            for ev in self.events_named("phase_end", "phase")
-            if ev.args.get("label") == label and (actor is None or ev.actor == actor)
-        ]
-        if begins and len(begins) == len(ends):
-            return [(b.time, e.time) for b, e in zip(begins, ends)]
-        return [
-            (iv.start, iv.end)
-            for iv in sorted(self.intervals, key=lambda iv: iv.start)
-            if iv.label == label and (actor is None or iv.actor == actor)
-        ]
+        def times(name: str) -> list[float]:
+            return [
+                ev.time
+                for ev in self.events_named(name, "phase")
+                if ev.args.get("label") == label and (actor is None or ev.actor == actor)
+            ]
+
+        return list(zip(times("phase_begin"), times("phase_end")))
 
     def makespan(self) -> float:
         """End of the last interval / latest event (0 when empty)."""

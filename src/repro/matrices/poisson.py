@@ -3,7 +3,7 @@
 Standard 5-point (2-D) and 7-point (3-D) Laplacians with Dirichlet
 boundary conditions, assembled directly in triplet form.  These serve as
 well-understood reference workloads next to the paper's two application
-matrices, and as the smoothing/coarse-grid substrate of the AMG solver.
+matrices.
 """
 
 from __future__ import annotations

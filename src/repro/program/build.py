@@ -50,9 +50,8 @@ __all__ = [
     "all_sweep_programs",
 ]
 
-#: The Fig. 4 schemes, in paper order — the one spelling;
-#: ``repro.core.spmvm.SCHEMES`` and ``repro.core.schemes.SIM_SCHEMES``
-#: are bindings of this tuple.
+#: The Fig. 4 schemes, in paper order: the one name for them, which the
+#: real backend, the simulator and the service all import.
 PROGRAM_SCHEMES = ("no_overlap", "naive_overlap", "task_mode")
 
 

@@ -16,7 +16,6 @@ from repro.sparse import native
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.kron import kron, kron_diag_left
-from repro.sparse.matmul import matmul
 from repro.sparse.partition import (
     RowPartition,
     partition_matrix,
@@ -46,7 +45,6 @@ __all__ = [
     "partition_rows_balanced",
     "kron",
     "kron_diag_left",
-    "matmul",
     "OccupancyGrid",
     "block_occupancy",
     "cuthill_mckee",

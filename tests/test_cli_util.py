@@ -32,6 +32,22 @@ def test_cli_list(capsys):
     assert "fig5" in out and "probe" in out
 
 
+def test_every_subcommand_has_one_help_line_and_one_list_row(capsys):
+    # the parser is the one table of subcommands: each carries a one-line
+    # help, and `repro list` prints each exactly once from it
+    import argparse
+
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {action.dest: action.help for action in sub._choices_actions}
+    assert set(helps) == set(sub.choices) and len(helps) >= 20
+    for name, text in helps.items():
+        assert text and "\n" not in text and len(text) <= 72, name
+    assert main(["list"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert sorted(row.split()[0] for row in rows) == sorted(helps)
+    assert len({row.index(helps[row.split()[0]]) for row in rows}) == 1  # one column
+
+
 def test_cli_matrix(capsys):
     assert main(["matrix", "HMeP", "--scale", "tiny"]) == 0
     out = capsys.readouterr().out

@@ -6,12 +6,12 @@ import pytest
 from repro.comm import RankExchange, build_comm_plan
 from repro.core.halo import build_halo_plan, cached_halo_plan
 from repro.core.spmvm import (
-    SCHEMES,
     DistributedSpMVM,
     distributed_spmm,
     distributed_spmv,
 )
 from repro.matrices import random_sparse
+from repro.program import PROGRAM_SCHEMES
 from repro.sparse import partition_matrix
 
 
@@ -20,7 +20,7 @@ def rng():
     return np.random.default_rng(42)
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme", PROGRAM_SCHEMES)
 @pytest.mark.parametrize("nranks,ranks_per_node", [(6, 2), (8, 4)])
 def test_node_aware_spmv_bit_identical(hmep_tiny, rng, scheme, nranks, ranks_per_node):
     x = rng.standard_normal(hmep_tiny.nrows)
@@ -32,7 +32,7 @@ def test_node_aware_spmv_bit_identical(hmep_tiny, rng, scheme, nranks, ranks_per
     assert np.array_equal(direct, na)  # bit-identical, not just close
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme", PROGRAM_SCHEMES)
 def test_node_aware_spmv_samg_and_random(samg_tiny, rng, scheme):
     for A in (samg_tiny, random_sparse(500, nnzr=9, seed=5)):
         x = rng.standard_normal(A.nrows)
@@ -43,7 +43,7 @@ def test_node_aware_spmv_samg_and_random(samg_tiny, rng, scheme):
         assert np.array_equal(direct, na)
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme", PROGRAM_SCHEMES)
 @pytest.mark.parametrize("k", [1, 3, 8])
 def test_node_aware_block_bit_identical(hmep_tiny, rng, scheme, k):
     X = rng.standard_normal((hmep_tiny.nrows, k))

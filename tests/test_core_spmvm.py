@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core import DistributedSpMVM, build_halo_plan, distributed_spmv
-from repro.core.spmvm import SCHEMES, gather_vector, scatter_vector
+from repro.core.spmvm import gather_vector, scatter_vector
 from repro.matrices import random_sparse
 from repro.mpilite import PerRank, run_spmd
+from repro.program import PROGRAM_SCHEMES
 from repro.sparse import partition_matrix, partition_rows_balanced
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme", PROGRAM_SCHEMES)
 @pytest.mark.parametrize("nranks", [1, 2, 5])
 def test_distributed_matches_serial(random_300, rng, scheme, nranks):
     x = rng.standard_normal(300)
@@ -59,7 +60,7 @@ def test_all_schemes_identical_results(random_300, rng):
     # floating-point summation order is fixed (local part, then remote),
     # so all three schemes agree bitwise
     x = rng.standard_normal(300)
-    ys = [distributed_spmv(random_300, x, 4, scheme=s) for s in SCHEMES]
+    ys = [distributed_spmv(random_300, x, 4, scheme=s) for s in PROGRAM_SCHEMES]
     assert np.array_equal(ys[0], ys[1])
     assert np.array_equal(ys[0], ys[2])
 

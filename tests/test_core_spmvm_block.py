@@ -10,13 +10,14 @@ from repro.core import (
     distributed_spmm,
     distributed_spmv,
 )
-from repro.core.spmvm import SCHEMES, gather_vector, scatter_vector
+from repro.core.spmvm import gather_vector, scatter_vector
 from repro.matrices import random_sparse
 from repro.mpilite import PerRank, run_spmd
+from repro.program import PROGRAM_SCHEMES
 from repro.sparse import partition_matrix
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme", PROGRAM_SCHEMES)
 @pytest.mark.parametrize("nranks", [1, 2, 5])
 def test_distributed_block_matches_serial(random_300, rng, scheme, nranks):
     X = rng.standard_normal((300, 4))
@@ -37,7 +38,7 @@ def test_block_columns_bit_identical_to_single_vector(random_300, rng, k):
 def test_all_schemes_agree_with_sequential_block_product(random_300, rng):
     X = rng.standard_normal((300, 5))
     ref = random_300.to_dense() @ X
-    results = [distributed_spmm(random_300, X, 4, scheme=s) for s in SCHEMES]
+    results = [distributed_spmm(random_300, X, 4, scheme=s) for s in PROGRAM_SCHEMES]
     for Y in results:
         assert np.allclose(Y, ref, atol=1e-11)
     # fp summation order is fixed (local part then remote), so bitwise equal
@@ -51,7 +52,7 @@ def test_block_on_hamiltonian(hmep_tiny, rng):
     assert np.allclose(Y, hmep_tiny.to_dense() @ X, atol=1e-11)
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme", PROGRAM_SCHEMES)
 def test_block_sends_one_message_per_peer_per_batch(random_300, rng, scheme):
     # the whole point of batching: k columns ride in ONE message per peer
     partition = partition_matrix(random_300, 4)
@@ -89,7 +90,7 @@ def test_block_sends_one_message_per_peer_per_batch(random_300, rng, scheme):
     )
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme", PROGRAM_SCHEMES)
 def test_multiply_block_into_callers_buffer(random_300, rng, scheme):
     # out= is where the kernels write: the same bits, and no array per call
     partition = partition_matrix(random_300, 3)

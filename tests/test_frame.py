@@ -260,11 +260,17 @@ def test_trace_rejects_negative_interval():
         tr.record("a", "x", 2.0, 1.0)
 
 
-def test_trace_disabled():
-    tr = TraceRecorder(enabled=False)
-    tr.record("a", "x", 0.0, 1.0)
-    assert tr.intervals == []
-    assert tr.render_gantt() == "(empty trace)"
+def _simulated_sweep(hmep_tiny, trace):
+    from repro.core import simulate_spmvm
+    from repro.machine import westmere_cluster
+
+    return simulate_spmvm(hmep_tiny, westmere_cluster(1), scheme="task_mode", trace=trace)
+
+
+def test_trace_disabled(hmep_tiny):
+    # the one off switch: an untraced run hands the simulator no recorder
+    assert _simulated_sweep(hmep_tiny, trace=False).trace is None
+    assert TraceRecorder().render_gantt() == "(empty trace)"
 
 
 def test_gantt_cycles_letters_beyond_pool():
@@ -296,10 +302,12 @@ def test_trace_events_emit_and_query():
     assert tr.makespan() == 2.0
 
 
-def test_trace_events_disabled():
-    tr = TraceRecorder(enabled=False)
-    tr.emit(1.0, "a", "x")
-    assert tr.events == []
+def test_trace_events_disabled(hmep_tiny):
+    # the recorder only watches: tracing on or off, the run is the same
+    off = _simulated_sweep(hmep_tiny, trace=False)
+    on = _simulated_sweep(hmep_tiny, trace=True)
+    assert on.trace.events and on.trace.intervals
+    assert on.total_seconds == off.total_seconds
 
 
 def test_flow_network_resource_stats():

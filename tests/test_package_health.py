@@ -128,10 +128,11 @@ KEPT = {
     "CommPlan.validate": "validates a plan built outside the lowering (raises with findings)",
     "SweepProgram.signature": "oracle of the golden cross-backend op-sequence tests",
     "poisson_1d": "input of the cache-model test (sequential RHS access)",
-    "poisson_2d": "input of the CG, Lanczos, AMG and RCM tests",
+    "poisson_2d": "input of the CG, Lanczos and RCM tests",
     "poisson_3d": "the 7-point member of the Poisson test-matrix family",
     "random_banded": "input of the nearest-neighbour halo test",
     "random_symmetric": "symmetric test-matrix generator beside random_sparse",
+    "CSRMatrix.diagonal": "oracle of the random_sparse diagonal and symmetric-storage tests",
     "NativeStatus.to_dict": "ROADMAP item 8(d) records native.status() per ledger run",
     "ProcComm.scatter": "mpilite/procs.py stays whole until ROADMAP item 8(e) deletes it",
 }
@@ -157,14 +158,14 @@ def _public_definitions(root: Path):
     return found
 
 
-def _referenced_names(root: Path) -> set[str]:
-    """Every name the code outside ``tests/`` reads: names, attributes,
-    the quoted attribute of ``getattr`` / ``hasattr`` / ``setattr``, and
-    the words of the CI workflows."""
+def _referenced_names(root: Path, folders=("src", "examples", "benchmarks")) -> set[str]:
+    """Every name the code in *folders* reads: names, attributes, the
+    quoted attribute of ``getattr`` / ``hasattr`` / ``setattr``, and the
+    words of the CI workflows."""
     import ast
 
     seen: set[str] = set()
-    for folder in ("src", "examples", "benchmarks"):
+    for folder in folders:
         for path in (root / folder).rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Name):
@@ -198,6 +199,33 @@ def test_every_public_name_has_a_caller():
     stale = set(KEPT) - {qual for _, qual in uncalled}
     assert not stale, f"KEPT entries that are gone or have a caller now: {sorted(stale)}"
     assert len(KEPT) <= 12
+
+
+#: Public definitions that only ``examples/`` reads, each with the paper
+#: artefact or ROADMAP item it serves: an example is a caller, but not a
+#: reason on its own.
+EXAMPLE_ONLY = {
+    "kpm_spectrum": "KPM, a motivating application of the paper's Sect. 1 (ROADMAP item 9)",
+    "KPMSpectrum.normalized": "the KPM density of states, Sect. 1 (ROADMAP item 9)",
+    "ChebyshevPropagator": "Chebyshev time propagation, Sect. 1 (ROADMAP item 9)",
+    "spectral_bounds": "the spectral interval KPM and Chebyshev rescale to, Sect. 1",
+    "CSRMatrix.to_dense": "the dense check of the HMeP ground state in the ED example (Sect. 1)",
+    "COOMatrix.to_dense": "same name as CSRMatrix.to_dense; the COO -> CSR property oracle",
+}
+
+
+def test_every_example_only_name_serves_an_artefact():
+    # a name kept alive by an example alone must say which paper artefact
+    # or ROADMAP item it serves, or go with the example's section
+    root = Path(__file__).resolve().parent.parent
+    shown = (_referenced_names(root, ("examples",))
+             - _referenced_names(root, ("src", "benchmarks")))
+    example_only = {qual for _, qual in _public_definitions(root)
+                    if qual.rsplit(".", 1)[-1] in shown}
+    unnamed = sorted(example_only - set(EXAMPLE_ONLY))
+    assert not unnamed, f"public names only examples/ reads, with no artefact: {unnamed}"
+    stale = sorted(set(EXAMPLE_ONLY) - example_only)
+    assert not stale, f"EXAMPLE_ONLY entries that are gone or have another caller: {stale}"
 
 
 #: The only signatures that take the one observer of a checked run.

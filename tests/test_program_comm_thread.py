@@ -25,10 +25,11 @@ import pytest
 from repro.check import Checker
 from repro.check.fixtures import SEEDED_PROGRAMS
 from repro.core.halo import cached_halo_plan
-from repro.core.spmvm import SCHEMES, DistributedSpMVM, distributed_spmv, scatter_vector
+from repro.core.spmvm import DistributedSpMVM, distributed_spmv, scatter_vector
 from repro.mpilite.comm import CollectiveState, Comm
 from repro.mpilite.router import Router
 from repro.mpilite.world import PerRank, World, run_spmd
+from repro.program.build import PROGRAM_SCHEMES
 from repro.program.exec import UnjoinedCommThreadError, execute_sweep
 from repro.program.ir import SweepOp, SweepProgram
 from repro.program.lint import lint_sweep_program
@@ -121,7 +122,7 @@ def test_reused_engine_reproduces_fresh_engine_bits(hmep_tiny, rng):
     # bits a fresh engine computes for that call alone
     plan = cached_halo_plan(hmep_tiny, 2, with_matrices=True)
     x = rng.standard_normal(hmep_tiny.nrows)
-    calls = [(scheme, k) for k in (1, 8, 3, 1) for scheme in SCHEMES]
+    calls = [(scheme, k) for k in (1, 8, 3, 1) for scheme in PROGRAM_SCHEMES]
 
     def fn(comm, halo):
         xl = scatter_vector(x, plan.partition, comm.rank)

@@ -18,10 +18,10 @@ import numpy as np
 import pytest
 
 from repro.core import cached_halo_plan, distributed_spmm, distributed_spmv, simulate_from_plan
-from repro.core.spmvm import SCHEMES, DistributedSpMVM, lower_comm_plan, scatter_vector
+from repro.core.spmvm import DistributedSpMVM, lower_comm_plan, scatter_vector
 from repro.machine import westmere_cluster
 from repro.mpilite import PerRank, run_spmd
-from repro.program import WORK_OPS, SweepOp, build_sweep
+from repro.program import PROGRAM_SCHEMES, WORK_OPS, SweepOp, build_sweep
 from repro.sparse import partition_matrix
 from repro.sparse.spmm import spmm, spmm_add
 from repro.sparse.spmv import spmv, spmv_add
@@ -118,7 +118,7 @@ def split_kernel_reference(A, x, nranks):
 GOLDEN = {1: GOLDEN_SIGNATURES, N_SWEEPS: GOLDEN_CHAIN_SIGNATURES}
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme", PROGRAM_SCHEMES)
 @pytest.mark.parametrize("plan_kind", ["direct", "node-aware"])
 @pytest.mark.parametrize(
     "width,n_sweeps",
@@ -173,7 +173,7 @@ def test_cross_backend_golden(
     assert np.array_equal(np.concatenate([y for y, _log in out]), ref)
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme", PROGRAM_SCHEMES)
 def test_multi_sweep_frozen_signature(scheme):
     sig = build_sweep(scheme, N_SWEEPS).signature()
     assert sig == GOLDEN_CHAIN_SIGNATURES[scheme]
@@ -199,12 +199,12 @@ def test_all_combinations_bit_identical(golden_matrix, golden_x, golden_X):
     spmv_results = [
         distributed_spmv(A, golden_x, NRANKS, scheme=scheme,
                          comm_plan=cp, ranks_per_node=2)
-        for scheme in SCHEMES for cp in ("direct", "node-aware")
+        for scheme in PROGRAM_SCHEMES for cp in ("direct", "node-aware")
     ]
     spmm_results = [
         distributed_spmm(A, golden_X, NRANKS, scheme=scheme,
                          comm_plan=cp, ranks_per_node=2)
-        for scheme in SCHEMES for cp in ("direct", "node-aware")
+        for scheme in PROGRAM_SCHEMES for cp in ("direct", "node-aware")
     ]
     for y in spmv_results[1:]:
         assert np.array_equal(y, spmv_results[0])

@@ -3,8 +3,6 @@
 
 import pytest
 
-from repro.core.schemes import SIM_SCHEMES
-from repro.core.spmvm import SCHEMES
 from repro.program import (
     PROGRAM_SCHEMES,
     SweepOp,
@@ -80,8 +78,14 @@ def test_walk_and_signature_delimit_comm_thread():
 # builders
 # ----------------------------------------------------------------------
 def test_scheme_tuples_agree_with_builders():
-    # the builders own the tuple; the backend-facing names only bind it
-    assert SCHEMES is PROGRAM_SCHEMES and SIM_SCHEMES is PROGRAM_SCHEMES
+    # the builders own the one tuple; no backend binds a second name to it
+    import repro.core
+    import repro.core.schemes
+    import repro.core.spmvm
+
+    for mod in (repro.core, repro.core.schemes, repro.core.spmvm):
+        assert not hasattr(mod, "SCHEMES") and not hasattr(mod, "SIM_SCHEMES"), mod
+    assert [build_sweep(s).scheme for s in PROGRAM_SCHEMES] == list(PROGRAM_SCHEMES)
 
 
 def test_all_builder_outputs_lint_clean():

@@ -1,22 +1,16 @@
-"""Chebyshev propagation, KPM spectral density, and the AMG hierarchy."""
+"""Chebyshev propagation and the KPM spectral density."""
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from repro.matrices import build_samg_like, poisson_2d
 from repro.solvers import (
     ChebyshevPropagator,
     SerialOperator,
-    build_amg,
-    cf_splitting,
     chebyshev_moments,
-    conjugate_gradient,
-    direct_interpolation,
     jackson_kernel,
     kpm_spectrum,
     spectral_bounds,
-    strength_graph,
 )
 
 
@@ -103,89 +97,3 @@ def test_kpm_matches_histogram_of_dense_spectrum(hmep_tiny, ham_op, ham_bounds):
                             spec.energies[spec.energies <= e]) for e in grid]
     cdf_ref = [(w <= e).mean() for e in grid]
     assert np.abs(np.array(cdf_kpm) - np.array(cdf_ref)).max() < 0.06
-
-
-# ----------------------------------------------------------------------
-# AMG
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def fv_matrix():
-    return build_samg_like(2500, seed=3)
-
-
-def test_strength_graph_structure(fv_matrix):
-    S = strength_graph(fv_matrix, theta=0.25)
-    assert S.nrows == fv_matrix.nrows
-    # no self loops
-    rows = np.repeat(np.arange(S.nrows), S.row_nnz())
-    assert not np.any(rows == S.col_idx)
-
-
-def test_cf_splitting_covers_strong_points(fv_matrix):
-    S = strength_graph(fv_matrix)
-    coarse = cf_splitting(S)
-    assert 0 < coarse.sum() < fv_matrix.nrows
-    # every fine point with strong connections has a coarse strong neighbour
-    fine = np.flatnonzero(~coarse)
-    violations = 0
-    for i in fine:
-        neigh = S.col_idx[S.row_ptr[i] : S.row_ptr[i + 1]]
-        if neigh.size and not coarse[neigh].any():
-            violations += 1
-    assert violations / max(1, fine.size) < 0.02
-
-
-def test_interpolation_preserves_constants(fv_matrix):
-    # direct interpolation of the constant vector must stay ~constant on
-    # fine points with usable coarse neighbours (M-matrix property)
-    S = strength_graph(fv_matrix)
-    coarse = cf_splitting(S)
-    P = direct_interpolation(fv_matrix, S, coarse)
-    ones_c = np.ones(P.ncols)
-    interp = P @ ones_c
-    covered = interp > 0
-    assert np.abs(interp[covered] - 1.0).max() < 0.6
-
-
-def test_amg_vcycle_converges(fv_matrix, rng):
-    hier = build_amg(fv_matrix)
-    assert hier.n_levels >= 3
-    assert hier.operator_complexity() < 3.0
-    b = fv_matrix @ rng.standard_normal(fv_matrix.nrows)
-    x, cycles, rel = hier.solve(b, tol=1e-8, max_cycles=80)
-    assert rel <= 1e-8
-    assert cycles < 80
-
-
-def test_amg_preconditioned_cg_faster(fv_matrix, rng):
-    b = fv_matrix @ rng.standard_normal(fv_matrix.nrows)
-    op = SerialOperator(fv_matrix)
-    plain = conjugate_gradient(op, b, tol=1e-8, max_iter=3000)
-    hier = build_amg(fv_matrix)
-    pcg = conjugate_gradient(op, b, tol=1e-8, max_iter=3000,
-                             preconditioner=hier.as_preconditioner())
-    assert pcg.converged
-    assert pcg.iterations < plain.iterations / 2
-
-
-def test_amg_on_structured_poisson(rng):
-    A = poisson_2d(24)
-    hier = build_amg(A)
-    b = A @ rng.standard_normal(A.nrows)
-    _x, cycles, rel = hier.solve(b, tol=1e-8)
-    assert rel <= 1e-8
-
-
-def test_amg_tiny_matrix_single_level():
-    A = poisson_2d(4)  # 16 rows < coarse_size
-    hier = build_amg(A, coarse_size=60)
-    b = np.ones(A.nrows)
-    x, _cycles, rel = hier.solve(b, tol=1e-10)
-    assert rel <= 1e-10
-
-
-def test_amg_requires_square():
-    from repro.sparse import CSRMatrix
-
-    with pytest.raises(ValueError, match="square"):
-        build_amg(CSRMatrix.from_dense(np.ones((3, 4))))
