@@ -116,6 +116,7 @@ class HotPathAllocRule(AstRule):
         "sparse/spmm.py",
         "sparse/native.py",
         "program/exec.py",
+        "mpilite/team.py",
         "core/spmvm.py",
         "comm/exec.py",
     )
@@ -143,9 +144,12 @@ class HotPathAllocRule(AstRule):
             "_post_recvs", "_pack", "_post_sends", "_waitall",
             "_local_spmvm", "_remote_spmvm", "_full_spmvm",
             "execute_sweep", "_check_single_sweep", "_issue", "_barrier_main",
-            # a COMM_THREAD region's hand-off, completion wait and reap
-            "_hand_off", "_reap_comm_thread", "run", "hand_off", "wait",
+            # a COMM_THREAD region's hand-off and reap
+            "_hand_off", "_reap_comm_thread",
         }),
+        # the team thread's job loop, hand-off and completion wait, and
+        # the borrow / give-back of every one-shot call
+        "mpilite/team.py": frozenset({"run", "hand_off", "wait", "borrow", "give_back"}),
         "core/spmvm.py": frozenset({
             "sweep_buffers", "post_halo_receives",
             "fill_send_buffers", "send_buffers", "complete_halo_receives",
@@ -332,7 +336,7 @@ class CommVocabRule(AstRule):
 
     name = "comm-thread-vocabulary"
     description = "no mpilite calls from compute-side op handlers"
-    suffixes = ("program/exec.py", "core/spmvm.py", "comm/exec.py")
+    suffixes = ("program/exec.py", "mpilite/team.py", "core/spmvm.py", "comm/exec.py")
 
     MPI_CALLS = frozenset({
         "send", "recv", "irecv", "sendrecv", "Send", "Recv", "Isend", "Irecv",
@@ -344,8 +348,8 @@ class CommVocabRule(AstRule):
             # the main path's side of a COMM_THREAD region is pure
             # synchronisation: hand-off and completion wait
             "_hand_off", "_barrier_main", "_reap_comm_thread",
-            "hand_off", "wait",
         }),
+        "mpilite/team.py": frozenset({"hand_off", "wait"}),
         "core/spmvm.py": frozenset({
             "sweep_buffers", "fill_send_buffers", "halo_view",
         }),

@@ -31,12 +31,14 @@ the buffers are immediately reusable, exactly the ``MPI_Send``
 guarantee.
 
 The task-mode communication thread is a team thread, as in the paper:
-each engine parks ONE (:class:`~repro.program.exec.CommThread`), started
-by the first ``COMM_THREAD`` region it runs and handed every later
-region through a mailbox, so a sweep pays two queue hand-offs, not a
-thread start and a join.  Vector-mode engines never start it.  Whoever
-builds an engine closes it (:meth:`DistributedSpMVM.close`, or ``with``);
-an engine that is dropped unclosed stops its thread from a finalizer.
+each engine borrows ONE from the process-wide team
+(:mod:`repro.mpilite.team`) at its first ``COMM_THREAD`` region and
+hands it every region through a mailbox, so a sweep pays two queue
+hand-offs, not a thread start and a join — and the next engine borrows
+a parked thread instead of starting one.  Vector-mode engines never
+borrow one.  Whoever builds an engine closes it
+(:meth:`DistributedSpMVM.close`, or ``with``), which gives the thread
+back; an engine that is dropped unclosed gives it back from a finalizer.
 
 Note on Python: the compiled row-sum executor (:mod:`repro.sparse.native`)
 releases the GIL for the whole kernel call, so the comm thread's sends
@@ -58,9 +60,10 @@ from repro.comm.exec import RankExchange
 from repro.comm.plan import PLAN_KINDS, CommPlan, cached_comm_plan
 from repro.core.halo import RankHalo, cached_halo_plan
 from repro.mpilite.comm import Comm
+from repro.mpilite.team import TeamThread, borrow, give_back
 from repro.mpilite.world import PerRank, run_spmd
 from repro.program.build import PROGRAM_SCHEMES, cached_sweep_program
-from repro.program.exec import CommThread, execute_sweep
+from repro.program.exec import execute_sweep
 from repro.program.ir import SweepProgram
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.partition import RowPartition
@@ -113,7 +116,7 @@ class DistributedSpMVM:
     and notes every buffer access and comm-thread hand-off in domain
     ``rank{comm.rank}``.
 
-    An engine that has run a task-mode sweep owns a parked thread:
+    An engine that has run a task-mode sweep holds a team thread:
     :meth:`close` it (or use it as a context manager) when done.
     """
 
@@ -146,37 +149,36 @@ class DistributedSpMVM:
         # cached here so halo_view stays allocation-free per sweep
         self._zero_halo = np.zeros(1)
         self._zero_halo_blocks: dict[int, np.ndarray] = {}
-        #: the parked communication thread; None until the first
+        #: the borrowed communication thread; None until the first
         #: COMM_THREAD region and again after close()
-        self.comm_thread: CommThread | None = None
+        self.comm_thread: TeamThread | None = None
         self.iterations = 0
 
-    def team_thread(self) -> CommThread:
+    def team_thread(self) -> TeamThread:
         """The thread every COMM_THREAD region of this engine runs on.
 
-        Created (not yet started — the first hand-off does that) on
-        first use.  It refers to nothing of the engine while parked, so
-        the finalizer registered here stops it when an engine is
+        Borrowed from the team, as ``comm-thread-<rank>``, on first use.
+        Between regions it refers to nothing of the engine, so the
+        finalizer registered here gives it back when an engine is
         dropped without :meth:`close`.
         """
         team = self.comm_thread
         if team is None:
-            team = self.comm_thread = CommThread(f"comm-thread-{self.comm.rank}")
-            self._stop_comm_thread = weakref.finalize(self, team.stop)
+            team = self.comm_thread = borrow(f"comm-thread-{self.comm.rank}")
+            self._give_back = weakref.finalize(self, give_back, team)
         return team
 
     def close(self) -> None:
-        """Stop the parked communication thread and wait for it to exit.
+        """Give the communication thread back to the team.
 
-        Idempotent, and a no-op for an engine that never ran a
-        COMM_THREAD region.  The engine stays usable: a task-mode sweep
-        after ``close()`` starts a fresh thread (close again after it).
+        Call it from the thread that sweeps, between sweeps.  Idempotent,
+        and a no-op for an engine that never ran a COMM_THREAD region.
+        The engine stays usable: a task-mode sweep after ``close()``
+        borrows a thread again (close again after it).
         """
-        team, self.comm_thread = self.comm_thread, None
-        if team is not None:
-            self._stop_comm_thread()  # posts the sentinel, once
-            if team.ident is not None:
-                team.join()
+        if self.comm_thread is not None:
+            self.comm_thread = None
+            self._give_back()  # the finalizer, run now and only once
 
     def __enter__(self) -> "DistributedSpMVM":
         return self

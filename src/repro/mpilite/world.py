@@ -1,10 +1,11 @@
 """Launching SPMD functions on an mpilite world.
 
-:func:`run_spmd` is the ``mpiexec`` equivalent: it spawns one thread per
-rank, hands each a :class:`~repro.mpilite.comm.Comm`, runs the given
-function everywhere and collects the per-rank return values.  Exceptions
-on any rank are re-raised on the caller (first failing rank wins) so
-test failures stay loud.
+:func:`run_spmd` is the ``mpiexec`` equivalent: it borrows one thread
+per rank from the process-wide team (:mod:`repro.mpilite.team`), hands
+each a :class:`~repro.mpilite.comm.Comm`, runs the given function
+everywhere, collects the per-rank return values and parks the threads
+again.  Exceptions on any rank are re-raised on the caller (first
+failing rank wins) so test failures stay loud.
 
 :class:`World` is the shared runtime itself (router, collective state,
 one communicator per rank); built directly, the caller keeps it alive
@@ -21,11 +22,14 @@ each communicator through its router.
 
 from __future__ import annotations
 
+import functools
 import threading
+import time
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.mpilite.comm import CollectiveState, Comm
 from repro.mpilite.router import Router
+from repro.mpilite.team import borrow, give_back
 from repro.util import check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -102,8 +106,11 @@ def run_spmd(
     A rank whose ``fn`` raises aborts the world, so peers blocked on it
     fail at once, and the ``RuntimeError`` raised here names that rank
     and chains its exception — the first failure, not its casualties.
+    A rank still running after *timeout* seconds keeps its thread, which
+    ends when the rank does instead of going back to the team.
     """
     nranks = check_positive_int(nranks, "nranks")
+    deadline = time.monotonic() + timeout
     world = World(nranks, recv_timeout=recv_timeout, observer=observer)
     results: list[Any] = [None] * nranks
     errors: list[tuple[int, BaseException]] = []
@@ -128,19 +135,20 @@ def run_spmd(
             if observer is not None:
                 observer.on_rank_finished(rank)
 
-    threads = [
-        threading.Thread(target=runner, args=(r,), name=f"mpilite-rank-{r}", daemon=True)
-        for r in range(nranks)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=timeout)
-    alive = [t for t in threads if t.is_alive()]
-    if alive:
+    threads = [borrow(f"mpilite-rank-{r}") for r in range(nranks)]
+    for r, thread in enumerate(threads):
+        thread.hand_off(functools.partial(runner, r))
+    stuck = []
+    for thread in threads:
+        if thread.wait(max(0.0, deadline - time.monotonic())):
+            give_back(thread)
+        else:
+            stuck.append(thread.name)
+            thread.retire()
+    if stuck:
         raise TimeoutError(
-            f"{len(alive)} rank(s) did not finish within {timeout} s "
-            f"(likely an mpilite deadlock): {[t.name for t in alive]}"
+            f"{len(stuck)} rank(s) did not finish within {timeout} s "
+            f"(likely an mpilite deadlock): {stuck}"
         )
     if errors:
         rank, exc = errors[0]  # the first failure in time; the rest are its casualties

@@ -17,11 +17,11 @@ One interpreter covers every case:
   same op handlers (every buffer fill and kernel call is axis-0 based),
 * the four communication ops are the engine's four phase methods,
   whatever plan (direct or node-aware) the engine compiled,
-* ``COMM_THREAD`` hands the body ops to the engine's parked
-  communication thread (:class:`CommThread` — Fig. 4c's team thread,
-  started by the engine's first region and kept across sweeps); the
-  main-path ``OMP_BARRIER`` that follows waits for the region's
-  completion token where a spawned thread would be joined.
+* ``COMM_THREAD`` hands the body ops to the engine's communication
+  thread (a :class:`~repro.mpilite.team.TeamThread` — Fig. 4c's team
+  thread, borrowed by the engine's first region and kept across
+  sweeps); the main-path ``OMP_BARRIER`` that follows waits for the
+  region's completion token where a spawned thread would be joined.
 
 Numerics are scheme- and plan-independent by construction: the local
 part is always accumulated before the remote part, row by row; the
@@ -30,9 +30,7 @@ exchange only copies float64 payloads.
 
 from __future__ import annotations
 
-import queue
-import threading
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -41,8 +39,9 @@ from repro.sparse import spmm, spmm_add, spmv, spmv_add
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.spmvm import DistributedSpMVM
+    from repro.mpilite.team import TeamThread
 
-__all__ = ["CommThread", "UnjoinedCommThreadError", "execute_sweep"]
+__all__ = ["UnjoinedCommThreadError", "execute_sweep"]
 
 
 class UnjoinedCommThreadError(RuntimeError):
@@ -54,62 +53,6 @@ class UnjoinedCommThreadError(RuntimeError):
     an open communication thread is exactly the hazard the checker
     (:mod:`repro.check.checker`) reports access by access.
     """
-
-
-class CommThread(threading.Thread):
-    """An engine's communication thread, parked between COMM_THREAD regions.
-
-    The mailbox is a pair of ``queue.SimpleQueue``s, one per direction.
-    :meth:`hand_off` puts a region (a callable that never raises) in the
-    inbox and :meth:`wait` takes its completion token from the other —
-    exactly one per region.  Those two hand-offs are the region's two
-    happens-before edges: what a spawn and a join gave when every region
-    had a thread of its own.  Every wait is a blocking ``get``: nothing
-    polls, sleeps or wakes on a timeout, and the thread cannot end a
-    region without posting the token the main path is waiting for.
-
-    Parked, the thread holds the two queues and nothing else: the region
-    (whose closure reaches the engine) is dropped before the token is
-    posted, so an engine nobody refers to is collected and its finalizer
-    posts the :meth:`stop` sentinel.  A daemon, so an interpreter exiting
-    with engines still open does not wait for it.
-    """
-
-    def __init__(self, name: str) -> None:
-        super().__init__(name=name, daemon=True)
-        self._inbox: queue.SimpleQueue = queue.SimpleQueue()
-        self._done: queue.SimpleQueue = queue.SimpleQueue()
-
-    def run(self) -> None:
-        inbox, done = self._inbox, self._done
-        while True:
-            region = inbox.get()
-            if region is None:
-                return
-            try:
-                region()
-            finally:
-                region = None  # park without a reference to the engine
-                done.put(None)
-
-    def hand_off(self, region: Callable[[], None]) -> None:
-        """Give *region* to the thread (the first hand-off starts it).
-
-        The first region is queued *before* ``start()``: the new thread
-        finds it on its first ``get`` and a one-shot engine pays one
-        wake-up, not two.
-        """
-        self._inbox.put(region)
-        if self.ident is None:
-            self.start()
-
-    def wait(self) -> None:
-        """Block until the region handed off last has finished."""
-        self._done.get()
-
-    def stop(self) -> None:
-        """Post the sentinel that ends the thread once it is parked."""
-        self._inbox.put(None)
 
 
 class _SweepState:
@@ -130,7 +73,7 @@ class _SweepState:
         #: caller's buffer for the result (None: the kernel allocates it)
         self.out: np.ndarray | None = out
         #: the engine's comm thread while a COMM_THREAD region is open
-        self.team: CommThread | None = None
+        self.team: TeamThread | None = None
         self.error: list[BaseException] = []
         #: the world's checker (repro.check.Checker); None costs nothing
         self.obs = None

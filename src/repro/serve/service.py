@@ -153,8 +153,9 @@ class SolverService:
 
     Threads: one worker per rank (runs the model's sweep program on its
     engine), daemons parked on a condition variable when idle; under
-    task mode each worker's engine parks one communication thread
-    beside it, which the worker stops when it exits.  Batches
+    task mode each worker's engine borrows one communication thread
+    from the team (:mod:`repro.mpilite.team`), which the worker gives
+    back when it exits.  Batches
     are formed by whoever makes one possible — a submitter, the rank
     that lands a batch, ``hold`` on release — under the service lock.
 
@@ -201,7 +202,7 @@ class SolverService:
         self._columns_served = 0
         self._fault = set()
         #: each rank's engine, set by its worker once built; close()
-        #: reads it only to name a comm thread that failed to stop
+        #: reads it only to name a comm thread that is still held
         self._engines: list = [None] * model.nranks
         self._workers = [
             threading.Thread(

@@ -108,7 +108,7 @@ class DistributedOperator:
     *counted* traffic rather than timed noise (the ledger reports them
     as ``solvers.exchanges`` / ``reductions`` / ``messages``).
 
-    The operator owns its engine, whose task-mode matvecs park one
+    The operator owns its engine, whose task-mode matvecs hold one
     communication thread for the whole solve: :meth:`close` it (or use
     the operator as a context manager) when the solve is done.
     """
@@ -127,7 +127,7 @@ class DistributedOperator:
         self.counters: dict[str, int] = {"exchanges": 0, "messages": 0, "reductions": 0}
 
     def close(self) -> None:
-        """Close the engine (stops its communication thread; idempotent)."""
+        """Close the engine (gives its communication thread back; idempotent)."""
         self.engine.close()
 
     def __enter__(self) -> "DistributedOperator":

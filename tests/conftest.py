@@ -43,30 +43,70 @@ def hang_watchdog():
     faulthandler.cancel_dump_traceback_later()
 
 
+#: Names a team thread wears while it is borrowed (repro.mpilite.team).
+BORROWED = ("comm-thread-", "mpilite-rank-")
+
+
+def borrowed_threads() -> list[str]:
+    """Names of the team threads some rank or engine still holds."""
+    return sorted(t.name for t in threading.enumerate() if t.name.startswith(BORROWED))
+
+
+def unparked_thread_count() -> int:
+    """Live threads other than the team's parked ones: what a call that
+    starts no thread of its own leaves unchanged."""
+    return sum(1 for t in threading.enumerate() if not t.name.startswith("team-"))
+
+
+def grow_team(nthreads: int) -> None:
+    """Make sure the team has *nthreads* parked threads.
+
+    A call's ranks and comm threads need not all be out at once (a rank
+    that is done gives its comm thread back before a slower one borrows),
+    so one warm-up call may leave the team short of the next call's peak.
+    """
+    from repro.mpilite import run_spmd
+
+    run_spmd(nthreads, lambda comm: None)
+
+
 @pytest.fixture(autouse=True)
 def no_leaked_comm_thread():
-    """No engine's communication thread outlives the test that started it.
+    """No rank or communication thread outlives the test that borrowed it.
 
-    An engine parks one ``comm-thread-<rank>`` from its first task-mode
-    sweep until it is closed — or, for the many tests (and the ledger's
-    rank functions) that just drop it, until its finalizer posts the stop
-    sentinel.  That is asynchronous, so stragglers get a bounded wait.
+    ``run_spmd`` gives its rank threads back before it returns.  An engine
+    holds one ``comm-thread-<rank>`` from its first task-mode sweep until
+    it is closed — or, for the many tests (and the ledger's rank
+    functions) that just drop it, until its finalizer gives it back.
+    That is asynchronous, so stragglers get a bounded wait.
     """
     yield
-    leaked = [t for t in threading.enumerate() if t.name.startswith("comm-thread-")]
-    if leaked and not _all_exit(leaked, 0.25):
+    if borrowed_threads() and not _all_given_back(0.25):
         gc.collect()  # an engine held by a traceback cycle: collect it, then wait
-        assert _all_exit(leaked, 2.0), (
-            f"communication thread(s) outlived the test: "
-            f"{[t.name for t in leaked if t.is_alive()]}"
-        )
+        assert _all_given_back(2.0), f"team thread(s) outlived the test: {borrowed_threads()}"
 
 
-def _all_exit(threads, seconds: float) -> bool:
+def _all_given_back(seconds: float) -> bool:
     deadline = time.monotonic() + seconds
-    for t in threads:
-        t.join(max(0.0, deadline - time.monotonic()))
-    return not any(t.is_alive() for t in threads)
+    while borrowed_threads():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.005)
+    return True
+
+
+@pytest.fixture()
+def thread_starts(monkeypatch):
+    """Names of every thread started while the test runs."""
+    started: list[str] = []
+    real_start = threading.Thread.start
+
+    def start(self):
+        started.append(self.name)
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
 
 
 @pytest.fixture(scope="session")

@@ -1,15 +1,16 @@
-"""The parked communication thread (repro.program.exec.CommThread).
+"""The engine's communication thread (a repro.mpilite.team.TeamThread).
 
-One thread per engine, started by the engine's first COMM_THREAD region
-and handed every later region through a mailbox.  Four things are pinned
-here: the *census* (an engine starts exactly one thread however many
-sweeps and widths follow, and reuse never changes a bit), the
-*lifetime* (every owner stops what it owns; an engine dropped unclosed
-stops its thread from a finalizer; nothing outlives its test), the
-*failure paths* (today's error types, within two seconds, the engine
-reusable or refusing descriptively afterwards) and the *checker model*
-(a region is still one spawn edge plus one join edge, with a clock that
-starts from the main thread's at hand-off).
+One thread per engine, borrowed from the team by the engine's first
+COMM_THREAD region and handed every later region through a mailbox.
+Four things are pinned here: the *census* (an engine borrows exactly one
+thread however many sweeps and widths follow, a warm process starts
+none, and reuse never changes a bit), the *lifetime* (every owner gives
+back what it borrowed; an engine dropped unclosed gives its thread back
+from a finalizer; nothing outlives its test), the *failure paths*
+(today's error types, within two seconds, the engine reusable or
+refusing descriptively afterwards) and the *checker model* (a region is
+still one spawn edge plus one join edge, with a clock that starts from
+the main thread's at hand-off).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from repro.program.ir import SweepOp, SweepProgram
 from repro.program.lint import lint_sweep_program
 from repro.serve import ServiceClosedError, ServiceError, SolverService, build_model
 from repro.solvers import DistributedOperator, conjugate_gradient, lanczos
+from tests.conftest import grow_team, unparked_thread_count
 
 #: Every failure below must surface within this many seconds.
 PROMPT = 2.0
@@ -44,19 +46,25 @@ def comm_threads() -> list[threading.Thread]:
     return [t for t in threading.enumerate() if t.name.startswith("comm-thread-")]
 
 
+def parked(thread: threading.Thread) -> bool:
+    """Given back: alive, and wearing its team name again."""
+    return thread.is_alive() and thread.name.startswith("team-")
+
+
 @pytest.fixture()
-def comm_thread_starts(monkeypatch):
-    """Names of the comm threads started while the test runs."""
-    started: list[str] = []
-    real_start = threading.Thread.start
+def comm_thread_borrows(monkeypatch):
+    """Names of the comm threads engines borrow while the test runs."""
+    import repro.core.spmvm as spmvm
 
-    def start(self):
-        if self.name.startswith("comm-thread-"):
-            started.append(self.name)
-        real_start(self)
+    borrowed: list[str] = []
+    real_borrow = spmvm.borrow
 
-    monkeypatch.setattr(threading.Thread, "start", start)
-    return started
+    def borrow(name):
+        borrowed.append(name)
+        return real_borrow(name)
+
+    monkeypatch.setattr(spmvm, "borrow", borrow)
+    return borrowed
 
 
 def single_rank_engine(A, **kwargs) -> DistributedSpMVM:
@@ -84,7 +92,7 @@ def in_time(fn, seconds: float = PROMPT):
 # ---------------------------------------------------------------- census
 
 
-def test_one_thread_per_rank_whatever_the_engine_runs(hmep_tiny, rng, comm_thread_starts):
+def test_one_thread_per_rank_whatever_the_engine_runs(hmep_tiny, rng, comm_thread_borrows):
     plan = cached_halo_plan(hmep_tiny, 2, with_matrices=True)
     x = rng.standard_normal(hmep_tiny.nrows)
     X = rng.standard_normal((hmep_tiny.nrows, 8))
@@ -94,7 +102,7 @@ def test_one_thread_per_rank_whatever_the_engine_runs(hmep_tiny, rng, comm_threa
         xl = scatter_vector(x, plan.partition, comm.rank)
         Xl = scatter_vector(X, plan.partition, comm.rank)
         with DistributedSpMVM(comm, halo) as engine:
-            assert engine.comm_thread is None  # construction starts nothing
+            assert engine.comm_thread is None  # construction borrows nothing
             for i in range(200):
                 if i % 2:
                     engine.multiply_block(Xl, "task_mode")
@@ -102,19 +110,19 @@ def test_one_thread_per_rank_whatever_the_engine_runs(hmep_tiny, rng, comm_threa
                     engine.multiply(xl, "task_mode")
                 idents.add(engine.comm_thread.ident)
             thread = engine.comm_thread
-        assert not thread.is_alive()  # close() joined it
+        assert engine.comm_thread is None and parked(thread)  # close() gave it back
         return idents
 
     per_rank = run_spmd(2, fn, PerRank(plan.ranks))
     assert all(len(idents) == 1 for idents in per_rank)
-    assert sorted(comm_thread_starts) == ["comm-thread-0", "comm-thread-1"]
+    assert sorted(comm_thread_borrows) == ["comm-thread-0", "comm-thread-1"]
 
 
-def test_vector_mode_engines_start_no_thread(hmep_tiny, rng, comm_thread_starts):
+def test_vector_mode_engines_start_no_thread(hmep_tiny, rng, comm_thread_borrows):
     x = rng.standard_normal(hmep_tiny.nrows)
     for scheme in ("no_overlap", "naive_overlap"):
         distributed_spmv(hmep_tiny, x, 2, scheme=scheme, iterations=3)
-    assert comm_thread_starts == []
+    assert comm_thread_borrows == []
 
 
 def test_reused_engine_reproduces_fresh_engine_bits(hmep_tiny, rng):
@@ -175,24 +183,27 @@ def test_mailbox_under_preemption_stress(hmep_tiny, rng):
 # --------------------------------------------------------------- no leak
 
 
-def test_one_shot_calls_leave_no_thread(hmep_tiny, rng):
+def test_one_shot_calls_leave_no_thread(hmep_tiny, rng, thread_starts):
     x = rng.standard_normal(hmep_tiny.nrows)
+    grow_team(4)  # a 2-rank call's peak: 2 ranks, 2 comm threads
     baseline = threading.active_count()
+    thread_starts.clear()
     for _ in range(50):
         distributed_spmv(hmep_tiny, x, 2)
     assert threading.active_count() == baseline
+    assert thread_starts == []  # every rank and comm thread was a parked one
     assert comm_threads() == []
 
 
-def test_service_close_stops_its_engines_threads(hmep_tiny, rng):
-    baseline = threading.active_count()
+def test_service_close_gives_its_engines_threads_back(hmep_tiny, rng):
+    baseline = unparked_thread_count()
     svc = SolverService(build_model(hmep_tiny, 2), name="census")
     for _ in range(20):
         svc.solve(rng.standard_normal(hmep_tiny.nrows), timeout=30.0)
     assert len(comm_threads()) == 2  # one per rank, not one per request
     svc.close()
     assert comm_threads() == []
-    assert threading.active_count() == baseline
+    assert unparked_thread_count() == baseline
 
 
 @pytest.mark.parametrize("solver", ["lanczos", "cg"])
@@ -202,7 +213,7 @@ def test_solvers_leave_no_thread(solver, rng):
     A = poisson_2d(12)
     plan = cached_halo_plan(A, 2, with_matrices=True)
     b = rng.standard_normal(A.nrows)
-    baseline = threading.active_count()
+    baseline = unparked_thread_count()
 
     def fn(comm, halo):
         bl = scatter_vector(b, plan.partition, comm.rank)
@@ -213,10 +224,10 @@ def test_solvers_leave_no_thread(solver, rng):
 
     assert min(run_spmd(2, fn, PerRank(plan.ranks))) > 1
     assert comm_threads() == []
-    assert threading.active_count() == baseline
+    assert unparked_thread_count() == baseline
 
 
-def test_engine_dropped_without_close_stops_its_thread(hmep_tiny, rng):
+def test_engine_dropped_without_close_gives_its_thread_back(hmep_tiny, rng):
     # the path benchmarks/ledger relies on: its rank functions build
     # engines and never close them
     plan = cached_halo_plan(hmep_tiny, 2, with_matrices=True)
@@ -230,23 +241,22 @@ def test_engine_dropped_without_close_stops_its_thread(hmep_tiny, rng):
 
     run_spmd(2, fn, PerRank(plan.ranks))
     assert len(seen) == 2
-    for thread in seen:
-        thread.join(0.5)  # bounded: the finalizer's sentinel is already posted
-    assert not any(thread.is_alive() for thread in seen)
+    # the last reference went with the rank function, and the finalizer
+    # ran right there: both threads are parked before run_spmd returns
+    assert all(parked(thread) for thread in seen)
 
 
 def test_parked_thread_does_not_keep_its_engine_alive(hmep_tiny, rng):
     engine = single_rank_engine(hmep_tiny)
     engine.multiply(rng.standard_normal(hmep_tiny.nrows), "task_mode")
     thread, ref = engine.comm_thread, weakref.ref(engine)
-    assert thread.is_alive()
+    assert thread.name == "comm-thread-0"
     del engine
-    assert ref() is None  # no cycle, no reference from the parked thread
-    thread.join(1.0)
-    assert not thread.is_alive()
+    assert ref() is None  # no cycle, no reference from the thread between regions
+    assert parked(thread)
 
 
-def test_close_is_idempotent_and_a_later_sweep_restarts_the_thread(hmep_tiny, rng):
+def test_close_is_idempotent_and_a_later_sweep_borrows_again(hmep_tiny, rng):
     x = rng.standard_normal(hmep_tiny.nrows)
     engine = single_rank_engine(hmep_tiny)
     engine.close()  # before any region: a no-op
@@ -255,13 +265,13 @@ def test_close_is_idempotent_and_a_later_sweep_restarts_the_thread(hmep_tiny, rn
     first = engine.comm_thread
     engine.close()
     engine.close()
-    assert not first.is_alive() and engine.comm_thread is None
-    # documented choice: the engine stays usable, a fresh thread is started
+    assert parked(first) and engine.comm_thread is None
+    # documented choice: the engine stays usable, a thread is borrowed again
     assert np.array_equal(engine.multiply(x, "task_mode"), y)
     second = engine.comm_thread
-    assert second is not first and second.is_alive()
+    assert second.name == "comm-thread-0" and second.is_alive()
     engine.close()
-    assert not second.is_alive()
+    assert parked(second)
 
 
 # --------------------------------------------------------- failure paths
@@ -349,7 +359,7 @@ def test_main_path_failure_reaps_the_open_region(hmep_tiny, rng, monkeypatch, k,
     assert comm_threads() == []
 
 
-def test_body_rendezvous_is_refused_not_hung(hmep_tiny, rng, comm_thread_starts):
+def test_body_rendezvous_is_refused_not_hung(hmep_tiny, rng, comm_thread_borrows):
     # lint-clean: a body OMP_BARRIER pairs with the next main-path barrier
     # (the simulator's rendezvous).  The real backend has none — it must
     # say so before it posts a request or starts a thread, not park both
@@ -372,7 +382,7 @@ def test_body_rendezvous_is_refused_not_hung(hmep_tiny, rng, comm_thread_starts)
         _res, exc = in_time(lambda: execute_sweep(engine, paced, x), seconds=1.0)
         assert isinstance(exc, ValueError)
         assert "OMP_BARRIER inside a COMM_THREAD body" in str(exc) and "simulator" in str(exc)
-        assert engine.comm_thread is None and comm_thread_starts == []
+        assert engine.comm_thread is None and comm_thread_borrows == []
         got, exc = in_time(lambda: engine.multiply(x, "task_mode"))
         assert exc is None and np.array_equal(got, engine.multiply(x, "no_overlap"))
     assert comm_threads() == []

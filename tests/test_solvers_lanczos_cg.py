@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import textwrap
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +26,7 @@ from repro.solvers import (
 from repro.solvers.lanczos import _lanczos_with_basis
 from repro.sparse import CSRMatrix, partition_matrix
 from repro.sparse.partition import RowPartition
+from tests.conftest import unparked_thread_count
 
 
 @pytest.fixture(scope="module")
@@ -330,7 +330,7 @@ def run_lanczos(request, sym_matrix):
     operator and checks that it left no rank or communication thread
     behind and (serially, where the count survives the exception) that
     it got as far as *sweeps* products."""
-    before = threading.active_count()
+    before = unparked_thread_count()
 
     def run(call, sweeps=0):
         try:
@@ -338,7 +338,7 @@ def run_lanczos(request, sym_matrix):
                 return _serially(sym_matrix, call, sweeps)
             return _on_two_ranks(sym_matrix, call)
         finally:
-            assert threading.active_count() == before
+            assert unparked_thread_count() == before
 
     return run
 
