@@ -143,7 +143,7 @@ class HotPathAllocRule(AstRule):
         "program/exec.py": frozenset({
             "_post_recvs", "_pack", "_post_sends", "_waitall",
             "_local_spmvm", "_remote_spmvm", "_full_spmvm",
-            "execute_sweep", "_check_single_sweep", "_issue", "_barrier_main",
+            "execute_sweep", "_issue", "_barrier_main",
             # a COMM_THREAD region's hand-off and reap
             "_hand_off", "_reap_comm_thread",
         }),

@@ -93,8 +93,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         iterations=args.iterations,
         eager_threshold=args.eager_threshold,
         async_progress=args.async_progress,
-        n_sweeps=args.sweeps,
-        pipeline=not args.no_pipeline,
         trace=True,
     )
     assert r.trace is not None
@@ -427,13 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--eager-threshold", type=int, default=1024)
     pt.add_argument("--async-progress", action="store_true",
                     help="model an MPI library with working progress threads")
-    pt.add_argument("--sweeps", type=int, default=1,
-                    help="chain N sweeps per iteration as one N-sweep program "
-                         "(simulator only: the real backend runs single sweeps)")
-    pt.add_argument("--no-pipeline", action="store_true",
-                    help="sequential N-sweep program (no cross-sweep overlap)")
     pt.add_argument("--per-op", action="store_true",
-                    help="print per-op cost attribution (program/sweep/op)")
+                    help="print per-op cost attribution (program/op)")
     pt.add_argument("--metrics", action="store_true", help="print the flat metrics dict")
     pt.add_argument("--trace-json", metavar="PATH", default=None,
                     help="write Chrome trace_event JSON to PATH")

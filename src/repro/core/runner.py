@@ -102,8 +102,6 @@ def simulate_from_plan(
     eager_threshold: int = 16384,
     block_k: int = 1,
     comm_plan: str = "direct",
-    n_sweeps: int = 1,
-    pipeline: bool = True,
     trace: bool = False,
     op_logs: dict[int, list[str]] | None = None,
 ) -> SimulationResult:
@@ -123,18 +121,11 @@ def simulate_from_plan(
     collects each rank's executed sweep-op sequence (rank → signature
     tokens in issue order, all iterations) — the simulated half of the
     golden cross-backend comparison in ``tests/test_program_golden.py``.
-
-    Each iteration replays the scheme's chained ``n_sweeps``-sweep
-    program (cross-iteration pipelined unless ``pipeline`` is false),
-    i.e. performs ``n_sweeps`` MVMs, and the reported
-    ``iterations`` is scaled accordingly so every per-MVM figure stays
-    comparable.
     """
     check_in(scheme, PROGRAM_SCHEMES, "scheme")
     check_in(comm_plan, PLAN_KINDS, "comm_plan")
     check_positive_int(iterations, "iterations")
     check_positive_int(block_k, "block_k")
-    check_positive_int(n_sweeps, "n_sweeps")
     if scheme == "task_mode" and comm_thread is None:
         comm_thread = "smt" if cluster.node.smt_per_core > 1 else "dedicated"
     if scheme != "task_mode":
@@ -181,8 +172,7 @@ def simulate_from_plan(
         contexts.append(ctx)
         op_log = op_logs.setdefault(placement.rank, []) if op_logs is not None else None
         sim.spawn(
-            rank_process(ctx, scheme, iterations,
-                         n_sweeps=n_sweeps, pipeline=pipeline, op_log=op_log),
+            rank_process(ctx, scheme, iterations, op_log=op_log),
             name=f"rank{placement.rank}",
         )
     sim.run()
@@ -192,7 +182,7 @@ def simulate_from_plan(
         mode=mode,
         n_nodes=cluster.n_nodes,
         n_ranks=plan.nranks,
-        iterations=iterations * n_sweeps,
+        iterations=iterations,
         total_seconds=total,
         nnz=plan.nnz,
         comm_bytes_per_mvm=plan.total_comm_bytes(),

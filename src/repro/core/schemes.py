@@ -118,24 +118,21 @@ def rank_process(
     scheme: str,
     iterations: int,
     *,
-    n_sweeps: int = 1,
-    pipeline: bool = True,
     op_log: list[str] | None = None,
 ) -> Generator:
-    """The full life of one simulated rank: *iterations* back-to-back programs.
+    """The full life of one simulated rank: *iterations* back-to-back sweeps.
 
-    Builds the scheme's *n_sweeps*-sweep program once (the same
-    :func:`repro.program.build_sweep` output the real backend executes
-    — cross-iteration pipelined when ``pipeline`` is true) and
-    interprets it per iteration, so one iteration covers ``n_sweeps``
-    MVMs.  Sweeps are tagged so messages of successive sweeps cannot be
-    confused; ranks drift freely (no global barrier), as in the real
-    benchmark loop.  ``op_log`` receives the executed op sequence of
-    every iteration in issue order (the simulated half of the golden
+    Builds the scheme's program once (the same
+    :func:`repro.program.build_sweep` output the real backend executes)
+    and interprets it per iteration.  Each iteration's messages are
+    tagged with its number so successive sweeps cannot be confused;
+    ranks drift freely (no global barrier), as in the real benchmark
+    loop.  ``op_log`` receives the executed op sequence of every
+    iteration in issue order (the simulated half of the golden
     cross-backend comparison).
     """
     check_in(scheme, PROGRAM_SCHEMES, "scheme")
-    program = build_sweep(scheme, n_sweeps, pipeline=pipeline, block_k=ctx.block_k)
+    program = build_sweep(scheme, block_k=ctx.block_k)
     for it in range(iterations):
-        yield from sweep_process(ctx, program, it * n_sweeps, op_log=op_log)
+        yield from sweep_process(ctx, program, it, op_log=op_log)
         ctx.finish_times.append(ctx.sim.now)

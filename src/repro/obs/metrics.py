@@ -49,19 +49,19 @@ def comm_phase_messages(trace: TraceRecorder) -> dict[str, int]:
     return {phase: int(counts.get(phase, 0)) for phase in PHASES}
 
 
-def per_op_costs(trace: TraceRecorder) -> dict[tuple[str, int, str], dict[str, float]]:
+def per_op_costs(trace: TraceRecorder) -> dict[tuple[str, str], dict[str, float]]:
     """Aggregate the per-op cost attribution events of one traced run.
 
     The simulated interpreter (:func:`repro.program.sim.sweep_process`)
     emits one ``op_cost`` event per executed sweep op, keyed on the
-    program signature id and the op's sweep index.  This folds them into
-    ``(program_id, sweep, op_kind) -> {"count": n, "seconds": total}``
-    — the data behind ``repro trace --per-op``: where one chained
-    program actually spends its time, sweep by sweep.
+    program's id.  This folds them, over every rank and iteration, into
+    ``(program_id, op_kind) -> {"count": n, "seconds": total}`` — the
+    data behind ``repro trace --per-op``: where a program actually
+    spends its time, op by op.
     """
-    agg: dict[tuple[str, int, str], dict[str, float]] = {}
+    agg: dict[tuple[str, str], dict[str, float]] = {}
     for ev in trace.events_named("op_cost", "program"):
-        key = (str(ev.args["program"]), int(ev.args["sweep"]), str(ev.args["op"]))
+        key = (str(ev.args["program"]), str(ev.args["op"]))
         cell = agg.get(key)
         if cell is None:
             cell = agg[key] = {"count": 0.0, "seconds": 0.0}
@@ -71,15 +71,14 @@ def per_op_costs(trace: TraceRecorder) -> dict[tuple[str, int, str], dict[str, f
 
 
 def render_op_costs(trace: TraceRecorder) -> str:
-    """ASCII table of :func:`per_op_costs`, grouped by program and sweep."""
+    """ASCII table of :func:`per_op_costs`, grouped by program."""
     agg = per_op_costs(trace)
     if not agg:
         return "no op_cost events recorded (trace the run with trace=True)"
-    lines = [f"{'program':<32} {'sweep':>5} {'op':<14} {'count':>7} {'seconds':>12}"]
-    for (pid, sweep, op), cell in sorted(agg.items()):
+    lines = [f"{'program':<20} {'op':<14} {'count':>7} {'seconds':>12}"]
+    for (pid, op), cell in sorted(agg.items()):
         lines.append(
-            f"{pid:<32} {sweep:>5} {op:<14} {int(cell['count']):>7} "
-            f"{cell['seconds']:>12.6f}"
+            f"{pid:<20} {op:<14} {int(cell['count']):>7} {cell['seconds']:>12.6f}"
         )
     return "\n".join(lines)
 

@@ -1,15 +1,11 @@
 """Real-execution backend: interpreting a sweep program on mpilite data.
 
-:func:`execute_sweep` runs one single-sweep
-:class:`~repro.program.ir.SweepProgram` on a
-:class:`~repro.core.spmvm.DistributedSpMVM` engine and returns this
+:func:`execute_sweep` runs one :class:`~repro.program.ir.SweepProgram`
+on a :class:`~repro.core.spmvm.DistributedSpMVM` engine and returns this
 rank's slice of ``A @ x``.  The engine owns the long-lived state
 (communicator, halo bookkeeping, preallocated buffers, sub-matrices);
 the interpreter owns the phase ordering — which it takes entirely from
-the program, never from the scheme name.  Programs chaining several
-sweeps (``build_sweep(scheme, n_sweeps > 1)``) are the simulator's
-(:mod:`repro.program.sim`): on this backend they never beat N single
-sweeps (EXPERIMENTS.md, "The chain's verdict"), so it refuses them.
+the program, never from the scheme name.
 
 One interpreter covers every case:
 
@@ -101,25 +97,6 @@ _FOOTPRINT = {
 }
 
 
-def _check_single_sweep(program: SweepProgram) -> None:
-    """Refuse what only the simulator interprets: chained sweeps and the
-    body rendezvous that pace a comm thread across them."""
-    if program.n_sweeps != 1:
-        raise ValueError(
-            f"{program.label}: the real backend runs single-sweep programs; "
-            f"chained sweeps are a simulator study (simulate_from_plan(n_sweeps=...), "
-            f"`repro trace --sweeps`)"
-        )
-    for op in program.ops:
-        for inner in op.body:
-            if inner.kind == "OMP_BARRIER":
-                raise ValueError(
-                    f"{program.label}: OMP_BARRIER inside a COMM_THREAD body is a "
-                    f"rendezvous only the simulator interprets; on the real backend "
-                    f"a region runs from its hand-off to the main-path barrier that joins it"
-                )
-
-
 def execute_sweep(
     engine: "DistributedSpMVM",
     program: SweepProgram,
@@ -128,7 +105,7 @@ def execute_sweep(
     op_log: list[str] | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Run the single-sweep *program* on *engine* with input *x* (1-D or
+    """Run *program* on *engine* with input *x* (1-D or
     ``(n, k)``); returns this rank's slice of ``A @ x``.
 
     ``op_log``, when given, receives the program's signature tokens in
@@ -139,7 +116,6 @@ def execute_sweep(
     engine's world carries an observer, every op's buffer accesses and
     every region's spawn and join are noted in domain ``rank{r}``.
     """
-    _check_single_sweep(program)  # before the engine is touched
     state = _SweepState(x, *engine.sweep_buffers(x), out)
     obs = engine.comm.observer
     if obs is not None:
@@ -163,7 +139,7 @@ def execute_sweep(
         # the hazard the checker reports access by access
         _reap_comm_thread(state)
         _raise_comm_error(state)
-        body = ",".join(inner.token for inner in state.comm_op.body)
+        body = ",".join(inner.kind for inner in state.comm_op.body)
         raise UnjoinedCommThreadError(
             f"rank {engine.comm.rank}: program for scheme {program.scheme!r} "
             f"finished with its COMM_THREAD({body}) region still open — no "
@@ -183,11 +159,11 @@ def _issue(engine: "DistributedSpMVM", op: SweepOp, state: _SweepState) -> None:
     obs = state.obs
     if obs is not None:
         reads, writes = _FOOTPRINT[op.kind]
-        domain, token = state.domain, op.token
+        domain, kind = state.domain, op.kind
         for buf in reads:
-            obs.on_access(domain, buf, "r", op=token)
+            obs.on_access(domain, buf, "r", op=kind)
         for buf in writes:
-            obs.on_access(domain, buf, "w", op=token)
+            obs.on_access(domain, buf, "w", op=kind)
     _OP_HANDLERS[op.kind](engine, state)
 
 

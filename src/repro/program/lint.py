@@ -16,13 +16,9 @@ is published to it until a barrier says so.
 
 Invariants
 ----------
-* **vocabulary** — every op kind is known and tagged with a sweep the
-  program has; ``COMM_THREAD`` bodies hold MPI ops and ``OMP_BARRIER``
-  rendezvous points only (a communication thread executes library
-  calls, never compute);
-* **request lifecycle** — per sweep, receives, pack, sends and the
-  ``WAITALL`` appear exactly once; receives are posted before the sends
-  and ``WAITALL`` after both (no leaked requests by construction);
+* **request lifecycle** — receives, pack, sends and the ``WAITALL``
+  appear exactly once; receives are posted before the sends and
+  ``WAITALL`` after both (no leaked requests by construction);
 * **buffer publication** — ``PACK`` happens-before ``POST_SENDS``: when
   the sends run on the communication thread, an ``OMP_BARRIER``
   separates the pack from them;
@@ -30,28 +26,26 @@ Invariants
   and every region joined by a main-path ``OMP_BARRIER`` before the
   program ends;
 * **data readiness** — ``REMOTE_SPMVM``/``FULL_SPMVM`` run only after
-  the sweep's ``WAITALL`` (on the main path, or behind a barrier when
-  it ran on the comm thread); the kernel writes the result exactly once
-  (one ``FULL_SPMVM`` or one ``LOCAL_SPMVM`` + ``REMOTE_SPMVM`` pair,
-  local first);
-* **chained input** — sweep ``s``'s pack/sends/kernel run after sweep
-  ``s-1``'s kernel.
+  the ``WAITALL`` (on the main path, or behind a barrier when it ran on
+  the comm thread); the kernel writes the result exactly once (one
+  ``FULL_SPMVM`` or one ``LOCAL_SPMVM`` + ``REMOTE_SPMVM`` pair, local
+  first).
+
+What a ``COMM_THREAD`` body may hold (MPI ops only) is not a lint rule:
+:class:`~repro.program.ir.SweepOp` refuses anything else when it is
+constructed.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
-from repro.program.ir import COMM_OPS, SweepProgram
+from repro.program.ir import SweepProgram
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.check.findings import Finding
 
 __all__ = ["lint_sweep_program", "lint_sweep_programs"]
-
-#: What a COMM_THREAD body may hold: MPI ops plus the OMP_BARRIER
-#: rendezvous points that pace the thread against the compute threads.
-_BODY_OPS = COMM_OPS + ("OMP_BARRIER",)
 
 
 class _Item:
@@ -59,13 +53,13 @@ class _Item:
 
     ``step`` is a global logical time that only barriers advance; two
     items at the same step on different paths are causally
-    *concurrent*.  ``path`` is ``("main",)`` or ``("body",
-    region_index)``; within one path items are ordered by ``pos``.
+    *concurrent*.  ``path`` is ``"main"`` or ``"body"``; within one
+    path items are ordered by ``pos``.
     """
 
     __slots__ = ("op", "path", "pos", "step")
 
-    def __init__(self, op, path, pos: int, step: int) -> None:
+    def __init__(self, op, path: str, pos: int, step: int) -> None:
         self.op = op
         self.path = path
         self.pos = pos
@@ -85,52 +79,29 @@ def _schedule_items(program: SweepProgram, add) -> list[_Item]:
 
     Main-path ``OMP_BARRIER`` ops advance the step.  A ``COMM_THREAD``
     spawn does not (the comm thread is a team thread: only a barrier
-    publishes main-path writes to it); it splits its body at the body's
-    own ``OMP_BARRIER`` rendezvous points into chunks: chunk 0 runs
-    from the spawn, and each subsequent main barrier *while the region
-    is open* releases the next chunk (rendezvous) — until no chunks
-    remain, at which point the barrier joins the thread and closes the
-    region.  A region still open at the end of the stream is an error.
+    publishes main-path writes to it); its body runs at the spawn's
+    step, and the next main-path barrier joins the thread and closes
+    the region.  A region still open at the end of the stream is an
+    error.
     """
     items: list[_Item] = []
     step = 0
     pos = 0
-    region = None  # (region_index, chunks, next_chunk)
-    n_regions = 0
+    region_open = False
     for op in program.ops:
         if op.kind == "COMM_THREAD":
-            if region is not None:
+            if region_open:
                 add("COMM_THREAD spawned while another region is still open")
                 continue
-            chunks: list[list] = [[]]
-            for inner in op.body:
-                if inner.kind == "OMP_BARRIER":
-                    chunks.append([])
-                else:
-                    chunks[-1].append(inner)
-            body_pos = 0
-            for inner in chunks[0]:
-                items.append(_Item(inner, ("body", n_regions), body_pos, step))
-                body_pos += 1
-            region = [n_regions, chunks, 1, body_pos]
-            n_regions += 1
-            continue
-        if op.kind == "OMP_BARRIER":
+            items.extend(_Item(inner, "body", i, step) for i, inner in enumerate(op.body))
+            region_open = True
+        elif op.kind == "OMP_BARRIER":
             step += 1
-            if region is not None:
-                idx, chunks, nxt, body_pos = region
-                if nxt < len(chunks):
-                    for inner in chunks[nxt]:
-                        items.append(_Item(inner, ("body", idx), body_pos, step))
-                        body_pos += 1
-                    region[2] = nxt + 1
-                    region[3] = body_pos
-                else:
-                    region = None  # join: the comm thread is done
-            continue
-        items.append(_Item(op, ("main",), pos, step))
-        pos += 1
-    if region is not None:
+            region_open = False  # join: the comm thread is done
+        else:
+            items.append(_Item(op, "main", pos, step))
+            pos += 1
+    if region_open:
         add("COMM_THREAD region is never joined: no main-path OMP_BARRIER "
             "remains to join the communication thread at program end")
     return items
@@ -146,71 +117,45 @@ def lint_sweep_program(program: SweepProgram) -> "list[Finding]":
         findings.append(Finding(
             kind="program-lint",
             message=f"{program.label}: {message}",
-            details={"scheme": program.scheme, "n_sweeps": program.n_sweeps,
-                     "pipeline": program.pipeline, **details},
+            details={"scheme": program.scheme, **details},
         ))
-
-    n = program.n_sweeps
-
-    # -- vocabulary and sweep tags ------------------------------------
-    for op, inside in program.walk():
-        if inside and op.kind not in _BODY_OPS:
-            add(f"comm thread executes {op.kind}; a communication thread may "
-                f"only run {_BODY_OPS}")
-        if op.kind != "COMM_THREAD" and not 0 <= op.sweep < n:
-            add(f"{op.kind} tagged sweep {op.sweep}, outside 0..{n - 1}")
 
     items = _schedule_items(program, add)
 
-    def find(kind: str, sweep: int) -> list[_Item]:
-        return [it for it in items
-                if it.op.kind == kind and it.op.sweep == sweep]
+    def find(kind: str) -> list[_Item]:
+        return [it for it in items if it.op.kind == kind]
 
-    def require(a_kind: str, s_a: int, b_kind: str, s_b: int, why: str) -> None:
+    def require(a_kind: str, b_kind: str, why: str) -> None:
         """Every (a, b) instance pair must satisfy a happens-before b."""
-        for a in find(a_kind, s_a):
-            for b in find(b_kind, s_b):
+        for a in find(a_kind):
+            for b in find(b_kind):
                 if not _happens_before(a, b):
-                    add(f"s{s_b}:{b_kind} is not ordered after s{s_a}:{a_kind} "
-                        f"({why})")
+                    add(f"{b_kind} is not ordered after {a_kind} ({why})")
 
-    for s in range(n):
-        # -- per-sweep request lifecycle and kernel shape -------------
-        for kind in ("POST_RECVS", "PACK", "POST_SENDS", "WAITALL"):
-            c = len(find(kind, s))
-            if c != 1:
-                add(f"sweep {s}: {kind} appears {c}x (must be exactly once)")
-        n_full = len(find("FULL_SPMVM", s))
-        n_local = len(find("LOCAL_SPMVM", s))
-        n_remote = len(find("REMOTE_SPMVM", s))
-        if n_full:
-            if n_full > 1 or n_local or n_remote:
-                add(f"sweep {s}: FULL_SPMVM must be the only kernel op")
-        elif (n_local, n_remote) != (1, 1):
-            add(f"sweep {s}: split kernel needs exactly one LOCAL_SPMVM and "
-                f"one REMOTE_SPMVM (got {n_local} and {n_remote})")
+    # -- request lifecycle and kernel shape ---------------------------
+    for kind in ("POST_RECVS", "PACK", "POST_SENDS", "WAITALL"):
+        c = len(find(kind))
+        if c != 1:
+            add(f"{kind} appears {c}x (must be exactly once)")
+    n_full = len(find("FULL_SPMVM"))
+    n_local = len(find("LOCAL_SPMVM"))
+    n_remote = len(find("REMOTE_SPMVM"))
+    if n_full:
+        if n_full > 1 or n_local or n_remote:
+            add("FULL_SPMVM must be the only kernel op")
+    elif (n_local, n_remote) != (1, 1):
+        add(f"split kernel needs exactly one LOCAL_SPMVM and one REMOTE_SPMVM "
+            f"(got {n_local} and {n_remote})")
 
-        # -- intra-sweep ordering -------------------------------------
-        require("POST_RECVS", s, "POST_SENDS", s,
-                "receives must be preposted before the sends")
-        require("PACK", s, "POST_SENDS", s,
-                "send buffers must be published before they are sent")
-        require("POST_SENDS", s, "WAITALL", s,
-                "WAITALL completes requests that must already exist")
-        require("POST_RECVS", s, "WAITALL", s,
-                "WAITALL completes requests that must already exist")
-        for kernel in ("REMOTE_SPMVM", "FULL_SPMVM"):
-            require("WAITALL", s, kernel, s,
-                    "the kernel consumes the halo the exchange lands")
-        require("LOCAL_SPMVM", s, "REMOTE_SPMVM", s,
-                "the remote phase accumulates into the local result")
-
-        # -- chained input: sweep s consumes sweep s-1's result -------
-        if s > 0:
-            prev_kernel = "FULL_SPMVM" if find("FULL_SPMVM", s - 1) else "REMOTE_SPMVM"
-            for consumer in ("PACK", "POST_SENDS", "LOCAL_SPMVM", "FULL_SPMVM"):
-                require(prev_kernel, s - 1, consumer, s,
-                        "sweep input is the previous sweep's result")
+    # -- ordering -----------------------------------------------------
+    require("POST_RECVS", "POST_SENDS", "receives must be preposted before the sends")
+    require("PACK", "POST_SENDS", "send buffers must be published before they are sent")
+    require("POST_SENDS", "WAITALL", "WAITALL completes requests that must already exist")
+    require("POST_RECVS", "WAITALL", "WAITALL completes requests that must already exist")
+    for kernel in ("REMOTE_SPMVM", "FULL_SPMVM"):
+        require("WAITALL", kernel, "the kernel consumes the halo the exchange lands")
+    require("LOCAL_SPMVM", "REMOTE_SPMVM",
+            "the remote phase accumulates into the local result")
     return findings
 
 
@@ -219,9 +164,8 @@ def lint_sweep_programs(
 ) -> "list[Finding]":
     """Lint a collection of programs (default: every builder output).
 
-    This is the ``repro check --programs`` sweep: all Fig. 4 builders,
-    scalar and batched widths, one to three chained sweeps, pipelined
-    and sequential.
+    This is ``repro check``'s program pass: all Fig. 4 builders, scalar
+    and batched widths.
     """
     from repro.program.build import all_sweep_programs
 

@@ -39,7 +39,7 @@ def test_clean_sweep_all_schemes_both_plans(hmep_tiny, monkeypatch):
     assert min(per_run) > 0
     assert report.events_observed == sum(per_run)
     # the report says what it covered
-    for part in ("plan lint (2 plans)", "program lint (30 programs)", "AST lint",
+    for part in ("plan lint (2 plans)", "program lint (6 programs)", "AST lint",
                  f"{N_DYNAMIC_RUNS} dynamic runs", "1 service session"):
         assert part in report.context
 
@@ -171,7 +171,7 @@ def test_cli_check_programs(cli_check):
     # the static passes ride in the same report: all 30 builder outputs
     # (scheme x N in 1..3 x pipelining x width), both plans, the AST rules
     title = cli_check[1].splitlines()[0]
-    for part in ("plan lint (2 plans)", "program lint (30 programs)", "AST lint"):
+    for part in ("plan lint (2 plans)", "program lint (6 programs)", "AST lint"):
         assert part in title
 
 

@@ -32,6 +32,26 @@ def test_cli_list(capsys):
     assert "fig5" in out and "probe" in out
 
 
+def test_cli_trace_prints_per_op_costs_and_writes_chrome_json(capsys, tmp_path):
+    import json
+
+    path = tmp_path / "t.json"
+    assert main([
+        "trace", "task_mode", "--scale", "tiny",
+        "--per-op", "--metrics", "--trace-json", str(path),
+    ]) == 0
+    out = capsys.readouterr().out
+    assert any(line.split() == ["program", "op", "count", "seconds"]
+               for line in out.splitlines())
+    assert "task_mode/k1" in out and "sim.nodes = 2" in out
+    assert json.loads(path.read_text())["traceEvents"]
+    # one sweep per program: there is no sweep count to ask for
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "task_mode", "--scale", "tiny", "--sweeps", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --sweeps 3" in capsys.readouterr().err
+
+
 def test_every_subcommand_has_one_help_line_and_one_list_row(capsys):
     # the parser is the one table of subcommands: each carries a one-line
     # help, and `repro list` prints each exactly once from it

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core import build_halo_plan, simulate_from_plan
+from repro.core import build_halo_plan, simulate_from_plan, simulate_spmvm
 from repro.frame import TraceRecorder
 from repro.machine.presets import westmere_cluster
 from repro.obs import (
@@ -13,13 +13,16 @@ from repro.obs import (
     chrome_trace_events,
     merge_windows,
     overlap_bytes_with_phase,
+    per_op_costs,
     phase_summary,
+    render_op_costs,
     simulation_metrics,
     to_chrome_trace,
     transfer_segments,
     write_chrome_trace,
 )
 from repro.sparse.partition import partition_matrix
+from tests.test_program_golden import GOLDEN_SIGNATURES
 
 EAGER = 1024
 
@@ -118,6 +121,33 @@ def test_phase_summary_table(traced_runs):
     assert len(labels) == len(set(labels))
     totals = [row[2] for row in table.rows]
     assert totals == sorted(totals, reverse=True)
+
+
+# ----------------------------------------------------------------------
+# per-op cost attribution
+# ----------------------------------------------------------------------
+def test_per_op_costs_count_every_op_and_time_the_phase_intervals(hmep_tiny):
+    iterations = 3
+    r = simulate_spmvm(
+        hmep_tiny, westmere_cluster(2), mode="per-ld", scheme="task_mode",
+        kappa=2.5, iterations=iterations, eager_threshold=EAGER, trace=True,
+    )
+    costs = per_op_costs(r.trace)
+    signature = GOLDEN_SIGNATURES["task_mode"]
+    ops = {t for t in signature if t not in ("COMM_THREAD{", "}")}
+    # one key per op of the program; each op once per rank and iteration
+    # for every time it occurs in the frozen signature
+    assert set(costs) == {("task_mode/k1", op) for op in ops}
+    for (_pid, op), cell in costs.items():
+        assert cell["count"] == iterations * r.n_ranks * signature.count(op), op
+    # the op_cost event and the phase interval time the same span
+    totals_ms = {row[0]: row[2] for row in phase_summary(r.trace).rows}
+    for op, label in (("LOCAL_SPMVM", "local spMVM"), ("REMOTE_SPMVM", "remote spMVM")):
+        seconds = costs[("task_mode/k1", op)]["seconds"]
+        assert seconds > 0
+        assert seconds * 1e3 == pytest.approx(totals_ms[label], rel=1e-12)
+    header = render_op_costs(r.trace).splitlines()[0].split()
+    assert header == ["program", "op", "count", "seconds"]
 
 
 # ----------------------------------------------------------------------

@@ -58,7 +58,7 @@ def test_program_api_is_one_of_each():
     import repro.program
 
     assert sorted(repro.program.__all__) == sorted([
-        "OP_KINDS", "COMPUTE_OPS", "COMM_OPS", "WORK_OPS",
+        "OP_KINDS", "COMPUTE_OPS", "COMM_OPS",
         "SIM_PHASE_LABELS", "PROGRAM_SCHEMES",
         "SweepOp", "SweepProgram",
         "build_sweep", "cached_sweep_program", "all_sweep_programs",

@@ -33,7 +33,6 @@ from repro.mpilite.world import PerRank, World, run_spmd
 from repro.program.build import PROGRAM_SCHEMES
 from repro.program.exec import UnjoinedCommThreadError, execute_sweep
 from repro.program.ir import SweepOp, SweepProgram
-from repro.program.lint import lint_sweep_program
 from repro.serve import ServiceClosedError, ServiceError, SolverService, build_model
 from repro.solvers import DistributedOperator, conjugate_gradient, lanczos
 from tests.conftest import grow_team, unparked_thread_count
@@ -360,31 +359,19 @@ def test_main_path_failure_reaps_the_open_region(hmep_tiny, rng, monkeypatch, k,
 
 
 def test_body_rendezvous_is_refused_not_hung(hmep_tiny, rng, comm_thread_borrows):
-    # lint-clean: a body OMP_BARRIER pairs with the next main-path barrier
-    # (the simulator's rendezvous).  The real backend has none — it must
-    # say so before it posts a request or starts a thread, not park both
-    # sides at barriers that mean different things
-    paced = SweepProgram(scheme="task_mode", ops=(
-        SweepOp("POST_RECVS"),
-        SweepOp("PACK"),
-        SweepOp("OMP_BARRIER"),
+    # a barrier inside a COMM_THREAD body would be a rendezvous the real
+    # backend has no meaning for: the program cannot even be built, so
+    # no request is posted and no thread borrowed, and nothing parks
+    # both sides at barriers that mean different things
+    with pytest.raises(ValueError, match=r"MPI ops only .*not OMP_BARRIER"):
         SweepOp("COMM_THREAD", body=(
             SweepOp("POST_SENDS"), SweepOp("OMP_BARRIER"), SweepOp("WAITALL"),
-        )),
-        SweepOp("LOCAL_SPMVM"),
-        SweepOp("OMP_BARRIER"),
-        SweepOp("OMP_BARRIER"),
-        SweepOp("REMOTE_SPMVM"),
-    ))
-    assert lint_sweep_program(paced) == []
+        ))
     x = rng.standard_normal(hmep_tiny.nrows)
     with single_rank_engine(hmep_tiny) as engine:
-        _res, exc = in_time(lambda: execute_sweep(engine, paced, x), seconds=1.0)
-        assert isinstance(exc, ValueError)
-        assert "OMP_BARRIER inside a COMM_THREAD body" in str(exc) and "simulator" in str(exc)
-        assert engine.comm_thread is None and comm_thread_borrows == []
         got, exc = in_time(lambda: engine.multiply(x, "task_mode"))
         assert exc is None and np.array_equal(got, engine.multiply(x, "no_overlap"))
+    assert comm_thread_borrows == ["comm-thread-0"]
     assert comm_threads() == []
 
 

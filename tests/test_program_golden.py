@@ -9,9 +9,6 @@ Fig. 4 scheme × {direct, node-aware} comm plan × {spmv, spmm},
 * the mpilite results are bit-identical across all combinations and to
   a hand-rolled split-kernel reference (the pre-refactor arithmetic:
   local part first, then the remote part accumulated row by row).
-
-The pipelined 3-sweep programs are frozen here too, as the simulator's:
-it is their only interpreter (the ``spmv-n3`` rows run that half alone).
 """
 
 import numpy as np
@@ -21,8 +18,7 @@ from repro.core import cached_halo_plan, distributed_spmm, distributed_spmv, sim
 from repro.core.spmvm import DistributedSpMVM, lower_comm_plan, scatter_vector
 from repro.machine import westmere_cluster
 from repro.mpilite import PerRank, run_spmd
-from repro.program import PROGRAM_SCHEMES, WORK_OPS, SweepOp, build_sweep
-from repro.sparse import partition_matrix
+from repro.program import PROGRAM_SCHEMES, build_sweep
 from repro.sparse.spmm import spmm, spmm_add
 from repro.sparse.spmv import spmv, spmv_add
 
@@ -42,38 +38,6 @@ GOLDEN_SIGNATURES = {
         "POST_RECVS", "PACK", "OMP_BARRIER",
         "COMM_THREAD{", "POST_SENDS", "WAITALL", "}",
         "LOCAL_SPMVM", "OMP_BARRIER", "REMOTE_SPMVM",
-    ),
-}
-
-
-N_SWEEPS = 3
-
-#: The frozen N=3 pipelined op sequences (sweep-0 tokens carry no tag).
-#: The pipelining contract is visible in the data: sweep ``s+1``'s
-#: POST_RECVS precedes sweep ``s``'s remote/full kernel in every scheme.
-GOLDEN_CHAIN_SIGNATURES = {
-    "no_overlap": (
-        "POST_RECVS", "PACK", "POST_SENDS", "WAITALL", "s1:POST_RECVS",
-        "FULL_SPMVM", "s1:PACK", "s1:POST_SENDS", "s1:WAITALL",
-        "s2:POST_RECVS", "s1:FULL_SPMVM", "s2:PACK", "s2:POST_SENDS",
-        "s2:WAITALL", "s2:FULL_SPMVM",
-    ),
-    "naive_overlap": (
-        "POST_RECVS", "PACK", "POST_SENDS", "LOCAL_SPMVM", "WAITALL",
-        "s1:POST_RECVS", "REMOTE_SPMVM", "s1:PACK", "s1:POST_SENDS",
-        "s1:LOCAL_SPMVM", "s1:WAITALL", "s2:POST_RECVS", "s1:REMOTE_SPMVM",
-        "s2:PACK", "s2:POST_SENDS", "s2:LOCAL_SPMVM", "s2:WAITALL",
-        "s2:REMOTE_SPMVM",
-    ),
-    "task_mode": (
-        "POST_RECVS", "PACK", "OMP_BARRIER", "COMM_THREAD{", "POST_SENDS",
-        "WAITALL", "OMP_BARRIER", "s1:POST_RECVS", "s1:OMP_BARRIER",
-        "s1:POST_SENDS", "s1:WAITALL", "s1:OMP_BARRIER", "s2:POST_RECVS",
-        "s2:OMP_BARRIER", "s2:POST_SENDS", "s2:WAITALL", "}", "LOCAL_SPMVM",
-        "OMP_BARRIER", "REMOTE_SPMVM", "s1:PACK", "s1:OMP_BARRIER",
-        "s1:LOCAL_SPMVM", "s1:OMP_BARRIER", "s1:REMOTE_SPMVM", "s2:PACK",
-        "s2:OMP_BARRIER", "s2:LOCAL_SPMVM", "s2:OMP_BARRIER",
-        "s2:REMOTE_SPMVM",
     ),
 }
 
@@ -115,24 +79,15 @@ def split_kernel_reference(A, x, nranks):
     return np.concatenate(pieces)
 
 
-GOLDEN = {1: GOLDEN_SIGNATURES, N_SWEEPS: GOLDEN_CHAIN_SIGNATURES}
-
-
 @pytest.mark.parametrize("scheme", PROGRAM_SCHEMES)
 @pytest.mark.parametrize("plan_kind", ["direct", "node-aware"])
-@pytest.mark.parametrize(
-    "width,n_sweeps",
-    [("spmv", 1), ("spmm", 1), ("spmv", N_SWEEPS)],
-    ids=["spmv", "spmm", f"spmv-n{N_SWEEPS}"],
-)
-def test_cross_backend_golden(
-    golden_matrix, golden_x, golden_X, scheme, plan_kind, width, n_sweeps
-):
+@pytest.mark.parametrize("width", ["spmv", "spmm"])
+def test_cross_backend_golden(golden_matrix, golden_x, golden_X, scheme, plan_kind, width):
     A = golden_matrix
     x = golden_x if width == "spmv" else golden_X
     k = 1 if width == "spmv" else x.shape[1]
-    signature = GOLDEN[n_sweeps][scheme]
-    program = build_sweep(scheme, n_sweeps, block_k=k)
+    signature = GOLDEN_SIGNATURES[scheme]
+    program = build_sweep(scheme, block_k=k)
     assert program.signature() == signature
 
     # --- simulation: the program's op sequence, once per iteration ----
@@ -143,15 +98,12 @@ def test_cross_backend_golden(
     result = simulate_from_plan(
         sim_plan, cluster, mode="per-ld", scheme=scheme,
         eager_threshold=1024, iterations=iterations, block_k=k,
-        n_sweeps=n_sweeps, pipeline=True,
         comm_plan=plan_kind, op_logs=op_logs,
     )
-    assert result.iterations == iterations * n_sweeps
+    assert result.iterations == iterations
     assert sorted(op_logs) == list(range(NRANKS))
     for rank_log in op_logs.values():
         assert tuple(rank_log) == signature * iterations
-    if n_sweeps > 1:
-        return  # chained sweeps are the simulator's alone
 
     # --- real execution (mpilite): same op log, per-rank slices -------
     plan = cached_halo_plan(A, NRANKS, with_matrices=True)
@@ -171,26 +123,6 @@ def test_cross_backend_golden(
     # --- numerics: the split-kernel reference, bit for bit ------------
     ref = split_kernel_reference(A, x, NRANKS)
     assert np.array_equal(np.concatenate([y for y, _log in out]), ref)
-
-
-@pytest.mark.parametrize("scheme", PROGRAM_SCHEMES)
-def test_multi_sweep_frozen_signature(scheme):
-    sig = build_sweep(scheme, N_SWEEPS).signature()
-    assert sig == GOLDEN_CHAIN_SIGNATURES[scheme]
-    # The pipelining contract, asserted on the data itself: sweep s+1's
-    # receives are posted before sweep s's concluding kernel.
-    tail = "FULL_SPMVM" if scheme == "no_overlap" else "REMOTE_SPMVM"
-    for s in range(N_SWEEPS - 1):
-        hoisted = SweepOp("POST_RECVS", sweep=s + 1).token
-        assert sig.index(hoisted) < sig.index(SweepOp(tail, sweep=s).token)
-    # sweep attribution: every sweep keeps exactly its single-sweep work
-    def work_ops(program, sweep):
-        return sorted(op.kind for op, _ in program.walk()
-                      if op.sweep == sweep and op.kind in WORK_OPS)
-
-    program = build_sweep(scheme, N_SWEEPS)
-    for s in range(N_SWEEPS):
-        assert work_ops(program, s) == work_ops(build_sweep(scheme), 0)
 
 
 def test_all_combinations_bit_identical(golden_matrix, golden_x, golden_X):

@@ -37,6 +37,14 @@ def test_comm_thread_cannot_nest():
         SweepOp("COMM_THREAD", body=(inner,))
 
 
+def test_comm_thread_body_holds_mpi_ops_only():
+    # a communication thread executes library calls, never compute, and
+    # a region has no barrier inside it: refused when the op is built
+    for kind in ("LOCAL_SPMVM", "PACK", "OMP_BARRIER"):
+        with pytest.raises(ValueError, match=f"MPI ops only .*not {kind}"):
+            SweepOp("COMM_THREAD", body=(SweepOp("POST_SENDS"), SweepOp(kind)))
+
+
 def test_plain_op_cannot_carry_body():
     with pytest.raises(ValueError, match="cannot carry a body"):
         SweepOp("PACK", body=(SweepOp("WAITALL"),))
@@ -49,19 +57,13 @@ def test_program_validates_width_and_counts():
         _prog([SweepOp("PACK")], block_k=0)
     with pytest.raises(ValueError, match="at least one op"):
         _prog([])
-    with pytest.raises(ValueError, match="n_sweeps"):
-        _prog([SweepOp("PACK")], n_sweeps=0)
+    for gone in ("n_sweeps", "pipeline", "meta"):  # a program is one sweep, nothing else
+        with pytest.raises(TypeError, match=gone):
+            _prog([SweepOp("PACK")], **{gone: 1})
+    with pytest.raises(TypeError, match="sweep"):
+        SweepOp("PACK", sweep=1)
     with pytest.raises(TypeError, match="halo_depth"):
         _prog([SweepOp("PACK")], halo_depth=2)  # the ring went with the real-backend chain
-
-
-def test_token_elides_the_sweep_zero_tag():
-    # the one token rule: bare KIND in sweep 0 (so single-sweep
-    # signatures stay byte-stable), s{n}:KIND afterwards
-    assert SweepOp("PACK").token == "PACK"
-    assert SweepOp("PACK", sweep=2).token == "s2:PACK"
-    region = SweepOp("COMM_THREAD", body=(SweepOp("WAITALL"), SweepOp("POST_RECVS", sweep=1)))
-    assert region.tokens() == ("COMM_THREAD{", "WAITALL", "s1:POST_RECVS", "}")
 
 
 def test_walk_and_signature_delimit_comm_thread():
@@ -71,7 +73,7 @@ def test_walk_and_signature_delimit_comm_thread():
     assert kinds[0] == ("POST_RECVS", False)
     sig = prog.signature()
     assert sig.index("COMM_THREAD{") < sig.index("POST_SENDS") < sig.index("}")
-    assert "task_mode" in prog.describe()
+    assert prog.describe().startswith("task_mode [k=1]: ")
 
 
 # ----------------------------------------------------------------------
@@ -90,28 +92,22 @@ def test_scheme_tuples_agree_with_builders():
 
 def test_all_builder_outputs_lint_clean():
     programs = all_sweep_programs()
-    # schemes x (N=1 | N in {2, 3} x {pipelined, sequential}) x widths
-    assert len(programs) == len(PROGRAM_SCHEMES) * (1 + 2 * 2) * 2 == 30
-    assert {p.n_sweeps for p in programs} == {1, 2, 3}
+    # schemes x widths, one sweep each
+    assert len(programs) == len(PROGRAM_SCHEMES) * 2 == 6
+    assert [p.program_id() for p in programs[:2]] == ["no_overlap/k1", "no_overlap/k4"]
     assert lint_sweep_programs(programs) == []
     assert lint_sweep_programs() == []
 
 
 @pytest.mark.parametrize("scheme", PROGRAM_SCHEMES)
-def test_pipeline_is_canonical_for_a_single_sweep(scheme):
-    # a single sweep has no boundary to pipeline across: both spellings
-    # are one program, one cache slot, one program_id
+def test_cached_sweep_program_is_the_one_build(scheme):
+    # the real backend's compile-once program is the built sweep, and
+    # takes nothing but the scheme
     from repro.program import cached_sweep_program
 
-    piped = build_sweep(scheme, 1, pipeline=True)
-    plain = build_sweep(scheme, 1, pipeline=False)
-    assert piped == plain == build_sweep(scheme)
-    assert piped.program_id() == plain.program_id()
-    # the real backend's compile-once program is that single sweep, and
-    # takes nothing but the scheme (chains are the simulator's)
-    assert cached_sweep_program(scheme) is cached_sweep_program(scheme) == plain
+    assert cached_sweep_program(scheme) is cached_sweep_program(scheme) == build_sweep(scheme)
     with pytest.raises(TypeError):
-        cached_sweep_program(scheme, 1, pipeline=True)
+        build_sweep(scheme, 3)  # no sweep count: a program is one sweep
 
 
 def test_builder_rejects_unknown_scheme():
@@ -128,24 +124,14 @@ def _messages(program):
     return " | ".join(f.message for f in findings)
 
 
-def test_lint_catches_compute_in_comm_thread():
-    prog = _prog([
-        SweepOp("POST_RECVS"), SweepOp("PACK"), SweepOp("OMP_BARRIER"),
-        SweepOp("COMM_THREAD", body=(
-            SweepOp("POST_SENDS"), SweepOp("LOCAL_SPMVM"), SweepOp("WAITALL"))),
-        SweepOp("FULL_SPMVM"), SweepOp("OMP_BARRIER"),
-    ])
-    assert "comm thread executes LOCAL_SPMVM" in _messages(prog)
-
-
 def test_lint_catches_request_lifecycle_violations():
     # sends before receives
-    assert "s0:POST_SENDS is not ordered after s0:POST_RECVS" in _messages(_prog([
+    assert "POST_SENDS is not ordered after POST_RECVS" in _messages(_prog([
         SweepOp("POST_SENDS"), SweepOp("POST_RECVS"), SweepOp("PACK"),
         SweepOp("WAITALL"), SweepOp("FULL_SPMVM"),
     ]))
     # waitall before the sends exist
-    assert "s0:WAITALL is not ordered after s0:POST_SENDS" in _messages(_prog([
+    assert "WAITALL is not ordered after POST_SENDS" in _messages(_prog([
         SweepOp("POST_RECVS"), SweepOp("PACK"), SweepOp("WAITALL"),
         SweepOp("POST_SENDS"), SweepOp("FULL_SPMVM"),
     ]))
@@ -172,7 +158,7 @@ def test_lint_catches_unpublished_buffers():
         SweepOp("COMM_THREAD", body=(SweepOp("POST_SENDS"), SweepOp("WAITALL"))),
         SweepOp("LOCAL_SPMVM"), SweepOp("OMP_BARRIER"), SweepOp("REMOTE_SPMVM"),
     ])
-    assert "s0:POST_SENDS is not ordered after s0:PACK" in _messages(prog)
+    assert "POST_SENDS is not ordered after PACK" in _messages(prog)
 
 
 def test_lint_catches_unjoined_comm_thread():
@@ -187,7 +173,7 @@ def test_lint_catches_unjoined_comm_thread():
 
 def test_lint_catches_premature_halo_consumption():
     # remote part before the exchange completed
-    assert "s0:REMOTE_SPMVM is not ordered after s0:WAITALL" in _messages(_prog([
+    assert "REMOTE_SPMVM is not ordered after WAITALL" in _messages(_prog([
         SweepOp("POST_RECVS"), SweepOp("PACK"), SweepOp("POST_SENDS"),
         SweepOp("LOCAL_SPMVM"), SweepOp("REMOTE_SPMVM"), SweepOp("WAITALL"),
     ]))
@@ -201,7 +187,7 @@ def test_lint_catches_kernel_shape_violations():
         SweepOp("REMOTE_SPMVM"),
     ]))
     # remote accumulates into a result that does not exist yet
-    assert "s0:REMOTE_SPMVM is not ordered after s0:LOCAL_SPMVM" in _messages(_prog([
+    assert "REMOTE_SPMVM is not ordered after LOCAL_SPMVM" in _messages(_prog([
         SweepOp("POST_RECVS"), SweepOp("PACK"), SweepOp("POST_SENDS"),
         SweepOp("WAITALL"), SweepOp("REMOTE_SPMVM"), SweepOp("LOCAL_SPMVM"),
     ]))
@@ -216,7 +202,3 @@ def test_lint_rejects_every_seeded_fixture_program():
     for name, build in SEEDED_PROGRAMS.items():
         assert _messages(build()), name
 
-
-def test_lint_catches_sweep_tag_outside_the_program():
-    ops = build_sweep("no_overlap", 2).ops
-    assert "tagged sweep 1, outside 0..0" in _messages(_prog(ops, n_sweeps=1))
