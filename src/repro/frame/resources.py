@@ -19,22 +19,31 @@ resources it touches:
 
 Implementation notes
 --------------------
-The engine is built to simulate hundreds of ranks: all per-flow state
-lives in growable numpy arrays (a :class:`Flow` is a thin handle onto a
-slot), the flow→resource incidence is an append-only edge list, and
-rate recomputations are (a) coalesced per simulation instant — every
-rank entering ``Waitall`` at the same time triggers *one* recalc — and
-(b) fully vectorised, with every bottleneck resource at the current
-minimum fair share frozen per filling round, so symmetric populations
-converge in a handful of rounds.
+The engine is built to simulate hundreds of ranks with only the flows
+that are alive costing anything.  Each :class:`Flow` carries its own
+state (weight, bytes left, rate, paused flag and its
+``(resource, multiplier)`` edges); the network keeps the live flows in
+start order, and each resource's live flows in start order, and drops
+a flow once it has finished.  Rate recomputations are (a) coalesced per
+simulation instant — every rank entering ``Waitall`` at the same time
+triggers *one* recalc — and (b) progressive filling driven by a
+min-heap of per-resource fair shares: each round pops every resource
+within a relative 1e-12 of the smallest share, freezes its flows at
+that share, and recomputes the share of only the resources those flows
+also touch (stale heap entries are skipped).  A resource's opening
+share (its capacity over its runnable demand) is summed again only when
+a flow on it started, finished, paused or resumed.  Every sum runs in
+flow start order: the order of the textbook filling that rescans every
+unfrozen flow each round, so both give the same rates bit for bit
+(``tests/test_flow_filling.py``).
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 from typing import Callable, Hashable
-
-import numpy as np
 
 from repro.frame.core import Simulator
 from repro.frame.events import SimEvent
@@ -43,6 +52,9 @@ __all__ = ["Flow", "FlowNetwork", "ResourceStats"]
 
 ResourceKey = Hashable
 _EPS_BYTES = 1e-6
+#: Resources whose fair share is within this relative band of the
+#: smallest one are bottlenecks of the same filling round.
+_TIE_BAND = 1.0 + 1e-12
 
 
 @dataclass(frozen=True)
@@ -68,35 +80,31 @@ class ResourceStats:
 
 
 class Flow:
-    """Handle for one activity moving bytes through a set of resources."""
+    """Handle for one activity moving bytes through a set of resources.
 
-    __slots__ = ("slot", "size", "done", "label", "_net")
+    ``remaining`` (bytes left, as of the last engine update), ``rate``
+    (bytes/s) and ``paused`` are read-only to callers: the network owns
+    them and changes them through :meth:`FlowNetwork.pause` /
+    :meth:`FlowNetwork.resume`.
+    """
 
-    def __init__(self, net: "FlowNetwork", slot: int, size: float, label: str) -> None:
-        self._net = net
-        self.slot = slot
+    __slots__ = ("size", "done", "label", "weight", "remaining", "rate", "paused",
+                 "edges", "alive")
+
+    def __init__(self, size: float, label: str, weight: float) -> None:
         self.size = float(size)
         self.done = SimEvent()
         self.label = label
-
-    @property
-    def remaining(self) -> float:
-        """Bytes left to move (as of the last engine update)."""
-        return float(self._net._remaining[self.slot])
-
-    @property
-    def rate(self) -> float:
-        """Current progress rate in bytes/s."""
-        return float(self._net._rate[self.slot])
-
-    @property
-    def paused(self) -> bool:
-        """Whether the flow is currently gated."""
-        return bool(self._net._paused[self.slot])
+        self.weight = float(weight)
+        self.remaining = 0.0
+        self.rate = 0.0
+        self.paused = False
+        self.edges: tuple[tuple[int, float], ...] = ()
+        self.alive = False
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics
         return (
-            f"Flow({self.label or self.slot}, {self.remaining:.0f}/{self.size:.0f} B, "
+            f"Flow({self.label}, {self.remaining:.0f}/{self.size:.0f} B, "
             f"rate={self.rate:.3g} B/s{', paused' if self.paused else ''})"
         )
 
@@ -114,43 +122,30 @@ class FlowNetwork:
         function; memory buses use their saturation curve.
     """
 
-    _INITIAL = 64
-
     def __init__(
         self, sim: Simulator, capacities: dict[ResourceKey, Callable[[float], float]]
     ) -> None:
         self._sim = sim
-        self._res_keys: list[ResourceKey] = []
-        self._res_index: dict[ResourceKey, int] = {}
-        self._cap_fns: list[Callable[[float], float]] = []
-        for key, fn in capacities.items():
-            self._res_index[key] = len(self._res_keys)
-            self._res_keys.append(key)
-            self._cap_fns.append(fn)
-        # per-flow slot arrays
-        n = self._INITIAL
-        self._weight = np.zeros(n)
-        self._remaining = np.zeros(n)
-        self._rate = np.zeros(n)
-        self._alive = np.zeros(n, dtype=bool)
-        self._paused = np.zeros(n, dtype=bool)
-        self._flows: list[Flow | None] = [None] * n
-        self._n_slots = 0
-        # append-only incidence (edges of dead flows are filtered lazily)
-        cap = 4 * n
-        self._e_flow = np.zeros(cap, dtype=np.int64)
-        self._e_res = np.zeros(cap, dtype=np.int64)
-        self._e_mult = np.zeros(cap)
-        self._n_edges = 0
+        self._res_index = {key: ri for ri, key in enumerate(capacities)}
+        self._cap_fns = list(capacities.values())
+        self._live: list[Flow] = []  # alive flows, in start order
+        # resource -> its live flows (paused ones too) and their
+        # multipliers, in start order
+        self._users: dict[int, list[tuple[Flow, float]]] = {}
+        # resource with a runnable flow -> (sum of weight x multiplier,
+        # capacity) over its runnable flows; stale for the resources in
+        # _changed until the next recomputation
+        self._sums: dict[int, tuple[float, float]] = {}
+        self._changed: set[int] = set()
         self._last_update = sim.now
         self._epoch = 0
         self._recalc_pending_at: float | None = None
         # per-resource utilization accounting
-        nres = len(self._res_keys)
-        self._res_busy = np.zeros(nres)
-        self._res_bytes = np.zeros(nres)
-        self._res_hwm = np.zeros(nres, dtype=np.int64)
-        self._res_flows = np.zeros(nres, dtype=np.int64)
+        nres = len(self._cap_fns)
+        self._res_busy = [0.0] * nres
+        self._res_bytes = [0.0] * nres
+        self._res_hwm = [0] * nres
+        self._res_flows = [0] * nres
 
     # ------------------------------------------------------------------
     # public API
@@ -181,49 +176,38 @@ class FlowNetwork:
             raise ValueError("a flow needs at least one resource demand")
         if weight <= 0:
             raise ValueError(f"flow weight must be positive, got {weight}")
+        if any(mult < 0 for mult in demands.values()):
+            raise ValueError(f"demand multipliers must be >= 0, got {demands}")
         res_ids = [self._res_index[k] for k in demands]  # KeyError for unknown keys
         for rid in res_ids:
             self._res_flows[rid] += 1
-        slot = self._n_slots
-        self._ensure_slot_capacity(slot + 1)
-        flow = Flow(self, slot, size, label)
-        self._flows[slot] = flow
-        self._n_slots += 1
+        flow = Flow(size, label, weight)
         if size <= _EPS_BYTES:
             # degenerate flow: complete via the queue so ordering relative
             # to other same-instant events stays consistent
-            self._weight[slot] = weight
             self._sim.schedule(0.0, lambda: flow.done.succeed(flow))
             return flow
         self._settle()
-        self._weight[slot] = weight
-        self._remaining[slot] = size
-        self._rate[slot] = 0.0
-        self._alive[slot] = True
-        self._paused[slot] = paused
-        self._ensure_edge_capacity(self._n_edges + len(res_ids))
-        for rid, mult in zip(res_ids, demands.values()):
-            e = self._n_edges
-            self._e_flow[e] = slot
-            self._e_res[e] = rid
-            self._e_mult[e] = mult
-            self._n_edges += 1
+        flow.remaining = flow.size
+        flow.paused = bool(paused)
+        flow.edges = tuple(zip(res_ids, map(float, demands.values())))
+        flow.alive = True
+        self._live.append(flow)
+        for rid, mult in flow.edges:
+            self._users.setdefault(rid, []).append((flow, mult))
+            self._changed.add(rid)
         self._mark_dirty()
         return flow
 
     def pause(self, flow: Flow) -> None:
         """Stop a flow's progress (models absent MPI progress)."""
-        if self._alive[flow.slot] and not self._paused[flow.slot]:
-            self._settle()
-            self._paused[flow.slot] = True
-            self._mark_dirty()
+        if flow.alive and not flow.paused:
+            self._set_paused(flow, True)
 
     def resume(self, flow: Flow) -> None:
         """Resume a paused flow."""
-        if self._alive[flow.slot] and self._paused[flow.slot]:
-            self._settle()
-            self._paused[flow.slot] = False
-            self._mark_dirty()
+        if flow.alive and flow.paused:
+            self._set_paused(flow, False)
 
     def resource_stats(self) -> dict[ResourceKey, ResourceStats]:
         """Per-resource utilization accumulated so far.
@@ -234,10 +218,10 @@ class FlowNetwork:
         self._settle()
         return {
             key: ResourceStats(
-                busy_seconds=float(self._res_busy[ri]),
-                bytes_moved=float(self._res_bytes[ri]),
-                max_concurrent_flows=int(self._res_hwm[ri]),
-                flows_started=int(self._res_flows[ri]),
+                busy_seconds=self._res_busy[ri],
+                bytes_moved=self._res_bytes[ri],
+                max_concurrent_flows=self._res_hwm[ri],
+                flows_started=self._res_flows[ri],
             )
             for key, ri in self._res_index.items()
         }
@@ -245,33 +229,11 @@ class FlowNetwork:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _ensure_slot_capacity(self, needed: int) -> None:
-        cur = self._weight.size
-        if needed <= cur:
-            return
-        new = max(needed, 2 * cur)
-        for name in ("_weight", "_remaining", "_rate"):
-            arr = getattr(self, name)
-            grown = np.zeros(new)
-            grown[:cur] = arr
-            setattr(self, name, grown)
-        for name in ("_alive", "_paused"):
-            arr = getattr(self, name)
-            grown = np.zeros(new, dtype=bool)
-            grown[:cur] = arr
-            setattr(self, name, grown)
-        self._flows.extend([None] * (new - len(self._flows)))
-
-    def _ensure_edge_capacity(self, needed: int) -> None:
-        cur = self._e_flow.size
-        if needed <= cur:
-            return
-        new = max(needed, 2 * cur)
-        for name, dtype in (("_e_flow", np.int64), ("_e_res", np.int64), ("_e_mult", float)):
-            arr = getattr(self, name)
-            grown = np.zeros(new, dtype=dtype)
-            grown[:cur] = arr
-            setattr(self, name, grown)
+    def _set_paused(self, flow: Flow, paused: bool) -> None:
+        self._settle()
+        flow.paused = paused
+        self._changed.update(rid for rid, _mult in flow.edges)
+        self._mark_dirty()
 
     def _mark_dirty(self) -> None:
         """Coalesce rate recomputation: many flow changes at one instant
@@ -288,103 +250,133 @@ class FlowNetwork:
         self._sim.schedule(0.0, do_recalc)
 
     def _settle(self) -> None:
-        """Advance all flows to the current instant; complete finished ones."""
-        n = self._n_slots
+        """Advance all flows to the current instant; complete finished ones.
+
+        Only a flow that moved can finish: a live flow always has more
+        than ``_EPS_BYTES`` left after a settle.
+        """
         dt = self._sim.now - self._last_update
         self._last_update = self._sim.now
-        if n == 0:
+        if dt <= 0:
             return
-        if dt > 0:
-            moving = self._alive[:n] & ~self._paused[:n]
-            ne = self._n_edges
-            e_flow = self._e_flow[:ne]
-            live = moving[e_flow] & (self._rate[e_flow] > 0)
-            if live.any():
-                ef = e_flow[live]
-                er = self._e_res[:ne][live]
-                np.add.at(
-                    self._res_bytes, er, self._rate[ef] * self._e_mult[:ne][live] * dt
-                )
-                busy = np.zeros(len(self._res_keys), dtype=bool)
-                busy[er] = True
-                self._res_busy[busy] += dt
-            self._remaining[:n][moving] -= self._rate[:n][moving] * dt
-        finished = np.flatnonzero(self._alive[:n] & (self._remaining[:n] <= _EPS_BYTES))
-        if finished.size:
-            self._alive[finished] = False
-            self._rate[finished] = 0.0
-            self._remaining[finished] = 0.0
-            for slot in finished:
-                flow = self._flows[slot]
-                assert flow is not None
-                flow.done.succeed(flow)
+        res_bytes = self._res_bytes
+        busy = set()
+        finished = []
+        for f in self._live:
+            rate = f.rate
+            if f.paused or rate <= 0:
+                continue
+            for rid, mult in f.edges:
+                res_bytes[rid] += rate * mult * dt
+                busy.add(rid)
+            f.remaining -= rate * dt
+            if f.remaining <= _EPS_BYTES:
+                finished.append(f)
+        for rid in busy:
+            self._res_busy[rid] += dt
+        if finished:
+            for f in finished:
+                f.alive = False
+                f.rate = 0.0
+                f.remaining = 0.0
+            # replaced before any callback runs: a flow started from one
+            # lands in the new list
+            self._live = [f for f in self._live if f.alive]
+            gone = {rid for f in finished for rid, _mult in f.edges}
+            for rid in gone:
+                users = [u for u in self._users[rid] if u[0].alive]
+                if users:
+                    self._users[rid] = users
+                else:
+                    del self._users[rid]
+            self._changed |= gone
+            for f in finished:
+                f.done.succeed(f)
 
     def _recompute_rates(self) -> None:
-        """Vectorised weighted max-min fair allocation (progressive filling)."""
-        n = self._n_slots
-        if n == 0:
-            return
-        self._rate[:n] = 0.0
-        runnable = self._alive[:n] & ~self._paused[:n]
-        if not runnable.any():
-            return
-        ne = self._n_edges
-        e_flow = self._e_flow[:ne]
-        live_edge = runnable[e_flow]
-        e_flow = e_flow[live_edge]
-        e_res = self._e_res[:ne][live_edge]
-        e_mult = self._e_mult[:ne][live_edge]
-        if e_flow.size == 0:
-            return
-        # contention high-water mark: concurrent runnable flows per resource
-        conc = np.zeros(len(self._res_keys), dtype=np.int64)
-        np.add.at(conc, e_res, 1)
-        np.maximum(self._res_hwm, conc, out=self._res_hwm)
-        weights = self._weight
-        nres = len(self._res_keys)
-        weight_on = np.zeros(nres)
-        np.add.at(weight_on, e_res, weights[e_flow])
-        cap = np.zeros(nres)
-        for ri in np.flatnonzero(weight_on > 0):
-            cap[ri] = max(0.0, float(self._cap_fns[ri](weight_on[ri])))
-        consumed = np.zeros(nres)
-        rate = np.full(n, -1.0)
-        rate[~runnable] = 0.0
-        for _round in range(nres + 1):
-            unfrozen_edge = rate[e_flow] < 0
-            if not unfrozen_edge.any():
+        """Weighted max-min fair allocation (progressive filling).
+
+        An unfrozen runnable flow has rate -1 while the rounds run.  A
+        resource is *open* while it has a current heap entry; it closes
+        when it is a round's bottleneck (all its flows freeze) or has no
+        unfrozen demand left, and with non-negative multipliers it never
+        reopens.
+        """
+        unfrozen = 0
+        for f in self._live:
+            if f.paused:
+                f.rate = 0.0
+            else:
+                f.rate = -1.0
+                unfrozen += 1
+        sums = self._sums
+        hwm = self._res_hwm
+        for rid in self._changed:
+            weight_on = denom = 0.0
+            n = 0
+            for f, mult in self._users.get(rid, ()):
+                if not f.paused:
+                    weight_on += f.weight
+                    denom += f.weight * mult
+                    n += 1
+            if not n:
+                sums.pop(rid, None)
+                continue
+            if n > hwm[rid]:
+                hwm[rid] = n  # contention high-water mark
+            c = max(0.0, float(self._cap_fns[rid](weight_on)))
+            sums[rid] = (denom, c)
+        self._changed.clear()
+        on = self._users
+        consumed = dict.fromkeys(sums, 0.0)
+        entry: dict[int, int] = {}  # open resource -> tag of its current heap entry
+        heap: list[tuple[float, int, int]] = []
+        for rid, (denom, c) in sums.items():
+            if denom > 0:
+                entry[rid] = len(heap)
+                heap.append((c / denom, len(heap), rid))
+        heapq.heapify(heap)
+        tag = len(heap)
+        while heap:
+            s_min, t, rid = heap[0]
+            if entry.get(rid) != t:
+                heapq.heappop(heap)  # stale
+                continue
+            if s_min == math.inf:  # pragma: no cover - numerical guard
                 break
-            denom = np.zeros(nres)
-            np.add.at(
-                denom,
-                e_res[unfrozen_edge],
-                weights[e_flow[unfrozen_edge]] * e_mult[unfrozen_edge],
-            )
-            contended = denom > 0
-            share = np.full(nres, np.inf)
-            share[contended] = (
-                np.maximum(0.0, cap[contended] - consumed[contended]) / denom[contended]
-            )
-            s_min = share.min()
-            if not np.isfinite(s_min):  # pragma: no cover - numerical guard
-                break
-            bottleneck = share <= s_min * (1.0 + 1e-12)
-            freeze_edge = unfrozen_edge & bottleneck[e_res]
-            if not freeze_edge.any():  # pragma: no cover - numerical guard
-                break
-            # a boolean flow mask, not np.unique + np.isin: this loop body
-            # runs ~1 200 times per simulated sweep
-            frozen = np.zeros(n, dtype=bool)
-            frozen[e_flow[freeze_edge]] = True
-            rate[frozen] = weights[:n][frozen] * s_min
-            newly_frozen_edge = unfrozen_edge & frozen[e_flow]
-            np.add.at(
-                consumed,
-                e_res[newly_frozen_edge],
-                rate[e_flow[newly_frozen_edge]] * e_mult[newly_frozen_edge],
-            )
-        rate[rate < 0] = 0.0
-        self._rate[:n] = rate
+            limit = s_min * _TIE_BAND
+            frozen = set()
+            while heap and heap[0][0] <= limit:
+                _, t, rid = heapq.heappop(heap)
+                if entry.get(rid) != t:
+                    continue
+                del entry[rid]
+                for f, _mult in on[rid]:
+                    if f.rate < 0:
+                        f.rate = f.weight * s_min
+                        frozen.add(f)
+            unfrozen -= len(frozen)
+            for rid in {rid for f in frozen for rid, _mult in f.edges}:
+                if rid not in entry:
+                    continue  # closed: nothing left to share
+                c = consumed[rid]
+                denom = 0.0
+                for f, mult in on[rid]:
+                    if f in frozen:
+                        c += f.rate * mult
+                    elif f.rate < 0:
+                        denom += f.weight * mult
+                consumed[rid] = c
+                if denom > 0:
+                    entry[rid] = tag
+                    heapq.heappush(heap, (max(0.0, sums[rid][1] - c) / denom, tag, rid))
+                    tag += 1
+                else:
+                    del entry[rid]
+        if unfrozen:  # pragma: no cover - zero multipliers only, or the guard above
+            for f in self._live:
+                if f.rate < 0:
+                    f.rate = 0.0
 
     def _reschedule(self) -> None:
         """Recompute rates and schedule the next completion."""
@@ -392,15 +384,12 @@ class FlowNetwork:
         self._recompute_rates()
         self._epoch += 1
         epoch = self._epoch
-        n = self._n_slots
-        moving = self._alive[:n] & ~self._paused[:n] & (self._rate[:n] > 0)
-        if not moving.any():
+        dts = [f.remaining / f.rate for f in self._live if f.rate > 0]
+        if not dts:
             return
-        dts = self._remaining[:n][moving] / self._rate[:n][moving]
-        next_dt = float(dts.min())
 
         def on_completion() -> None:
             if epoch == self._epoch:
                 self._reschedule()
 
-        self._sim.schedule(next_dt, on_completion)
+        self._sim.schedule(min(dts), on_completion)

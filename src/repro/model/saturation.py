@@ -43,6 +43,10 @@ class SaturationCurve:
             raise ValueError("core counts start at 1")
         for b in self.bandwidth:
             check_positive_float(b, "bandwidth")
+        # the simulator queries a curve at every rate recomputation:
+        # convert the table once, not per call
+        object.__setattr__(self, "_xp", np.asarray(self.cores, dtype=float))
+        object.__setattr__(self, "_fp", np.asarray(self.bandwidth, dtype=float))
 
     @classmethod
     def from_table(cls, table: dict[int, float]) -> "SaturationCurve":
@@ -59,6 +63,4 @@ class SaturationCurve:
         """Aggregate bandwidth for *active_cores* concurrently streaming cores."""
         if active_cores <= 0:
             return 0.0
-        return float(
-            np.interp(active_cores, np.asarray(self.cores, dtype=float), self.bandwidth)
-        )
+        return float(np.interp(active_cores, self._xp, self._fp))

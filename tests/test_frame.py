@@ -221,6 +221,8 @@ def test_flow_validation():
         net.start_flow(1.0, {"unknown": 1.0})
     with pytest.raises(ValueError, match="weight"):
         net.start_flow(1.0, {"r": 1.0}, weight=0.0)
+    with pytest.raises(ValueError, match="multipliers"):
+        net.start_flow(1.0, {"r": -1.0})
 
 
 def test_mass_conservation_many_flows(rng):
