@@ -78,7 +78,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import (
         overlap_bytes_with_phase,
         phase_summary,
-        render_op_costs,
         simulation_metrics,
         write_chrome_trace,
     )
@@ -98,15 +97,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     assert r.trace is not None
     print(r.describe())
     print()
-    print(phase_summary(r.trace, title=f"per-phase summary ({args.scheme})").render())
+    print(phase_summary(r.trace, title=f"per-op summary ({args.scheme})").render())
     overlap_bytes = overlap_bytes_with_phase(r.trace, "local spMVM")
     print(
         f"\nrendezvous bytes moved during the endpoints' local spMVM: "
         f"{overlap_bytes:.0f} B"
     )
-    if args.per_op:
-        print()
-        print(render_op_costs(r.trace))
     if args.metrics:
         print()
         for name, value in sorted(simulation_metrics(r).items()):
@@ -425,8 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--eager-threshold", type=int, default=1024)
     pt.add_argument("--async-progress", action="store_true",
                     help="model an MPI library with working progress threads")
-    pt.add_argument("--per-op", action="store_true",
-                    help="print per-op cost attribution (program/op)")
     pt.add_argument("--metrics", action="store_true", help="print the flat metrics dict")
     pt.add_argument("--trace-json", metavar="PATH", default=None,
                     help="write Chrome trace_event JSON to PATH")

@@ -74,10 +74,6 @@ class RankContext:
         compute threads (split across its locality domains)."""
         if traffic <= 0:
             return
-        t0 = self.sim.now
-        actor = f"rank{self.rank}"
-        if self.trace is not None:
-            self.trace.emit(t0, actor, "phase_begin", "phase", label=label, traffic=traffic)
         total_threads = max(1, self.placement.n_compute_threads)
         flows = []
         for dom, threads in self.placement.domains:
@@ -93,24 +89,6 @@ class RankContext:
                 )
             )
         yield self.sim.all_of([f.done for f in flows])
-        if self.trace is not None:
-            self.trace.emit(self.sim.now, actor, "phase_end", "phase", label=label, traffic=traffic)
-            self.trace.record(actor, label, t0, self.sim.now)
-
-    def omp_barrier(self) -> Generator:
-        """Sub-generator: one intra-rank thread barrier."""
-        t0 = self.sim.now
-        yield self.sim.timeout(self.barrier_seconds)
-        if self.trace is not None:
-            self.trace.emit(
-                self.sim.now, f"rank{self.rank}", "barrier_wait", "barrier",
-                rank=self.rank, start=t0, seconds=self.sim.now - t0,
-            )
-
-    def record(self, actor_suffix: str, label: str, t0: float) -> None:
-        """Trace helper for non-compute intervals."""
-        if self.trace is not None:
-            self.trace.record(f"rank{self.rank}{actor_suffix}", label, t0, self.sim.now)
 
 
 def rank_process(

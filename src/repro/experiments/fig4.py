@@ -6,7 +6,7 @@ chart shows the separate communication actor overlapping the compute
 threads' local spMVM; the naive-overlap chart shows the Waitall block
 where the transfer really happens.
 
-Beyond the pictures, the structured event stream lets us *measure* the
+Beyond the pictures, the trace's MPI instants let us *measure* the
 overlap: ``rendezvous_bytes_during_local`` counts, per scheme, the
 rendezvous bytes that moved while one of the message's own endpoints was
 executing its local spMVM.  With 2010-era progress semantics that number
@@ -22,13 +22,18 @@ from dataclasses import dataclass, field
 from repro.core.halo import build_halo_plan
 from repro.core.runner import simulate_from_plan
 from repro.experiments.calibration import KAPPA, REDUCED_EAGER_THRESHOLD
+from repro.frame.trace import TraceRecorder
 from repro.machine.affinity import ranks_for_mode
 from repro.machine.presets import westmere_cluster
 from repro.matrices.collection import get_matrix
 from repro.obs import overlap_bytes_with_phase, transfer_segments
+from repro.program.ir import SIM_PHASE_LABELS
 from repro.sparse.partition import partition_matrix
 
 __all__ = ["Fig4Result", "run_fig4"]
+
+#: The ops a chart draws: compute and the Waitall the transfer hides in.
+_DRAWN_OPS = frozenset({*SIM_PHASE_LABELS, "WAITALL"})
 
 
 @dataclass
@@ -98,22 +103,17 @@ def run_fig4(
             s.nbytes for s in transfer_segments(r.trace, protocol="rendezvous")
         )
         # restrict the chart to rank 0's actors for legibility
-        rank0 = type(r.trace)(
-            [iv for iv in r.trace.intervals if iv.actor.startswith("rank0")]
-        )
-        charts[scheme] = rank0.render_gantt(title=titles[scheme])
+        rank0 = [
+            s for s in r.trace.spans
+            if s.actor in ("rank0", "rank0:comm") and s.args["op"] in _DRAWN_OPS
+        ]
+        charts[scheme] = TraceRecorder(rank0).render_gantt(title=titles[scheme])
         makespans[scheme] = r.seconds_per_mvm
         # overlap: time the comm actor's Waitall shares with compute work
-        comm_ivs = [
-            iv for iv in r.trace.intervals
-            if iv.actor in ("rank0", "rank0:comm") and iv.label == "MPI_Waitall"
-        ]
-        compute_ivs = [
-            iv for iv in r.trace.intervals
-            if iv.actor == "rank0" and "spMVM" in iv.label
-        ]
+        comm_ivs = [s for s in rank0 if s.label == "MPI_Waitall"]
+        compute_ivs = [s for s in rank0 if s.actor == "rank0" and "spMVM" in s.label]
         shared = 0.0
-        total_comm = sum(iv.duration for iv in comm_ivs) or 1e-300
+        total_comm = sum(s.duration for s in comm_ivs) or 1e-300
         for c in comm_ivs:
             for w in compute_ivs:
                 shared += max(0.0, min(c.end, w.end) - max(c.start, w.start))

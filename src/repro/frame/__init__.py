@@ -3,7 +3,7 @@
 from repro.frame.core import Process, Simulator
 from repro.frame.events import SimEvent, all_of
 from repro.frame.resources import Flow, FlowNetwork, ResourceStats
-from repro.frame.trace import Interval, TraceEvent, TraceRecorder
+from repro.frame.trace import Span, TraceEvent, TraceRecorder
 
 __all__ = [
     "Simulator",
@@ -13,7 +13,7 @@ __all__ = [
     "Flow",
     "FlowNetwork",
     "ResourceStats",
-    "Interval",
+    "Span",
     "TraceEvent",
     "TraceRecorder",
 ]

@@ -1,17 +1,18 @@
 """Observability exporters for the discrete-event simulator.
 
-The simulator records two complementary data sets (see
-:class:`repro.frame.trace.TraceRecorder`): coarse *intervals* (what each
-actor did, and when) and a structured *event stream* (message lifecycle,
-compute-phase boundaries, barrier waits, MPI progress-gate transitions).
-This package turns them into artefacts a human or a test can consume:
+The simulator records two data sets (see
+:class:`repro.frame.trace.TraceRecorder`): one *span* per executed op
+(what each actor did, and when) and the *MPI instants* (message
+lifecycle and progress-gate transitions).  Every reader here is a view
+of those two lists, turning them into artefacts a human or a test can
+consume:
 
 * :mod:`repro.obs.chrome` — Chrome/Perfetto ``trace_event`` JSON
   (load the file in ``chrome://tracing`` or https://ui.perfetto.dev),
 * :mod:`repro.obs.metrics` — one flat ``{name: value}`` dict per
-  simulation run (makespan, GFlop/s, event counts, per-resource-class
-  utilization),
-* :mod:`repro.obs.summary` — a per-phase ASCII summary table,
+  simulation run (makespan, GFlop/s, instant counts, barrier spans,
+  per-resource-class utilization) and the per-op costs,
+* :mod:`repro.obs.summary` — the per-op summary table,
 * :mod:`repro.obs.analysis` — transfer-segment reconstruction: how many
   bytes each rendezvous message moved inside any time window, the basis
   of the Fig. 4 overlap validation,
@@ -31,7 +32,6 @@ from repro.obs.latency import latency_summary, percentile, throughput
 from repro.obs.metrics import (
     comm_phase_messages,
     per_op_costs,
-    render_op_costs,
     simulation_metrics,
 )
 from repro.obs.summary import phase_summary
@@ -48,7 +48,6 @@ __all__ = [
     "simulation_metrics",
     "comm_phase_messages",
     "per_op_costs",
-    "render_op_costs",
     "phase_summary",
     "latency_summary",
     "percentile",

@@ -1,4 +1,4 @@
-"""Transfer-segment reconstruction from the structured event stream.
+"""Transfer-segment reconstruction from the MPI instants of a trace.
 
 A rendezvous message's life on the wire is piecewise: it starts (possibly
 already gated), is paused whenever the MPI progress gate of either
@@ -53,13 +53,13 @@ class TransferSegment:
 def transfer_segments(
     trace: TraceRecorder, *, protocol: str | None = None
 ) -> list[TransferSegment]:
-    """Active-transfer segments of every message, reconstructed from events.
+    """Active-transfer segments of every message, reconstructed from instants.
 
     ``protocol`` restricts the result to ``"eager"`` or ``"rendezvous"``
     messages.  Messages that never reached the wire contribute nothing.
     """
     by_mid: dict[int, list] = {}
-    for ev in trace.iter_events("mpi"):
+    for ev in trace.iter_events():
         if ev.name in _LIFECYCLE and "mid" in ev.args:
             by_mid.setdefault(ev.args["mid"], []).append(ev)
     segments: list[TransferSegment] = []

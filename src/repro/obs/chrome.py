@@ -7,8 +7,9 @@ https://ui.perfetto.dev and Speedscope all read it.  We map
 
 * each traced *actor* (``rank0``, ``rank0:comm``, ...) to one thread of
   a single process, named via ``thread_name`` metadata events,
-* each recorded interval to a complete (``"ph": "X"``) event,
-* each structured event to an instant (``"ph": "i"``) event carrying its
+* each op span to a complete (``"ph": "X"``) event carrying its
+  ``args`` (op kind, program id),
+* each MPI instant to an instant (``"ph": "i"``) event carrying its
   ``args`` payload.
 
 Timestamps are microseconds, as the format requires; the simulator's
@@ -45,16 +46,17 @@ def chrome_trace_events(trace: TraceRecorder, *, pid: int = 0) -> list[dict[str,
         }
         for actor, tid in tids.items()
     ]
-    for iv in sorted(trace.intervals, key=lambda iv: (iv.start, iv.actor)):
+    for span in sorted(trace.spans, key=lambda s: (s.start, s.actor)):
         out.append(
             {
                 "ph": "X",
                 "pid": pid,
-                "tid": tids[iv.actor],
-                "name": iv.label,
-                "cat": "interval",
-                "ts": iv.start * _US,
-                "dur": iv.duration * _US,
+                "tid": tids[span.actor],
+                "name": span.label,
+                "cat": "op",
+                "ts": span.start * _US,
+                "dur": span.duration * _US,
+                "args": dict(span.args),
             }
         )
     for ev in trace.iter_events():
@@ -65,7 +67,7 @@ def chrome_trace_events(trace: TraceRecorder, *, pid: int = 0) -> list[dict[str,
                 "pid": pid,
                 "tid": tids[ev.actor],
                 "name": ev.name,
-                "cat": ev.category or "event",
+                "cat": "mpi",
                 "ts": ev.time * _US,
                 "args": dict(ev.args),
             }

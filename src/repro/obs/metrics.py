@@ -5,10 +5,10 @@ One ``{name: value}`` dict per :class:`~repro.core.runner.SimulationResult`
 regression-test assertions) can ingest without schema negotiation.
 
 Naming convention: dotted lowercase paths.  ``sim.*`` for run-level
-figures, ``mpi.*`` for message/event counts from the structured trace,
-``resource.<class>.*`` for utilization aggregated over all resources of
-one class (``membus``, ``nic_out``, ``nic_in``, ``intra``,
-``torus_links``).
+figures, ``mpi.*`` for counts of the trace's MPI instants, ``omp.*``
+for its ``OMP_BARRIER`` spans, ``resource.<class>.*`` for utilization
+aggregated over all resources of one class (``membus``, ``nic_out``,
+``nic_in``, ``intra``, ``torus_links``).
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from repro.comm.plan import PHASES
 from repro.core.runner import SimulationResult
 from repro.frame.trace import TraceRecorder
 
-__all__ = ["simulation_metrics", "comm_phase_messages", "per_op_costs", "render_op_costs"]
+__all__ = ["simulation_metrics", "comm_phase_messages", "per_op_costs"]
 
-#: Structured-event names folded into ``mpi.<name>`` counters.
+#: MPI instant names folded into ``mpi.<name>`` counters.
 _MPI_EVENT_NAMES = (
     "msg_posted",
     "msg_matched",
@@ -50,37 +50,22 @@ def comm_phase_messages(trace: TraceRecorder) -> dict[str, int]:
 
 
 def per_op_costs(trace: TraceRecorder) -> dict[tuple[str, str], dict[str, float]]:
-    """Aggregate the per-op cost attribution events of one traced run.
+    """Fold the op spans of one traced run by ``(program_id, op_kind)``.
 
     The simulated interpreter (:func:`repro.program.sim.sweep_process`)
-    emits one ``op_cost`` event per executed sweep op, keyed on the
-    program's id.  This folds them, over every rank and iteration, into
-    ``(program_id, op_kind) -> {"count": n, "seconds": total}`` — the
-    data behind ``repro trace --per-op``: where a program actually
-    spends its time, op by op.
+    writes one span per executed sweep op, with the op kind and the
+    program's id in its args.  This sums them, over every rank and
+    iteration, into ``{"count": n, "seconds": total}`` — where a program
+    actually spends its time, op by op.
     """
     agg: dict[tuple[str, str], dict[str, float]] = {}
-    for ev in trace.events_named("op_cost", "program"):
-        key = (str(ev.args["program"]), str(ev.args["op"]))
-        cell = agg.get(key)
-        if cell is None:
-            cell = agg[key] = {"count": 0.0, "seconds": 0.0}
-        cell["count"] += 1.0
-        cell["seconds"] += float(ev.args.get("seconds", 0.0))
-    return agg
-
-
-def render_op_costs(trace: TraceRecorder) -> str:
-    """ASCII table of :func:`per_op_costs`, grouped by program."""
-    agg = per_op_costs(trace)
-    if not agg:
-        return "no op_cost events recorded (trace the run with trace=True)"
-    lines = [f"{'program':<20} {'op':<14} {'count':>7} {'seconds':>12}"]
-    for (pid, op), cell in sorted(agg.items()):
-        lines.append(
-            f"{pid:<20} {op:<14} {int(cell['count']):>7} {cell['seconds']:>12.6f}"
+    for span in trace.spans:
+        cell = agg.setdefault(
+            (str(span.args["program"]), str(span.args["op"])), {"count": 0.0, "seconds": 0.0}
         )
-    return "\n".join(lines)
+        cell["count"] += 1.0
+        cell["seconds"] += span.duration
+    return agg
 
 
 def simulation_metrics(result: SimulationResult) -> dict[str, float]:
@@ -98,18 +83,18 @@ def simulation_metrics(result: SimulationResult) -> dict[str, float]:
         "sim.bytes_transferred": float(result.bytes_transferred),
     }
     if result.trace is not None:
-        counts = Counter(ev.name for ev in result.trace.events if ev.category == "mpi")
+        counts = Counter(ev.name for ev in result.trace.events)
         for name in _MPI_EVENT_NAMES:
             m[f"mpi.{name}"] = float(counts.get(name, 0))
         for phase, n in comm_phase_messages(result.trace).items():
             m[f"comm.phase.{phase}.messages"] = float(n)
-        m["trace.intervals"] = float(len(result.trace.intervals))
+        m["trace.spans"] = float(len(result.trace.spans))
         m["trace.events"] = float(len(result.trace.events))
-        barriers = [ev for ev in result.trace.events if ev.category == "barrier"]
+        # a barrier that joins a task-mode region includes its wait for
+        # the comm thread
+        barriers = [s for s in result.trace.spans if s.args["op"] == "OMP_BARRIER"]
         m["omp.barrier_waits"] = float(len(barriers))
-        m["omp.barrier_seconds"] = float(
-            sum(ev.args.get("seconds", 0.0) for ev in barriers)
-        )
+        m["omp.barrier_seconds"] = float(sum(s.duration for s in barriers))
     if result.resource_stats:
         by_class: dict[str, list] = {}
         for key, stats in result.resource_stats.items():

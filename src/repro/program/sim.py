@@ -2,18 +2,23 @@
 
 :func:`sweep_process` runs one :class:`~repro.program.ir.SweepProgram`
 inside the discrete-event simulator: compute ops become memory-bus
-flows priced by the rank's :class:`~repro.core.costs.PhaseCosts`
-(emitting the phase labels of :data:`~repro.program.ir.SIM_PHASE_LABELS`,
-so every :mod:`repro.obs` analysis keeps working unchanged),
+flows priced by the rank's :class:`~repro.core.costs.PhaseCosts`,
 communication ops go through the simulated MPI with its progress
 semantics, and a ``COMM_THREAD`` region becomes a spawned subprocess
 holding the MPI progress gate open inside ``Waitall`` — joined, as on
 the real machine, at the main-path ``OMP_BARRIER`` that follows it.
 
-When the rank context carries a trace, every executed op additionally
-emits one ``op_cost`` event (category ``program``) keyed on the
-program's :meth:`~repro.program.ir.SweepProgram.program_id` — the
-per-op cost breakdown ``repro trace --per-op`` aggregates.
+When the rank context carries a trace, every executed op writes one
+:class:`~repro.frame.trace.Span` when it ends.  Its actor is
+``rank{r}``, or ``rank{r}:comm`` inside a ``COMM_THREAD`` body; its
+label is the phase label of
+:data:`~repro.program.ir.SIM_PHASE_LABELS` for a compute op,
+``MPI_Waitall`` for ``WAITALL`` and the op kind otherwise; its args are
+the op kind and the program's
+:meth:`~repro.program.ir.SweepProgram.program_id`.  An ``OMP_BARRIER``
+span that joins a region includes the wait for the comm thread.  Every
+:mod:`repro.obs` view (Gantt, phase windows, per-op costs, barrier
+metrics) reads these spans.
 
 The communication ops mirror the real backend: the rank context's
 :class:`~repro.comm.sim.SimExchange` replays its plan's per-channel
@@ -44,14 +49,19 @@ class _SimState:
         self.comm_finished: SimEvent | None = None
 
 
-def _emit_op_cost(
-    ctx: "RankContext", pid: str, op: SweepOp, t0: float
+#: Span label of each op kind that is not its own label.
+_LABELS = {**SIM_PHASE_LABELS, "WAITALL": "MPI_Waitall"}
+
+
+def _record_span(
+    ctx: "RankContext", pid: str, op: SweepOp, t0: float, *, in_comm_thread: bool = False
 ) -> None:
-    """One ``op_cost`` attribution event (no-op without a trace)."""
+    """The span of one op that started at *t0* and ends now (no-op
+    without a trace)."""
     if ctx.trace is not None:
-        ctx.trace.emit(
-            ctx.sim.now, f"rank{ctx.rank}", "op_cost", "program",
-            op=op.kind, program=pid, seconds=ctx.sim.now - t0,
+        actor = f"rank{ctx.rank}:comm" if in_comm_thread else f"rank{ctx.rank}"
+        ctx.trace.record(
+            actor, _LABELS.get(op.kind, op.kind), t0, ctx.sim.now, op=op.kind, program=pid
         )
 
 
@@ -84,8 +94,8 @@ def sweep_process(
                 # until the exchange is complete (Fig. 4c)
                 yield state.comm_finished
                 state.comm_finished = None
-            yield from ctx.omp_barrier()
-            _emit_op_cost(ctx, pid, op, t0)
+            yield ctx.sim.timeout(ctx.barrier_seconds)
+            _record_span(ctx, pid, op, t0)
         else:
             yield from _run_op(ctx, op, state, tag, pid, in_comm_thread=False)
     if state.comm_finished is not None:  # defensive: lint rejects such programs
@@ -111,10 +121,9 @@ def _run_op(
         state.sends = ctx.comm.post_sends(ctx, tag)
     elif kind == "WAITALL":
         yield from ctx.mpi.waitall(ctx.rank, state.recvs + state.sends)
-        ctx.record(":comm" if in_comm_thread else "", "MPI_Waitall", t0)
     else:  # pragma: no cover - ir.py validates kinds
         raise ValueError(f"simulation backend cannot execute op {kind!r}")
-    _emit_op_cost(ctx, pid, op, t0)
+    _record_span(ctx, pid, op, t0, in_comm_thread=in_comm_thread)
 
 
 def _spawn_comm_thread(

@@ -132,9 +132,9 @@ class SimMPI:
         self._next_mid = 0
 
     def _emit(self, actor: str, name: str, **args) -> None:
-        """Structured trace event at the current simulated instant."""
+        """Trace instant at the current simulated time."""
         if self.trace is not None:
-            self.trace.emit(self._sim.now, actor, name, "mpi", **args)
+            self.trace.emit(self._sim.now, actor, name, **args)
 
     @property
     def nranks(self) -> int:

@@ -37,14 +37,20 @@ def test_cli_trace_prints_per_op_costs_and_writes_chrome_json(capsys, tmp_path):
 
     path = tmp_path / "t.json"
     assert main([
-        "trace", "task_mode", "--scale", "tiny",
-        "--per-op", "--metrics", "--trace-json", str(path),
+        "trace", "task_mode", "--scale", "tiny", "--metrics", "--trace-json", str(path),
     ]) == 0
     out = capsys.readouterr().out
-    assert any(line.split() == ["program", "op", "count", "seconds"]
-               for line in out.splitlines())
-    assert "task_mode/k1" in out and "sim.nodes = 2" in out
+    # the per-op summary is the one table: a row per (program, op)
+    assert "per-op summary (task_mode)" in out
+    assert any([cell.strip() for cell in line.split("|")[:3]]
+               == ["task_mode/k1", "LOCAL_SPMVM", "local spMVM"] for line in out.splitlines())
+    assert "sim.nodes = 2" in out
     assert json.loads(path.read_text())["traceEvents"]
+    # there is no second per-op table to ask for
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "task_mode", "--scale", "tiny", "--per-op"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --per-op" in capsys.readouterr().err
     # one sweep per program: there is no sweep count to ask for
     with pytest.raises(SystemExit) as exc:
         main(["trace", "task_mode", "--scale", "tiny", "--sweeps", "3"])

@@ -108,6 +108,6 @@ def test_trace_collection(sim_matrix):
     r = simulate_spmvm(sim_matrix, cl, mode="per-ld", scheme="task_mode", kappa=2.5,
                        eager_threshold=EAGER, trace=True)
     assert r.trace is not None
-    labels = {iv.label for iv in r.trace.intervals}
+    labels = {s.label for s in r.trace.spans}
     assert "local spMVM" in labels
     assert "MPI_Waitall" in labels

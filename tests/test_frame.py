@@ -249,7 +249,7 @@ def test_trace_recorder():
     tr.record("a", "wait", 1.0, 3.0)
     tr.record("b", "work", 0.5, 2.0)
     assert tr.actors() == ["a", "b"]
-    assert sum(iv.duration for iv in tr.intervals if iv.actor == "a") == pytest.approx(3.0)
+    assert sum(s.duration for s in tr.spans if s.actor == "a") == pytest.approx(3.0)
     assert tr.makespan() == 3.0
     gantt = tr.render_gantt(width=40, title="t")
     assert gantt.startswith("t")
@@ -293,22 +293,23 @@ def test_gantt_cycles_letters_beyond_pool():
 
 def test_trace_events_emit_and_query():
     tr = TraceRecorder()
-    tr.emit(1.0, "rank0", "phase_begin", "phase", label="gather")
-    tr.emit(2.0, "rank0", "phase_end", "phase", label="gather")
-    tr.emit(0.5, "rank1", "gate_open", "gate", rank=1)
-    assert len(tr.events) == 3
-    assert [ev.name for ev in tr.iter_events()] == ["gate_open", "phase_begin", "phase_end"]
+    tr.record("rank0", "gather", 1.0, 2.0, op="PACK")
+    tr.emit(2.5, "rank0", "gate_close", rank=0)
+    tr.emit(0.5, "rank1", "gate_open", rank=1)
+    assert len(tr.events) == 2
+    assert [ev.name for ev in tr.iter_events()] == ["gate_open", "gate_close"]
     assert tr.phase_windows("gather") == [(1.0, 2.0)]
     assert tr.phase_windows("gather", actor="rank1") == []
-    assert tr.events_named("gate_open")[0].args["rank"] == 1
-    assert tr.makespan() == 2.0
+    assert tr.spans[0].args == {"op": "PACK"}
+    assert next(tr.iter_events()).args["rank"] == 1
+    assert tr.makespan() == 2.5
 
 
 def test_trace_events_disabled(hmep_tiny):
     # the recorder only watches: tracing on or off, the run is the same
     off = _simulated_sweep(hmep_tiny, trace=False)
     on = _simulated_sweep(hmep_tiny, trace=True)
-    assert on.trace.events and on.trace.intervals
+    assert on.trace.events and on.trace.spans
     assert on.total_seconds == off.total_seconds
 
 

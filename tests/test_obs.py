@@ -15,7 +15,6 @@ from repro.obs import (
     overlap_bytes_with_phase,
     per_op_costs,
     phase_summary,
-    render_op_costs,
     simulation_metrics,
     to_chrome_trace,
     transfer_segments,
@@ -68,6 +67,14 @@ def test_chrome_trace_structure(traced_runs):
     assert all(e["tid"] in tids for e in events)
 
 
+def test_chrome_trace_one_complete_event_per_executed_op(traced_runs):
+    for r in traced_runs.values():
+        complete = [e for e in chrome_trace_events(r.trace) if e["ph"] == "X"]
+        executed = sum(cell["count"] for cell in per_op_costs(r.trace).values())
+        assert len(complete) == executed == len(r.trace.spans)
+        assert all(set(e["args"]) == {"op", "program"} for e in complete)
+
+
 def test_chrome_trace_instant_events_carry_args(traced_runs):
     events = to_chrome_trace(traced_runs["task_mode"].trace)["traceEvents"]
     started = [e for e in events if e["ph"] == "i" and e["name"] == "wire_started"]
@@ -117,9 +124,10 @@ def test_phase_summary_table(traced_runs):
     table = phase_summary(traced_runs["task_mode"].trace, title="t")
     text = table.render()
     assert "local spMVM" in text and "MPI_Waitall" in text
-    labels = [row[0] for row in table.rows]
-    assert len(labels) == len(set(labels))
-    totals = [row[2] for row in table.rows]
+    # one row per (program, op) of the per-op costs
+    keys = [(row[0], row[1]) for row in table.rows]
+    assert sorted(keys) == sorted(per_op_costs(traced_runs["task_mode"].trace))
+    totals = [row[4] for row in table.rows]
     assert totals == sorted(totals, reverse=True)
 
 
@@ -140,14 +148,34 @@ def test_per_op_costs_count_every_op_and_time_the_phase_intervals(hmep_tiny):
     assert set(costs) == {("task_mode/k1", op) for op in ops}
     for (_pid, op), cell in costs.items():
         assert cell["count"] == iterations * r.n_ranks * signature.count(op), op
-    # the op_cost event and the phase interval time the same span
-    totals_ms = {row[0]: row[2] for row in phase_summary(r.trace).rows}
+    # the per-op costs and the phase windows read the same spans
+    rows = {row[1]: row for row in phase_summary(r.trace).rows}
     for op, label in (("LOCAL_SPMVM", "local spMVM"), ("REMOTE_SPMVM", "remote spMVM")):
         seconds = costs[("task_mode/k1", op)]["seconds"]
         assert seconds > 0
-        assert seconds * 1e3 == pytest.approx(totals_ms[label], rel=1e-12)
-    header = render_op_costs(r.trace).splitlines()[0].split()
-    assert header == ["program", "op", "count", "seconds"]
+        assert rows[op][2] == label
+        assert seconds * 1e3 == pytest.approx(rows[op][4], rel=1e-12)
+        windows = r.trace.phase_windows(label)
+        assert seconds == pytest.approx(sum(hi - lo for lo, hi in windows), rel=1e-12)
+
+
+@pytest.mark.parametrize("scheme", sorted(GOLDEN_SIGNATURES))
+def test_comm_thread_ops_are_attributed_to_the_comm_actor(traced_runs, scheme):
+    """Ops inside a COMM_THREAD body (task mode's POST_SENDS and WAITALL)
+    are spans of ``rank{r}:comm``; every other op is a span of ``rank{r}``."""
+    signature = GOLDEN_SIGNATURES[scheme]
+    body = (
+        set(signature[signature.index("COMM_THREAD{") + 1:signature.index("}")])
+        if "COMM_THREAD{" in signature else set()
+    )
+    spans = traced_runs[scheme].trace.spans
+    assert spans
+    for span in spans:
+        rank = span.actor.split(":")[0]
+        expected = f"{rank}:comm" if span.args["op"] in body else rank
+        assert span.actor == expected, span
+    if scheme == "task_mode":
+        assert body == {"POST_SENDS", "WAITALL"}
 
 
 # ----------------------------------------------------------------------
@@ -161,8 +189,8 @@ def test_transfer_segments_account_full_message(traced_runs):
             by_mid[s.mid] = by_mid.get(s.mid, 0.0) + s.nbytes
         completed = {
             ev.args["mid"]: ev.args["nbytes"]
-            for ev in r.trace.events_named("msg_completed", "mpi")
-            if any(s.mid == ev.args["mid"] for s in segs)
+            for ev in r.trace.iter_events()
+            if ev.name == "msg_completed" and any(s.mid == ev.args["mid"] for s in segs)
         }
         for mid, nbytes in completed.items():
             assert by_mid[mid] == pytest.approx(nbytes, rel=1e-9)
@@ -195,6 +223,18 @@ def test_overlap_bytes_validate_progress_semantics(traced_runs):
     )
     assert total > 0
     assert task_bytes == pytest.approx(total, rel=1e-6)
+
+
+def test_phase_windows_of_all_ranks_are_real_phase_occurrences(traced_runs):
+    """Without an actor, every window is one rank's phase, not the begin
+    of one rank's phase paired with the end of another's."""
+    trace = traced_runs["task_mode"].trace
+    n_ranks = traced_runs["task_mode"].n_ranks
+    for label in ("gather", "local spMVM", "remote spMVM"):
+        per_rank = [
+            w for rank in range(n_ranks) for w in trace.phase_windows(label, actor=f"rank{rank}")
+        ]
+        assert sorted(trace.phase_windows(label)) == sorted(per_rank), label
 
 
 def test_empty_recorder_exports():

@@ -300,6 +300,11 @@ def _traced_world(n_nodes=2, **cfg):
     return sim, mpi, trace
 
 
+def _named(trace, name):
+    """The trace's MPI instants called *name*, in time order."""
+    return [ev for ev in trace.iter_events() if ev.name == name]
+
+
 def test_trace_eager_message_lifecycle():
     sim, mpi, trace = _traced_world(eager_threshold=1 << 20)
 
@@ -314,14 +319,14 @@ def test_trace_eager_message_lifecycle():
     sim.spawn(sender(sim))
     sim.spawn(receiver(sim))
     sim.run()
-    names = [ev.name for ev in trace.iter_events("mpi")]
+    names = [ev.name for ev in trace.iter_events()]
     assert names.count("msg_posted") == 2  # one send post, one recv post
     assert names.count("wire_started") == 1
     assert names.count("msg_completed") == 1
-    started = trace.events_named("wire_started", "mpi")[0]
+    started = _named(trace, "wire_started")[0]
     assert started.args["protocol"] == "eager"
     assert started.args["nbytes"] == 100
-    completed = trace.events_named("msg_completed", "mpi")[0]
+    completed = _named(trace, "msg_completed")[0]
     assert completed.args["mid"] == started.args["mid"]
     assert completed.args["transferred"] == 100
 
@@ -344,12 +349,12 @@ def test_trace_rendezvous_gating_events():
     sim.spawn(sender(sim))
     sim.spawn(receiver(sim))
     sim.run()
-    started = trace.events_named("wire_started", "mpi")[0]
+    started = _named(trace, "wire_started")[0]
     assert started.args["protocol"] == "rendezvous"
     assert started.args["paused"] is True
-    resumed = trace.events_named("msg_resumed", "mpi")
+    resumed = _named(trace, "msg_resumed")
     assert resumed and resumed[0].time >= 5e-6
-    gates = [ev.name for ev in trace.iter_events("mpi")
+    gates = [ev.name for ev in trace.iter_events()
              if ev.name in ("gate_open", "gate_close")]
     assert gates.count("gate_open") == gates.count("gate_close")
 
