@@ -87,11 +87,15 @@ def test_ablation_partition_strategy(hmep_matrix, cluster, benchmark):
     # regenerates under --benchmark-only
     def body():
         rows = []
+        nranks = ranks_for_mode(cluster, "per-ld")
         for strategy in ("nnz", "rows"):
-            r = simulate_spmvm(
-                hmep_matrix, cluster, mode="per-ld", scheme="task_mode",
+            plan = build_halo_plan(
+                hmep_matrix, partition_matrix(hmep_matrix, nranks, strategy=strategy),
+                with_matrices=False,
+            )
+            r = simulate_from_plan(
+                plan, cluster, mode="per-ld", scheme="task_mode",
                 kappa=KAPPA["HMeP"], eager_threshold=EAGER,
-                partition_strategy=strategy,
             )
             rows.append([strategy, r.gflops])
         t = Table(["partition strategy", "GFlop/s"],

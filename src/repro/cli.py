@@ -160,7 +160,7 @@ def _cmd_commvol(args: argparse.Namespace) -> int:
 def _cmd_comm_plan(args: argparse.Namespace) -> int:
     """Compare the direct and node-aware plan of one halo exchange."""
     from repro.comm import build_comm_plan, compare_plans
-    from repro.core.halo import build_halo_plan
+    from repro.core.halo import cached_halo_plan
     from repro.core.runner import simulate_spmvm
     from repro.experiments.calibration import (
         REDUCED_EAGER_THRESHOLD,
@@ -170,7 +170,6 @@ def _cmd_comm_plan(args: argparse.Namespace) -> int:
     from repro.machine.affinity import plan_placement, ranks_for_mode
     from repro.machine.presets import cray_xe6_cluster, westmere_cluster
     from repro.matrices import get_matrix
-    from repro.sparse.partition import partition_matrix
 
     A = get_matrix(args.matrix, args.scale).build_cached()
     cluster = (
@@ -183,7 +182,8 @@ def _cmd_comm_plan(args: argparse.Namespace) -> int:
         print(f"{nranks} ranks exceed the {A.nrows}-row matrix; pick fewer nodes")
         return 1
     rank_node = [p.node for p in plan_placement(cluster, args.mode)]
-    halo = build_halo_plan(A, partition_matrix(A, nranks), with_matrices=False)
+    # the table and both simulated runs share this one build
+    halo = cached_halo_plan(A, nranks, with_matrices=False)
     cmp = compare_plans(
         build_comm_plan(halo, rank_node, "direct"),
         build_comm_plan(halo, rank_node, "node-aware"),

@@ -147,6 +147,19 @@ def _rank_split(
     return nnz_local, nnz_remote, A_local, A_remote
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` by sort plus adjacent difference: the same
+    array (values and dtype), without numpy's hash-based path, which costs
+    about ten times the sort on a halo-sized integer set."""
+    values = np.sort(values)
+    if values.size > 1:
+        keep = np.empty(values.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(values[1:], values[:-1], out=keep[1:])
+        values = values[keep]
+    return values
+
+
 def build_halo_plan(
     A: CSRMatrix, partition: RowPartition, *, with_matrices: bool = True
 ) -> HaloPlan:
@@ -176,7 +189,7 @@ def build_halo_plan(
         lo, hi = partition.bounds(p)
         p0, p1 = int(A.row_ptr[lo]), int(A.row_ptr[hi])
         cols = A.col_idx[p0:p1]
-        remote = np.unique(cols[(cols < lo) | (cols >= hi)])
+        remote = _sorted_unique(cols[(cols < lo) | (cols >= hi)])
         halo_cols_per_rank.append(remote)
         owners = partition.owner_of(remote)
         need: dict[int, np.ndarray] = {}
@@ -239,24 +252,26 @@ def cached_halo_plan(A: CSRMatrix, nparts: int, *, with_matrices: bool = True) -
     cached keyed on ``(id(A), nparts, with_matrices)``, with two guards
     on each hit: a weak reference against id reuse after the matrix is
     garbage collected, and a
-    fingerprint of the matrix against in-place mutation.  A long-lived
+    witness of the matrix against in-place mutation.  A long-lived
     service may legitimately rebuild a matrix between requests;
     returning the old plan then silently computes with the wrong
-    sparsity pattern or the wrong values, so a fingerprint mismatch
-    rebuilds the plan instead.  The fingerprint covers what the plan
-    copied: a metadata-only plan holds structure alone
-    (:meth:`~repro.sparse.csr.CSRMatrix.structure_fingerprint`); one
+    sparsity pattern or the wrong values, so a witness mismatch
+    rebuilds the plan instead.  The witness covers what the plan
+    copied, in one compiled checksum pass (crc32 without the library):
+    a metadata-only plan holds structure alone, so it is guarded by
+    :meth:`~repro.sparse.csr.CSRMatrix.index_fingerprint` over
+    ``row_ptr`` and ``col_idx`` and survives a value-only update; one
     ``with_matrices`` also copied ``val`` into ``A_local`` /
     ``A_remote``, so it is guarded by
-    :meth:`~repro.sparse.csr.CSRMatrix.content_fingerprint`.  The cache
-    is bounded; oldest entries fall out first.
+    :meth:`~repro.sparse.csr.CSRMatrix.content_fingerprint` over all
+    three arrays.  The cache is bounded; oldest entries fall out first.
     """
     from repro.sparse.partition import partition_nnz_balanced
 
     key = (id(A), int(nparts), with_matrices)
     # hashing and building run outside the lock, so threads with distinct
     # matrices overlap; only the dictionary is serialised
-    fingerprint = A.content_fingerprint() if with_matrices else A.structure_fingerprint()
+    fingerprint = A.content_fingerprint() if with_matrices else A.index_fingerprint()
     with _PLAN_LOCK:
         hit = _PLAN_CACHE.get(key)
     if hit is not None and hit[0]() is A and hit[1] == fingerprint:

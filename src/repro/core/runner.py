@@ -5,7 +5,10 @@ This is the top-level entry the experiments use.  It
 1. places MPI ranks on the cluster per the hybrid mode (per core / per
    LD / per node, Sect. 4),
 2. partitions the matrix over the ranks with balanced nonzeros
-   (footnote 2) and performs the halo bookkeeping,
+   (footnote 2) and performs the halo bookkeeping — once per (matrix,
+   rank count): :func:`simulate_spmvm` takes the metadata plan from
+   :func:`~repro.core.halo.cached_halo_plan`, so every scheme and every
+   later pass at that rank count reuses it,
 3. instantiates the flow network (memory buses with their saturation
    curves + all interconnect resources) and the simulated MPI,
 4. runs every rank's scheme process for a few iterations and reports
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from repro.comm.plan import PLAN_KINDS, build_comm_plan
 from repro.comm.sim import SimExchange
 from repro.core.costs import phase_costs
-from repro.core.halo import HaloPlan, build_halo_plan
+from repro.core.halo import HaloPlan, cached_halo_plan
 from repro.core.schemes import RankContext, rank_process
 from repro.frame.core import Simulator
 from repro.frame.resources import FlowNetwork, ResourceStats
@@ -29,7 +32,6 @@ from repro.machine.topology import ClusterSpec
 from repro.program.build import PROGRAM_SCHEMES
 from repro.smpi.api import MPIConfig, SimMPI
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.partition import partition_matrix
 from repro.util import check_in, check_positive_int
 
 __all__ = ["SimulationResult", "simulate_spmvm", "simulate_from_plan"]
@@ -204,17 +206,18 @@ def simulate_spmvm(
     mode: str = "per-ld",
     scheme: str = "task_mode",
     kappa: float = 0.0,
-    partition_strategy: str = "nnz",
     **kwargs,
 ) -> SimulationResult:
     """Partition *A* for the hybrid *mode* on *cluster* and simulate it.
 
     Convenience wrapper around :func:`simulate_from_plan`; see there for
-    the remaining keyword arguments.
+    the remaining keyword arguments.  The partition balances nonzeros
+    and its metadata plan is cached per (matrix, rank count); to
+    simulate any other partition, build its plan and call
+    :func:`simulate_from_plan`.
     """
     nranks = ranks_for_mode(cluster, mode)
-    partition = partition_matrix(A, nranks, strategy=partition_strategy)
-    plan = build_halo_plan(A, partition, with_matrices=False)
+    plan = cached_halo_plan(A, nranks, with_matrices=False)
     return simulate_from_plan(
         plan, cluster, mode=mode, scheme=scheme, kappa=kappa, **kwargs
     )

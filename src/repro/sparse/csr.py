@@ -177,9 +177,23 @@ class CSRMatrix:
         library is off.  Process-local — never store it; files carry
         :meth:`structure_fingerprint`.
         """
+        return self._witness((self.row_ptr, self.col_idx, self.val))
+
+    def index_fingerprint(self) -> tuple:
+        """Witness that ``row_ptr`` and ``col_idx`` did not change.
+
+        The same pass as :meth:`content_fingerprint` over the two index
+        arrays only: what guards caches holding *structure alone* (a
+        metadata-only halo plan), so an in-place value update keeps
+        them.  Process-local, like :meth:`content_fingerprint`.
+        """
+        return self._witness((self.row_ptr, self.col_idx))
+
+    def _witness(self, arrays: tuple[np.ndarray, ...]) -> tuple:
+        """``(nrows, ncols, nnz, dtypes, checksum)`` of *arrays*: one
+        compiled pass, or crc32 of each when the library is off."""
         import zlib
 
-        arrays = (self.row_ptr, self.col_idx, self.val)
         digest = native.checksum(arrays)
         sums = (
             (digest,) if digest is not None

@@ -37,9 +37,10 @@ The same library holds a second function, ``repro_checksum``: a 64-bit
 hash of xxh64's construction that streams an array at memory speed
 (crc32 runs at about a third of that).  :func:`checksum` chains it over
 a matrix's three arrays for
-:meth:`~repro.sparse.csr.CSRMatrix.content_fingerprint`, the plan
-cache's witness that nothing was mutated in place; without the library
-that witness is crc32.
+:meth:`~repro.sparse.csr.CSRMatrix.content_fingerprint` and over its two
+index arrays for :meth:`~repro.sparse.csr.CSRMatrix.index_fingerprint`,
+the plan cache's witnesses that nothing was mutated in place; without
+the library those witnesses are crc32.
 
 Per call, :func:`rowsums` declines ("not taken", the caller runs numpy)
 whatever it could not execute identically: non-int64 indices,

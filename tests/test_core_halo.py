@@ -4,11 +4,17 @@ import collections
 import sys
 import threading
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import build_halo_plan
+from repro.core import build_halo_plan, simulate_from_plan, simulate_spmvm
+from repro.core import halo as halo_mod
 from repro.core.halo import cached_halo_plan
+from repro.machine import westmere_cluster
 from repro.matrices import random_banded, random_sparse
 from repro.sparse import (
     CSRMatrix,
@@ -148,10 +154,110 @@ def test_halo_columns_always_populated(matrix):
         assert rh.halo_columns.size == rh.n_halo
 
 
+def _assert_plans_identical(got, want):
+    """Every array of two plans: same values, same dtype, same peers."""
+    assert (got.nrows, got.nnz, got.nranks) == (want.nrows, want.nnz, want.nranks)
+    for g, w in zip(got.ranks, want.ranks, strict=True):
+        assert (g.row_lo, g.row_hi, g.nnz_local, g.nnz_remote) == (
+            w.row_lo, w.row_hi, w.nnz_local, w.nnz_remote
+        )
+        assert g.halo_columns.dtype == w.halo_columns.dtype == np.int64
+        np.testing.assert_array_equal(g.halo_columns, w.halo_columns)
+        assert g.recv_from == w.recv_from and g.send_to == w.send_to
+        assert list(g.send_indices) == list(w.send_indices)
+        for q, idx in w.send_indices.items():
+            assert g.send_indices[q].dtype == idx.dtype
+            np.testing.assert_array_equal(g.send_indices[q], idx)
+        for part in ("A_local", "A_remote"):
+            gm, wm = getattr(g, part), getattr(w, part)
+            if wm is None:
+                assert gm is None
+                continue
+            assert gm.ncols == wm.ncols
+            for array in ("row_ptr", "col_idx", "val"):
+                ga, wa = getattr(gm, array), getattr(wm, array)
+                assert ga.dtype == wa.dtype
+                np.testing.assert_array_equal(ga.view(np.uint64), wa.view(np.uint64))
+
+
+def _assert_build_matches_unique_reference(A, nranks, strategy):
+    # the reference is the same bookkeeping with numpy's own np.unique
+    partition = partition_matrix(A, nranks, strategy=strategy)
+    for with_matrices in (True, False):
+        got = build_halo_plan(A, partition, with_matrices=with_matrices)
+        with mock.patch.object(halo_mod, "_sorted_unique", np.unique):
+            want = build_halo_plan(A, partition, with_matrices=with_matrices)
+        _assert_plans_identical(got, want)
+
+
+@st.composite
+def _halo_cases(draw):
+    """A small square matrix (optionally with one column every row
+    touches), a rank count from 1 to nrows, and a partition strategy."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    rows = draw(st.lists(
+        st.lists(st.integers(min_value=0, max_value=n - 1), max_size=6),
+        min_size=n, max_size=n,
+    ))
+    hub = draw(st.none() | st.integers(min_value=0, max_value=n - 1))
+    rows = [sorted(set(r) | ({hub} if hub is not None else set())) for r in rows]
+    row_ptr = np.cumsum([0] + [len(r) for r in rows])
+    col_idx = np.array([c for r in rows for c in r], dtype=np.int64)
+    val = draw(st.lists(
+        st.floats(allow_nan=False, allow_infinity=False, width=64),
+        min_size=col_idx.size, max_size=col_idx.size,
+    ))
+    A = CSRMatrix(row_ptr, col_idx, np.array(val, dtype=np.float64), ncols=n)
+    nranks = draw(st.integers(min_value=1, max_value=n))
+    return A, nranks, draw(st.sampled_from(["nnz", "rows"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_halo_cases())
+def test_plan_build_is_bit_identical_to_unique_reference(case):
+    _assert_build_matches_unique_reference(*case)
+
+
+def _hub_matrix(n=40):
+    # column 0 in every row: one column shared by all rows, sent to every rank
+    A = random_banded(n, halfwidth=3, nnzr=3, seed=5).to_dense()
+    A[:, 0] = 1.0
+    return CSRMatrix.from_dense(A)
+
+
+def _block_diagonal(coupled=False, n=24, block=6):
+    # ranks aligned to the blocks have an empty halo; coupling the first
+    # and last row leaves only the ranks in between without one
+    dense = np.zeros((n, n))
+    for b in range(0, n, block):
+        dense[b : b + block, b : b + block] = 1.0
+    if coupled:
+        dense[0, n - 1] = dense[n - 1, 0] = 1.0
+    return CSRMatrix.from_dense(dense)
+
+
+@pytest.mark.parametrize(
+    "name, build, nranks, strategy",
+    [
+        ("random-5-ranks", lambda: random_sparse(120, nnzr=6, seed=7), 5, "nnz"),
+        ("one-rank", lambda: random_sparse(50, nnzr=4, seed=8), 1, "nnz"),
+        ("rank-per-row", lambda: random_sparse(30, nnzr=4, seed=9), 30, "rows"),
+        ("column-shared-by-all-rows", _hub_matrix, 6, "nnz"),
+        ("empty-halos", _block_diagonal, 4, "rows"),
+        ("some-empty-halos", lambda: _block_diagonal(coupled=True), 4, "rows"),
+    ],
+)
+def test_plan_build_named_cases_match_unique_reference(name, build, nranks, strategy):
+    A = build()
+    if name.endswith("empty-halos"):
+        plan = build_halo_plan(A, partition_matrix(A, nranks, strategy=strategy))
+        empty = [rh.n_halo == 0 for rh in plan.ranks]
+        assert all(empty) if name == "empty-halos" else empty == [False, True, True, False]
+    _assert_build_matches_unique_reference(A, nranks, strategy)
+
+
 def test_cached_plan_refresh_keeps_live_neighbours(monkeypatch):
     import weakref
-
-    from repro.core import halo as halo_mod
 
     monkeypatch.setattr(halo_mod, "_PLAN_CACHE_MAX", 2)
     monkeypatch.setattr(halo_mod, "_PLAN_CACHE", {})
@@ -160,11 +266,12 @@ def test_cached_plan_refresh_keeps_live_neighbours(monkeypatch):
     pb = halo_mod.cached_halo_plan(B, 2, with_matrices=False)
     pa = halo_mod.cached_halo_plan(A, 2, with_matrices=False)
     # cache is now at capacity.  Sour A's entry in place: the key exists
-    # but its weakref resolves to a different live object (the id-reuse
-    # case the weakref guards against), forcing a rebuild-and-refresh.
+    # and its witness matches, but its weakref resolves to a different
+    # live object (the id-reuse case the weakref guards against), forcing
+    # a rebuild-and-refresh.
     key = (id(A), 2, False)
-    assert key in halo_mod._PLAN_CACHE
-    halo_mod._PLAN_CACHE[key] = (weakref.ref(B), A.structure_fingerprint(), pa)
+    assert halo_mod._PLAN_CACHE[key][1] == A.index_fingerprint()
+    halo_mod._PLAN_CACHE[key] = (weakref.ref(B), A.index_fingerprint(), pa)
     halo_mod.cached_halo_plan(A, 2, with_matrices=False)
     # refreshing an existing key at capacity must not evict B's live plan
     assert halo_mod.cached_halo_plan(B, 2, with_matrices=False) is pb
@@ -175,7 +282,6 @@ def test_concurrent_plan_caches_stay_consistent():
     # inserted ("dictionary keys changed during iteration"), for the halo
     # plan cache and the comm plan cache alike
     from repro.comm import plan as plan_mod
-    from repro.core import halo as halo_mod
 
     nthreads, per_thread = 8, 500
     errors = []
@@ -249,6 +355,13 @@ def _flip_low_bit(index):
     return mutate
 
 
+def _flip_low_index_bit(index):
+    def mutate(A):
+        A.col_idx[index] ^= 1  # stays in range: ncols is even or the column is 0
+
+    return mutate
+
+
 def _shift_row_start(A):
     A.row_ptr[60] += 1  # one entry of row 60 moves to row 59
 
@@ -275,7 +388,15 @@ MUTATIONS = {
     "last-word": ("ragged", _flip_low_bit(-1)),
     "under-four-nonzeros": ("tiny", _flip_low_bit(-1)),
     "dtype-view": ("ragged", _view_as_int64),
+    "last-column-index": ("ragged", _flip_low_index_bit(-1)),
+    "last-column-index-under-four": ("tiny", _flip_low_index_bit(-1)),
 }
+
+#: The cases that change ``row_ptr`` or ``col_idx``: the only ones a
+#: metadata-only plan (structure alone) must rebuild on.
+STRUCTURAL = frozenset(
+    {"columns-swapped-in-row", "row-ptr-shift", "last-column-index", "last-column-index-under-four"}
+)
 
 
 class TestStaleCacheGuard:
@@ -381,3 +502,71 @@ class TestStaleCacheGuard:
         after = distributed_spmv(A, x, 2)
         np.testing.assert_allclose(after, spmv(A, x), rtol=1e-12)
         assert not np.allclose(after, before)
+
+
+class TestMetadataPlanCache:
+    """Metadata-only plans (what the simulator consumes) are cached per
+    (matrix, rank count) and guarded by the index arrays alone."""
+
+    @pytest.mark.parametrize("witness", ["active", "crc32"])
+    @pytest.mark.parametrize("case", sorted(MUTATIONS))
+    def test_only_structural_mutations_rebuild(self, case, witness, mutation_bases, monkeypatch):
+        if witness == "crc32":
+            monkeypatch.setattr(native, "_checksum", None)
+        base, mutate = MUTATIONS[case]
+        A = mutation_bases[base].copy()
+        before = (A.row_ptr.copy(), A.col_idx.copy())
+        stale = cached_halo_plan(A, 2, with_matrices=False)
+        assert cached_halo_plan(A, 2, with_matrices=False) is stale
+        mutate(A)
+        changed = any(
+            a.dtype != b.dtype or a.tobytes() != b.tobytes()
+            for a, b in zip(before, (A.row_ptr, A.col_idx))
+        )
+        assert changed == (case in STRUCTURAL)
+        fresh = cached_halo_plan(A, 2, with_matrices=False)
+        if case not in STRUCTURAL:
+            assert fresh is stale  # a value-only mutation keeps the plan
+            return
+        assert fresh is not stale
+        want = build_halo_plan(A, partition_nnz_balanced(A, 2), with_matrices=False)
+        _assert_plans_identical(fresh, want)
+
+    def test_sweep_builds_one_plan_per_rank_count(self, hmep_tiny, monkeypatch):
+        built = []
+        real_build = halo_mod.build_halo_plan
+
+        def counting_build(A, partition, **kw):
+            built.append(partition.nparts)
+            return real_build(A, partition, **kw)
+
+        monkeypatch.setattr(halo_mod, "_PLAN_CACHE", {})
+        monkeypatch.setattr(halo_mod, "build_halo_plan", counting_build)
+        A = hmep_tiny.copy()
+
+        def sweep():
+            return [
+                simulate_spmvm(A, westmere_cluster(nodes), scheme=scheme, kappa=2.5).total_seconds
+                for nodes in (1, 2, 4)
+                for scheme in ("no_overlap", "naive_overlap", "task_mode")
+            ]
+
+        first = sweep()
+        assert sorted(built) == [2, 4, 8]  # three schemes share each build
+        assert sweep() == first
+        assert len(built) == 3  # the second pass builds nothing
+
+    def test_simulation_after_column_mutation_matches_fresh_plan(self):
+        A = random_banded(400, halfwidth=10, nnzr=5, seed=2)
+        cluster = westmere_cluster(2)
+        kw = dict(mode="per-ld", scheme="task_mode", kappa=2.5)
+        before = simulate_spmvm(A, cluster, **kw)
+        A.col_idx[0] = A.ncols - 1  # rank 0 now needs the last rank's element
+        after = simulate_spmvm(A, cluster, **kw)
+        fresh = simulate_from_plan(
+            build_halo_plan(A, partition_nnz_balanced(A, before.n_ranks), with_matrices=False),
+            cluster, **kw,
+        )
+        assert after.comm_bytes_per_mvm != before.comm_bytes_per_mvm
+        for field in ("total_seconds", "comm_bytes_per_mvm", "messages_per_mvm", "bytes_transferred"):
+            assert float(getattr(after, field)).hex() == float(getattr(fresh, field)).hex()

@@ -414,14 +414,18 @@ def test_fingerprint_witness_follows_the_library(monkeypatch):
     # one compiled checksum with the library, crc32 of each array without;
     # the dtypes are part of the key either way
     A = _matrix()
-    compiled = A.content_fingerprint()
+    compiled, compiled_index = A.content_fingerprint(), A.index_fingerprint()
     monkeypatch.setattr(native, "_checksum", None)
-    fallback = A.content_fingerprint()
+    fallback, fallback_index = A.content_fingerprint(), A.index_fingerprint()
     dtypes = (A.row_ptr.dtype.str, A.col_idx.dtype.str, A.val.dtype.str)
     assert fallback[:6] == (A.nrows, A.ncols, A.nnz, *dtypes)
     assert len(fallback) == 9
     assert len(compiled) == (7 if native.status().available else 9)
     assert compiled[:6] == fallback[:6]
+    # the index witness is the same pass over row_ptr and col_idx alone
+    assert fallback_index == (*fallback[:5], *fallback[6:8])
+    assert len(compiled_index) == (6 if native.status().available else 7)
+    assert compiled_index[:5] == fallback[:5]
 
 
 def test_kernels_names_both_witnesses(capsys):
