@@ -8,7 +8,8 @@ evaluation section in one run.  Rendered reports are also written to
 ``benchmarks/output/`` for EXPERIMENTS.md.
 
 Scale control: set ``REPRO_BENCH_SCALE=small`` for a quick (~1 min)
-sanity sweep instead of the full medium-scale run (~10 min).
+sanity sweep instead of the full medium-scale run (~2.5 min on a
+2-vCPU host).
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
 """The process-wide team of parked threads every rank and comm thread runs on.
 
-An mpilite rank (:func:`~repro.mpilite.world.run_spmd`) and an engine's
-task-mode communication thread (:meth:`DistributedSpMVM.team_thread
+An mpilite rank (:meth:`World.start_ranks
+<repro.mpilite.world.World.start_ranks>`, for :func:`~repro.mpilite.world.run_spmd`
+and :class:`~repro.serve.SolverService`) and an engine's task-mode
+communication thread (:meth:`DistributedSpMVM.team_thread
 <repro.core.spmvm.DistributedSpMVM.team_thread>`) are both "a thread
 that runs one job and then waits": the OpenMP runtime's answer is a
 team created once and parked between parallel regions, and so is this
@@ -12,10 +14,10 @@ when none is parked), :meth:`TeamThread.hand_off` gives it a job,
 ``distributed_spmv`` starts and joins no thread after the first call.
 
 A borrowed thread wears its role as its name (``mpilite-rank-<r>``,
-``comm-thread-<r>``) and a parked one ``team-<i>``: a thread census or a
-hang dump says who holds what.  The team keeps at most
-:data:`MAX_PARKED` threads; one given back beyond that ends.  A forked
-child starts with an empty team.
+``<service>-rank<r>``, ``comm-thread-<r>``) and a parked one
+``team-<i>``: a thread census or a hang dump says who holds what.  The
+team keeps at most :data:`MAX_PARKED` threads; one given back beyond
+that ends.  A forked child starts with an empty team.
 """
 
 from __future__ import annotations

@@ -1,17 +1,15 @@
 """Launching SPMD functions on an mpilite world.
 
-:func:`run_spmd` is the ``mpiexec`` equivalent: it borrows one thread
-per rank from the process-wide team (:mod:`repro.mpilite.team`), hands
-each a :class:`~repro.mpilite.comm.Comm`, runs the given function
-everywhere, collects the per-rank return values and parks the threads
-again.  Exceptions on any rank are re-raised on the caller (first
-failing rank wins) so test failures stay loud.
-
-:class:`World` is the shared runtime itself (router, collective state,
-one communicator per rank); built directly, the caller keeps it alive
-across many requests — the substrate of the :mod:`repro.serve` worker
-pool.  :meth:`World.abort` tears it down, waking every blocked operation
-with a provenance-carrying :class:`~repro.mpilite.router.WorldAbortedError`
+:class:`World` is the shared runtime (router, collective state, one
+communicator per rank) and the one way a rank runs: ``start_ranks``
+hands each rank's job to a thread borrowed from the process-wide team
+(:mod:`repro.mpilite.team`), ``join_ranks`` waits for all of them
+against one deadline and parks the threads again.  :func:`run_spmd`,
+the ``mpiexec`` equivalent, does both for one function and re-raises
+the first failing rank's exception; the :mod:`repro.serve` worker pool
+starts its ranks once and joins them at close.  :meth:`World.abort`
+tears a world down, waking every blocked operation with a
+provenance-carrying :class:`~repro.mpilite.router.WorldAbortedError`
 instead of letting survivors run out their timeouts.
 
 A world's ``observer`` (a :class:`repro.check.Checker`) is given in one
@@ -29,7 +27,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.mpilite.comm import CollectiveState, Comm
 from repro.mpilite.router import Router
-from repro.mpilite.team import borrow, give_back
+from repro.mpilite.team import TeamThread, borrow, give_back
 from repro.util import check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -63,6 +61,7 @@ class World:
             Comm(r, self.router, self.collectives, default_timeout=recv_timeout)
             for r in range(nranks)
         ]
+        self._ranks: list[TeamThread] = []
 
     @property
     def nranks(self) -> int:
@@ -80,6 +79,32 @@ class World:
         plus its own rank/peer/tag."""
         self.router.abort(reason)
         self.collectives.abort(reason)
+
+    def start_ranks(self, job: Callable[[int], None], role: str) -> None:
+        """Run ``job(rank)`` for every rank, each on a team thread
+        borrowed as ``<role><rank>``.  *job* should not raise (one that
+        does goes to ``threading.excepthook``)."""
+        self._ranks = [borrow(f"{role}{r}") for r in range(self.nranks)]
+        for r, thread in enumerate(self._ranks):
+            thread.hand_off(functools.partial(job, r))
+
+    def join_ranks(self, deadline: float) -> list[str]:
+        """Wait for the started ranks until ``time.monotonic()`` reaches
+        *deadline*; return the names of those still running.
+
+        A finished rank's thread goes back to the team; a running one
+        keeps its thread, which ends when the rank does.  A second call
+        waits for nothing.
+        """
+        ranks, self._ranks = self._ranks, []
+        stuck = []
+        for thread in ranks:
+            if thread.wait(max(0.0, deadline - time.monotonic())):
+                give_back(thread)
+            else:
+                stuck.append(thread.name)
+                thread.retire()
+        return stuck
 
 
 def run_spmd(
@@ -106,8 +131,8 @@ def run_spmd(
     A rank whose ``fn`` raises aborts the world, so peers blocked on it
     fail at once, and the ``RuntimeError`` raised here names that rank
     and chains its exception — the first failure, not its casualties.
-    A rank still running after *timeout* seconds keeps its thread, which
-    ends when the rank does instead of going back to the team.
+    Ranks still running after *timeout* seconds are named in a
+    ``TimeoutError`` (:meth:`World.join_ranks`).
     """
     nranks = check_positive_int(nranks, "nranks")
     deadline = time.monotonic() + timeout
@@ -135,16 +160,8 @@ def run_spmd(
             if observer is not None:
                 observer.on_rank_finished(rank)
 
-    threads = [borrow(f"mpilite-rank-{r}") for r in range(nranks)]
-    for r, thread in enumerate(threads):
-        thread.hand_off(functools.partial(runner, r))
-    stuck = []
-    for thread in threads:
-        if thread.wait(max(0.0, deadline - time.monotonic())):
-            give_back(thread)
-        else:
-            stuck.append(thread.name)
-            thread.retire()
+    world.start_ranks(runner, "mpilite-rank-")
+    stuck = world.join_ranks(deadline)
     if stuck:
         raise TimeoutError(
             f"{len(stuck)} rank(s) did not finish within {timeout} s "

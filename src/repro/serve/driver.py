@@ -3,8 +3,9 @@
 Builds a model once, optionally round-trips it through the
 ``repro-model/2`` file format, stands up a :class:`SolverService`, and
 fires a stream of right-hand-side requests at it from concurrent
-submitter threads — the serving analogue of the bench harness's sweep
-loops.  Reports build cost, latency percentiles
+submitters (the ranks of one :func:`~repro.mpilite.world.run_spmd`
+call) — the serving analogue of the bench harness's sweep loops.
+Reports build cost, latency percentiles
 (:func:`repro.obs.latency_summary`), throughput, coalesced batch
 widths, and verifies a sample of responses bit-for-bit against
 independent :func:`~repro.core.spmvm.distributed_spmv` runs.
@@ -12,13 +13,13 @@ independent :func:`~repro.core.spmvm.distributed_spmv` runs.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from repro.mpilite.world import run_spmd
 from repro.obs.latency import latency_summary, throughput
 from repro.serve.model import BuiltModel, build_model
 from repro.serve.service import SolverService
@@ -103,13 +104,14 @@ def run_request_stream(
 ) -> StreamReport:
     """Serve *requests* random RHS vectors and measure the stream.
 
-    ``concurrency`` submitter threads each run their share of the
-    stream synchronously (submit, then gather), so in-flight pressure
-    equals the thread count and the service's coalescing is
-    exercised for real.  ``model_path`` additionally round-trips the
-    built model through :meth:`BuiltModel.save`/:meth:`BuiltModel.load`
-    before serving — the serialize→deserialize→serve path.  ``verify``
-    responses are recomputed with independent per-request
+    ``concurrency`` submitters each run their share of the stream
+    synchronously (submit, then gather), so in-flight pressure equals
+    the submitter count and the service's coalescing is exercised for
+    real; a submitter's failure is re-raised as ``run_spmd`` raises it.
+    ``model_path`` additionally round-trips the built model through
+    :meth:`BuiltModel.save`/:meth:`BuiltModel.load` before serving —
+    the serialize→deserialize→serve path.  ``verify`` responses are
+    recomputed with independent per-request
     :func:`~repro.core.spmvm.distributed_spmv` runs and compared
     bit-for-bit.
     """
@@ -135,35 +137,18 @@ def run_request_stream(
     X = rng.standard_normal((requests, A.ncols))
     results: list[np.ndarray | None] = [None] * requests
     latencies: list[float] = [0.0] * requests
-    errors: list[Exception] = []
 
     with SolverService(model, max_batch=max_batch, name="serve-driver") as service:
 
-        def submitter(indices: range) -> None:
-            try:
-                for i in indices:
-                    t = time.perf_counter()
-                    results[i] = service.solve(X[i])
-                    latencies[i] = time.perf_counter() - t
-            except Exception as exc:  # surfaced below
-                errors.append(exc)
+        def submitter(comm) -> None:
+            for i in range(comm.rank, requests, concurrency):
+                t = time.perf_counter()
+                results[i] = service.solve(X[i])
+                latencies[i] = time.perf_counter() - t
 
-        threads = [
-            threading.Thread(
-                target=submitter,
-                args=(range(w, requests, concurrency),),
-                name=f"submit-{w}",
-            )
-            for w in range(concurrency)
-        ]
         t1 = time.perf_counter()
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        run_spmd(concurrency, submitter)
         wall = time.perf_counter() - t1
-        if errors:
-            raise errors[0]
         stats = service.stats
 
     verified = 0

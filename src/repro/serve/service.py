@@ -2,8 +2,8 @@
 
 The serve-many half of build-once/serve-many.  One
 :class:`SolverService` owns one long-lived mpilite
-:class:`~repro.mpilite.world.World` whose per-rank worker threads hold
-their :class:`~repro.core.spmvm.DistributedSpMVM` engines — built from
+:class:`~repro.mpilite.world.World` whose ranks (team jobs) hold their
+:class:`~repro.core.spmvm.DistributedSpMVM` engines — built from
 a :class:`~repro.serve.model.BuiltModel` — for the lifetime of the
 service.  Requests stream through an async ticket API
 (:meth:`~SolverService.submit` / :meth:`~SolverService.poll` /
@@ -151,11 +151,11 @@ class _Scratch:
 class SolverService:
     """A persistent solver pool over one :class:`BuiltModel`.
 
-    Threads: one worker per rank (runs the model's sweep program on its
-    engine), daemons parked on a condition variable when idle; under
-    task mode each worker's engine borrows one communication thread
-    from the team (:mod:`repro.mpilite.team`), which the worker gives
-    back when it exits.  Batches
+    Threads: none of its own.  Each rank runs the model's sweep program
+    on its engine as a job on a team thread (:mod:`repro.mpilite.team`)
+    named ``<name>-rank<r>``, waiting on the service lock when idle; a
+    task-mode engine borrows a comm thread too, given back when the
+    rank's job ends, and :meth:`close` joins the ranks.  Batches
     are formed by whoever makes one possible — a submitter, the rank
     that lands a batch, ``hold`` on release — under the service lock.
 
@@ -201,17 +201,7 @@ class SolverService:
         self._requests_served = 0
         self._columns_served = 0
         self._fault = set()
-        #: each rank's engine, set by its worker once built; close()
-        #: reads it only to name a comm thread that is still held
-        self._engines: list = [None] * model.nranks
-        self._workers = [
-            threading.Thread(
-                target=self._worker, args=(r,), name=f"{name}-rank{r}", daemon=True
-            )
-            for r in range(model.nranks)
-        ]
-        for w in self._workers:
-            w.start()
+        self.world.start_ranks(self._worker, f"{name}-rank")
 
     # ------------------------------------------------------------------
     # client API
@@ -328,8 +318,8 @@ class SolverService:
         ``drain=False`` cancels queued requests with a descriptive
         :class:`ServiceClosedError` (an in-flight batch still completes).
         If the queue cannot be served within *timeout* seconds the
-        world is aborted so blocked workers fail fast instead of
-        hanging.  Idempotent.
+        world is aborted so blocked ranks fail fast instead of hanging;
+        one 5 s grace period then bounds the rest.  Idempotent.
         """
         with self._lock:
             if self._state == "running":
@@ -339,7 +329,8 @@ class SolverService:
                     self._cancel_pending_locked()
                 # a hold no longer applies: what is queued is served now
                 self._dispatch_locked()
-            drained = self._drain_locked(timeout)
+            drained = self._drain_locked(time.monotonic() + timeout)
+        deadline = time.monotonic() + 5.0
         if not drained:
             # a rank is stuck in a sweep: abort the world, which fails
             # its batch (and with it the service) with provenance
@@ -348,15 +339,18 @@ class SolverService:
                 f"with a request in flight"
             )
             with self._lock:
-                self._drain_locked(5.0)
-        for w in self._workers:
-            w.join(5.0)
-        # a worker closes its engine on the way out, so a comm thread is
-        # still there only beside a worker that is stuck itself
-        threads = [*self._workers, *(e.comm_thread for e in self._engines if e is not None)]
-        stuck = [t.name for t in threads if t is not None and t.is_alive()]
+                if not self._drain_locked(deadline):
+                    # stuck out of an abort's reach: its ranks end when freed
+                    self._state = "failed"
+                    self._fail_reason = f"close() timed out after {timeout} s"
+                    self._note("state", "w", "close")
+                    self._cancel_pending_locked()
+                    self._lock.notify_all()
+        # a rank closes its engine before its job ends, so a comm thread
+        # is still held only beside a rank that is named here
+        stuck = self.world.join_ranks(deadline)
         if stuck:
-            raise ServiceError(f"service {self.name!r}: threads failed to stop: {stuck}")
+            raise ServiceError(f"service {self.name!r}: ranks failed to stop: {stuck}")
 
     def __enter__(self) -> "SolverService":
         return self
@@ -397,17 +391,16 @@ class SolverService:
                 ),
             )
 
-    def _drain_locked(self, timeout: float) -> bool:
+    def _drain_locked(self, deadline: float) -> bool:
         """Wait for a closing service to run dry, then mark it closed;
-        False if it is still busy after *timeout* seconds."""
-        deadline = time.monotonic() + timeout
+        False if it is still busy at *deadline* (``time.monotonic()``)."""
         while self._state == "closing" and (self._pending or self._inflight is not None):
             if not self._lock.wait(max(0.0, deadline - time.monotonic())):
                 return False
         if self._state == "closing":
             self._state = "closed"
             self._note("state", "w", "close")
-            self._lock.notify_all()  # the workers: nothing more will come
+            self._lock.notify_all()  # the ranks: nothing more will come
         return True
 
     def _dispatch_locked(self) -> None:
@@ -467,7 +460,6 @@ class SolverService:
         except Exception as exc:  # fail loudly, never die silently
             self._worker_failed(None, rank, exc)
             return
-        self._engines[rank] = engine
         with engine:  # however the loop ends, the engine's comm thread goes too
             self._serve(rank, engine)
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.matrices import build_samg_like, get_matrix, random_sparse
+from repro.mpilite.team import TeamThread
 
 #: Seconds one test may run before the watchdog kills the session.  The
 #: whole tier-1 suite takes about a minute; only a hang gets near this.
@@ -43,13 +44,14 @@ def hang_watchdog():
     faulthandler.cancel_dump_traceback_later()
 
 
-#: Names a team thread wears while it is borrowed (repro.mpilite.team).
-BORROWED = ("comm-thread-", "mpilite-rank-")
-
-
 def borrowed_threads() -> list[str]:
-    """Names of the team threads some rank or engine still holds."""
-    return sorted(t.name for t in threading.enumerate() if t.name.startswith(BORROWED))
+    """Names of the team threads some rank or engine still holds: a
+    borrowed thread wears its role instead of its parked name."""
+    return sorted(
+        t.name
+        for t in threading.enumerate()
+        if isinstance(t, TeamThread) and t.name != t.parked_name
+    )
 
 
 def unparked_thread_count() -> int:
@@ -74,7 +76,8 @@ def grow_team(nthreads: int) -> None:
 def no_leaked_comm_thread():
     """No rank or communication thread outlives the test that borrowed it.
 
-    ``run_spmd`` gives its rank threads back before it returns.  An engine
+    ``run_spmd`` gives its rank threads back before it returns, and a
+    service when it is closed.  An engine
     holds one ``comm-thread-<rank>`` from its first task-mode sweep until
     it is closed — or, for the many tests (and the ledger's rank
     functions) that just drop it, until its finalizer gives it back.

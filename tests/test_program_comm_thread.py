@@ -205,6 +205,15 @@ def test_service_close_gives_its_engines_threads_back(hmep_tiny, rng):
     assert unparked_thread_count() == baseline
 
 
+def test_a_warm_service_starts_no_thread(hmep_tiny, rng, thread_starts):
+    grow_team(4)  # a 2-rank task-mode service's peak: 2 ranks, 2 comm threads
+    thread_starts.clear()
+    with SolverService(build_model(hmep_tiny, 2, scheme="task_mode"), name="warm") as svc:
+        for _ in range(5):
+            svc.solve(rng.standard_normal(hmep_tiny.nrows), timeout=30.0)
+    assert thread_starts == []  # its ranks and comm threads were parked ones
+
+
 @pytest.mark.parametrize("solver", ["lanczos", "cg"])
 def test_solvers_leave_no_thread(solver, rng):
     from repro.matrices import poisson_2d

@@ -454,3 +454,40 @@ class TestLifecycle:
             time.sleep(0.5)
             idle_cpu = time.process_time() - cpu0
         assert idle_cpu < 0.05
+
+
+def test_stuck_ranks_are_named_within_one_deadline(A):
+    # four ranks stuck where World.abort cannot reach them: close() names
+    # them all after its timeout plus one 5 s grace period, not 5 s per rank
+    model = build_model(A, 4, scheme="no_overlap")
+    release = threading.Event()
+    build = model.engine
+
+    def engine(comm, **kwargs):
+        eng = build(comm, **kwargs)
+        multiply_block = eng.multiply_block
+
+        def blocked(*args, **kw):
+            release.wait()
+            return multiply_block(*args, **kw)
+
+        eng.multiply_block = blocked
+        return eng
+
+    object.__setattr__(model, "engine", engine)
+    svc = SolverService(model, name="stuck")
+    req = svc.submit(np.ones(A.nrows))
+    t0 = time.monotonic()
+    try:
+        with pytest.raises(ServiceError, match="failed to stop") as excinfo:
+            svc.close(timeout=0.2)
+        elapsed = time.monotonic() - t0
+    finally:
+        release.set()
+    assert elapsed < 0.2 + 5.0 + 1.0
+    assert all(f"'stuck-rank{r}'" in str(excinfo.value) for r in range(4))
+    assert svc.state == "failed"
+    # freed, the ranks meet the aborted world, fail the batch and end
+    # (their retired threads with them), so the leak check passes
+    with pytest.raises(ServiceError, match="stuck"):
+        svc.gather(req, timeout=5.0)
