@@ -1,35 +1,24 @@
-"""Benchmark-session fixtures and report plumbing.
+"""Figure-suite fixtures and report plumbing.
 
-Every paper figure/table has one benchmark module.  Expensive artifacts
-(medium-scale matrices, full scaling sweeps) are session fixtures so the
-cost is paid once; each module prints its reproduction table so that
-``pytest benchmarks/ --benchmark-only -s`` regenerates the whole
-evaluation section in one run.  Rendered reports are also written to
-``benchmarks/output/`` for EXPERIMENTS.md.
-
-Scale control: set ``REPRO_BENCH_SCALE=small`` for a quick (~1 min)
-sanity sweep instead of the full medium-scale run (~2.5 min on a
-2-vCPU host).
+Every paper figure/table has one module here, and the suite runs at one
+scale (``medium``).  Each module renders its table, writes it to
+``benchmarks/output/`` (the files EXPERIMENTS.md cites) and asserts the
+paper's claims on it.  Expensive artifacts (medium-scale matrices, the
+Figs. 5/6 sweeps) are session fixtures so the cost is paid once.
+``pytest benchmarks --ignore=benchmarks/ledger`` regenerates the whole
+evaluation section; how fast the library runs is the ledger's question
+(``benchmarks/ledger``), not this suite's.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import pytest
 
-from repro.experiments import KAPPA, run_fig5, run_fig6
+from repro.experiments import run_fig5, run_fig6
 
-BENCH_SCALE = os.environ.get("REPRO_BENCH_SCALE", "medium")
 _OUTPUT_DIR = Path(__file__).parent / "output"
-
-#: Strict paper-shape assertions only hold at the full benchmark scale;
-#: the quick small-scale mode just regenerates the tables.
-requires_full_scale = pytest.mark.skipif(
-    BENCH_SCALE != "medium",
-    reason="paper-shape assertion calibrated for REPRO_BENCH_SCALE=medium",
-)
 
 
 def write_report(name: str, text: str) -> None:
@@ -40,26 +29,15 @@ def write_report(name: str, text: str) -> None:
 
 
 @pytest.fixture(scope="session")
-def bench_scale() -> str:
-    """The matrix scale benchmarks run at."""
-    return BENCH_SCALE
-
-
-_SWEEP_KWARGS = (
-    {} if BENCH_SCALE == "medium" else {"node_counts": (1, 2, 4, 8), "max_ranks": 100}
-)
-
-
-@pytest.fixture(scope="session")
 def fig5_study():
     """The full Fig. 5 sweep (HMeP strong scaling) — computed once."""
-    return run_fig5(scale=BENCH_SCALE, **_SWEEP_KWARGS)
+    return run_fig5(scale="medium")
 
 
 @pytest.fixture(scope="session")
 def fig6_study():
     """The full Fig. 6 sweep (sAMG strong scaling) — computed once."""
-    return run_fig6(scale=BENCH_SCALE, **_SWEEP_KWARGS)
+    return run_fig6(scale="medium")
 
 
 @pytest.fixture(scope="session")
@@ -67,12 +45,4 @@ def hmep_matrix():
     """The HMeP matrix at benchmark scale."""
     from repro.matrices import get_matrix
 
-    return get_matrix("HMeP", BENCH_SCALE).build_cached()
-
-
-@pytest.fixture(scope="session")
-def samg_matrix():
-    """The sAMG matrix at benchmark scale."""
-    from repro.matrices import get_matrix
-
-    return get_matrix("sAMG", BENCH_SCALE).build_cached()
+    return get_matrix("HMeP", "medium").build_cached()

@@ -13,15 +13,12 @@ from repro.experiments import run_comm_volume, run_kappa_prediction
 
 
 @pytest.fixture(scope="module")
-def kappa_pred(bench_scale):
-    scale = "small" if bench_scale != "medium" else "medium"
-    return run_kappa_prediction(scale)
+def kappa_pred():
+    return run_kappa_prediction("medium")
 
 
-def test_kappa_prediction_report(kappa_pred, benchmark):
-    # benchmark the render so the report regenerates under --benchmark-only
-    text = benchmark.pedantic(kappa_pred.render, rounds=1, iterations=1)
-    write_report("analysis_kappa_prediction", text)
+def test_kappa_prediction_report(kappa_pred):
+    write_report("analysis_kappa_prediction", kappa_pred.render())
 
 
 def test_kappa_prediction_matches_paper(kappa_pred):
@@ -39,15 +36,12 @@ def test_kappa_prediction_matches_paper(kappa_pred):
 
 
 @pytest.fixture(scope="module")
-def volumes(bench_scale):
-    scale = "small" if bench_scale != "medium" else "medium"
-    return run_comm_volume(scale)
+def volumes():
+    return run_comm_volume("medium")
 
 
-def test_comm_volume_report(volumes, benchmark):
-    # benchmark the render so the report regenerates under --benchmark-only
-    text = benchmark.pedantic(volumes.render, rounds=1, iterations=1)
-    write_report("analysis_comm_volume", text)
+def test_comm_volume_report(volumes):
+    write_report("analysis_comm_volume", volumes.render())
 
 
 def test_comm_volume_knee(volumes):
@@ -66,13 +60,10 @@ def test_comm_volume_contrast(volumes):
         assert h[n] > 1.5 * s[n]
 
 
-def test_benchmark_cache_simulation(benchmark, hmep_matrix):
+def test_cache_simulation(hmep_matrix):
     from repro.model import CacheConfig, simulate_rhs_traffic
 
-    pred = benchmark.pedantic(
-        simulate_rhs_traffic,
-        args=(hmep_matrix,),
-        kwargs={"config": CacheConfig(capacity_bytes=65536), "sample_rows": 20_000},
-        rounds=3, iterations=1,
+    pred = simulate_rhs_traffic(
+        hmep_matrix, config=CacheConfig(capacity_bytes=65536), sample_rows=20_000
     )
     assert pred.accesses > 0

@@ -14,21 +14,15 @@ import pytest
 from benchmarks.conftest import write_report
 from repro.experiments import run_comm_plans
 
-#: The sweep regime is scale-calibrated like the paper figures: the
-#: small HMeP matrix keeps per-core ranks communication-bound.  The full
-#: benchmark run extends the sweep to 16 nodes (384 ranks).
-_SWEEP_NODES = {"medium": (1, 2, 4, 8, 16)}
-
-
 @pytest.fixture(scope="module")
-def study(bench_scale):
-    nodes = _SWEEP_NODES.get(bench_scale, (1, 2, 4, 8))
-    return run_comm_plans(scale="small", sweep_nodes=nodes)
+def study():
+    # the small HMeP matrix keeps per-core ranks communication-bound; the
+    # sweep runs to 16 nodes (384 ranks)
+    return run_comm_plans(scale="small", sweep_nodes=(1, 2, 4, 8, 16))
 
 
-def test_comm_plans_report(study, benchmark):
-    text = benchmark.pedantic(study.render, rounds=1, iterations=1)
-    write_report("comm_plans", text)
+def test_comm_plans_report(study):
+    write_report("comm_plans", study.render())
 
 
 def test_node_aware_never_loses_on_the_torus(study):

@@ -19,15 +19,12 @@ from repro.util import Table
 
 
 @pytest.fixture(scope="module")
-def balance(bench_scale):
-    scale = "small" if bench_scale != "medium" else "medium"
-    return run_load_balance(scale=scale)
+def balance():
+    return run_load_balance(scale="medium")
 
 
-def test_load_balance_report(balance, benchmark):
-    # benchmark the render so the report regenerates under --benchmark-only
-    text = benchmark.pedantic(balance.render, rounds=1, iterations=1)
-    write_report("extension_load_balance", text)
+def test_load_balance_report(balance):
+    write_report("extension_load_balance", balance.render())
 
 
 def test_nnz_balancing_balances_computation(balance):
@@ -47,31 +44,20 @@ def test_no_strategy_balances_communication_too(balance):
     assert row.comm_imbalance > 1.05
 
 
-def test_symmetric_storage_study(hmep_matrix, benchmark):
-    # one-shot body under the benchmark machinery so the table
-    # regenerates under --benchmark-only
-    def body():
-        sym = SymmetricCSR.from_csr(hmep_matrix, check=False)
-        x = np.random.default_rng(0).standard_normal(hmep_matrix.ncols)
-        assert np.allclose(spmv_symmetric(sym, x), spmv(hmep_matrix, x), atol=1e-9)
-        mem_ratio = sym.memory_bytes() / hmep_matrix.memory_bytes()
-        balance_ratio = symmetric_code_balance(hmep_matrix.nnzr, 2.5) / code_balance(
-            hmep_matrix.nnzr, 2.5
-        )
-        t = Table(["quantity", "value"], title="extension: symmetric CRS storage (Sect. 1.3.1)",
-                  float_fmt=".3f")
-        t.add_row(["matrix memory ratio (upper/full)", mem_ratio])
-        t.add_row(["code balance ratio (Eq. 1 extended)", balance_ratio])
-        t.add_row(["implied speed-up at fixed bandwidth", 1.0 / balance_ratio])
-        write_report("extension_symmetric_storage", t.render())
-        # "the data transfer volume is then reduced by almost a factor of two"
-        assert 0.5 < mem_ratio < 0.62
-        assert 0.5 < balance_ratio < 0.75
-    benchmark.pedantic(body, rounds=1, iterations=1)
-
-
-def test_benchmark_symmetric_kernel(benchmark, hmep_matrix):
+def test_symmetric_storage_study(hmep_matrix):
     sym = SymmetricCSR.from_csr(hmep_matrix, check=False)
-    x = np.random.default_rng(1).standard_normal(hmep_matrix.ncols)
-    y = benchmark(spmv_symmetric, sym, x)
-    assert y.shape == (hmep_matrix.nrows,)
+    x = np.random.default_rng(0).standard_normal(hmep_matrix.ncols)
+    assert np.allclose(spmv_symmetric(sym, x), spmv(hmep_matrix, x), atol=1e-9)
+    mem_ratio = sym.memory_bytes() / hmep_matrix.memory_bytes()
+    balance_ratio = symmetric_code_balance(hmep_matrix.nnzr, 2.5) / code_balance(
+        hmep_matrix.nnzr, 2.5
+    )
+    t = Table(["quantity", "value"], title="extension: symmetric CRS storage (Sect. 1.3.1)",
+              float_fmt=".3f")
+    t.add_row(["matrix memory ratio (upper/full)", mem_ratio])
+    t.add_row(["code balance ratio (Eq. 1 extended)", balance_ratio])
+    t.add_row(["implied speed-up at fixed bandwidth", 1.0 / balance_ratio])
+    write_report("extension_symmetric_storage", t.render())
+    # "the data transfer volume is then reduced by almost a factor of two"
+    assert 0.5 < mem_ratio < 0.62
+    assert 0.5 < balance_ratio < 0.75

@@ -8,15 +8,13 @@ from repro.sparse import block_occupancy
 
 
 @pytest.fixture(scope="module")
-def fig1(bench_scale):
-    # the pattern plots read best at small scale regardless of bench scale
+def fig1():
+    # the pattern plots read best at small scale
     return run_fig1(scale="small", grid=40)
 
 
-def test_fig1_report(fig1, benchmark):
-    # benchmark the render so the report regenerates under --benchmark-only
-    text = benchmark.pedantic(fig1.render, rounds=1, iterations=1)
-    write_report("fig1_sparsity_patterns", text)
+def test_fig1_report(fig1):
+    write_report("fig1_sparsity_patterns", fig1.render())
 
 
 def test_fig1_shape_claims(fig1):
@@ -28,6 +26,6 @@ def test_fig1_shape_claims(fig1):
     assert 6.0 < fig1.stats["sAMG"]["nnzr"] < 8.0
 
 
-def test_benchmark_block_occupancy(benchmark, hmep_matrix):
-    grid = benchmark(block_occupancy, hmep_matrix, 48)
+def test_block_occupancy(hmep_matrix):
+    grid = block_occupancy(hmep_matrix, 48)
     assert grid.nonzero_blocks() > 0

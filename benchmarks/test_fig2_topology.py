@@ -5,11 +5,9 @@ from repro.experiments import run_fig2
 from repro.machine import plan_placement, westmere_cluster
 
 
-def test_fig2_report(benchmark):
+def test_fig2_report():
     r = run_fig2()
-    # benchmark the render so the report regenerates under --benchmark-only
-    text = benchmark.pedantic(r.render, rounds=1, iterations=1)
-    write_report("fig2_node_topologies", text)
+    write_report("fig2_node_topologies", r.render())
     assert r.westmere.n_domains == 2
     assert r.magny_cours.n_domains == 4
     # channel-count bandwidth advantage (paper: 8/6)
@@ -17,7 +15,6 @@ def test_fig2_report(benchmark):
     assert 1.1 < ratio < 1.4
 
 
-def test_benchmark_placement_planning(benchmark):
-    cluster = westmere_cluster(32)
-    placements = benchmark(plan_placement, cluster, "per-core", comm_thread="smt")
+def test_placement_planning():
+    placements = plan_placement(westmere_cluster(32), "per-core", comm_thread="smt")
     assert len(placements) == 384

@@ -19,10 +19,8 @@ def fig3():
     return run_fig3()
 
 
-def test_fig3_report(fig3, benchmark):
-    # benchmark the render so the report regenerates under --benchmark-only
-    text = benchmark.pedantic(fig3.render, rounds=1, iterations=1)
-    write_report("fig3_node_level_performance", text)
+def test_fig3_report(fig3):
+    write_report("fig3_node_level_performance", fig3.render())
 
 
 def test_fig3_paper_annotations_reproduced(fig3):
@@ -61,12 +59,9 @@ def test_simulator_agrees_with_model_on_one_node(hmep_matrix):
     assert result.gflops == pytest.approx(predicted, rel=0.12)
 
 
-def test_benchmark_single_node_simulation(benchmark, hmep_matrix):
-    cluster = westmere_cluster(1)
-    result = benchmark(
-        lambda: simulate_spmvm(
-            hmep_matrix, cluster, mode="per-ld", scheme="task_mode",
-            kappa=KAPPA["HMeP"], eager_threshold=1024,
-        )
+def test_single_node_simulation(hmep_matrix):
+    result = simulate_spmvm(
+        hmep_matrix, westmere_cluster(1), mode="per-ld", scheme="task_mode",
+        kappa=KAPPA["HMeP"], eager_threshold=1024,
     )
     assert result.gflops > 0

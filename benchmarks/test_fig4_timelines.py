@@ -11,10 +11,8 @@ def fig4():
     return run_fig4(scale="small", n_nodes=2)
 
 
-def test_fig4_report(fig4, benchmark):
-    # benchmark the render so the report regenerates under --benchmark-only
-    text = benchmark.pedantic(fig4.render, rounds=1, iterations=1)
-    write_report("fig4_scheme_timelines", text)
+def test_fig4_report(fig4):
+    write_report("fig4_scheme_timelines", fig4.render())
 
 
 def test_fig4_overlap_structure(fig4):
@@ -27,8 +25,3 @@ def test_fig4_overlap_structure(fig4):
 def test_fig4_task_mode_shortest_makespan(fig4):
     assert fig4.makespans["task_mode"] <= fig4.makespans["no_overlap"]
     assert fig4.makespans["task_mode"] <= fig4.makespans["naive_overlap"]
-
-
-def test_benchmark_traced_simulation(benchmark):
-    result = benchmark(run_fig4, "tiny", 2)
-    assert set(result.charts) == {"no_overlap", "naive_overlap", "task_mode"}

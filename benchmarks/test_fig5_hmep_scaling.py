@@ -4,25 +4,18 @@ absolute numbers are reduced-scale (see EXPERIMENTS.md)."""
 
 import pytest
 
-from benchmarks.conftest import requires_full_scale, write_report
-from repro.core import simulate_spmvm
-from repro.experiments import KAPPA
-from repro.machine import westmere_cluster
+from benchmarks.conftest import write_report
 
 
-def test_fig5_report(fig5_study, benchmark):
-    # benchmark the render so the report regenerates under --benchmark-only
-    text = benchmark.pedantic(fig5_study.render, rounds=1, iterations=1)
-    write_report("fig5_hmep_strong_scaling", text)
+def test_fig5_report(fig5_study):
+    write_report("fig5_hmep_strong_scaling", fig5_study.render())
 
 
-@requires_full_scale
 def test_single_node_baseline(fig5_study):
     # Fig. 3b: best Westmere single-node performance ~ 5 GFlop/s for HMeP
     assert fig5_study.best_single_node() == pytest.approx(5.0, abs=0.8)
 
 
-@requires_full_scale
 def test_naive_overlap_never_beats_no_overlap(fig5_study):
     """Sect. 4: 'vector mode with naive overlap is always slower than the
     variant without overlap' (per-core panel)."""
@@ -34,7 +27,6 @@ def test_naive_overlap_never_beats_no_overlap(fig5_study):
             assert naive <= novl * 1.05, (mode, n)
 
 
-@requires_full_scale
 def test_task_mode_noticeable_boost(fig5_study):
     """Sect. 4: task mode 'leading to a noticeable performance boost'."""
     for mode in ("per-core", "per-ld", "per-node"):
@@ -46,7 +38,6 @@ def test_task_mode_noticeable_boost(fig5_study):
             assert task > novl * 1.15, (mode, n)
 
 
-@requires_full_scale
 def test_task_mode_scales_to_higher_node_counts(fig5_study):
     """Sect. 4: 'task mode allows strong scaling to much higher levels of
     parallelism with acceptable parallel efficiency than any variant of
@@ -59,7 +50,6 @@ def test_task_mode_scales_to_higher_node_counts(fig5_study):
         assert fp_task is None or fp_task > 1.5 * fp_novl
 
 
-@requires_full_scale
 def test_hybrid_task_mode_advantage_grows(fig5_study):
     """Sect. 4: 'With one MPI process per NUMA locality domain the
     advantage of task mode is even more pronounced.'"""
@@ -71,7 +61,6 @@ def test_hybrid_task_mode_advantage_grows(fig5_study):
     assert ld_gain > 1.3
 
 
-@requires_full_scale
 def test_scalability_knee_beyond_six_nodes(fig5_study):
     """Sect. 4: 'a universal drop in scalability beyond about six nodes.'
     Incremental efficiency from 8 to 32 nodes must be clearly below the
@@ -84,7 +73,6 @@ def test_scalability_knee_beyond_six_nodes(fig5_study):
         assert late < mid * 0.92, scheme
 
 
-@requires_full_scale
 def test_cray_reference_behind_westmere_at_scale(fig5_study):
     """Sect. 4: 'the Cray XE6 can generally not match the performance of
     the Westmere cluster at larger node counts.'"""
@@ -96,15 +84,3 @@ def test_cray_reference_behind_westmere_at_scale(fig5_study):
     assert cray_at[n] < west_best
     # ... while being competitive (even ahead) at small node counts
     assert cray_at[1] > fig5_study.best_single_node() * 0.9
-
-
-def test_benchmark_eight_node_simulation(benchmark, hmep_matrix):
-    cluster = westmere_cluster(8)
-    result = benchmark.pedantic(
-        lambda: simulate_spmvm(
-            hmep_matrix, cluster, mode="per-ld", scheme="task_mode",
-            kappa=KAPPA["HMeP"], eager_threshold=1024,
-        ),
-        rounds=3, iterations=1, warmup_rounds=0,
-    )
-    assert result.gflops > 0

@@ -6,19 +6,14 @@ no real advantage, and the Cray's best variant is vector mode without
 overlap over most of the range.
 """
 
-import pytest
-
-from benchmarks.conftest import requires_full_scale, write_report
+from benchmarks.conftest import write_report
 from repro.core import parallel_efficiency
 
 
-def test_fig6_report(fig6_study, benchmark):
-    # benchmark the render so the report regenerates under --benchmark-only
-    text = benchmark.pedantic(fig6_study.render, rounds=1, iterations=1)
-    write_report("fig6_samg_strong_scaling", text)
+def test_fig6_report(fig6_study):
+    write_report("fig6_samg_strong_scaling", fig6_study.render())
 
 
-@requires_full_scale
 def test_all_hybrid_variants_above_50_percent(fig6_study):
     """Paper: 'Parallel efficiency is above 50 % for all versions up to 32
     nodes' — in the reproduction this holds for the hybrid panels; the
@@ -32,7 +27,6 @@ def test_all_hybrid_variants_above_50_percent(fig6_study):
                 assert parallel_efficiency(g, n, base) > 0.5, (mode, scheme, n)
 
 
-@requires_full_scale
 def test_pure_mpi_close_to_50_percent(fig6_study):
     base = fig6_study.best_single_node()
     nodes, gf = fig6_study.series("per-core", "no_overlap")
@@ -40,7 +34,6 @@ def test_pure_mpi_close_to_50_percent(fig6_study):
     assert eff_32 > 0.40  # paper: > 0.5 at full scale; reduced-scale artifact
 
 
-@requires_full_scale
 def test_task_mode_no_advantage_in_hybrid_panels(fig6_study):
     """Paper: 'there is no advantage of task mode over naive, pure MPI
     without overlap' — within a few percent in the hybrid panels."""
@@ -51,7 +44,6 @@ def test_task_mode_no_advantage_in_hybrid_panels(fig6_study):
             assert task < novl * 1.10, (mode, n)
 
 
-@requires_full_scale
 def test_all_variants_within_band(fig6_study):
     """Paper: 'all variants and hybrid modes show similar scaling
     behavior' — at moderate node counts every variant sits within a
@@ -65,7 +57,6 @@ def test_all_variants_within_band(fig6_study):
         assert min(values) > 0.7 * max(values), n
 
 
-@requires_full_scale
 def test_cray_best_is_vector_mode_without_overlap(fig6_study):
     """Paper: 'On the Cray XE6, vector mode without overlap performs best.'
     True over most of the sweep in the reproduction (the largest node
@@ -74,7 +65,6 @@ def test_cray_best_is_vector_mode_without_overlap(fig6_study):
     assert len(novl_points) >= len(fig6_study.cray_best) / 2
 
 
-@requires_full_scale
 def test_samg_scales_further_than_hmep(fig5_study, fig6_study):
     """The two figures' joint message: the communication-light matrix
     scales much further."""
@@ -84,19 +74,3 @@ def test_samg_scales_further_than_hmep(fig5_study, fig6_study):
     eff_hmep = fig5_study.gflops_at("per-ld", "no_overlap", n) / (n * base5)
     eff_samg = fig6_study.gflops_at("per-ld", "no_overlap", n) / (n * base6)
     assert eff_samg > eff_hmep * 1.2
-
-
-def test_benchmark_samg_simulation(benchmark, samg_matrix):
-    from repro.core import simulate_spmvm
-    from repro.experiments import KAPPA
-    from repro.machine import westmere_cluster
-
-    cluster = westmere_cluster(8)
-    result = benchmark.pedantic(
-        lambda: simulate_spmvm(
-            samg_matrix, cluster, mode="per-ld", scheme="no_overlap",
-            kappa=KAPPA["sAMG"], eager_threshold=1024,
-        ),
-        rounds=3, iterations=1, warmup_rounds=0,
-    )
-    assert result.gflops > 0

@@ -23,10 +23,8 @@ def table():
     return run_kappa_table()
 
 
-def test_kappa_table_report(table, benchmark):
-    # benchmark the render so the report regenerates under --benchmark-only
-    text = benchmark.pedantic(table.render, rounds=1, iterations=1)
-    write_report("kappa_table_sect2", text)
+def test_kappa_table_report(table):
+    write_report("kappa_table_sect2", table.render())
 
 
 def test_paper_kappa_arithmetic(table):
@@ -44,41 +42,29 @@ def test_split_penalty_range(table):
         assert table.split_penalties[nnzr][2.5] < table.split_penalties[nnzr][0.0]
 
 
-def test_host_node_level_analysis(hmep_matrix, benchmark):
-    # one-shot body under the benchmark machinery so the table
-    # regenerates under --benchmark-only
-    def body():
-        """The paper's Sect. 2 methodology applied to *this* machine."""
-        import numpy as np
-
-        triad = measure_host_triad(n=10_000_000, repetitions=3)
-        x = np.random.default_rng(0).standard_normal(hmep_matrix.ncols)
-        # warm-up + best-of-N timing of the spMVM kernel
-        spmv(hmep_matrix, x)
-        best = float("inf")
-        for _ in range(3):
-            t0 = time.perf_counter()
-            spmv(hmep_matrix, x)
-            best = min(best, time.perf_counter() - t0)
-        perf = flops(hmep_matrix) / best
-        drawn = spmv_traffic(hmep_matrix, kappa=0.0) / best  # lower bound on bytes
-        kappa_host = kappa_from_measurement(perf, drawn, hmep_matrix.nnzr)
-        t = Table(["quantity", "value"], title="host node-level analysis (paper Sect. 2 method)",
-                  float_fmt=".3f")
-        t.add_row(["STREAM triad [GB/s]", triad.bandwidth_gb])
-        t.add_row(["spMVM performance [GFlop/s]", perf / 1e9])
-        t.add_row(["spMVM drawn bandwidth (compulsory) [GB/s]", drawn / 1e9])
-        t.add_row(["effective kappa (lower bound)", kappa_host])
-        t.add_row(["spMVM / STREAM bandwidth ratio", drawn / triad.bandwidth])
-        write_report("host_node_analysis", t.render())
-        assert perf > 0
-        assert triad.bandwidth > drawn * 0.05  # sanity: same order of magnitude
-    benchmark.pedantic(body, rounds=1, iterations=1)
-
-
-def test_benchmark_spmv_kernel(benchmark, hmep_matrix, rng=None):
+def test_host_node_level_analysis(hmep_matrix):
+    """The paper's Sect. 2 methodology applied to *this* machine."""
     import numpy as np
 
-    x = np.random.default_rng(1).standard_normal(hmep_matrix.ncols)
-    y = benchmark(spmv, hmep_matrix, x)
-    assert y.shape == (hmep_matrix.nrows,)
+    triad = measure_host_triad(n=10_000_000, repetitions=3)
+    x = np.random.default_rng(0).standard_normal(hmep_matrix.ncols)
+    # warm-up + best-of-N timing of the spMVM kernel
+    spmv(hmep_matrix, x)
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        spmv(hmep_matrix, x)
+        best = min(best, time.perf_counter() - t0)
+    perf = flops(hmep_matrix) / best
+    drawn = spmv_traffic(hmep_matrix, kappa=0.0) / best  # lower bound on bytes
+    kappa_host = kappa_from_measurement(perf, drawn, hmep_matrix.nnzr)
+    t = Table(["quantity", "value"], title="host node-level analysis (paper Sect. 2 method)",
+              float_fmt=".3f")
+    t.add_row(["STREAM triad [GB/s]", triad.bandwidth_gb])
+    t.add_row(["spMVM performance [GFlop/s]", perf / 1e9])
+    t.add_row(["spMVM drawn bandwidth (compulsory) [GB/s]", drawn / 1e9])
+    t.add_row(["effective kappa (lower bound)", kappa_host])
+    t.add_row(["spMVM / STREAM bandwidth ratio", drawn / triad.bandwidth])
+    write_report("host_node_analysis", t.render())
+    assert perf > 0
+    assert triad.bandwidth > drawn * 0.05  # sanity: same order of magnitude

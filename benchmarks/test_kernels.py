@@ -1,8 +1,9 @@
-"""Raw kernel benchmarks on the host (pytest-benchmark timings).
+"""Raw kernels on the benchmark matrix.
 
-Not a paper figure — these keep the library's own performance honest:
-the pure-numpy CSR kernel must stay within a small factor of
-scipy.sparse (the C implementation) and the builders must stay usable.
+Not a paper figure — these keep the library's own kernels honest at
+the figure suite's scale: the pure-numpy CSR kernel must stay within a
+small factor of scipy.sparse (the C implementation), and the split
+kernel, the halo-plan builder and the mpilite path must run on it.
 """
 
 import numpy as np
@@ -17,14 +18,8 @@ def x_vec(hmep_matrix):
     return np.random.default_rng(0).standard_normal(hmep_matrix.ncols)
 
 
-def test_benchmark_csr_spmv(benchmark, hmep_matrix, x_vec):
-    y = benchmark(spmv, hmep_matrix, x_vec)
-    assert y.shape == (hmep_matrix.nrows,)
-
-
-def test_benchmark_scipy_spmv_reference(benchmark, hmep_matrix, x_vec):
-    sp = hmep_matrix.to_scipy()
-    y = benchmark(lambda: sp @ x_vec)
+def test_csr_spmv(hmep_matrix, x_vec):
+    y = spmv(hmep_matrix, x_vec)
     assert y.shape == (hmep_matrix.nrows,)
 
 
@@ -47,24 +42,21 @@ def test_spmv_within_factor_of_scipy(hmep_matrix, x_vec):
     assert ours < 12 * theirs, f"ours {ours * 1e3:.2f} ms vs scipy {theirs * 1e3:.2f} ms"
 
 
-def test_benchmark_split_kernel(benchmark, hmep_matrix, x_vec):
+def test_split_kernel(hmep_matrix, x_vec):
     plan = build_halo_plan(hmep_matrix, partition_matrix(hmep_matrix, 4), with_matrices=True)
     rh = plan.ranks[1]
     xl = x_vec[rh.row_lo : rh.row_hi]
     xh = x_vec[rh.halo_columns] if rh.n_halo else np.zeros(1)
-    y = benchmark(spmv_split, rh.A_local, rh.A_remote, xl, xh)
+    y = spmv_split(rh.A_local, rh.A_remote, xl, xh)
     assert y.shape == (rh.n_rows,)
 
 
-def test_benchmark_halo_plan_construction(benchmark, hmep_matrix):
+def test_halo_plan_construction(hmep_matrix):
     partition = partition_matrix(hmep_matrix, 64)
-    plan = benchmark(build_halo_plan, hmep_matrix, partition, with_matrices=False)
+    plan = build_halo_plan(hmep_matrix, partition, with_matrices=False)
     assert plan.nranks == 64
 
 
-def test_benchmark_distributed_spmv_mpilite(benchmark, hmep_matrix, x_vec):
-    y = benchmark.pedantic(
-        distributed_spmv, args=(hmep_matrix, x_vec, 4),
-        kwargs={"scheme": "task_mode"}, rounds=2, iterations=1,
-    )
+def test_distributed_spmv_mpilite(hmep_matrix, x_vec):
+    y = distributed_spmv(hmep_matrix, x_vec, 4, scheme="task_mode")
     assert np.allclose(y, hmep_matrix @ x_vec, atol=1e-10)

@@ -11,10 +11,8 @@ def probe():
     return run_progress_probe()
 
 
-def test_probe_report(probe, benchmark):
-    # benchmark the render so the report regenerates under --benchmark-only
-    text = benchmark.pedantic(probe.render, rounds=1, iterations=1)
-    write_report("progress_probe_sect3", text)
+def test_probe_report(probe):
+    write_report("progress_probe_sect3", probe.render())
 
 
 def test_no_async_progress_is_the_default_reality(probe):
@@ -29,6 +27,6 @@ def test_progress_thread_and_task_mode_equivalent(probe):
     assert abs(probe.async_progress - probe.task_mode_workaround) < 0.02
 
 
-def test_benchmark_probe(benchmark):
-    result = benchmark(run_progress_probe, 8_000_000, 0.003)
+def test_short_probe():
+    result = run_progress_probe(8_000_000, 0.003)
     assert result.no_async_progress < 0.05

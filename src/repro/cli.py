@@ -7,11 +7,11 @@ Usage::
     python -m repro fig3
     python -m repro fig5 --scale medium --nodes 1,2,4,8,16,24,32
     python -m repro probe
-    python -m repro all --scale small          # everything, quick mode
     python -m repro matrix HMeP --scale tiny   # matrix inspection
 
-Each command prints the same rendered table the benchmark suite writes
-to ``benchmarks/output/``.
+Each figure command prints the rendered table the figure suite
+(``pytest benchmarks --ignore=benchmarks/ledger``) writes to
+``benchmarks/output/`` when run with that suite's arguments.
 """
 
 from __future__ import annotations
@@ -381,14 +381,6 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_all(args: argparse.Namespace) -> int:
-    for fn in (_cmd_fig1, _cmd_fig2, _cmd_fig3, _cmd_fig4, _cmd_kappa, _cmd_probe,
-               _cmd_fig5, _cmd_fig6):
-        print("\n" + "=" * 74)
-        fn(args)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The repro CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -427,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn, text in (
         ("fig5", _cmd_fig5, "HMeP strong scaling on the Westmere cluster"),
         ("fig6", _cmd_fig6, "sAMG strong scaling on the Westmere cluster"),
-        ("all", _cmd_all, "run every experiment in sequence"),
     ):
         p = add(name, fn, text)
         p.add_argument("--scale", default="small",
@@ -436,8 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated node counts")
         p.add_argument("--max-ranks", type=int, default=None)
         p.add_argument("--no-cray", action="store_true", help="skip the Cray reference")
-        if name == "all":
-            p.add_argument("--grid", type=int, default=40)
     add("kappa", _cmd_kappa, "Sect. 2 κ determination + Eq. 2 split penalty")
     for name, fn, text in (
         ("kappa-predict", _cmd_kappa_predict, "predict κ from structure via the LRU cache model"),

@@ -26,8 +26,9 @@ that grows geometrically wherever |α| > β (any spectrum far from zero),
 so an identical second pass (and norm) runs when the first says the new
 vector would carry more than ``_OVERLAP_TOL``.  It is judged from
 numbers every rank already holds, never from another reduction: what
-the pass removed beyond the recurrence, ``max|c[:-2]|`` (zero in exact
-arithmetic, the overlap of vₖ in floating point), plus the same number
+the pass removed beyond the recurrence, ``max|c[:-2]|`` and
+``|c[-2] − βₖ₋₁|`` (zero in exact arithmetic, the overlap of vₖ in
+floating point, scaled by α), plus the same number
 from the step before (vₖ₋₁'s), against ``_OVERLAP_TOL · β``; and a β
 that collapses against ``‖c[-2:]‖``, which the pass's own rounding
 cannot survive.  On the paper's Hamiltonians neither happens in a solve
@@ -151,6 +152,9 @@ def _lanczos_with_basis(
         c, b = _project_out(op, W, w)
         a = float(c[-1])
         stray = float(np.abs(c[:-2]).max(initial=0.0))
+        if reorthogonalize and betas:
+            # c[-2] is βₖ₋₁ plus vₖ₋₁'s overlap with vₖ times α
+            stray = max(stray, abs(float(c[-2]) - betas[-1]))
         if stray + stray_prev > _OVERLAP_TOL * b or b < _COLLAPSE * np.linalg.norm(c[-2:]):
             again, b = _project_out(op, W, w)
             a += float(again[-1])

@@ -91,15 +91,24 @@ def _subcommands() -> set[str]:
     return set(sub.choices)
 
 
+#: A repo-relative path into src/, tests/, benchmarks/ or examples/.
+_REPO_PATH = re.compile(r"(?<![\w./-])(?:src|tests|benchmarks|examples)/[^\s`'\"(),;]*")
+#: A test id, ``tests/…py::name`` or ``benchmarks/…py::name``.
+_TEST_ID = re.compile(r"(?<![\w./-])((?:tests|benchmarks)/[\w/.-]+\.py)::(\w+)")
+
+
 def test_doc_references_resolve():
     # docs may not name code that is gone: every dotted ``repro.…`` path
     # inside an inline-code span of the three living documents must
-    # import, and every ``python -m repro <cmd>`` there, in CI and in the
-    # verify recipe must be a subcommand
+    # import, every ``python -m repro <cmd>`` there, in CI and in the
+    # verify recipe must be a subcommand, every repo-relative path in an
+    # inline-code span of README and DESIGN must exist (EXPERIMENTS'
+    # history names deleted files on purpose), and every ``path.py::name``
+    # test id in the three must name a file that defines ``name``
     root = Path(__file__).resolve().parent.parent
     living = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
     commands = _subcommands()
-    dangling, seen, invoked = [], set(), 0
+    dangling, seen, invoked, paths, test_ids = [], set(), 0, 0, 0
     for doc in living + (".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"):
         text = (root / doc).read_text()
         for cmd in re.findall(r"python3? -m repro[ \t]+([A-Za-z][\w-]*)", text):
@@ -115,7 +124,21 @@ def test_doc_references_resolve():
                     _resolve(ref)
                 except (ImportError, AttributeError) as exc:
                     dangling.append(f"{doc}: `{ref}` ({exc!r})")
-    assert len(seen) >= 30 and invoked >= 20  # the patterns still find the references
+            if doc == "EXPERIMENTS.md":
+                continue
+            for path in _REPO_PATH.findall(span):
+                path = re.split(r"::|:(?=\d)", path)[0]  # a test id or a line number
+                paths += 1
+                if not (root / path).exists():
+                    dangling.append(f"{doc}: `{path}` (no such file)")
+        for path, name in _TEST_ID.findall(text):
+            test_ids += 1
+            source = root / path
+            defines = rf"^[ \t]*(?:async[ \t]+)?(?:def|class)[ \t]+{name}\b"
+            if not (source.is_file() and re.search(defines, source.read_text(), re.M)):
+                dangling.append(f"{doc}: `{path}::{name}` (no such test)")
+    # the patterns still find the references
+    assert len(seen) >= 30 and invoked >= 20 and paths >= 40 and test_ids >= 20
     assert not dangling, "docs name code that does not exist:\n" + "\n".join(dangling)
 
 
