@@ -31,17 +31,28 @@ min-heap of per-resource fair shares: each round pops every resource
 within a relative 1e-12 of the smallest share, freezes its flows at
 that share, and recomputes the share of only the resources those flows
 also touch (stale heap entries are skipped).  A resource's opening
-share (its capacity over its runnable demand) is summed again only when
-a flow on it started, finished, paused or resumed.  Every sum runs in
-flow start order: the order of the textbook filling that rescans every
-unfrozen flow each round, so both give the same rates bit for bit
-(``tests/test_flow_filling.py``).
+share (its capacity over its runnable demand) and its list of runnable
+flows are rebuilt only when a flow on it started, finished, paused or
+resumed.  Every sum runs in flow start order: the order of the textbook
+filling that rescans every unfrozen flow each round, so both give the
+same rates bit for bit (``tests/test_flow_filling.py``).
+
+(c) A recomputation fills only the connected component of the runnable
+flow–resource graph that holds the changed resources; flows outside it
+keep their rates.  Components meet only in the tie band, so the network
+keeps the share of the round that closed each resource: a component
+round within the band of an outside one, but not equal to it, falls
+back to filling every live flow, and so does the recomputation after
+any filling that froze a resource a hair from the round's share.
+Busy time comes from a per-resource count of flows with a positive
+rate, kept by the fillings and by completions.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Callable, Hashable
 
@@ -128,15 +139,24 @@ class FlowNetwork:
         self._sim = sim
         self._res_index = {key: ri for ri, key in enumerate(capacities)}
         self._cap_fns = list(capacities.values())
-        self._live: list[Flow] = []  # alive flows, in start order
+        self._live: dict[Flow, None] = {}  # alive flows, in start order
         # resource -> its live flows (paused ones too) and their
         # multipliers, in start order
         self._users: dict[int, list[tuple[Flow, float]]] = {}
         # resource with a runnable flow -> (sum of weight x multiplier,
-        # capacity) over its runnable flows; stale for the resources in
-        # _changed until the next recomputation
-        self._sums: dict[int, tuple[float, float]] = {}
+        # capacity, the (flow, multiplier) list) over its runnable flows;
+        # stale for the resources in _changed until the next recomputation
+        self._sums: dict[int, tuple[float, float, list[tuple[Flow, float]]]] = {}
         self._changed: set[int] = set()
+        # resource -> number of its flows with a positive rate
+        self._running: dict[int, int] = {}
+        # resource -> the fair share of the filling round that closed
+        # it, and those shares sorted (one entry per resource)
+        self._closed_at: dict[int, float] = {}
+        self._levels: list[float] = []
+        # the last filling froze resources a hair apart together, so its
+        # rates may hold a cross-component tie
+        self._full_next = False
         self._last_update = sim.now
         self._epoch = 0
         self._recalc_pending_at: float | None = None
@@ -192,7 +212,7 @@ class FlowNetwork:
         flow.paused = bool(paused)
         flow.edges = tuple(zip(res_ids, map(float, demands.values())))
         flow.alive = True
-        self._live.append(flow)
+        self._live[flow] = None
         for rid, mult in flow.edges:
             self._users.setdefault(rid, []).append((flow, mult))
             self._changed.add(rid)
@@ -260,7 +280,7 @@ class FlowNetwork:
         if dt <= 0:
             return
         res_bytes = self._res_bytes
-        busy = set()
+        eps = _EPS_BYTES
         finished = []
         for f in self._live:
             rate = f.rate
@@ -268,20 +288,27 @@ class FlowNetwork:
                 continue
             for rid, mult in f.edges:
                 res_bytes[rid] += rate * mult * dt
-                busy.add(rid)
-            f.remaining -= rate * dt
-            if f.remaining <= _EPS_BYTES:
+            left = f.remaining - rate * dt
+            f.remaining = left
+            if left <= eps:
                 finished.append(f)
-        for rid in busy:
-            self._res_busy[rid] += dt
+        res_busy = self._res_busy
+        for rid in self._running:
+            res_busy[rid] += dt
         if finished:
+            running = self._running
             for f in finished:
                 f.alive = False
                 f.rate = 0.0
                 f.remaining = 0.0
-            # replaced before any callback runs: a flow started from one
-            # lands in the new list
-            self._live = [f for f in self._live if f.alive]
+                # removed before any callback runs: a flow started from
+                # one lands after the survivors
+                del self._live[f]
+                for rid, _mult in f.edges:
+                    if running[rid] == 1:
+                        del running[rid]
+                    else:
+                        running[rid] -= 1
             gone = {rid for f in finished for rid, _mult in f.edges}
             for rid in gone:
                 users = [u for u in self._users[rid] if u[0].alive]
@@ -294,49 +321,122 @@ class FlowNetwork:
                 f.done.succeed(f)
 
     def _recompute_rates(self) -> None:
-        """Weighted max-min fair allocation (progressive filling).
+        """Re-sum the changed resources, then fill their component.
 
-        An unfrozen runnable flow has rate -1 while the rounds run.  A
-        resource is *open* while it has a current heap entry; it closes
-        when it is a round's bottleneck (all its flows freeze) or has no
-        unfrozen demand left, and with non-negative multipliers it never
-        reopens.
+        A flow's rate depends only on the connected component of the
+        runnable flow–resource graph that holds it, except through the
+        tie band: a round freezes every resource within a relative 1e-12
+        of its share, whichever component it is in.  So only the
+        component of the changed resources is filled (nothing, when no
+        runnable flow is left on them), unless one of its rounds lands a
+        hair from — within the band of, but not equal to — the round
+        that closed an outside resource.  Then, and after any filling
+        that froze a resource a hair from its round's share, every live
+        flow is filled again.
         """
-        unfrozen = 0
+        sums = self._sums
+        hwm = self._res_hwm
+        any_runnable = False
+        for rid in self._changed:
+            weight_on = denom = 0.0
+            runnable = []
+            for u in self._users.get(rid, ()):
+                f = u[0]
+                if f.paused:
+                    f.rate = 0.0
+                else:
+                    weight_on += f.weight
+                    denom += f.weight * u[1]
+                    runnable.append(u)
+            if not runnable:
+                sums.pop(rid, None)
+                self._running.pop(rid, None)
+                self._forget_level(rid)
+                continue
+            any_runnable = True
+            if len(runnable) > hwm[rid]:
+                hwm[rid] = len(runnable)  # contention high-water mark
+            c = max(0.0, float(self._cap_fns[rid](weight_on)))
+            sums[rid] = (denom, c, runnable)
+        if self._full_next or (any_runnable and not self._fill(*self._component())):
+            self._fill_all()
+        self._changed.clear()
+
+    def _component(self) -> tuple[list[Flow], dict[int, list[tuple[Flow, float]]]]:
+        """The runnable flows reachable from the changed resources,
+        walking from resource to runnable flow to resource, and the
+        runnable users of every resource with one; marks each flow found
+        unfrozen (rate -1)."""
+        sums = self._sums
+        rids = [rid for rid in self._changed if rid in sums]
+        seen = set(self._changed)
+        flows = []
+        runnable = {}
+        for rid in rids:  # grows while it is walked
+            users = runnable[rid] = sums[rid][2]
+            for f, _mult in users:
+                if f.rate >= 0:
+                    f.rate = -1.0
+                    flows.append(f)
+                    for r, _m in f.edges:
+                        if r not in seen:
+                            seen.add(r)
+                            rids.append(r)
+        return flows, runnable
+
+    def _forget_level(self, rid: int) -> None:
+        """Drop the share of the round that closed *rid*, if any."""
+        level = self._closed_at.pop(rid, None)
+        if level is not None:
+            levels = self._levels
+            del levels[bisect_left(levels, level)]
+
+    def _fill_all(self) -> None:
+        """Fill every live flow from scratch."""
+        flows = []
         for f in self._live:
             if f.paused:
                 f.rate = 0.0
             else:
                 f.rate = -1.0
-                unfrozen += 1
+                flows.append(f)
+        self._closed_at.clear()
+        self._levels.clear()
+        self._running.clear()
+        self._fill(flows, {rid: s[2] for rid, s in self._sums.items()})
+
+    def _fill(self, flows: list[Flow], pending: dict[int, list[tuple[Flow, float]]]) -> bool:
+        """Weighted max-min fair allocation (progressive filling) of
+        *flows*, whose rates are -1, over the resources they touch, the
+        keys of *pending*: each one's runnable users, in start order.
+
+        A resource is *open* while it has a current heap entry; it
+        closes when it is a round's bottleneck (all its flows freeze) or
+        has no unfrozen demand left, and with non-negative multipliers it
+        never reopens.  An open resource's ``pending`` list drops each
+        flow once it froze.  Gives up and returns False at a round whose
+        share is a near-tie of an outside one (never in a full filling,
+        which keeps no outside share).  A filling that completes marks
+        the next one full if any round froze a resource whose share was
+        not the round's own: that resource may sit in another component,
+        which a later component filling would not revisit.
+        """
         sums = self._sums
-        hwm = self._res_hwm
-        for rid in self._changed:
-            weight_on = denom = 0.0
-            n = 0
-            for f, mult in self._users.get(rid, ()):
-                if not f.paused:
-                    weight_on += f.weight
-                    denom += f.weight * mult
-                    n += 1
-            if not n:
-                sums.pop(rid, None)
-                continue
-            if n > hwm[rid]:
-                hwm[rid] = n  # contention high-water mark
-            c = max(0.0, float(self._cap_fns[rid](weight_on)))
-            sums[rid] = (denom, c)
-        self._changed.clear()
-        on = self._users
-        consumed = dict.fromkeys(sums, 0.0)
-        entry: dict[int, int] = {}  # open resource -> tag of its current heap entry
+        levels = self._levels
         heap: list[tuple[float, int, int]] = []
-        for rid, (denom, c) in sums.items():
+        for rid in pending:
+            self._forget_level(rid)
+            denom, c, _users = sums[rid]
             if denom > 0:
-                entry[rid] = len(heap)
                 heap.append((c / denom, len(heap), rid))
         heapq.heapify(heap)
+        entry = {rid: t for _s, t, rid in heap}  # open resource -> tag of its current entry
+        consumed = dict.fromkeys(entry, 0.0)
         tag = len(heap)
+        unfrozen = len(flows)
+        closed = []  # (resource, share of the round that closed it)
+        exact = True
+        stalled = False  # a flow froze at rate 0
         while heap:
             s_min, t, rid = heap[0]
             if entry.get(rid) != t:
@@ -345,38 +445,69 @@ class FlowNetwork:
             if s_min == math.inf:  # pragma: no cover - numerical guard
                 break
             limit = s_min * _TIE_BAND
-            frozen = set()
+            if levels:
+                i = bisect_left(levels, s_min)
+                j = bisect_right(levels, s_min, i)
+                if (i and s_min <= levels[i - 1] * _TIE_BAND) or (
+                    j < len(levels) and levels[j] <= limit
+                ):
+                    return False
+            frozen = []
             while heap and heap[0][0] <= limit:
-                _, t, rid = heapq.heappop(heap)
+                s, t, rid = heapq.heappop(heap)
                 if entry.get(rid) != t:
                     continue
                 del entry[rid]
-                for f, _mult in on[rid]:
+                closed.append((rid, s_min))
+                if s != s_min:
+                    exact = False
+                for f, _mult in pending[rid]:
                     if f.rate < 0:
                         f.rate = f.weight * s_min
-                        frozen.add(f)
+                        frozen.append(f)
+                        if not f.rate:
+                            stalled = True
             unfrozen -= len(frozen)
             for rid in {rid for f in frozen for rid, _mult in f.edges}:
                 if rid not in entry:
                     continue  # closed: nothing left to share
                 c = consumed[rid]
                 denom = 0.0
-                for f, mult in on[rid]:
-                    if f in frozen:
+                left = []
+                for u in pending[rid]:
+                    f, mult = u
+                    if f.rate >= 0:  # frozen this round
                         c += f.rate * mult
-                    elif f.rate < 0:
+                    else:
                         denom += f.weight * mult
+                        left.append(u)
                 consumed[rid] = c
                 if denom > 0:
+                    pending[rid] = left
                     entry[rid] = tag
                     heapq.heappush(heap, (max(0.0, sums[rid][1] - c) / denom, tag, rid))
                     tag += 1
                 else:
                     del entry[rid]
         if unfrozen:  # pragma: no cover - zero multipliers only, or the guard above
-            for f in self._live:
+            stalled = True
+            for f in flows:
                 if f.rate < 0:
                     f.rate = 0.0
+        closed_at = self._closed_at
+        for rid, level in closed:
+            closed_at[rid] = level
+            insort(levels, level)
+        running = self._running
+        for rid in pending:
+            users = sums[rid][2]
+            n = sum(f.rate > 0 for f, _mult in users) if stalled else len(users)
+            if n:
+                running[rid] = n
+            else:
+                running.pop(rid, None)
+        self._full_next = not exact
+        return True
 
     def _reschedule(self) -> None:
         """Recompute rates and schedule the next completion."""

@@ -34,8 +34,11 @@ No compiler, a failed build, a failed load or a failed self-test means
 one logged warning and numpy everywhere; :func:`status` says which.
 
 The same library holds a second function, ``repro_checksum``: a 64-bit
-hash of xxh64's construction that streams an array at memory speed
-(crc32 runs at about a third of that).  :func:`checksum` chains it over
+hash of xxh64's construction, one pass over the bytes.  It is not at
+memory speed: on a 2-vCPU host it reads the 4–6 MB arrays of the small
+matrices at 8–9 GB/s, where ``np.sum`` over the same bytes reads
+17–19 GB/s (6 against 9.5 GB/s at 256 MB); crc32 runs at about a third
+of its speed.  :func:`checksum` chains it over
 a matrix's three arrays for
 :meth:`~repro.sparse.csr.CSRMatrix.content_fingerprint` and over its two
 index arrays for :meth:`~repro.sparse.csr.CSRMatrix.index_fingerprint`,

@@ -10,17 +10,19 @@ demand multipliers, paused flows, and shares placed inside and just
 outside that tie band — the two must give the same rates bit for bit,
 and the rates must be max-min fair.  They must stay identical while
 flows start, pause, resume and finish, since the engine only re-sums
-the resources those flows touch.
+the resources those flows touch and refills only their component of the
+flow–resource graph.
 """
 
 from __future__ import annotations
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.frame import FlowNetwork, Simulator
+from repro.frame import Flow, FlowNetwork, Simulator
 from repro.model import SaturationCurve
 
 TIE_BAND = 1e-12
@@ -185,3 +187,152 @@ def test_rates_are_max_min_fair(population):
             and all(rates[j] / flows[j][0] <= per_weight * (1.0 + FAIR_RTOL) for j in users[rid])
             for rid, _m in edges
         ), f"flow {i} has no saturated bottleneck on which it is the largest"
+
+
+# -- disjoint resource groups ------------------------------------------
+#
+# A change refills only the connected component of the flow–resource
+# graph that it touches.  Groups of resources no flow crosses are such
+# components; the tie band still couples them when two of their shares
+# land a hair apart, and the engine must then match the full filling.
+
+_CROSS_GROUP_DELTAS = [0.0, 1e-13, 9.9e-13, 1e-12, 1.01e-12]
+
+
+@st.composite
+def grouped_populations(draw):
+    """Flows in 2-4 groups of resources, each flow inside one group,
+    with the first-round shares of two groups' constant resources placed
+    0 to 1.01e-12 apart."""
+    kinds, caps, group_of = [], [], []
+    flows = []  # (group, weight, paused, edges)
+    for g in range(draw(st.integers(2, 4))):
+        base = len(caps)
+        nres = draw(st.integers(1, 2))
+        for _ in range(nres):
+            kinds.append(draw(st.sampled_from(["const", "curve"])))
+            caps.append(draw(st.floats(1.0, 100.0)))
+            group_of.append(g)
+        for _ in range(draw(st.integers(1, 3))):
+            rids = draw(st.lists(
+                st.integers(base, base + nres - 1), min_size=1, max_size=nres, unique=True))
+            mults = st.one_of(st.sampled_from([1.0, 2.0]), st.floats(0.25, 4.0))
+            weight = draw(st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.1, 4.0)))
+            paused = draw(st.booleans()) and draw(st.booleans())
+            flows.append((g, weight, paused, [(rid, draw(mults)) for rid in rids]))
+    denom: dict[int, float] = {}
+    for _g, w, paused, edges in flows:
+        if not paused:
+            for rid, m in edges:
+                denom[rid] = denom.get(rid, 0.0) + w * m
+    const = [rid for rid in sorted(denom) if kinds[rid] == "const"]
+    pairs = [(a, b) for a in const for b in const if group_of[a] != group_of[b]]
+    if pairs:
+        a, b = draw(st.sampled_from(pairs))
+        delta = draw(st.sampled_from(_CROSS_GROUP_DELTAS))
+        caps[b] = caps[a] / denom[a] * (1.0 + delta) * denom[b]
+    cap_fns = [
+        _CURVE.value if kind == "curve" else (lambda w, c=c: c)
+        for kind, c in zip(kinds, caps)
+    ]
+    return flows, cap_fns
+
+
+def _assert_live_rates_exact(started, cap_fns):
+    live = [(h, spec) for h, spec in started if h.alive]
+    assert [h.rate for h, _ in live] == reference_rates(
+        [(w, h.paused, edges) for h, (_g, w, _p, edges) in live], cap_fns
+    )
+    assert all(h.rate == 0.0 for h, _ in started if not h.alive)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grouped_populations(), st.data())
+def test_changes_in_one_group_keep_every_rate_exact(population, data):
+    """Flows of one group start, pause, resume and finish while the
+    other groups' flows stand still; after every step all live rates
+    equal the full filling's.  The first flows start one recomputation
+    each, or all before one, which then spans every group."""
+    specs, cap_fns = population
+    active = data.draw(st.sampled_from(sorted({g for g, *_ in specs})))
+    together = data.draw(st.booleans())
+    mine = [spec for spec in specs if spec[0] == active]
+    sim = Simulator()
+    net = FlowNetwork(sim, dict(enumerate(cap_fns)))
+    started = []  # (handle, spec) in start order
+    for spec in specs:
+        g, w, paused, edges = spec
+        size = 10.0 * (len(started) + 1) if g == active else 1e12
+        started.append((net.start_flow(size, dict(edges), weight=w, paused=paused), spec))
+        if not together:
+            sim.run(until=sim.now)  # one recomputation per start
+            _assert_live_rates_exact(started, cap_fns)
+    sim.run(until=sim.now)
+    _assert_live_rates_exact(started, cap_fns)
+    handles = [h for h, spec in started if spec[0] == active]
+    for kind, i, x in data.draw(_STEPS):
+        if kind == "start":
+            spec = mine[i % len(mine)]
+            _g, w, paused, edges = spec
+            handles.append(net.start_flow(x, dict(edges), weight=w, paused=paused))
+            started.append((handles[-1], spec))
+        elif kind in ("pause", "resume") and i < len(handles):
+            getattr(net, kind)(handles[i])
+        sim.run(until=sim.now + (x if kind == "advance" else 0.0))
+        _assert_live_rates_exact(started, cap_fns)
+
+
+@pytest.mark.parametrize("delta", _CROSS_GROUP_DELTAS)
+@pytest.mark.parametrize("side", [1.0, -1.0])
+@pytest.mark.parametrize("together", [False, True])
+def test_a_near_tie_across_groups_is_the_full_fillings(delta, side, together):
+    """A standing flow at share 1 and a short one at share 1 ± delta on
+    a disjoint resource, started one recomputation each or both before
+    one: while both run, and after the short one finished alone, the
+    rates are the full filling's."""
+    cap_fns = [lambda w: 1.0, lambda w, c=1.0 + side * delta: c]
+    specs = [(0, 1.0, False, [(0, 1.0)]), (1, 1.0, False, [(1, 1.0)])]
+    sim = Simulator()
+    net = FlowNetwork(sim, dict(enumerate(cap_fns)))
+    started = [(net.start_flow(1e12, {0: 1.0}), specs[0])]
+    if not together:
+        sim.run(until=0.0)
+    started.append((net.start_flow(1.0, {1: 1.0}), specs[1]))
+    sim.run(until=0.0)
+    _assert_live_rates_exact(started, cap_fns)
+    sim.run(until=2.0)
+    assert not started[1][0].alive
+    _assert_live_rates_exact(started, cap_fns)
+    assert started[0][0].rate == 1.0
+
+
+def test_a_lone_finish_refills_no_flow_of_another_group(monkeypatch):
+    """The flow engine writes no rate of a group that a flow finishing
+    alone on its own resource cannot reach (a test-side wrapper around
+    the ``rate`` slot counts the writes)."""
+    slot = Flow.__dict__["rate"]
+    writes: dict[str, int] = {}
+
+    def set_rate(flow, value):
+        writes[flow.label] = writes.get(flow.label, 0) + 1
+        slot.__set__(flow, value)
+
+    monkeypatch.setattr(Flow, "rate", property(lambda flow: slot.__get__(flow, Flow), set_rate))
+    cap_fns = [lambda w: 3.0, _CURVE.value, lambda w: 7.0]
+    sim = Simulator()
+    net = FlowNetwork(sim, dict(enumerate(cap_fns)))
+    standing = [
+        net.start_flow(1e12, {0: 1.0}, label="a"),
+        net.start_flow(1e12, {0: 2.0, 1: 1.0}, weight=0.5, label="b"),
+        net.start_flow(1e12, {1: 1.0}, label="c"),
+    ]
+    sim.run(until=0.0)
+    rates = [f.rate for f in standing]
+    writes.clear()
+    lone = net.start_flow(7.0, {2: 1.0}, label="lone")
+    sim.run(until=0.5)
+    assert set(writes) == {"lone"}
+    sim.run(until=2.0)
+    assert not lone.alive
+    assert set(writes) == {"lone"}
+    assert [f.rate for f in standing] == rates

@@ -2,7 +2,7 @@
 
 Every simulated figure comes out of one flow engine
 (:class:`repro.frame.FlowNetwork`).  This test pins, as ``float.hex()``
-strings, what twelve small simulations and the Sect. 3 progress probe
+strings, what thirteen small simulations and the Sect. 3 progress probe
 report — total time, bytes moved through the simulated MPI and every
 field of every resource's :class:`~repro.frame.ResourceStats` — so a
 change that is meant to make the simulator faster and nothing else
@@ -11,7 +11,9 @@ must leave all of it bit-identical.
 The points cover both machines, the three schemes, k in {1, 4},
 asynchronous progress on and off, rendezvous (paused and resumed
 flows, forced with a small eager threshold on the tiny matrices),
-intranode-only runs and a node-aware comm plan.
+intranode-only runs, a node-aware comm plan, and a 4-node per-core run
+(48 ranks) whose flows fall into many components of the flow–resource
+graph.
 
 The golden values live in ``sim_golden.json`` next to this file.  A
 change that is *meant* to move a simulated number regenerates it with
@@ -48,6 +50,8 @@ POINTS = {
         "HMeP", "westmere", 2, dict(scheme="task_mode", block_k=4)),
     "hmep-westmere-2n-per-node-no_overlap-k1": (
         "HMeP", "westmere", 2, dict(mode="per-node", scheme="no_overlap")),
+    "hmep-westmere-4n-per-core-task-k1": (
+        "HMeP", "westmere", 4, dict(mode="per-core", scheme="task_mode")),
     "hmep-cray-2n-no_overlap-k4-rdv": (
         "HMeP", "cray_xe6", 2, dict(scheme="no_overlap", block_k=4, eager_threshold=64)),
     "hmep-cray-2n-task-k1": (
