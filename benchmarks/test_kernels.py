@@ -46,7 +46,7 @@ def test_split_kernel(hmep_matrix, x_vec):
     plan = build_halo_plan(hmep_matrix, partition_matrix(hmep_matrix, 4), with_matrices=True)
     rh = plan.ranks[1]
     xl = x_vec[rh.row_lo : rh.row_hi]
-    xh = x_vec[rh.halo_columns] if rh.n_halo else np.zeros(1)
+    xh = x_vec[rh.halo_columns]
     y = spmv_split(rh.A_local, rh.A_remote, xl, xh)
     assert y.shape == (rh.n_rows,)
 

@@ -244,7 +244,7 @@ def _interpreter_vs_inlined(A: CSRMatrix, x: np.ndarray, *, warmup: int, rounds:
         def inlined():
             # the pre-IR hot path: the same arithmetic with no op loop
             y = spmv(halo.A_local, x)
-            spmv_add(halo.A_remote, engine.halo_view(engine.sweep_buffers(x)[0]), out=y)
+            spmv_add(halo.A_remote, engine.sweep_buffers(x)[0], out=y)
             return y
 
         return _paired_ratio(

@@ -113,7 +113,6 @@ class HotPathAllocRule(AstRule):
     description = "no allocating numpy calls in per-sweep hot functions"
     suffixes = (
         "sparse/spmv.py",
-        "sparse/spmm.py",
         "sparse/native.py",
         "program/exec.py",
         "mpilite/team.py",
@@ -132,12 +131,8 @@ class HotPathAllocRule(AstRule):
     ALLOC_METHODS = frozenset({"copy", "astype"})
     HOT_FUNCTIONS = {
         "sparse/spmv.py": frozenset({
-            "spmv", "spmv_add", "spmv_split",
+            "spmv", "spmv_add", "spmm", "spmm_add", "spmv_split",
             "_segmented_rowsums", "_numpy_rowsums",
-        }),
-        "sparse/spmm.py": frozenset({
-            "spmm", "spmm_add",
-            "_segmented_block_rowsums", "_numpy_block_rowsums",
         }),
         "sparse/native.py": frozenset({"rowsums", "_address"}),
         "program/exec.py": frozenset({

@@ -143,7 +143,7 @@ def _rank_split(
     # halo_cols is globally sorted (sources own disjoint ascending ranges),
     # so the buffer position of each remote column is its sorted rank
     buffer_pos = np.searchsorted(halo_cols, remote_cols)
-    A_remote = filtered(~local_mask, buffer_pos.astype(np.int64), max(1, halo_cols.size))
+    A_remote = filtered(~local_mask, buffer_pos.astype(np.int64), halo_cols.size)
     return nnz_local, nnz_remote, A_local, A_remote
 
 

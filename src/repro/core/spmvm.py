@@ -67,8 +67,7 @@ from repro.program.exec import execute_sweep
 from repro.program.ir import SweepProgram
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.partition import RowPartition
-from repro.sparse.spmm import spmm, spmm_add
-from repro.sparse.spmv import spmv, spmv_add
+from repro.sparse.spmv import spmm, spmm_add, spmv, spmv_add
 from repro.util import check_in, check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -85,10 +84,11 @@ __all__ = [
 
 # Ledger aliases.  benchmarks/ledger/layers.py (_dispatch_rank,
 # stepped_sweep) reads engine.kernel.{spmv,spmv_add,spmm,spmm_add},
-# engine.A_local_op and engine.A_remote_op and can only be edited by a
-# [benchmark] PR, so the engine keeps those three read-only names until
-# ROADMAP item 8(e) deletes them.  Nothing under src/ reads them: the
-# sweep calls the CSR kernels on halo.A_local / halo.A_remote directly.
+# engine.A_local_op, engine.A_remote_op and engine.halo_view and can only
+# be edited by a [benchmark] PR, so the engine keeps those four names
+# until ROADMAP item 8(e) deletes them.  Nothing under src/ reads them:
+# the sweep calls the CSR kernels on halo.A_local / halo.A_remote and the
+# landing buffer directly.
 _LEDGER_KERNELS = SimpleNamespace(spmv=spmv, spmv_add=spmv_add, spmm=spmm, spmm_add=spmm_add)
 
 
@@ -144,11 +144,6 @@ class DistributedSpMVM:
         # router copies on send, so reuse across iterations is safe).
         # Keyed by the trailing shape: () for a vector, (k,) for a block.
         self._buffers: dict[tuple, tuple[np.ndarray, dict[int, np.ndarray]]] = {}
-        # degenerate halo views (n_halo == 0): A_remote was built with one
-        # zero column, so the remote kernel needs a length-1 zero RHS —
-        # cached here so halo_view stays allocation-free per sweep
-        self._zero_halo = np.zeros(1)
-        self._zero_halo_blocks: dict[int, np.ndarray] = {}
         #: the borrowed communication thread; None until the first
         #: COMM_THREAD region and again after close()
         self.comm_thread: TeamThread | None = None
@@ -292,15 +287,8 @@ class DistributedSpMVM:
         self.exchange.finish(self.comm, recvs, send_bufs, halo_out)
 
     def halo_view(self, halo_out: np.ndarray) -> np.ndarray:
-        """The remote kernel's RHS (A_remote was built with ncols = max(1, n_halo))."""
-        if self.halo.n_halo == 0:
-            if halo_out.ndim == 1:
-                return self._zero_halo
-            k = halo_out.shape[1]
-            blk = self._zero_halo_blocks.get(k)
-            if blk is None:
-                blk = self._zero_halo_blocks[k] = np.zeros((1, k))
-            return blk
+        """*halo_out* itself (a ledger alias, see ``_LEDGER_KERNELS``):
+        ``A_remote`` has one column per halo slot, none for an empty halo."""
         return halo_out
 
 

@@ -170,10 +170,6 @@ class FlowNetwork:
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def capacity_of(self, key: ResourceKey, weight: float = 1.0) -> float:
-        """Capacity of one resource at the given active weight (bytes/s)."""
-        return float(self._cap_fns[self._res_index[key]](weight))
-
     def start_flow(
         self,
         size: float,

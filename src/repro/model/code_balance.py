@@ -167,13 +167,3 @@ class CodeBalanceModel:
     def performance(self, bandwidth: float, *, split: bool = False) -> float:
         """Attainable flop/s at the given bandwidth (bytes/s)."""
         return max_performance(bandwidth, self.nnzr, self.kappa, split=split)
-
-    def traffic(self, nnz: int, nrows: int, ncols: int, *, split: bool = False) -> float:
-        """Absolute bytes moved by one spMVM with these dimensions.
-
-        Uses the same accounting as :func:`repro.sparse.spmv.spmv_traffic`
-        but parameterised directly (no matrix object needed — the
-        simulator works from partition metadata).
-        """
-        result_bytes = 16 * (2 if split else 1)
-        return (12.0 + self.kappa) * nnz + result_bytes * nrows + 8.0 * ncols

@@ -247,11 +247,10 @@ def _local_spmvm(engine: "DistributedSpMVM", state: _SweepState) -> None:
 
 
 def _remote_spmvm(engine: "DistributedSpMVM", state: _SweepState) -> None:
-    halo = engine.halo_view(state.halo_out)
     if state.x.ndim == 2:
-        spmm_add(engine.halo.A_remote, halo, out=state.y)
+        spmm_add(engine.halo.A_remote, state.halo_out, out=state.y)
     else:
-        spmv_add(engine.halo.A_remote, halo, out=state.y)
+        spmv_add(engine.halo.A_remote, state.halo_out, out=state.y)
 
 
 def _full_spmvm(engine: "DistributedSpMVM", state: _SweepState) -> None:

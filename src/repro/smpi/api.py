@@ -28,8 +28,6 @@ so concurrent messages contend for NICs and torus links realistically.
 
 from __future__ import annotations
 
-import math
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Generator
@@ -175,7 +173,7 @@ class SimMPI:
             self._pending_send.setdefault(key, deque()).append(msg)
             if nbytes <= self.config.eager_threshold:
                 # eager data leaves immediately even without a matching recv
-                self._launch(msg, eager_unmatched=True)
+                self._launch(msg)
         return req
 
     def irecv(
@@ -250,69 +248,9 @@ class SimMPI:
             self.exit_mpi(rank)
 
     # ------------------------------------------------------------------
-    # simple collectives (analytic log-tree models)
-    # ------------------------------------------------------------------
-    def allreduce_time(self, nbytes: int) -> float:
-        """Modelled duration of an allreduce over all ranks.
-
-        Log-tree: ``ceil(log2 P)`` rounds of latency + bandwidth term.
-        Used by the iterative solvers for their dot products.  On a
-        degenerate route with no bandwidth-limited resources the model
-        falls back to latency only (with a warning) instead of crashing.
-        """
-        p = max(1, self.nranks)
-        rounds = math.ceil(math.log2(p)) if p > 1 else 0
-        if rounds == 0:
-            return 0.0
-        bandwidth = self._min_link_bandwidth()
-        if math.isinf(bandwidth):
-            warnings.warn(
-                "allreduce probe route between ranks 0 and "
-                f"{self.nranks - 1} declares no bandwidth-limited resources; "
-                "falling back to a latency-only allreduce model",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return rounds * self._icn.latency
-        per_round = self._icn.latency + nbytes / bandwidth
-        return rounds * per_round
-
-    def allreduce(self, rank: int, nbytes: int = 8) -> Generator:
-        """Sub-generator: occupy *rank* inside MPI for one allreduce."""
-        self.enter_mpi(rank)
-        try:
-            yield self._sim.timeout(self.allreduce_time(nbytes))
-        finally:
-            self.exit_mpi(rank)
-
-    def _min_link_bandwidth(self) -> float:
-        """Minimum capacity along a representative route.
-
-        Returns ``inf`` when the route is degenerate (no resource
-        demands), so callers can fall back to a latency-only model; an
-        unregistered resource key raises a descriptive error instead of
-        a bare ``KeyError``/``ValueError``.
-        """
-        src_node = self._rank_node[0]
-        dst_node = self._rank_node[-1]
-        probe = self._icn.route(1.0, src_node, dst_node, self._n_nodes)
-        capacities = []
-        for key, _demand in probe.demands:
-            try:
-                capacities.append(self._net.capacity_of(key, 1.0))
-            except KeyError as exc:
-                raise RuntimeError(
-                    f"allreduce probe route (node {src_node} -> {dst_node}) uses "
-                    f"resource {key!r} which is not registered on the flow network"
-                ) from exc
-        if not capacities:
-            return math.inf
-        return min(capacities)
-
-    # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _launch(self, msg: _Message, *, eager_unmatched: bool = False) -> None:
+    def _launch(self, msg: _Message) -> None:
         """Start the wire transfer for a matched (or eager) message."""
         msg.started = True
         send = msg.send
@@ -350,8 +288,6 @@ class SimMPI:
             # an eager send completes locally as soon as the data left the
             # user buffer; model that as the message latency
             self._sim.schedule(route.latency, lambda: send.done.succeed(send))
-        if eager_unmatched:
-            return
 
     def _complete(self, msg: _Message) -> None:
         send, recv = msg.send, msg.recv

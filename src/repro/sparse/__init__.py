@@ -29,8 +29,7 @@ from repro.sparse.reorder import (
     pseudo_peripheral_node,
     reverse_cuthill_mckee,
 )
-from repro.sparse.spmm import spmm, spmm_add
-from repro.sparse.spmv import flops, spmv, spmv_add, spmv_split, spmv_traffic
+from repro.sparse.spmv import flops, spmm, spmm_add, spmv, spmv_add, spmv_split, spmv_traffic
 from repro.sparse.stats import MatrixStats, bandwidth, matrix_stats
 from repro.sparse.symmetric import SymmetricCSR, spmv_symmetric, symmetric_code_balance
 

@@ -259,12 +259,8 @@ class CSRMatrix:
     # numerics
     # ------------------------------------------------------------------
     def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Sparse matrix-vector product ``C = A @ B`` (paper's kernel).
-
-        Implemented with the segmented-sum trick (cumulative sum of the
-        elementwise products, differenced at row boundaries), which is the
-        fastest pure-numpy formulation and is O(nnz).
-        """
+        """Sparse matrix-vector product ``y = A @ x`` (the paper's kernel):
+        :func:`repro.sparse.spmv.spmv`, the segmented row sum."""
         from repro.sparse.spmv import spmv
 
         return spmv(self, x, out=out)

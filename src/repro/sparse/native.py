@@ -1,17 +1,17 @@
 """Compiled executor of the CRS row sums, and a matrix checksum: one C library, proven at load.
 
-Every kernel of the tree funnels through two functions,
-:func:`repro.sparse.spmv._segmented_rowsums` and
-:func:`repro.sparse.spmm._segmented_block_rowsums`.  Their numpy code is
-the *definition* of a row sum — ``p[0] + pairwise_sum(p[1:])`` over the
-rounded products, the association ``np.add.reduceat`` gives every
-segment — and this module is a second *executor* of that definition: a C
-function that walks the rows once, association for association
-(sequential below 8 terms, 8 accumulators up to 128, halves above), with
-no ``nnz`` temporary and, called through :class:`ctypes.CDLL`, without
-the GIL.  Same bits, so nothing above the two cores can tell which one
-ran: there is no kernel key, flag, parameter or environment switch for
-it.
+Every kernel of the tree funnels through one function,
+:func:`repro.sparse.spmv._segmented_rowsums`, over an ``(n, k)`` block (a
+vector is its one-column view).  Its numpy code,
+:func:`repro.sparse.spmv._numpy_rowsums`, is the *definition* of a row
+sum — ``p[0] + pairwise_sum(p[1:])`` over the rounded products, the
+association ``np.add.reduceat`` gives every segment — and this module is
+a second *executor* of that definition: a C function that walks the rows
+once, association for association (sequential below 8 terms, 8
+accumulators up to 128, halves above), with no ``nnz`` temporary and,
+called through :class:`ctypes.CDLL`, without the GIL.  Same bits, so
+nothing above the one core can tell which one ran: there is no kernel
+key, flag, parameter or environment switch for it.
 
 Life cycle, all of it inside ``import repro.sparse`` (:func:`load`), so
 no timed call ever pays for a compiler, a ``dlopen`` or the self-test:
@@ -466,7 +466,6 @@ def _self_test(kernels) -> None:
 
 def _test_rowsums(fn) -> None:
     """Accept *fn* only if it reproduces the numpy executor's bits."""
-    from repro.sparse.spmm import _numpy_block_rowsums
     from repro.sparse.spmv import _numpy_rowsums
 
     rng = np.random.default_rng(1101_0091)
@@ -488,10 +487,7 @@ def _test_rowsums(fn) -> None:
         start = rng.standard_normal((nrows, k))
         for add in (False, True):
             got, want = start.copy(), start.copy()
-            if k == 1:
-                _numpy_rowsums(row_ptr, col_idx, val, X[:, 0], want[:, 0], add=add)
-            else:
-                _numpy_block_rowsums(row_ptr, col_idx, val, X, want, add=add)
+            _numpy_rowsums(row_ptr, col_idx, val, X, want, add=add)
             code = fn(
                 nrows, _address(row_ptr), _address(col_idx), _address(val), nnz,
                 _address(X), _PROBE_NCOLS, k, _address(got), add,
@@ -612,10 +608,10 @@ def _out_of_range(row: int, row_ptr, col_idx, ncols: int) -> IndexError:
 def rowsums(A, x, out, add: bool) -> bool:
     """``out (+)= A @ x`` row sums in C; ``False`` = not taken.
 
-    ``x`` is a vector or a row-major ``(n, k)`` block and ``out`` the
-    matching ``(nrows,)`` / ``(nrows, k)`` array.  ``False`` leaves
-    ``out`` untouched and the caller runs the numpy executor, which
-    computes the same bits.
+    ``x`` is a row-major ``(n, k)`` block (a vector's one-column view is
+    the ``k = 1`` case) and ``out`` the matching ``(nrows, k)`` array.
+    ``False`` leaves ``out`` untouched and the caller runs the numpy
+    executor, which computes the same bits.
     """
     fn = _kernel
     if fn is None:
@@ -629,17 +625,10 @@ def rowsums(A, x, out, add: bool) -> bool:
         if handle is None:
             return False
     nrows = handle[6]
-    if x.dtype != _F8 or out.dtype != _F8:
+    if x.dtype != _F8 or out.dtype != _F8 or x.ndim != 2:
         return False
-    if x.ndim == 1:
-        k = 1
-        if out.shape != (nrows,):
-            return False
-    elif x.ndim == 2:
-        k = x.shape[1]
-        if out.shape != (nrows, k):
-            return False
-    else:
+    k = x.shape[1]
+    if out.shape != (nrows, k):
         return False
     try:
         code = fn(

@@ -59,13 +59,6 @@ def test_model_bundle_consistency():
     assert m.balance(split=True) > m.balance()
 
 
-def test_model_traffic_matches_eq1_for_square():
-    m = CodeBalanceModel(nnzr=10.0, kappa=1.0)
-    nnz, n = 1000, 100
-    traffic = m.traffic(nnz, n, n)
-    assert traffic / (2 * nnz) == pytest.approx(code_balance(10.0, 1.0))
-
-
 def test_invalid_inputs():
     with pytest.raises(ValueError):
         code_balance(0.0)

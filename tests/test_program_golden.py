@@ -19,8 +19,7 @@ from repro.core.spmvm import DistributedSpMVM, lower_comm_plan, scatter_vector
 from repro.machine import westmere_cluster
 from repro.mpilite import PerRank, run_spmd
 from repro.program import PROGRAM_SCHEMES, build_sweep
-from repro.sparse.spmm import spmm, spmm_add
-from repro.sparse.spmv import spmv, spmv_add
+from repro.sparse import spmm, spmm_add, spmv, spmv_add
 
 NRANKS = 4
 
@@ -67,10 +66,7 @@ def split_kernel_reference(A, x, nranks):
         x_local = np.asarray(x[halo.row_lo:halo.row_hi], dtype=np.float64)
         block = x_local.ndim == 2
         y = spmm(halo.A_local, x_local) if block else spmv(halo.A_local, x_local)
-        if halo.n_halo:
-            halo_vals = np.asarray(x[halo.halo_columns], dtype=np.float64)
-        else:
-            halo_vals = np.zeros((1, x.shape[1])) if block else np.zeros(1)
+        halo_vals = np.asarray(x[halo.halo_columns], dtype=np.float64)
         if block:
             spmm_add(halo.A_remote, halo_vals, out=y)
         else:

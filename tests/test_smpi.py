@@ -3,7 +3,7 @@
 import pytest
 
 from repro.frame import FlowNetwork, Simulator, TraceRecorder
-from repro.machine.network import FatTree, Route, Torus2D
+from repro.machine.network import FatTree, Torus2D
 from repro.smpi import MPIConfig, SimMPI
 
 
@@ -210,16 +210,6 @@ def test_enter_exit_depth_tracking():
         mpi.exit_mpi(0)
 
 
-def test_allreduce_time_scales_with_ranks():
-    _sim2, mpi2 = _world(n_nodes=2)
-    sim8 = Simulator()
-    icn = FatTree(latency=1e-6, link_bandwidth=1e9)
-    net8 = FlowNetwork(sim8, icn.resources(8))
-    mpi8 = SimMPI(sim8, net8, icn, list(range(8)))
-    assert mpi8.allreduce_time(8) > mpi2.allreduce_time(8)
-    assert mpi2.allreduce_time(8) > 0
-
-
 def test_torus_transfers_respect_link_pool():
     sim = Simulator()
     icn = Torus2D(latency=1e-6, link_bandwidth=1e9, background_load=0.0)
@@ -239,52 +229,6 @@ def test_torus_transfers_respect_link_pool():
     sim.spawn(receiver(sim))
     sim.run()
     assert done["t"] > 0
-
-
-# ----------------------------------------------------------------------
-# degenerate routes (allreduce hardening)
-# ----------------------------------------------------------------------
-class _LatencyOnlyIcn(FatTree):
-    """Interconnect whose routes declare no bandwidth-limited resources."""
-
-    def route(self, nbytes, src_node, dst_node, n_nodes=None):
-        return Route(self.latency, ())
-
-
-class _UnregisteredIcn(FatTree):
-    """Interconnect whose probe route names a resource nobody registered."""
-
-    def route(self, nbytes, src_node, dst_node, n_nodes=None):
-        return Route(self.latency, ((("ghost", 0), float(nbytes)),))
-
-
-def test_allreduce_degenerate_route_falls_back_to_latency():
-    sim = Simulator()
-    icn = _LatencyOnlyIcn(latency=2e-6, link_bandwidth=1e9)
-    net = FlowNetwork(sim, icn.resources(2))
-    mpi = SimMPI(sim, net, icn, [0, 1])
-    with pytest.warns(RuntimeWarning, match="latency-only"):
-        t = mpi.allreduce_time(8)
-    # ceil(log2 2) = 1 round of pure latency
-    assert t == pytest.approx(2e-6)
-
-
-def test_allreduce_unregistered_resource_raises_descriptive_error():
-    sim = Simulator()
-    icn = _UnregisteredIcn(latency=1e-6, link_bandwidth=1e9)
-    net = FlowNetwork(sim, icn.resources(2))
-    mpi = SimMPI(sim, net, icn, [0, 1])
-    with pytest.raises(RuntimeError, match="ghost"):
-        mpi.allreduce_time(8)
-
-
-def test_allreduce_single_rank_no_probe():
-    sim = Simulator()
-    icn = _LatencyOnlyIcn(latency=1e-6, link_bandwidth=1e9)
-    net = FlowNetwork(sim, icn.resources(1))
-    mpi = SimMPI(sim, net, icn, [0])
-    # zero rounds: no warning path needs to fire, duration is 0
-    assert mpi.allreduce_time(8) == 0.0
 
 
 # ----------------------------------------------------------------------

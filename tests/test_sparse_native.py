@@ -1,10 +1,10 @@
 """The compiled executor of the CSR row sums (repro.sparse.native).
 
-One definition (the numpy code of ``_numpy_rowsums`` /
-``_numpy_block_rowsums``), two executors: everything here checks that the
-C loop reproduces the numpy bits, declines what it cannot reproduce,
-never reads outside its arrays, and that the package works the same
-without it.  Tests that need the library skip where it could not be
+One definition (the numpy code of ``_numpy_rowsums``, over an ``(n, k)``
+block; a vector is its one-column view), two executors: everything here
+checks that the C loop reproduces the numpy bits, declines what it
+cannot reproduce, never reads outside its arrays, and that the package
+works the same without it.  Tests that need the library skip where it could not be
 built (the ``CC=false`` CI leg); the fallback tests run everywhere.
 """
 
@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 import repro
 from repro.sparse import COOMatrix, CSRMatrix, native, spmm, spmm_add, spmv, spmv_add
-from repro.sparse.spmm import _numpy_block_rowsums, _segmented_block_rowsums
 from repro.sparse.spmv import _numpy_rowsums, _segmented_rowsums
 
 needs_library = pytest.mark.skipif(
@@ -56,12 +55,6 @@ def _arrays(lengths, ncols, rng, special=None):
     if special is not None and nnz:
         val[rng.integers(0, nnz, max(1, nnz // 8))] = special
     return row_ptr, col_idx, val
-
-
-def _numpy(row_ptr, col_idx, val, x, out, add):
-    if x.ndim == 1:
-        return _numpy_rowsums(row_ptr, col_idx, val, x, out, add=add)
-    return _numpy_block_rowsums(row_ptr, col_idx, val, x, out, add=add)
 
 
 def _read_only(array):
@@ -97,21 +90,23 @@ def test_native_reproduces_numpy_bits(lengths, ncols, k, add, val_special, x_spe
     rng = np.random.default_rng(seed)
     row_ptr, col_idx, val = _arrays(lengths, ncols, rng, val_special)
     A = CSRMatrix(row_ptr, col_idx, val, ncols=ncols, check=False)
-    x = rng.standard_normal(ncols if k is None else (ncols, k))
+    x = rng.standard_normal((ncols, 1 if k is None else k))
     if x_special is not None:
         x[rng.integers(0, ncols, max(1, ncols // 6))] = x_special
-    start = rng.standard_normal((len(lengths), *x.shape[1:]))
+    start = rng.standard_normal((len(lengths), x.shape[1]))
     start[::3] = -0.0  # an accumulated-into -0.0 must keep its sign on an empty row
-    want = _numpy(row_ptr, col_idx, val, x, start.copy(), add)
+    want = _numpy_rowsums(row_ptr, col_idx, val, x, start.copy(), add=add)
     got = start.copy()
     taken = native.rowsums(A, x, got, add)
     if not taken:
         # only an empty operand is declined here; the caller then runs numpy
         assert len(lengths) == 0 or col_idx.size == 0
         assert same_bits(got, start)
-        core = _segmented_rowsums if k is None else _segmented_block_rowsums
-        core(A, x, got, add=add)
+        _segmented_rowsums(A, x, got, add=add)
     assert same_bits(got, want)
+    if k is None:  # the vector kernels run the same sums on one-column views
+        vec = spmv_add(A, x[:, 0], start[:, 0].copy()) if add else spmv(A, x[:, 0])
+        assert same_bits(vec, want[:, 0])
 
 
 @needs_library
@@ -137,16 +132,16 @@ def test_declined_operands_get_the_numpy_answer():
     A = _matrix()
     rng = np.random.default_rng(0)
     x = rng.standard_normal(A.ncols)
-    want = _numpy_rowsums(A.row_ptr, A.col_idx, A.val, x, np.empty(A.nrows))
+    want = _numpy_rowsums(A.row_ptr, A.col_idx, A.val, x[:, None], np.empty((A.nrows, 1)))[:, 0]
 
     def declined(M, xx, out=None):
         out = np.full(M.nrows, 7.0) if out is None else out
         before = out.copy()
-        assert not native.rowsums(M, xx, out, False)
+        assert not native.rowsums(M, xx[:, None], out[:, None], False)
         assert same_bits(out, before)  # "not taken" writes nothing
-        return _segmented_rowsums(M, xx, out)
+        return _segmented_rowsums(M, xx[:, None], out[:, None])[:, 0]
 
-    assert native.rowsums(A, x, np.empty(A.nrows), False)  # the plain case is taken
+    assert native.rowsums(A, x[:, None], np.empty((A.nrows, 1)), False)  # the plain case is taken
     assert same_bits(declined(A, np.repeat(x, 2)[::2]), want)  # strided x
     assert same_bits(declined(A, x, np.zeros(2 * A.nrows)[::2]), want)  # strided out
     assert same_bits(declined(A, _read_only(x)), want)
@@ -166,8 +161,10 @@ def test_declined_operands_get_the_numpy_answer():
     M.val = M.val.astype(np.dtype("f4"))
     assert np.allclose(declined(M, x), want, rtol=1e-5, atol=1e-5)
     # mismatched output shape: declined, never written past its end
-    assert not native.rowsums(A, x, np.empty(A.nrows - 1), False)
-    assert not native.rowsums(A, x, np.empty((A.nrows, 2)), False)
+    assert not native.rowsums(A, x[:, None], np.empty((A.nrows - 1, 1)), False)
+    assert not native.rowsums(A, x[:, None], np.empty((A.nrows, 2)), False)
+    # a vector is not an operand of the C entry, only its one-column view
+    assert not native.rowsums(A, x, np.empty(A.nrows), False)
     # k == 0
     empty = spmm(A, np.empty((A.ncols, 0)))
     assert empty.shape == (A.nrows, 0)
@@ -204,55 +201,80 @@ def test_rebinding_a_matrix_array_is_noticed():
 def test_output_sharing_memory_with_an_input_gets_the_numpy_answer():
     # numpy forms val * x[col_idx] before it writes; a row-by-row loop
     # writing into x would read its own results
-    A = _matrix(nrows=50, ncols=50, nnz=600)
     rng = np.random.default_rng(1)
     x = rng.standard_normal(50)
-    want = spmv(A, x.copy())
-    assert not np.array_equal(want, x)
+    for nnz in (600, 60):
+        A = _matrix(nrows=50, ncols=50, nnz=nnz)
+        assert (np.diff(A.row_ptr) == 0).any() == (nnz == 60)  # empty rows
+        want = spmv(A, x.copy())
+        assert not np.array_equal(want, x)
 
-    aliased = x.copy()
-    assert not native.rowsums(A, aliased, aliased, False)
-    assert same_bits(spmv(A, aliased, out=aliased), want)
+        aliased = x.copy()
+        assert not native.rowsums(A, aliased[:, None], aliased[:, None], False)
+        assert same_bits(spmv(A, aliased, out=aliased), want)
 
-    shared = np.zeros(75)
-    shared[:50] = x
-    assert same_bits(spmv(A, shared[:50], out=shared[25:]), want)  # partial overlap
+        aliased = x.copy()
+        assert same_bits(spmv_add(A, aliased, out=aliased), want + x)
 
-    X = rng.standard_normal((50, 4))
-    want_block = spmm(A, X.copy())
-    assert same_bits(spmm(A, X, out=X), want_block)
+        shared = np.zeros(75)
+        shared[:50] = x
+        assert same_bits(spmv(A, shared[:50], out=shared[25:]), want)  # partial overlap
+
+        X = rng.standard_normal((50, 4))
+        want_block = spmm(A, X.copy())
+        assert same_bits(spmm(A, X, out=X), want_block)
+        # column-major: the transpose is a view, and column 0 of out is
+        # column 1 of X
+        shared = np.zeros(150)
+        X = shared[:100].reshape(50, 2, order="F")
+        X[:] = rng.standard_normal((50, 2))
+        want_block = spmm(A, X.copy())
+        assert same_bits(spmm(A, X, out=shared[50:].reshape(50, 2, order="F")), want_block)
 
     # an output laid over the matrix values
     B = _matrix(nrows=50, ncols=50, nnz=600)
-    assert B.nnz >= B.nrows
-    assert not native.rowsums(B, x, B.val[: B.nrows], False)
+    assert B.nnz >= 2 * B.nrows
+    assert not native.rowsums(B, x[:, None], B.val[: B.nrows, None], False)
+    X = rng.standard_normal((50, 2))
+    want_block = spmm(B, X)
+    assert same_bits(spmm(B, X, out=B.val[: 2 * B.nrows].reshape(B.nrows, 2)), want_block)
 
     # adjacent, not overlapping: taken
     halves = np.zeros(100)
     halves[:50] = x
-    assert native.rowsums(A, halves[:50], halves[50:], False)
+    assert native.rowsums(A, halves[:50, None], halves[50:, None], False)
     assert same_bits(halves[50:], want)
 
 
 # ----------------------------------------------------------------------
 # nothing outside the arrays is ever read
 # ----------------------------------------------------------------------
-@needs_library
-@pytest.mark.parametrize("bad", [10**6, 60, -1, np.iinfo(np.int64).min])
-def test_out_of_range_column_index_raises(bad):
+@pytest.mark.parametrize("executor, bad", [
+    *[
+        pytest.param("compiled", bad, id=str(bad), marks=needs_library)
+        for bad in (10**6, 60, -1, np.iinfo(np.int64).min)
+    ],
+    # a read-only right-hand side is declined by the C entry, so the numpy
+    # definition runs, on either CI leg: its gather is checked, it never
+    # reads column ncols - 1 in place of the bad one (a negative index wraps)
+    *[pytest.param("numpy", bad, id=f"numpy-{bad}") for bad in (60, 10**6)],
+])
+def test_out_of_range_column_index_raises(executor, bad):
     A = _matrix()
     row = 17
     assert A.row_ptr[row + 1] > A.row_ptr[row]
     A.col_idx[A.row_ptr[row]] = bad  # mutated after construction
-    x = np.ones(A.ncols)
+    rhs = _read_only if executor == "numpy" else np.asarray
+    message = rf"row {row}: column index {bad} is out of range" if executor == "compiled" else None
+    x = rhs(np.ones(A.ncols))
     for call in (
         lambda: spmv(A, x),
         lambda: spmv_add(A, x, np.zeros(A.nrows)),
-        lambda: spmm(A, np.ones((A.ncols, 8))),
-        lambda: spmm(A, np.ones((A.ncols, 3))),
-        lambda: spmm_add(A, np.ones((A.ncols, 2)), np.zeros((A.nrows, 2))),
+        lambda: spmm(A, rhs(np.ones((A.ncols, 8)))),
+        lambda: spmm(A, rhs(np.ones((A.ncols, 3)))),
+        lambda: spmm_add(A, rhs(np.ones((A.ncols, 2))), np.zeros((A.nrows, 2))),
     ):
-        with pytest.raises(IndexError, match=rf"row {row}: column index {bad} is out of range"):
+        with pytest.raises(IndexError, match=message):
             call()
 
 

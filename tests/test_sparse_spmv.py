@@ -13,7 +13,7 @@ def _split(d, is_local):
     buffer, as the halo plan lays them out; plus the halo columns."""
     halo_cols = np.flatnonzero(~is_local & (d != 0).any(axis=0))
     local = CSRMatrix.from_dense(d * is_local)
-    remote = CSRMatrix.from_dense(d[:, halo_cols] if halo_cols.size else np.zeros((len(d), 1)))
+    remote = CSRMatrix.from_dense(d[:, halo_cols])
     return local, remote, halo_cols
 
 
@@ -49,7 +49,7 @@ def test_spmv_add_accumulates(mat_and_x):
 def test_spmv_split_equals_full(mat_and_x, rng):
     _m, d, x = mat_and_x
     local, remote, halo_cols = _split(d, rng.random(40) < 0.7)
-    y = spmv_split(local, remote, x, x[halo_cols] if halo_cols.size else np.zeros(1))
+    y = spmv_split(local, remote, x, x[halo_cols])
     assert np.allclose(y, d @ x)
 
 
@@ -63,7 +63,6 @@ def test_traffic_matches_code_balance_square():
     m = CSRMatrix.from_dense(np.eye(50) + np.diag(np.ones(49), 1))
     for kappa in (0.0, 2.5):
         b = spmv_traffic(m, kappa=kappa) / flops(m)
-        assert b == pytest.approx(code_balance(m.nnzr, kappa) + (8 * 50 - 8 * m.nnz / m.nnzr) / flops(m), rel=1e-12) or True
         # direct identity: (12+k)nnz + 16n + 8n over 2nnz
         expected = ((12 + kappa) * m.nnz + 24 * m.nrows) / (2 * m.nnz)
         assert b == pytest.approx(expected)
@@ -104,7 +103,7 @@ def test_spmv_split_validates_out(mat_and_x, rng):
     """Regression: spmv_split never checked a caller-provided out."""
     _m, d, x = mat_and_x
     local, remote_c, halo_cols = _split(d, rng.random(40) < 0.7)
-    x_remote = x[halo_cols] if halo_cols.size else np.zeros(1)
+    x_remote = x[halo_cols]
     with pytest.raises(ValueError, match="out must have shape"):
         spmv_split(local, remote_c, x, x_remote, out=np.zeros(41))
     with pytest.raises(ValueError, match="out must have dtype float64"):
@@ -161,7 +160,7 @@ def test_spmv_mixed_magnitudes_rowwise_bound(seed):
     bound = 1e-10 * (np.abs(d) @ np.abs(x)) + 1e-300
     assert np.all(np.abs(spmv(m, x) - d @ x) <= bound)
     local, remote_c, halo_cols = _split(d, rng.random(n) < 0.6)
-    y = spmv_split(local, remote_c, x, x[halo_cols] if halo_cols.size else np.zeros(1))
+    y = spmv_split(local, remote_c, x, x[halo_cols])
     assert np.all(np.abs(y - d @ x) <= bound)
 
 
@@ -181,11 +180,8 @@ def test_halo_plan_split_kernels_reproduce_unsplit_product(nparts, rng):
     plan = build_halo_plan(A, partition_matrix(A, nparts, strategy="rows"))
     y = np.empty(n)
     for rank in plan.ranks:
-        halo_x = (
-            x[rank.halo_columns] if rank.halo_columns.size else np.zeros(1)
-        )
         y[rank.row_lo : rank.row_hi] = spmv_split(
-            rank.A_local, rank.A_remote, x[rank.row_lo : rank.row_hi], halo_x
+            rank.A_local, rank.A_remote, x[rank.row_lo : rank.row_hi], x[rank.halo_columns]
         )
     assert np.array_equal(y, reference)
     assert np.array_equal(y, d @ x)
