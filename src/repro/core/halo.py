@@ -13,8 +13,8 @@ partition: per rank it determines
 * which of its own elements must be gathered into send buffers for whom,
 * the split of its row block into a **local** part (columns it owns) and
   a **remote** part (halo columns), with column indices compressed to
-  local/halo buffer positions — exactly the two sub-matrices the overlap
-  schemes multiply separately.
+  local/halo buffer positions — the two sub-matrices the overlap schemes
+  multiply separately — in passes linear in the rank's nonzeros.
 
 With ``with_matrices=False`` only the metadata (byte counts, message
 lists, nonzero counts) is produced — that is all the performance
@@ -116,34 +116,32 @@ class HaloPlan:
 
 
 def _rank_split(
-    A: CSRMatrix, lo: int, hi: int, halo_cols: np.ndarray, with_matrices: bool
+    A: CSRMatrix, lo: int, hi: int, halo_cols: np.ndarray, slot: np.ndarray | None
 ) -> tuple[int, int, CSRMatrix | None, CSRMatrix | None]:
-    """Split one row block into local/remote parts with compressed columns."""
+    """Split one row block into local/remote parts with compressed columns,
+    in passes linear in its nonzeros and with no row id per nonzero: row
+    pointers from a search of the remote positions at the row bounds, one
+    gather per kept array, halo-buffer positions from *slot* (the plan's
+    column-indexed table).  Without *slot* only the two counts are taken."""
     p0, p1 = int(A.row_ptr[lo]), int(A.row_ptr[hi])
     cols = A.col_idx[p0:p1]
     local_mask = (cols >= lo) & (cols < hi)
     nnz_local = int(np.count_nonzero(local_mask))
     nnz_remote = cols.size - nnz_local
-    if not with_matrices:
+    if slot is None:
         return nnz_local, nnz_remote, None, None
 
-    sub_ptr = A.row_ptr[lo : hi + 1] - p0
-    vals = A.val[p0:p1]
-    nrows = hi - lo
-
-    def filtered(mask: np.ndarray, new_cols: np.ndarray, ncols: int) -> CSRMatrix:
-        rows = np.repeat(np.arange(nrows, dtype=np.int64), np.diff(sub_ptr))[mask]
-        ptr = np.zeros(nrows + 1, dtype=np.int64)
-        np.add.at(ptr, rows + 1, 1)
-        np.cumsum(ptr, out=ptr)
-        return CSRMatrix(ptr, new_cols, vals[mask].copy(), ncols=ncols, check=False)
-
-    A_local = filtered(local_mask, (cols[local_mask] - lo).copy(), nrows)
-    remote_cols = cols[~local_mask]
-    # halo_cols is globally sorted (sources own disjoint ascending ranges),
-    # so the buffer position of each remote column is its sorted rank
-    buffer_pos = np.searchsorted(halo_cols, remote_cols)
-    A_remote = filtered(~local_mask, buffer_pos.astype(np.int64), halo_cols.size)
+    remote_mask, vals = ~local_mask, A.val[p0:p1]
+    ptr_local = A.row_ptr[lo : hi + 1] - p0
+    ptr_remote = np.searchsorted(np.flatnonzero(remote_mask), ptr_local)
+    ptr_local -= ptr_remote
+    local_cols = cols[local_mask]
+    local_cols -= lo
+    slot[halo_cols] = np.arange(halo_cols.size)  # owner_of range-checked every column
+    A_local = CSRMatrix(ptr_local, local_cols, vals[local_mask], ncols=hi - lo, check=False)
+    A_remote = CSRMatrix(
+        ptr_remote, slot[cols[remote_mask]], vals[remote_mask], ncols=halo_cols.size, check=False
+    )
     return nnz_local, nnz_remote, A_local, A_remote
 
 
@@ -200,11 +198,12 @@ def build_halo_plan(
                 need[int(seg_owner)] = seg_cols
         needs.append(need)
 
+    slot = np.empty(A.ncols, dtype=np.int64) if with_matrices else None  # column -> halo slot
     ranks: list[RankHalo] = []
     for p in range(nranks):
         lo, hi = partition.bounds(p)
         nnz_local, nnz_remote, A_local, A_remote = _rank_split(
-            A, lo, hi, halo_cols_per_rank[p], with_matrices
+            A, lo, hi, halo_cols_per_rank[p], slot
         )
         rh = RankHalo(
             rank=p,

@@ -31,10 +31,8 @@ That numpy code *defines* the row sum; where the machine has a C
 compiler the same sum — the same association, hence the same bits — is
 executed by the compiled loop of :mod:`repro.sparse.native`, which
 :func:`_segmented_rowsums` asks first.  Both executors raise
-:class:`IndexError` on a column index at or past ``ncols`` (a matrix
-mutated after construction); neither returns a vector for it.  A
-*negative* index is the exception: the compiled loop raises, numpy's
-``take`` wraps it.
+:class:`IndexError` on a column index outside ``[0, ncols)`` (a matrix
+mutated after construction); neither returns a vector for it.
 
 Kernels
 -------
@@ -100,12 +98,13 @@ def _numpy_rowsums(
     """The definition of a row sum: ``np.add.reduceat`` over the products.
 
     Each column gathers its RHS contiguously (a checked ``take``: an
-    index at or past ``ncols`` raises :class:`IndexError`), multiplies
-    ``val`` in place and reduces with the 1-D ``np.add.reduceat``, so
-    partial sums never cross row boundaries.  Empty rows must be masked
-    out: ``reduceat`` at a repeated offset returns the *element* at that
-    offset rather than an empty-sum 0.  Overwriting, an empty row reads
-    0; under ``add`` it is left alone.
+    index at or past ``ncols`` raises :class:`IndexError`; a negative
+    one, which ``take`` would wrap, is caught first by one ``min`` per
+    call), multiplies ``val`` in place and reduces with the 1-D
+    ``np.add.reduceat``, so partial sums never cross row boundaries.
+    Empty rows must be masked out: ``reduceat`` at a repeated offset
+    returns the *element* at that offset rather than an empty-sum 0.
+    Overwriting, an empty row reads 0; under ``add`` it is left alone.
 
     A contiguous output column (a vector's one-column view) receives
     the reduction in place when no row is empty and nothing is
@@ -121,6 +120,9 @@ def _numpy_rowsums(
         if not add:
             out[:] = 0.0
         return out
+    lowest = int(col_idx.min())
+    if lowest < 0:
+        raise IndexError(f"column index {lowest} is out of range [0, {X.shape[0]})")
     if k > 1 and (np.may_share_memory(out, X) or np.may_share_memory(out, val)):
         # a later column would read what an earlier one wrote: sum apart
         apart = out.copy()  # lint: allow(hot-path-alloc) overlapping operands only

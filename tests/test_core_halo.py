@@ -180,14 +180,61 @@ def _assert_plans_identical(got, want):
                 np.testing.assert_array_equal(ga.view(np.uint64), wa.view(np.uint64))
 
 
+def _reference_rank_split(
+    A: CSRMatrix, lo: int, hi: int, halo_cols: np.ndarray, with_matrices: bool
+) -> tuple[int, int, CSRMatrix | None, CSRMatrix | None]:
+    """Split one row block into local/remote parts with compressed columns."""
+    p0, p1 = int(A.row_ptr[lo]), int(A.row_ptr[hi])
+    cols = A.col_idx[p0:p1]
+    local_mask = (cols >= lo) & (cols < hi)
+    nnz_local = int(np.count_nonzero(local_mask))
+    nnz_remote = cols.size - nnz_local
+    if not with_matrices:
+        return nnz_local, nnz_remote, None, None
+
+    sub_ptr = A.row_ptr[lo : hi + 1] - p0
+    vals = A.val[p0:p1]
+    nrows = hi - lo
+
+    def filtered(mask: np.ndarray, new_cols: np.ndarray, ncols: int) -> CSRMatrix:
+        rows = np.repeat(np.arange(nrows, dtype=np.int64), np.diff(sub_ptr))[mask]
+        ptr = np.zeros(nrows + 1, dtype=np.int64)
+        np.add.at(ptr, rows + 1, 1)
+        np.cumsum(ptr, out=ptr)
+        return CSRMatrix(ptr, new_cols, vals[mask].copy(), ncols=ncols, check=False)
+
+    A_local = filtered(local_mask, (cols[local_mask] - lo).copy(), nrows)
+    remote_cols = cols[~local_mask]
+    # halo_cols is globally sorted (sources own disjoint ascending ranges),
+    # so the buffer position of each remote column is its sorted rank
+    buffer_pos = np.searchsorted(halo_cols, remote_cols)
+    A_remote = filtered(~local_mask, buffer_pos.astype(np.int64), halo_cols.size)
+    return nnz_local, nnz_remote, A_local, A_remote
+
+
+def _with_reference_split(A, lo, hi, halo_cols, slot):
+    return _reference_rank_split(A, lo, hi, halo_cols, slot is not None)
+
+
 def _assert_build_matches_unique_reference(A, nranks, strategy):
-    # the reference is the same bookkeeping with numpy's own np.unique
+    # two references: the same bookkeeping with numpy's own np.unique, and
+    # with the row-expanding local/remote split (one row id per nonzero)
     partition = partition_matrix(A, nranks, strategy=strategy)
     for with_matrices in (True, False):
         got = build_halo_plan(A, partition, with_matrices=with_matrices)
         with mock.patch.object(halo_mod, "_sorted_unique", np.unique):
             want = build_halo_plan(A, partition, with_matrices=with_matrices)
         _assert_plans_identical(got, want)
+        with mock.patch.object(halo_mod, "_rank_split", _with_reference_split):
+            want = build_halo_plan(A, partition, with_matrices=with_matrices)
+        _assert_plans_identical(got, want)
+        for rh in got.ranks:
+            for M in (rh.A_local, rh.A_remote):
+                if M is None:
+                    assert not with_matrices
+                    continue
+                for array in (M.row_ptr, M.col_idx, M.val):
+                    assert array.flags.c_contiguous and array.flags.owndata
 
 
 @st.composite
@@ -254,6 +301,23 @@ def test_plan_build_named_cases_match_unique_reference(name, build, nranks, stra
         empty = [rh.n_halo == 0 for rh in plan.ranks]
         assert all(empty) if name == "empty-halos" else empty == [False, True, True, False]
     _assert_build_matches_unique_reference(A, nranks, strategy)
+
+
+@pytest.mark.parametrize("bad", [-1, np.iinfo(np.int64).min])
+@pytest.mark.parametrize("rank", [0, 2])
+@pytest.mark.parametrize("with_matrices", [True, False])
+def test_negative_column_raises_before_any_split(bad, rank, with_matrices):
+    # a matrix mutated after construction: the halo scan's range check
+    # fires for every rank before a column reaches the split's table,
+    # where a negative one would wrap (or, past -ncols, raise IndexError)
+    A = random_sparse(60, nnzr=5, seed=41)
+    partition = partition_matrix(A, 3)
+    lo, hi = partition.bounds(rank)
+    A.col_idx[A.row_ptr[(lo + hi) // 2]] = bad
+    with pytest.raises(ValueError, match="out of range"):
+        build_halo_plan(A, partition, with_matrices=with_matrices)
+    with pytest.raises(ValueError, match="out of range"):
+        cached_halo_plan(A, 3, with_matrices=with_matrices)
 
 
 def test_cached_plan_refresh_keeps_live_neighbours(monkeypatch):

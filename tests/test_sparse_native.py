@@ -5,7 +5,8 @@ block; a vector is its one-column view), two executors: everything here
 checks that the C loop reproduces the numpy bits, declines what it
 cannot reproduce, never reads outside its arrays, and that the package
 works the same without it.  Tests that need the library skip where it could not be
-built (the ``CC=false`` CI leg); the fallback tests run everywhere.
+built (the ``CC=false`` CI leg), those that compile skip without a compiler that
+runs (``CC=false`` against a warm cache); the fallback tests run everywhere.
 """
 
 import gc
@@ -27,6 +28,24 @@ from repro.sparse.spmv import _numpy_rowsums, _segmented_rowsums
 
 needs_library = pytest.mark.skipif(
     not native.status().available, reason=f"no compiled executor: {native.status().reason}"
+)
+
+
+def _compiler_runs() -> bool:
+    """A compiler is named and answers ``--version`` (``CC=false`` does not,
+    even where the cache already holds a library it loads)."""
+    try:
+        cc = native._compiler()
+        return subprocess.run([*cc, "--version"], capture_output=True, timeout=60).returncode == 0
+    except (native._Unavailable, OSError, subprocess.SubprocessError):
+        return False
+
+
+#: Tests that compile the source (a variant of it, or a first build in a
+#: fresh cache) need a compiler that runs, not only a loaded library.
+needs_compiler = pytest.mark.skipif(
+    not (native.status().available and _compiler_runs()),
+    reason="no compiled executor or no runnable C compiler",
 )
 
 #: Both sides of every threshold of numpy's pairwise sum (a row of n
@@ -256,8 +275,10 @@ def test_output_sharing_memory_with_an_input_gets_the_numpy_answer():
     ],
     # a read-only right-hand side is declined by the C entry, so the numpy
     # definition runs, on either CI leg: its gather is checked, it never
-    # reads column ncols - 1 in place of the bad one (a negative index wraps)
-    *[pytest.param("numpy", bad, id=f"numpy-{bad}") for bad in (60, 10**6)],
+    # reads column ncols - 1 in place of one past the end, nor wraps a
+    # negative one to the end of the vector
+    *[pytest.param("numpy", bad, id=f"numpy-{bad}") for bad in (60, 10**6, -1)],
+    pytest.param("numpy", np.iinfo(np.int64).min, id="numpy-int64min"),
 ])
 def test_out_of_range_column_index_raises(executor, bad):
     A = _matrix()
@@ -362,7 +383,7 @@ def test_status_is_read_only_and_complete():
         status.available = not status.available
 
 
-@needs_library
+@needs_compiler
 @pytest.mark.parametrize(
     "old,new",
     [
@@ -387,7 +408,7 @@ def test_self_test_rejects_another_association(old, new, tmp_path):
         native._self_test(native._bind(lib))
 
 
-@needs_library
+@needs_compiler
 @pytest.mark.parametrize(
     "edits",
     [
@@ -505,7 +526,7 @@ def test_without_a_compiler_numpy_runs_and_says_why(tmp_path):
     assert not list((tmp_path / "cache").rglob("*.so"))
 
 
-@needs_library
+@needs_compiler
 def test_two_processes_racing_the_first_build_both_load_it(tmp_path):
     cache = tmp_path / "cache"
     first, second = _spawn_child(cache), _spawn_child(cache)
