@@ -68,7 +68,7 @@ from repro.program.ir import SweepProgram
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.partition import RowPartition
 from repro.sparse.spmv import spmm, spmm_add, spmv, spmv_add
-from repro.util import check_in, check_positive_int
+from repro.util import check_in, check_positive_int, check_real_array
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.check.checker import Checker
@@ -216,7 +216,7 @@ class DistributedSpMVM:
         ``op_log``, when given, receives the executed op sequence (the
         program's signature tokens) — see :func:`repro.program.execute_sweep`.
         """
-        x_local = np.asarray(x_local, dtype=np.float64)
+        x_local = check_real_array(x_local, "x_local")
         if x_local.shape != (self.halo.n_rows,):
             raise ValueError(
                 f"x_local must have shape ({self.halo.n_rows},), got {x_local.shape}"
@@ -243,7 +243,7 @@ class DistributedSpMVM:
         the slice into (it must not overlap *X_local*); a caller that
         sweeps again and again keeps one and allocates nothing per call.
         """
-        X_local = np.asarray(X_local, dtype=np.float64)
+        X_local = check_real_array(X_local, "X_local")
         if X_local.ndim != 2 or X_local.shape[0] != self.halo.n_rows:
             raise ValueError(
                 f"X_local must have shape ({self.halo.n_rows}, k), got {X_local.shape}"
@@ -332,7 +332,7 @@ def _rank_sweeps(A, x, nranks, block, scheme, iterations, comm_plan, ranks_per_n
     would lose its tail silently and a short one would fail on one rank.
     """
     check_in(scheme, PROGRAM_SCHEMES, "scheme")
-    x = np.asarray(x, dtype=np.float64)
+    x = check_real_array(x, "x")
     ndim = 2 if block else 1
     if x.ndim != ndim or x.shape[0] != A.ncols:
         want = f"({A.ncols}, k)" if block else f"({A.ncols},)"

@@ -24,11 +24,17 @@ latency.  Because spmm is column-wise bit-identical to spmv,
 coalescing never changes anyone's answer.
 
 **One buffer per request**: ``submit`` copies the right-hand sides
-once; every rank overwrites its own rows of that copy with the product
-when its part of the batch is done (the halo values its peers needed
-were packed out of it before any kernel ran), and ``gather`` hands the
-same array back.  The ranks gather and sweep into scratch buffers they
-keep, so serving a request allocates nothing but that copy — its cost
+once (the caller may reuse its array at once); every rank overwrites
+its own rows of that copy with the product when its part of the batch
+is done (the halo values its peers needed were packed out of it before
+any kernel ran), and ``gather`` hands the same array back.  ``solve``
+holds its caller until the answer is there, so it copies nothing: a
+float64, C-contiguous, writeable right-hand side is read where it lies,
+and a rank that sweeps it alone writes the product straight into a
+fresh response array (``multiply_block(..., out=)``).  Batches of
+several requests are gathered and swept in scratch buffers the ranks
+keep, then each request's columns go to its response.  Serving a
+request thus allocates one array, in the caller's thread — its cost
 does not depend on what the allocator has just given back to the
 kernel.
 
@@ -54,6 +60,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.mpilite.world import World
+from repro.util import check_real_array
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.check.checker import Checker
@@ -120,8 +127,8 @@ class _Batch:
     def __init__(self, seq: int, entries: list, blocks: list, nranks: int, width: int) -> None:
         self.seq = seq
         self.entries = entries  # [(ServeRequest, its response array)]
-        #: the requests' private ``(nrows, k)`` buffers, in column order:
-        #: right-hand sides going in, products coming out
+        #: each request's ``(nrows, k)`` (right-hand sides, product)
+        #: views, in column order; one buffer for a ``submit``
         self.blocks = blocks
         self.remaining = nranks
         self.error: Exception | None = None
@@ -188,8 +195,9 @@ class SolverService:
             self._lock = TrackedCondition(self.world.observer, self._domain, "service-lock")
         else:
             self._lock = threading.Condition()
-        #: (request, response array, its (nrows, k) view)
-        self._pending: deque[tuple[ServeRequest, np.ndarray, np.ndarray]] = deque()
+        #: (request, response array, (nrows, k) views of its right-hand
+        #: sides and of its response)
+        self._pending: deque[tuple[ServeRequest, np.ndarray, np.ndarray, np.ndarray]] = deque()
         self._inboxes: list[deque] = [deque() for _ in range(model.nranks)]
         self._inflight: _Batch | None = None
         self._state = "running"  # running -> closing -> closed | failed
@@ -210,29 +218,16 @@ class SolverService:
         """Enqueue ``y = A @ x`` and return its ticket immediately.
 
         *x* may be 1-D (one RHS) or 2-D ``(nrows, k)`` (a block of *k*
-        right-hand sides; the result keeps the shape).  The data is
-        copied, so the caller may reuse its buffer.
+        right-hand sides; the result keeps the shape); a complex *x* is
+        a ValueError.  The data is copied, so the caller may reuse its
+        buffer at once; the copy is overwritten with the product and
+        handed back by :meth:`gather`.
         """
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim not in (1, 2):
-            raise ValueError(f"x must be 1-D or 2-D, got ndim={x.ndim}")
-        if x.shape[0] != self.model.matrix.nrows:
-            raise ValueError(
-                f"x has {x.shape[0]} rows, model expects {self.model.matrix.nrows}"
-            )
+        x = self._checked(x)
         # the request's one buffer: right-hand sides now, the response
         # once every rank has overwritten its rows
-        response = np.array(x, dtype=np.float64, order="C")
-        data = response if response.ndim == 2 else response.reshape(-1, 1)
-        with self._lock:
-            if self._state != "running":
-                raise ServiceClosedError(self._closed_message_locked("submit"))
-            req = ServeRequest(self._next_id, data.shape[1], x.ndim == 1)
-            self._next_id += 1
-            self._pending.append((req, response, data))
-            self._note("pending", "w", "submit")
-            self._dispatch_locked()
-        return req
+        response = np.array(x, order="C")
+        return self._enqueue(response, response)
 
     def poll(self, request: ServeRequest) -> bool:
         """Whether *request* has completed (never blocks)."""
@@ -255,8 +250,24 @@ class SolverService:
         return request._result
 
     def solve(self, x: np.ndarray, timeout: float | None = None) -> np.ndarray:
-        """Synchronous ``submit`` + ``gather``."""
-        return self.gather(self.submit(x), timeout=timeout)
+        """Synchronous ``submit`` + ``gather``, without ``submit``'s copy.
+
+        A float64, C-contiguous, writeable *x* (what the compiled row
+        sums take) is read where it lies, and the product is written
+        straight into a fresh response array; *x* is never written, but
+        must not change until ``solve`` returns.  Any other *x* is
+        converted and copied as :meth:`submit` does.  After a
+        :class:`TimeoutError` the request stays queued and may still
+        read *x* when its batch runs; its product is then dropped, and
+        requests swept in the same batch are unaffected (spmm columns
+        are independent).
+        """
+        x = self._checked(x)
+        if x.dtype == np.float64 and x.flags.c_contiguous and x.flags.writeable:
+            request = self._enqueue(x, np.empty(x.shape))
+        else:
+            request = self.submit(x)
+        return self.gather(request, timeout=timeout)
 
     @contextlib.contextmanager
     def hold(self):
@@ -361,6 +372,32 @@ class SolverService:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+    def _checked(self, x: np.ndarray) -> np.ndarray:
+        """*x* as float64, 1-D or 2-D with the model's rows, else ValueError."""
+        x = check_real_array(x, "x")
+        if x.ndim not in (1, 2):
+            raise ValueError(f"x must be 1-D or 2-D, got ndim={x.ndim}")
+        if x.shape[0] != self.model.matrix.nrows:
+            raise ValueError(
+                f"x has {x.shape[0]} rows, model expects {self.model.matrix.nrows}"
+            )
+        return x
+
+    def _enqueue(self, x: np.ndarray, response: np.ndarray) -> ServeRequest:
+        """Queue the product of *x* into *response* (*x* itself for a
+        ``submit``); both are C-contiguous float64 of one shape."""
+        out = response if response.ndim == 2 else response.reshape(-1, 1)
+        rhs = out if x is response else x.reshape(out.shape)
+        with self._lock:
+            if self._state != "running":
+                raise ServiceClosedError(self._closed_message_locked("submit"))
+            req = ServeRequest(self._next_id, out.shape[1], response.ndim == 1)
+            self._next_id += 1
+            self._pending.append((req, response, rhs, out))
+            self._note("pending", "w", "submit")
+            self._dispatch_locked()
+        return req
+
     def _note(self, buffer: str, mode: str, op: str) -> None:
         """Record one shared-state access with the world's observer.
 
@@ -382,7 +419,7 @@ class SolverService:
 
     def _cancel_pending_locked(self) -> None:
         while self._pending:
-            req, _response, _data = self._pending.popleft()
+            req = self._pending.popleft()[0]
             req._complete(
                 None,
                 ServiceClosedError(
@@ -417,15 +454,15 @@ class SolverService:
         # take whole requests until the next would overflow max_batch
         # columns (always take at least one)
         entries: list[tuple[ServeRequest, np.ndarray]] = []
-        blocks: list[np.ndarray] = []
+        blocks: list[tuple[np.ndarray, np.ndarray]] = []
         width = 0
         while self._pending:
-            req, response, data = self._pending[0]
+            req, response, rhs, out = self._pending[0]
             if entries and width + req.k > self.max_batch:
                 break
             self._pending.popleft()
             entries.append((req, response))
-            blocks.append(data)
+            blocks.append((rhs, out))
             width += req.k
         self._note("pending", "w", "dispatch")
         batch = _Batch(self._seq, entries, blocks, self.model.nranks, width)
@@ -483,20 +520,25 @@ class SolverService:
                 if fault:
                     raise RuntimeError(f"injected worker fault on rank {rank}")
                 # this rank's rows of every request: gathered, swept and
-                # written back here, by all ranks at once and into memory
+                # written out here, by all ranks at once and into memory
                 # that is already there
                 blocks = batch.blocks
+                rhs, out = blocks[0]
                 if len(blocks) == 1:
-                    X_local = blocks[0][lo:hi]
+                    X_local = rhs[lo:hi]
                 else:
                     X_local = np.concatenate(
-                        [data[lo:hi] for data in blocks], axis=1, out=gathered(batch.width)
+                        [x[lo:hi] for x, _y in blocks], axis=1, out=gathered(batch.width)
                     )
-                Y_local = engine.multiply_block(X_local, scheme, out=swept(batch.width))
-                col = 0
-                for data in blocks:
-                    data[lo:hi] = Y_local[:, col : col + data.shape[1]]
-                    col += data.shape[1]
+                if len(blocks) == 1 and rhs is not out:
+                    # a lone solve: the kernels write its response rows
+                    engine.multiply_block(X_local, scheme, out=out[lo:hi])
+                else:
+                    Y_local = engine.multiply_block(X_local, scheme, out=swept(batch.width))
+                    col = 0
+                    for _x, y in blocks:
+                        y[lo:hi] = Y_local[:, col : col + y.shape[1]]
+                        col += y.shape[1]
             except Exception as exc:  # fail the batch, never swallow
                 self._worker_failed(batch, rank, exc)
                 continue

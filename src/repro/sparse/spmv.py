@@ -57,6 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 from repro.sparse import native
 from repro.sparse.csr import IDX_BYTES, RESULT_BYTES, RHS_BYTES, VAL_BYTES
+from repro.util import check_real_array
 
 __all__ = [
     "spmv",
@@ -178,14 +179,14 @@ def _check_out(out: np.ndarray, shape: tuple) -> None:
 
 
 def _check_vector(A: "CSRMatrix", x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+    x = check_real_array(x, "x")
     if x.ndim != 1 or x.size != A.ncols:
         raise ValueError(f"x must be a vector of length {A.ncols}, got shape {x.shape}")
     return x
 
 
 def _check_block(A: "CSRMatrix", X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
+    X = check_real_array(X, "X")
     if X.ndim != 2 or X.shape[0] != A.ncols:
         raise ValueError(
             f"X must be a block of shape ({A.ncols}, k), got shape {X.shape}"

@@ -7,6 +7,7 @@ from repro.util.checks import (
     check_nonnegative_int,
     check_positive_float,
     check_positive_int,
+    check_real_array,
     check_same_length,
     check_sorted_nondecreasing,
     require,
@@ -27,6 +28,7 @@ __all__ = [
     "check_fraction",
     "check_in",
     "check_array_1d",
+    "check_real_array",
     "check_same_length",
     "check_sorted_nondecreasing",
     "Table",

@@ -19,9 +19,13 @@ __all__ = [
     "check_fraction",
     "check_in",
     "check_array_1d",
+    "check_real_array",
     "check_same_length",
     "check_sorted_nondecreasing",
 ]
+
+
+_F8 = np.dtype(np.float64)
 
 
 def require(condition: bool, message: str) -> None:
@@ -83,6 +87,24 @@ def check_array_1d(arr: Any, name: str, dtype: Any = None) -> np.ndarray:
     out = np.asarray(arr, dtype=dtype)
     if out.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {out.shape}")
+    return out
+
+
+def check_real_array(arr: Any, name: str) -> np.ndarray:
+    """*arr* as a float64 array (no copy when it already is one).
+
+    A complex *arr* raises instead of being cast: the cast keeps the
+    real part only, so the product would be a wrong vector, reported by
+    nothing but a ``ComplexWarning``.
+    """
+    out = np.asarray(arr)
+    if out.dtype != _F8:  # every kernel call: one comparison, no cast
+        if out.dtype.kind == "c":
+            raise ValueError(
+                f"{name} must be real, got dtype {out.dtype}; multiply its real "
+                f"and imaginary parts separately"
+            )
+        out = np.asarray(out, dtype=np.float64)
     return out
 
 

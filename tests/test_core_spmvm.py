@@ -1,14 +1,23 @@
 """Distributed spMVM executing on mpilite: numerical integration tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from repro.core import DistributedSpMVM, build_halo_plan, distributed_spmv
+from repro.core import (
+    DistributedSpMVM,
+    build_halo_plan,
+    cached_halo_plan,
+    distributed_spmm,
+    distributed_spmv,
+)
 from repro.core.spmvm import gather_vector, scatter_vector
 from repro.matrices import random_sparse
 from repro.mpilite import PerRank, run_spmd
 from repro.program import PROGRAM_SCHEMES
-from repro.sparse import partition_matrix, partition_rows_balanced
+from repro.serve import SolverService, build_model
+from repro.sparse import partition_matrix, partition_rows_balanced, spmm, spmv
 
 
 @pytest.mark.parametrize("scheme", PROGRAM_SCHEMES)
@@ -132,3 +141,53 @@ def test_scatter_gather_roundtrip(rng):
     p = partition_rows_balanced(50, 3)
     pieces = [scatter_vector(x, p, r) for r in range(3)]
     assert np.allclose(gather_vector(pieces), x)
+
+
+def _engine_call(block):
+    def call(A, x):
+        plan = cached_halo_plan(A, 2, with_matrices=True)
+
+        def fn(comm, halo):
+            lo, hi = plan.partition.bounds(comm.rank)
+            with DistributedSpMVM(comm, halo) as eng:
+                return (eng.multiply_block if block else eng.multiply)(x[lo:hi])
+
+        try:
+            run_spmd(2, fn, PerRank(plan.ranks))
+        except RuntimeError as exc:  # "rank r failed: ..." from the rank's error
+            raise exc.__cause__ from None
+
+    return call
+
+
+def _service_call(method):
+    def call(A, x):
+        with SolverService(build_model(A, 2)) as svc:
+            getattr(svc, method)(x)
+
+    return call
+
+
+#: every entry point that takes a right-hand side: (takes a block, call)
+RHS_ENTRY_POINTS = {
+    "spmv": (False, spmv),
+    "spmm": (True, spmm),
+    "DistributedSpMVM.multiply": (False, _engine_call(False)),
+    "DistributedSpMVM.multiply_block": (True, _engine_call(True)),
+    "distributed_spmv": (False, lambda A, x: distributed_spmv(A, x, 2)),
+    "distributed_spmm": (True, lambda A, x: distributed_spmm(A, x, 2)),
+    "SolverService.submit": (True, _service_call("submit")),
+    "SolverService.solve": (False, _service_call("solve")),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(RHS_ENTRY_POINTS))
+def test_complex_right_hand_side_is_refused_not_cast(random_300, entry):
+    # a float64 cast keeps the real part only: A times it is a wrong
+    # vector that nothing but a ComplexWarning would report
+    block, call = RHS_ENTRY_POINTS[entry]
+    x = np.full((300, 2) if block else 300, 1.0 + 2.0j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be real"):
+            call(random_300, x)

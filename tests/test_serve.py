@@ -25,6 +25,7 @@ from repro.serve import (
     build_model,
     run_request_stream,
 )
+from repro.sparse import native
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +36,38 @@ def A():
 @pytest.fixture(scope="module")
 def model(A):
     return build_model(A, 3, scheme="task_mode")
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+#: right-hand sides ``solve`` takes where they lie (1-D, 2-D) and ones
+#: it must copy first
+RHS_KINDS = {
+    "1-D": lambda rng, n: rng.standard_normal(n),
+    "2-D": lambda rng, n: rng.standard_normal((n, 3)),
+    "F-order": lambda rng, n: np.asfortranarray(rng.standard_normal((n, 3))),
+    "int": lambda rng, n: rng.integers(-9, 10, n),
+    "read-only": lambda rng, n: _read_only(rng.standard_normal(n)),
+    "strided": lambda rng, n: rng.standard_normal((n, 2))[:, 1],
+}
+
+
+def _rhs(kind, n):
+    return RHS_KINDS[kind](np.random.default_rng(17), n)
+
+
+def _wait_for_pending(svc, count, seconds=10.0):
+    """Until *count* requests are queued behind ``svc.hold()``."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        with svc._lock:
+            if len(svc._pending) >= count:
+                return
+        time.sleep(0.001)
+    pytest.fail(f"{count} requests were not queued within {seconds} s")
 
 
 # ----------------------------------------------------------------------
@@ -253,6 +286,71 @@ class TestServing:
                 Y[:, j], distributed_spmv(A, X0[:, j], 3, scheme="task_mode")
             )
 
+    @pytest.mark.parametrize("kind", sorted(RHS_KINDS))
+    def test_solve_matches_submit_and_a_mixed_batch_bit_for_bit(self, A, model, kind):
+        # solve reads a float64, C-contiguous, writeable x where it lies
+        # and copies any other x as submit does; all three ways to serve
+        # x give the same bits, and none touches the caller's array
+        x = _rhs(kind, A.nrows)
+        x0 = x.copy()
+        rng = np.random.default_rng(3)
+        before, after = rng.standard_normal(A.nrows), rng.standard_normal((A.nrows, 2))
+        with SolverService(model, max_batch=16) as svc:
+            alone = svc.solve(x)
+            submitted = svc.gather(svc.submit(x))
+            with svc.hold():  # one batch: submit, solve (another thread), submit
+                first = svc.submit(before)
+                out = {}
+                solver = threading.Thread(target=lambda: out.setdefault("y", svc.solve(x)))
+                solver.start()
+                _wait_for_pending(svc, 2)
+                last = svc.submit(after)
+            solver.join(30.0)
+            assert not solver.is_alive()
+            mixed = out["y"]
+            widths = svc.stats["batch_widths"]
+            ys_before, ys_after = svc.gather(first), svc.gather(last)
+        assert widths[-1] == 3 + (x.shape[1] if x.ndim == 2 else 1)
+        np.testing.assert_array_equal(x, x0)
+        for y in (alone, submitted, mixed):
+            assert y.shape == x.shape and not np.shares_memory(y, x)
+            np.testing.assert_array_equal(y, alone)
+        cols = x0.reshape(A.nrows, -1).astype(np.float64)
+        for j in range(cols.shape[1]):
+            np.testing.assert_array_equal(
+                alone.reshape(A.nrows, -1)[:, j],
+                distributed_spmv(A, cols[:, j], 3, scheme="task_mode"),
+            )
+        np.testing.assert_array_equal(
+            ys_before, distributed_spmv(A, before, 3, scheme="task_mode")
+        )
+        np.testing.assert_array_equal(
+            ys_after[:, 1], distributed_spmv(A, after[:, 1], 3, scheme="task_mode")
+        )
+
+    @pytest.mark.skipif(not native.status().available, reason="no compiled executor")
+    @pytest.mark.parametrize("kind", ["1-D", "read-only", "strided"])
+    def test_solve_never_hands_the_compiled_kernels_an_operand_they_decline(
+        self, A, model, kind, monkeypatch
+    ):
+        # native.rowsums declines read-only and strided operands, and the
+        # numpy executor would then run silently: such an x is copied
+        declined = []
+        rowsums = native.rowsums
+
+        def watched(matrix, X, out, add):
+            taken = rowsums(matrix, X, out, add)
+            if not taken:
+                declined.append(X.flags)
+            return taken
+
+        monkeypatch.setattr(native, "rowsums", watched)
+        x = _rhs(kind, A.nrows)
+        with SolverService(model) as svc:
+            y = svc.solve(x)
+        assert not declined
+        np.testing.assert_array_equal(y, distributed_spmv(A, x, 3, scheme="task_mode"))
+
     def test_idle_service_starts_a_request_on_the_submitting_thread(self, A, model):
         # no thread stands between a request and the ranks: by the time
         # submit returns the batch is in their inboxes, and what queues
@@ -378,6 +476,26 @@ class TestLifecycle:
         for r in reqs:
             with pytest.raises(ServiceClosedError, match=r"request \d+"):
                 svc.gather(r, timeout=1.0)
+
+    def test_abandoned_solve_leaves_its_batch_mates_exact(self, A, model):
+        # a solve that timed out stays queued and still reads x when its
+        # batch runs; the caller may already have overwritten x, which
+        # changes only the abandoned request's own (dropped) columns
+        rng = np.random.default_rng(11)
+        x, z = rng.standard_normal(A.nrows), rng.standard_normal((A.nrows, 2))
+        svc = SolverService(model, max_batch=16)
+        with svc.hold():
+            mate = svc.submit(z)
+            with pytest.raises(TimeoutError, match="not served"):
+                svc.solve(x, timeout=0.05)
+            x[:] = np.nan
+        Z = svc.gather(mate, timeout=30.0)
+        svc.close()
+        assert svc.state == "closed" and svc.stats["batch_widths"] == (3,)
+        for j in range(2):
+            np.testing.assert_array_equal(
+                Z[:, j], distributed_spmv(A, z[:, j], 3, scheme="task_mode")
+            )
 
     def test_submit_after_close_raises(self, A, model):
         svc = SolverService(model)
