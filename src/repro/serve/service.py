@@ -519,32 +519,42 @@ class SolverService:
             try:
                 if fault:
                     raise RuntimeError(f"injected worker fault on rank {rank}")
-                # this rank's rows of every request: gathered, swept and
-                # written out here, by all ranks at once and into memory
-                # that is already there
-                blocks = batch.blocks
-                rhs, out = blocks[0]
-                if len(blocks) == 1:
-                    X_local = rhs[lo:hi]
-                else:
-                    X_local = np.concatenate(
-                        [x[lo:hi] for x, _y in blocks], axis=1, out=gathered(batch.width)
-                    )
-                if len(blocks) == 1 and rhs is not out:
-                    # a lone solve: the kernels write its response rows
-                    engine.multiply_block(X_local, scheme, out=out[lo:hi])
-                else:
-                    Y_local = engine.multiply_block(X_local, scheme, out=swept(batch.width))
-                    col = 0
-                    for _x, y in blocks:
-                        y[lo:hi] = Y_local[:, col : col + y.shape[1]]
-                        col += y.shape[1]
+                self._sweep_batch(engine, scheme, batch, lo, hi, gathered, swept)
             except Exception as exc:  # fail the batch, never swallow
                 self._worker_failed(batch, rank, exc)
                 continue
             with self._lock:
                 self._note("batch-parts", "w", f"worker{rank}-land")
                 self._land_locked(batch)
+            # an idle rank holds nothing of a landed batch: its responses
+            # are the callers' now and go when they drop them, not when
+            # this rank takes its next batch
+            del batch
+
+    @staticmethod
+    def _sweep_batch(
+        engine, scheme: str, batch: _Batch, lo: int, hi: int, gathered: _Scratch, swept: _Scratch
+    ) -> None:
+        """This rank's rows ``lo:hi`` of every request in *batch*:
+        gathered, swept and written out here, by all ranks at once and
+        into memory that is already there."""
+        blocks = batch.blocks
+        rhs, out = blocks[0]
+        if len(blocks) == 1:
+            X_local = rhs[lo:hi]
+        else:
+            X_local = np.concatenate(
+                [x[lo:hi] for x, _y in blocks], axis=1, out=gathered(batch.width)
+            )
+        if len(blocks) == 1 and rhs is not out:
+            # a lone solve: the kernels write its response rows
+            engine.multiply_block(X_local, scheme, out=out[lo:hi])
+            return
+        Y_local = engine.multiply_block(X_local, scheme, out=swept(batch.width))
+        col = 0
+        for _x, y in blocks:
+            y[lo:hi] = Y_local[:, col : col + y.shape[1]]
+            col += y.shape[1]
 
     def _worker_failed(self, batch: _Batch | None, rank: int, exc: Exception) -> None:
         with self._lock:

@@ -9,6 +9,7 @@ worker death mid-request under the :mod:`repro.check` checker).
 
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -360,6 +361,25 @@ class TestServing:
             assert svc._inflight is not None or first.done
             svc.gather(first)
             assert svc.stats["batch_widths"] == (1,)
+
+    def test_a_landed_batch_is_held_by_no_idle_rank(self, A, model):
+        # once the caller drops a response it is freed, while the ranks
+        # wait for more work: a lone solve (swept into the response), a
+        # lone submit and a coalesced batch (swept into scratch, copied
+        # out) alike
+        def served(svc):
+            yield svc.solve(np.ones(A.nrows))
+            yield svc.gather(svc.submit(np.ones((A.nrows, 2))))
+            with svc.hold():
+                reqs = [svc.submit(np.ones(A.nrows)) for _ in range(3)]
+            yield from (svc.gather(r) for r in reqs)
+
+        with SolverService(model, max_batch=8) as svc:
+            refs = [weakref.ref(y) for y in served(svc)]
+            deadline = time.monotonic() + 10.0
+            while any(r() is not None for r in refs) and time.monotonic() < deadline:
+                time.sleep(0.01)  # the last rank to land lets go just after
+            assert [r() is None for r in refs] == [True] * 5
 
     def test_submit_validates_shape(self, A, model):
         with SolverService(model) as svc:
