@@ -4,9 +4,9 @@ One observer and three static passes, one gate (see DESIGN.md §9):
 
 * :class:`Checker` (:mod:`repro.check.checker`) is the per-run
   observer, attached at ``World(observer=)``: it watches the *ranks*
-  (vector clocks, wait-for graph, buffer checksums) and diagnoses
-  deadlocks, message races, buffer hazards and leaked requests with full
-  rank/tag/peer provenance, and it orders the *threads inside one rank*
+  (vector clocks, wait-for graph, open requests) and diagnoses
+  deadlocks, message races and leaked requests with full rank/tag/peer
+  provenance, and it orders the *threads inside one rank*
   with per-thread vector clocks and reports causally concurrent
   conflicting buffer accesses; :func:`run_checked` runs anything under a
   fresh one;

@@ -333,9 +333,9 @@ class CommVocabRule(AstRule):
     description = "no mpilite calls from compute-side op handlers"
     suffixes = ("program/exec.py", "mpilite/team.py", "core/spmvm.py", "comm/exec.py")
 
+    #: every operation :class:`repro.mpilite.comm.Comm` offers
     MPI_CALLS = frozenset({
-        "send", "recv", "irecv", "sendrecv", "Send", "Recv", "Isend", "Irecv",
-        "barrier", "allreduce", "bcast", "reduce", "gather", "scatter",
+        "send", "recv", "isend", "irecv", "waitall", "barrier", "allreduce",
     })
     COMPUTE_FUNCTIONS = {
         "program/exec.py": frozenset({

@@ -24,11 +24,6 @@ and the service lock (through the service's world).
   a deadlock the moment no blocked rank can ever be satisfied, naming
   the cycle.  This is the watchdog that turns mpilite's silent
   60-second collective hang into an immediate diagnosis;
-* **buffer guards**: ``Isend``/``Irecv`` buffers are checksummed at
-  posting time and verified at completion, so user writes inside the
-  in-flight window are reported as buffer hazards (mpilite's buffered
-  router makes them benign *here*, but they are data races under any
-  real, non-buffering MPI);
 * **request and message accounting**: requests never completed and
   messages never received are reported at :meth:`Checker.finalize`.
 
@@ -81,12 +76,9 @@ bounds the observed overhead on the task-mode sweep).
 from __future__ import annotations
 
 import threading
-import zlib
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
-
-import numpy as np
 
 from repro.check.findings import CheckReport, Finding
 from repro.check.vclock import vc_merge, vc_new, vc_tick, vc_tick_merge
@@ -153,18 +145,6 @@ class _Blocked:
         src = "ANY_SOURCE" if self.src == _ANY else str(self.src)
         tag = "ANY_TAG" if self.tag == _ANY else str(self.tag)
         return f"rank {self.rank} blocked in recv(source={src}, tag={tag})"
-
-
-@dataclass
-class _OpenRequest:
-    req: "Request"
-    checksum: int | None = None
-    shape: tuple[int, ...] = ()
-    closed: bool = False
-
-
-def _checksum(buf: np.ndarray) -> int:
-    return zlib.adler32(np.ascontiguousarray(buf).view(np.uint8).reshape(-1))
 
 
 # ----------------------------------------------------------------------
@@ -258,7 +238,7 @@ class Checker:
         # (a rank blocks or finishes, an in-flight message is consumed);
         # sends and unblocks can only release, so they leave it alone
         self._dirty = False
-        self._requests: dict[int, _OpenRequest] = {}
+        self._requests: dict[int, "Request"] = {}  # open irecvs by request id
         self._next_rid = 0
         # threads: identities per (domain, OS ident) and per (domain,
         # token), buffer locations, the clocks tracked locks published
@@ -365,71 +345,20 @@ class Checker:
             self._detect_locked()
 
     # ------------------------------------------------------------------
-    # request tracking and buffer guards (called by Comm)
+    # request tracking (called by Comm)
     # ------------------------------------------------------------------
-    def on_request_open(self, req: "Request", buf: np.ndarray | None = None) -> None:
-        """Register a nonblocking request (and checksum its buffer)."""
+    def on_request_open(self, req: "Request") -> None:
+        """Register a nonblocking receive; one never completed leaks."""
         with self._lock:
             rid = self._next_rid
             self._next_rid += 1
-            entry = _OpenRequest(req)
-            if buf is not None:
-                entry.checksum = _checksum(buf)
-                entry.shape = buf.shape
-            self._requests[rid] = entry
+            self._requests[rid] = req
             self.events_observed += 1
-            req._on_done = lambda: self._on_request_done(rid, buf)
+            req._on_done = lambda: self._on_request_done(rid)
 
-    def verify_buffer(self, req: "Request", buf: np.ndarray) -> None:
-        """Pre-delivery check of an ``Irecv`` buffer (user writes inside
-        the in-flight window clobber data the library owns)."""
+    def _on_request_done(self, rid: int) -> None:
         with self._lock:
-            entry = self._find_request_locked(req)
-            if entry is None or entry.checksum is None:
-                return
-            if _checksum(buf) != entry.checksum:
-                self.findings.append(Finding(
-                    kind="buffer-hazard",
-                    message=(
-                        f"rank {req.rank}: receive buffer (shape {entry.shape}) was "
-                        f"written between Irecv(source={req.peer}, tag={req.tag}) "
-                        f"posting and completion — the library owns the buffer "
-                        f"while the request is in flight"
-                    ),
-                    ranks=(req.rank,),
-                    details={"op": "Irecv", "peer": req.peer, "tag": req.tag},
-                ))
-                entry.checksum = None  # report once
-
-    def _on_request_done(self, rid: int, buf: np.ndarray | None) -> None:
-        with self._lock:
-            entry = self._requests.get(rid)
-            if entry is None:
-                return
-            entry.closed = True
-            req = entry.req
-            hazard = (
-                req.kind == "Isend" and buf is not None
-                and entry.checksum is not None and _checksum(buf) != entry.checksum
-            )
-            if hazard:
-                self.findings.append(Finding(
-                    kind="buffer-hazard",
-                    message=(
-                        f"rank {req.rank}: send buffer (shape {entry.shape}) was "
-                        f"modified between Isend(dest={req.peer}, tag={req.tag}) "
-                        f"posting and completion — a data race under any "
-                        f"non-buffering MPI"
-                    ),
-                    ranks=(req.rank,),
-                    details={"op": "Isend", "peer": req.peer, "tag": req.tag},
-                ))
-
-    def _find_request_locked(self, req: "Request") -> _OpenRequest | None:
-        for entry in self._requests.values():
-            if entry.req is req:
-                return entry
-        return None
+            self._requests.pop(rid, None)
 
     # ------------------------------------------------------------------
     # deadlock detection
@@ -704,17 +633,16 @@ class Checker:
 
         with self._lock:
             findings = list(self.findings)
-            for entry in self._requests.values():
-                if entry.closed or entry.req._done:
+            for req in self._requests.values():
+                if req._done:
                     continue
-                req = entry.req
                 peer = "ANY_SOURCE" if req.peer == _ANY else str(req.peer)
                 tag = "ANY_TAG" if req.tag == _ANY else str(req.tag)
                 findings.append(Finding(
                     kind="leaked-request",
                     message=(
                         f"rank {req.rank}: {req.kind}(peer={peer}, tag={tag}) was "
-                        f"never completed with wait()/test() before world teardown"
+                        f"never completed with wait() before world teardown"
                     ),
                     ranks=(req.rank,),
                     details={"op": req.kind, "peer": req.peer, "tag": req.tag},

@@ -1,9 +1,9 @@
 """Findings: the common currency of both analysis prongs.
 
-Every detector — dynamic (deadlock, message race, buffer hazard, leaked
-request) and static (plan lint) — reports :class:`Finding` records with
-full provenance: the ranks involved, the plan channel/phase where
-applicable, and a free-form ``details`` payload (tags, peers, message
+Every detector — dynamic (deadlock, message race, leaked request,
+thread race) and static (plan, program and AST lint) — reports
+:class:`Finding` records with full provenance: the ranks involved, the
+plan channel/phase where applicable, and a free-form ``details`` payload (tags, peers, message
 ids, the permuted matching of a race, ...).  A :class:`CheckReport`
 aggregates them with enough context to render a human-readable digest
 and to gate CI (zero findings = pass).
@@ -23,7 +23,6 @@ __all__ = ["FINDING_KINDS", "Finding", "CheckReport"]
 FINDING_KINDS = (
     "deadlock",
     "message-race",
-    "buffer-hazard",
     "leaked-request",
     "unconsumed-message",
     "plan-lint",

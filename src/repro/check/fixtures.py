@@ -77,27 +77,6 @@ def _message_race() -> CheckReport:
     return _observed_world("message-race", 3, fn)
 
 
-def _buffer_hazard() -> CheckReport:
-    """User writes to Isend/Irecv buffers while the requests are in flight."""
-
-    def fn(comm) -> None:
-        if comm.rank == 0:
-            out = np.arange(4.0)
-            req = comm.Isend(out, 1, tag=2)
-            out[0] = 99.0  # hazard: modified before completion
-            req.wait()
-            inbox = np.empty(4)
-            req = comm.Irecv(inbox, 1, tag=3)
-            inbox[0] = -1.0  # hazard: the library owns the buffer
-            req.wait()
-        else:
-            buf = np.empty(4)
-            comm.Recv(buf, 0, tag=2)
-            comm.Send(np.arange(4.0), 0, tag=3)
-
-    return _observed_world("buffer-hazard", 2, fn)
-
-
 def _leaked_request() -> CheckReport:
     """A request never completed, and a message nobody ever receives."""
 
@@ -106,7 +85,7 @@ def _leaked_request() -> CheckReport:
             comm.send("claimed", 1, tag=8)
             comm.send("orphaned", 1, tag=9)
         else:
-            comm.irecv(0, tag=8)  # posted, never wait()ed nor test()ed
+            comm.irecv(0, tag=8)  # posted, never wait()ed
         comm.barrier()  # make rank 1 outlive the sends deterministically
 
     return _observed_world("leaked-request", 2, fn)
@@ -255,7 +234,6 @@ SEED_BUGS: dict[str, tuple[str, Callable[[], CheckReport]]] = {
     "deadlock-cycle": ("deadlock", _deadlock_cycle),
     "collective-stall": ("deadlock", _collective_stall),
     "message-race": ("message-race", _message_race),
-    "buffer-hazard": ("buffer-hazard", _buffer_hazard),
     "leaked-request": ("leaked-request", _leaked_request),
     "plan-lint": ("plan-lint", _plan_lint),
     **{name: ("thread-race", _seeded_program_fixture(name)) for name in SEEDED_PROGRAMS},

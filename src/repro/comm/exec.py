@@ -217,7 +217,7 @@ class RankExchange:
     def send(self, comm: "Comm", bufs: dict[int, np.ndarray]) -> None:
         """Send every buffer that was complete once packed."""
         for key, dst, tag in self._sends:
-            comm.Send(bufs[key], dst, tag)
+            comm.send(bufs[key], dst, tag)
 
     def finish(
         self,
@@ -231,11 +231,11 @@ class RankExchange:
         for (key, dst, tag), parts in self._forwards:
             for inbound, run in parts:
                 bufs[key][run] = inbound.wait(reqs, cols)
-            comm.Send(bufs[key], dst, tag)
+            comm.send(bufs[key], dst, tag)
         for inbound, sends, own in self._scatters:
             agg = inbound.wait(reqs, cols)
             for (key, dst, tag), agg_rows in sends:
-                comm.Send(np.take(agg, agg_rows, axis=0, out=bufs[key]), dst, tag)
+                comm.send(np.take(agg, agg_rows, axis=0, out=bufs[key]), dst, tag)
             if own is not None:
                 agg_rows, halo_idx = own
                 halo_out[halo_idx] = agg[agg_rows]

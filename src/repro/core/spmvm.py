@@ -298,7 +298,7 @@ class DistributedSpMVM:
 def scatter_vector(x: np.ndarray, partition: RowPartition, rank: int) -> np.ndarray:
     """This rank's row slice of a global vector (or ``(n, k)`` block)."""
     lo, hi = partition.bounds(rank)
-    return np.asarray(x[lo:hi], dtype=np.float64).copy()
+    return check_real_array(x[lo:hi], "x").copy()
 
 
 def gather_vector(pieces: list[np.ndarray]) -> np.ndarray:

@@ -3,9 +3,11 @@
 This is the *functional* twin of :mod:`repro.smpi`: where the simulated
 MPI predicts timing, mpilite actually moves data, so the distributed
 spMVM (and the solvers on top of it) can be executed and verified
-numerically.  The API mirrors the mpi4py conventions the paper's
-ecosystem uses: lowercase methods move Python objects, capitalised
-``Send``/``Recv``/``Isend``/``Irecv`` move numpy buffers.
+numerically.  The API is the MPI the program speaks, in mpi4py's
+lowercase spelling: ``send``/``recv``, ``isend``/``irecv`` completed by
+``waitall``, ``barrier`` and ``allreduce``.  Any Python object travels;
+the router copies numpy payloads, so a sender may reuse its buffer the
+moment ``send`` returns.
 
 Rank and communication threads share one interpreter: everything here
 runs under the GIL, and only the compiled kernels (which release it)
@@ -16,8 +18,8 @@ Those semantics are
 what the dynamic analyzer in :mod:`repro.check` verifies: a
 :class:`~repro.check.Checker` given to the
 :class:`~repro.mpilite.world.World` observes every operation through
-the hooks in this module (request lifecycle, buffer checksums,
-collective generations) without changing behaviour.
+the hooks in this module (request lifecycle, collective generations)
+without changing behaviour.
 
 Blocking receives take their default timeout from the communicator
 (``default_timeout``, routed through the world), so a test world can
@@ -27,19 +29,13 @@ shrink the safety net without threading ``timeout=`` through every call.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.mpilite.router import (
-    ANY_SOURCE,
-    ANY_TAG,
-    OBSERVER_WAIT_SLICE_MIN,
-    Router,
-    WorldAbortedError,
-    observer_wait_slice,
-)
+from repro.mpilite.router import ANY_SOURCE, ANY_TAG, Router, WorldAbortedError, wait_until
 
 __all__ = [
     "ANY_SOURCE",
@@ -63,7 +59,6 @@ class Request:
     """
 
     _wait_fn: Callable[[], Any]
-    _poll_fn: Callable[[], bool] | None = None
     _done: bool = False
     _value: Any = None
     kind: str = ""
@@ -79,29 +74,11 @@ class Request:
         re-executing the operation.
         """
         if not self._done:
-            self._complete(self._wait_fn())
+            self._value = self._wait_fn()
+            self._done = True
+            if self._on_done is not None:
+                self._on_done()
         return self._value
-
-    def test(self) -> bool:
-        """Nonblocking completion probe (True once :meth:`wait` would not block).
-
-        When the operation carries a mailbox probe (irecv), a positive
-        probe completes the request immediately, so ``test()``-driven
-        polling loops make progress — MPI_Test semantics.  Calling
-        ``test()`` after ``wait()`` keeps returning True.
-        """
-        if self._done:
-            return True
-        if self._poll_fn is not None and self._poll_fn():
-            self._complete(self._wait_fn())
-            return True
-        return False
-
-    def _complete(self, value: Any) -> None:
-        self._value = value
-        self._done = True
-        if self._on_done is not None:
-            self._on_done()
 
 
 class CollectiveState:
@@ -151,8 +128,6 @@ class CollectiveState:
     def exchange(self, rank: int, value: Any, combine: Callable[[dict[int, Any]], Any]) -> Any:
         """Deposit *value*; the last arriving rank runs *combine* over all
         deposits; everyone gets the combined result."""
-        import time
-
         with self._lock:
             gen = self._generation
             self._check_abort(rank, gen)
@@ -166,31 +141,17 @@ class CollectiveState:
                 self._arrived = 0
                 self._generation += 1
                 self._lock.notify_all()
-            else:
-                deadline = time.monotonic() + self.timeout
-                backoff = OBSERVER_WAIT_SLICE_MIN
-                while gen not in self._results:
-                    remaining = deadline - time.monotonic()
-                    # A notification can land exactly at the deadline: the
-                    # last rank deposits the result while we are timing
-                    # out, so the predicate is re-checked before failing.
-                    if remaining <= 0:
-                        if obs is not None:
-                            obs.on_collective_exit(rank, gen, completed=False)
-                            obs = None
-                        raise TimeoutError(
-                            f"rank {rank}: collective generation {gen} never "
-                            f"completed within {self.timeout} s"
-                        )
-                    if obs is None:
-                        wait_slice = remaining
-                    else:
-                        # bounded backoff: diagnosable, but near-zero idle CPU
-                        wait_slice, backoff = observer_wait_slice(backoff, remaining)
-                    self._lock.wait(timeout=wait_slice)
-                    self._check_abort(rank, gen)
-                    if obs is not None:
-                        obs.check_blocked(rank)
+            elif not wait_until(
+                self._lock, lambda: gen in self._results,
+                time.monotonic() + self.timeout, obs, rank,
+                lambda: self._check_abort(rank, gen),
+            ):
+                if obs is not None:
+                    obs.on_collective_exit(rank, gen, completed=False)
+                raise TimeoutError(
+                    f"rank {rank}: collective generation {gen} never "
+                    f"completed within {self.timeout} s"
+                )
             result = self._results[gen]
             if obs is not None:
                 obs.on_collective_exit(rank, gen, completed=True)
@@ -231,19 +192,9 @@ class Comm:
         return self._rank
 
     @property
-    def size(self) -> int:
-        """World size."""
-        return self._router.nranks
-
-    @property
     def observer(self) -> Any:
         """The world's :class:`repro.check.Checker`, or ``None``."""
         return self._router.observer
-
-    @property
-    def default_timeout(self) -> float:
-        """Blocking-receive timeout applied when none is given."""
-        return self._default_timeout
 
     def _timeout(self, timeout: float | None) -> float:
         return self._default_timeout if timeout is None else timeout
@@ -268,109 +219,26 @@ class Comm:
     def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
         """Nonblocking send (buffered: completes immediately)."""
         self._router.put(self._rank, dest, tag, obj)
-        req = Request(lambda: None, kind="isend", rank=self._rank, peer=dest, tag=tag)
-        req._done = True
-        return req
+        return Request(
+            lambda: None, _done=True, kind="isend", rank=self._rank, peer=dest, tag=tag
+        )
 
     def irecv(self, source: int, tag: int = 0, timeout: float | None = None) -> Request:
-        """Nonblocking receive; :meth:`Request.wait` blocks for the data,
-        :meth:`Request.test` probes the mailbox without blocking."""
+        """Nonblocking receive; :meth:`Request.wait` blocks for the data.
+
+        Under the dynamic analyzer the request is registered, so one
+        never completed is reported as leaked.
+        """
         req = Request(
             lambda: self._router.get(
                 self._rank, source, tag, timeout=self._timeout(timeout)
             ),
-            _poll_fn=lambda: self._router.poll(self._rank, source, tag),
             kind="irecv", rank=self._rank, peer=source, tag=tag,
         )
-        self._track(req)
-        return req
-
-    def Send(self, buf: np.ndarray, dest: int, tag: int = 0) -> None:
-        """Buffer-mode send of a numpy array."""
-        if not isinstance(buf, np.ndarray):
-            raise TypeError("Send expects a numpy array; use send() for objects")
-        self._router.put(self._rank, dest, tag, buf)
-
-    def Recv(
-        self, buf: np.ndarray, source: int, tag: int = 0, timeout: float | None = None
-    ) -> None:
-        """Buffer-mode receive into a preallocated numpy array."""
-        data = self._router.get(self._rank, source, tag, timeout=self._timeout(timeout))
-        if not isinstance(data, np.ndarray):
-            raise TypeError(f"expected array message, got {type(data).__name__}")
-        if data.shape != buf.shape:
-            raise ValueError(f"receive buffer shape {buf.shape} != message shape {data.shape}")
-        buf[...] = data
-
-    def Isend(self, buf: np.ndarray, dest: int, tag: int = 0) -> Request:
-        """Nonblocking buffer-mode send.
-
-        mpilite sends are buffered (the router copies on ``put``), so the
-        payload is captured at posting time and the operation cannot
-        block — but MPI semantics still require the request to be
-        completed with ``wait()``/``test()``, and the user buffer must
-        not be modified before then.  Under the dynamic analyzer the
-        buffer is checksummed at post and at completion: a mismatch is
-        reported as a buffer hazard (it would be a data race under a
-        real, non-buffering MPI), and a request never completed is
-        reported as leaked.
-        """
-        if not isinstance(buf, np.ndarray):
-            raise TypeError("Isend expects a numpy array; use isend() for objects")
-        self._router.put(self._rank, dest, tag, buf)
-        # buffered: the payload already left, so a completion probe always
-        # succeeds — but completion still only happens via wait()/test()
-        req = Request(
-            lambda: None, _poll_fn=lambda: True,
-            kind="Isend", rank=self._rank, peer=dest, tag=tag,
-        )
-        self._track(req, buf=buf)
-        return req
-
-    def Irecv(
-        self, buf: np.ndarray, source: int, tag: int = 0, timeout: float | None = None
-    ) -> Request:
-        """Nonblocking buffer-mode receive into a preallocated array.
-
-        ``wait()`` blocks for the payload, verifies the shape, fills
-        *buf* and returns it.  Under the dynamic analyzer, user writes to
-        *buf* between posting and completion are reported as buffer
-        hazards (the library owns the buffer for the duration of the
-        request).
-        """
-        if not isinstance(buf, np.ndarray):
-            raise TypeError("Irecv expects a numpy array; use irecv() for objects")
-        obs, rank = self._router.observer, self._rank
-
-        def wait_fn() -> np.ndarray:
-            data = self._router.get(rank, source, tag, timeout=self._timeout(timeout))
-            if not isinstance(data, np.ndarray):
-                raise TypeError(f"expected array message, got {type(data).__name__}")
-            if data.shape != buf.shape:
-                raise ValueError(
-                    f"receive buffer shape {buf.shape} != message shape {data.shape}"
-                )
-            if obs is not None:
-                # the in-flight checksum is verified *before* the library
-                # writes the payload, so a user write is distinguishable
-                # from the delivery itself
-                obs.verify_buffer(req, buf)
-            buf[...] = data
-            return buf
-
-        req = Request(
-            wait_fn,
-            _poll_fn=lambda: self._router.poll(rank, source, tag),
-            kind="Irecv", rank=rank, peer=source, tag=tag,
-        )
-        self._track(req, buf=buf)
-        return req
-
-    def _track(self, req: Request, buf: np.ndarray | None = None) -> None:
-        """Register *req* with the analyzer (leaks, buffer checksums)."""
         obs = self._router.observer
         if obs is not None:
-            obs.on_request_open(req, buf=buf)
+            obs.on_request_open(req)
+        return req
 
     def waitall(self, requests: Sequence[Request]) -> list[Any]:
         """Complete a set of requests, returning their values in order."""
@@ -382,12 +250,6 @@ class Comm:
     def barrier(self) -> None:
         """Synchronise all ranks."""
         self._coll.exchange(self._rank, None, lambda slots: None)
-
-    def bcast(self, obj: Any, root: int = 0) -> Any:
-        """Broadcast *obj* from *root* to everyone (returned on all ranks)."""
-        return self._coll.exchange(
-            self._rank, obj if self._rank == root else None, lambda slots: slots[root]
-        )
 
     def allreduce(self, value: Any, op: Callable[[Any, Any], Any] | None = None) -> Any:
         """Reduce over all ranks (default: sum) with the result everywhere.
@@ -410,14 +272,3 @@ class Comm:
             return total
 
         return self._coll.exchange(self._rank, value, combine)
-
-    def allgather(self, value: Any) -> list[Any]:
-        """Gather one value per rank, delivered to everyone in rank order."""
-        return self._coll.exchange(
-            self._rank, value, lambda slots: [slots[r] for r in sorted(slots)]
-        )
-
-    def gather(self, value: Any, root: int = 0) -> list[Any] | None:
-        """Gather to *root* (others get None)."""
-        out = self.allgather(value)
-        return out if self._rank == root else None

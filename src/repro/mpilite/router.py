@@ -17,10 +17,13 @@ source of MPI message races, and exactly what the dynamic analyzer in
 
 An optional :attr:`Router.observer` (the world's
 :class:`repro.check.Checker`, set by :class:`repro.mpilite.world.World`)
-is notified of every deposit, blocked receive, and completed match; when
-it is attached, blocking receives wait in short slices so the observer
-can convert a wait-for cycle into an immediate ``DeadlockError`` instead
-of a timeout.  With no observer the hot path is unchanged.
+is notified of every deposit, blocked receive, and completed match.
+Every blocking operation of a world — a receive here, a collective in
+:class:`~repro.mpilite.comm.CollectiveState` — waits through
+:func:`wait_until`, the one wait policy: with an observer attached it
+waits in short slices so the observer can convert a wait-for cycle into
+an immediate ``DeadlockError`` instead of a timeout; with none it is one
+condition wait to the deadline, and the hot path is unchanged.
 """
 
 from __future__ import annotations
@@ -28,11 +31,13 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
-__all__ = ["ANY_SOURCE", "ANY_TAG", "Router", "WorldAbortedError", "observer_wait_slice"]
+__all__ = [
+    "ANY_SOURCE", "ANY_TAG", "Router", "WorldAbortedError", "observer_wait_slice", "wait_until",
+]
 
 #: Wildcard source rank for receives (matches any sender).
 ANY_SOURCE = -1
@@ -73,6 +78,44 @@ def observer_wait_slice(backoff: float, remaining: float | None) -> tuple[float,
     return wait_slice, min(backoff * 2.0, OBSERVER_WAIT_SLICE_MAX)
 
 
+def wait_until(
+    cond: threading.Condition,
+    ready: Callable[[], Any],
+    deadline: float | None,
+    obs: Any,
+    rank: int,
+    check_abort: Callable[[], None],
+) -> Any:
+    """Wait on *cond* (held by the caller) until ``ready()`` is truthy.
+
+    The one wait loop of mpilite's blocking operations, a receive and a
+    collective alike.  Returns the first truthy ``ready()`` value, or
+    ``None`` once ``time.monotonic()`` passes *deadline* (``None``: no
+    deadline); the caller raises its own timeout, naming what it waited
+    for.  After every wakeup ``check_abort()`` raises if the world was
+    torn down, and an attached observer *obs* is probed for *rank*
+    (``check_blocked``), with the slices of :func:`observer_wait_slice`
+    bounding how long a declared deadlock takes to reach the rank.
+    ``ready()`` is re-checked after the last slice too: a result landing
+    exactly at the deadline is not a timeout.
+    """
+    backoff = OBSERVER_WAIT_SLICE_MIN
+    while True:
+        remaining = None if deadline is None else deadline - time.monotonic()
+        if remaining is not None and remaining <= 0:
+            return None
+        wait_slice = remaining
+        if obs is not None:
+            wait_slice, backoff = observer_wait_slice(backoff, remaining)
+        cond.wait(timeout=wait_slice)
+        check_abort()
+        if obs is not None:
+            obs.check_blocked(rank)
+        found = ready()
+        if found:
+            return found
+
+
 def _copy_payload(payload: Any) -> Any:
     if isinstance(payload, np.ndarray):
         return payload.copy()
@@ -98,7 +141,6 @@ class Router:
         # each box holds (arrival seq, payload) so wildcard receives can
         # pick the globally oldest matching message
         self._boxes: dict[tuple[int, int, int], deque[tuple[int, Any]]] = {}
-        self._bytes_routed = 0
         self._messages = 0
         self._abort_reason: str | None = None
         #: the world's :class:`repro.check.Checker`, or ``None`` (the
@@ -136,9 +178,8 @@ class Router:
             self._check_abort(src, dst, tag, "send")
             self._boxes.setdefault((dst, src, tag), deque()).append((self._messages, item))
             self._messages += 1
-            nbytes = item.nbytes if isinstance(item, np.ndarray) else 0
-            self._bytes_routed += nbytes
             if self.observer is not None:
+                nbytes = item.nbytes if isinstance(item, np.ndarray) else 0
                 self.observer.on_send(src, dst, tag, nbytes)
             self._lock.notify_all()
 
@@ -161,38 +202,22 @@ class Router:
             if key is not None:
                 return self._take(key, dst, src, tag)
             obs = self.observer
-            backoff = OBSERVER_WAIT_SLICE_MIN
             try:
                 if obs is not None:
                     obs.on_recv_blocked(dst, src, tag)
-                while True:
-                    remaining = None if deadline is None else deadline - time.monotonic()
-                    if remaining is not None and remaining <= 0:
-                        raise TimeoutError(
-                            f"rank {dst}: blocked receive from {_describe_src(src)} "
-                            f"with tag {_describe_tag(tag)} timed out after {timeout} s"
-                        )
-                    wait_slice = remaining
-                    if obs is not None:
-                        # slices let the observer diagnose deadlocks, but
-                        # back off exponentially (bounded) so an idle pool
-                        # does not spin at the poll interval forever
-                        wait_slice, backoff = observer_wait_slice(backoff, remaining)
-                    self._lock.wait(timeout=wait_slice)
-                    self._check_abort(dst, src, tag, "blocked receive")
-                    if obs is not None:
-                        obs.check_blocked(dst)
-                    key = self._match(dst, src, tag)
-                    if key is not None:
-                        return self._take(key, dst, src, tag)
+                key = wait_until(
+                    self._lock, lambda: self._match(dst, src, tag), deadline, obs, dst,
+                    lambda: self._check_abort(dst, src, tag, "blocked receive"),
+                )
+                if key is None:
+                    raise TimeoutError(
+                        f"rank {dst}: blocked receive from {_describe_src(src)} "
+                        f"with tag {_describe_tag(tag)} timed out after {timeout} s"
+                    )
+                return self._take(key, dst, src, tag)
             finally:
                 if obs is not None:
                     obs.on_recv_unblocked(dst)
-
-    def poll(self, dst: int, src: int, tag: int) -> bool:
-        """True when a matching message is waiting (wildcards allowed)."""
-        with self._lock:
-            return self._match(dst, src, tag) is not None
 
     # ------------------------------------------------------------------
     def _match(self, dst: int, src: int, tag: int) -> tuple[int, int, int] | None:
@@ -225,12 +250,6 @@ class Router:
         return item
 
     # ------------------------------------------------------------------
-    @property
-    def stats(self) -> dict[str, int]:
-        """Router counters (messages, numpy bytes routed)."""
-        with self._lock:
-            return {"messages": self._messages, "bytes": self._bytes_routed}
-
     def _check_rank(self, rank: int, name: str) -> None:
         if not (0 <= rank < self.nranks):
             raise ValueError(f"{name}={rank} out of range for world size {self.nranks}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.solvers.operators import LinearOperator
-from repro.util import check_positive_int
+from repro.util import check_positive_int, check_real_array
 
 __all__ = ["CGResult", "conjugate_gradient"]
 
@@ -63,7 +63,7 @@ def conjugate_gradient(
     check_positive_int(max_iter, "max_iter")
     if not tol >= 0:
         raise ValueError(f"tol must be >= 0, got {tol}")
-    b = np.asarray(b, dtype=np.float64)
+    b = check_real_array(b, "b")
     if b.shape != (op.local_size,):
         raise ValueError(f"b must have shape ({op.local_size},), got {b.shape}")
     b_norm = op.norm(b)
@@ -71,7 +71,7 @@ def conjugate_gradient(
         raise ValueError(f"right-hand side is not finite (||b|| = {b_norm})")
     if b_norm == 0.0:
         return CGResult(x=np.zeros_like(b), iterations=0, converged=True, residual_norm=0.0)
-    x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
+    x = np.zeros_like(b) if x0 is None else check_real_array(x0, "x0").copy()
     r = b - op.matvec(x)
     # one r·r per iteration serves both the convergence test and β:
     # 2 reductions per iteration

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.solvers.operators import LinearOperator
-from repro.util import check_positive_int
+from repro.util import check_positive_int, check_real_array
 
 __all__ = ["LanczosResult", "lanczos", "spectral_bounds"]
 
@@ -127,7 +127,7 @@ def _lanczos_with_basis(
     if v0 is None:
         v = np.random.default_rng(seed).standard_normal(n)
     else:
-        v = np.asarray(v0, dtype=np.float64)
+        v = check_real_array(v0, "v0")
         if v.shape != (n,):
             raise ValueError(f"v0 must have shape ({n},), got {v.shape}")
     nv = op.norm(v)

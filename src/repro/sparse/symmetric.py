@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sparse.csr import CSRMatrix
-from repro.util import check_positive_float
+from repro.util import check_positive_float, check_real_array
 
 __all__ = ["SymmetricCSR", "spmv_symmetric", "symmetric_code_balance"]
 
@@ -84,7 +84,7 @@ def spmv_symmetric(A: SymmetricCSR, x: np.ndarray) -> np.ndarray:
     this is precisely the write conflict the paper says had no efficient
     shared-memory solution at the time.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = check_real_array(x, "x")
     if x.shape != (A.n,):
         raise ValueError(f"x must have shape ({A.n},), got {x.shape}")
     up = A.upper

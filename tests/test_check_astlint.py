@@ -79,7 +79,7 @@ def test_exchange_per_sweep_methods_are_under_the_rules():
         "    def finish(self, comm, reqs, bufs, halo_out):\n"
         "        agg = np.empty(halo_out.shape)\n"
         "    def pack(self, x, bufs):\n"
-        "        self.comm.Send(x, 0, 1)\n"
+        "        self.comm.send(x, 0, 1)\n"
     )
     rules = {f.details["rule"] for f in lint_source(src, "repro/comm/exec.py")}
     assert rules == {"hot-path-alloc", "comm-thread-vocabulary"}
@@ -239,6 +239,29 @@ def test_comm_vocab_flags_mpi_named_calls_without_comm_attribute():
     )
     (f,) = lint_source(src, "repro/program/exec.py")
     assert ".barrier()" in f.message
+
+
+def test_comm_vocab_names_exactly_what_comm_offers():
+    # a name Comm lacks guards nothing; one it offers but the rule misses
+    # lets a compute handler communicate unseen
+    import inspect
+
+    from repro.mpilite import Comm
+
+    offered = {
+        name for name, member in vars(Comm).items()
+        if not name.startswith("_") and inspect.isfunction(member)
+    }
+    assert get_rule("comm-thread-vocabulary").MPI_CALLS == offered
+
+
+def test_comm_vocab_flags_waitall_on_a_local_communicator():
+    src = (
+        "def _remote_spmvm(engine, state, c):\n"
+        "    c.waitall(state.reqs)\n"
+    )
+    (f,) = lint_source(src, "repro/program/exec.py")
+    assert ".waitall()" in f.message
 
 
 # ---------------------------------------------------------------- CLI

@@ -17,7 +17,15 @@ from repro.matrices import random_sparse
 from repro.mpilite import PerRank, run_spmd
 from repro.program import PROGRAM_SCHEMES
 from repro.serve import SolverService, build_model
-from repro.sparse import partition_matrix, partition_rows_balanced, spmm, spmv
+from repro.solvers import SerialOperator, conjugate_gradient, lanczos
+from repro.sparse import (
+    SymmetricCSR,
+    partition_matrix,
+    partition_rows_balanced,
+    spmm,
+    spmv,
+    spmv_symmetric,
+)
 
 
 @pytest.mark.parametrize("scheme", PROGRAM_SCHEMES)
@@ -168,16 +176,28 @@ def _service_call(method):
     return call
 
 
-#: every entry point that takes a right-hand side: (takes a block, call)
+#: every entry point that takes a right-hand side, a starting vector or
+#: an initial guess: (takes a block, call)
 RHS_ENTRY_POINTS = {
     "spmv": (False, spmv),
     "spmm": (True, spmm),
+    "spmv_symmetric": (
+        False, lambda A, x: spmv_symmetric(SymmetricCSR.from_csr(A, check=False), x)
+    ),
+    "scatter_vector": (
+        True, lambda A, x: scatter_vector(x, partition_rows_balanced(A.nrows, 2), 0)
+    ),
     "DistributedSpMVM.multiply": (False, _engine_call(False)),
     "DistributedSpMVM.multiply_block": (True, _engine_call(True)),
     "distributed_spmv": (False, lambda A, x: distributed_spmv(A, x, 2)),
     "distributed_spmm": (True, lambda A, x: distributed_spmm(A, x, 2)),
     "SolverService.submit": (True, _service_call("submit")),
     "SolverService.solve": (False, _service_call("solve")),
+    "lanczos.v0": (False, lambda A, x: lanczos(SerialOperator(A), v0=x)),
+    "conjugate_gradient.b": (False, lambda A, x: conjugate_gradient(SerialOperator(A), x)),
+    "conjugate_gradient.x0": (
+        False, lambda A, x: conjugate_gradient(SerialOperator(A), np.ones(A.nrows), x0=x)
+    ),
 }
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.check import Checker
 from repro.core import (
     DistributedSpMVM,
     build_halo_plan,
@@ -62,23 +63,24 @@ def test_block_sends_one_message_per_peer_per_batch(random_300, rng, scheme):
     X = rng.standard_normal((300, 8))
 
     def fn(comm, halo):
-        # the router counter is global, so bracket every read with
+        # the checker's send log is global, so bracket every read with
         # barriers: between two barriers no rank is sending
+        sends = comm.observer.sends
         eng = DistributedSpMVM(comm, halo)
         X_local = scatter_vector(X, partition, comm.rank)
         comm.barrier()
-        base = comm._router.stats["messages"]
+        base = len(sends)
         comm.barrier()
         Y = eng.multiply_block(X_local, scheme)
         comm.barrier()
-        batched = comm._router.stats["messages"] - base
+        batched = len(sends) - base
         comm.barrier()
         eng.multiply(X_local[:, 0], scheme)
         comm.barrier()
-        single = comm._router.stats["messages"] - base - batched
+        single = len(sends) - base - batched
         return Y, batched, single
 
-    out = run_spmd(4, fn, PerRank(plan.ranks))
+    out = run_spmd(4, fn, PerRank(plan.ranks), observer=Checker(4))
     pieces, batched_counts, single_counts = zip(*out)
     # every rank observed the same global totals (measured between barriers)
     assert set(batched_counts) == {expected}

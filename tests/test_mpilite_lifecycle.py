@@ -8,17 +8,19 @@ the first observer wait slice.
 
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import repro.mpilite.router as router_mod
 from repro.mpilite import World, WorldAbortedError, run_spmd
 from repro.mpilite.comm import CollectiveState
 from repro.mpilite.router import (
     OBSERVER_WAIT_SLICE_MAX,
     OBSERVER_WAIT_SLICE_MIN,
     Router,
-    observer_wait_slice,
+    wait_until,
 )
 
 
@@ -153,29 +155,51 @@ class _CountingObserver:
     def on_recv_complete(self, *a):
         pass
 
-    def on_collective_blocked(self, *a):
+    def on_collective_enter(self, *a):
         pass
 
-    def on_collective_unblocked(self, *a):
+    def on_collective_exit(self, *a, **k):
         pass
 
     def check_blocked(self, rank):
         self.checks += 1
 
 
+class _SlicedCondition:
+    """A condition whose ``wait`` only advances a fake clock (the one
+    :func:`wait_until` reads) and records the slice it was given."""
+
+    def __init__(self, monkeypatch):
+        self.now = 0.0
+        self.slices = []
+        monkeypatch.setattr(router_mod, "time", SimpleNamespace(monotonic=lambda: self.now))
+
+    def wait(self, timeout=None):
+        self.slices.append(timeout)
+        self.now += timeout
+        return False
+
+
 class TestIdleBackoff:
-    def test_wait_slice_doubles_and_saturates(self):
-        backoff = OBSERVER_WAIT_SLICE_MIN
-        slices = []
-        for _ in range(8):
-            s, backoff = observer_wait_slice(backoff, None)
-            slices.append(s)
+    def test_wait_slice_doubles_and_saturates(self, monkeypatch):
+        # the one observed wait, a receive's and a collective's alike:
+        # its slices start at the minimum, double and saturate at the cap
+        cond, obs = _SlicedCondition(monkeypatch), _CountingObserver()
+        ready = lambda: len(cond.slices) == 8 and "ready"  # noqa: E731
+        assert wait_until(cond, ready, None, obs, 0, lambda: None) == "ready"
+        slices = cond.slices
         assert slices[0] == pytest.approx(OBSERVER_WAIT_SLICE_MIN)
         assert all(b >= a for a, b in zip(slices, slices[1:]))
         assert slices[-1] == pytest.approx(OBSERVER_WAIT_SLICE_MAX)
-        # the deadline caps the slice
-        s, _ = observer_wait_slice(0.25, 0.01)
-        assert s == pytest.approx(0.01)
+        assert obs.checks == 8  # one probe per wakeup
+        # the deadline caps the slice, and passing it ends the wait
+        cond = _SlicedCondition(monkeypatch)
+        assert wait_until(cond, lambda: None, 0.01, obs, 0, lambda: None) is None
+        assert cond.slices == [pytest.approx(0.01)]
+        # with no observer the wait is one slice to the deadline
+        cond = _SlicedCondition(monkeypatch)
+        assert wait_until(cond, lambda: None, 5.0, None, 0, lambda: None) is None
+        assert cond.slices == [5.0]
 
     def test_blocked_receive_probes_are_bounded_not_polling(self):
         # a 0.6 s idle wait at a fixed 0.02 s slice would probe ~30 times;
@@ -192,6 +216,22 @@ class TestIdleBackoff:
         t = threading.Thread(target=feed)
         t.start()
         assert r.get(1, 0, 0, timeout=10.0) == "done"
+        t.join()
+        assert obs.checks <= 10
+
+    def test_blocked_collective_probes_are_bounded_not_polling(self):
+        # the collective waits through the same loop as the receive above
+        obs = _CountingObserver()
+        cs = CollectiveState(2, timeout=10.0)
+        cs.observer = obs
+
+        def late():
+            time.sleep(0.6)
+            cs.exchange(1, 2, lambda vals: sum(vals.values()))
+
+        t = threading.Thread(target=late)
+        t.start()
+        assert cs.exchange(0, 1, lambda vals: sum(vals.values())) == 3
         t.join()
         assert obs.checks <= 10
 
