@@ -26,6 +26,7 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +34,16 @@ from repro.comm.plan import ELEMENT_BYTES
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.partition import RowPartition
 
-__all__ = ["RankHalo", "HaloPlan", "build_halo_plan", "cached_halo_plan"]
+__all__ = [
+    "RankHalo",
+    "HaloPlan",
+    "PlanHit",
+    "build_halo_plan",
+    "cached_halo_plan",
+    "lookup_halo_plan",
+    "plan_witness",
+    "rebuild_halo_plan",
+]
 
 
 @dataclass
@@ -233,7 +243,7 @@ def build_halo_plan(
 # plan cache: solvers and benchmarks re-multiply the same matrix on the
 # same partition thousands of times; the bookkeeping "needs to be done
 # only once" (Sect. 3.1), so key it on the matrix *identity* — guarded
-# by a fingerprint of whatever the plan copied, so in-place mutation
+# by a witness of whatever the plan copied, so in-place mutation
 # rebuilds the plan
 # ----------------------------------------------------------------------
 _PLAN_CACHE: dict[tuple[int, int, bool], tuple[weakref.ref, tuple, HaloPlan]] = {}
@@ -241,6 +251,68 @@ _PLAN_CACHE_MAX = 32
 #: Serialises lookup, eviction and insertion: the dead-entry scan must
 #: not interleave with another thread's insert or eviction.
 _PLAN_LOCK = threading.Lock()
+
+
+class PlanHit(NamedTuple):
+    """A cached plan as :func:`lookup_halo_plan` found it: not yet checked."""
+
+    plan: HaloPlan
+    #: the witness of the matrix taken when *plan* was built
+    witness: tuple
+
+    def layout_matches(self, A: CSRMatrix) -> bool:
+        """Whether *A* still has the shape, nonzero count and dtypes of
+        the plan's matrix: the head of
+        :meth:`~repro.sparse.csr.CSRMatrix.content_fingerprint`, read
+        without the checksum pass.  A plan with sub-matrices whose layout
+        matches runs on any *x* of *A* without failing, on its own
+        copies; only its witness says whether its product is *A*'s.
+        (A metadata-only plan's witness has no ``val`` dtype: never.)"""
+        head = (A.nrows, A.ncols, A.nnz, A.row_ptr.dtype.str, A.col_idx.dtype.str, A.val.dtype.str)
+        return self.witness[: len(head)] == head
+
+
+def plan_witness(A: CSRMatrix, *, with_matrices: bool = True) -> tuple:
+    """The witness that guards a plan of *A*: the checksum pass over
+    what such a plan copies (see :func:`cached_halo_plan`)."""
+    return A.content_fingerprint() if with_matrices else A.index_fingerprint()
+
+
+def lookup_halo_plan(A: CSRMatrix, nparts: int, *, with_matrices: bool = True) -> PlanHit | None:
+    """The cached plan of *A* on *nparts* ranks, without checking it.
+
+    ``None`` on a miss, or when the entry's matrix was garbage collected
+    and *A* merely reuses its id.  A hit may be stale: compare its
+    ``witness`` with :func:`plan_witness` of *A* before its product is
+    used.
+    """
+    with _PLAN_LOCK:
+        entry = _PLAN_CACHE.get((id(A), int(nparts), with_matrices))
+    if entry is None or entry[0]() is not A:
+        return None
+    return PlanHit(entry[2], entry[1])
+
+
+def rebuild_halo_plan(
+    A: CSRMatrix, nparts: int, witness: tuple, *, with_matrices: bool = True
+) -> HaloPlan:
+    """Build *A*'s plan on *nparts* ranks and cache it under *witness*
+    (:func:`plan_witness` of *A* as it is now)."""
+    from repro.sparse.partition import partition_nnz_balanced
+
+    key = (id(A), int(nparts), with_matrices)
+    plan = build_halo_plan(A, partition_nnz_balanced(A, nparts), with_matrices=with_matrices)
+    with _PLAN_LOCK:
+        dead = [k for k, (ref, _fp, _p) in _PLAN_CACHE.items() if ref() is None]
+        for k in dead:
+            del _PLAN_CACHE[k]
+        # only evict when actually inserting a new key — refreshing an entry
+        # already present at capacity must not push out a live neighbour
+        if key not in _PLAN_CACHE:
+            while len(_PLAN_CACHE) >= _PLAN_CACHE_MAX:
+                del _PLAN_CACHE[next(iter(_PLAN_CACHE))]
+        _PLAN_CACHE[key] = (weakref.ref(A), witness, plan)
+    return plan
 
 
 def cached_halo_plan(A: CSRMatrix, nparts: int, *, with_matrices: bool = True) -> HaloPlan:
@@ -264,26 +336,16 @@ def cached_halo_plan(A: CSRMatrix, nparts: int, *, with_matrices: bool = True) -
     ``A_remote``, so it is guarded by
     :meth:`~repro.sparse.csr.CSRMatrix.content_fingerprint` over all
     three arrays.  The cache is bounded; oldest entries fall out first.
-    """
-    from repro.sparse.partition import partition_nnz_balanced
 
-    key = (id(A), int(nparts), with_matrices)
+    This is :func:`lookup_halo_plan`, the check and
+    :func:`rebuild_halo_plan` in one, the check first; the one-shot
+    drivers of :mod:`repro.core.spmvm` run the same three steps with
+    the check beside the sweep.
+    """
     # hashing and building run outside the lock, so threads with distinct
     # matrices overlap; only the dictionary is serialised
-    fingerprint = A.content_fingerprint() if with_matrices else A.index_fingerprint()
-    with _PLAN_LOCK:
-        hit = _PLAN_CACHE.get(key)
-    if hit is not None and hit[0]() is A and hit[1] == fingerprint:
-        return hit[2]
-    plan = build_halo_plan(A, partition_nnz_balanced(A, nparts), with_matrices=with_matrices)
-    with _PLAN_LOCK:
-        dead = [k for k, (ref, _fp, _p) in _PLAN_CACHE.items() if ref() is None]
-        for k in dead:
-            del _PLAN_CACHE[k]
-        # only evict when actually inserting a new key — refreshing an entry
-        # already present at capacity must not push out a live neighbour
-        if key not in _PLAN_CACHE:
-            while len(_PLAN_CACHE) >= _PLAN_CACHE_MAX:
-                del _PLAN_CACHE[next(iter(_PLAN_CACHE))]
-        _PLAN_CACHE[key] = (weakref.ref(A), fingerprint, plan)
-    return plan
+    witness = plan_witness(A, with_matrices=with_matrices)
+    hit = lookup_halo_plan(A, nparts, with_matrices=with_matrices)
+    if hit is not None and hit.witness == witness:
+        return hit.plan
+    return rebuild_halo_plan(A, nparts, witness, with_matrices=with_matrices)

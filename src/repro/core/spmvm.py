@@ -50,6 +50,7 @@ simulator, not this backend, reproduces the paper's figures.
 
 from __future__ import annotations
 
+import contextlib
 import weakref
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
@@ -58,10 +59,16 @@ import numpy as np
 
 from repro.comm.exec import RankExchange
 from repro.comm.plan import PLAN_KINDS, CommPlan, cached_comm_plan
-from repro.core.halo import RankHalo, cached_halo_plan
+from repro.core.halo import (
+    RankHalo,
+    cached_halo_plan,
+    lookup_halo_plan,
+    plan_witness,
+    rebuild_halo_plan,
+)
 from repro.mpilite.comm import Comm
 from repro.mpilite.team import TeamThread, borrow, give_back
-from repro.mpilite.world import PerRank, run_spmd
+from repro.mpilite.world import PerRank, World, _start_spmd
 from repro.program.build import PROGRAM_SCHEMES, cached_sweep_program
 from repro.program.exec import execute_sweep
 from repro.program.ir import SweepProgram
@@ -323,13 +330,25 @@ def lower_comm_plan(plan, nranks: int, comm_plan: str, ranks_per_node: int = 1):
     return cached_comm_plan(plan, rank_node, kind="node-aware")
 
 
-def _rank_sweeps(A, x, nranks, block, scheme, iterations, comm_plan, ranks_per_node):
-    """The one-call drivers' SPMD body and its per-rank argument (*block*:
-    *x* is a 2-D block, else a vector).
+def _one_shot(A, x, world, block, scheme, iterations, comm_plan, ranks_per_node):
+    """The one-call drivers' body (*block*: *x* is a 2-D block, else a
+    vector): validate, run the ranks of *world*, return the gathered
+    product.
 
     Everything about the call is validated here, in the caller's thread,
-    before any rank exists: ``scatter_vector`` slices, so a long *x*
-    would lose its tail silently and a short one would fail on one rank.
+    before any rank exists: ranks slice *x*, so a long *x* would lose its
+    tail silently and a short one would fail on one rank.
+
+    On a plan-cache hit whose layout still matches *A*, the ranks start
+    on the cached plan at once and the calling thread takes the plan's
+    witness while they sweep (the checksum releases the GIL), the way
+    task mode hands the halo exchange to a thread that would otherwise
+    idle.  A witness that differs discards that run — its product and
+    any rank error alike — and the call runs again on a rebuilt plan, so
+    a stale product is never returned (the rerun gets a world of its
+    own).  A miss, a changed layout, or an observed *world* (one
+    :class:`~repro.check.Checker` watches one run) checks the plan
+    first, as :func:`~repro.core.halo.cached_halo_plan` does.
     """
     check_in(scheme, PROGRAM_SCHEMES, "scheme")
     x = check_real_array(x, "x")
@@ -341,20 +360,45 @@ def _rank_sweeps(A, x, nranks, block, scheme, iterations, comm_plan, ranks_per_n
             f"{A.shape}, got shape {x.shape}"
         )
     check_positive_int(iterations, "iterations")
-    plan = cached_halo_plan(A, nranks, with_matrices=True)
-    cplan = lower_comm_plan(plan, nranks, comm_plan, ranks_per_node)
+    nranks = world.nranks
+    # a float64, C-contiguous, writeable x is swept where it lies (its row
+    # slices are too; nothing writes them); any other goes through
+    # scatter_vector's copy, which the compiled kernels take
+    in_place = x.flags.c_contiguous and x.flags.writeable
 
-    def rank_fn(comm: Comm, halo: RankHalo) -> np.ndarray:
-        with DistributedSpMVM(comm, halo, comm_plan=cplan) as engine:
-            multiply = engine.multiply_block if block else engine.multiply
-            x_local = scatter_vector(x, plan.partition, comm.rank)
-            y_local = multiply(x_local, scheme)
-            for _ in range(iterations - 1):
-                comm.barrier()
+    def start(plan, world):
+        cplan = lower_comm_plan(plan, nranks, comm_plan, ranks_per_node)
+
+        def rank_fn(comm: Comm, halo: RankHalo) -> np.ndarray:
+            with DistributedSpMVM(comm, halo, comm_plan=cplan) as engine:
+                multiply = engine.multiply_block if block else engine.multiply
+                x_local = (
+                    x[halo.row_lo : halo.row_hi] if in_place
+                    else scatter_vector(x, plan.partition, comm.rank)
+                )
                 y_local = multiply(x_local, scheme)
-            return y_local
+                for _ in range(iterations - 1):
+                    comm.barrier()
+                    y_local = multiply(x_local, scheme)
+                return y_local
 
-    return rank_fn, PerRank(plan.ranks)
+        return _start_spmd(world, rank_fn, (PerRank(plan.ranks),), {})
+
+    hit = lookup_halo_plan(A, nranks) if world.observer is None else None
+    if hit is None or not hit.layout_matches(A):
+        return gather_vector(start(cached_halo_plan(A, nranks), world)())
+    join = start(hit.plan, world)
+    try:
+        witness = plan_witness(A)
+    except BaseException:
+        with contextlib.suppress(Exception):
+            join()
+        raise
+    if hit.witness == witness:
+        return gather_vector(join())
+    with contextlib.suppress(Exception):
+        join()  # a stale plan's product, or its error, is nobody's
+    return gather_vector(start(rebuild_halo_plan(A, nranks, witness), World(nranks))())
 
 
 def distributed_spmv(
@@ -371,11 +415,13 @@ def distributed_spmv(
     """Compute ``A @ x`` on *nranks* mpilite ranks (the integration driver).
 
     Partitions the matrix by balanced nonzeros (the paper's footnote 2),
-    builds the halo plan (cached across calls on the same matrix), runs
+    builds the halo plan (cached across calls on the same matrix, and
+    checked against in-place mutation beside the sweep), runs
     *iterations* multiplications (feeding the result back as the next
     input requires a square operator and matching partition — here each
     iteration re-multiplies the same ``x`` to exercise repeated
-    communication), and reassembles the global result.
+    communication), and reassembles the global result.  *x* is never
+    written.
 
     ``comm_plan`` selects the halo-exchange plan (:mod:`repro.comm`);
     ``"node-aware"`` aggregates inter-node messages through per-node
@@ -384,10 +430,10 @@ def distributed_spmv(
     ``observer`` (a fresh :class:`repro.check.Checker` per call) is
     handed to the world: it watches the ranks and every engine's threads.
     """
-    rank_fn, halos = _rank_sweeps(
-        A, x, nranks, False, scheme, iterations, comm_plan, ranks_per_node
+    return _one_shot(
+        A, x, World(nranks, observer=observer), False, scheme, iterations, comm_plan,
+        ranks_per_node,
     )
-    return gather_vector(run_spmd(nranks, rank_fn, halos, observer=observer))
 
 
 def distributed_spmm(
@@ -408,7 +454,7 @@ def distributed_spmm(
     :func:`distributed_spmv` for ``comm_plan``/``ranks_per_node``/
     ``observer``.
     """
-    rank_fn, halos = _rank_sweeps(
-        A, X, nranks, True, scheme, iterations, comm_plan, ranks_per_node
+    return _one_shot(
+        A, X, World(nranks, observer=observer), True, scheme, iterations, comm_plan,
+        ranks_per_node,
     )
-    return gather_vector(run_spmd(nranks, rank_fn, halos, observer=observer))

@@ -14,7 +14,10 @@ runs under the GIL, and only the compiled kernels (which release it)
 truly run beside it.  Timing is therefore the simulator's business
 (DESIGN.md), but the communication *semantics* are real: blocking
 receives, nonblocking requests, wildcard matching, deadlocks and all.
-Those semantics are
+Collectives match by generation, the n-th collective call of every
+rank; a generation whose ranks called different collectives fails on
+every one of them, with one error naming each rank's call (MPI leaves
+that erroneous program undefined).  Those semantics are
 what the dynamic analyzer in :mod:`repro.check` verifies: a
 :class:`~repro.check.Checker` given to the
 :class:`~repro.mpilite.world.World` observes every operation through
@@ -81,12 +84,20 @@ class Request:
         return self._value
 
 
+class _Mismatch(str):
+    """A generation's result when its ranks called different collectives:
+    the message every rank of it raises."""
+
+
 class CollectiveState:
     """Shared rendezvous state for collectives of one world.
 
-    Generation counting makes every collective reusable and detects
-    mismatched participation (a rank calling ``barrier`` while another
-    calls ``allreduce`` trips the assertion on the slot type).
+    Generation counting makes every collective reusable.  Each rank's
+    deposit names its collective (``barrier``, ``allreduce``); when the
+    ranks of one generation named different ones, the combine does not
+    run and every rank of that generation raises one ``RuntimeError``
+    naming each rank's call, whichever arrived last.  A matched
+    generation pays one comparison per rank for this.
 
     ``timeout`` bounds how long a rank waits for the others (routed
     through the world so tests can shrink it); when an ``observer`` (the
@@ -104,6 +115,10 @@ class CollectiveState:
         self._results: dict[int, Any] = {}
         self._generation = 0
         self._arrived = 0
+        # the current generation's collective (its first rank's) and the
+        # ranks that called another one, with what they called
+        self._kind = ""
+        self._odd: dict[int, str] = {}
         self._abort_reason: str | None = None
 
     def abort(self, reason: str) -> None:
@@ -112,32 +127,54 @@ class CollectiveState:
         The point-to-point twin lives on :meth:`Router.abort`; both are
         driven together by a world/worker-pool teardown so a shutdown
         mid-collective raises :class:`WorldAbortedError` immediately
-        instead of racing the collective timeout.
+        instead of racing the collective timeout.  A generation that
+        completed before the abort still hands out its result.
         """
         with self._lock:
             self._abort_reason = str(reason)
             self._lock.notify_all()
 
     def _check_abort(self, rank: int, gen: int) -> None:
-        if self._abort_reason is not None:
+        if self._abort_reason is not None and gen not in self._results:
             raise WorldAbortedError(
                 f"rank {rank}: collective generation {gen} aborted: "
                 f"{self._abort_reason}"
             )
 
-    def exchange(self, rank: int, value: Any, combine: Callable[[dict[int, Any]], Any]) -> Any:
-        """Deposit *value*; the last arriving rank runs *combine* over all
-        deposits; everyone gets the combined result."""
+    def _mismatch(self, gen: int, ranks) -> _Mismatch:
+        calls = ", ".join(f"rank {r} called {self._odd.get(r, self._kind)}" for r in sorted(ranks))
+        return _Mismatch(f"collective generation {gen} mismatched: {calls}")
+
+    def exchange(
+        self,
+        rank: int,
+        value: Any,
+        combine: Callable[[dict[int, Any]], Any],
+        kind: str = "exchange",
+    ) -> Any:
+        """Deposit *value* for the collective named *kind*; the last
+        arriving rank runs *combine* over all deposits; everyone gets the
+        combined result.  Ranks that named different collectives all
+        raise ``RuntimeError`` instead."""
         with self._lock:
             gen = self._generation
             self._check_abort(rank, gen)
             self._slots.setdefault(gen, {})[rank] = value
+            if self._arrived == 0:
+                self._kind = kind
+            elif kind != self._kind:
+                self._odd[rank] = kind
             self._arrived += 1
             obs = self.observer
             if obs is not None:
                 obs.on_collective_enter(rank, gen)
             if self._arrived == self.nranks:
-                self._results[gen] = combine(self._slots.pop(gen))
+                slots = self._slots.pop(gen)
+                if self._odd:
+                    self._results[gen] = self._mismatch(gen, slots)
+                    self._odd = {}
+                else:
+                    self._results[gen] = combine(slots)
                 self._arrived = 0
                 self._generation += 1
                 self._lock.notify_all()
@@ -160,6 +197,8 @@ class CollectiveState:
             if len(self._slots[-gen - 1]) == self.nranks:
                 del self._slots[-gen - 1]
                 del self._results[gen]
+            if result.__class__ is _Mismatch:
+                raise RuntimeError(f"rank {rank}: {result}")
             return result
 
 
@@ -249,7 +288,7 @@ class Comm:
     # ------------------------------------------------------------------
     def barrier(self) -> None:
         """Synchronise all ranks."""
-        self._coll.exchange(self._rank, None, lambda slots: None)
+        self._coll.exchange(self._rank, None, lambda slots: None, "barrier")
 
     def allreduce(self, value: Any, op: Callable[[Any, Any], Any] | None = None) -> Any:
         """Reduce over all ranks (default: sum) with the result everywhere.
@@ -271,4 +310,4 @@ class Comm:
                 total.flags.writeable = False
             return total
 
-        return self._coll.exchange(self._rank, value, combine)
+        return self._coll.exchange(self._rank, value, combine, "allreduce")

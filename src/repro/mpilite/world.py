@@ -6,8 +6,10 @@ hands each rank's job to a thread borrowed from the process-wide team
 (:mod:`repro.mpilite.team`), ``join_ranks`` waits for all of them
 against one deadline and parks the threads again.  :func:`run_spmd`,
 the ``mpiexec`` equivalent, does both for one function and re-raises
-the first failing rank's exception; the :mod:`repro.serve` worker pool
-starts its ranks once and joins them at close.  :meth:`World.abort`
+the first failing rank's exception (the one-shot drivers of
+:mod:`repro.core.spmvm` run its two halves apart, to check their plan
+in between); the :mod:`repro.serve` worker pool starts its ranks once
+and joins them at close.  :meth:`World.abort`
 tears a world down, waking every blocked operation with a
 provenance-carrying :class:`~repro.mpilite.router.WorldAbortedError`
 instead of letting survivors run out their timeouts.
@@ -134,10 +136,25 @@ def run_spmd(
     Ranks still running after *timeout* seconds are named in a
     ``TimeoutError`` (:meth:`World.join_ranks`).
     """
-    nranks = check_positive_int(nranks, "nranks")
-    deadline = time.monotonic() + timeout
     world = World(nranks, recv_timeout=recv_timeout, observer=observer)
-    results: list[Any] = [None] * nranks
+    return _start_spmd(world, fn, args, kwargs, timeout)()
+
+
+def _start_spmd(
+    world: World,
+    fn: Callable[..., Any],
+    args: tuple,
+    kwargs: dict[str, Any],
+    timeout: float = 120.0,
+) -> Callable[[], list[Any]]:
+    """:func:`run_spmd` in two halves, on a fresh *world*: start the
+    ranks now and return the join, which waits for them and returns
+    their results or raises as ``run_spmd`` does.  The caller's thread
+    is free in between; call the join exactly once, also when the
+    caller's own work fails."""
+    deadline = time.monotonic() + timeout
+    observer = world.observer
+    results: list[Any] = [None] * world.nranks
     errors: list[tuple[int, BaseException]] = []
     lock = threading.Lock()
 
@@ -160,17 +177,20 @@ def run_spmd(
             if observer is not None:
                 observer.on_rank_finished(rank)
 
+    def join() -> list[Any]:
+        stuck = world.join_ranks(deadline)
+        if stuck:
+            raise TimeoutError(
+                f"{len(stuck)} rank(s) did not finish within {timeout} s "
+                f"(likely an mpilite deadlock): {stuck}"
+            )
+        if errors:
+            rank, exc = errors[0]  # the first failure in time; the rest are its casualties
+            raise RuntimeError(f"rank {rank} failed: {exc!r}") from exc
+        return results
+
     world.start_ranks(runner, "mpilite-rank-")
-    stuck = world.join_ranks(deadline)
-    if stuck:
-        raise TimeoutError(
-            f"{len(stuck)} rank(s) did not finish within {timeout} s "
-            f"(likely an mpilite deadlock): {stuck}"
-        )
-    if errors:
-        rank, exc = errors[0]  # the first failure in time; the rest are its casualties
-        raise RuntimeError(f"rank {rank} failed: {exc!r}") from exc
-    return results
+    return join
 
 
 class PerRank:

@@ -552,6 +552,56 @@ class TestStaleCacheGuard:
                         getattr(getattr(ref, part), array).view(np.uint64),
                     )
 
+    @pytest.mark.parametrize("driver", ["spmv", "spmm"])
+    @pytest.mark.parametrize("witness", ["active", "crc32"])
+    @pytest.mark.parametrize("case", sorted(MUTATIONS))
+    def test_every_mutation_through_a_warm_driver(
+        self, case, witness, driver, mutation_bases, monkeypatch
+    ):
+        # the one-shot drivers start the ranks on the cached plan and take
+        # the witness beside the sweep: a stale hit must never be returned,
+        # and the call after it must hit the rebuilt plan
+        from repro.core.halo import lookup_halo_plan, plan_witness
+        from repro.core.spmvm import distributed_spmm, distributed_spmv
+        from repro.sparse import spmm, spmv
+
+        if witness == "crc32":
+            monkeypatch.setattr(native, "_checksum", None)
+        base, mutate = MUTATIONS[case]
+        A = mutation_bases[base].copy()
+        call, kernel = (distributed_spmv, spmv) if driver == "spmv" else (distributed_spmm, spmm)
+        x = np.arange(1, A.ncols + 1, dtype=float)
+        if driver == "spmm":
+            x = np.stack([x, -0.5 * x, x**2], axis=1)
+        call(A, x, 2)
+        stale = lookup_halo_plan(A, 2).plan
+        mutate(A)
+        got = call(A, x, 2)
+        np.testing.assert_array_equal(got, call(A.copy(), x, 2))  # a fresh plan's bits
+        want = kernel(A, x)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        hit = lookup_halo_plan(A, 2)
+        assert hit.plan is not stale and hit.witness == plan_witness(A)
+        built = []
+        monkeypatch.setattr(halo_mod, "build_halo_plan", lambda *a, **k: built.append(a))
+        np.testing.assert_array_equal(call(A, x, 2), got)
+        assert not built  # the next call hit the rebuilt plan
+
+    def test_layout_is_the_head_of_the_content_witness(self, mutation_bases):
+        # layout_matches reads what content_fingerprint starts with,
+        # without the checksum pass: the two must agree on the layout
+        from repro.core.halo import PlanHit, plan_witness
+
+        for A in mutation_bases.values():
+            hit = PlanHit(cached_halo_plan(A, 2), plan_witness(A))
+            assert hit.layout_matches(A)
+            B = A.copy()
+            B.val = B.val.view(np.int64)
+            assert not hit.layout_matches(B)
+            meta = PlanHit(cached_halo_plan(A, 2, with_matrices=False),
+                           plan_witness(A, with_matrices=False))
+            assert not meta.layout_matches(A)
+
     def test_dtype_view_multiplies_correctly(self):
         # same bytes, other numbers: a byte checksum alone kept serving
         # the float plan, and distributed_spmv disagreed with serial spmv

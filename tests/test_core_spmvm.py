@@ -135,7 +135,9 @@ def test_driver_validates_before_it_spawns(
     import repro.mpilite.world as world
     from repro.core import distributed_spmm
 
-    monkeypatch.setattr(world, "run_spmd", lambda *a, **k: pytest.fail("ranks were spawned"))
+    monkeypatch.setattr(
+        world.World, "start_ranks", lambda *a, **k: pytest.fail("ranks were started")
+    )
     monkeypatch.setattr(
         threading.Thread, "start", lambda self: pytest.fail(f"thread {self.name} was started")
     )
@@ -211,3 +213,146 @@ def test_complex_right_hand_side_is_refused_not_cast(random_300, entry):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="must be real"):
             call(random_300, x)
+
+
+# ----------------------------------------------------------------------
+# the one-shot drivers check a cached plan beside the sweep
+# ----------------------------------------------------------------------
+def _warm(A, x, nranks=2):
+    """Call once so the next call hits the plan cache; return the plan."""
+    from repro.core.halo import lookup_halo_plan
+
+    distributed_spmv(A, x, nranks)
+    return lookup_halo_plan(A, nranks).plan
+
+
+def test_a_stale_hit_whose_run_raises_reruns(monkeypatch):
+    # the early run on the stale plan fails on one rank: its error is
+    # discarded with its product, and the rerun on the rebuilt plan answers
+    A = random_sparse(120, nnzr=5, seed=41)
+    x = np.arange(120, dtype=float)
+    stale = _warm(A, x)
+    real = DistributedSpMVM.multiply
+
+    def multiply(self, x_local, scheme="task_mode", **kw):
+        if self.halo is stale.ranks[1]:
+            raise RuntimeError("the stale run failed")
+        return real(self, x_local, scheme, **kw)
+
+    monkeypatch.setattr(DistributedSpMVM, "multiply", multiply)
+    A.val *= 3.0
+    np.testing.assert_array_equal(distributed_spmv(A, x, 2), distributed_spmv(A.copy(), x, 2))
+    np.testing.assert_allclose(distributed_spmv(A, x, 2), spmv(A, x), rtol=1e-12)
+
+
+def test_a_fresh_hits_rank_error_names_the_rank(monkeypatch):
+    A = random_sparse(120, nnzr=5, seed=42)
+    x = np.arange(120, dtype=float)
+    _warm(A, x)
+    real = DistributedSpMVM.multiply
+
+    def multiply(self, x_local, scheme="task_mode", **kw):
+        if self.comm.rank == 1:
+            raise ValueError("rank-side failure")
+        return real(self, x_local, scheme, **kw)
+
+    monkeypatch.setattr(DistributedSpMVM, "multiply", multiply)
+    with pytest.raises(RuntimeError, match=r"rank 1 failed: ValueError\('rank-side failure'\)"):
+        distributed_spmv(A, x, 2)
+
+
+@pytest.mark.parametrize("block", [False, True], ids=["spmv", "spmm"])
+def test_an_observed_call_on_a_stale_hit_reports_clean(block):
+    from repro.check import Checker
+
+    A = random_sparse(120, nnzr=5, seed=43)
+    x = np.arange(120, dtype=float)
+    if block:
+        x = np.stack([x, 1.0 - x], axis=1)
+    call = distributed_spmm if block else distributed_spmv
+    before = call(A, x, 2)
+    A.val *= 2.0
+    checker = Checker(2)
+    got = call(A, x, 2, observer=checker)
+    report = checker.finalize()
+    assert report.ok and report.events_observed, [f.describe() for f in report.findings]
+    np.testing.assert_array_equal(got, 2.0 * before)
+
+
+def test_the_witness_runs_beside_the_sweep(monkeypatch):
+    # no clock: the witness waits for a rank to have multiplied.  Were
+    # the ranks started only after the witness, the wait would time out
+    import threading
+
+    import repro.core.spmvm as spmvm_mod
+
+    A = random_sparse(120, nnzr=5, seed=44)
+    x = np.arange(120, dtype=float)
+    _warm(A, x)
+    swept = threading.Event()
+    seen = []
+    real_multiply, real_witness = DistributedSpMVM.multiply, spmvm_mod.plan_witness
+
+    def multiply(self, *args, **kw):
+        y = real_multiply(self, *args, **kw)
+        swept.set()
+        return y
+
+    def witness(B, **kw):
+        seen.append(swept.wait(timeout=10.0))
+        return real_witness(B, **kw)
+
+    monkeypatch.setattr(DistributedSpMVM, "multiply", multiply)
+    monkeypatch.setattr(spmvm_mod, "plan_witness", witness)
+    np.testing.assert_array_equal(distributed_spmv(A, x, 2), distributed_spmv(A.copy(), x, 2))
+    assert seen == [True]  # one witness, taken while the ranks swept
+
+
+def _variants(x):
+    """*x* as the layouts a caller may hand in, each with its values."""
+    ro = x.copy()
+    ro.flags.writeable = False
+    wide = np.zeros((x.shape[0] * 2, *x.shape[1:]))
+    wide[::2] = x
+    return {
+        "c-order": x.copy(),
+        "read-only": ro,
+        "f-order": np.asfortranarray(x),
+        "strided": wide[::2],
+        "float32": x.astype(np.float32),
+    }
+
+
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("layout", ["c-order", "read-only", "f-order", "strided", "float32"])
+@pytest.mark.parametrize("warm", [False, True], ids=["miss", "hit"])
+def test_driver_inputs_are_read_where_they_lie_and_never_written(k, layout, warm, monkeypatch):
+    # a float64, C-contiguous, writeable x is swept where it lies; every
+    # other layout is copied first; the bits are the same either way
+    rng = np.random.default_rng(45)
+    A = random_sparse(150, nnzr=6, seed=45)
+    base = rng.standard_normal(150 if k == 1 else (150, k)).astype(np.float32).astype(float)
+    x = _variants(base)[layout]
+    kept = x.copy()
+    call = distributed_spmv if k == 1 else distributed_spmm
+    ref = call(A.copy(), np.ascontiguousarray(base), 2)
+    if warm:
+        call(A, base.copy(), 2)
+    shared = []
+    real = {"multiply": DistributedSpMVM.multiply, "multiply_block": DistributedSpMVM.multiply_block}
+
+    def spy(name):
+        def method(self, x_local, *args, **kw):
+            shared.append(np.shares_memory(x_local, x))
+            return real[name](self, x_local, *args, **kw)
+
+        return method
+
+    for name in real:
+        monkeypatch.setattr(DistributedSpMVM, name, spy(name))
+    got = call(A, x, 2)
+    np.testing.assert_array_equal(got, ref)
+    np.testing.assert_array_equal(x, kept)
+    assert x.dtype == kept.dtype
+    in_place = layout == "c-order" or (layout == "f-order" and k == 1)  # 1-D: both orders
+    assert shared == [in_place] * 2

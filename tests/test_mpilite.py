@@ -253,3 +253,69 @@ def test_collectives_mixed_sequence():
 
     out = run_spmd(3, fn)
     assert out == [(3, 2, [3.0, 3.0])] * 3
+
+
+def _collide(world, calls, order):
+    """Run ``calls[r](world.comms[r])`` on one thread per rank, each
+    entering its collective only after the ranks before it in *order*
+    have deposited; return what each rank returned or raised."""
+    import threading
+
+    out: list = [None] * world.nranks
+
+    def run(rank):
+        try:
+            out[rank] = calls[rank](world.comms[rank])
+        except Exception as exc:  # noqa: BLE001 - the test inspects it
+            out[rank] = exc
+
+    threads = []
+    for arrived, rank in enumerate(order):
+        while world.collectives._arrived < arrived:
+            time.sleep(0.001)
+        threads.append(threading.Thread(target=run, args=(rank,)))
+        threads[-1].start()
+    for t in threads:
+        t.join(timeout=10.0)
+        assert not t.is_alive()
+    return out
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["barrier-first", "allreduce-first"])
+def test_mismatched_collectives_fail_every_rank(order):
+    # rank 0 in barrier, rank 1 in allreduce: the allreduce caller used
+    # to get None (barrier last) or a TypeError on one rank (barrier first)
+    from repro.mpilite import World
+
+    world = World(2, recv_timeout=5.0)
+    out = _collide(world, [lambda c: c.barrier(), lambda c: c.allreduce(5.0)], order)
+    for rank, got in enumerate(out):
+        assert isinstance(got, RuntimeError), got
+        assert str(got) == (
+            f"rank {rank}: collective generation 0 mismatched: "
+            f"rank 0 called barrier, rank 1 called allreduce"
+        )
+
+
+def test_mismatched_collective_names_every_rank_and_leaves_the_next_generation():
+    from repro.mpilite import World
+
+    world = World(3, recv_timeout=5.0)
+    calls = [lambda c: c.allreduce(1.0), lambda c: c.barrier(), lambda c: c.allreduce(2.0)]
+    out = _collide(world, calls, (2, 0, 1))
+    want = (
+        "collective generation 0 mismatched: rank 0 called allreduce, "
+        "rank 1 called barrier, rank 2 called allreduce"
+    )
+    assert [str(e) for e in out] == [f"rank {r}: {want}" for r in range(3)]
+    # the generation is spent; the next matched one combines as usual
+    out = _collide(world, [lambda c, r=r: c.allreduce(float(r)) for r in range(3)], (0, 1, 2))
+    assert out == [3.0] * 3
+
+
+def test_run_spmd_reports_a_mismatched_collective():
+    def fn(comm):
+        return comm.barrier() if comm.rank == 0 else comm.allreduce(5.0)
+
+    with pytest.raises(RuntimeError, match=r"rank 0 called barrier, rank 1 called allreduce"):
+        run_spmd(2, fn, timeout=10.0, recv_timeout=5.0)
