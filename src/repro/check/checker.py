@@ -217,6 +217,7 @@ class Checker:
 
     def __init__(self, nranks: int) -> None:
         self.nranks = nranks
+        self._claimed = False
         self.findings: list[Finding] = []
         self.events_observed = 0
         self._lock = threading.Lock()
@@ -249,6 +250,19 @@ class Checker:
         self._locations: dict[tuple[str, str], _Location] = {}
         self._lock_clocks: dict[tuple[str, str], dict[int, int]] = {}
         self._reported: set[frozenset] = set()
+
+    def claim(self) -> None:
+        """Taken by the :class:`~repro.mpilite.world.World` this checker
+        observes, at its construction.  A second world raises
+        ``ValueError`` at once: the first run's finished ranks and clocks
+        would make a healthy second run read as a deadlock."""
+        with self._lock:
+            if self._claimed:
+                raise ValueError(
+                    "a Checker observes one run: this one already observes a world; "
+                    "give each run a fresh Checker"
+                )
+            self._claimed = True
 
     # ------------------------------------------------------------------
     # router observer interface

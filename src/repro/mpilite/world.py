@@ -15,9 +15,10 @@ provenance-carrying :class:`~repro.mpilite.router.WorldAbortedError`
 instead of letting survivors run out their timeouts.
 
 A world's ``observer`` (a :class:`repro.check.Checker`) is given in one
-place, its constructor; ``run_spmd`` passes its own through.  Every hook
-site reads that one slot — the router and the collectives directly,
-each communicator through its router.
+place, its constructor, which claims it: a second world given the same
+checker raises ``ValueError``.  ``run_spmd`` passes its own through.
+Every hook site reads that one slot — the router and the collectives
+directly, each communicator through its router.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ class World:
         observer: "Checker | None" = None,
     ) -> None:
         nranks = check_positive_int(nranks, "nranks")
+        if observer is not None:
+            observer.claim()  # one Checker observes one run
         self.router = Router(nranks)
         self.collectives = CollectiveState(nranks, timeout=recv_timeout)
         self.router.observer = self.collectives.observer = observer

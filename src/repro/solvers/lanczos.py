@@ -35,6 +35,15 @@ cannot survive.  On the paper's Hamiltonians neither happens in a solve
 (HMeP: 2·iterations + 2 reductions); on a Poisson matrix about one step
 in seven takes the second pass.  EXPERIMENTS.md "One gemv, one
 allreduce" has the survey the constants come from.
+
+**The convergence test.**  Every step, every rank computes the lowest
+Ritz pairs of the k × k tridiagonal matrix it holds in full: LAPACK's
+``dstebz`` and ``dstein`` called directly (:func:`_lowest_ritz_pairs`),
+on α and β kept in preallocated arrays.  That is the computation scipy's
+``eigh_tridiagonal(select="i")`` makes, bit for bit, without the
+wrapper's argument checks and driver lookup, Python that holds the
+GIL the peer rank's thread is waiting for (EXPERIMENTS.md "Findings on
+this host" has the per-call and per-solve numbers).
 """
 
 from __future__ import annotations
@@ -76,13 +85,39 @@ class LanczosResult:
         return float(self.eigenvalues[0])
 
 
-def _tridiagonal_eigh(alpha, beta, **select):
-    """``scipy.linalg.eigh_tridiagonal`` of the Lanczos matrix.  Imported
-    on first use: ``scipy.linalg`` is 6 MB resident that a process which
-    only runs CG or serves sweeps would otherwise pay at import."""
-    from scipy.linalg import eigh_tridiagonal
+def _lowest_ritz_pairs(
+    alpha: np.ndarray, beta: np.ndarray, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The *count* lowest eigenpairs of the Lanczos matrix (diagonal
+    *alpha*, off-diagonal ``beta[: len(alpha) - 1]``), ascending.
 
-    return eigh_tridiagonal(alpha, beta[: len(alpha) - 1], **select)
+    LAPACK's ``dstebz`` (bisection, eigenvalues ``1..count`` in block
+    order) and ``dstein`` (inverse iteration) called directly, then the
+    ``argsort`` into matrix order: the computation
+    ``scipy.linalg.eigh_tridiagonal(select="i")`` makes, bit for bit,
+    without its argument checks and driver lookup, which run as Python
+    under the GIL at every step of every rank.  A 1 × 1 matrix is
+    answered here, as scipy does (f2py rejects an empty off-diagonal).
+    Imported on first use: ``scipy.linalg`` is 6 MB resident that a
+    process which only runs CG or serves sweeps would otherwise pay at
+    import.  Raises ``LinAlgError`` naming the routine whose ``info``
+    is not zero.
+    """
+    from scipy.linalg.lapack import dstebz, dstein
+
+    k = len(alpha)
+    if k == 1:
+        return alpha[:1].copy(), np.ones((1, 1))
+    e = beta[: k - 1]
+    m, w, iblock, isplit, info = dstebz(alpha, e, 2, 0.0, 1.0, 1, count, 0.0, "B")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dstebz failed on the Lanczos matrix (info = {info})")
+    w = w[:m]
+    v, info = dstein(alpha, e, w, iblock, isplit)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dstein failed on the Lanczos matrix (info = {info})")
+    order = np.argsort(w)
+    return w[order], v[:, order]
 
 
 def _basis(rows: int, n: int) -> np.ndarray:
@@ -140,8 +175,9 @@ def _lanczos_with_basis(
     V = _basis(max_iter + 1 if reorthogonalize or want_vector else 2, n)
     V[0] = v / nv
     held = 1  # rows of V in use; the newest vector is V[held - 1]
-    alphas: list[float] = []
-    betas: list[float] = []
+    alpha = np.empty(max_iter)  # α₁..αₖ in alpha[:k]
+    beta = np.empty(max_iter)  # β₁..βₖ₋₁ in beta[:k - 1] at step k
+    nbeta = 0
     evals = np.zeros(0)
     resid = np.zeros(0)
     stray_prev = 0.0
@@ -152,9 +188,9 @@ def _lanczos_with_basis(
         c, b = _project_out(op, W, w)
         a = float(c[-1])
         stray = float(np.abs(c[:-2]).max(initial=0.0))
-        if reorthogonalize and betas:
+        if reorthogonalize and nbeta:
             # c[-2] is βₖ₋₁ plus vₖ₋₁'s overlap with vₖ times α
-            stray = max(stray, abs(float(c[-2]) - betas[-1]))
+            stray = max(stray, abs(float(c[-2]) - beta[nbeta - 1]))
         if stray + stray_prev > _OVERLAP_TOL * b or b < _COLLAPSE * np.linalg.norm(c[-2:]):
             again, b = _project_out(op, W, w)
             a += float(again[-1])
@@ -164,16 +200,16 @@ def _lanczos_with_basis(
                 f"Lanczos vector is not finite (beta = {b} at iteration {k}): "
                 f"the operator or the starting vector holds a NaN or Inf"
             )
-        alphas.append(a)
-        lowest = (0, min(n_eigenvalues, k) - 1)
-        evals, s = _tridiagonal_eigh(alphas, betas, select="i", select_range=lowest)
+        alpha[k - 1] = a
+        evals, s = _lowest_ritz_pairs(alpha[:k], beta, min(n_eigenvalues, k))
         resid = np.abs(b * s[-1])
         if b <= 1e-14:  # invariant subspace found
             resid = np.zeros(evals.size)
             break
         if evals.size >= n_eigenvalues and np.all(resid <= tol):
             break
-        betas.append(b)
+        beta[nbeta] = b
+        nbeta += 1
         if held == len(V):
             V[:-1] = V[1:]
         else:
@@ -182,7 +218,7 @@ def _lanczos_with_basis(
 
     vector = None
     if want_vector:
-        _, s = _tridiagonal_eigh(alphas, betas, select="i", select_range=(0, 0))
+        _, s = _lowest_ritz_pairs(alpha[:k], beta, 1)
         vector = s[:, 0] @ V[:k]
         nv = op.norm(vector)
         if nv > 0:
@@ -191,8 +227,8 @@ def _lanczos_with_basis(
         eigenvalues=evals,
         iterations=k,
         residuals=resid,
-        alpha=np.asarray(alphas),
-        beta=np.asarray(betas),
+        alpha=alpha[:k].copy(),
+        beta=beta[:nbeta].copy(),
         ritz_vector=vector,
     )
     return result, V[:held]
@@ -250,8 +286,10 @@ def lanczos(
 def spectral_bounds(op: LinearOperator, *, max_iter: int = 80, seed: int = 1) -> tuple[float, float]:
     """Estimated (min, max) eigenvalues, padded by 1 % — the scaling
     interval the Chebyshev-based methods need."""
+    from scipy.linalg import eigh_tridiagonal
+
     run = lanczos(op, max_iter=max_iter, tol=0.0, seed=seed, reorthogonalize=False)
-    theta = _tridiagonal_eigh(run.alpha, run.beta, eigvals_only=True)
+    theta = eigh_tridiagonal(run.alpha, run.beta[: run.iterations - 1], eigvals_only=True)
     lo, hi = float(theta[0]), float(theta[-1])
     pad = 0.01 * max(hi - lo, 1e-12)
     return lo - pad, hi + pad

@@ -91,6 +91,43 @@ def test_both_observers_report_through_the_same_run(hmep_tiny):
     assert "thread-race" not in report.kinds()
 
 
+def test_a_checker_observes_one_run(hmep_tiny):
+    # a reused checker kept the first run's finished ranks, so the second,
+    # healthy run's first blocked receive read as a deadlock ('rank(s) 0
+    # already finished'); now the second world refuses it at construction
+    from repro.core.spmvm import distributed_spmv
+    from repro.mpilite.world import World, run_spmd
+    from repro.serve import SolverService, build_model
+
+    calls = []
+
+    def ping_pong(comm):
+        calls.append(comm.rank)
+        peer = 1 - comm.rank
+        if comm.rank == 0:
+            comm.send(comm.recv(peer, tag=64) + 1, peer, tag=64)
+        else:
+            comm.send(np.arange(3.0), peer, tag=64)
+            return comm.recv(peer, tag=64)
+
+    checker = Checker(2)
+    out = run_spmd(2, ping_pong, recv_timeout=10.0, timeout=30.0, observer=checker)
+    assert np.array_equal(out[1], np.arange(1.0, 4.0)) and len(calls) == 2
+    refusal = "a Checker observes one run"
+    with pytest.raises(ValueError, match=refusal):
+        run_spmd(2, ping_pong, recv_timeout=10.0, timeout=30.0, observer=checker)
+    assert len(calls) == 2  # refused before any rank started
+    x = np.ones(hmep_tiny.nrows)
+    with pytest.raises(ValueError, match=refusal):
+        distributed_spmv(hmep_tiny, x, 2, observer=checker)
+    with pytest.raises(ValueError, match=refusal):
+        SolverService(build_model(hmep_tiny, 2), observer=checker)
+    with pytest.raises(ValueError, match=refusal):
+        World(2, observer=checker)
+    report = checker.finalize()  # the run it did observe, untouched
+    assert report.ok and report.events_observed > 0
+
+
 def test_a_failed_rank_is_one_finding_and_the_sweep_finishes(hmep_tiny, monkeypatch):
     from repro.mpilite.world import run_spmd
 

@@ -1,8 +1,12 @@
 """Package-level health: imports, public API surface, docstrings."""
 
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import repro
@@ -324,6 +328,52 @@ def test_one_attach_point():
     assert not stray, "recorder/sanitizer survive as attach points:\n" + "\n".join(stray)
     assert doors == OBSERVER_DOORS, f"observer= is taken by {sorted(doors)}"
     assert not side_doors, f"getattr(..., 'sanitizer') side doors at {side_doors}"
+
+
+_LAZY_LINALG_SCRIPT = """
+import sys
+import numpy as np
+import repro.core, repro.serve, repro.solvers, repro.sparse
+from repro.core import cached_halo_plan
+from repro.mpilite import PerRank, run_spmd
+from repro.serve import SolverService, build_model
+from repro.solvers import DistributedOperator, SerialOperator, conjugate_gradient, lanczos
+from repro.sparse import CSRMatrix
+
+# the 1-D Laplacian from arrays: repro.matrices' scipy.spatial pulls in scipy.linalg
+n = 64
+rows = np.repeat(np.arange(n), 3)
+cols = rows + np.tile([-1, 0, 1], n)
+keep = (cols >= 0) & (cols < n)
+row_ptr = np.concatenate([[0], np.cumsum(np.bincount(rows[keep], minlength=n))])
+A = CSRMatrix(row_ptr, cols[keep], np.where(cols == rows, 2.0, -1.0)[keep], ncols=n)
+b = np.ones(n)
+plan = cached_halo_plan(A, 2, with_matrices=True)
+
+def fn(comm, halo):
+    with DistributedOperator(comm, halo) as op:
+        return conjugate_gradient(op, b[halo.row_lo:halo.row_hi], tol=1e-10).iterations
+
+run_spmd(2, fn, PerRank(plan.ranks))
+with SolverService(build_model(A, 2)) as svc:
+    svc.solve(b)
+print("scipy.linalg" in sys.modules)
+lanczos(SerialOperator(A), max_iter=5)
+print("scipy.linalg" in sys.modules)
+"""
+
+
+def test_scipy_linalg_is_imported_by_lanczos_and_nothing_before_it():
+    # scipy.linalg is about 6 MB resident: a process that only runs CG or
+    # serves sweeps (samg-small-block's measure process) never pays it.
+    # A fresh process, because this one has imported everything.
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(_LAZY_LINALG_SCRIPT)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout.split() == ["False", "True"], out.stdout
 
 
 def test_version_string():

@@ -1,5 +1,6 @@
 """Lanczos and CG: convergence, accuracy, distributed equivalence."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -23,7 +24,7 @@ from repro.solvers import (
     lanczos,
     spectral_bounds,
 )
-from repro.solvers.lanczos import _lanczos_with_basis
+from repro.solvers.lanczos import _lanczos_with_basis, _lowest_ritz_pairs
 from repro.sparse import CSRMatrix, partition_matrix
 from repro.sparse.partition import RowPartition
 from tests.conftest import unparked_thread_count
@@ -384,6 +385,92 @@ def test_lanczos_names_the_iteration_where_beta_stops_being_finite(run_lanczos, 
 
     with pytest.raises(ValueError, match=r"not finite \(beta = nan at iteration 3\)"):
         run_lanczos(call, sweeps=3)
+
+
+# ----------------------------------------------------------------------
+# the Ritz pairs straight from LAPACK, bit for bit scipy's
+# ----------------------------------------------------------------------
+def _reference_tridiagonal_eigh(alpha, beta, **select):
+    """The helper the direct LAPACK calls replaced: scipy's wrapper."""
+    from scipy.linalg import eigh_tridiagonal
+
+    return eigh_tridiagonal(alpha, beta[: len(alpha) - 1], **select)
+
+
+def _reference_ritz_pairs(alpha, beta, count):
+    """:func:`_reference_tridiagonal_eigh` with the arguments of
+    ``_lowest_ritz_pairs``, on the lists the old loop kept."""
+    return _reference_tridiagonal_eigh(
+        list(alpha), list(beta), select="i", select_range=(0, count - 1)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(1, 200),
+    count=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    diagonal=st.sampled_from(["random", "constant", "two values"]),
+    split=st.sampled_from([None, 0.0, 1e-300, 1e-17]),
+    splits=st.integers(1, 6),
+)
+def test_lowest_ritz_pairs_are_scipys_bit_for_bit(k, count, seed, diagonal, split, splits):
+    rng = np.random.default_rng(seed)
+    count = min(count, k)
+    alpha = {
+        "random": lambda: rng.standard_normal(k),
+        "constant": lambda: np.full(k, rng.standard_normal()),
+        "two values": lambda: rng.choice(rng.standard_normal(2), k),
+    }[diagonal]()
+    beta = np.abs(rng.standard_normal(k))  # one spare entry, as the solver holds
+    if split is not None and k > 1:
+        beta[rng.integers(0, k - 1, size=splits)] = split  # the matrix falls apart
+    w, v = _lowest_ritz_pairs(alpha, beta, count)
+    w_ref, v_ref = _reference_ritz_pairs(alpha, beta, count)
+    assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+    assert w.shape == (count,) and v.shape == (k, count)
+
+
+@pytest.mark.parametrize("nranks", [1, 2], ids=["serial", "2-ranks"])
+@pytest.mark.parametrize("n_eigenvalues", [1, 3])
+def test_lanczos_is_bit_identical_to_the_scipy_wrapper(sym_matrix, nranks, n_eigenvalues,
+                                                       monkeypatch):
+    v0 = np.random.default_rng(11).standard_normal(sym_matrix.nrows)
+
+    def solve():
+        def call(op, local):
+            res = lanczos(op, tol=1e-9, n_eigenvalues=n_eigenvalues, v0=local(v0),
+                          want_vector=True)
+            return (res.iterations, res.alpha, res.beta, res.eigenvalues, res.residuals,
+                    res.ritz_vector)
+
+        if nranks == 1:
+            return [call(SerialOperator(sym_matrix), lambda v: v)]
+        return _on_two_ranks(sym_matrix, call)
+
+    direct = solve()
+    # the module, not the function that ``repro.solvers.lanczos`` names
+    module = importlib.import_module("repro.solvers.lanczos")
+    monkeypatch.setattr(module, "_lowest_ritz_pairs", _reference_ritz_pairs)
+    wrapped = solve()
+    for mine, ref in zip(direct, wrapped, strict=True):
+        assert mine[0] == ref[0] > 40
+        for got, want in zip(mine[1:], ref[1:], strict=True):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+def test_a_lapack_failure_raises_naming_the_routine(run_lanczos, routine, monkeypatch):
+    from scipy.linalg import lapack
+
+    real = getattr(lapack, routine)
+
+    def failing(*args):
+        return (*real(*args)[:-1], 1)  # info = 1: did not converge
+
+    monkeypatch.setattr(lapack, routine, failing)
+    with pytest.raises(np.linalg.LinAlgError, match=rf"LAPACK {routine} failed .*\(info = 1\)"):
+        run_lanczos(lambda op, local: lanczos(op, max_iter=5), sweeps=2)
 
 
 # ----------------------------------------------------------------------
