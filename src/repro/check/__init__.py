@@ -4,9 +4,9 @@ One observer and three static passes, one gate (see DESIGN.md §9):
 
 * :class:`Checker` (:mod:`repro.check.checker`) is the per-run
   observer, attached at ``World(observer=)``: it watches the *ranks*
-  (vector clocks, wait-for graph, open requests) and diagnoses
-  deadlocks, message races and leaked requests with full rank/tag/peer
-  provenance, and it orders the *threads inside one rank*
+  (wait-for graph, messages in flight, open requests) and diagnoses
+  deadlocks, leaked requests and unconsumed messages with full
+  rank/tag/peer provenance, and it orders the *threads inside one rank*
   with per-thread vector clocks and reports causally concurrent
   conflicting buffer accesses; :func:`run_checked` runs anything under a
   fresh one;
@@ -20,8 +20,9 @@ One observer and three static passes, one gate (see DESIGN.md §9):
 
 :func:`check_spmvm` (``repro check``) is the gate: the static passes,
 then every scheme x comm plan x {vector, block} and one service session,
-each run under a fresh checker.  :data:`SEED_BUGS` are the seeded-bug
-fixtures demonstrating every detector firing.
+each run under a fresh checker and its product compared with the
+serial kernel's.  :data:`SEED_BUGS` are the seeded-bug fixtures
+demonstrating every detector firing.
 """
 
 from repro.check.astlint import (
@@ -35,7 +36,6 @@ from repro.check.driver import check_spmvm, run_checked
 from repro.check.findings import FINDING_KINDS, CheckReport, Finding
 from repro.check.fixtures import SEED_BUGS, run_seed_bug
 from repro.check.lint import lint_comm_plan
-from repro.check.races import analyze_races
 from repro.program.lint import lint_sweep_program, lint_sweep_programs
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "Checker",
     "DeadlockError",
     "TrackedCondition",
-    "analyze_races",
     "lint_comm_plan",
     "lint_sweep_program",
     "lint_sweep_programs",

@@ -14,11 +14,9 @@ and the service lock (through the service's world).
 :class:`repro.mpilite.router.Router` and
 :class:`repro.mpilite.comm.CollectiveState`:
 
-* one **vector clock** per rank — ticked on every send/receive/collective,
-  merged on delivery — the happens-before relation that the message-race
-  analysis (:mod:`repro.check.races`) is built on;
-* a **wait-for graph** over blocked operations — receives waiting on a
-  peer (edges suppressed while a matching message is in flight),
+* a **wait-for graph** over blocked operations — receives waiting on the
+  peer they name (edges suppressed while a message is in flight on the
+  receive's channel),
   collectives waiting on the ranks that have not arrived, and waits on
   ranks that already finished — with a stuck-set fixpoint that declares
   a deadlock the moment no blocked rank can ever be satisfied, naming
@@ -26,6 +24,11 @@ and the service lock (through the service's world).
   60-second collective hang into an immediate diagnosis;
 * **request and message accounting**: requests never completed and
   messages never received are reported at :meth:`Checker.finalize`.
+
+Every mpilite receive names its source and tag, and each ``(src, dst,
+tag)`` channel is FIFO, so which message a receive matches is fixed by
+the program, not by thread timing: the rank half needs no clocks, only
+a count of the messages in flight on each channel.
 
 Like standard MPI correctness tools, the deadlock detector assumes one
 communicating agent per rank (task mode's dedicated communication
@@ -76,21 +79,15 @@ bounds the observed overhead on the task-mode sweep).
 from __future__ import annotations
 
 import threading
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from repro.check.findings import CheckReport, Finding
-from repro.check.vclock import vc_merge, vc_new, vc_tick, vc_tick_merge
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mpilite.comm import Request
 
-__all__ = ["Checker", "DeadlockError", "RecvEvent", "SendEvent", "TrackedCondition"]
-
-# mirrors repro.mpilite.router without importing it (keeps this package
-# usable for static-only work without pulling the runtime in)
-_ANY = -1
+__all__ = ["Checker", "DeadlockError", "SendEvent", "TrackedCondition"]
 
 
 class DeadlockError(RuntimeError):
@@ -98,34 +95,17 @@ class DeadlockError(RuntimeError):
 
 
 class SendEvent(NamedTuple):
-    """One observed send, with the sender's clock at posting time.
+    """One observed send (the entries of :attr:`Checker.sends`).
 
     A NamedTuple, not a dataclass: one is built per message on the
     instrumented hot path, and tuple construction is several times
     cheaper than frozen-dataclass ``__init__``.
     """
 
-    eid: int
     src: int
     dst: int
     tag: int
     nbytes: int
-    vc: tuple[int, ...]
-
-
-class RecvEvent(NamedTuple):
-    """One observed receive completion and the send it matched."""
-
-    eid: int
-    rank: int
-    req_src: int  # requested source (may be ANY_SOURCE)
-    req_tag: int  # requested tag (may be ANY_TAG)
-    send: SendEvent
-
-    @property
-    def wildcard(self) -> bool:
-        """Whether the receive used a wildcard source or tag."""
-        return self.req_src == _ANY or self.req_tag == _ANY
 
 
 @dataclass
@@ -135,24 +115,19 @@ class _Blocked:
 
     rank: int
     kind: str  # "recv" | "collective"
-    src: int = _ANY
-    tag: int = _ANY
-    gen: int = -1
+    src: int = -1  # recv only
+    tag: int = -1  # recv only
+    gen: int = -1  # collective only
 
     def describe(self) -> str:
         if self.kind == "collective":
             return f"rank {self.rank} blocked in collective generation {self.gen}"
-        src = "ANY_SOURCE" if self.src == _ANY else str(self.src)
-        tag = "ANY_TAG" if self.tag == _ANY else str(self.tag)
-        return f"rank {self.rank} blocked in recv(source={src}, tag={tag})"
+        return f"rank {self.rank} blocked in recv(source={self.src}, tag={self.tag})"
 
 
 # ----------------------------------------------------------------------
-# vector-clock primitives over dynamic thread sets
-#
-# Rank clocks (repro.check.vclock) are fixed-width tuples because the
-# rank count is known up front; threads come and go, so these clocks
-# are sparse {tid: count} dicts with the same ordering semantics.
+# vector-clock primitives over dynamic thread sets: threads come and go,
+# so clocks are sparse {tid: count} dicts
 # ----------------------------------------------------------------------
 def _merge_into(dst: dict[int, int], src: dict[int, int]) -> None:
     for t, n in src.items():
@@ -221,17 +196,13 @@ class Checker:
         self.findings: list[Finding] = []
         self.events_observed = 0
         self._lock = threading.Lock()
-        # ranks: clocks, in-flight sends per (src, dst, tag) channel
-        # (FIFO like the router), the observed history
-        self._clock: list[tuple[int, ...]] = [vc_new(nranks) for _ in range(nranks)]
-        self._inflight: dict[tuple[int, int, int], deque[SendEvent]] = {}
+        # ranks: messages in flight per (src, dst, tag) channel (no
+        # entry when none is), the send log
+        self._inflight: dict[tuple[int, int, int], int] = {}
         self.sends: list[SendEvent] = []
-        self.recvs: list[RecvEvent] = []
-        self._next_eid = 0
         self._blocked: dict[tuple[int, int], _Blocked] = {}  # (rank, thread id) -> op
         self._finished: set[int] = set()
         self._coll_arrived: dict[int, set[int]] = {}
-        self._coll_clocks: dict[int, dict[int, tuple[int, ...]]] = {}
         self._coll_exits: dict[int, int] = {}
         self._deadlock: Finding | None = None
         self._deadlock_ranks: set[int] = set()
@@ -254,8 +225,8 @@ class Checker:
     def claim(self) -> None:
         """Taken by the :class:`~repro.mpilite.world.World` this checker
         observes, at its construction.  A second world raises
-        ``ValueError`` at once: the first run's finished ranks and clocks
-        would make a healthy second run read as a deadlock."""
+        ``ValueError`` at once: the first run's finished ranks and
+        in-flight counts would make a healthy second run read as a deadlock."""
         with self._lock:
             if self._claimed:
                 raise ValueError(
@@ -270,23 +241,22 @@ class Checker:
     def on_send(self, src: int, dst: int, tag: int, nbytes: int) -> None:
         """A message was deposited (called under the router lock)."""
         with self._lock:
-            self._clock[src] = vc_tick(self._clock[src], src)
-            ev = SendEvent(self._next_eid, src, dst, tag, nbytes, self._clock[src])
-            self._next_eid += 1
-            self._inflight.setdefault((src, dst, tag), deque()).append(ev)
-            self.sends.append(ev)
+            chan = (src, dst, tag)
+            self._inflight[chan] = self._inflight.get(chan, 0) + 1
+            self.sends.append(SendEvent(src, dst, tag, nbytes))
             self.events_observed += 1
 
-    def on_recv_complete(self, dst: int, src: int, tag: int, req_src: int, req_tag: int) -> None:
-        """A receive matched the in-flight message on (src, dst, tag)."""
+    def on_recv_complete(self, dst: int, src: int, tag: int) -> None:
+        """A receive took the oldest in-flight message on (src, dst, tag)."""
         with self._lock:
-            box = self._inflight.get((src, dst, tag))
-            if not box:  # attached mid-world; nothing to correlate
+            chan = (src, dst, tag)
+            n = self._inflight.get(chan)
+            if n is None:  # attached mid-world; nothing to correlate
                 return
-            ev = box.popleft()
-            self._clock[dst] = vc_tick_merge(self._clock[dst], dst, ev.vc)
-            self.recvs.append(RecvEvent(self._next_eid, dst, req_src, req_tag, ev))
-            self._next_eid += 1
+            if n == 1:
+                del self._inflight[chan]
+            else:
+                self._inflight[chan] = n - 1
             self.events_observed += 1
             # consuming a message can only doom a rank that counted on it,
             # and only rank *dst* can ever receive from this channel — so
@@ -326,28 +296,20 @@ class Checker:
     def on_collective_enter(self, rank: int, gen: int) -> None:
         """*rank* deposited into collective generation *gen*."""
         with self._lock:
-            self._clock[rank] = vc_tick(self._clock[rank], rank)
             self._coll_arrived.setdefault(gen, set()).add(rank)
-            self._coll_clocks.setdefault(gen, {})[rank] = self._clock[rank]
             self._blocked[(rank, threading.get_ident())] = _Blocked(rank, "collective", gen=gen)
             self.events_observed += 1
             self._dirty = True
             self._detect_locked()
             self._raise_if_deadlocked(rank)
 
-    def on_collective_exit(self, rank: int, gen: int, completed: bool = True) -> None:
-        """*rank* left generation *gen* (merging everyone's clock on success)."""
+    def on_collective_exit(self, rank: int, gen: int) -> None:
+        """*rank* left generation *gen* (completed or timed out)."""
         with self._lock:
             self._blocked.pop((rank, threading.get_ident()), None)
-            if completed:
-                merged = self._clock[rank]
-                for vc in self._coll_clocks.get(gen, {}).values():
-                    merged = vc_merge(merged, vc)
-                self._clock[rank] = merged
             self._coll_exits[gen] = self._coll_exits.get(gen, 0) + 1
             if self._coll_exits[gen] >= self.nranks:
                 self._coll_arrived.pop(gen, None)
-                self._coll_clocks.pop(gen, None)
                 self._coll_exits.pop(gen, None)
 
     def on_rank_finished(self, rank: int) -> None:
@@ -377,28 +339,18 @@ class Checker:
     # ------------------------------------------------------------------
     # deadlock detection
     # ------------------------------------------------------------------
-    def _inflight_match_locked(self, rank: int, src: int, tag: int) -> bool:
-        for (s, d, t), box in self._inflight.items():
-            if not box or d != rank:
-                continue
-            if (src == _ANY or s == src) and (tag == _ANY or t == tag):
-                return True
-        return False
-
     def _satisfiers(self, op: _Blocked) -> set[int]:
         """Ranks whose action could unblock *op*."""
         if op.kind == "collective":
             arrived = self._coll_arrived.get(op.gen, set())
             return {r for r in range(self.nranks) if r not in arrived}
-        if op.src == _ANY:
-            return {r for r in range(self.nranks) if r != op.rank}
         return {op.src}
 
     def _detect_locked(self) -> None:
         """Stuck-set fixpoint over the wait-for graph.
 
         Start from every finished or blocked rank; release any blocked
-        rank with a matching in-flight message or a potential satisfier
+        rank with a message in flight on its channel or a potential satisfier
         outside the stuck set; what remains blocked at the fixpoint is a
         deadlock.
 
@@ -417,7 +369,7 @@ class Checker:
             for rank, op in ops.items():
                 if rank not in stuck:
                     continue
-                if op.kind == "recv" and self._inflight_match_locked(rank, op.src, op.tag):
+                if op.kind == "recv" and (op.src, rank, op.tag) in self._inflight:
                     stuck.discard(rank)
                     changed = True
                     continue
@@ -636,43 +588,36 @@ class Checker:
     # the report
     # ------------------------------------------------------------------
     def finalize(self, context: str = "") -> CheckReport:
-        """The report: every finding so far plus the post-mortem analyses.
+        """The report: every finding so far plus the teardown accounting.
 
-        Call after the run returned (or failed): adds leaked requests,
-        unconsumed messages and message races (the latter verified by
-        replaying the permuted matching, see :mod:`repro.check.races`)
-        to the findings the live hooks recorded.  Idempotent.
+        Call after the run returned (or failed): adds leaked requests and
+        unconsumed messages to the findings the live hooks recorded.
+        Idempotent.
         """
-        from repro.check.races import analyze_races
-
         with self._lock:
             findings = list(self.findings)
             for req in self._requests.values():
                 if req._done:
                     continue
-                peer = "ANY_SOURCE" if req.peer == _ANY else str(req.peer)
-                tag = "ANY_TAG" if req.tag == _ANY else str(req.tag)
                 findings.append(Finding(
                     kind="leaked-request",
                     message=(
-                        f"rank {req.rank}: {req.kind}(peer={peer}, tag={tag}) was "
+                        f"rank {req.rank}: {req.kind}(peer={req.peer}, tag={req.tag}) was "
                         f"never completed with wait() before world teardown"
                     ),
                     ranks=(req.rank,),
                     details={"op": req.kind, "peer": req.peer, "tag": req.tag},
                 ))
-            for (src, dst, tag), box in sorted(self._inflight.items()):
-                if box:
-                    findings.append(Finding(
-                        kind="unconsumed-message",
-                        message=(
-                            f"{len(box)} message(s) from rank {src} to rank {dst} "
-                            f"with tag {tag} were never received"
-                        ),
-                        ranks=(src, dst),
-                        details={"tag": tag, "count": len(box)},
-                    ))
-            findings.extend(analyze_races(self.sends, self.recvs, self.nranks))
+            for (src, dst, tag), count in sorted(self._inflight.items()):
+                findings.append(Finding(
+                    kind="unconsumed-message",
+                    message=(
+                        f"{count} message(s) from rank {src} to rank {dst} "
+                        f"with tag {tag} were never received"
+                    ),
+                    ranks=(src, dst),
+                    details={"tag": tag, "count": count},
+                ))
             return CheckReport(
                 findings=findings, events_observed=self.events_observed, context=context
             )

@@ -171,11 +171,10 @@ def check_spmvm(
         report.merge(observed)
         if y is not None and not np.allclose(y, ref, rtol=1e-10, atol=1e-12):
             report.findings.append(Finding(
-                kind="message-race",
+                kind="wrong-result",
                 message=(
                     f"{label}: distributed result deviates from the serial kernel "
-                    f"(max |Δ| = {float(np.max(np.abs(y - ref))):.3e}) — nondeterministic "
-                    f"matching or an unreported unsynchronised access suspected"
+                    f"(max |Δ| = {float(np.max(np.abs(y - ref))):.3e})"
                 ),
             ))
 

@@ -1,10 +1,10 @@
 """Findings: the common currency of both analysis prongs.
 
-Every detector — dynamic (deadlock, message race, leaked request,
+Every detector — dynamic (deadlock, leaked request, unconsumed message,
 thread race) and static (plan, program and AST lint) — reports
 :class:`Finding` records with full provenance: the ranks involved, the
-plan channel/phase where applicable, and a free-form ``details`` payload (tags, peers, message
-ids, the permuted matching of a race, ...).  A :class:`CheckReport`
+plan channel/phase where applicable, and a free-form ``details`` payload
+(tags, peers, the wait-for cycle, the racing ops, ...).  A :class:`CheckReport`
 aggregates them with enough context to render a human-readable digest
 and to gate CI (zero findings = pass).
 """
@@ -17,18 +17,19 @@ from typing import Any, Iterable
 __all__ = ["FINDING_KINDS", "Finding", "CheckReport"]
 
 #: Every kind a report may carry (stable identifiers, used by tests and
-#: the CLI ``--seed-bug`` fixtures).  All but the last are detector
-#: diagnoses; ``world-failure`` is a run that raised without one, and it
-#: never counts as a detector firing.
+#: the CLI ``--seed-bug`` fixtures).  All but the last two are detector
+#: diagnoses; ``wrong-result`` is a finished run whose product is not the
+#: serial kernel's, ``world-failure`` a run that raised without a
+#: diagnosis, and neither ever counts as a detector firing.
 FINDING_KINDS = (
     "deadlock",
-    "message-race",
     "leaked-request",
     "unconsumed-message",
     "plan-lint",
     "program-lint",
     "thread-race",
     "ast-lint",
+    "wrong-result",
     "world-failure",
 )
 
@@ -38,7 +39,8 @@ class Finding:
     """One correctness diagnosis with provenance.
 
     ``ranks`` lists every rank implicated (cycle members for a deadlock,
-    the receiver for a race, the poster for a leak); ``channel``/``phase``
+    sender and receiver for an unconsumed message, the poster for a
+    leak); ``channel``/``phase``
     locate plan-lint findings inside a :class:`~repro.comm.plan.CommPlan`.
     """
 

@@ -62,21 +62,6 @@ def _collective_stall() -> CheckReport:
     return _observed_world("collective-stall", 3, fn)
 
 
-def _message_race() -> CheckReport:
-    """Two causally concurrent sends race for one wildcard receive."""
-    from repro.mpilite.router import ANY_SOURCE
-
-    def fn(comm) -> list[int] | None:
-        if comm.rank == 0:
-            first = comm.recv(ANY_SOURCE, tag=5)
-            second = comm.recv(ANY_SOURCE, tag=5)
-            return [first, second]
-        comm.send(comm.rank, 0, tag=5)
-        return None
-
-    return _observed_world("message-race", 3, fn)
-
-
 def _leaked_request() -> CheckReport:
     """A request never completed, and a message nobody ever receives."""
 
@@ -233,7 +218,6 @@ def _astlint_fixture(rule_name: str) -> Callable[[], CheckReport]:
 SEED_BUGS: dict[str, tuple[str, Callable[[], CheckReport]]] = {
     "deadlock-cycle": ("deadlock", _deadlock_cycle),
     "collective-stall": ("deadlock", _collective_stall),
-    "message-race": ("message-race", _message_race),
     "leaked-request": ("leaked-request", _leaked_request),
     "plan-lint": ("plan-lint", _plan_lint),
     **{name: ("thread-race", _seeded_program_fixture(name)) for name in SEEDED_PROGRAMS},

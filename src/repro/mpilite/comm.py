@@ -13,7 +13,11 @@ Rank and communication threads share one interpreter: everything here
 runs under the GIL, and only the compiled kernels (which release it)
 truly run beside it.  Timing is therefore the simulator's business
 (DESIGN.md), but the communication *semantics* are real: blocking
-receives, nonblocking requests, wildcard matching, deadlocks and all.
+receives, nonblocking requests, FIFO channels, deadlocks and all.
+Every receive names its source and tag, as the paper's halo exchange
+does (one ``MPI_Irecv`` per known neighbour), so no message's fate
+depends on thread timing; a peer outside the world or a negative tag is
+a ``ValueError`` at the call.
 Collectives match by generation, the n-th collective call of every
 rank; a generation whose ranks called different collectives fails on
 every one of them, with one error naming each rank's call (MPI leaves
@@ -38,11 +42,9 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.mpilite.router import ANY_SOURCE, ANY_TAG, Router, WorldAbortedError, wait_until
+from repro.mpilite.router import Router, WorldAbortedError, check_peer, wait_until
 
 __all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
     "Request",
     "Comm",
     "CollectiveState",
@@ -184,14 +186,14 @@ class CollectiveState:
                 lambda: self._check_abort(rank, gen),
             ):
                 if obs is not None:
-                    obs.on_collective_exit(rank, gen, completed=False)
+                    obs.on_collective_exit(rank, gen)
                 raise TimeoutError(
                     f"rank {rank}: collective generation {gen} never "
                     f"completed within {self.timeout} s"
                 )
             result = self._results[gen]
             if obs is not None:
-                obs.on_collective_exit(rank, gen, completed=True)
+                obs.on_collective_exit(rank, gen)
             # last reader of a generation cleans it up
             self._slots.setdefault(-gen - 1, {})[rank] = True
             if len(self._slots[-gen - 1]) == self.nranks:
@@ -248,9 +250,8 @@ class Comm:
     def recv(self, source: int, tag: int = 0, timeout: float | None = None) -> Any:
         """Blocking receive of the next message from *source* with *tag*.
 
-        *source*/*tag* may be :data:`ANY_SOURCE`/:data:`ANY_TAG`.  Raises
-        :class:`TimeoutError` naming the blocked rank, peer and tag after
-        *timeout* seconds (default: the communicator's
+        Raises :class:`TimeoutError` naming the blocked rank, peer and tag
+        after *timeout* seconds (default: the communicator's
         ``default_timeout``).
         """
         return self._router.get(self._rank, source, tag, timeout=self._timeout(timeout))
@@ -265,9 +266,11 @@ class Comm:
     def irecv(self, source: int, tag: int = 0, timeout: float | None = None) -> Request:
         """Nonblocking receive; :meth:`Request.wait` blocks for the data.
 
-        Under the dynamic analyzer the request is registered, so one
-        never completed is reported as leaked.
+        A *source* outside the world or a negative *tag* raises here, at
+        the post, not at the wait.  Under the dynamic analyzer the request
+        is registered, so one never completed is reported as leaked.
         """
+        check_peer(source, tag, self._router.nranks, "source")
         req = Request(
             lambda: self._router.get(
                 self._rank, source, tag, timeout=self._timeout(timeout)

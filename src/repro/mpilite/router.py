@@ -9,11 +9,10 @@ numpy payloads are copied on send so that the sender may reuse its
 buffer immediately — the same guarantee ``MPI_Send`` gives once it
 returns.
 
-Receives may use the :data:`ANY_SOURCE` / :data:`ANY_TAG` wildcards, in
-which case the oldest matching message (by global arrival order) wins —
-the nondeterministic matching that makes wildcard receives the classic
-source of MPI message races, and exactly what the dynamic analyzer in
-:mod:`repro.check` watches for.
+A receive names its sender and tag (the program posts one ``irecv`` per
+halo channel of a plan; there are no wildcards), so matching is one box
+lookup: each channel is FIFO, and which message a receive gets never
+depends on thread timing.
 
 An optional :attr:`Router.observer` (the world's
 :class:`repro.check.Checker`, set by :class:`repro.mpilite.world.World`)
@@ -35,14 +34,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-__all__ = [
-    "ANY_SOURCE", "ANY_TAG", "Router", "WorldAbortedError", "observer_wait_slice", "wait_until",
-]
-
-#: Wildcard source rank for receives (matches any sender).
-ANY_SOURCE = -1
-#: Wildcard tag for receives (matches any tag).
-ANY_TAG = -1
+__all__ = ["Router", "WorldAbortedError", "check_peer", "observer_wait_slice", "wait_until"]
 
 #: First observer-mode wait slice (seconds): how quickly a declared
 #: deadlock reaches a rank that has just blocked.
@@ -116,18 +108,19 @@ def wait_until(
             return found
 
 
+def check_peer(peer: int, tag: int, nranks: int, name: str) -> None:
+    """Raise ``ValueError`` unless *peer* is a rank of an *nranks*-rank
+    world and *tag* is an MPI tag (``>= 0``); *name* is the argument's."""
+    if not 0 <= peer < nranks:
+        raise ValueError(f"{name}={peer} out of range [0, {nranks})")
+    if tag < 0:
+        raise ValueError(f"tag={tag} out of range: MPI tags are >= 0")
+
+
 def _copy_payload(payload: Any) -> Any:
     if isinstance(payload, np.ndarray):
         return payload.copy()
     return payload
-
-
-def _describe_src(src: int) -> str:
-    return "ANY_SOURCE" if src == ANY_SOURCE else str(src)
-
-
-def _describe_tag(tag: int) -> str:
-    return "ANY_TAG" if tag == ANY_TAG else str(tag)
 
 
 class Router:
@@ -138,10 +131,7 @@ class Router:
             raise ValueError(f"nranks must be positive, got {nranks}")
         self.nranks = nranks
         self._lock = threading.Condition()
-        # each box holds (arrival seq, payload) so wildcard receives can
-        # pick the globally oldest matching message
-        self._boxes: dict[tuple[int, int, int], deque[tuple[int, Any]]] = {}
-        self._messages = 0
+        self._boxes: dict[tuple[int, int, int], deque[Any]] = {}
         self._abort_reason: str | None = None
         #: the world's :class:`repro.check.Checker`, or ``None`` (the
         #: fast path); set once, by the World that owns this router
@@ -165,91 +155,60 @@ class Router:
     def _check_abort(self, dst: int, src: int, tag: int, op: str) -> None:
         if self._abort_reason is not None:
             raise WorldAbortedError(
-                f"rank {dst}: {op} (peer {_describe_src(src)}, tag "
-                f"{_describe_tag(tag)}) aborted: {self._abort_reason}"
+                f"rank {dst}: {op} (peer {src}, tag {tag}) aborted: {self._abort_reason}"
             )
 
     def put(self, src: int, dst: int, tag: int, payload: Any) -> None:
         """Deposit a message (copies numpy payloads)."""
         self._check_rank(src, "src")
-        self._check_rank(dst, "dst")
+        check_peer(dst, tag, self.nranks, "dest")
         item = _copy_payload(payload)
         with self._lock:
             self._check_abort(src, dst, tag, "send")
-            self._boxes.setdefault((dst, src, tag), deque()).append((self._messages, item))
-            self._messages += 1
+            self._boxes.setdefault((dst, src, tag), deque()).append(item)
             if self.observer is not None:
                 nbytes = item.nbytes if isinstance(item, np.ndarray) else 0
                 self.observer.on_send(src, dst, tag, nbytes)
             self._lock.notify_all()
 
     def get(self, dst: int, src: int, tag: int, timeout: float | None = None) -> Any:
-        """Blocking receive of the next matching message.
+        """Blocking receive of the next message from *src* with *tag*.
 
-        *src* may be :data:`ANY_SOURCE` and *tag* may be :data:`ANY_TAG`;
-        the oldest matching message wins.  Raises :class:`TimeoutError`
-        if *timeout* (seconds) elapses — the safety net that turns an
-        mpilite deadlock into a test failure instead of a hang — naming
-        the blocked rank, the awaited peer, and the tag.
+        Raises :class:`TimeoutError` if *timeout* (seconds) elapses — the
+        safety net that turns an mpilite deadlock into a test failure
+        instead of a hang — naming the blocked rank, the awaited peer,
+        and the tag.
         """
         self._check_rank(dst, "dst")
-        if src != ANY_SOURCE:
-            self._check_rank(src, "src")
+        check_peer(src, tag, self.nranks, "source")
         deadline = None if timeout is None else time.monotonic() + timeout
+        key = (dst, src, tag)
         with self._lock:
             self._check_abort(dst, src, tag, "blocked receive")
-            key = self._match(dst, src, tag)
-            if key is not None:
-                return self._take(key, dst, src, tag)
-            obs = self.observer
-            try:
-                if obs is not None:
-                    obs.on_recv_blocked(dst, src, tag)
-                key = wait_until(
-                    self._lock, lambda: self._match(dst, src, tag), deadline, obs, dst,
-                    lambda: self._check_abort(dst, src, tag, "blocked receive"),
-                )
-                if key is None:
-                    raise TimeoutError(
-                        f"rank {dst}: blocked receive from {_describe_src(src)} "
-                        f"with tag {_describe_tag(tag)} timed out after {timeout} s"
+            box = self._boxes.get(key)
+            if not box:
+                obs = self.observer
+                try:
+                    if obs is not None:
+                        obs.on_recv_blocked(dst, src, tag)
+                    box = wait_until(
+                        self._lock, lambda: self._boxes.get(key), deadline, obs, dst,
+                        lambda: self._check_abort(dst, src, tag, "blocked receive"),
                     )
-                return self._take(key, dst, src, tag)
-            finally:
-                if obs is not None:
-                    obs.on_recv_unblocked(dst)
-
-    # ------------------------------------------------------------------
-    def _match(self, dst: int, src: int, tag: int) -> tuple[int, int, int] | None:
-        """Nonempty box key matching (dst, src, tag), honouring wildcards.
-
-        The caller holds the lock.  With wildcards the box whose head
-        message arrived first wins, so wildcard receives drain messages
-        in global arrival order.
-        """
-        if src != ANY_SOURCE and tag != ANY_TAG:
-            key = (dst, src, tag)
-            return key if self._boxes.get(key) else None
-        best: tuple[int, int, int] | None = None
-        best_seq = -1
-        for key, box in self._boxes.items():
-            if not box or key[0] != dst:
-                continue
-            if src != ANY_SOURCE and key[1] != src:
-                continue
-            if tag != ANY_TAG and key[2] != tag:
-                continue
-            if best is None or box[0][0] < best_seq:
-                best, best_seq = key, box[0][0]
-        return best
-
-    def _take(self, key: tuple[int, int, int], dst: int, req_src: int, req_tag: int) -> Any:
-        _seq, item = self._boxes[key].popleft()
-        if self.observer is not None:
-            self.observer.on_recv_complete(dst, key[1], key[2], req_src, req_tag)
-        return item
+                    if box is None:
+                        raise TimeoutError(
+                            f"rank {dst}: blocked receive from {src} "
+                            f"with tag {tag} timed out after {timeout} s"
+                        )
+                finally:
+                    if obs is not None:
+                        obs.on_recv_unblocked(dst)
+            item = box.popleft()
+            if self.observer is not None:
+                self.observer.on_recv_complete(dst, src, tag)
+            return item
 
     # ------------------------------------------------------------------
     def _check_rank(self, rank: int, name: str) -> None:
         if not (0 <= rank < self.nranks):
-            raise ValueError(f"{name}={rank} out of range for world size {self.nranks}")
+            raise ValueError(f"{name}={rank} out of range [0, {self.nranks})")

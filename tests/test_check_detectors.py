@@ -11,7 +11,6 @@ from repro.check import (
     run_seed_bug,
 )
 from repro.mpilite import run_spmd
-from repro.mpilite.router import ANY_SOURCE
 
 
 def _checked(nranks, fn, **world):
@@ -88,64 +87,6 @@ def test_three_rank_cycle():
     (finding,) = report.by_kind("deadlock")
     assert finding.ranks == (0, 1, 2)
     assert len(finding.details["cycle"]) == 3
-
-
-def test_wildcard_mutual_wait_is_diagnosed():
-    # both ranks wildcard-recv with nothing in flight: OR-wait deadlock
-    def fn(comm):
-        comm.recv(ANY_SOURCE, tag=0)
-
-    _results, report = _checked(2, fn, recv_timeout=20.0, timeout=30.0)
-    (finding,) = report.by_kind("deadlock")
-    assert finding.ranks == (0, 1)
-    assert "ANY_SOURCE" in finding.message
-
-
-# ----------------------------------------------------------------------
-# message races
-# ----------------------------------------------------------------------
-def test_wildcard_race_reports_both_senders_and_the_permutation():
-    fired, report = run_seed_bug("message-race")
-    assert fired
-    (finding,) = report.by_kind("message-race")
-    assert finding.ranks[0] == 0  # the receiver
-    assert set(finding.ranks[1:]) == {1, 2}  # the racing senders
-    assert "ANY_SOURCE" in finding.message
-    assert len(finding.details["permuted_matching"]) == 2
-
-
-def test_single_sender_wildcard_is_not_a_race():
-    def fn(comm):
-        if comm.rank == 0:
-            return [comm.recv(ANY_SOURCE, tag=5), comm.recv(ANY_SOURCE, tag=5)]
-        comm.send(comm.rank, 0, tag=5)
-        comm.send(comm.rank, 0, tag=5)
-        return None
-
-    results, report = _checked(2, fn, recv_timeout=10.0)
-    assert results is not None
-    assert report.ok, report.render()  # same-channel FIFO fixes the order
-
-
-def test_causally_ordered_sends_do_not_race():
-    # rank 1 sends; rank 0 relays a token to rank 2; rank 2 sends only
-    # after the token, so its send happens-after rank 1's: order is fixed
-    def fn(comm):
-        if comm.rank == 0:
-            first = comm.recv(1, tag=7)
-            comm.send("token", 2, tag=1)
-            second = comm.recv(ANY_SOURCE, tag=7)
-            return [first, second]
-        if comm.rank == 1:
-            comm.send("from1", 0, tag=7)
-        else:
-            comm.recv(0, tag=1)
-            comm.send("from2", 0, tag=7)
-        return None
-
-    results, report = _checked(3, fn, recv_timeout=10.0)
-    assert results is not None
-    assert report.ok, report.render()
 
 
 # ----------------------------------------------------------------------

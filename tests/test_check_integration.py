@@ -222,6 +222,27 @@ def test_cli_check_fails_on_any_finding(capsys, monkeypatch):
     assert "ast-lint" in capsys.readouterr().out
 
 
+def test_cli_check_files_a_wrong_product_as_wrong_result(capsys, monkeypatch):
+    # a run that finishes with the wrong numbers is one wrong-result
+    # finding stating the deviation, with no guess at its cause
+    real = driver.distributed_spmv
+
+    def perturbed(*args, **kwargs):
+        y = real(*args, **kwargs)
+        if kwargs["scheme"] == "task_mode" and kwargs["comm_plan"] == "direct":
+            y = y.copy()
+            y[0] += 1e-3
+        return y
+
+    monkeypatch.setattr(driver, "distributed_spmv", perturbed)
+    assert main(["check", "--scale", "tiny", "--nranks", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "1 finding(s) over" in out
+    (line,) = [ln for ln in out.splitlines() if ln.startswith("  - ")]
+    assert line.startswith("  - wrong-result: scheme=task_mode plan=direct spmv k=1: ")
+    assert line.endswith("deviates from the serial kernel (max |Δ| = 1.000e-03)")
+
+
 @pytest.mark.parametrize("name", sorted(SEED_BUGS))
 def test_cli_seed_bugs_fire(name, capsys):
     assert main(["check", "--seed-bug", name]) == 0

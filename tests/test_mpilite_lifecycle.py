@@ -158,7 +158,7 @@ class _CountingObserver:
     def on_collective_enter(self, *a):
         pass
 
-    def on_collective_exit(self, *a, **k):
+    def on_collective_exit(self, *a):
         pass
 
     def check_blocked(self, rank):

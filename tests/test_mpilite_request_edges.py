@@ -9,8 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.mpilite import PerRank, run_spmd
-from repro.mpilite.router import ANY_SOURCE, ANY_TAG
+from repro.mpilite import CollectiveState, Comm, PerRank, Router, run_spmd
 
 
 # ----------------------------------------------------------------------
@@ -48,37 +47,26 @@ def test_send_requests_complete_eagerly():
 
 
 # ----------------------------------------------------------------------
-# wildcard receives
+# peers and tags checked at the call
 # ----------------------------------------------------------------------
-def test_wildcard_receive_drains_in_global_arrival_order():
-    def fn(comm):
-        if comm.rank == 0:
-            return [comm.recv(ANY_SOURCE, tag=ANY_TAG) for _ in range(2)]
-        # rank 2 waits for rank 1's send to be forwarded before sending,
-        # so the global arrival order is deterministic
-        if comm.rank == 1:
-            comm.send("first", 0, tag=11)
-            comm.send("go", 2, tag=0)
-        else:
-            comm.recv(1, tag=0)
-            comm.send("second", 0, tag=12)
-        return None
+@pytest.mark.parametrize("call", ["send", "isend", "recv", "irecv"])
+def test_bad_peers_and_tags_are_rejected_at_the_call(call):
+    # every receive names its sender: a peer of -1 or a negative tag is
+    # an error at once, not a channel nobody sends on, waited on until
+    # the timeout (irecv raises when posted, not at wait())
+    comm = Comm(0, Router(2), CollectiveState(2), default_timeout=1.0)
+    sends = call in ("send", "isend")
+    name = "dest" if sends else "source"
+    op = getattr(comm, call)
 
-    results = run_spmd(3, fn, recv_timeout=10.0)
-    assert results[0] == ["first", "second"]
+    def invoke(peer, tag):
+        return op("x", peer, tag) if sends else op(peer, tag)
 
-
-def test_any_source_with_fixed_tag_filters_on_tag():
-    def fn(comm):
-        if comm.rank == 0:
-            comm.send("wrong-tag", 1, tag=5)
-            comm.send("right-tag", 1, tag=7)
-            return None
-        first = comm.recv(ANY_SOURCE, tag=7)
-        second = comm.recv(0, tag=5)
-        return [first, second]
-
-    assert run_spmd(2, fn, recv_timeout=10.0)[1] == ["right-tag", "wrong-tag"]
+    for peer in (-1, 2):
+        with pytest.raises(ValueError, match=rf"{name}={peer} out of range \[0, 2\)"):
+            invoke(peer, 0)
+    with pytest.raises(ValueError, match=r"tag=-1 out of range: MPI tags are >= 0"):
+        invoke(1, -1)
 
 
 # ----------------------------------------------------------------------
@@ -90,15 +78,6 @@ def test_recv_timeout_names_rank_peer_and_tag():
             comm.recv(1, tag=9, timeout=0.1)
 
     with pytest.raises(RuntimeError, match=r"rank 0.*from 1.*tag 9.*0\.1 s"):
-        run_spmd(2, fn, recv_timeout=10.0)
-
-
-def test_recv_timeout_describes_wildcards():
-    def fn(comm):
-        if comm.rank == 0:
-            comm.recv(ANY_SOURCE, tag=ANY_TAG, timeout=0.1)
-
-    with pytest.raises(RuntimeError, match="ANY_SOURCE.*ANY_TAG"):
         run_spmd(2, fn, recv_timeout=10.0)
 
 

@@ -79,6 +79,7 @@ def test_communicator_surface_is_pinned():
     # must be a conscious change here
     import inspect
 
+    import repro.mpilite
     from repro.mpilite import Comm, Request, Router
 
     def methods(cls):
@@ -93,6 +94,12 @@ def test_communicator_surface_is_pinned():
     ]
     assert methods(Request) == ["wait"]
     assert methods(Router) == ["abort", "get", "put"]
+    # the package surface too: the scan sees only defs, so a constant
+    # (a wildcard like ANY_SOURCE) could come back unnoticed
+    assert sorted(repro.mpilite.__all__) == [
+        "CollectiveState", "Comm", "PerRank", "ProcComm", "Request", "Router", "World",
+        "WorldAbortedError", "run_spmd", "run_spmd_processes",
+    ]
 
 
 def _resolve(ref: str):
