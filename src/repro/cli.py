@@ -348,9 +348,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_kernels(_args: argparse.Namespace) -> int:
-    """Name the one spMVM kernel and the executor under its row sums."""
+    """Name the one spMVM kernel, the executor under its row sums and the
+    simulator's flow engine."""
+    from repro.sparse import native
+
     print("spMVM kernel: csr/reference (CRS row sums; spmm is bit-identical per column to spmv)")
     print(_executor_lines())
+    status = native.status()
+    print(f"flow engine: {'compiled' if status.available else f'python ({status.reason})'}")
     return 0
 
 

@@ -16,6 +16,7 @@ owned part of the RHS; the halo buffer is small and cache-resident.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.core.halo import RankHalo
@@ -61,8 +62,8 @@ def phase_costs(
     send buffers — a node-aware communication plan packs deduplicated
     per-node sets instead of one segment per peer rank.
     """
-    if kappa < 0:
-        raise ValueError(f"kappa must be >= 0, got {kappa}")
+    if not 0 <= kappa < math.inf:
+        raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
     if block_k < 1:
         raise ValueError(f"block_k must be >= 1, got {block_k}")
     k = float(block_k)

@@ -178,6 +178,15 @@ def simulate_from_plan(
             name=f"rank{placement.rank}",
         )
     sim.run()
+    stuck = [ctx.rank for ctx in contexts if len(ctx.finish_times) < iterations]
+    if stuck:
+        flows = "; ".join(
+            f"{f.label} ({f.remaining:g} B left, rate {f.rate:g} B/s)" for f in net.live_flows()
+        )
+        raise RuntimeError(
+            f"simulation stalled at t={sim.now:g} s: rank(s) {stuck} never finished "
+            f"their {iterations} sweep(s); live flows: {flows or 'none'}"
+        )
     total = max(ctx.finish_times[-1] for ctx in contexts)
     return SimulationResult(
         scheme=scheme,

@@ -21,6 +21,7 @@ Example
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable, Generator, Iterable
 
 from repro.frame.events import SimEvent, all_of
@@ -81,8 +82,11 @@ class Simulator:
     # ------------------------------------------------------------------
     def schedule(self, delay: float, fn: Callable[[], None]) -> None:
         """Run *fn* after *delay* simulated seconds."""
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
+        if not 0 <= delay < math.inf:
+            raise ValueError(
+                f"cannot schedule into the past or never: delay must be finite and >= 0, "
+                f"got {delay}"
+            )
         self._seq += 1
         heapq.heappush(self._queue, (self.now + delay, self._seq, fn))
 

@@ -46,15 +46,28 @@ back to filling every live flow, and so does the recomputation after
 any filling that froze a resource a hair from the round's share.
 Busy time comes from a per-resource count of flows with a positive
 rate, kept by the fillings and by completions.
+
+(d) The code below is the *definition*; ``FlowNetwork(...)`` returns a
+second executor of it wherever the C library of
+:mod:`repro.sparse.native` loaded (:class:`_CompiledFlowNetwork`): the
+settle, the re-sum, the component walk, the filling and the
+next-completion scan in C, every float operation in the same order, so
+both give the same bits.  The library is accepted only if it replays a
+seeded probe (:func:`replay_mismatch`) exactly as this code does;
+without it this code runs.  There is no switch between the two.
 """
 
 from __future__ import annotations
 
+import ctypes
 import heapq
 import math
+import random
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Callable, Hashable
+
+import numpy as np
 
 from repro.frame.core import Simulator
 from repro.frame.events import SimEvent
@@ -133,12 +146,16 @@ class FlowNetwork:
         function; memory buses use their saturation curve.
     """
 
+    def __new__(cls, *args, **kwargs):
+        # the compiled executor runs wherever the library loaded
+        if cls is FlowNetwork and _engine() is not None:
+            cls = _CompiledFlowNetwork
+        return object.__new__(cls)
+
     def __init__(
         self, sim: Simulator, capacities: dict[ResourceKey, Callable[[float], float]]
     ) -> None:
-        self._sim = sim
-        self._res_index = {key: ri for ri, key in enumerate(capacities)}
-        self._cap_fns = list(capacities.values())
+        self._setup(sim, capacities)
         self._live: dict[Flow, None] = {}  # alive flows, in start order
         # resource -> its live flows (paused ones too) and their
         # multipliers, in start order
@@ -157,15 +174,28 @@ class FlowNetwork:
         # the last filling froze resources a hair apart together, so its
         # rates may hold a cross-component tie
         self._full_next = False
-        self._last_update = sim.now
-        self._epoch = 0
-        self._recalc_pending_at: float | None = None
         # per-resource utilization accounting
         nres = len(self._cap_fns)
         self._res_busy = [0.0] * nres
         self._res_bytes = [0.0] * nres
         self._res_hwm = [0] * nres
-        self._res_flows = [0] * nres
+
+    @classmethod
+    def _definition(cls, sim: Simulator, capacities: dict) -> "FlowNetwork":
+        """The Python executor, whether or not the compiled one loaded."""
+        net = object.__new__(cls)
+        net.__init__(sim, capacities)
+        return net
+
+    def _setup(self, sim: Simulator, capacities: dict) -> None:
+        """State both executors keep in Python."""
+        self._sim = sim
+        self._res_index = {key: ri for ri, key in enumerate(capacities)}
+        self._cap_fns = list(capacities.values())
+        self._res_flows = [0] * len(self._cap_fns)
+        self._last_update = sim.now
+        self._epoch = 0
+        self._recalc_pending_at: float | None = None
 
     # ------------------------------------------------------------------
     # public API
@@ -186,32 +216,25 @@ class FlowNetwork:
         with 3 hops uses multiplier 3.0 on the link pool).  Returns the
         flow; its ``done`` event fires on completion.
         """
-        if size < 0:
-            raise ValueError(f"flow size must be >= 0, got {size}")
+        if not 0 <= size < math.inf:
+            raise ValueError(f"flow size must be finite and >= 0, got {size}")
         if not demands:
             raise ValueError("a flow needs at least one resource demand")
-        if weight <= 0:
-            raise ValueError(f"flow weight must be positive, got {weight}")
-        if any(mult < 0 for mult in demands.values()):
-            raise ValueError(f"demand multipliers must be >= 0, got {demands}")
+        if not 0 < weight < math.inf:
+            raise ValueError(f"flow weight must be finite and positive, got {weight}")
+        if not all(0 <= mult < math.inf for mult in demands.values()):
+            raise ValueError(f"demand multipliers must be finite and >= 0, got {demands}")
         res_ids = [self._res_index[k] for k in demands]  # KeyError for unknown keys
         for rid in res_ids:
             self._res_flows[rid] += 1
-        flow = Flow(size, label, weight)
+        flow = self._flow_type(size, label, weight)
         if size <= _EPS_BYTES:
             # degenerate flow: complete via the queue so ordering relative
             # to other same-instant events stays consistent
             self._sim.schedule(0.0, lambda: flow.done.succeed(flow))
             return flow
         self._settle()
-        flow.remaining = flow.size
-        flow.paused = bool(paused)
-        flow.edges = tuple(zip(res_ids, map(float, demands.values())))
-        flow.alive = True
-        self._live[flow] = None
-        for rid, mult in flow.edges:
-            self._users.setdefault(rid, []).append((flow, mult))
-            self._changed.add(rid)
+        self._admit(flow, res_ids, [float(m) for m in demands.values()], bool(paused))
         self._mark_dirty()
         return flow
 
@@ -225,6 +248,10 @@ class FlowNetwork:
         if flow.alive and flow.paused:
             self._set_paused(flow, False)
 
+    def live_flows(self) -> list[Flow]:
+        """The flows that have not finished, in start order."""
+        return list(self._live)
+
     def resource_stats(self) -> dict[ResourceKey, ResourceStats]:
         """Per-resource utilization accumulated so far.
 
@@ -232,11 +259,12 @@ class FlowNetwork:
         instant before the snapshot is taken.
         """
         self._settle()
+        busy, moved, hwm = self._stats()
         return {
             key: ResourceStats(
-                busy_seconds=self._res_busy[ri],
-                bytes_moved=self._res_bytes[ri],
-                max_concurrent_flows=self._res_hwm[ri],
+                busy_seconds=busy[ri],
+                bytes_moved=moved[ri],
+                max_concurrent_flows=hwm[ri],
                 flows_started=self._res_flows[ri],
             )
             for key, ri in self._res_index.items()
@@ -245,6 +273,23 @@ class FlowNetwork:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+    _flow_type = Flow
+
+    def _admit(self, flow: Flow, res_ids: list[int], mults: list[float], paused: bool) -> None:
+        """Make *flow* live (settled up to now)."""
+        flow.remaining = flow.size
+        flow.paused = paused
+        flow.edges = tuple(zip(res_ids, mults))
+        flow.alive = True
+        self._live[flow] = None
+        for rid, mult in flow.edges:
+            self._users.setdefault(rid, []).append((flow, mult))
+            self._changed.add(rid)
+
+    def _stats(self) -> tuple[list[float], list[float], list[int]]:
+        """Busy seconds, bytes moved and high-water mark per resource."""
+        return self._res_busy, self._res_bytes, self._res_hwm
+
     def _set_paused(self, flow: Flow, paused: bool) -> None:
         self._settle()
         flow.paused = paused
@@ -510,13 +555,313 @@ class FlowNetwork:
         self._settle()
         self._recompute_rates()
         self._epoch += 1
-        epoch = self._epoch
         dts = [f.remaining / f.rate for f in self._live if f.rate > 0]
-        if not dts:
-            return
+        if dts:
+            self._schedule_completion(min(dts))
+
+    def _schedule_completion(self, delay: float) -> None:
+        """Reschedule after *delay*, unless something changes first."""
+        epoch = self._epoch
 
         def on_completion() -> None:
             if epoch == self._epoch:
                 self._reschedule()
 
-        self._sim.schedule(min(dts), on_completion)
+        self._sim.schedule(delay, on_completion)
+
+
+def _engine():
+    """The compiled flow engine, or None where the library is off."""
+    from repro.sparse import native
+
+    return native._flow
+
+
+class _CompiledFlow(Flow):
+    """A flow of the compiled executor: its bytes left live in the
+    network's array and are read from there."""
+
+    __slots__ = ("_net", "_slot")
+
+    def __init__(self, size: float, label: str, weight: float) -> None:
+        self.size = float(size)
+        self.done = SimEvent()
+        self.label = label
+        self.weight = float(weight)
+        self.rate = 0.0
+        self.paused = False
+        self.alive = False
+        self._net = None
+        self._slot = -1
+
+    @property
+    def remaining(self) -> float:
+        """Bytes left, as of the last engine update."""
+        return float(self._net._left[self._slot]) if self.alive else 0.0
+
+
+#: The arrays of the C ``FlowNet``, per dtype in the order they share one
+#: block: one entry per flow slot, per (slot, edge), or per resource (plus
+#: one); the results are sized for the larger of slots and resources.
+_ARRAYS = {
+    np.float64: (
+        ("weight", "slot"), ("left", "slot"), ("rate", "slot"), ("shown", "slot"),
+        ("emult", "edge"), ("umult", "edge"), ("outd", "result"),
+        *((name, "resource") for name in (
+            "busy", "bytes", "denom", "cap", "level", "acc_w", "acc_d", "share", "consumed",
+            "closed_level")),
+    ),
+    np.int64: (
+        ("paused", "slot"), ("nedge", "slot"), ("live", "slot"), ("flows", "slot"),
+        ("frozen", "slot"), ("erid", "edge"), ("uslot", "edge"), ("out", "result"),
+        *((name, "resource") for name in (
+            "hwm", "running", "summed", "has_level", "changed", "chlist", "acc_n", "uoff",
+            "plen", "open", "stamp", "rids", "closed", "npos")),
+    ),
+}
+
+
+class _CompiledFlowNetwork(FlowNetwork):
+    """The second executor of the engine above: the same settle, re-sum,
+    component walk, filling and next-completion scan in C
+    (:mod:`repro.sparse.native`), float operation for float operation.
+
+    Every flow holds a slot of the numpy arrays this object owns; C works
+    on them through the addresses in one ``FlowNet`` struct.  Python keeps
+    what calls back into Python: the capacity functions (C names the
+    changed resources and their active weights, Python evaluates them),
+    the ``done`` events of finished flows, and the ``rate`` of every flow
+    whose rate changed.
+    """
+
+    _flow_type = _CompiledFlow
+
+    def __init__(self, sim: Simulator, capacities: dict, engine=None) -> None:
+        self._setup(sim, capacities)
+        engine = engine or _engine()
+        self._c_start, self._c_pause = engine.start, engine.pause
+        self._c_settle, self._c_resum, self._c_fill = engine.settle, engine.resum, engine.fill
+        self._state = engine.FlowNet()
+        self._addr = ctypes.addressof(self._state)
+        self._state.nres = len(self._cap_fns)
+        self._where: dict[str, tuple[np.ndarray, int, int]] = {}  # array -> block, offset, size
+        self._slot_flow: list[_CompiledFlow | None] = []
+        self._free: list[int] = []
+        self._grow(32, 4)
+
+    def _grow(self, slots: int, stride: int) -> None:
+        """Room for *slots* flows of up to *stride* resources each: new
+        arrays (one block per dtype), holding what the old ones held, and
+        the struct pointed at them."""
+        state, before = self._state, len(self._slot_flow)
+        nres = state.nres + 1
+        sizes = {"slot": slots, "edge": slots * stride, "resource": nres,
+                 "result": max(slots, nres)}
+        old, self._where = self._where, {}
+        for dtype, fields in _ARRAYS.items():
+            block = np.zeros(sum(sizes[kind] for _name, kind in fields), dtype)
+            base = ctypes.addressof(ctypes.c_byte.from_buffer(block))
+            at = 0
+            for name, kind in fields:
+                setattr(state, name, base + 8 * at)
+                self._where[name] = (block, at, sizes[kind])
+                at += sizes[kind]
+        for fields in _ARRAYS.values() if before else ():
+            for name, kind in fields:
+                block, at, size = old[name]
+                held, array = block[at : at + size], self._array(name)
+                if kind == "edge":  # re-lay each slot's edges at the new stride
+                    width = state.stride
+                    array.reshape(slots, stride)[:before, :width] = held.reshape(before, width)
+                else:
+                    array[:size] = held
+        state.stride = self._stride = stride
+        self._left = self._array("left")
+        self._erid, self._emult = self._array("erid"), self._array("emult")
+        self._out, self._outd = self._array("out"), self._array("outd")
+        self._slot_flow += [None] * (slots - before)
+        self._free += range(slots - 1, before - 1, -1)
+
+    def _array(self, name: str) -> np.ndarray:
+        block, at, size = self._where[name]
+        return block[at : at + size]
+
+    def _admit(self, flow, res_ids, mults, paused):
+        if not self._free or len(res_ids) > self._stride:
+            self._grow(2 * len(self._slot_flow), max(self._stride, len(res_ids)))
+        slot = self._free.pop()
+        flow._net, flow._slot = self, slot
+        flow.paused = paused
+        flow.alive = True
+        self._slot_flow[slot] = flow
+        at = slot * self._stride
+        erid, emult = self._erid, self._emult
+        for i, rid in enumerate(res_ids):
+            erid[at + i] = rid
+            emult[at + i] = mults[i]
+        self._c_start(self._addr, slot, len(res_ids), paused, flow.weight, flow.size)
+
+    def live_flows(self):
+        slots = self._array("live")[: self._state.nlive].tolist()
+        return [self._slot_flow[slot] for slot in slots]
+
+    def _stats(self):
+        nres = self._state.nres
+        return tuple(self._array(name)[:nres].tolist() for name in ("busy", "bytes", "hwm"))
+
+    def _set_paused(self, flow, paused):
+        self._settle()
+        flow.paused = paused
+        if flow.alive:  # else it finished in the settle, which marked its resources
+            self._c_pause(self._addr, flow._slot, paused)
+        self._mark_dirty()
+
+    def _settle(self) -> None:
+        now = self._sim.now
+        dt = now - self._last_update
+        self._last_update = now
+        if dt <= 0:
+            return
+        n = self._c_settle(self._addr, dt)
+        if n:
+            slot_flow, free = self._slot_flow, self._free
+            finished = []
+            for slot in self._out[:n].tolist():
+                f = slot_flow[slot]
+                f.alive = False
+                f.rate = 0.0
+                slot_flow[slot] = None
+                free.append(slot)
+                finished.append(f)
+            for f in finished:
+                f.done.succeed(f)
+
+    def _reschedule(self) -> None:
+        self._settle()
+        out, outd = self._out, self._outd
+        need = self._c_resum(self._addr)
+        if need:
+            cap_fns = self._cap_fns
+            for i in range(need):
+                outd[i] = float(cap_fns[out.item(i)](outd.item(i)))
+        changed = self._c_fill(self._addr)
+        if changed:
+            slot_flow = self._slot_flow
+            for i in range(changed):
+                slot_flow[out.item(i)].rate = outd.item(i)
+        self._epoch += 1
+        delay = self._state.delay
+        if delay >= 0:  # -1: no flow is moving
+            self._schedule_completion(delay)
+
+
+class _LoggedSimulator(Simulator):
+    """A simulator that writes every delay it is asked to schedule to a log."""
+
+    def __init__(self, log: list) -> None:
+        super().__init__()
+        self._log = log
+
+    def schedule(self, delay: float, fn: Callable[[], None]) -> None:
+        self._log.append(float(delay).hex())
+        super().schedule(delay, fn)
+
+
+def _replay_probe(network: Callable, log: list) -> None:
+    """A seeded run of starts, pauses, resumes and finishes through the
+    network *network* builds, writing every scheduled delay and, after
+    each step, every flow's state, rate and bytes left to *log*, and at
+    the end every resource's statistics.
+
+    First the tie band, on resources of capacity 1 (5), 1 - 2e-13 (6),
+    1 + 5e-13 (7) and 1 + 1.01e-12 (8), one flow each: a standing flow
+    and a short one started together (one filling closes both, and the
+    next one is full), then short ones started later (a component round
+    a hair from, or just outside the band of, a closed resource), then a
+    settle that leaves a flow 5e-6 bytes, and one 5e-7 bytes, from its
+    end, and three flows whose weights sum differently in another order.
+    Then random churn over resources 0-4: two constant capacities,
+    two saturation curves and a capacity of 0 (its flows stall), random
+    weights and multipliers (0 among them: a flow with no bottleneck).
+    """
+    rng = random.Random(1101_0091)
+    sim = _LoggedSimulator(log)
+
+    def curve(w: float) -> float:
+        return 22.5 * w / (w + 0.8)
+
+    caps = [lambda w: 10.0, curve, lambda w: 7.3, lambda w: 3.0 * curve(w), lambda w: 0.0]
+    caps += [lambda w, c=c: c for c in (
+        1.0, 1.0 - 2e-13, 1.0 + 5e-13, 1.0 + 1.01e-12, 1.0, 0.5, 1.5 + 5e-13)]
+    net = network(sim, dict(enumerate(caps)))
+    flows: list[Flow] = []
+
+    def observe() -> None:
+        log.append(sim.now.hex())
+        log.extend((f.alive, f.paused, f.rate.hex(), f.remaining.hex()) for f in flows)
+
+    def run(until: float) -> None:
+        sim.run(until=until)
+        observe()
+
+    flows += [net.start_flow(1e9, {5: 1.0}), net.start_flow(0.5, {6: 1.0})]
+    run(0.0)
+    run(1.0)
+    flows += [net.start_flow(0.5, {7: 1.0}), net.start_flow(0.75, {8: 1.0}, weight=1.5)]
+    run(1.0)
+    run(3.0)
+    # a component whose second round lands a hair from resource 5's share
+    flows += [net.start_flow(2.0, {10: 1.0, 11: 1.0}), net.start_flow(2.0, {11: 1.0})]
+    run(3.0)
+    run(4.0)
+    flows.append(net.start_flow(2.0, {9: 1.0}))
+    run(6.0 - 5e-6)
+    net.resource_stats()  # settles 5e-6 bytes before the end: the flow stays
+    observe()
+    run(6.0)
+    flows.append(net.start_flow(1.0, {9: 1.0}))
+    run(7.0 - 5e-7)
+    net.resource_stats()  # 5e-7 bytes before the end: it finishes here
+    observe()
+    # 0.1 + 0.2 + 0.3 is not 0.3 + 0.2 + 0.1: sums run in start order
+    flows += [net.start_flow(3.0, {0: 1.0, 1: 0.5}, weight=w) for w in (0.1, 0.2, 0.3)]
+    run(12.0)
+    churn = flows[-1:]
+    for _ in range(80):
+        kind = rng.random()
+        if kind < 0.45:
+            rids = rng.sample(range(9) if rng.random() < 0.1 else range(5), rng.randint(1, 3))
+            mults = [rng.choice((0.0, 0.5, 1.0, 1.7, 3.0, rng.uniform(0.1, 4.0))) for _ in rids]
+            churn.append(net.start_flow(
+                rng.choice((rng.uniform(1.0, 60.0), rng.uniform(0.1, 2.0), 1e-7)),
+                dict(zip(rids, mults)),
+                weight=rng.choice((0.3, 0.7, 1.0, 1.9, rng.uniform(0.1, 3.0))),
+                paused=rng.random() < 0.2,
+            ))
+            flows.append(churn[-1])
+            observe()
+        elif kind < 0.62:
+            (net.pause if kind < 0.53 else net.resume)(rng.choice(churn))
+            observe()
+        else:
+            run(sim.now + rng.choice((0.0, rng.uniform(0.0, 3.0))))
+    run(sim.now + 100.0)
+    for stats in net.resource_stats().values():
+        log.append((stats.busy_seconds.hex(), stats.bytes_moved.hex(),
+                    stats.max_concurrent_flows, stats.flows_started))
+
+
+def replay_mismatch(engine) -> str | None:
+    """Replay the probe through the definition and through *engine* (a
+    :class:`repro.sparse.native.FlowEngine`); where their logs first
+    differ, or None."""
+    want: list = []
+    got: list = []
+    _replay_probe(FlowNetwork._definition, want)
+    _replay_probe(lambda sim, caps: _CompiledFlowNetwork(sim, caps, engine), got)
+    for i, (a, b) in enumerate(zip(want, got)):
+        if a != b:
+            return f"log entry {i}: {b} where the definition gives {a}"
+    if len(want) != len(got):
+        return f"{len(got)} log entries where the definition gives {len(want)}"
+    return None

@@ -151,7 +151,9 @@ class Torus2D(Interconnect):
     def __post_init__(self) -> None:
         check_positive_float(self.link_bandwidth, "link_bandwidth")
         check_positive_float(self.latency, "latency")
-        check_fraction(self.background_load, "background_load")
+        if check_fraction(self.background_load, "background_load") == 1.0:
+            # a fully loaded pool has capacity 0: every message would stall
+            raise ValueError(f"background_load must lie in [0, 1), got {self.background_load}")
         if self.message_overhead < 0:
             raise ValueError(f"message_overhead must be >= 0, got {self.message_overhead}")
 

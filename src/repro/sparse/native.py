@@ -1,4 +1,5 @@
-"""Compiled executor of the CRS row sums, and a matrix checksum: one C library, proven at load.
+"""Compiled executors of the CRS row sums and of the simulator's flow engine, and a
+matrix checksum: one C library, proven at load.
 
 Every kernel of the tree funnels through one function,
 :func:`repro.sparse.spmv._segmented_rowsums`, over an ``(n, k)`` block (a
@@ -27,11 +28,29 @@ no timed call ever pays for a compiler, a ``dlopen`` or the self-test:
    the first build both end with a valid library;
 3. it is accepted only if it matches the numpy executor **bit for bit**
    on a probe matrix (row lengths 0 … 300, mixed magnitudes, signed
-   zeros, k in {1, 3}, overwrite and add), and if its checksum (below)
-   reads every byte of a probe and nothing but the bytes.
+   zeros, k in {1, 3}, overwrite and add), if its checksum (below)
+   reads every byte of a probe and nothing but the bytes, and if its
+   flow engine (below) replays a seeded probe exactly as the Python one
+   does.
 
-No compiler, a failed build, a failed load or a failed self-test means
-one logged warning and numpy everywhere; :func:`status` says which.
+No compiler, a failed build, a failed load or a failed self-test of any
+part means one logged warning, then numpy, crc32 and the Python flow
+engine everywhere; :func:`status` says which.
+
+The library's third part is a second executor of
+:class:`repro.frame.resources.FlowNetwork`, whose Python code stays the
+definition: five entry points (start, pause, settle, re-sum, fill) over
+one ``FlowNet`` struct of addresses into numpy arrays the Python network
+owns, doing the definition's float operations in its order (sums in flow
+start order, the 1e-12 tie band, the closing shares, the full-refill
+flag, the stalled running counts).  :class:`FlowEngine` binds them and
+builds the struct's ctypes mirror from the C declaration itself.  The
+load-time replay (``repro.frame.resources.replay_mismatch``) compares
+every scheduled delay, rate, byte count left and ``ResourceStats`` field
+as ``float.hex``: the tie band from both sides, a component filling that
+gives up at its second round, settles 5e-6 and 5e-7 bytes from an end,
+sums that differ in another order, zero capacities and multipliers, and
+random churn.
 
 The same library holds a second function, ``repro_checksum``: a 64-bit
 hash of xxh64's construction, one pass over the bytes.  It is not at
@@ -64,6 +83,7 @@ import hashlib
 import logging
 import os
 import platform
+import re
 import shlex
 import shutil
 import subprocess
@@ -84,6 +104,7 @@ _LOG = logging.getLogger(__name__)
 FLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
 
 _SOURCE = r"""
+#include <math.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
@@ -291,6 +312,398 @@ repro_checksum(const unsigned char *p, intptr_t n, uint64_t seed)
     h = (h ^ (h >> 29)) * P3;
     return h ^ (h >> 32);
 }
+
+/* The flow engine: a second executor of repro.frame.resources.FlowNetwork
+ * (settle, re-sum, component walk, progressive filling, next completion).
+ * Every float operation is the Python code's, in its order: sums run in
+ * flow start order, a share is max(0, cap - consumed) / denom, a frozen
+ * rate weight * share.  Python owns every array; FlowNet holds their
+ * addresses (all fields 8 bytes, mirrored by a ctypes.Structure). */
+#define EPS_BYTES 1e-6
+#define TIE_BAND (1.0 + 1e-12)
+
+typedef struct {
+    /* flow slots; slot s's edges are [s * stride, s * stride + nedge[s]) */
+    double *weight, *left, *rate, *shown; /* shown: the rate Python holds */
+    i64 *paused, *nedge, *erid;
+    double *emult;
+    i64 stride;
+    i64 *live, nlive; /* live slots in start order */
+    i64 *flows, *frozen; /* scratch, one entry per slot */
+    /* resources */
+    i64 nres;
+    double *busy, *bytes, *denom, *cap, *level;
+    i64 *hwm, *running, *summed, *has_level, nlevels;
+    i64 *changed, *chlist, nch, any_runnable, full_next;
+    /* scratch, one entry per resource (uoff: nres + 1) */
+    double *acc_w, *acc_d, *share, *consumed, *closed_level;
+    i64 *acc_n, *uoff, *plen, *open, *stamp, *rids, *closed, *npos, epoch;
+    /* runnable users of each resource, in start order: [uoff[r], uoff[r + 1]) */
+    i64 *uslot;
+    double *umult;
+    /* results: finished slots, resources needing a capacity, rates to show */
+    i64 *out, nneed;
+    double *outd, delay;
+} FlowNet;
+
+INLINE double nonneg(double x) { return x > 0.0 ? x : 0.0; } /* max(0.0, x) */
+
+INLINE u64 bits(double x) { u64 b; memcpy(&b, &x, 8); return b; }
+
+INLINE void
+mark(FlowNet *n, i64 r)
+{
+    if (!n->changed[r]) {
+        n->changed[r] = 1;
+        n->chlist[n->nch++] = r;
+    }
+}
+
+INLINE void
+forget(FlowNet *n, i64 r)
+{
+    if (n->has_level[r]) {
+        n->has_level[r] = 0;
+        n->nlevels--;
+    }
+}
+
+void
+repro_flow_start(FlowNet *n, intptr_t s, intptr_t nedge, intptr_t paused, double weight,
+                 double size)
+{
+    i64 j;
+    n->weight[s] = weight;
+    n->left[s] = size;
+    n->rate[s] = n->shown[s] = 0.0;
+    n->paused[s] = paused;
+    n->nedge[s] = nedge;
+    n->live[n->nlive++] = s;
+    for (j = 0; j < nedge; j++) mark(n, n->erid[s * n->stride + j]);
+}
+
+void
+repro_flow_pause(FlowNet *n, intptr_t s, intptr_t paused)
+{
+    i64 j;
+    n->paused[s] = paused;
+    for (j = 0; j < n->nedge[s]; j++) mark(n, n->erid[s * n->stride + j]);
+}
+
+/* FlowNetwork._settle for dt > 0: move every running flow, count busy
+ * time, retire the finished ones (their slots go to out, in start
+ * order).  Returns how many finished. */
+intptr_t
+repro_flow_settle(FlowNet *n, double dt)
+{
+    i64 k, j, r, s, keep = 0, nfin = 0, S = n->stride;
+    for (k = 0; k < n->nlive; k++) {
+        s = n->live[k];
+        double rate = n->rate[s];
+        if (n->paused[s] || rate <= 0) {
+            n->live[keep++] = s;
+            continue;
+        }
+        const i64 *er = n->erid + s * S;
+        const double *em = n->emult + s * S;
+        for (j = 0; j < n->nedge[s]; j++) n->bytes[er[j]] += rate * em[j] * dt;
+        double left = n->left[s] - rate * dt;
+        n->left[s] = left;
+        if (left <= EPS_BYTES)
+            n->out[nfin++] = s;
+        else
+            n->live[keep++] = s;
+    }
+    n->nlive = keep;
+    for (r = 0; r < n->nres; r++)
+        if (n->running[r]) n->busy[r] += dt;
+    for (k = 0; k < nfin; k++) {
+        s = n->out[k];
+        n->rate[s] = n->left[s] = 0.0;
+        for (j = 0; j < n->nedge[s]; j++) {
+            r = n->erid[s * S + j];
+            n->running[r]--;
+            mark(n, r);
+        }
+    }
+    return nfin;
+}
+
+/* The first half of FlowNetwork._recompute_rates: re-sum the changed
+ * resources over their runnable flows in start order.  A changed
+ * resource with a runnable flow goes to out with its active weight in
+ * outd, and the caller puts its capacity function's value in its place.
+ * Returns how many there are. */
+intptr_t
+repro_flow_resum(FlowNet *n)
+{
+    i64 c, k, j, r, s, need = 0, S = n->stride;
+    for (c = 0; c < n->nch; c++) {
+        r = n->chlist[c];
+        n->acc_w[r] = n->acc_d[r] = 0.0;
+        n->acc_n[r] = 0;
+    }
+    for (k = 0; k < n->nlive; k++) {
+        s = n->live[k];
+        for (j = 0; j < n->nedge[s]; j++) {
+            r = n->erid[s * S + j];
+            if (!n->changed[r]) continue;
+            if (n->paused[s]) {
+                n->rate[s] = 0.0;
+            } else {
+                n->acc_w[r] += n->weight[s];
+                n->acc_d[r] += n->weight[s] * n->emult[s * S + j];
+                n->acc_n[r]++;
+            }
+        }
+    }
+    n->any_runnable = 0;
+    for (c = 0; c < n->nch; c++) {
+        r = n->chlist[c];
+        if (!n->acc_n[r]) {
+            n->summed[r] = 0;
+            n->running[r] = 0;
+            forget(n, r);
+            continue;
+        }
+        n->any_runnable = 1;
+        if (n->acc_n[r] > n->hwm[r]) n->hwm[r] = n->acc_n[r];
+        n->summed[r] = 1;
+        n->denom[r] = n->acc_d[r];
+        n->out[need] = r;
+        n->outd[need++] = n->acc_w[r];
+    }
+    n->nneed = need;
+    return need;
+}
+
+/* Every summed resource's runnable users, in start order. */
+static void
+build_users(FlowNet *n)
+{
+    i64 k, j, r, s, S = n->stride, *cnt = n->uoff + 1;
+    for (r = 0; r <= n->nres; r++) n->uoff[r] = 0;
+    for (k = 0; k < n->nlive; k++) {
+        s = n->live[k];
+        if (n->paused[s]) continue;
+        for (j = 0; j < n->nedge[s]; j++) cnt[n->erid[s * S + j]]++;
+    }
+    for (r = 0; r < n->nres; r++) {
+        n->plen[r] = 0;
+        n->uoff[r + 1] += n->uoff[r];
+    }
+    for (k = 0; k < n->nlive; k++) {
+        s = n->live[k];
+        if (n->paused[s]) continue;
+        for (j = 0; j < n->nedge[s]; j++) {
+            r = n->erid[s * S + j];
+            i64 at = n->uoff[r] + n->plen[r]++;
+            n->uslot[at] = s;
+            n->umult[at] = n->emult[s * S + j];
+        }
+    }
+}
+
+/* FlowNetwork._fill over the nf flows in n->flows (rates -1) and the nr
+ * resources in n->rids.  Returns 0 at a round within the tie band of an
+ * outside resource's closing share, but not equal to it. */
+static int
+fill(FlowNet *n, i64 nr, i64 nf)
+{
+    i64 i, u, z, j, r, s, S = n->stride;
+    i64 unfrozen = nf, nclosed = 0, nfz;
+    int exact = 1, stalled = 0;
+    for (i = 0; i < nr; i++) {
+        r = n->rids[i];
+        forget(n, r);
+        n->plen[r] = n->uoff[r + 1] - n->uoff[r];
+        n->open[r] = n->denom[r] > 0;
+        if (n->open[r]) {
+            n->share[r] = n->cap[r] / n->denom[r];
+            n->consumed[r] = 0.0;
+        }
+    }
+    for (;;) {
+        int have = 0;
+        double s_min = 0.0, limit;
+        for (i = 0; i < nr; i++) {
+            r = n->rids[i];
+            if (n->open[r] && (!have || n->share[r] < s_min)) {
+                s_min = n->share[r];
+                have = 1;
+            }
+        }
+        if (!have || s_min == INFINITY) break;
+        limit = s_min * TIE_BAND;
+        if (n->nlevels)
+            for (r = 0; r < n->nres; r++) {
+                double lv = n->level[r];
+                if (n->has_level[r] &&
+                    ((lv < s_min && s_min <= lv * TIE_BAND) || (lv > s_min && lv <= limit)))
+                    return 0;
+            }
+        nfz = 0;
+        for (i = 0; i < nr; i++) {
+            r = n->rids[i];
+            if (!n->open[r] || !(n->share[r] <= limit)) continue;
+            n->open[r] = 0;
+            n->closed[nclosed] = r;
+            n->closed_level[nclosed++] = s_min;
+            if (n->share[r] != s_min) exact = 0;
+            for (u = n->uoff[r]; u < n->uoff[r] + n->plen[r]; u++) {
+                s = n->uslot[u];
+                if (n->rate[s] < 0) {
+                    n->rate[s] = n->weight[s] * s_min;
+                    n->frozen[nfz++] = s;
+                    if (n->rate[s] == 0) stalled = 1;
+                }
+            }
+        }
+        unfrozen -= nfz;
+        n->epoch++;
+        for (z = 0; z < nfz; z++) {
+            s = n->frozen[z];
+            for (j = 0; j < n->nedge[s]; j++) {
+                r = n->erid[s * S + j];
+                if (n->stamp[r] == n->epoch) continue;
+                n->stamp[r] = n->epoch;
+                if (!n->open[r]) continue;
+                double c = n->consumed[r], d = 0.0;
+                i64 keep = n->uoff[r];
+                for (u = n->uoff[r]; u < n->uoff[r] + n->plen[r]; u++) {
+                    i64 t = n->uslot[u];
+                    double m = n->umult[u];
+                    if (n->rate[t] >= 0) {
+                        c += n->rate[t] * m;
+                    } else {
+                        d += n->weight[t] * m;
+                        n->uslot[keep] = t;
+                        n->umult[keep++] = m;
+                    }
+                }
+                n->consumed[r] = c;
+                if (d > 0) {
+                    n->plen[r] = keep - n->uoff[r];
+                    n->share[r] = nonneg(n->cap[r] - c) / d;
+                } else {
+                    n->open[r] = 0;
+                }
+            }
+        }
+    }
+    if (unfrozen) {
+        stalled = 1;
+        for (z = 0; z < nf; z++)
+            if (n->rate[n->flows[z]] < 0) n->rate[n->flows[z]] = 0.0;
+    }
+    for (i = 0; i < nclosed; i++) {
+        r = n->closed[i];
+        n->level[r] = n->closed_level[i];
+        n->has_level[r] = 1;
+        n->nlevels++;
+    }
+    if (stalled) {
+        for (i = 0; i < nr; i++) n->npos[n->rids[i]] = 0;
+        for (z = 0; z < nf; z++) {
+            s = n->flows[z];
+            if (n->rate[s] > 0)
+                for (j = 0; j < n->nedge[s]; j++) n->npos[n->erid[s * S + j]]++;
+        }
+    }
+    for (i = 0; i < nr; i++) {
+        r = n->rids[i];
+        n->running[r] = stalled ? n->npos[r] : n->uoff[r + 1] - n->uoff[r];
+    }
+    n->full_next = !exact;
+    return 1;
+}
+
+/* FlowNetwork._component + _fill: the runnable flows reachable from the
+ * changed resources, resource to flow to resource. */
+static int
+fill_component(FlowNet *n)
+{
+    i64 c, i, u, j, r, s, nr = 0, nf = 0, S = n->stride;
+    build_users(n);
+    n->epoch++;
+    for (c = 0; c < n->nch; c++) {
+        r = n->chlist[c];
+        n->stamp[r] = n->epoch;
+        if (n->summed[r]) n->rids[nr++] = r;
+    }
+    for (i = 0; i < nr; i++) { /* grows while it is walked */
+        r = n->rids[i];
+        for (u = n->uoff[r]; u < n->uoff[r + 1]; u++) {
+            s = n->uslot[u];
+            if (n->rate[s] >= 0) {
+                n->rate[s] = -1.0;
+                n->flows[nf++] = s;
+                for (j = 0; j < n->nedge[s]; j++) {
+                    i64 q = n->erid[s * S + j];
+                    if (n->stamp[q] != n->epoch) {
+                        n->stamp[q] = n->epoch;
+                        n->rids[nr++] = q;
+                    }
+                }
+            }
+        }
+    }
+    return fill(n, nr, nf);
+}
+
+/* FlowNetwork._fill_all */
+static void
+fill_all(FlowNet *n)
+{
+    i64 k, r, s, nr = 0, nf = 0;
+    for (k = 0; k < n->nlive; k++) {
+        s = n->live[k];
+        if (n->paused[s]) {
+            n->rate[s] = 0.0;
+        } else {
+            n->rate[s] = -1.0;
+            n->flows[nf++] = s;
+        }
+    }
+    n->nlevels = 0;
+    for (r = 0; r < n->nres; r++) {
+        n->has_level[r] = n->running[r] = 0;
+        if (n->summed[r]) n->rids[nr++] = r;
+    }
+    build_users(n); /* a failed component filling left its lists short */
+    fill(n, nr, nf);
+}
+
+/* The second half of FlowNetwork._recompute_rates, after the caller put
+ * the capacities of the resources repro_flow_resum named in outd; then
+ * the next completion of _reschedule (delay, -1 for none).  The slots
+ * whose rate changed go to out and their rates to outd.  Returns how many
+ * there are. */
+intptr_t
+repro_flow_fill(FlowNet *n)
+{
+    i64 i, k, s, nout = 0;
+    double best = -1.0;
+    for (i = 0; i < n->nneed; i++) n->cap[n->out[i]] = nonneg(n->outd[i]);
+    if (n->full_next || (n->any_runnable && !fill_component(n))) fill_all(n);
+    for (i = 0; i < n->nch; i++) n->changed[n->chlist[i]] = 0;
+    n->nch = n->nneed = 0;
+    for (k = 0; k < n->nlive; k++) {
+        s = n->live[k];
+        double rate = n->rate[s];
+        if (bits(rate) != bits(n->shown[s])) {
+            n->shown[s] = rate;
+            n->out[nout] = s;
+            n->outd[nout++] = rate;
+        }
+        if (rate > 0) {
+            double d = n->left[s] / rate;
+            if (best < 0 || d < best) best = d;
+        }
+    }
+    n->delay = best;
+    return nout;
+}
 """
 
 #: Row lengths of the load-time probe: empty, the sequential range, both
@@ -344,6 +757,7 @@ _from_buffer = ctypes.c_byte.from_buffer
 # only read afterwards.
 _kernel = None
 _checksum = None
+_flow = None  # a FlowEngine
 _status = NativeStatus(False, None, None, FLAGS, "repro.sparse has not been imported")
 
 
@@ -429,11 +843,47 @@ def _library() -> tuple[Path, str | None]:
     return lib, shlex.join(cc)
 
 
+def _flownet_fields(source: str) -> list[tuple[str, type]]:
+    """The ctypes fields of the C ``FlowNet`` struct, read off *source*:
+    every member is 8 bytes, an address, an int64 or a double."""
+    body = source.split("typedef struct {", 1)[1].split("} FlowNet;", 1)[0]
+    fields = []
+    for decl in re.sub(r"/\*.*?\*/", "", body, flags=re.S).split(";")[:-1]:
+        ctype, *names = decl.replace(",", " ").split()
+        for name in names:
+            if name.startswith("*"):
+                fields.append((name[1:], ctypes.c_void_p))
+            else:
+                fields.append((name, ctypes.c_double if ctype == "double" else ctypes.c_int64))
+    return fields
+
+
+class FlowEngine:
+    """The flow engine's five entry points in one library, and the struct
+    they share (:class:`repro.frame.resources.FlowNetwork` drives them)."""
+
+    def __init__(self, cdll, source: str) -> None:
+        self.FlowNet = type("FlowNet", (ctypes.Structure,), {"_fields_": _flownet_fields(source)})
+        address, count, double = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
+        # every argument after the struct's address is an intptr_t or a double
+        for name, args, result in (
+            ("start", (address,) * 3 + (double,) * 2, None),  # slot, edges, paused, weight, size
+            ("pause", (address,) * 2, None),  # slot, paused
+            ("settle", (double,), count),  # dt
+            ("resum", (), count),
+            ("fill", (), count),
+        ):
+            fn = getattr(cdll, f"repro_flow_{name}")
+            fn.argtypes, fn.restype = [address, *args], result
+            setattr(self, name, fn)
+
+
 def _bind(lib: Path):
-    """``(repro_rowsums, repro_checksum)`` of *lib*, typed for ctypes."""
+    """``(repro_rowsums, repro_checksum, FlowEngine)`` of *lib*, typed for ctypes."""
     try:
         cdll = ctypes.CDLL(str(lib))
         fn, digest = cdll.repro_rowsums, cdll.repro_checksum
+        flow = FlowEngine(cdll, _SOURCE)
     except (OSError, AttributeError) as exc:
         raise _Unavailable(f"loading {lib} failed: {exc}") from exc
     # every argument as c_void_p, the integers too: ctypes converts a
@@ -443,7 +893,7 @@ def _bind(lib: Path):
     fn.restype = ctypes.c_ssize_t
     digest.argtypes = [ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_uint64]
     digest.restype = ctypes.c_uint64
-    return fn, digest
+    return fn, digest, flow
 
 
 def _address(array: np.ndarray) -> int:
@@ -458,10 +908,11 @@ def _address(array: np.ndarray) -> int:
 
 
 def _self_test(kernels) -> None:
-    """Accept the library only if both of its functions pass their probe."""
-    fn, digest = kernels
+    """Accept the library only if each of its parts passes its probe."""
+    fn, digest, flow = kernels
     _test_rowsums(fn)
     _test_checksum(digest)
+    _test_flow(flow)
 
 
 def _test_rowsums(fn) -> None:
@@ -524,22 +975,41 @@ def _test_checksum(digest) -> None:
             probe[i] ^= 0xFF
 
 
+def _test_flow(flow) -> None:
+    """Accept *flow* only if it replays the flow engine's probe bit for bit."""
+    from repro.frame.resources import replay_mismatch
+
+    try:
+        mismatch = replay_mismatch(flow)
+    except Exception as exc:  # noqa: BLE001 - any failure of the replay rejects the library
+        mismatch = f"the replay raised {exc!r}"
+    if mismatch:
+        raise _Unavailable(
+            f"self-test failed: the flow engine does not reproduce FlowNetwork bit for "
+            f"bit ({mismatch})"
+        )
+
+
 def load() -> NativeStatus:
     """Find or build the library, prove it, switch it on.  Never raises.
 
     Called once, by ``repro/sparse/__init__.py``.
     """
-    global _kernel, _checksum, _status
+    global _kernel, _checksum, _flow, _status
     lib = compiler = None
+    _kernel = _checksum = _flow = None
     try:
         lib, compiler = _library()
         kernels = _bind(lib)
         _self_test(kernels)
     except _Unavailable as exc:
         _status = NativeStatus(False, str(lib) if lib else None, compiler, FLAGS, str(exc))
-        _LOG.warning("compiled row-sum executor is off, numpy runs instead: %s", exc)
+        _LOG.warning(
+            "compiled row-sum executor is off, numpy runs instead and the flow engine runs "
+            "in Python: %s", exc,
+        )
     else:
-        _kernel, _checksum = kernels
+        _kernel, _checksum, _flow = kernels
         _status = NativeStatus(True, str(lib), compiler, FLAGS, None)
     return _status
 

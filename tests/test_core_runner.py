@@ -111,3 +111,26 @@ def test_trace_collection(sim_matrix):
     labels = {s.label for s in r.trace.spans}
     assert "local spMVM" in labels
     assert "MPI_Waitall" in labels
+
+
+def test_a_torus_with_no_capacity_left_is_rejected():
+    from repro.machine import Torus2D
+
+    with pytest.raises(ValueError, match=r"background_load must lie in \[0, 1\), got 1.0"):
+        Torus2D(latency=1e-6, background_load=1.0)
+
+
+def test_a_stalled_simulation_names_the_ranks_and_their_flows(hmep_tiny):
+    """Built past the check, a torus whose link pool has capacity 0 stalls
+    every inter-node message: the run ends with the ranks that never
+    finished and the flows left, not with an IndexError."""
+    import dataclasses
+
+    from repro.machine import Torus2D
+
+    cluster = cray_xe6_cluster(2)
+    torus = Torus2D(latency=1e-6)
+    object.__setattr__(torus, "background_load", 1.0)
+    with pytest.raises(RuntimeError, match=r"rank\(s\) \[0, 1\] never finished") as info:
+        simulate_spmvm(hmep_tiny, dataclasses.replace(cluster, network=torus), mode="per-node")
+    assert "msg 0->1" in str(info.value) and "rate 0 B/s" in str(info.value)

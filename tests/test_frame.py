@@ -354,3 +354,45 @@ def test_resource_stats_paused_flow_accrues_nothing():
     assert stats["bus"].bytes_moved == pytest.approx(50.0)
     # busy only during the 5 s of actual transfer, not the 4 s gate
     assert stats["bus"].busy_seconds == pytest.approx(5.0)
+
+
+# ----------------------------------------------------------------------
+# non-finite inputs are rejected where they enter, not simulated forever
+# ----------------------------------------------------------------------
+def _start(**kwargs):
+    def call():
+        net = FlowNetwork(Simulator(), {"r": lambda w: 1.0})
+        args = {"size": 1.0, "demands": {"r": 1.0}} | kwargs
+        net.start_flow(args.pop("size"), args.pop("demands"), **args)
+    return call
+
+
+def _phase_costs(kappa):
+    def call():
+        from repro.core import build_halo_plan, phase_costs
+        from repro.matrices import random_sparse
+        from repro.sparse import partition_matrix
+
+        A = random_sparse(40, nnzr=4, seed=1)
+        halo = build_halo_plan(A, partition_matrix(A, 2), with_matrices=False).ranks[0]
+        phase_costs(halo, kappa)
+    return call
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(_phase_costs(float("nan")), "kappa .* got nan", id="kappa-nan"),
+    pytest.param(_phase_costs(float("inf")), "kappa .* got inf", id="kappa-inf"),
+    pytest.param(_start(size=float("nan")), "size .* got nan", id="size-nan"),
+    pytest.param(_start(size=float("inf")), "size .* got inf", id="size-inf"),
+    pytest.param(_start(weight=float("nan")), "weight .* got nan", id="weight-nan"),
+    pytest.param(_start(weight=float("inf")), "weight .* got inf", id="weight-inf"),
+    pytest.param(_start(demands={"r": float("nan")}), "multipliers .* nan", id="mult-nan"),
+    pytest.param(_start(demands={"r": float("inf")}), "multipliers .* inf", id="mult-inf"),
+    pytest.param(lambda: Simulator().schedule(float("nan"), lambda: None), "delay .* got nan",
+                 id="delay-nan"),
+    pytest.param(lambda: Simulator().schedule(float("inf"), lambda: None), "delay .* got inf",
+                 id="delay-inf"),
+])
+def test_non_finite_inputs_are_rejected_at_their_boundary(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

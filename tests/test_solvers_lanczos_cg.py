@@ -173,6 +173,30 @@ def test_lanczos_second_pass_runs_where_alpha_dominates_and_not_on_the_hamiltoni
     assert np.abs(V @ V.T - np.eye(len(V))).max() <= 1e-13
 
 
+@pytest.mark.parametrize("n_eigenvalues, max_iter", [(1, 150), (1, 12), (2, 150), (3, 1)])
+def test_ritz_vector_reuses_the_last_steps_pair(sym_matrix, monkeypatch, n_eigenvalues, max_iter):
+    """One dstebz per step and none after the loop when the last step
+    solved for the lone lowest pair (converged or out of iterations);
+    one more when it solved for several.  The Ritz vector and the
+    eigenvalues are the bits of the final count-1 solve."""
+    import scipy.linalg.lapack as lapack
+
+    calls = []
+    real = lapack.dstebz
+    monkeypatch.setattr(lapack, "dstebz", lambda *a: calls.append(a[-2]) or real(*a))
+    op = SerialOperator(sym_matrix)
+    res, V = _lanczos_with_basis(op, max_iter, 1e-9, n_eigenvalues, 3, True, True, None)
+    k = res.iterations
+    fresh = min(n_eigenvalues, k) > 1
+    assert len(calls) == k - 1 + fresh  # step 1's 1 x 1 matrix is answered without LAPACK
+    want_evals, _ = _lowest_ritz_pairs(res.alpha, res.beta, min(n_eigenvalues, k))
+    _, s = _lowest_ritz_pairs(res.alpha, res.beta, 1)
+    want = s[:, 0] @ V[:k]
+    want /= op.norm(want)
+    assert np.array_equal(res.eigenvalues.view(np.uint64), want_evals.view(np.uint64))
+    assert np.array_equal(res.ritz_vector.view(np.uint64), want.view(np.uint64))
+
+
 def test_lanczos_without_reorthogonalisation_holds_two_rows(sym_matrix):
     op = _ReductionCounter(sym_matrix)
     res, V = _lanczos_with_basis(op, 60, 0.0, 1, 1, False, False, None)

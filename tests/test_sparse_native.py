@@ -11,6 +11,7 @@ runs (``CC=false`` against a warm cache); the fallback tests run everywhere.
 
 import gc
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -435,6 +436,36 @@ def test_self_test_rejects_a_checksum_that_misses_bytes(edits, tmp_path):
         native._self_test(native._bind(lib))
 
 
+#: The flow engine's re-sum walks the live flows in start order.
+_FLOW_RESUM_LOOP = (
+    "    for (k = 0; k < n->nlive; k++) {\n        s = n->live[k];\n"
+    "        for (j = 0; j < n->nedge[s]; j++) {\n            r = n->erid[s * S + j];\n"
+    "            if (!n->changed[r]) continue;"
+)
+
+
+@needs_compiler
+def test_a_flow_engine_summing_in_reverse_start_order_is_rejected(monkeypatch, tmp_path, caplog):
+    """The load-time self-test replays a probe through both flow engines:
+    a library whose re-sum runs in reverse start order fails it, load()
+    logs one warning, and the Python engine runs."""
+    from repro.frame import FlowNetwork, Simulator
+
+    assert native._SOURCE.count(_FLOW_RESUM_LOOP) == 1
+    backward = _FLOW_RESUM_LOOP.replace("k = 0; k < n->nlive; k++", "k = n->nlive - 1; k >= 0; k--")
+    source = native._SOURCE.replace(_FLOW_RESUM_LOOP, backward)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    for name in ("_kernel", "_checksum", "_flow", "_status"):
+        monkeypatch.setattr(native, name, getattr(native, name))
+    monkeypatch.setattr(native, "_SOURCE", source)
+    with caplog.at_level(logging.WARNING, logger=native.__name__):
+        status = native.load()
+    assert not status.available
+    assert "the flow engine does not reproduce FlowNetwork bit for bit" in status.reason
+    assert len(caplog.records) == 1
+    assert type(FlowNetwork(Simulator(), {0: lambda w: 1.0})) is FlowNetwork
+
+
 @needs_library
 def test_checksum_reads_every_byte_at_any_alignment():
     # the load-time probe covers 0-9 words and two ragged lengths; here
@@ -480,8 +511,10 @@ def test_kernels_names_both_witnesses(capsys):
     assert lines[1] == f"csr row sums: {status.describe()}"
     if status.available:
         assert lines[2] == "matrix checksum: compiled"
+        assert lines[3] == "flow engine: compiled"
     else:
         assert lines[2] == f"matrix checksum: crc32 ({status.reason})"
+        assert lines[3] == f"flow engine: python ({status.reason})"
 
 
 _CHILD = """
